@@ -26,9 +26,9 @@ from .config import StudyConfig, load_config
 from .errors import ConfigError, PriorsweepError
 from .families import ConjugateToy
 from .ratio import RatioEstimate, build_log_weight_matrix, estimate_ratios
-from .surface import Stage2Workspace, attach_standard_errors, bf_cv_hat, surface
+from .surface import Stage2Workspace, surface
 from .validate import run_all
-from .variance import PlanInputs, SpectralConfig, c_hat, q_opt, tau_sq_hat
+from .variance import PlanInputs, q_opt
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -75,22 +75,36 @@ def _write_surface_csv(path: Path, cfg: StudyConfig, records) -> None:
         writer.writerow(header)
         for rec in records:
             row = [*(_fmt(c) for c in rec.h), _fmt(rec.bf), _fmt(rec.bf_cv),
-                   _fmt(rec.se_bf), _fmt(rec.se_bf_cv)]
+                   _fmt(rec.var["bf"].se), _fmt(rec.var["bf_cv"].se)]
             for nm in names:
-                row += [_fmt(rec.pe[nm]), _fmt(rec.se_pe.get(nm))]
+                row += [_fmt(rec.pe[nm]), _fmt(rec.var[f"pe:{nm}"].se)]
             writer.writerow(row)
 
 
-def _write_variance_csv(path: Path, cfg: StudyConfig, records, breakdowns) -> None:
-    kind = "bf_cv" if len(cfg.skeleton) > 1 else "bf"
+def _write_variance_csv(path: Path, cfg: StudyConfig, records) -> None:
+    """Variance surface of the control-variate estimator (with k = 1 there
+    are no control variates and it is the plain estimator's)."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([*cfg.family.coord_names,
                          "stage1_term", "stage2_term", "total", "se"])
-        for rec, point in zip(records, breakdowns):
-            vb = point[kind]
+        for rec in records:
+            vb = rec.var["bf_cv"]
             writer.writerow([*(_fmt(c) for c in rec.h), _fmt(vb.stage1_term),
                              _fmt(vb.stage2_term), _fmt(vb.total), _fmt(vb.se)])
+
+
+def _check_ratio_matches(est: RatioEstimate, cfg: StudyConfig, path: Path) -> None:
+    """Refuse a stage-1 estimate made for another skeleton or stage-1 config."""
+    if est.skeleton is None or est.stage1_hash is None:
+        raise ConfigError(f"{path} records no skeleton or stage-1 config hash; "
+                          f"rerun stage 1")
+    if est.skeleton != cfg.skeleton:
+        raise ConfigError(f"{path} was estimated for skeleton {est.skeleton}, "
+                          f"not {cfg.skeleton}; rerun stage 1")
+    if est.stage1_hash != cfg.stage1_hash:
+        raise ConfigError(f"{path} was estimated under another model, skeleton, "
+                          f"stage1 or spectral config; rerun stage 1")
 
 
 def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
@@ -123,6 +137,7 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
                 _write_chain_csv(out / f"chain-stage1-{i:02d}.csv", cfg.family, c)
         W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
         est = estimate_ratios(W1, spectral=cfg.spectral)
+        est.stage1_hash = cfg.stage1_hash
         est.save(ratio_path)
     if stage in ("2", "both"):
         if est is None:
@@ -130,6 +145,7 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
                 raise ConfigError(f"stage 2 requires {ratio_path} from a prior "
                                   f"stage-1 run")
             est = RatioEstimate.load(ratio_path)
+            _check_ratio_matches(est, cfg, ratio_path)
         specs = cfg.stage2.chain_specs(cfg.skeleton)
         t0 = time.perf_counter()
         chains = _sample_stage(cfg.family, specs, threads)
@@ -143,22 +159,18 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
         n, N = ws.n, est.N
         q = cfg.q_override if cfg.q_override is not None else n / N
         t0 = time.perf_counter()
-        records = surface(ws, cfg.grid, cfg.functions)
-        surface_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        breakdowns = attach_standard_errors(ws, records, est.sigma_hat, q,
-                                            cfg.functions, cfg.spectral)
-        variance_s = time.perf_counter() - t0
-        manifest["timings"]["surface_s"] = surface_s
-        manifest["timings"]["t2_s_per_term"] = surface_s / (len(cfg.grid) * n)
-        manifest["timings"]["variance_s"] = variance_s
+        records = surface(ws, cfg.grid, cfg.functions, est.sigma_hat, q,
+                          cfg.spectral)
+        sweep_s = time.perf_counter() - t0
+        manifest["timings"]["sweep_s"] = sweep_s
+        manifest["timings"]["t2_s_per_term"] = sweep_s / (len(cfg.grid) * n)
         manifest["sizes"] = {"N": int(N), "n": int(n), "q": q,
                              "k": len(cfg.skeleton), "grid": len(cfg.grid)}
         manifest["d_hat_provenance"] = ("this run" if stage == "both"
                                         else str(ratio_path))
         _write_surface_csv(out / "surface.csv", cfg, records)
-        _write_variance_csv(out / "variance.csv", cfg, records, breakdowns)
-        totals = [point["bf_cv" if ws.k > 1 else "bf"].total for point in breakdowns]
+        _write_variance_csv(out / "variance.csv", cfg, records)
+        totals = [rec.var["bf_cv"].total for rec in records]
         imax = int(np.argmax(totals))
         manifest["variance_argmax"] = {"h": list(records[imax].h),
                                        "total": totals[imax]}
@@ -270,18 +282,14 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int,
     W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains2)
     ws = Stage2Workspace(W2, est)
 
-    # pilot variance components at a few representative grid points
-    idxs = sorted({0, len(cfg.grid) // 2, len(cfg.grid) - 1})
-    pilots = []
+    # pilot variance components (q = 1: v1 = c' Sigma c, v2 = tau^2) of the
+    # plain estimator at a few representative grid points
+    probe = [cfg.grid[i] for i in sorted({0, len(cfg.grid) // 2, len(cfg.grid) - 1})]
     t0 = time.perf_counter()
-    for i in idxs:
-        h = cfg.grid[i]
-        vec = c_hat(ws, h)
-        v1 = float(vec @ est.sigma_hat @ vec) if vec.size else 0.0
-        v2 = tau_sq_hat(ws, h, cfg.spectral)
-        pilots.append({"h": list(h), "v1": v1, "v2": v2})
-    probe_elapsed = time.perf_counter() - t0
-    t2 = probe_elapsed / (len(idxs) * ws.n)
+    records = surface(ws, probe, (), est.sigma_hat, 1.0, cfg.spectral)
+    t2 = (time.perf_counter() - t0) / (len(probe) * ws.n)
+    pilots = [{"h": list(rec.h), "v1": rec.var["bf"].stage1_term,
+               "v2": rec.var["bf"].stage2_term} for rec in records]
 
     plans = []
     for p in pilots:

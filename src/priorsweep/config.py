@@ -15,11 +15,12 @@ import numpy as np
 import yaml
 
 from .blvs import BlvsFamily, ingest_csv
-from .errors import ConfigError
+from .errors import ConfigError, InvalidHyperparameterError
 from .families import ChainSpec, ConjugateToy, DensityFamily, FunctionOfTheta, toy_function
 from .variance import SpectralConfig
 
 CONFIG_SCHEMA_VERSION = 1
+STAGE1_SECTIONS = ("model", "skeleton", "stage1", "spectral")
 
 
 @dataclass
@@ -74,8 +75,18 @@ class StudyConfig:
 
     @property
     def config_hash(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True, default=str).encode()
-        return hashlib.sha256(blob).hexdigest()
+        return _sha256(self.raw)
+
+    @property
+    def stage1_hash(self) -> str:
+        """Hash of the config sections a stage-1 ratio estimate depends on
+        (seed overrides included, since they are written into raw)."""
+        return _sha256({key: self.raw.get(key) for key in STAGE1_SECTIONS})
+
+
+def _sha256(doc) -> str:
+    blob = json.dumps(doc, sort_keys=True, default=str).encode()
+    return hashlib.sha256(blob).hexdigest()
 
 
 def _build_family(model: dict, base_dir: Path) -> DensityFamily:
@@ -155,19 +166,30 @@ def load_config(path) -> StudyConfig:
         raise ConfigError("stage1 and stage2 seeds must differ "
                           "(the two stages must be independent)")
     grid = make_grid(raw.get("grid"), family.coord_names)
+    for h in grid:
+        try:
+            family.validate_h(h)
+        except InvalidHyperparameterError as exc:
+            raise ConfigError(f"grid: {exc}") from None
     functions = _build_functions(raw.get("functions"), family)
     spectral_raw = raw.get("spectral", {}) or {}
-    spectral = SpectralConfig(
-        truncation_scale=float(spectral_raw.get("truncation_scale", 1.5)))
+    scale = float(spectral_raw.get("truncation_scale", 1.5))
+    if not (math.isfinite(scale) and scale > 0):
+        raise ConfigError(f"spectral.truncation_scale must be finite and > 0, got {scale}")
+    spectral = SpectralConfig(truncation_scale=scale)
     out_dir = Path(raw.get("out", "priorsweep-out"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
     q_override = raw.get("q")
+    if q_override is not None:
+        q_override = float(q_override)
+        if not (math.isfinite(q_override) and q_override >= 0):
+            raise ConfigError(f"q must be finite and >= 0, got {q_override}")
     return StudyConfig(
         raw=raw, base_dir=base_dir, family=family, skeleton=skeleton,
         stage1=stage1, stage2=stage2, grid=grid, functions=functions,
         spectral=spectral, out_dir=out_dir,
         threads=raw.get("threads"),
-        q_override=None if q_override is None else float(q_override),
+        q_override=q_override,
         save_chains=bool(raw.get("save_chains", False)),
     )

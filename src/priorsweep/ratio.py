@@ -19,9 +19,9 @@ from scipy.special import logsumexp
 
 from .errors import ConnectivityError, ConvergenceError, SupportViolationError
 from .families import DensityFamily
-from .variance import SpectralConfig, lrv_matrix
+from .variance import SpectralConfig, chain_lrv
 
-RATIO_SCHEMA_VERSION = 1
+RATIO_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -86,7 +86,12 @@ def build_log_weight_matrix(family: DensityFamily, skeleton: Sequence,
 
 @dataclass
 class RatioEstimate:
-    """d_hat with first entry 1, its sandwich covariance, and solver info."""
+    """d_hat with first entry 1, its sandwich covariance, and solver info.
+
+    skeleton and stage1_hash identify the stage-1 inputs, so that a stage-2
+    run can refuse an estimate made for another skeleton or config; a file
+    written without them loads with None.
+    """
 
     d_hat: np.ndarray            # (k,)
     sigma_hat: np.ndarray        # (k-1, k-1), covariance of sqrt(N)(d_hat - d)
@@ -94,6 +99,8 @@ class RatioEstimate:
     counts: np.ndarray
     iterations: int
     final_grad_norm: float
+    skeleton: list[tuple] | None = None
+    stage1_hash: str | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -102,6 +109,9 @@ class RatioEstimate:
             "sigma_hat": self.sigma_hat.tolist(),
             "N": int(self.N),
             "counts": self.counts.tolist(),
+            "skeleton": (None if self.skeleton is None
+                         else [list(h) for h in self.skeleton]),
+            "stage1_hash": self.stage1_hash,
             "solver": {
                 "iterations": int(self.iterations),
                 "final_grad_norm": float(self.final_grad_norm),
@@ -118,6 +128,9 @@ class RatioEstimate:
             counts=np.asarray(d["counts"], dtype=np.int64),
             iterations=int(d["solver"]["iterations"]),
             final_grad_norm=float(d["solver"]["final_grad_norm"]),
+            skeleton=(None if d.get("skeleton") is None
+                      else [tuple(float(c) for c in h) for h in d["skeleton"]]),
+            stage1_hash=d.get("stage1_hash"),
         )
 
     def save(self, path) -> None:
@@ -268,9 +281,7 @@ def estimate_sigma(W: LogWeightMatrix, d_hat: np.ndarray,
     for j, sl in enumerate(W.chain_slices):
         if j >= 1:
             scores[sl, j - 1] += 1.0
-    S = np.zeros((k - 1, k - 1))
-    for j, sl in enumerate(W.chain_slices):
-        S += a[j] * lrv_matrix(scores[sl], spectral, psd=False)
+    S = chain_lrv(scores, W.chain_slices, a, spectral)
     # eigenvalue clipping: windowed cross sums can lose PSD-ness
     evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
     S = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
@@ -294,4 +305,5 @@ def estimate_ratios(W: LogWeightMatrix, tol: float = 1e-10,
     sigma_hat = estimate_sigma(W, d_hat, spectral=spectral)
     return RatioEstimate(d_hat=d_hat, sigma_hat=sigma_hat, N=W.total,
                          counts=W.counts.copy(), iterations=info["iterations"],
-                         final_grad_norm=info["final_grad_norm"])
+                         final_grad_norm=info["final_grad_norm"],
+                         skeleton=list(W.skeleton))

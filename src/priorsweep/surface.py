@@ -1,6 +1,6 @@
 """Stage 2: sweep a hyperparameter grid, estimating Bayes factors (plain and
-control-variate-adjusted) and posterior expectations from the pooled stage-2
-chains and the stage-1 ratio estimate.
+control-variate-adjusted) and posterior expectations, each with its plug-in
+variance, from the pooled stage-2 chains and the stage-1 ratio estimate.
 
 The mixture denominator sum_s a_s nu_{h_s}(theta)/d_s does not depend on the
 grid point, so it is computed once per workspace; each grid point then costs
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -23,8 +23,8 @@ from scipy.special import logsumexp
 from .errors import DegenerateDesignWarning, SupportViolationError, SupportWarning
 from .families import FunctionOfTheta
 from .ratio import LogWeightMatrix, RatioEstimate
-from .variance import (SpectralConfig, assemble_variance, c_hat, gamma_rho_hat,
-                       sigma_sq_hat, tau_sq_hat, v_hat, w_hat)
+from .variance import (SpectralConfig, VarianceBreakdown, assemble_variance,
+                       c_hat, chain_lrv, v_hat, w_hat)
 
 _RANK_RTOL = 1e-10
 
@@ -150,11 +150,6 @@ class Stage2Workspace:
         return coef[1:]
 
 
-def prepare_workspace(W: LogWeightMatrix, d_hat) -> Stage2Workspace:
-    """Bind stage-2 pooled chains to the stage-1 ratio estimate."""
-    return Stage2Workspace(W, d_hat)
-
-
 def bf_hat(ws: Stage2Workspace, h) -> float:
     """Importance-sampling Bayes-factor estimate B_hat(h, h_1, d_hat)."""
     u, shift = ws.terms(h)
@@ -202,57 +197,58 @@ def bf_gradient_hat(ws: Stage2Workspace, h) -> np.ndarray:
 
 @dataclass
 class SurfaceRecord:
-    """Point estimates (and, once attached, standard errors) at one h."""
+    """Point estimates at one h and their variance breakdowns, keyed "bf",
+    "bf_cv" and "pe:<name>"; standard errors are var[key].se."""
 
     h: tuple
     bf: float
     bf_cv: float
     beta: np.ndarray
-    pe: dict[str, float] = field(default_factory=dict)
-    se_bf: float | None = None
-    se_bf_cv: float | None = None
-    se_pe: dict[str, float] = field(default_factory=dict)
+    pe: dict[str, float]
+    var: dict[str, VarianceBreakdown]
 
 
-def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta] = ()) \
+def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
+            sigma_hat: np.ndarray, q: float, cfg: SpectralConfig | None = None) \
         -> list[SurfaceRecord]:
-    """Evaluate the estimators at every grid point."""
+    """Evaluate every estimator and its plug-in variance at every grid point.
+
+    The stage-1 terms are q vec' Sigma vec with vec = c, w or v.  The
+    stage-2 terms come from one chain-weighted Bartlett covariance of the
+    stacked series [Y, Y - Z beta, (f_j - I_j) Y ...]: its diagonal holds
+    tau^2, sigma^2 and Ybar^2 rho_j.  The Bartlett estimate is bilinear with
+    per-chain centering, so the last equals (1, -I_j) Gamma (1, -I_j)' for
+    the joint long-run covariance Gamma of (f_j Y, Y), and f == 1 gives a
+    zero series and rho = 0 exactly.  Only the shifted terms u = Y e^-shift
+    are formed; rho is scale free, the other two are rescaled.
+    """
+    cfg = cfg or SpectralConfig()
     records = []
     for h in grid:
         h = ws.family.validate_h(h)
         bf = bf_hat(ws, h)
         bf_cv, beta = bf_cv_hat(ws, h)
         pes = {f.name: pe_hat(ws, h, f) for f in functions}
-        records.append(SurfaceRecord(h=h, bf=bf, bf_cv=bf_cv, beta=beta, pe=pes))
-    return records
-
-
-def attach_standard_errors(ws: Stage2Workspace, records: list[SurfaceRecord],
-                           sigma_hat: np.ndarray, q: float,
-                           functions: list[FunctionOfTheta] = (),
-                           cfg: SpectralConfig | None = None) -> list[dict]:
-    """Fill in plug-in asymptotic standard errors for every record in place.
-
-    Returns the per-record variance breakdowns (keyed "bf", "bf_cv", and
-    "pe:<name>") so callers can report the variance surface without
-    recomputing the spectral pieces.
-    """
-    cfg = cfg or SpectralConfig()
-    breakdowns = []
-    for rec in records:
-        h = rec.h
-        point = {}
-        point["bf"] = assemble_variance("bf", c_hat(ws, h), sigma_hat,
-                                        tau_sq_hat(ws, h, cfg), q, ws.n)
-        rec.se_bf = point["bf"].se
-        sig2 = sigma_sq_hat(ws, h, rec.beta, cfg)
-        point["bf_cv"] = assemble_variance("bf_cv", w_hat(ws, h, rec.beta),
-                                           sigma_hat, sig2, q, ws.n)
-        rec.se_bf_cv = point["bf_cv"].se
+        u, shift = ws.terms(h)
+        u_mean = float(u.mean())
+        series = [u, u - ws.Z @ (beta * math.exp(-shift))]
         for f in functions:
-            _, rho = gamma_rho_hat(ws, h, f, cfg)
-            point[f"pe:{f.name}"] = assemble_variance(
-                "pe", v_hat(ws, h, f), sigma_hat, rho, q, ws.n)
-            rec.se_pe[f.name] = point[f"pe:{f.name}"].se
-        breakdowns.append(point)
-    return breakdowns
+            # with nu_h vanishing everywhere u is 0 and pe_hat is nan
+            centre = pes[f.name] if u_mean > 0.0 else 0.0
+            series.append((ws.function_values(f) - centre) * u)
+        lrv = np.diag(chain_lrv(np.column_stack(series), ws.chain_slices,
+                                ws.proportions, cfg))
+        scale = math.exp(2.0 * shift)
+        var = {
+            "bf": assemble_variance("bf", c_hat(ws, h), sigma_hat,
+                                    lrv[0] * scale, q, ws.n),
+            "bf_cv": assemble_variance("bf_cv", w_hat(ws, h, beta), sigma_hat,
+                                       lrv[1] * scale, q, ws.n),
+        }
+        for f, lrv_f in zip(functions, lrv[2:]):
+            rho = lrv_f / (u_mean * u_mean) if u_mean > 0.0 else math.nan
+            var[f"pe:{f.name}"] = assemble_variance("pe", v_hat(ws, h, f),
+                                                    sigma_hat, rho, q, ws.n)
+        records.append(SurfaceRecord(h=h, bf=bf, bf_cv=bf_cv, beta=beta,
+                                     pe=pes, var=var))
+    return records

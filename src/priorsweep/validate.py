@@ -18,10 +18,8 @@ import numpy as np
 
 from .families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from .ratio import build_log_weight_matrix, estimate_d, estimate_ratios
-from .surface import Stage2Workspace, bf_cv_hat, bf_hat, pe_hat
-from .variance import (PlanInputs, SpectralConfig, assemble_variance, c_hat,
-                       gamma_rho_hat, predicted_variance, q_opt, sigma_sq_hat,
-                       tau_sq_hat, v_hat, w_hat)
+from .surface import Stage2Workspace, bf_cv_hat, bf_hat, pe_hat, surface
+from .variance import PlanInputs, SpectralConfig, predicted_variance, q_opt
 
 
 @dataclass
@@ -82,20 +80,9 @@ def _v2_single_run(family, skeleton, h_star, f, lengths, seeds1, seeds2, cfg, q,
                for h, n, s in zip(skeleton, lengths, seeds2)]
     W2 = build_log_weight_matrix(family, skeleton, chains2)
     ws = Stage2Workspace(W2, est.d_hat)
-
-    bf = bf_hat(ws, h_star)
-    bf_cv, beta = bf_cv_hat(ws, h_star)
-    pe = pe_hat(ws, h_star, f)
-
-    n = ws.n
-    var_bf = assemble_variance("bf", c_hat(ws, h_star), est.sigma_hat,
-                               tau_sq_hat(ws, h_star, cfg), q, n)
-    var_cv = assemble_variance("bf_cv", w_hat(ws, h_star, beta), est.sigma_hat,
-                               sigma_sq_hat(ws, h_star, beta, cfg), q, n)
-    _, rho = gamma_rho_hat(ws, h_star, f, cfg)
-    var_pe = assemble_variance("pe", v_hat(ws, h_star, f), est.sigma_hat,
-                               rho, q, n)
-    return (bf, bf_cv, pe), (var_bf, var_cv, var_pe)
+    rec = surface(ws, [h_star], [f], est.sigma_hat, q, cfg)[0]
+    return ((rec.bf, rec.bf_cv, rec.pe[f.name]),
+            (rec.var["bf"], rec.var["bf_cv"], rec.var[f"pe:{f.name}"]))
 
 
 def suite_v2_variance_validation(variant: str = "iid", reps: int = 500,

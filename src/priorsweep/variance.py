@@ -1,17 +1,17 @@
 """Plug-in estimation of the asymptotic-variance pieces for every estimator:
-stage-2 long-run variances (tau^2, sigma^2, rho), the stage-1 sensitivity
-vectors (c, w, v), their assembly into total variances q vec' Sigma vec +
-stage-2 term, and the stage-allocation planner.
+the Bartlett long-run covariance behind every stage-2 term (tau^2, sigma^2,
+rho), the stage-1 sensitivity vectors (c, w, v), their assembly into total
+variances q vec' Sigma vec + stage-2 term, and the stage-allocation planner.
 
-One Bartlett window rule is used for every spectral quantity so that the
-pieces are mutually comparable; the truncation lag is L = floor(scale *
-n^(1/3)) with scale 1.5 by default.
+One Bartlett window rule (`lrv_matrix`) is used for every spectral quantity
+so that the pieces are mutually comparable; the truncation lag is
+L = floor(scale * n^(1/3)) with scale 1.5 by default.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,24 +32,9 @@ class SpectralConfig:
         return max(1, min(n - 1, int(self.truncation_scale * n ** (1.0 / 3.0))))
 
 
-def spectral_lrv(series, cfg: SpectralConfig | None = None) -> float:
-    """Bartlett-windowed long-run variance of a scalar series, clipped at 0."""
-    cfg = cfg or SpectralConfig()
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    L = cfg.lags(n)
-    if np.ptp(x) == 0.0:
-        return 0.0
-    x = x - x.mean()
-    out = float(x @ x) / n
-    for t in range(1, L + 1):
-        w = 1.0 - t / (L + 1.0)
-        out += 2.0 * w * float(x[t:] @ x[:-t]) / n
-    return max(out, 0.0)
-
-
-def lrv_matrix(X, cfg: SpectralConfig | None = None, psd: bool = True) -> np.ndarray:
-    """Long-run covariance matrix of a vector series (rows are time points)."""
+def lrv_matrix(X, cfg: SpectralConfig | None = None) -> np.ndarray:
+    """Bartlett-windowed long-run covariance matrix of a vector series (rows
+    are time points), centered at the series mean."""
     cfg = cfg or SpectralConfig()
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -62,64 +47,23 @@ def lrv_matrix(X, cfg: SpectralConfig | None = None, psd: bool = True) -> np.nda
         w = 1.0 - t / (L + 1.0)
         C = Xc[t:].T @ Xc[:-t] / n
         S += w * (C + C.T)
-    S = (S + S.T) / 2.0
-    if psd:
-        evals, evecs = np.linalg.eigh(S)
-        S = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
-        S = (S + S.T) / 2.0
-    return S
+    return (S + S.T) / 2.0
 
 
-def _chain_weighted_lrv(values: np.ndarray, slices: Sequence[slice],
-                        a: np.ndarray, cfg: SpectralConfig) -> float:
-    return float(sum(a_l * spectral_lrv(values[sl], cfg)
-                     for a_l, sl in zip(a, slices)))
+def spectral_lrv(series, cfg: SpectralConfig | None = None) -> float:
+    """Bartlett-windowed long-run variance of a scalar series, clipped at 0."""
+    x = np.asarray(series, dtype=float)
+    S = lrv_matrix(x, cfg)      # raises on a too-short series
+    # a constant series centers to exact zeros only if its mean is exact
+    return 0.0 if np.ptp(x) == 0.0 else max(float(S[0, 0]), 0.0)
 
 
-def tau_sq_hat(ws, h, cfg: SpectralConfig | None = None) -> float:
-    """Stage-2 variance of the plain Bayes-factor estimator at h: the
-    chain-proportion-weighted long-run variance of the Y series."""
-    cfg = cfg or SpectralConfig()
-    u, shift = ws.terms(h)
-    raw = _chain_weighted_lrv(u, ws.chain_slices, ws.proportions, cfg)
-    return raw * math.exp(2.0 * shift)
-
-
-def sigma_sq_hat(ws, h, beta_hat, cfg: SpectralConfig | None = None) -> float:
-    """Same as tau_sq_hat but for the control-variate-adjusted series
-    U = Y - Z beta_hat."""
-    cfg = cfg or SpectralConfig()
-    u, shift = ws.terms(h)
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    if beta_hat.size:
-        u = u - ws.Z @ (beta_hat * math.exp(-shift))
-    raw = _chain_weighted_lrv(u, ws.chain_slices, ws.proportions, cfg)
-    return raw * math.exp(2.0 * shift)
-
-
-def gamma_rho_hat(ws, h, f: FunctionOfTheta, cfg: SpectralConfig | None = None):
-    """Joint long-run covariance of (Y^[f], Y) and the delta-method variance
-    of the posterior-expectation ratio estimator.
-
-    Returns (Gamma_hat, rho_hat).  rho_hat is exactly 0 when f is constant 1,
-    matching the exact identity for the ratio.
-    """
-    cfg = cfg or SpectralConfig()
-    u, shift = ws.terms(h)
-    fv = ws.function_values(f)
-    den = float(u.sum())
-    if den == 0.0:
-        return np.zeros((2, 2)), math.nan
-    yf = fv * u
-    ratio = float(yf.sum()) / den
-    gamma = np.zeros((2, 2))
-    pair = np.column_stack([yf, u])
-    for a_l, sl in zip(ws.proportions, ws.chain_slices):
-        gamma += a_l * lrv_matrix(pair[sl], cfg, psd=False)
-    u_mean = float(u.mean())
-    rho = (gamma[0, 0] - 2.0 * ratio * gamma[0, 1] + ratio * ratio * gamma[1, 1]) \
-        / (u_mean * u_mean)
-    return gamma * math.exp(2.0 * shift), max(rho, 0.0)
+def chain_lrv(X, slices: Sequence[slice], a, cfg: SpectralConfig | None = None) \
+        -> np.ndarray:
+    """Chain-proportion-weighted long-run covariance sum_l a_l LRV(X[chain l]),
+    each chain centered at its own mean (the chains are independent, so
+    cross-chain terms vanish)."""
+    return sum(a_l * lrv_matrix(X[sl], cfg) for a_l, sl in zip(a, slices))
 
 
 def c_hat(ws, h) -> np.ndarray:
@@ -239,39 +183,3 @@ def q_opt(plan: PlanInputs, curve_points: int = 201) -> StagePlan:
     curve_q = qo * np.logspace(-2, 2, curve_points)
     return StagePlan(q_opt=qo, n=n, N=n / qo, curve_q=curve_q,
                      curve_v=predicted_variance(plan, curve_q))
-
-
-def variance_surface(ws, grid, sigma_hat, q: float,
-                     cfg: SpectralConfig | None = None) -> tuple[list, dict]:
-    """Total-variance surface of the control-variate Bayes-factor estimator
-    over a hyperparameter grid, plus the argmax report used for manual
-    skeleton refinement.
-
-    With k = 1 there are no control variates and the plain-estimator variance
-    is reported instead.
-    """
-    from .surface import bf_cv_hat      # local import to avoid a cycle
-
-    cfg = cfg or SpectralConfig()
-    rows = []
-    for h in grid:
-        h = ws.family.validate_h(h)
-        if ws.k == 1:
-            vec = np.zeros(0)
-            stage2 = tau_sq_hat(ws, h, cfg)
-            kind = "bf"
-        else:
-            _, beta = bf_cv_hat(ws, h)
-            vec = w_hat(ws, h, beta)
-            stage2 = sigma_sq_hat(ws, h, beta, cfg)
-            kind = "bf_cv"
-        rows.append((h, assemble_variance(kind, vec, sigma_hat, stage2, q, ws.n)))
-    totals = np.array([b.total for _, b in rows])
-    imax = int(np.argmax(totals))
-    summary = {
-        "max_total": float(totals[imax]),
-        "argmax_h": list(rows[imax][0]),
-        "min_total": float(totals.min()),
-        "mean_total": float(totals.mean()),
-    }
-    return rows, summary

@@ -40,6 +40,7 @@ class TestRun:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sizes"]["n"] == 1600
         assert manifest["timings"]["t1_s_per_step"] > 0
+        assert manifest["timings"]["sweep_s"] > 0
 
     def test_deterministic_across_runs_and_threads(self, tmp_path):
         p = tmp_path / "study.yaml"
@@ -63,6 +64,35 @@ class TestRun:
     def test_stage2_requires_ratio_json(self, toy_config, tmp_path):
         assert main(["run", "--config", str(toy_config), "--stage", "2",
                      "--out", str(tmp_path / "fresh")]) == 2
+
+    def test_stage2_refuses_ratio_json_of_another_skeleton(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p, out="out")
+        assert main(["run", "--config", str(p), "--stage", "1"]) == 0
+        raw["skeleton"] = [[0.0], [3.0]]          # same size, another point
+        p.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(p), "--stage", "2"]) == 2
+        assert "skeleton" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "surface.csv").exists()
+
+    def test_stage2_refuses_ratio_json_of_another_stage1_config(self, toy_config, tmp_path):
+        assert main(["run", "--config", str(toy_config), "--stage", "1"]) == 0
+        assert main(["run", "--config", str(toy_config), "--stage", "2",
+                     "--seed-override", "stage1=999"]) == 2
+
+    def test_stage2_refuses_ratio_json_without_provenance(self, toy_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(toy_config), "--stage", "1"]) == 0
+        doc = json.loads((out / "ratio.json").read_text())
+        del doc["skeleton"], doc["stage1_hash"]
+        (out / "ratio.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(toy_config), "--stage", "2"]) == 2
+
+    def test_stage2_accepts_a_new_stage2_seed(self, toy_config, tmp_path):
+        assert main(["run", "--config", str(toy_config), "--stage", "1"]) == 0
+        assert main(["run", "--config", str(toy_config), "--stage", "2",
+                     "--seed-override", "stage2=777"]) == 0
+        assert (tmp_path / "out" / "surface.csv").exists()
 
     def test_seed_override_changes_outputs(self, toy_config, tmp_path):
         out = tmp_path / "out"

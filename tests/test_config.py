@@ -112,3 +112,54 @@ class TestLoadConfig:
         p.write_text(yaml.safe_dump({"model": {"kind": "mystery"}}))
         with pytest.raises(ConfigError, match="unknown model kind"):
             load_config(p)
+
+    def test_grid_point_outside_domain_rejected(self, tmp_path, uscrime_path):
+        cfg = {
+            "model": {"kind": "blvs", "dataset": str(uscrime_path),
+                      "response": "y", "binary": ["S"]},
+            "skeleton": [[0.5, 15]],
+            "stage1": {"length": 50, "seed": 1},
+            "stage2": {"length": 50, "seed": 2},
+            "grid": {"points": [[0.5, 15], [1.2, 15]]},
+        }
+        p = tmp_path / "blvs.yaml"
+        p.write_text(yaml.safe_dump(cfg))
+        with pytest.raises(ConfigError, match="grid: w must lie in"):
+            load_config(p)
+
+    @pytest.mark.parametrize("q", [-3, float("nan"), float("inf")])
+    def test_bad_q_rejected(self, tmp_path, q):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        raw["q"] = q
+        p.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="q must be"):
+            load_config(p)
+
+    def test_q_zero_accepted(self, tmp_path):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        raw["q"] = 0
+        p.write_text(yaml.safe_dump(raw))
+        assert load_config(p).q_override == 0.0
+
+    @pytest.mark.parametrize("scale", [-2, 0, float("inf")])
+    def test_bad_truncation_scale_rejected(self, tmp_path, scale):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        raw["spectral"] = {"truncation_scale": scale}
+        p.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="truncation_scale"):
+            load_config(p)
+
+    def test_stage1_hash_ignores_stage2_and_grid(self, tmp_path):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        base = load_config(p).stage1_hash
+        raw["stage2"]["seed"] = 99
+        raw["grid"] = {"points": [[0.5]]}
+        p.write_text(yaml.safe_dump(raw))
+        assert load_config(p).stage1_hash == base
+        raw["skeleton"] = [[0.0], [3.0]]
+        p.write_text(yaml.safe_dump(raw))
+        assert load_config(p).stage1_hash != base

@@ -186,3 +186,4 @@ class TestRatioEstimateIO:
         np.testing.assert_array_equal(back.sigma_hat, est.sigma_hat)
         assert back.N == est.N
         assert back.iterations == est.iterations
+        assert back.skeleton == est.skeleton == [(0.0,), (1.0,)]

@@ -7,9 +7,8 @@ from priorsweep.errors import (DegenerateDesignWarning, SupportViolationError,
                                SupportWarning)
 from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from priorsweep.ratio import LogWeightMatrix, build_log_weight_matrix, estimate_d
-from priorsweep.surface import (Stage2Workspace, attach_standard_errors,
-                                bf_cv_hat, bf_gradient_hat, bf_hat, pe_hat,
-                                prepare_workspace, surface)
+from priorsweep.surface import (Stage2Workspace, bf_cv_hat, bf_gradient_hat,
+                                bf_hat, pe_hat, surface)
 
 
 def two_stage(skeleton, n1, n2, y_obs=0.0, seed0=0, sampler="iid"):
@@ -29,7 +28,7 @@ class TestWorkspace:
         fam = ConjugateToy(y_obs=0.4)
         ch = [fam.sample_posterior(ChainSpec(h=(0.4,), length=1000, seed=1))]
         W = build_log_weight_matrix(fam, [(0.4,)], ch)
-        ws = prepare_workspace(W, np.ones(1))
+        ws = Stage2Workspace(W, np.ones(1))
         assert bf_hat(ws, (0.4,)) == 1.0
 
     def test_z_column_means_small(self):
@@ -59,7 +58,7 @@ class TestWorkspace:
         ws = Stage2Workspace(W, d)
         calls["scalar"] = 0
         surface(ws, [(h,) for h in np.linspace(-0.5, 2.5, 40)],
-                [toy_function("identity")])
+                [toy_function("identity")], np.zeros((1, 1)), q=0.0)
         assert calls["scalar"] == 0
 
     def test_dead_mixture_sample_raises(self):
@@ -87,9 +86,9 @@ class TestBfHat:
         fam, _, d, ws = two_stage([(0.0,), (1.0,)], 20000, 20000, seed0=11)
         truth = fam.exact_bf((0.5,), (0.0,))
         reps = [bf_hat(ws, (0.5,))]
-        # plug-in se from the variance module
-        from priorsweep.variance import tau_sq_hat
-        se = math.sqrt(tau_sq_hat(ws, (0.5,)) / ws.n) * 3  # stage-2 only; d is near-exact here
+        # plug-in se from the surface pass
+        tau_sq = surface(ws, [(0.5,)], [], np.zeros((1, 1)), q=0.0)[0].var["bf"].stage2_term
+        se = math.sqrt(tau_sq / ws.n) * 3  # stage-2 only; d is near-exact here
         assert abs(reps[0] - truth) < 3 * max(se, 0.005)
 
     def test_support_warning_when_numerator_dead(self):
@@ -222,16 +221,15 @@ class TestSurfaceSweep:
         sigma = estimate_sigma(W1, d)
         grid = [(h,) for h in np.linspace(-0.5, 2.0, 11)]
         f = toy_function("identity")
-        recs = surface(ws, grid, [f])
+        recs = surface(ws, grid, [f], sigma, q=1.0)
         assert len(recs) == 11
-        breakdowns = attach_standard_errors(ws, recs, sigma, q=1.0,
-                                            functions=[f])
-        for rec, point in zip(recs, breakdowns):
+        for rec in recs:
             assert rec.bf > 0
-            assert rec.se_bf > 0
-            assert rec.se_bf_cv is not None
+            assert rec.var["bf"].se > 0
+            assert math.isfinite(rec.var["bf_cv"].se)
             assert set(rec.pe) == {"identity"}
-            assert point["bf"].total >= point["bf"].stage2_term
+            assert set(rec.var) == {"bf", "bf_cv", "pe:identity"}
+            assert rec.var["bf"].total >= rec.var["bf"].stage2_term
 
     def test_monotone_consistency_rate(self):
         # error at the sqrt(n) rate within a factor-2 band across decades
