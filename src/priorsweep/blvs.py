@@ -22,12 +22,13 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
-from scipy.special import logsumexp
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dtrtrs
 
 from .errors import InvalidHyperparameterError, SingularDesignError
 from .families import ChainSpec, DensityFamily, FunctionOfTheta
@@ -35,6 +36,15 @@ from .families import ChainSpec, DensityFamily, FunctionOfTheta
 logger = logging.getLogger(__name__)
 
 ENUMERATION_MAX_Q = 25
+
+
+def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """L^{-1} b, or L^{-T} b, for a C-ordered lower-triangular L.
+
+    This is LAPACK trtrs on the Fortran-ordered view L', called as
+    scipy.linalg.solve_triangular calls it, so the numbers are the same; the
+    wrapper's checks cost more than the solve at these sizes."""
+    return dtrtrs(L.T, b, lower=0, trans=0 if transpose else 1)[0]
 
 
 def _expit(logit: float) -> float:
@@ -157,6 +167,15 @@ class BlvsFamily(DensityFamily):
         self._Xc = dataset.X - dataset.X.mean(axis=0)
         self._XtX = self._Xc.T @ self._Xc
         self._Xty = self._Xc.T @ self._yc
+        # The model table, keyed by the model code sum_i gamma_i 2^i and shared
+        # by every chain of both stages and every thread: 1 - R^2 of each
+        # model seen (None when singular or too large), and the fit the
+        # (sigma, beta) draw needs for each model a chain sat on.  Every entry
+        # is a pure function of its code, so the order in which chains fill
+        # the table never changes a draw, and two threads that fill one entry
+        # at once store equal values.
+        self._rssr: dict[int, float | None] = {}
+        self._draw_fit: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
         self._enumeration = None
 
     def _check_domain(self, coords):
@@ -168,7 +187,7 @@ class BlvsFamily(DensityFamily):
 
     # per-model linear algebra
     def _chol(self, idx: np.ndarray) -> np.ndarray:
-        G = self._XtX[np.ix_(idx, idx)]
+        G = self._XtX[idx[:, None], idx]
         try:
             return np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
@@ -179,8 +198,7 @@ class BlvsFamily(DensityFamily):
     def _ssr(self, idx: np.ndarray) -> float:
         if idx.size == 0:
             return 0.0
-        L = self._chol(idx)
-        half = solve_triangular(L, self._Xty[idx], lower=True, check_finite=False)
+        half = _solve_lower(self._chol(idx), self._Xty[idx])
         return float(half @ half)
 
     def _rss_ratio(self, idx: np.ndarray) -> float:
@@ -212,9 +230,53 @@ class BlvsFamily(DensityFamily):
         return self._log_marginal_idx(idx, g)
 
     def _log_marginal_idx(self, idx: np.ndarray, g: float) -> float:
-        rssr = self._rss_ratio(idx)
-        return 0.5 * (self.m - 1 - idx.size) * math.log1p(g) \
+        return self._log_marginal(idx.size, self._rss_ratio(idx), g)
+
+    def _log_marginal(self, size: int, rssr: float, g: float) -> float:
+        """The closed form above from the model size and 1 - R^2."""
+        return 0.5 * (self.m - 1 - size) * math.log1p(g) \
             - 0.5 * (self.m - 1) * math.log1p(g * rssr)
+
+    # the model table
+    def _columns(self, code: int) -> np.ndarray:
+        return np.array([j for j in range(self.q) if code >> j & 1], dtype=np.intp)
+
+    def _table_rss_ratio(self, code: int) -> float | None:
+        """1 - R^2 of model `code` from the table; None for a singular or
+        too-large model."""
+        try:
+            return self._rssr[code]
+        except KeyError:
+            pass
+        rssr = None
+        if code.bit_count() <= self.m - 2:
+            try:
+                rssr = self._rss_ratio(self._columns(code))
+            except SingularDesignError:
+                pass
+        self._rssr[code] = rssr
+        return rssr
+
+    def _table_draw_fit(self, code: int) -> tuple[float, np.ndarray, np.ndarray]:
+        """(ssr, Cholesky factor L, least-squares beta) of a nonsingular model."""
+        try:
+            return self._draw_fit[code]
+        except KeyError:
+            pass
+        idx = self._columns(code)
+        if idx.size:
+            L = self._chol(idx)
+            fit = (self._ssr(idx), L, cho_solve((L, True), self._Xty[idx],
+                                                check_finite=False))
+        else:
+            fit = (0.0, np.empty((0, 0)), np.empty(0))
+        self._draw_fit[code] = fit
+        return fit
+
+    @property
+    def models_fitted(self) -> int:
+        """Number of models in the table."""
+        return len(self._rssr)
 
     # Gibbs sampler
     def conditional_inclusion_prob(self, gamma, i: int, h) -> float:
@@ -240,6 +302,7 @@ class BlvsFamily(DensityFamily):
         beta_gamma) from their exact conditionals given gamma, so the chain on
         theta has the full posterior as its invariant law.  A singular
         candidate model is treated as having prior probability zero.
+        The chain works on the model code; fits come from the model table.
         """
         w, g = self.validate_h(spec.h)
         rng = np.random.default_rng(spec.seed)
@@ -250,32 +313,29 @@ class BlvsFamily(DensityFamily):
         if int(gamma.sum()) > m - 2:
             gamma[:] = False
 
-        # memoized per-model log marginals (exact recomputation, cached; the
-        # chain revisits a small set of models over and over)
-        lm_cache: dict[bytes, float | None] = {}
+        # log marginal at this chain's g for every model it has tried (None
+        # for a singular one); the chain revisits a small set of models
+        lm_cache: dict[int, float | None] = {}
 
-        def log_marginal_cached(mask: np.ndarray) -> float | None:
-            key = mask.tobytes()
-            if key not in lm_cache:
-                try:
-                    if int(mask.sum()) > m - 2:
-                        raise SingularDesignError("model too large")
-                    lm_cache[key] = self._log_marginal_idx(np.flatnonzero(mask), g)
-                except SingularDesignError:
-                    lm_cache[key] = None
-            return lm_cache[key]
+        def log_marginal(code: int) -> float | None:
+            rssr = self._table_rss_ratio(code)
+            lm = None if rssr is None else self._log_marginal(code.bit_count(), rssr, g)
+            lm_cache[code] = lm
+            return lm
 
-        lm_cur = log_marginal_cached(gamma)
+        code = sum(1 << j for j in np.flatnonzero(gamma).tolist())
+        lm_cur = log_marginal(code)
         if lm_cur is None:      # singular start: fall back to the null model
             gamma[:] = False
-            lm_cur = log_marginal_cached(gamma)
+            code = 0
+            lm_cur = log_marginal(code)
         out: list[ModelState] = []
         warned = False
         for sweep in range(spec.burn_in + spec.length):
             for i in range(q):
-                flipped = gamma.copy()
-                flipped[i] = not flipped[i]
-                lm_try = log_marginal_cached(flipped)
+                bit = 1 << i
+                flipped = code ^ bit
+                lm_try = lm_cache[flipped] if flipped in lm_cache else log_marginal(flipped)
                 if lm_try is None:
                     if not warned:
                         logger.warning(
@@ -284,25 +344,23 @@ class BlvsFamily(DensityFamily):
                         warned = True
                     rng.random()  # keep the draw stream aligned
                     continue
-                if gamma[i]:
+                included = bool(code & bit)
+                if included:
                     lm1, lm0 = lm_cur, lm_try
                 else:
                     lm1, lm0 = lm_try, lm_cur
-                include = rng.random() < _expit(log_odds + lm1 - lm0)
-                if include != gamma[i]:
-                    gamma[i] = include
+                if (rng.random() < _expit(log_odds + lm1 - lm0)) != included:
+                    gamma[i] = not included
+                    code = flipped
                     lm_cur = lm_try
 
-            idx = np.flatnonzero(gamma)
-            ssr = self._ssr(idx)
+            ssr, L, beta_hat = self._table_draw_fit(code)
             a_scale = self._tss - shrink * ssr
             sigma2 = 0.5 * a_scale / rng.standard_gamma(0.5 * (m - 1))
-            if idx.size:
-                L = self._chol(idx)
-                beta_hat = cho_solve((L, True), self._Xty[idx], check_finite=False)
-                z = rng.standard_normal(idx.size)
+            if beta_hat.size:
+                z = rng.standard_normal(beta_hat.size)
                 beta = shrink * beta_hat + math.sqrt(sigma2 * shrink) * \
-                    solve_triangular(L.T, z, lower=False, check_finite=False)
+                    _solve_lower(L, z, transpose=True)
             else:
                 beta = np.empty(0)
             beta0 = rng.normal(self._ybar, math.sqrt(sigma2 / m))
@@ -372,49 +430,95 @@ class ModelEnumeration:
     """Exact posterior quantities by summing over all 2^q models.
 
     R^2_gamma does not depend on (w, g), so the expensive per-model fits are
-    done once; every hyperparameter evaluation afterwards is a vectorized
-    log-sum-exp over the cached models.
+    done once, in batches of models of one size; every hyperparameter
+    evaluation afterwards is a vectorized pass over the cached models.
+    Model `code` (row `code` of `bits`) includes predictor i when bit i of
+    the code is set.  The enumeration refers to its family weakly, so the
+    family's cache of it makes no reference cycle.
     """
+
+    BLOCK = 512     # models per batched Cholesky call
 
     def __init__(self, family: BlvsFamily):
         q = family.q
         if q > ENUMERATION_MAX_Q:
             raise ValueError(f"enumeration supports q <= {ENUMERATION_MAX_Q}, got q={q}")
-        self.family = family
+        self._family = weakref.ref(family)
         self.q = q
         n_models = 1 << q
         codes = np.arange(n_models, dtype=np.uint32)
-        self.bits = (codes[:, None] >> np.arange(q)) & 1
-        self.bits = self.bits.astype(bool)
+        self.bits = ((codes[:, None] >> np.arange(q)) & 1).astype(bool)
         self.q_gamma = self.bits.sum(axis=1).astype(np.int64)
-        rssr = np.empty(n_models)
-        for code in range(n_models):
-            rssr[code] = family._rss_ratio(np.flatnonzero(self.bits[code]))
+        rssr = np.ones(n_models)        # the null model has R^2 = 0
+        for size in range(1, q + 1):
+            of_size = np.flatnonzero(self.q_gamma == size)
+            for start in range(0, of_size.size, self.BLOCK):
+                block = of_size[start:start + self.BLOCK]
+                rssr[block] = self._rss_ratios(family, block, size)
         self.rss_ratio = rssr
+        self._last_point = None
+
+    def _rss_ratios(self, family: BlvsFamily, block: np.ndarray, size: int) -> np.ndarray:
+        """1 - R^2 of a block of models with `size` predictors each, as
+        BlvsFamily._rss_ratio computes it model by model."""
+        idx = np.nonzero(self.bits[block])[1].reshape(block.size, size)
+        try:
+            L = np.linalg.cholesky(family._XtX[idx[:, :, None], idx[:, None, :]])
+        except np.linalg.LinAlgError:
+            for cols in idx:
+                family._chol(cols)      # raises, naming the singular model
+            raise
+        half = np.linalg.solve(L, family._Xty[idx][:, :, None])[:, :, 0]
+        rss = family._tss - np.einsum("bi,bi->b", half, half)
+        out = np.maximum(rss, 0.0) / family._tss
+        for b in np.flatnonzero(rss < 1e-10 * family._tss):
+            out[b] = family._rss_ratio(idx[b])      # near-saturated fit
+        return out
+
+    @property
+    def family(self) -> BlvsFamily:
+        family = self._family()
+        if family is None:
+            raise ReferenceError("the family of this enumeration no longer exists")
+        return family
 
     def log_model_weights(self, h) -> np.ndarray:
         """log[ prior(gamma) m(y|gamma,g) ] for every model, up to one constant."""
-        w, g = self.family.validate_h(h)
-        m = self.family.m
+        family = self.family
+        w, g = family.validate_h(h)
+        m = family.m
         return self.q_gamma * math.log(w) + (self.q - self.q_gamma) * math.log1p(-w) \
             + 0.5 * (m - 1 - self.q_gamma) * math.log1p(g) \
             - 0.5 * (m - 1) * np.log1p(g * self.rss_ratio)
 
+    def _point(self, h) -> tuple[float, np.ndarray]:
+        """(log m_h, model probabilities at h) from one exp and one sum.  The
+        last point is kept, since the oracle asks for both at each point."""
+        h = self.family.validate_h(h)
+        point = self._last_point
+        if point is None or point[0] != h:
+            lw = self.log_model_weights(h)
+            top = float(lw.max())
+            p = np.exp(lw - top)
+            total = float(p.sum())
+            probs = p / total
+            probs.flags.writeable = False
+            point = self._last_point = (h, top + math.log(total), probs)
+        return point[1], point[2]
+
     def log_marginal(self, h) -> float:
         """log m_h up to the same h-independent constant."""
-        return float(logsumexp(self.log_model_weights(h)))
+        return self._point(h)[0]
 
     def model_probs(self, h) -> np.ndarray:
-        lw = self.log_model_weights(h)
-        return np.exp(lw - logsumexp(lw))
+        return self._point(h)[1].copy()
 
     def inclusion_probs(self, h) -> np.ndarray:
-        """P(gamma_i = 1 | y) for each predictor, computed with log-sum-exp."""
-        lw = self.log_model_weights(h)
-        total = logsumexp(lw)
-        return np.array([
-            math.exp(logsumexp(lw[self.bits[:, i]]) - total) for i in range(self.q)
-        ])
+        """P(gamma_i = 1 | y) for each predictor."""
+        probs = self._point(h)[1]
+        # the models including predictor i are the upper half of every
+        # block of 2^(i+1) consecutive codes
+        return np.array([probs.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(self.q)])
 
     def exact_bf(self, h, h1) -> float:
         """Bayes factor B(h, h1) = m_h / m_{h1}; the shared constant cancels."""

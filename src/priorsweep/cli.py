@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -107,10 +108,21 @@ def _check_ratio_matches(est: RatioEstimate, cfg: StudyConfig, path: Path) -> No
                           f"stage1 or spectral config; rerun stage 1")
 
 
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Add the wall time of the block to timings[key]."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+
+
 def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     ratio_path = out / "ratio.json"
+    timings: dict = {}
     manifest: dict = {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "package_version": __version__,
@@ -119,26 +131,28 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
         "stages_run": stage,
         "versions": {"python": sys.version.split()[0],
                      "numpy": np.__version__},
-        "timings": {},
+        "timings": timings,
         "sizes": {},
     }
 
     est = None
     if stage in ("1", "both"):
         specs = cfg.stage1.chain_specs(cfg.skeleton)
-        t0 = time.perf_counter()
-        chains = _sample_stage(cfg.family, specs, threads)
-        stage1_s = time.perf_counter() - t0
+        with _timed(timings, "stage1_s"):
+            chains = _sample_stage(cfg.family, specs, threads)
         steps = sum(sp.length + sp.burn_in for sp in specs)
-        manifest["timings"]["stage1_s"] = stage1_s
-        manifest["timings"]["t1_s_per_step"] = stage1_s / steps
+        timings["t1_s_per_step"] = timings["stage1_s"] / steps
         if cfg.save_chains:
-            for i, c in enumerate(chains):
-                _write_chain_csv(out / f"chain-stage1-{i:02d}.csv", cfg.family, c)
-        W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
-        est = estimate_ratios(W1, spectral=cfg.spectral)
+            with _timed(timings, "write_s"):
+                for i, c in enumerate(chains):
+                    _write_chain_csv(out / f"chain-stage1-{i:02d}.csv", cfg.family, c)
+        with _timed(timings, "weights_s"):
+            W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
+        with _timed(timings, "ratio_s"):
+            est = estimate_ratios(W1, spectral=cfg.spectral)
         est.stage1_hash = cfg.stage1_hash
-        est.save(ratio_path)
+        with _timed(timings, "write_s"):
+            est.save(ratio_path)
     if stage in ("2", "both"):
         if est is None:
             if not ratio_path.exists():
@@ -147,33 +161,34 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
             est = RatioEstimate.load(ratio_path)
             _check_ratio_matches(est, cfg, ratio_path)
         specs = cfg.stage2.chain_specs(cfg.skeleton)
-        t0 = time.perf_counter()
-        chains = _sample_stage(cfg.family, specs, threads)
-        stage2_s = time.perf_counter() - t0
-        manifest["timings"]["stage2_s"] = stage2_s
+        with _timed(timings, "stage2_s"):
+            chains = _sample_stage(cfg.family, specs, threads)
         if cfg.save_chains:
-            for i, c in enumerate(chains):
-                _write_chain_csv(out / f"chain-stage2-{i:02d}.csv", cfg.family, c)
-        W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
+            with _timed(timings, "write_s"):
+                for i, c in enumerate(chains):
+                    _write_chain_csv(out / f"chain-stage2-{i:02d}.csv", cfg.family, c)
+        with _timed(timings, "weights_s"):
+            W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
         ws = Stage2Workspace(W2, est)
         n, N = ws.n, est.N
         q = cfg.q_override if cfg.q_override is not None else n / N
-        t0 = time.perf_counter()
-        records = surface(ws, cfg.grid, cfg.functions, est.sigma_hat, q,
-                          cfg.spectral)
-        sweep_s = time.perf_counter() - t0
-        manifest["timings"]["sweep_s"] = sweep_s
-        manifest["timings"]["t2_s_per_term"] = sweep_s / (len(cfg.grid) * n)
+        with _timed(timings, "sweep_s"):
+            records = surface(ws, cfg.grid, cfg.functions, est.sigma_hat, q,
+                              cfg.spectral)
+        timings["t2_s_per_term"] = timings["sweep_s"] / (len(cfg.grid) * n)
         manifest["sizes"] = {"N": int(N), "n": int(n), "q": q,
                              "k": len(cfg.skeleton), "grid": len(cfg.grid)}
         manifest["d_hat_provenance"] = ("this run" if stage == "both"
                                         else str(ratio_path))
-        _write_surface_csv(out / "surface.csv", cfg, records)
-        _write_variance_csv(out / "variance.csv", cfg, records)
+        with _timed(timings, "write_s"):
+            _write_surface_csv(out / "surface.csv", cfg, records)
+            _write_variance_csv(out / "variance.csv", cfg, records)
         totals = [rec.var["bf_cv"].total for rec in records]
         imax = int(np.argmax(totals))
         manifest["variance_argmax"] = {"h": list(records[imax].h),
                                        "total": totals[imax]}
+    if isinstance(cfg.family, BlvsFamily):
+        manifest["sizes"]["models_fitted"] = cfg.family.models_fitted
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
     return out

@@ -116,10 +116,12 @@ class Stage2Workspace:
 
     def terms(self, h) -> tuple[np.ndarray, float]:
         """Shifted importance terms u_p = Y_p * exp(-shift) for grid point h;
-        Y_p = nu_h(theta_p) / (sum_s a_s nu_{h_s}(theta_p)/d_hat_s)."""
+        Y_p = nu_h(theta_p) / (sum_s a_s nu_{h_s}(theta_p)/d_hat_s).  The
+        last point is kept; a tuple equal to it was validated already."""
+        cache = self._terms_cache
+        if cache is not None and isinstance(h, tuple) and cache[0] == h:
+            return cache[1], cache[2]
         h = self.family.validate_h(h)
-        if self._terms_cache is not None and self._terms_cache[0] == h:
-            return self._terms_cache[1], self._terms_cache[2]
         lognum = np.asarray(self.family.log_weights(h, self.W.stats), dtype=float)
         t = lognum - self.log_den
         shift = float(np.max(t))
@@ -236,8 +238,8 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
             # with nu_h vanishing everywhere u is 0 and pe_hat is nan
             centre = pes[f.name] if u_mean > 0.0 else 0.0
             series.append((ws.function_values(f) - centre) * u)
-        lrv = np.diag(chain_lrv(np.column_stack(series), ws.chain_slices,
-                                ws.proportions, cfg))
+        series = np.column_stack(series)
+        lrv = np.diag(chain_lrv(series, ws.chain_slices, ws.proportions, cfg))
         scale = math.exp(2.0 * shift)
         var = {
             "bf": assemble_variance("bf", c_hat(ws, h), sigma_hat,
@@ -245,10 +247,11 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
             "bf_cv": assemble_variance("bf_cv", w_hat(ws, h, beta), sigma_hat,
                                        lrv[1] * scale, q, ws.n),
         }
-        for f, lrv_f in zip(functions, lrv[2:]):
+        v = v_hat(ws, series[:, 2:], float(u.sum()))
+        for f, lrv_f, v_f in zip(functions, lrv[2:], v.T):
             rho = lrv_f / (u_mean * u_mean) if u_mean > 0.0 else math.nan
-            var[f"pe:{f.name}"] = assemble_variance("pe", v_hat(ws, h, f),
-                                                    sigma_hat, rho, q, ws.n)
+            var[f"pe:{f.name}"] = assemble_variance("pe", v_f, sigma_hat,
+                                                    rho, q, ws.n)
         records.append(SurfaceRecord(h=h, bf=bf, bf_cv=bf_cv, beta=beta,
                                      pe=pes, var=var))
     return records

@@ -16,8 +16,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .families import FunctionOfTheta
-
 
 @dataclass(frozen=True)
 class SpectralConfig:
@@ -90,18 +88,13 @@ def w_hat(ws, h, beta_hat) -> np.ndarray:
     return out + diff.T @ beta_hat
 
 
-def v_hat(ws, h, f: FunctionOfTheta) -> np.ndarray:
-    """Stage-1 sensitivity of the posterior-expectation estimator: the
-    posterior expectation of the centered integrand (f - I_hat) psi_j."""
-    if ws.k == 1:
-        return np.zeros(0)
-    u, shift = ws.terms(h)
-    fv = ws.function_values(f)
-    den = float(u.sum())
-    if den == 0.0:
-        return np.full(ws.k - 1, math.nan)
-    ratio = float((fv * u).sum()) / den
-    return ws.psi.T @ ((fv - ratio) * u) / den
+def v_hat(ws, centred, u_sum: float) -> np.ndarray:
+    """Stage-1 sensitivities of the posterior-expectation estimators: column j
+    is the posterior expectation of the centred integrand (f_j - I_j) psi,
+    from the columns (f_j - I_j) u of `centred` and u_sum = sum(u)."""
+    if u_sum == 0.0:
+        return np.full((ws.k - 1, centred.shape[1]), math.nan)
+    return ws.psi.T @ centred / u_sum
 
 
 @dataclass

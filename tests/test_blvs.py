@@ -1,12 +1,19 @@
+import gc
+import logging
 import math
+import sys
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
+from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from priorsweep.blvs import BlvsFamily, Dataset, ModelState, ingest_csv
+from priorsweep.blvs import (BlvsFamily, Dataset, ModelEnumeration, ModelState,
+                             _solve_lower, ingest_csv)
 from priorsweep.errors import InvalidHyperparameterError, SingularDesignError
 from priorsweep.families import ChainSpec
 from priorsweep.variance import spectral_lrv
@@ -167,12 +174,59 @@ class TestEnumeration:
     def test_q_guard(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 26))
-        from priorsweep.blvs import ModelEnumeration
         ds = Dataset(y=rng.normal(size=40), X=X,
                      names=[f"c{i}" for i in range(26)],
                      log_mask=np.zeros(26, bool))
         with pytest.raises(ValueError, match="q <= 25"):
             ModelEnumeration(BlvsFamily(ds))
+
+
+    @pytest.mark.parametrize("exact_fit", [False, True])
+    def test_batched_fits_match_per_model_path(self, exact_fit):
+        # an exact fit sends every model holding x0 and x1 through the
+        # near-saturated recompute
+        ds = synthetic_dataset(m=30, q=10, seed=17, strong=(0, 1),
+                               noise=0.0 if exact_fit else 0.7)
+        fam = BlvsFamily(ds)
+        enum = ModelEnumeration(fam)
+        codes = range(1 << fam.q)
+        per_model = np.array([fam._rss_ratio(fam._columns(c)) for c in codes])
+        np.testing.assert_allclose(enum.rss_ratio, per_model, rtol=1e-12, atol=1e-12)
+        bits = np.array([[(c >> i) & 1 for i in range(fam.q)] for c in codes], dtype=bool)
+        for h in [(0.2, 4.0), (0.5, 15.0), (0.9, 100.0)]:
+            lw = np.array([math.log(h[0]) * b.sum() + math.log1p(-h[0]) * (fam.q - b.sum())
+                           + fam.log_marginal_of_model(b, h[1]) for b in bits])
+            want = np.array([math.exp(logsumexp(lw[bits[:, i]]) - logsumexp(lw))
+                             for i in range(fam.q)])
+            np.testing.assert_allclose(enum.inclusion_probs(h), want, rtol=1e-12, atol=1e-12)
+            assert enum.log_marginal(h) == pytest.approx(logsumexp(lw), rel=1e-12)
+
+    def test_singular_design_names_the_model(self):
+        with pytest.raises(SingularDesignError, match=r"\['a', 'a2'\]"):
+            duplicate_column_family().enumeration()
+
+    def test_family_is_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            fam = BlvsFamily(synthetic_dataset(q=4))
+            enum = fam.enumeration()
+            assert enum.family is fam
+            ref = weakref.ref(fam)
+            del fam
+            assert ref() is None
+            with pytest.raises(ReferenceError):
+                enum.log_marginal((0.5, 10.0))
+        finally:
+            gc.enable()
+
+
+def duplicate_column_family():
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(20, 2))
+    X = np.column_stack([X, X[:, 0]])
+    ds = Dataset(y=rng.normal(size=20), X=X, names=["a", "b", "a2"],
+                 log_mask=np.zeros(3, bool))
+    return BlvsFamily(ds)
 
 
 class TestPriorWeight:
@@ -333,3 +387,79 @@ class TestGibbs:
         for st in chain:
             assert len(st.beta) == int(st.gamma.sum())
             assert st.sigma > 0
+
+
+def chain_values(chain):
+    return [(st.gamma.tobytes(), st.sigma, st.beta0, st.beta.tobytes()) for st in chain]
+
+
+class TestModelTable:
+    def test_cold_table_equals_prewarmed_table(self, uscrime_path):
+        ds = ingest_csv(uscrime_path, "y", ["S"])
+        spec = ChainSpec(h=(0.5, 15.0), length=150, burn_in=20, seed=5)
+        cold = BlvsFamily(ds)
+        warm = BlvsFamily(ds)
+        for seed, h in enumerate([(0.3, 100.0), (0.8, 225.0)]):
+            warm.gibbs_run(ChainSpec(h=h, length=150, burn_in=20, seed=seed))
+        fitted = warm.models_fitted
+        assert chain_values(cold.gibbs_run(spec)) == chain_values(warm.gibbs_run(spec))
+        assert 0 < fitted <= warm.models_fitted
+
+    def test_table_log_marginal_equals_log_marginal_of_model(self, uscrime_path):
+        fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
+        g = 50.0
+        fam.gibbs_run(ChainSpec(h=(0.6, g), length=100, seed=9))
+        assert fam.models_fitted == len(fam._rssr) > 100
+        for code, rssr in fam._rssr.items():
+            gamma = np.array([(code >> i) & 1 for i in range(fam.q)], dtype=bool)
+            assert fam._log_marginal(code.bit_count(), rssr, g) \
+                == fam.log_marginal_of_model(gamma, g)
+
+    def test_duplicate_column_warns_once_per_chain(self, caplog):
+        fam = duplicate_column_family()
+        # reference draws of the sampler that refit every model on every sweep
+        want_codes = [[0, 4, 0, 2, 0, 1, 0, 4, 0, 1, 0, 4],
+                      [0, 1, 0, 0, 1, 0, 6, 0, 2, 2, 4, 2]]
+        want_sigma = [[0.929045037312, 1.09213558988, 0.877967189506, 0.904638850345],
+                      [1.21609112199, 0.800466765174, 0.867330744703, 0.938548037436]]
+        with caplog.at_level(logging.WARNING, logger="priorsweep.blvs"):
+            for seed, codes, sigma in zip((1, 2), want_codes, want_sigma):
+                caplog.clear()
+                chain = fam.gibbs_run(ChainSpec(h=(0.5, 10.0), length=12, burn_in=3,
+                                                seed=seed))
+                singular = [r for r in caplog.records if "singular candidate" in r.getMessage()]
+                assert len(singular) == 1
+                assert [sum(1 << j for j in np.flatnonzero(st.gamma)) for st in chain] == codes
+                np.testing.assert_allclose([st.sigma for st in chain[:4]], sigma, rtol=1e-10)
+        assert fam._rssr[5] is None     # columns a and a2
+
+    def test_triangular_solves_equal_solve_triangular(self, uscrime_path):
+        fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
+        rng = np.random.default_rng(6)
+        for code in rng.choice(np.arange(1, 1 << fam.q), size=300, replace=False):
+            idx = fam._columns(int(code))
+            L = fam._chol(idx)
+            b, z = fam._Xty[idx], rng.standard_normal(idx.size)
+            assert np.array_equal(_solve_lower(L, b),
+                                  solve_triangular(L, b, lower=True))
+            assert np.array_equal(_solve_lower(L, z, transpose=True),
+                                  solve_triangular(L.T, z, lower=False))
+
+    def test_threads_filling_one_table_match_serial_chains(self, uscrime_path):
+        ds = ingest_csv(uscrime_path, "y", ["S"])
+        specs = [ChainSpec(h=(w, g), length=60, burn_in=10, seed=s)
+                 for s, (w, g) in enumerate([(0.5, 15.0), (0.3, 50.0), (0.6, 100.0),
+                                             (0.8, 225.0), (0.4, 20.0), (0.7, 70.0)])]
+        serial = BlvsFamily(ds)
+        want = [chain_values(serial.gibbs_run(sp)) for sp in specs]
+        shared = BlvsFamily(ds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=len(specs)) as ex:
+                futures = [ex.submit(shared.gibbs_run, sp) for sp in specs]
+                got = [chain_values(f.result(timeout=120)) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert shared._rssr == serial._rssr

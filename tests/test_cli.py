@@ -2,6 +2,7 @@ import csv
 import json
 import shutil
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,11 @@ def toy_config(tmp_path):
     p = tmp_path / "study.yaml"
     write_toy_config(p, out=str(tmp_path / "out"))
     return p
+
+
+SMOKE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "uscrime-smoke.yaml"
+RUN_TIMINGS = {"stage1_s", "t1_s_per_step", "weights_s", "ratio_s", "stage2_s",
+               "sweep_s", "t2_s_per_term", "write_s"}
 
 
 def read_bytes(path):
@@ -39,8 +45,9 @@ class TestRun:
                 "pe_identity", "se_pe_identity"} <= set(rows[0])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sizes"]["n"] == 1600
-        assert manifest["timings"]["t1_s_per_step"] > 0
-        assert manifest["timings"]["sweep_s"] > 0
+        assert "models_fitted" not in manifest["sizes"]
+        assert set(manifest["timings"]) == RUN_TIMINGS
+        assert all(manifest["timings"][key] > 0 for key in RUN_TIMINGS)
 
     def test_deterministic_across_runs_and_threads(self, tmp_path):
         p = tmp_path / "study.yaml"
@@ -51,6 +58,25 @@ class TestRun:
         for name in ("surface.csv", "variance.csv", "ratio.json"):
             assert read_bytes(tmp_path / "a" / name) \
                 == read_bytes(tmp_path / "b" / name), name
+
+    def test_blvs_deterministic_across_threads(self, tmp_path):
+        raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+        raw["model"]["dataset"] = str(SMOKE_CONFIG.parent / raw["model"]["dataset"])
+        raw["save_chains"] = True
+        p = tmp_path / "study.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        for threads in ("1", "2"):
+            assert main(["run", "--config", str(p), "--out", str(tmp_path / threads),
+                         "--threads", threads]) == 0
+        names = sorted(f.name for f in (tmp_path / "1").iterdir())
+        assert len(names) == 4 + 2 * len(raw["skeleton"])
+        for name in names:
+            if name != "manifest.json":
+                assert read_bytes(tmp_path / "1" / name) \
+                    == read_bytes(tmp_path / "2" / name), name
+        manifest = json.loads((tmp_path / "2" / "manifest.json").read_text())
+        assert set(manifest["timings"]) == RUN_TIMINGS
+        assert manifest["sizes"]["models_fitted"] > 0
 
     def test_two_stage_isolation(self, toy_config, tmp_path):
         out = tmp_path / "out"

@@ -7,7 +7,7 @@ import pytest
 from priorsweep.errors import DegenerateDesignWarning
 from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
-from priorsweep.surface import Stage2Workspace, surface
+from priorsweep.surface import Stage2Workspace, pe_hat, surface
 from priorsweep.variance import (PlanInputs, SpectralConfig, VarianceBreakdown,
                                  assemble_variance, c_hat, chain_lrv,
                                  lrv_matrix, predicted_variance, q_opt,
@@ -256,14 +256,39 @@ class TestSensitivityVectors:
     def test_v_zero_for_constant_function(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 800, seed0=10)
         f1 = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
-        assert np.all(v_hat(ws, (0.9,), f1) == 0.0)
+        assert np.all(stacked_v(ws, (0.9,), [f1]) == 0.0)
 
     def test_v_sign_flip(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 800, seed0=11)
         f = toy_function("identity")
         neg = FunctionOfTheta("neg", lambda s: -np.asarray(s, dtype=float))
-        np.testing.assert_allclose(v_hat(ws, (0.9,), neg),
-                                   -v_hat(ws, (0.9,), f), atol=1e-14)
+        v = stacked_v(ws, (0.9,), [neg, f])
+        np.testing.assert_allclose(v[:, 0], -v[:, 1], atol=1e-14)
+
+    def test_v_matches_per_function_form(self):
+        _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 800, seed0=12)
+        functions = [toy_function("identity"), toy_function("square")]
+        for h in [(0.3,), (1.4,), (2.6,)]:
+            v = stacked_v(ws, h, functions)
+            for j, f in enumerate(functions):
+                np.testing.assert_allclose(v[:, j], v_per_function(ws, h, f),
+                                           rtol=1e-12, atol=0.0)
+
+
+def stacked_v(ws, h, functions):
+    """v_hat on the centred columns (f_j - I_j) u, as surface builds them."""
+    u, _ = ws.terms(h)
+    centred = np.column_stack([(ws.function_values(f) - pe_hat(ws, h, f)) * u
+                               for f in functions])
+    return v_hat(ws, centred, float(u.sum()))
+
+
+def v_per_function(ws, h, f):
+    """Reference: psi' (f - I) u / sum(u) for one f, I = sum(f u) / sum(u)."""
+    u, _ = ws.terms(h)
+    fv = ws.function_values(f)
+    den = float(u.sum())
+    return ws.psi.T @ ((fv - float((fv * u).sum()) / den) * u) / den
 
 
 class TestAssembleAndPlan:
