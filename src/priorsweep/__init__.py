@@ -4,7 +4,7 @@ hyperparameter values."""
 
 __version__ = "0.1.0"
 
-from .blvs import BlvsFamily, Dataset, ModelEnumeration, ModelState, ingest_csv
+from .blvs import BlvsChain, BlvsFamily, Dataset, ModelEnumeration, ingest_csv
 from .families import ChainSpec, ConjugateToy, DensityFamily, FunctionOfTheta, toy_function
 from .ratio import (LogWeightMatrix, RatioEstimate, build_log_weight_matrix,
                     estimate_d, estimate_ratios, estimate_sigma)
@@ -15,7 +15,7 @@ from .variance import (PlanInputs, SpectralConfig, StagePlan, VarianceBreakdown,
                        spectral_lrv, v_hat, w_hat)
 
 __all__ = [
-    "BlvsFamily", "Dataset", "ModelEnumeration", "ModelState", "ingest_csv",
+    "BlvsChain", "BlvsFamily", "Dataset", "ModelEnumeration", "ingest_csv",
     "ChainSpec", "ConjugateToy", "DensityFamily", "FunctionOfTheta", "toy_function",
     "LogWeightMatrix", "RatioEstimate", "build_log_weight_matrix",
     "estimate_d", "estimate_ratios", "estimate_sigma",

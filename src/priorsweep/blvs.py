@@ -23,7 +23,7 @@ import csv
 import logging
 import math
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -55,20 +55,34 @@ def _expit(logit: float) -> float:
 
 
 @dataclass
-class ModelState:
-    """One draw theta = (gamma, sigma, beta0, beta_gamma)."""
+class BlvsChain:
+    """Draws theta = (gamma, sigma, beta0, beta), one row per draw.
 
-    gamma: np.ndarray      # bool, length q
-    sigma: float
-    beta0: float
-    beta: np.ndarray       # coefficients of included predictors, column order
+    beta is dense: column j holds the coefficient of predictor j, and 0.0
+    wherever gamma excludes it.
+    """
+
+    gamma: np.ndarray      # bool, (n, q)
+    sigma: np.ndarray      # (n,)
+    beta0: np.ndarray      # (n,)
+    beta: np.ndarray       # (n, q)
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=bool)
-        if self.sigma <= 0:
+        self.sigma = np.asarray(self.sigma, dtype=float)
+        self.beta0 = np.asarray(self.beta0, dtype=float)
+        self.beta = np.asarray(self.beta, dtype=float)
+        shape = self.gamma.shape
+        if len(shape) != 2 or self.beta.shape != shape \
+                or self.sigma.shape != shape[:1] or self.beta0.shape != shape[:1]:
+            raise ValueError("need (n, q) gamma and beta, and (n,) sigma and beta0")
+        if not np.all(self.sigma > 0):
             raise ValueError("sigma must be positive")
-        if int(self.gamma.sum()) != len(self.beta):
-            raise ValueError("beta length must equal the number of included predictors")
+        if np.any(self.beta[~self.gamma]):
+            raise ValueError("beta must be 0 where gamma excludes the predictor")
+
+    def __len__(self) -> int:
+        return self.gamma.shape[0]
 
 
 @dataclass
@@ -146,7 +160,6 @@ class BlvsStats:
 
     q_gamma: np.ndarray    # int, number of included predictors
     t2: np.ndarray         # ||X_gamma beta_gamma||^2 / sigma^2
-    gamma: np.ndarray      # bool, (n, q) inclusion indicators
 
 
 class BlvsFamily(DensityFamily):
@@ -170,12 +183,12 @@ class BlvsFamily(DensityFamily):
         # The model table, keyed by the model code sum_i gamma_i 2^i and shared
         # by every chain of both stages and every thread: 1 - R^2 of each
         # model seen (None when singular or too large), and the fit the
-        # (sigma, beta) draw needs for each model a chain sat on.  Every entry
-        # is a pure function of its code, so the order in which chains fill
-        # the table never changes a draw, and two threads that fill one entry
-        # at once store equal values.
+        # (sigma, beta) draw needs, with the model's columns, for each model
+        # a chain sat on.  Every entry is a pure function of its code, so the
+        # order in which chains fill the table never changes a draw, and two
+        # threads that fill one entry at once store equal values.
         self._rssr: dict[int, float | None] = {}
-        self._draw_fit: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+        self._draw_fit: dict[int, tuple[float, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._enumeration = None
 
     def _check_domain(self, coords):
@@ -257,8 +270,8 @@ class BlvsFamily(DensityFamily):
         self._rssr[code] = rssr
         return rssr
 
-    def _table_draw_fit(self, code: int) -> tuple[float, np.ndarray, np.ndarray]:
-        """(ssr, Cholesky factor L, least-squares beta) of a nonsingular model."""
+    def _table_draw_fit(self, code: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """(ssr, Cholesky L, least-squares beta, columns) of a nonsingular model."""
         try:
             return self._draw_fit[code]
         except KeyError:
@@ -267,9 +280,9 @@ class BlvsFamily(DensityFamily):
         if idx.size:
             L = self._chol(idx)
             fit = (self._ssr(idx), L, cho_solve((L, True), self._Xty[idx],
-                                                check_finite=False))
+                                                check_finite=False), idx)
         else:
-            fit = (0.0, np.empty((0, 0)), np.empty(0))
+            fit = (0.0, np.empty((0, 0)), np.empty(0), idx)
         self._draw_fit[code] = fit
         return fit
 
@@ -294,7 +307,7 @@ class BlvsFamily(DensityFamily):
         logit = math.log(w) - math.log1p(-w) + lm1 - lm0
         return _expit(logit)
 
-    def gibbs_run(self, spec: ChainSpec) -> list[ModelState]:
+    def gibbs_run(self, spec: ChainSpec) -> BlvsChain:
         """Marginalized sweep over gamma, then exact (sigma, beta0, beta) draw.
 
         Each sweep updates every gamma_i from its Bernoulli full conditional
@@ -310,8 +323,6 @@ class BlvsFamily(DensityFamily):
         shrink = g / (1.0 + g)
         log_odds = math.log(w) - math.log1p(-w)
         gamma = rng.random(q) < w
-        if int(gamma.sum()) > m - 2:
-            gamma[:] = False
 
         # log marginal at this chain's g for every model it has tried (None
         # for a singular one); the chain revisits a small set of models
@@ -323,15 +334,18 @@ class BlvsFamily(DensityFamily):
             lm_cache[code] = lm
             return lm
 
-        code = sum(1 << j for j in np.flatnonzero(gamma).tolist())
+        code = 0
+        if int(gamma.sum()) <= m - 2:
+            code = sum(1 << j for j in np.flatnonzero(gamma).tolist())
         lm_cur = log_marginal(code)
         if lm_cur is None:      # singular start: fall back to the null model
-            gamma[:] = False
             code = 0
             lm_cur = log_marginal(code)
-        out: list[ModelState] = []
+        n = spec.length
+        gammas, betas = np.zeros((n, q), dtype=bool), np.zeros((n, q))
+        sigmas, beta0s = np.empty(n), np.empty(n)
         warned = False
-        for sweep in range(spec.burn_in + spec.length):
+        for sweep in range(spec.burn_in + n):
             for i in range(q):
                 bit = 1 << i
                 flipped = code ^ bit
@@ -350,11 +364,10 @@ class BlvsFamily(DensityFamily):
                 else:
                     lm1, lm0 = lm_try, lm_cur
                 if (rng.random() < _expit(log_odds + lm1 - lm0)) != included:
-                    gamma[i] = not included
                     code = flipped
                     lm_cur = lm_try
 
-            ssr, L, beta_hat = self._table_draw_fit(code)
+            ssr, L, beta_hat, idx = self._table_draw_fit(code)
             a_scale = self._tss - shrink * ssr
             sigma2 = 0.5 * a_scale / rng.standard_gamma(0.5 * (m - 1))
             if beta_hat.size:
@@ -364,36 +377,34 @@ class BlvsFamily(DensityFamily):
             else:
                 beta = np.empty(0)
             beta0 = rng.normal(self._ybar, math.sqrt(sigma2 / m))
-            if sweep >= spec.burn_in:
-                out.append(ModelState(gamma=gamma.copy(), sigma=math.sqrt(sigma2),
-                                      beta0=float(beta0), beta=beta))
-        return out
+            row = sweep - spec.burn_in
+            if row >= 0:
+                gammas[row, idx] = True
+                sigmas[row] = math.sqrt(sigma2)
+                beta0s[row] = beta0
+                betas[row, idx] = beta
+        return BlvsChain(gamma=gammas, sigma=sigmas, beta0=beta0s, beta=betas)
 
     # family contract
-    def log_prior_weight(self, h, state: ModelState) -> float:
+    def log_prior_weight(self, h, state: BlvsChain) -> float:
+        """The weight of the one draw in `state`, a one-row chain."""
         w, g = self.validate_h(h)
-        idx = np.flatnonzero(state.gamma)
+        if len(state) != 1:
+            raise ValueError(f"expected a one-row chain, got {len(state)} rows")
+        idx = np.flatnonzero(state.gamma[0])
         qg = idx.size
-        xb = self._Xc[:, idx] @ state.beta
-        t2 = float(xb @ xb) / state.sigma**2
+        xb = self._Xc[:, idx] @ state.beta[0, idx]
+        t2 = float(xb @ xb) / state.sigma[0]**2
         return qg * math.log(w) + (self.q - qg) * math.log1p(-w) \
             - 0.5 * qg * math.log(g) - 0.5 * t2 / g
 
-    def sample_posterior(self, spec: ChainSpec) -> list[ModelState]:
+    def sample_posterior(self, spec: ChainSpec) -> BlvsChain:
         return self.gibbs_run(spec)
 
-    def weight_stats(self, samples: Sequence[ModelState]) -> BlvsStats:
-        n = len(samples)
-        q_gamma = np.empty(n, dtype=np.int64)
-        t2 = np.empty(n)
-        gamma = np.zeros((n, self.q), dtype=bool)
-        for p, st in enumerate(samples):
-            idx = np.flatnonzero(st.gamma)
-            q_gamma[p] = idx.size
-            xb = self._Xc[:, idx] @ st.beta
-            t2[p] = float(xb @ xb) / st.sigma**2
-            gamma[p] = st.gamma
-        return BlvsStats(q_gamma=q_gamma, t2=t2, gamma=gamma)
+    def weight_stats(self, chain: BlvsChain) -> BlvsStats:
+        xb = chain.beta @ self._Xc.T
+        t2 = np.einsum("pi,pi->p", xb, xb) / chain.sigma**2
+        return BlvsStats(q_gamma=chain.gamma.sum(axis=1), t2=t2)
 
     def log_weights(self, h, stats: BlvsStats) -> np.ndarray:
         w, g = self.validate_h(h)
@@ -406,18 +417,16 @@ class BlvsFamily(DensityFamily):
         dg = -0.5 * stats.q_gamma / g + stats.t2 / (2.0 * g * g)
         return np.column_stack([dw, dg])
 
-    def concat_chains(self, chains):
-        pooled: list[ModelState] = []
-        for c in chains:
-            pooled.extend(c)
-        return pooled
+    def concat_chains(self, chains: Sequence[BlvsChain]) -> BlvsChain:
+        return BlvsChain(*(np.concatenate([getattr(c, f.name) for c in chains])
+                           for f in fields(BlvsChain)))
 
     def inclusion_function(self, name: str) -> FunctionOfTheta:
         """Indicator f(theta) = gamma_i for the named predictor."""
         j = self.names.index(name)
         return FunctionOfTheta(
             f"inclusion:{name}",
-            lambda samples: np.array([st.gamma[j] for st in samples], dtype=float),
+            lambda chain: chain.gamma[:, j],
         )
 
     def enumeration(self) -> "ModelEnumeration":
@@ -523,17 +532,3 @@ class ModelEnumeration:
     def exact_bf(self, h, h1) -> float:
         """Bayes factor B(h, h1) = m_h / m_{h1}; the shared constant cancels."""
         return math.exp(self.log_marginal(h) - self.log_marginal(h1))
-
-    def exact_pe(self, h, f: FunctionOfTheta) -> float:
-        """Exact posterior expectation of an indicator-style f(gamma).
-
-        Supports functions of gamma only (evaluated per model), which covers
-        the inclusion indicators used throughout.
-        """
-        probs = self.model_probs(h)
-        vals = np.array([
-            float(f([ModelState(gamma=row, sigma=1.0, beta0=0.0,
-                                beta=np.zeros(int(row.sum())))]))
-            for row in self.bits
-        ])
-        return float(probs @ vals)

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .blvs import BlvsFamily, ModelState
+from .blvs import BlvsFamily
 from .config import StudyConfig, load_config
 from .errors import ConfigError, PriorsweepError
 from .families import ConjugateToy
@@ -53,13 +53,12 @@ def _write_chain_csv(path: Path, family, chain) -> None:
         if isinstance(family, BlvsFamily):
             writer.writerow(["sweep", "gamma", "sigma", "beta0",
                              *[f"b_{nm}" for nm in family.names]])
-            for i, st in enumerate(chain):
-                assert isinstance(st, ModelState)
-                row = [i, "".join("1" if b else "0" for b in st.gamma),
-                       _fmt(st.sigma), _fmt(st.beta0)]
-                vals = iter(st.beta)
-                row.extend(_fmt(next(vals)) if g else "" for g in st.gamma)
-                writer.writerow(row)
+            rows = zip(chain.gamma.tolist(), chain.sigma.tolist(),
+                       chain.beta0.tolist(), chain.beta.tolist())
+            for i, (gamma, sigma, beta0, beta) in enumerate(rows):
+                writer.writerow([i, "".join("1" if g else "0" for g in gamma),
+                                 _fmt(sigma), _fmt(beta0),
+                                 *(_fmt(b) if g else "" for g, b in zip(gamma, beta))])
         else:
             writer.writerow(["step", "theta"])
             for i, th in enumerate(np.asarray(chain)):

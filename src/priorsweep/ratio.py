@@ -11,7 +11,7 @@ fails to increase the objective.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -155,7 +155,9 @@ def _check_support(W: LogWeightMatrix) -> None:
 
 def _objective_parts(base: np.ndarray, eta: np.ndarray, counts: np.ndarray):
     z = base - eta[:, None]
-    lse = logsumexp(z, axis=0)
+    # column max shift: _check_support has ruled out an all -inf column
+    mx = z.max(axis=0)
+    lse = mx + np.log(np.exp(z - mx).sum(axis=0))
     value = -float(counts @ eta) - float(lse.sum())
     return value, z, lse
 

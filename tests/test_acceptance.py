@@ -168,7 +168,7 @@ class TestA3:
         for idx, (h, expected) in enumerate(TABLE_1.items()):
             chain = family.gibbs_run(ChainSpec(h=h, length=10_000, burn_in=500,
                                                seed=777 + idx))
-            incl = np.array([st.gamma for st in chain], dtype=float)
+            incl = chain.gamma.astype(float)
             means = incl.mean(axis=0)
             worst_table = max(worst_table,
                               float(np.max(np.abs(means - np.array(expected)))))

@@ -4,6 +4,7 @@ import math
 import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from priorsweep.blvs import (BlvsFamily, Dataset, ModelEnumeration, ModelState,
+from priorsweep.blvs import (BlvsChain, BlvsFamily, Dataset, ModelEnumeration,
                              _solve_lower, ingest_csv)
 from priorsweep.errors import InvalidHyperparameterError, SingularDesignError
 from priorsweep.families import ChainSpec
@@ -229,14 +230,52 @@ def duplicate_column_family():
     return BlvsFamily(ds)
 
 
+class TestBlvsChain:
+    def _arrays(self):
+        gamma = np.array([[True, False, True], [False, False, False]])
+        beta = np.array([[0.5, 0.0, -1.5], [0.0, 0.0, 0.0]])
+        return dict(gamma=gamma, sigma=np.array([1.0, 2.0]),
+                    beta0=np.array([0.1, -0.2]), beta=beta)
+
+    def test_valid_chain(self):
+        chain = BlvsChain(**self._arrays())
+        assert len(chain) == 2 and chain.gamma.dtype == bool
+
+    @pytest.mark.parametrize("bad_sigma", [0.0, -1.0])
+    def test_rejects_nonpositive_sigma(self, bad_sigma):
+        arrays = self._arrays()
+        arrays["sigma"][1] = bad_sigma
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            BlvsChain(**arrays)
+
+    def test_rejects_nonzero_beta_off_gamma(self):
+        arrays = self._arrays()
+        arrays["beta"][0, 1] = 1e-300
+        with pytest.raises(ValueError, match="beta must be 0"):
+            BlvsChain(**arrays)
+
+    def test_rejects_mismatched_shapes(self):
+        arrays = self._arrays()
+        arrays["beta"] = arrays["beta"][:, :2]
+        with pytest.raises(ValueError):
+            BlvsChain(**arrays)
+        with pytest.raises(ValueError):
+            BlvsChain(**{**self._arrays(), "sigma": np.ones(3)})
+
+
+def one_row(chain, p):
+    return BlvsChain(*(getattr(chain, f.name)[p:p + 1] for f in fields(BlvsChain)))
+
+
 class TestPriorWeight:
     def _random_state(self, fam, rng, qon=2):
+        """A one-row chain with qon predictors included."""
         gamma = np.zeros(fam.q, dtype=bool)
         gamma[rng.choice(fam.q, size=qon, replace=False)] = True
-        idx = np.flatnonzero(gamma)
-        beta = rng.normal(size=qon)
-        return ModelState(gamma=gamma, sigma=float(rng.uniform(0.5, 2.0)),
-                          beta0=float(rng.normal()), beta=beta)
+        beta = np.zeros(fam.q)
+        beta[gamma] = rng.normal(size=qon)
+        return BlvsChain(gamma=gamma[None], sigma=[float(rng.uniform(0.5, 2.0))],
+                         beta0=[float(rng.normal())], beta=beta[None])
 
     def test_difference_matches_dense_densities(self):
         # m=10, q=3 random instance; compare against explicit multivariate
@@ -248,7 +287,7 @@ class TestPriorWeight:
             st = self._random_state(fam, rng, qon=int(rng.integers(0, 4)))
             h1, h2 = (0.35, 4.0), (0.7, 19.0)
             got = fam.log_prior_weight(h1, st) - fam.log_prior_weight(h2, st)
-            idx = np.flatnonzero(st.gamma)
+            idx = np.flatnonzero(st.gamma[0])
             qg = idx.size
             want = qg * math.log(h1[0] / h2[0]) \
                 + (fam.q - qg) * math.log((1 - h1[0]) / (1 - h2[0]))
@@ -256,8 +295,8 @@ class TestPriorWeight:
                 gram_inv = np.linalg.inv(fam._XtX[np.ix_(idx, idx)])
                 for g, sign in ((h1[1], 1.0), (h2[1], -1.0)):
                     want += sign * multivariate_normal.logpdf(
-                        st.beta, mean=np.zeros(qg),
-                        cov=g * st.sigma**2 * gram_inv)
+                        st.beta[0, idx], mean=np.zeros(qg),
+                        cov=g * st.sigma[0]**2 * gram_inv)
             assert got == pytest.approx(want, abs=1e-10)
 
     def test_same_h_zero(self, small_family):
@@ -268,8 +307,8 @@ class TestPriorWeight:
             == small_family.log_prior_weight(h, st)
 
     def test_empty_model_reduces_to_bernoulli(self, small_family):
-        st = ModelState(gamma=np.zeros(5, bool), sigma=1.0, beta0=0.0,
-                        beta=np.empty(0))
+        st = BlvsChain(gamma=np.zeros((1, 5), bool), sigma=[1.0], beta0=[0.0],
+                       beta=np.zeros((1, 5)))
         h1, h2 = (0.2, 5.0), (0.8, 50.0)
         got = small_family.log_prior_weight(h1, st) \
             - small_family.log_prior_weight(h2, st)
@@ -287,16 +326,18 @@ class TestPriorWeight:
     def test_vectorized_matches_scalar(self, small_family):
         rng = np.random.default_rng(31)
         states = [self._random_state(small_family, rng, qon=j % 3) for j in range(6)]
-        stats = small_family.weight_stats(states)
+        chain = small_family.concat_chains(states)
+        stats = small_family.weight_stats(chain)
         h = (0.62, 33.0)
         vec = small_family.log_weights(h, stats)
-        scal = [small_family.log_prior_weight(h, st) for st in states]
+        scal = [small_family.log_prior_weight(h, one_row(chain, p))
+                for p in range(len(chain))]
         np.testing.assert_allclose(vec, scal, atol=1e-10)
 
     def test_gradient_analytic_forms(self, small_family):
         rng = np.random.default_rng(4)
         st = self._random_state(small_family, rng, qon=2)
-        stats = small_family.weight_stats([st])
+        stats = small_family.weight_stats(st)
         w, g = 0.37, 12.0
         grad = small_family.grad_log_weights((w, g), stats)[0]
         qg = 2
@@ -307,7 +348,7 @@ class TestPriorWeight:
     def test_gradient_finite_difference(self, small_family):
         rng = np.random.default_rng(14)
         states = [self._random_state(small_family, rng, qon=j % 4) for j in range(8)]
-        stats = small_family.weight_stats(states)
+        stats = small_family.weight_stats(small_family.concat_chains(states))
         h = (0.44, 17.0)
         grad = small_family.grad_log_weights(h, stats)
         eps = 1e-5
@@ -351,7 +392,7 @@ class TestGibbs:
         fam = small_family
         h = (0.5, 16.0)
         chain = fam.gibbs_run(ChainSpec(h=h, length=6000, burn_in=300, seed=42))
-        incl = np.array([st.gamma for st in chain], dtype=float)
+        incl = chain.gamma.astype(float)
         want = fam.enumeration().inclusion_probs(h)
         for j in range(fam.q):
             se = math.sqrt(max(spectral_lrv(incl[:, j]), 1e-12) / len(chain))
@@ -364,7 +405,7 @@ class TestGibbs:
         means, ses = [], []
         for seed in (101, 505):
             chain = fam.gibbs_run(ChainSpec(h=h, length=4000, seed=seed))
-            s2 = np.array([st.sigma**2 for st in chain])
+            s2 = chain.sigma**2
             means.append(s2.mean())
             ses.append(math.sqrt(spectral_lrv(s2) / len(s2)))
         assert abs(means[0] - means[1]) < 4.0 * math.hypot(*ses)
@@ -372,25 +413,24 @@ class TestGibbs:
     def test_w_near_one_absorbs(self, small_family):
         chain = small_family.gibbs_run(
             ChainSpec(h=(1 - 1e-12, 5.0), length=50, burn_in=50, seed=7))
-        assert all(st.gamma.all() for st in chain)
+        assert chain.gamma.all()
 
     def test_determinism(self, small_family):
         spec = ChainSpec(h=(0.5, 10.0), length=50, seed=11)
         c1 = small_family.gibbs_run(spec)
         c2 = small_family.gibbs_run(spec)
-        for a, b in zip(c1, c2):
-            assert np.array_equal(a.gamma, b.gamma) and a.sigma == b.sigma \
-                and a.beta0 == b.beta0 and np.array_equal(a.beta, b.beta)
+        assert np.array_equal(c1.gamma, c2.gamma) and np.array_equal(c1.sigma, c2.sigma) \
+            and np.array_equal(c1.beta0, c2.beta0) and np.array_equal(c1.beta, c2.beta)
 
     def test_beta_dimension_tracks_gamma(self, small_family):
         chain = small_family.gibbs_run(ChainSpec(h=(0.5, 10.0), length=100, seed=3))
-        for st in chain:
-            assert len(st.beta) == int(st.gamma.sum())
-            assert st.sigma > 0
+        assert len(chain) == 100
+        assert np.array_equal(chain.beta != 0.0, chain.gamma)
+        assert np.all(chain.sigma > 0)
 
 
 def chain_values(chain):
-    return [(st.gamma.tobytes(), st.sigma, st.beta0, st.beta.tobytes()) for st in chain]
+    return [getattr(chain, f.name).tobytes() for f in fields(BlvsChain)]
 
 
 class TestModelTable:
@@ -429,8 +469,8 @@ class TestModelTable:
                                                 seed=seed))
                 singular = [r for r in caplog.records if "singular candidate" in r.getMessage()]
                 assert len(singular) == 1
-                assert [sum(1 << j for j in np.flatnonzero(st.gamma)) for st in chain] == codes
-                np.testing.assert_allclose([st.sigma for st in chain[:4]], sigma, rtol=1e-10)
+                assert [sum(1 << j for j in np.flatnonzero(row)) for row in chain.gamma] == codes
+                np.testing.assert_allclose(chain.sigma[:4], sigma, rtol=1e-10)
         assert fam._rssr[5] is None     # columns a and a2
 
     def test_triangular_solves_equal_solve_triangular(self, uscrime_path):

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 import yaml
 
-from priorsweep.cli import main
+from priorsweep.blvs import BlvsFamily, ingest_csv
+from priorsweep.cli import _write_chain_csv, main
+from priorsweep.families import ChainSpec
 
 from test_config import write_toy_config
 
@@ -62,7 +64,6 @@ class TestRun:
     def test_blvs_deterministic_across_threads(self, tmp_path):
         raw = yaml.safe_load(SMOKE_CONFIG.read_text())
         raw["model"]["dataset"] = str(SMOKE_CONFIG.parent / raw["model"]["dataset"])
-        raw["save_chains"] = True
         p = tmp_path / "study.yaml"
         p.write_text(yaml.safe_dump(raw))
         for threads in ("1", "2"):
@@ -151,6 +152,27 @@ class TestRun:
         assert main(["run", "--config", str(p)]) == 0
         chain_files = sorted((tmp_path / "out").glob("chain-stage*.csv"))
         assert len(chain_files) == 4
+
+    def test_blvs_chain_csv_parses_back_to_the_chain(self, uscrime_path, tmp_path):
+        fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
+        chain = fam.gibbs_run(ChainSpec(h=(0.5, 15.0), length=40, burn_in=5, seed=3))
+        path = tmp_path / "chain.csv"
+        _write_chain_csv(path, fam, chain)
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(chain)
+        for i, row in enumerate(rows):
+            gamma = chain.gamma[i]
+            assert int(row["sweep"]) == i
+            assert row["gamma"] == "".join("1" if g else "0" for g in gamma)
+            assert float(row["sigma"]) == chain.sigma[i]
+            assert float(row["beta0"]) == chain.beta0[i]
+            for j, name in enumerate(fam.names):
+                cell = row[f"b_{name}"]
+                if gamma[j]:
+                    assert float(cell) == chain.beta[i, j]
+                else:
+                    assert cell == ""
 
 
 class TestOracle:

@@ -84,6 +84,20 @@ class TestEstimateD:
                       - _objective_parts(base, dn, counts)[0]) / 2e-6
                 assert abs(fd - grad[j - 1]) / max(abs(fd), 1.0) < 1e-6
 
+    def test_objective_lse_matches_scipy_with_neg_inf_entries(self):
+        rng = np.random.default_rng(19)
+        base = rng.normal(0.0, 30.0, size=(5, 400))
+        # -inf entries, but none in the last row: no column is all -inf
+        base[:4][rng.random((4, 400)) < 0.3] = -np.inf
+        base[:, 0] = [-np.inf, -np.inf, -np.inf, -np.inf, 2.0]
+        base[:, 1] = 700.0
+        counts = np.full(5, 80.0)
+        eta = np.concatenate([[0.0], rng.normal(0, 2.0, 4)])
+        value, _, lse = _objective_parts(base, eta, counts)
+        want = logsumexp(base - eta[:, None], axis=0)
+        np.testing.assert_allclose(lse, want, rtol=1e-13)
+        assert value == pytest.approx(-counts @ eta - want.sum(), rel=1e-13)
+
     def test_concavity_along_random_segments(self):
         _, W = toy_matrix([(0.0,), (1.2,)], [600, 600], seed0=5)
         counts = W.counts.astype(float)
