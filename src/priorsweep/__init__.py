@@ -11,8 +11,8 @@ from .ratio import (LogWeightMatrix, RatioEstimate, build_log_weight_matrix,
 from .surface import (Stage2Workspace, SurfaceRecord, bf_cv_hat, bf_gradient_hat,
                       bf_hat, pe_hat, surface)
 from .variance import (PlanInputs, SpectralConfig, StagePlan, VarianceBreakdown,
-                       assemble_variance, c_hat, chain_lrv, lrv_matrix, q_opt,
-                       spectral_lrv, v_hat, w_hat)
+                       assemble_variance, c_hat, chain_lrv, lrv_diag, lrv_matrix,
+                       q_opt, spectral_lrv, v_hat, w_hat)
 
 __all__ = [
     "BlvsChain", "BlvsFamily", "Dataset", "ModelEnumeration", "ingest_csv",
@@ -22,6 +22,6 @@ __all__ = [
     "Stage2Workspace", "SurfaceRecord", "bf_cv_hat", "bf_gradient_hat",
     "bf_hat", "pe_hat", "surface",
     "PlanInputs", "SpectralConfig", "StagePlan", "VarianceBreakdown",
-    "assemble_variance", "c_hat", "chain_lrv", "lrv_matrix", "q_opt",
+    "assemble_variance", "c_hat", "chain_lrv", "lrv_diag", "lrv_matrix", "q_opt",
     "spectral_lrv", "v_hat", "w_hat",
 ]

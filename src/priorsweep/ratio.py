@@ -181,7 +181,7 @@ def estimate_d(W: LogWeightMatrix, tol: float = 1e-10, max_iter: int = 200):
 
     def set_point(eta, value, z, lse):
         P = np.exp(z - lse)                      # membership probabilities
-        state.update(eta=eta, value=value, z=z, lse=lse, P=P,
+        state.update(eta=eta, value=value, lse=lse, P=P,
                      grad=P.sum(axis=1) - counts)
         state["grad_norm"] = np.max(np.abs(state["grad"][1:])) / N
 
@@ -284,7 +284,7 @@ def estimate_sigma(W: LogWeightMatrix, d_hat: np.ndarray,
         if j >= 1:
             scores[sl, j - 1] += 1.0
     S = chain_lrv(scores, W.chain_slices, a, spectral)
-    # eigenvalue clipping: windowed cross sums can lose PSD-ness
+    # S'S is PSD by construction; the clip removes rounding-level negatives
     evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
     S = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     try:

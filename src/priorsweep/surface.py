@@ -24,7 +24,7 @@ from .errors import DegenerateDesignWarning, SupportViolationError, SupportWarni
 from .families import FunctionOfTheta
 from .ratio import LogWeightMatrix, RatioEstimate
 from .variance import (SpectralConfig, VarianceBreakdown, assemble_variance,
-                       c_hat, chain_lrv, v_hat, w_hat)
+                       c_hat, chain_lrv, lrv_diag, v_hat, w_hat)
 
 _RANK_RTOL = 1e-10
 
@@ -70,10 +70,9 @@ class Stage2Workspace:
         else:
             self.Z = np.zeros((W.total, 0))
             self.psi = np.zeros((W.total, 0))
-        self.z_means = self.Z.mean(axis=0) if k > 1 else np.zeros(0)
-        self.psi_chain_means = np.vstack([
-            self.psi[sl].mean(axis=0) for sl in W.chain_slices
-        ]) if k > 1 else np.zeros((1, 0))
+        self.z_means = self.Z.mean(axis=0)
+        self.psi_chain_means = np.vstack([self.psi[sl].mean(axis=0)
+                                          for sl in W.chain_slices])   # (k, k-1)
         self._design_q = None
         self._design_r = None
         self._design_rank_deficient = False
@@ -86,8 +85,6 @@ class Stage2Workspace:
             self._design = design
             if not self._design_rank_deficient:
                 self._design_q, self._design_r = q_fac, r_fac
-        self._f_cache: dict[str, np.ndarray] = {}
-        self._terms_cache: tuple | None = None
 
     # basic geometry
     @property
@@ -106,21 +103,9 @@ class Stage2Workspace:
     def chain_slices(self):
         return self.W.chain_slices
 
-    def function_values(self, f: FunctionOfTheta) -> np.ndarray:
-        if f.name not in self._f_cache:
-            vals = f(self.W.samples)
-            if vals.shape != (self.n,):
-                raise ValueError(f"function {f.name!r} returned wrong shape")
-            self._f_cache[f.name] = vals
-        return self._f_cache[f.name]
-
     def terms(self, h) -> tuple[np.ndarray, float]:
         """Shifted importance terms u_p = Y_p * exp(-shift) for grid point h;
-        Y_p = nu_h(theta_p) / (sum_s a_s nu_{h_s}(theta_p)/d_hat_s).  The
-        last point is kept; a tuple equal to it was validated already."""
-        cache = self._terms_cache
-        if cache is not None and isinstance(h, tuple) and cache[0] == h:
-            return cache[1], cache[2]
+        Y_p = nu_h(theta_p) / (sum_s a_s nu_{h_s}(theta_p)/d_hat_s)."""
         h = self.family.validate_h(h)
         lognum = np.asarray(self.family.log_weights(h, self.W.stats), dtype=float)
         t = lognum - self.log_den
@@ -130,7 +115,6 @@ class Stage2Workspace:
             shift = 0.0
         else:
             u = np.exp(t - shift)
-        self._terms_cache = (h, u, shift)
         return u, shift
 
     def cv_coefficients(self, u: np.ndarray) -> np.ndarray:
@@ -152,41 +136,56 @@ class Stage2Workspace:
         return coef[1:]
 
 
+def _function_matrix(ws: Stage2Workspace, functions) -> np.ndarray:
+    """(n, J) matrix whose column j holds f_j at every pooled sample."""
+    F = np.empty((ws.n, len(functions)))
+    for j, f in enumerate(functions):
+        vals = f(ws.W.samples)
+        if vals.shape != (ws.n,):
+            raise ValueError(f"function {f.name!r} returned wrong shape")
+        F[:, j] = vals
+    return F
+
+
+def _estimates(ws: Stage2Workspace, h, u: np.ndarray, shift: float,
+               F: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Every point estimate at h from the terms (u, shift): the Bayes factor,
+    the control-variate Bayes factor with its coefficients (on the Y scale),
+    and the posterior expectation of each column of F, a ratio of two sums
+    (exactly 1 for f == 1, and in [0, 1] exactly for 0/1-valued f)."""
+    scale = math.exp(shift)
+    mean_u = float(u.mean())
+    beta_u = ws.cv_coefficients(u)
+    est = mean_u - float(ws.z_means @ beta_u) if beta_u.size else mean_u
+    den = float(np.sum(u))
+    if den == 0.0:
+        warnings.warn(f"nu_h vanishes on every pooled sample at h={h}: the "
+                      f"Bayes factor is 0 and posterior expectations are "
+                      f"undefined", SupportWarning, stacklevel=3)
+        pe = np.full(F.shape[1], math.nan)
+    else:
+        pe = np.array([float(np.sum(F[:, j] * u)) / den for j in range(F.shape[1])])
+    return scale * mean_u, est * scale, beta_u * scale, pe
+
+
+def _point(ws: Stage2Workspace, h, functions=()):
+    return _estimates(ws, h, *ws.terms(h), _function_matrix(ws, functions))
+
+
 def bf_hat(ws: Stage2Workspace, h) -> float:
     """Importance-sampling Bayes-factor estimate B_hat(h, h_1, d_hat)."""
-    u, shift = ws.terms(h)
-    mean_u = float(u.mean())
-    if mean_u == 0.0:
-        warnings.warn(f"nu_h vanishes on every pooled sample at h={h}",
-                      SupportWarning, stacklevel=2)
-        return 0.0
-    return math.exp(shift) * mean_u
+    return _point(ws, h)[0]
 
 
 def bf_cv_hat(ws: Stage2Workspace, h) -> tuple[float, np.ndarray]:
     """Control-variate-adjusted Bayes-factor estimate and its regression
     coefficients (on the Y scale)."""
-    u, shift = ws.terms(h)
-    beta_u = ws.cv_coefficients(u)
-    est = float(u.mean()) - float(ws.z_means @ beta_u) if beta_u.size else float(u.mean())
-    scale = math.exp(shift)
-    return est * scale, beta_u * scale
+    return _point(ws, h)[1:3]
 
 
 def pe_hat(ws: Stage2Workspace, h, f: FunctionOfTheta) -> float:
-    """Posterior-expectation estimate of f at h: a ratio of two weighted sums
-    sharing the cached denominators.  Exactly 1 for f identically 1, and for
-    0/1-valued f the value lies in [0, 1] exactly (termwise-dominated sums)."""
-    fv = ws.function_values(f)
-    u, _ = ws.terms(h)
-    den = float(np.sum(u))
-    if den == 0.0:
-        warnings.warn(f"undefined posterior expectation at h={h}: "
-                      f"nu_h vanishes on every pooled sample",
-                      SupportWarning, stacklevel=2)
-        return math.nan
-    num = float(np.sum(fv * u))
-    return num / den
+    """Posterior-expectation estimate of f at h (nan where nu_h vanishes)."""
+    return float(_point(ws, h, [f])[3][0])
 
 
 def bf_gradient_hat(ws: Stage2Workspace, h) -> np.ndarray:
@@ -225,33 +224,27 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
     are formed; rho is scale free, the other two are rescaled.
     """
     cfg = cfg or SpectralConfig()
+    F = _function_matrix(ws, functions)
     records = []
     for h in grid:
         h = ws.family.validate_h(h)
-        bf = bf_hat(ws, h)
-        bf_cv, beta = bf_cv_hat(ws, h)
-        pes = {f.name: pe_hat(ws, h, f) for f in functions}
         u, shift = ws.terms(h)
+        bf, bf_cv, beta, pe = _estimates(ws, h, u, shift, F)
         u_mean = float(u.mean())
-        series = [u, u - ws.Z @ (beta * math.exp(-shift))]
-        for f in functions:
-            # with nu_h vanishing everywhere u is 0 and pe_hat is nan
-            centre = pes[f.name] if u_mean > 0.0 else 0.0
-            series.append((ws.function_values(f) - centre) * u)
-        series = np.column_stack(series)
-        lrv = np.diag(chain_lrv(series, ws.chain_slices, ws.proportions, cfg))
+        # with nu_h vanishing everywhere u is 0 and pe is nan
+        centred = (F - (pe if u_mean > 0.0 else 0.0)) * u[:, None]
+        series = np.column_stack([u, u - ws.Z @ (beta * math.exp(-shift)), centred])
+        lrv = chain_lrv(series, ws.chain_slices, ws.proportions, cfg, reduce=lrv_diag)
         scale = math.exp(2.0 * shift)
-        var = {
-            "bf": assemble_variance("bf", c_hat(ws, h), sigma_hat,
-                                    lrv[0] * scale, q, ws.n),
-            "bf_cv": assemble_variance("bf_cv", w_hat(ws, h, beta), sigma_hat,
-                                       lrv[1] * scale, q, ws.n),
-        }
-        v = v_hat(ws, series[:, 2:], float(u.sum()))
+        c = c_hat(ws, u, shift)
+        var = {"bf": assemble_variance("bf", c, sigma_hat, lrv[0] * scale, q, ws.n),
+               "bf_cv": assemble_variance("bf_cv", w_hat(ws, c, beta), sigma_hat,
+                                          lrv[1] * scale, q, ws.n)}
+        v = v_hat(ws, centred, float(u.sum()))
         for f, lrv_f, v_f in zip(functions, lrv[2:], v.T):
             rho = lrv_f / (u_mean * u_mean) if u_mean > 0.0 else math.nan
             var[f"pe:{f.name}"] = assemble_variance("pe", v_f, sigma_hat,
                                                     rho, q, ws.n)
-        records.append(SurfaceRecord(h=h, bf=bf, bf_cv=bf_cv, beta=beta,
-                                     pe=pes, var=var))
+        pes = {f.name: float(p) for f, p in zip(functions, pe)}
+        records.append(SurfaceRecord(h=h, bf=bf, bf_cv=bf_cv, beta=beta, pe=pes, var=var))
     return records

@@ -3,8 +3,9 @@ the Bartlett long-run covariance behind every stage-2 term (tau^2, sigma^2,
 rho), the stage-1 sensitivity vectors (c, w, v), their assembly into total
 variances q vec' Sigma vec + stage-2 term, and the stage-allocation planner.
 
-One Bartlett window rule (`lrv_matrix`) is used for every spectral quantity
-so that the pieces are mutually comparable; the truncation lag is
+One Bartlett kernel (scaled window sums S of the centered series) is used
+for every spectral quantity so that the pieces are mutually comparable:
+`lrv_matrix` is S'S and `lrv_diag` its diagonal.  The truncation lag is
 L = floor(scale * n^(1/3)) with scale 1.5 by default.
 """
 
@@ -30,62 +31,66 @@ class SpectralConfig:
         return max(1, min(n - 1, int(self.truncation_scale * n ** (1.0 / 3.0))))
 
 
+def _bartlett_rows(X, cfg: SpectralConfig | None = None) -> np.ndarray:
+    """Rows S with S'S = sum_{|t|<=L} (1 - |t|/(L+1)) gamma_t for a series
+    (rows are time points) centered at its mean: the sums of the zero-padded
+    series over every window of L+1 rows, scaled by 1/sqrt(n(L+1)).  Rows t
+    apart share L+1-|t| windows, and a zero series gives S = 0 exactly."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    L = (cfg or SpectralConfig()).lags(n)
+    X = X.reshape(n, -1)
+    # C[m] = sum of the first m - L centered rows, m - L clamped to [0, n]
+    C = np.zeros((n + 2 * L + 1, X.shape[1]))
+    np.cumsum(X - X.mean(axis=0), axis=0, out=C[L + 1:n + L + 1])
+    C[n + L + 1:] = C[n + L]
+    return (C[L + 1:] - C[:n + L]) / math.sqrt(n * (L + 1.0))
+
+
 def lrv_matrix(X, cfg: SpectralConfig | None = None) -> np.ndarray:
     """Bartlett-windowed long-run covariance matrix of a vector series (rows
-    are time points), centered at the series mean."""
-    cfg = cfg or SpectralConfig()
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n = X.shape[0]
-    L = cfg.lags(n)
-    Xc = X - X.mean(axis=0)
-    S = Xc.T @ Xc / n
-    for t in range(1, L + 1):
-        w = 1.0 - t / (L + 1.0)
-        C = Xc[t:].T @ Xc[:-t] / n
-        S += w * (C + C.T)
-    return (S + S.T) / 2.0
+    are time points), centered at the series mean; PSD by construction."""
+    S = _bartlett_rows(X, cfg)
+    return S.T @ S
+
+
+def lrv_diag(X, cfg: SpectralConfig | None = None) -> np.ndarray:
+    """The diagonal of `lrv_matrix`: one long-run variance per column."""
+    S = _bartlett_rows(X, cfg)
+    return np.einsum("ij,ij->j", S, S)
 
 
 def spectral_lrv(series, cfg: SpectralConfig | None = None) -> float:
-    """Bartlett-windowed long-run variance of a scalar series, clipped at 0."""
+    """Bartlett-windowed long-run variance of a scalar series."""
     x = np.asarray(series, dtype=float)
-    S = lrv_matrix(x, cfg)      # raises on a too-short series
+    lrv = lrv_diag(x, cfg)      # raises on a too-short series
     # a constant series centers to exact zeros only if its mean is exact
-    return 0.0 if np.ptp(x) == 0.0 else max(float(S[0, 0]), 0.0)
+    return 0.0 if np.ptp(x) == 0.0 else float(lrv[0])
 
 
-def chain_lrv(X, slices: Sequence[slice], a, cfg: SpectralConfig | None = None) \
-        -> np.ndarray:
+def chain_lrv(X, slices: Sequence[slice], a, cfg: SpectralConfig | None = None,
+              reduce=lrv_matrix) -> np.ndarray:
     """Chain-proportion-weighted long-run covariance sum_l a_l LRV(X[chain l]),
     each chain centered at its own mean (the chains are independent, so
-    cross-chain terms vanish)."""
-    return sum(a_l * lrv_matrix(X[sl], cfg) for a_l, sl in zip(a, slices))
+    cross-chain terms vanish); reduce=lrv_diag gives only its diagonal."""
+    return sum(a_l * reduce(X[sl], cfg) for a_l, sl in zip(a, slices))
 
 
-def c_hat(ws, h) -> np.ndarray:
-    """Plug-in stage-1 sensitivity vector of the Bayes-factor estimator."""
-    u, shift = ws.terms(h)
-    if ws.k == 1:
-        return np.zeros(0)
+def c_hat(ws, u, shift: float) -> np.ndarray:
+    """Stage-1 sensitivity of the Bayes-factor estimator from ws.terms(h)."""
     return (ws.psi.T @ u) / ws.n * math.exp(shift)
 
 
-def w_hat(ws, h, beta_hat) -> np.ndarray:
+def w_hat(ws, c, beta_hat) -> np.ndarray:
     """Stage-1 sensitivity of the control-variate estimator.
 
-    Three pieces: the c_hat component, beta_t / d_t, and the beta-weighted
-    difference of chain-1 versus chain-j sample means of the psi_t terms
-    (direct per-chain means; chains from both posteriors exist by design).
+    Three pieces: c (`c_hat` at the same h), beta_t / d_t, and the
+    beta-weighted difference of chain-1 versus chain-j sample means of the
+    psi_t terms (direct per-chain means; chains from both posteriors exist).
     """
-    if ws.k == 1:
-        return np.zeros(0)
     beta_hat = np.asarray(beta_hat, dtype=float)
-    out = c_hat(ws, h) + beta_hat / ws.d_hat[1:]
-    psi_chain_means = ws.psi_chain_means      # (k, k-1)
-    diff = psi_chain_means[0][None, :] - psi_chain_means[1:, :]   # (k-1, k-1)
-    return out + diff.T @ beta_hat
+    diff = ws.psi_chain_means[0][None, :] - ws.psi_chain_means[1:, :]   # (k-1, k-1)
+    return c + beta_hat / ws.d_hat[1:] + diff.T @ beta_hat
 
 
 def v_hat(ws, centred, u_sum: float) -> np.ndarray:

@@ -215,6 +215,33 @@ class TestGradient:
 
 
 class TestSurfaceSweep:
+    def _assert_one_path(self, ws, grid, functions):
+        recs = surface(ws, grid, functions, np.zeros((ws.k - 1, ws.k - 1)), q=0.0)
+        for rec, h in zip(recs, grid):
+            assert rec.bf == bf_hat(ws, h)
+            est, beta = bf_cv_hat(ws, h)
+            assert rec.bf_cv == est
+            assert np.array_equal(rec.beta, beta)
+            for f in functions:
+                assert rec.pe[f.name] == pe_hat(ws, h, f)
+
+    def test_one_path_toy(self):
+        _, _, _, ws = two_stage([(0.0,), (1.0,), (2.0,)], 500, 500, seed0=47)
+        functions = [toy_function("identity"), toy_function("square"),
+                     FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0.5).astype(float))]
+        self._assert_one_path(ws, [(h,) for h in np.linspace(-0.5, 2.5, 13)], functions)
+
+    def test_one_path_blvs(self, small_family):
+        skeleton = [(0.3, 10.0), (0.6, 40.0), (0.5, 100.0)]
+        chains = [small_family.gibbs_run(ChainSpec(h=h, length=150, burn_in=20, seed=60 + i))
+                  for i, h in enumerate(skeleton)]
+        W = build_log_weight_matrix(small_family, skeleton, chains)
+        d, _ = estimate_d(W)
+        ws = Stage2Workspace(W, d)
+        functions = [small_family.inclusion_function(name) for name in small_family.names]
+        grid = [(w, g) for w in (0.2, 0.45, 0.7) for g in (5.0, 50.0, 150.0)]
+        self._assert_one_path(ws, grid, functions)
+
     def test_records_and_errors(self):
         fam, W1, d, ws = two_stage([(0.0,), (1.0,)], 3000, 3000, seed0=43)
         from priorsweep.ratio import estimate_sigma

@@ -10,8 +10,8 @@ from priorsweep.ratio import build_log_weight_matrix, estimate_d
 from priorsweep.surface import Stage2Workspace, pe_hat, surface
 from priorsweep.variance import (PlanInputs, SpectralConfig, VarianceBreakdown,
                                  assemble_variance, c_hat, chain_lrv,
-                                 lrv_matrix, predicted_variance, q_opt,
-                                 spectral_lrv, v_hat, w_hat)
+                                 lrv_diag, lrv_matrix, predicted_variance,
+                                 q_opt, spectral_lrv, v_hat, w_hat)
 
 
 def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
@@ -67,6 +67,56 @@ class TestSpectralLrv:
         a = np.array([0.3, 0.7])
         want = 0.3 * lrv_matrix(X[:300]) + 0.7 * lrv_matrix(X[300:])
         np.testing.assert_array_equal(chain_lrv(X, slices, a), want)
+
+
+def lag_loop_lrv(X, cfg=SpectralConfig()):
+    """Reference Bartlett estimate: sum_{|t|<=L} (1 - |t|/(L+1)) gamma_t,
+    one lagged cross product per lag."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    L = cfg.lags(n)
+    Xc = X - X.mean(axis=0)
+    S = Xc.T @ Xc / n
+    for t in range(1, L + 1):
+        C = Xc[t:].T @ Xc[:-t] / n
+        S += (1.0 - t / (L + 1.0)) * (C + C.T)
+    return (S + S.T) / 2.0
+
+
+def ar1_series(n, p, phi, seed):
+    innov = np.random.default_rng(seed).normal(size=(n, p))
+    x = np.empty_like(innov)
+    x[0] = innov[0]
+    for t in range(1, n):
+        x[t] = phi * x[t - 1] + innov[t]
+    return x
+
+
+class TestBartlettKernel:
+    @pytest.mark.parametrize("p", [1, 2, 15, 17])
+    @pytest.mark.parametrize("n", [SpectralConfig().min_length + 1, 37, 1000])
+    @pytest.mark.parametrize("phi", [0.0, 0.9])
+    def test_matches_lag_loop(self, n, p, phi):
+        X = ar1_series(n, p, phi, seed=100 * n + p) + 3.0
+        want = lag_loop_lrv(X)
+        got = lrv_matrix(X)
+        assert np.array_equal(got, got.T)
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(lrv_diag(X), np.diag(want), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("p", [1, 2, 15, 17])
+    def test_chain_weighted_diagonal_matches_lag_loop(self, p):
+        X = np.vstack([ar1_series(400, p, 0.5, seed=p), ar1_series(250, p, 0.0, seed=p + 1)])
+        slices = [slice(0, 400), slice(400, 650)]
+        a = np.array([400 / 650, 250 / 650])
+        want = sum(a_l * np.diag(lag_loop_lrv(X[sl])) for a_l, sl in zip(a, slices))
+        got = chain_lrv(X, slices, a, reduce=lrv_diag)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_zero_series_exactly_zero(self):
+        assert np.all(lrv_matrix(np.zeros((50, 3))) == 0.0)
+        assert np.all(lrv_diag(np.zeros((50, 3))) == 0.0)
 
 
 class TestTauSigma:
@@ -142,7 +192,7 @@ def gamma_rho_reference(ws, h, f, cfg=SpectralConfig()):
     """rho by the delta method on the joint long-run covariance Gamma of
     (f Y, Y): (Gamma_00 - 2 I Gamma_01 + I^2 Gamma_11) / Ybar^2."""
     u, _ = ws.terms(h)
-    fv = ws.function_values(f)
+    fv = f(ws.W.samples)
     ratio = float((fv * u).sum()) / float(u.sum())
     gamma = chain_lrv(np.column_stack([fv * u, u]), ws.chain_slices,
                       ws.proportions, cfg)
@@ -155,7 +205,7 @@ def exact_rho(ws, h, f, cfg=SpectralConfig()):
     """rho in rational arithmetic from the same float terms."""
     u, _ = ws.terms(h)
     U = [Fraction(float(x)) for x in u]
-    FV = [Fraction(float(x)) for x in ws.function_values(f)]
+    FV = [Fraction(float(x)) for x in f(ws.W.samples)]
     ratio = sum(a * b for a, b in zip(FV, U)) / sum(U)
     total = Fraction(0)
     for a_l, sl in zip(ws.proportions, ws.chain_slices):
@@ -233,25 +283,24 @@ class TestGammaRho:
 class TestSensitivityVectors:
     def test_c_identical_densities_equals_proportion(self):
         _, ws = toy_workspace([(0.5,), (0.5,)], 1000, d=[1.0, 1.0], seed0=4)
-        c = c_hat(ws, (0.5,))
+        c = c_hat(ws, *ws.terms((0.5,)))
         assert c[0] == pytest.approx(ws.proportions[1], abs=1e-12)
 
     def test_c_nonnegative(self):
         _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 900, seed0=6)
-        assert np.all(c_hat(ws, (0.7,)) >= 0.0)
+        assert np.all(c_hat(ws, *ws.terms((0.7,))) >= 0.0)
 
     def test_w_reduces_to_c_when_beta_zero(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 700, seed0=8)
-        h = (0.4,)
-        np.testing.assert_allclose(w_hat(ws, h, np.zeros(1)), c_hat(ws, h),
-                                   rtol=1e-12)
+        c = c_hat(ws, *ws.terms((0.4,)))
+        np.testing.assert_allclose(w_hat(ws, c, np.zeros(1)), c, rtol=1e-12)
 
     def test_w_term3_vanishes_for_identical_densities(self):
         _, ws = toy_workspace([(0.5,), (0.5,)], 1000, d=[1.0, 1.0], seed0=9)
-        h = (0.5,)
+        c = c_hat(ws, *ws.terms((0.5,)))
         beta = np.array([0.7])
-        want = c_hat(ws, h) + beta / 1.0   # term 3 must vanish exactly
-        np.testing.assert_allclose(w_hat(ws, h, beta), want, atol=1e-12)
+        want = c + beta / 1.0   # term 3 must vanish exactly
+        np.testing.assert_allclose(w_hat(ws, c, beta), want, atol=1e-12)
 
     def test_v_zero_for_constant_function(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 800, seed0=10)
@@ -278,7 +327,7 @@ class TestSensitivityVectors:
 def stacked_v(ws, h, functions):
     """v_hat on the centred columns (f_j - I_j) u, as surface builds them."""
     u, _ = ws.terms(h)
-    centred = np.column_stack([(ws.function_values(f) - pe_hat(ws, h, f)) * u
+    centred = np.column_stack([(f(ws.W.samples) - pe_hat(ws, h, f)) * u
                                for f in functions])
     return v_hat(ws, centred, float(u.sum()))
 
@@ -286,7 +335,7 @@ def stacked_v(ws, h, functions):
 def v_per_function(ws, h, f):
     """Reference: psi' (f - I) u / sum(u) for one f, I = sum(f u) / sum(u)."""
     u, _ = ws.terms(h)
-    fv = ws.function_values(f)
+    fv = f(ws.W.samples)
     den = float(u.sum())
     return ws.psi.T @ ((fv - float((fv * u).sum()) / den) * u) / den
 
