@@ -208,19 +208,19 @@ class BlvsFamily(DensityFamily):
                 f"singular design for model {[self.names[j] for j in idx]}"
             ) from None
 
-    def _ssr(self, idx: np.ndarray) -> float:
-        if idx.size == 0:
-            return 0.0
-        half = _solve_lower(self._chol(idx), self._Xty[idx])
+    def _ssr(self, idx: np.ndarray, L: np.ndarray) -> float:
+        """Regression sum of squares of model idx from its Cholesky factor L."""
+        half = _solve_lower(L, self._Xty[idx])
         return float(half @ half)
 
     def _rss_ratio(self, idx: np.ndarray) -> float:
         """(1 - R^2) for the model given by idx, clipped to be nonnegative."""
-        ssr = self._ssr(idx)
-        rss = self._tss - ssr
+        if idx.size == 0:
+            return 1.0
+        L = self._chol(idx)
+        rss = self._tss - self._ssr(idx, L)
         if rss < 1e-10 * self._tss:
             # near-saturated fit: recompute from the residual vector itself
-            L = self._chol(idx)
             beta = cho_solve((L, True), self._Xty[idx], check_finite=False)
             resid = self._yc - self._Xc[:, idx] @ beta
             rss = float(resid @ resid)
@@ -279,7 +279,7 @@ class BlvsFamily(DensityFamily):
         idx = self._columns(code)
         if idx.size:
             L = self._chol(idx)
-            fit = (self._ssr(idx), L, cho_solve((L, True), self._Xty[idx],
+            fit = (self._ssr(idx, L), L, cho_solve((L, True), self._Xty[idx],
                                                 check_finite=False), idx)
         else:
             fit = (0.0, np.empty((0, 0)), np.empty(0), idx)

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import ConnectivityError, ConvergenceError, SupportViolationError
 from .families import DensityFamily
@@ -90,7 +89,8 @@ class RatioEstimate:
 
     skeleton and stage1_hash identify the stage-1 inputs, so that a stage-2
     run can refuse an estimate made for another skeleton or config; a file
-    written without them loads with None.
+    written without them loads with None.  trace is the solver's Newton
+    trace (see estimate_d), None for a file written without it.
     """
 
     d_hat: np.ndarray            # (k,)
@@ -101,6 +101,7 @@ class RatioEstimate:
     final_grad_norm: float
     skeleton: list[tuple] | None = None
     stage1_hash: str | None = None
+    trace: list[dict] | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -115,6 +116,7 @@ class RatioEstimate:
             "solver": {
                 "iterations": int(self.iterations),
                 "final_grad_norm": float(self.final_grad_norm),
+                "trace": self.trace,
             },
         }
 
@@ -131,6 +133,7 @@ class RatioEstimate:
             skeleton=(None if d.get("skeleton") is None
                       else [tuple(float(c) for c in h) for h in d["skeleton"]]),
             stage1_hash=d.get("stage1_hash"),
+            trace=d["solver"].get("trace"),
         )
 
     def save(self, path) -> None:
@@ -143,8 +146,10 @@ class RatioEstimate:
             return cls.from_dict(json.load(fh))
 
 
-def _check_support(W: LogWeightMatrix) -> None:
-    dead = np.flatnonzero(np.all(np.isneginf(W.logw), axis=0))
+def _check_support(W: LogWeightMatrix, lse: np.ndarray) -> None:
+    """Raise for a pooled sample whose log-terms are all -inf: the kernel
+    gives it lse = -inf."""
+    dead = np.flatnonzero(np.isneginf(lse))
     if dead.size:
         p = int(dead[0])
         raise SupportViolationError(
@@ -153,13 +158,25 @@ def _check_support(W: LogWeightMatrix) -> None:
         )
 
 
-def _objective_parts(base: np.ndarray, eta: np.ndarray, counts: np.ndarray):
-    z = base - eta[:, None]
-    # column max shift: _check_support has ruled out an all -inf column
+def _softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lse, P): the column log-sum-exp and softmax of a k x N array of
+    log-terms from one max-shifted in-place exp, so z is overwritten by P.
+    An all -inf column gives lse = -inf (and a nan column of P), not nan."""
     mx = z.max(axis=0)
-    lse = mx + np.log(np.exp(z - mx).sum(axis=0))
-    value = -float(counts @ eta) - float(lse.sum())
-    return value, z, lse
+    mx[np.isneginf(mx)] = 0.0
+    z -= mx
+    np.exp(z, out=z)
+    s = z.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z /= s
+        return mx + np.log(s), z
+
+
+def _objective(base: np.ndarray, eta: np.ndarray, counts: np.ndarray, out=None):
+    """The log quasi-likelihood at eta with the column lse and the membership
+    probabilities P from one kernel call; P is written into out if given."""
+    lse, P = _softmax(np.subtract(base, eta[:, None], out=out))
+    return -float(counts @ eta) - float(lse.sum()), lse, P
 
 
 def estimate_d(W: LogWeightMatrix, tol: float = 1e-10, max_iter: int = 200):
@@ -167,46 +184,57 @@ def estimate_d(W: LogWeightMatrix, tol: float = 1e-10, max_iter: int = 200):
     ratios together with solver diagnostics.
 
     Converged when max_j |gradient_j| / N < tol.  Raises ConnectivityError
-    when the pooled samples cannot identify all ratios.
+    when the pooled samples cannot identify all ratios.  Besides the
+    iteration count and final gradient norm, the diagnostics hold the trace
+    (objective, gradient norm and sup-norm step in eta = log d at the start
+    and after each iteration) and P at the optimum, for the sandwich.
     """
     k, N = W.k, W.total
     if k == 1:
-        return np.ones(1), {"iterations": 0, "final_grad_norm": 0.0}
-    _check_support(W)
+        return np.ones(1), {"iterations": 0, "final_grad_norm": 0.0,
+                            "trace": [], "P": np.ones((1, N))}
     counts = W.counts.astype(float)
     log_a = np.log(counts) - np.log(N)
+    # three k x N arrays: base, the state's P and the trial buffer
     base = W.logw + log_a[:, None]
-
+    buf = np.empty_like(base)
     state = {}
+    trace = []
 
-    def set_point(eta, value, z, lse):
-        P = np.exp(z - lse)                      # membership probabilities
-        state.update(eta=eta, value=value, lse=lse, P=P,
-                     grad=P.sum(axis=1) - counts)
-        state["grad_norm"] = np.max(np.abs(state["grad"][1:])) / N
+    def set_point(eta, value, lse, P, grad=None):
+        nonlocal buf                             # the old P becomes the buffer
+        if grad is None:
+            grad = P.sum(axis=1) - counts
+        step = float(np.max(np.abs(eta - state["eta"]))) if state else 0.0
+        if P is buf:
+            buf = state["P"]
+        state.update(eta=eta, value=value, lse=lse, P=P, grad=grad,
+                     grad_norm=np.max(np.abs(grad[1:])) / N)
+        trace.append({"objective": value, "grad_norm": float(state["grad_norm"]),
+                      "step": step})
 
     def try_point(trial) -> bool:
         """Accept on objective increase or, near the float resolution of the
         objective, on gradient contraction."""
-        t_value, t_z, t_lse = _objective_parts(base, trial, counts)
+        t_value, t_lse, t_P = _objective(base, trial, counts, out=buf)
         if not np.isfinite(t_value):
             return False
         if t_value > state["value"]:
-            set_point(trial, t_value, t_z, t_lse)
+            set_point(trial, t_value, t_lse, t_P)
             return True
         if t_value >= state["value"] - 1e-13 * max(abs(state["value"]), 1.0):
-            t_gn = np.max(np.abs(np.exp(t_z - t_lse).sum(axis=1)[1:] - counts[1:])) / N
-            if t_gn < 0.9 * state["grad_norm"]:
-                set_point(trial, t_value, t_z, t_lse)
+            t_grad = t_P.sum(axis=1) - counts
+            if np.max(np.abs(t_grad[1:])) / N < 0.9 * state["grad_norm"]:
+                set_point(trial, t_value, t_lse, t_P, t_grad)
                 return True
         return False
 
-    set_point(np.zeros(k), *_objective_parts(base, np.zeros(k), counts))
+    value, lse, P = _objective(base, np.zeros(k), counts)
+    _check_support(W, lse)
+    set_point(np.zeros(k), value, lse, P)
     for iterations in range(max_iter):
         if state["grad_norm"] < tol:
-            _check_curvature(state["P"], counts)
-            return np.exp(state["eta"]), {"iterations": iterations,
-                                          "final_grad_norm": state["grad_norm"]}
+            break
         P = state["P"]
         B = np.diag(P.sum(axis=1)) - P @ P.T     # -Hessian of the objective
         try:
@@ -224,22 +252,27 @@ def estimate_d(W: LogWeightMatrix, tol: float = 1e-10, max_iter: int = 200):
                     break
                 alpha *= 0.5
         if not moved:
-            # self-consistency fixed point, re-pinned to eta_1 = 0
-            trial = logsumexp(W.logw - state["lse"], axis=1) - np.log(N)
+            # self-consistency fixed point, re-pinned to eta_1 = 0: the row
+            # log-sum-exp of logw - lse, the kernel on the transposed buffer
+            row_lse, _ = _softmax(np.subtract(W.logw, state["lse"], out=buf).T)
+            trial = row_lse - np.log(N)
             trial = trial - trial[0]
             if not try_point(trial):
                 raise ConnectivityError(
                     "quasi-likelihood solver stalled; skeleton chains "
                     "appear insufficiently connected"
                 )
-    if state["grad_norm"] >= tol:
-        raise ConvergenceError(
-            f"ratio solver did not reach tolerance after {max_iter} iterations "
-            f"(gradient norm {state['grad_norm']:.3e})"
-        )
+    else:
+        iterations = max_iter
+        if state["grad_norm"] >= tol:
+            raise ConvergenceError(
+                f"ratio solver did not reach tolerance after {max_iter} iterations "
+                f"(gradient norm {state['grad_norm']:.3e})"
+            )
     _check_curvature(state["P"], counts)
-    return np.exp(state["eta"]), {"iterations": max_iter,
-                                  "final_grad_norm": state["grad_norm"]}
+    return np.exp(state["eta"]), {"iterations": iterations,
+                                  "final_grad_norm": float(state["grad_norm"]),
+                                  "trace": trace, "P": state["P"]}
 
 
 def _check_curvature(P: np.ndarray, counts: np.ndarray) -> None:
@@ -260,30 +293,31 @@ def _check_curvature(P: np.ndarray, counts: np.ndarray) -> None:
 
 def estimate_sigma(W: LogWeightMatrix, d_hat: np.ndarray,
                    spectral: SpectralConfig | None = None) -> np.ndarray:
-    """Sandwich covariance of sqrt(N)(d_hat - d).
+    """Sandwich covariance of sqrt(N)(d_hat - d)."""
+    z = W.logw + np.log(W.proportions)[:, None]
+    z -= np.log(np.asarray(d_hat, dtype=float))[:, None]
+    return _sandwich(W, d_hat, _softmax(z)[1], spectral)
+
+
+def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
+              spectral: SpectralConfig | None) -> np.ndarray:
+    """Sandwich covariance from the membership probabilities P at d_hat.
 
     B_hat is the averaged negative Hessian of the quasi-likelihood; S_hat is
     the chain-weighted spectral long-run covariance of the per-observation
     score, each coordinate centered at its chain mean (the per-chain means
     cancel only in aggregate, so centering must be per chain).
     """
-    k, N = W.k, W.total
-    if k == 1:
+    N = W.total
+    if W.k == 1:
         return np.zeros((0, 0))
     spectral = spectral or SpectralConfig()
-    counts = W.counts.astype(float)
-    a = counts / N
-    log_a = np.log(a)
-    eta = np.log(np.asarray(d_hat, dtype=float))
-    z = W.logw + log_a[:, None] - eta[:, None]
-    P = np.exp(z - logsumexp(z, axis=0))
-
     B = (np.diag(P.sum(axis=1)) - P @ P.T)[1:, 1:] / N
     scores = -P[1:, :].T.copy()                  # (M, k-1)
     for j, sl in enumerate(W.chain_slices):
         if j >= 1:
             scores[sl, j - 1] += 1.0
-    S = chain_lrv(scores, W.chain_slices, a, spectral)
+    S = chain_lrv(scores, W.chain_slices, W.proportions, spectral)
     # S'S is PSD by construction; the clip removes rounding-level negatives
     evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
     S = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
@@ -302,10 +336,11 @@ def estimate_sigma(W: LogWeightMatrix, d_hat: np.ndarray,
 
 def estimate_ratios(W: LogWeightMatrix, tol: float = 1e-10,
                     spectral: SpectralConfig | None = None) -> RatioEstimate:
-    """Run both halves of stage 1 and package the result."""
+    """Run both halves of stage 1 and package the result; the sandwich
+    reuses the solver's P at the optimum."""
     d_hat, info = estimate_d(W, tol=tol)
-    sigma_hat = estimate_sigma(W, d_hat, spectral=spectral)
+    sigma_hat = _sandwich(W, d_hat, info["P"], spectral)
     return RatioEstimate(d_hat=d_hat, sigma_hat=sigma_hat, N=W.total,
                          counts=W.counts.copy(), iterations=info["iterations"],
                          final_grad_norm=info["final_grad_norm"],
-                         skeleton=list(W.skeleton))
+                         skeleton=list(W.skeleton), trace=info["trace"])

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import logsumexp
 
-from .errors import DegenerateDesignWarning, SupportViolationError, SupportWarning
+from .errors import DegenerateDesignWarning, SupportWarning
 from .families import FunctionOfTheta
-from .ratio import LogWeightMatrix, RatioEstimate
+from .ratio import LogWeightMatrix, RatioEstimate, _check_support, _softmax
 from .variance import (SpectralConfig, VarianceBreakdown, assemble_variance,
                        c_hat, chain_lrv, lrv_diag, v_hat, w_hat)
 
@@ -47,29 +46,14 @@ class Stage2Workspace:
         self.d_hat = d_hat
         self.log_d = np.log(d_hat)
         self.log_a = np.log(W.proportions)
-        z = W.logw + (self.log_a - self.log_d)[:, None]
-        self.log_den = logsumexp(z, axis=0)
-        dead = np.flatnonzero(np.isneginf(self.log_den))
-        if dead.size:
-            p = int(dead[0])
-            raise SupportViolationError(
-                f"pooled sample {p} (chain {W.chain_of(p)}) has zero mixture "
-                f"density; the support condition fails"
-            )
-        k = W.k
-        if k > 1:
-            ref = np.exp(W.logw[0] - self.log_den)
-            self.Z = np.column_stack([
-                np.exp(W.logw[j] - self.log_d[j] - self.log_den) - ref
-                for j in range(1, k)
-            ])
-            self.psi = np.column_stack([
-                np.exp(self.log_a[j] + W.logw[j] - 2.0 * self.log_d[j] - self.log_den)
-                for j in range(1, k)
-            ])
-        else:
-            self.Z = np.zeros((W.total, 0))
-            self.psi = np.zeros((W.total, 0))
+        # log_den and the membership probabilities P_s = a_s nu_s / (d_s den)
+        # from one kernel call
+        self.log_den, P = _softmax(W.logw + (self.log_a - self.log_d)[:, None])
+        _check_support(W, self.log_den)
+        # Z_j = nu_j/(d_j den) - nu_1/den and psi_j = a_j nu_j/(d_j^2 den)
+        a = W.proportions
+        self.Z = np.ascontiguousarray((P[1:] / a[1:, None] - P[0] / a[0]).T)
+        self.psi = np.ascontiguousarray((P[1:] / d_hat[1:, None]).T)
         self.z_means = self.Z.mean(axis=0)
         self.psi_chain_means = np.vstack([self.psi[sl].mean(axis=0)
                                           for sl in W.chain_slices])   # (k, k-1)
@@ -77,7 +61,7 @@ class Stage2Workspace:
         self._design_r = None
         self._design_rank_deficient = False
         self._warned_rank = False
-        if k > 1:
+        if W.k > 1:
             design = np.column_stack([np.ones(W.total), self.Z])
             q_fac, r_fac = np.linalg.qr(design, mode="reduced")
             diag = np.abs(np.diag(r_fac))

@@ -485,6 +485,19 @@ class TestModelTable:
             assert np.array_equal(_solve_lower(L, z, transpose=True),
                                   solve_triangular(L.T, z, lower=False))
 
+    def test_draw_fit_factors_each_model_once(self, uscrime_path):
+        fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
+        chol, calls = fam._chol, []
+        fam._chol = lambda idx: calls.append(idx.size) or chol(idx)
+        rng = np.random.default_rng(8)
+        for code in rng.choice(np.arange(1, 1 << fam.q), size=50, replace=False):
+            calls.clear()
+            ssr, L, _, idx = fam._table_draw_fit(int(code))
+            assert calls == [idx.size]
+            half = solve_triangular(np.linalg.cholesky(fam._XtX[np.ix_(idx, idx)]),
+                                    fam._Xty[idx], lower=True)
+            assert ssr == float(half @ half)
+
     def test_threads_filling_one_table_match_serial_chains(self, uscrime_path):
         ds = ingest_csv(uscrime_path, "y", ["S"])
         specs = [ChainSpec(h=(w, g), length=60, burn_in=10, seed=s)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.special import logsumexp
 from priorsweep.errors import ConnectivityError, SupportViolationError
 from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import (LogWeightMatrix, RatioEstimate,
-                              _objective_parts, build_log_weight_matrix,
+                              _objective, _softmax, build_log_weight_matrix,
                               estimate_d, estimate_ratios, estimate_sigma)
 from priorsweep.surface import Stage2Workspace, bf_hat
 
@@ -39,6 +40,47 @@ class TestBuild:
         assert W.chain_of(0) == 0 and W.chain_of(99) == 0
         assert W.chain_of(100) == 1 and W.chain_of(249) == 1
         np.testing.assert_allclose(W.proportions, [0.4, 0.6])
+
+
+class TestSoftmaxKernel:
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_matches_scipy_logsumexp(self, k):
+        rng = np.random.default_rng(k)
+        z = rng.normal(0.0, 40.0, size=(k, 500))
+        lse, P = _softmax(z.copy())
+        want = logsumexp(z, axis=0)
+        np.testing.assert_allclose(lse, want, rtol=1e-13)
+        np.testing.assert_allclose(P, np.exp(z - want), rtol=1e-13, atol=1e-300)
+        assert np.max(np.abs(P.sum(axis=0) - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("k", [1, 3, 16])
+    def test_scattered_neg_inf_and_dead_column(self, k):
+        rng = np.random.default_rng(5 + k)
+        z = rng.normal(0.0, 30.0, size=(k, 300))
+        z[rng.random(z.shape) < 0.4] = -np.inf
+        z[:, 7] = -np.inf                          # a dead column
+        z[:, 8] = -np.inf
+        z[-1, 8] = 1.5                             # one live entry
+        z[:, 0] = 700.0
+        live = ~np.all(np.isneginf(z), axis=0)
+        lse, P = _softmax(z.copy())
+        want = logsumexp(z, axis=0)
+        np.testing.assert_allclose(lse[live], want[live], rtol=1e-13)
+        assert lse[7] == -np.inf and not np.isnan(lse).any()
+        assert P[-1, 8] == 1.0
+        assert np.max(np.abs(P[:, live].sum(axis=0) - 1.0)) <= 1e-15
+        assert np.all(P[:, live][np.isneginf(z[:, live])] == 0.0)
+
+    def test_transposed_view_gives_row_lse(self):
+        # the self-consistency step of estimate_d runs the kernel on z.T
+        z = np.random.default_rng(3).normal(0.0, 20.0, size=(4, 700))
+        lse, _ = _softmax(z.copy().T)
+        np.testing.assert_allclose(lse, logsumexp(z, axis=1), rtol=1e-13)
+
+    def test_overwrites_its_input_with_p(self):
+        z = np.random.default_rng(2).normal(size=(4, 50))
+        _, P = _softmax(z)
+        assert P is z
 
 
 class TestEstimateD:
@@ -74,14 +116,14 @@ class TestEstimateD:
         rng = np.random.default_rng(12)
         for _ in range(10):
             eta = np.concatenate([[0.0], rng.normal(0, 0.8, 2)])
-            _, z, lse = _objective_parts(base, eta, counts)
-            grad = (np.exp(z - lse).sum(axis=1) - counts)[1:]
+            _, _, P = _objective(base, eta, counts)
+            grad = (P.sum(axis=1) - counts)[1:]
             for j in (1, 2):
                 up, dn = eta.copy(), eta.copy()
                 up[j] += 1e-6
                 dn[j] -= 1e-6
-                fd = (_objective_parts(base, up, counts)[0]
-                      - _objective_parts(base, dn, counts)[0]) / 2e-6
+                fd = (_objective(base, up, counts)[0]
+                      - _objective(base, dn, counts)[0]) / 2e-6
                 assert abs(fd - grad[j - 1]) / max(abs(fd), 1.0) < 1e-6
 
     def test_objective_lse_matches_scipy_with_neg_inf_entries(self):
@@ -93,7 +135,7 @@ class TestEstimateD:
         base[:, 1] = 700.0
         counts = np.full(5, 80.0)
         eta = np.concatenate([[0.0], rng.normal(0, 2.0, 4)])
-        value, _, lse = _objective_parts(base, eta, counts)
+        value, lse, _ = _objective(base, eta, counts)
         want = logsumexp(base - eta[:, None], axis=0)
         np.testing.assert_allclose(lse, want, rtol=1e-13)
         assert value == pytest.approx(-counts @ eta - want.sum(), rel=1e-13)
@@ -106,10 +148,10 @@ class TestEstimateD:
         for _ in range(20):
             e1 = np.array([0.0, rng.normal(0, 1.5)])
             e2 = np.array([0.0, rng.normal(0, 1.5)])
-            v1 = _objective_parts(base, e1, counts)[0]
-            v2 = _objective_parts(base, e2, counts)[0]
+            v1 = _objective(base, e1, counts)[0]
+            v2 = _objective(base, e2, counts)[0]
             for lam in (0.25, 0.5, 0.75):
-                mid = _objective_parts(base, (1 - lam) * e1 + lam * e2, counts)[0]
+                mid = _objective(base, (1 - lam) * e1 + lam * e2, counts)[0]
                 assert mid >= (1 - lam) * v1 + lam * v2 - 1e-9
 
     def test_chain_permutation_equivariance(self):
@@ -166,6 +208,30 @@ class TestEstimateSigma:
         np.testing.assert_allclose(s, s.T, atol=1e-15)
         assert np.all(np.linalg.eigvalsh(s) > -1e-12)
 
+    def test_estimate_ratios_reuses_solver_p(self):
+        _, W = toy_matrix([(0.0,), (0.7,), (1.5,)], [3000, 2500, 3500], seed0=21)
+        est = estimate_ratios(W)
+        d, info = estimate_d(W)
+        sigma = estimate_sigma(W, d)
+        np.testing.assert_array_equal(est.d_hat, d)
+        np.testing.assert_allclose(est.sigma_hat, sigma, rtol=1e-12,
+                                   atol=1e-12 * np.abs(sigma).max())
+        assert est.iterations == info["iterations"]
+
+    def test_peak_memory_of_estimate_ratios(self):
+        skeleton = [(0.2 * s,) for s in range(16)]
+        _, W = toy_matrix(skeleton, [2500] * 16, seed0=40)
+        unit = W.logw.nbytes                       # one k x N float array
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            estimate_ratios(W)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.5 * unit, f"peak {peak / unit:.2f} k x N arrays"
+
     def test_replication_calibration(self):
         # empirical covariance of sqrt(N)(d_hat - d) vs the mean sandwich
         # estimate, i.i.d. toy, moderate size
@@ -201,3 +267,23 @@ class TestRatioEstimateIO:
         assert back.N == est.N
         assert back.iterations == est.iterations
         assert back.skeleton == est.skeleton == [(0.0,), (1.0,)]
+        assert back.trace == est.trace
+
+    def test_newton_trace(self):
+        _, W = toy_matrix([(0.0,), (0.9,), (1.8,)], [1500, 1200, 1800], seed0=4)
+        est = estimate_ratios(W)
+        trace = est.trace
+        assert len(trace) == est.iterations + 1 > 1
+        assert trace[0]["step"] == 0.0 and all(t["step"] > 0.0 for t in trace[1:])
+        assert trace[-1]["grad_norm"] == est.final_grad_norm < 1e-10
+        objective = [t["objective"] for t in trace]
+        assert all(b >= a - 1e-13 * abs(a) for a, b in zip(objective, objective[1:]))
+        assert est.to_dict()["solver"]["trace"] == trace
+
+    def test_file_without_trace_loads(self):
+        _, W = toy_matrix([(0.0,), (1.0,)], [500, 400], seed0=2)
+        d = estimate_ratios(W).to_dict()
+        del d["solver"]["trace"]
+        back = RatioEstimate.from_dict(d)
+        assert back.trace is None
+        assert back.to_dict()["solver"]["trace"] is None

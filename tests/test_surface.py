@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from priorsweep.errors import (DegenerateDesignWarning, SupportViolationError,
                                SupportWarning)
@@ -60,6 +61,25 @@ class TestWorkspace:
         surface(ws, [(h,) for h in np.linspace(-0.5, 2.5, 40)],
                 [toy_function("identity")], np.zeros((1, 1)), q=0.0)
         assert calls["scalar"] == 0
+
+    def test_kernel_terms_match_per_row_formulas(self):
+        # the per-row formulas the workspace used before its one kernel call
+        for k, seed0 in ((2, 1), (3, 5), (5, 9)):
+            skeleton = [(0.6 * s,) for s in range(k)]
+            _, _, _, ws = two_stage(skeleton, 800, 600, seed0=seed0)
+            W = ws.W
+            log_den = logsumexp(W.logw + (ws.log_a - ws.log_d)[:, None], axis=0)
+            ref = np.exp(W.logw[0] - log_den)
+            Z = np.column_stack([np.exp(W.logw[j] - ws.log_d[j] - log_den) - ref
+                                 for j in range(1, k)])
+            psi = np.column_stack([
+                np.exp(ws.log_a[j] + W.logw[j] - 2.0 * ws.log_d[j] - log_den)
+                for j in range(1, k)])
+            # log_den and Z change sign: relative to their largest entry
+            for got, want in ((ws.log_den, log_den), (ws.Z, Z)):
+                np.testing.assert_allclose(got, want, rtol=1e-13,
+                                           atol=1e-13 * np.abs(want).max())
+            np.testing.assert_allclose(ws.psi, psi, rtol=1e-13)
 
     def test_dead_mixture_sample_raises(self):
         fam, _, d, _ = two_stage([(0.0,), (1.0,)], 300, 300)
