@@ -168,9 +168,9 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
                     _write_chain_csv(out / f"chain-stage2-{i:02d}.csv", cfg.family, c)
         with _timed(timings, "weights_s"):
             W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
-        ws = Stage2Workspace(W2, est)
+        ws = Stage2Workspace(W2, est.d_hat)
         n, N = ws.n, est.N
-        q = cfg.q_override if cfg.q_override is not None else n / N
+        q = n / N
         with _timed(timings, "sweep_s"):
             records = surface(ws, cfg.grid, cfg.functions, est.sigma_hat, q,
                               cfg.spectral)
@@ -294,7 +294,7 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int,
                            seed=sp.seed) for sp in cfg.stage2.chain_specs(cfg.skeleton)]
     chains2 = _sample_stage(cfg.family, specs2, threads)
     W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains2)
-    ws = Stage2Workspace(W2, est)
+    ws = Stage2Workspace(W2, est.d_hat)
 
     # pilot variance components (q = 1: v1 = c' Sigma c, v2 = tau^2) of the
     # plain estimator at a few representative grid points
@@ -395,11 +395,9 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.out:
             cfg.out_dir = Path(args.out)
-        if getattr(args, "threads", None):
-            cfg.threads = args.threads
         if args.command == "run":
             _apply_overrides(cfg, args.seed_override)
-            out = cmd_run(cfg, args.stage, cfg.threads)
+            out = cmd_run(cfg, args.stage, args.threads)
             print(f"wrote {out}")
             return 0
         if args.command == "oracle":
@@ -407,7 +405,7 @@ def main(argv=None) -> int:
             print(f"wrote {out / 'oracle.csv'}")
             return 0
         if args.command == "plan":
-            out = cmd_plan(cfg, args.budget, args.pilot_length, cfg.threads)
+            out = cmd_plan(cfg, args.budget, args.pilot_length, args.threads)
             print(f"wrote {out / 'plan.json'}")
             return 0
         raise ConfigError(f"unknown command {args.command}")

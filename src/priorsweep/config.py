@@ -19,8 +19,8 @@ from .errors import ConfigError, InvalidHyperparameterError
 from .families import ChainSpec, ConjugateToy, DensityFamily, FunctionOfTheta, toy_function
 from .variance import SpectralConfig
 
-CONFIG_SCHEMA_VERSION = 1
 STAGE1_SECTIONS = ("model", "skeleton", "stage1", "spectral")
+CONFIG_KEYS = (*STAGE1_SECTIONS, "stage2", "grid", "functions", "out", "save_chains")
 
 
 @dataclass
@@ -69,8 +69,6 @@ class StudyConfig:
     functions: list[FunctionOfTheta]
     spectral: SpectralConfig
     out_dir: Path
-    threads: int | None = None
-    q_override: float | None = None
     save_chains: bool = False
 
     @property
@@ -153,6 +151,10 @@ def load_config(path) -> StudyConfig:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    for key in raw:
+        if key not in CONFIG_KEYS:
+            raise ConfigError(f"{path}: unknown config key {key!r} "
+                              f"(known: {', '.join(CONFIG_KEYS)})")
     base_dir = path.parent
     family = _build_family(raw.get("model", {}), base_dir)
     skeleton_raw = raw.get("skeleton")
@@ -180,16 +182,9 @@ def load_config(path) -> StudyConfig:
     out_dir = Path(raw.get("out", "priorsweep-out"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
-    q_override = raw.get("q")
-    if q_override is not None:
-        q_override = float(q_override)
-        if not (math.isfinite(q_override) and q_override >= 0):
-            raise ConfigError(f"q must be finite and >= 0, got {q_override}")
     return StudyConfig(
         raw=raw, base_dir=base_dir, family=family, skeleton=skeleton,
         stage1=stage1, stage2=stage2, grid=grid, functions=functions,
         spectral=spectral, out_dir=out_dir,
-        threads=raw.get("threads"),
-        q_override=q_override,
         save_chains=bool(raw.get("save_chains", False)),
     )

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidHyperparameterError, UnsupportedOperationError
 
@@ -190,6 +189,9 @@ class ConjugateToy(DensityFamily):
         if self.sampler == "iid":
             draws = rng.normal(mu, sd, size=total)
         else:
+            # imported here: scipy.signal (with the scipy.stats it loads)
+            # would otherwise be most of the package's import time
+            from scipy.signal import lfilter
             phi = self.ar1_phi
             x0 = rng.normal(0.0, sd)
             innov = rng.normal(0.0, sd * math.sqrt(1.0 - phi**2), size=total)

@@ -17,11 +17,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DegenerateDesignWarning, SupportWarning
 from .families import FunctionOfTheta
-from .ratio import LogWeightMatrix, RatioEstimate, _check_support, _softmax
+from .ratio import LogWeightMatrix, _check_support, _softmax
 from .variance import (SpectralConfig, VarianceBreakdown, assemble_variance,
                        c_hat, chain_lrv, lrv_diag, v_hat, w_hat)
 
@@ -29,11 +28,9 @@ _RANK_RTOL = 1e-10
 
 
 class Stage2Workspace:
-    """Cached denominators, control variates, and regression factors."""
+    """Cached denominators, control variates, and the control-variate map."""
 
     def __init__(self, W: LogWeightMatrix, d_hat):
-        if isinstance(d_hat, RatioEstimate):
-            d_hat = d_hat.d_hat
         d_hat = np.asarray(d_hat, dtype=float)
         if d_hat.shape != (W.k,):
             raise ValueError(f"d_hat must have length k={W.k}")
@@ -44,31 +41,26 @@ class Stage2Workspace:
         self.W = W
         self.family = W.family
         self.d_hat = d_hat
-        self.log_d = np.log(d_hat)
-        self.log_a = np.log(W.proportions)
+        a = W.proportions
         # log_den and the membership probabilities P_s = a_s nu_s / (d_s den)
         # from one kernel call
-        self.log_den, P = _softmax(W.logw + (self.log_a - self.log_d)[:, None])
+        self.log_den, P = _softmax(W.logw + (np.log(a) - np.log(d_hat))[:, None])
         _check_support(W, self.log_den)
         # Z_j = nu_j/(d_j den) - nu_1/den and psi_j = a_j nu_j/(d_j^2 den)
-        a = W.proportions
         self.Z = np.ascontiguousarray((P[1:] / a[1:, None] - P[0] / a[0]).T)
         self.psi = np.ascontiguousarray((P[1:] / d_hat[1:, None]).T)
         self.z_means = self.Z.mean(axis=0)
         self.psi_chain_means = np.vstack([self.psi[sl].mean(axis=0)
                                           for sl in W.chain_slices])   # (k, k-1)
-        self._design_q = None
-        self._design_r = None
-        self._design_rank_deficient = False
-        self._warned_rank = False
-        if W.k > 1:
-            design = np.column_stack([np.ones(W.total), self.Z])
-            q_fac, r_fac = np.linalg.qr(design, mode="reduced")
-            diag = np.abs(np.diag(r_fac))
-            self._design_rank_deficient = bool(np.any(diag <= _RANK_RTOL * diag.max()))
-            self._design = design
-            if not self._design_rank_deficient:
-                self._design_q, self._design_r = q_fac, r_fac
+        # least squares onto (1, Z) is the pseudo-inverse of the design; its
+        # rows past the intercept map any u to beta.  Singular values at or
+        # below _RANK_RTOL * s_max count as zero (numpy's rcond rule), which
+        # gives the minimum-norm solution; with k = 1 the map has no rows.
+        U, s, Vt = np.linalg.svd(np.column_stack([np.ones(self.n), self.Z]),
+                                 full_matrices=False)
+        keep = s > _RANK_RTOL * s[0]
+        self._cv_map = (Vt[keep, 1:].T / s[keep]) @ U[:, keep].T   # (k-1, n)
+        self._rank_warning_due = not keep.all()
 
     # basic geometry
     @property
@@ -102,22 +94,16 @@ class Stage2Workspace:
         return u, shift
 
     def cv_coefficients(self, u: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients of u on (1, Z); pseudo-inverse solution
-        with a degeneracy warning when the design is rank deficient."""
-        if self.k == 1:
-            return np.zeros(0)
-        if self._design_rank_deficient:
-            if not self._warned_rank:
-                warnings.warn(
-                    "control-variate design is rank deficient; using the "
-                    "minimum-norm least-squares solution",
-                    DegenerateDesignWarning, stacklevel=3)
-                self._warned_rank = True
-            coef, *_ = np.linalg.lstsq(self._design, u, rcond=_RANK_RTOL)
-        else:
-            coef = solve_triangular(self._design_r, self._design_q.T @ u,
-                                    lower=False, check_finite=False)
-        return coef[1:]
+        """Least-squares coefficients of u on (1, Z), less the intercept; the
+        minimum-norm solution, with a degeneracy warning when the design is
+        rank deficient."""
+        if self._rank_warning_due:
+            warnings.warn(
+                "control-variate design is rank deficient; using the "
+                "minimum-norm least-squares solution",
+                DegenerateDesignWarning, stacklevel=3)
+            self._rank_warning_due = False
+        return self._cv_map @ u
 
 
 def _function_matrix(ws: Stage2Workspace, functions) -> np.ndarray:
@@ -140,7 +126,7 @@ def _estimates(ws: Stage2Workspace, h, u: np.ndarray, shift: float,
     scale = math.exp(shift)
     mean_u = float(u.mean())
     beta_u = ws.cv_coefficients(u)
-    est = mean_u - float(ws.z_means @ beta_u) if beta_u.size else mean_u
+    est = mean_u - float(ws.z_means @ beta_u)
     den = float(np.sum(u))
     if den == 0.0:
         warnings.warn(f"nu_h vanishes on every pooled sample at h={h}: the "
@@ -221,14 +207,13 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
         lrv = chain_lrv(series, ws.chain_slices, ws.proportions, cfg, reduce=lrv_diag)
         scale = math.exp(2.0 * shift)
         c = c_hat(ws, u, shift)
-        var = {"bf": assemble_variance("bf", c, sigma_hat, lrv[0] * scale, q, ws.n),
-               "bf_cv": assemble_variance("bf_cv", w_hat(ws, c, beta), sigma_hat,
+        var = {"bf": assemble_variance(c, sigma_hat, lrv[0] * scale, q, ws.n),
+               "bf_cv": assemble_variance(w_hat(ws, c, beta), sigma_hat,
                                           lrv[1] * scale, q, ws.n)}
         v = v_hat(ws, centred, float(u.sum()))
         for f, lrv_f, v_f in zip(functions, lrv[2:], v.T):
             rho = lrv_f / (u_mean * u_mean) if u_mean > 0.0 else math.nan
-            var[f"pe:{f.name}"] = assemble_variance("pe", v_f, sigma_hat,
-                                                    rho, q, ws.n)
+            var[f"pe:{f.name}"] = assemble_variance(v_f, sigma_hat, rho, q, ws.n)
         pes = {f.name: float(p) for f, p in zip(functions, pe)}
         records.append(SurfaceRecord(h=h, bf=bf, bf_cv=bf_cv, beta=beta, pe=pes, var=var))
     return records

@@ -17,16 +17,17 @@ from typing import Sequence
 
 import numpy as np
 
+MIN_SERIES_LENGTH = 10      # shortest series a long-run variance is taken of
+
 
 @dataclass(frozen=True)
 class SpectralConfig:
     """Bartlett-window long-run variance estimation settings."""
 
     truncation_scale: float = 1.5
-    min_length: int = 10
 
     def lags(self, n: int) -> int:
-        if n < self.min_length:
+        if n < MIN_SERIES_LENGTH:
             raise ValueError(f"series too short for spectral estimation (n={n})")
         return max(1, min(n - 1, int(self.truncation_scale * n ** (1.0 / 3.0))))
 
@@ -106,10 +107,8 @@ def v_hat(ws, centred, u_sum: float) -> np.ndarray:
 class VarianceBreakdown:
     """q vec' Sigma vec + stage-2 term, for one estimator at one h."""
 
-    kind: str                 # "bf", "bf_cv", or "pe"
     stage1_term: float
     stage2_term: float
-    q: float
     n: int
 
     @property
@@ -121,21 +120,18 @@ class VarianceBreakdown:
         return math.sqrt(self.total / self.n)
 
 
-def assemble_variance(kind: str, vec, sigma_hat, stage2_term: float,
+def assemble_variance(vec, sigma_hat, stage2_term: float,
                       q: float, n: int) -> VarianceBreakdown:
     """Combine a stage-1 quadratic form with a stage-2 long-run variance.
 
     q is the stage-size ratio n/N; with q = 0 the stage-1 component vanishes
-    and the estimator behaves as if d were known.
+    and the estimator behaves as if d were known.  With k = 1, vec and
+    sigma_hat are empty and the quadratic form is 0.
     """
     vec = np.asarray(vec, dtype=float)
-    if vec.size == 0:
-        stage1 = 0.0
-    else:
-        stage1 = q * float(vec @ np.asarray(sigma_hat, dtype=float) @ vec)
-    return VarianceBreakdown(kind=kind, stage1_term=max(stage1, 0.0),
-                             stage2_term=max(float(stage2_term), 0.0),
-                             q=q, n=n)
+    stage1 = q * float(vec @ np.asarray(sigma_hat, dtype=float) @ vec)
+    return VarianceBreakdown(stage1_term=max(stage1, 0.0),
+                             stage2_term=max(float(stage2_term), 0.0), n=n)
 
 
 @dataclass(frozen=True)
@@ -160,8 +156,6 @@ class StagePlan:
     q_opt: float
     n: float
     N: float
-    curve_q: np.ndarray
-    curve_v: np.ndarray
 
 
 def predicted_variance(plan: PlanInputs, q) -> np.ndarray:
@@ -170,7 +164,7 @@ def predicted_variance(plan: PlanInputs, q) -> np.ndarray:
     return (plan.v1 + plan.v2 / q) * ((q + 1.0) * plan.t1 + q * plan.g * plan.t2) / plan.T
 
 
-def q_opt(plan: PlanInputs, curve_points: int = 201) -> StagePlan:
+def q_opt(plan: PlanInputs) -> StagePlan:
     """Optimal stage-size ratio and the implied chain lengths.
 
     Balances time generating stage-1 chains against time evaluating grid
@@ -178,6 +172,4 @@ def q_opt(plan: PlanInputs, curve_points: int = 201) -> StagePlan:
     """
     qo = math.sqrt(plan.v2 * plan.t1 / (plan.v1 * (plan.t1 + plan.g * plan.t2)))
     n = qo * plan.T / ((qo + 1.0) * plan.t1 + qo * plan.g * plan.t2)
-    curve_q = qo * np.logspace(-2, 2, curve_points)
-    return StagePlan(q_opt=qo, n=n, N=n / qo, curve_q=curve_q,
-                     curve_v=predicted_variance(plan, curve_q))
+    return StagePlan(q_opt=qo, n=n, N=n / qo)

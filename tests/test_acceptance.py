@@ -75,7 +75,7 @@ def run_two_stage(family, skeleton, seed1, seed2):
               for i, h in enumerate(skeleton)]
     chains2 = [family.sample_posterior(sp) for sp in specs2]
     W2 = build_log_weight_matrix(family, skeleton, chains2)
-    return est, Stage2Workspace(W2, est)
+    return est, Stage2Workspace(W2, est.d_hat)
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,12 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import yaml
 
+from priorsweep.cli import main
 from priorsweep.config import StageConfig, load_config, make_grid
 from priorsweep.errors import ConfigError
 
@@ -127,21 +132,29 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="grid: w must lie in"):
             load_config(p)
 
-    @pytest.mark.parametrize("q", [-3, float("nan"), float("inf")])
-    def test_bad_q_rejected(self, tmp_path, q):
+    # a misspelt section, and the removed q override and threads keys
+    @pytest.mark.parametrize("key", ["skeletn", "q", "threads"])
+    def test_unknown_key_rejected(self, tmp_path, capsys, key):
         p = tmp_path / "study.yaml"
         raw = write_toy_config(p)
-        raw["q"] = q
+        raw[key] = 0.5
         p.write_text(yaml.safe_dump(raw))
-        with pytest.raises(ConfigError, match="q must be"):
-            load_config(p)
+        assert main(["run", "--config", str(p)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "run-out").exists()
 
-    def test_q_zero_accepted(self, tmp_path):
+    def test_load_does_not_import_scipy_signal(self, tmp_path):
+        # only the toy's AR(1) sampler needs scipy.signal; importing it with
+        # the package would make it most of the import time
         p = tmp_path / "study.yaml"
-        raw = write_toy_config(p)
-        raw["q"] = 0
-        p.write_text(yaml.safe_dump(raw))
-        assert load_config(p).q_override == 0.0
+        write_toy_config(p)
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import priorsweep; "
+                "from priorsweep.config import load_config; load_config(sys.argv[2]); "
+                "print('scipy.signal' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, str(src), str(p)],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
     @pytest.mark.parametrize("scale", [-2, 0, float("inf")])
     def test_bad_truncation_scale_rejected(self, tmp_path, scale):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from priorsweep.errors import (DegenerateDesignWarning, SupportViolationError,
                                SupportWarning)
 from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from priorsweep.ratio import LogWeightMatrix, build_log_weight_matrix, estimate_d
-from priorsweep.surface import (Stage2Workspace, bf_cv_hat, bf_gradient_hat,
-                                bf_hat, pe_hat, surface)
+from priorsweep.surface import (_RANK_RTOL, Stage2Workspace, bf_cv_hat,
+                                bf_gradient_hat, bf_hat, pe_hat, surface)
 
 
 def two_stage(skeleton, n1, n2, y_obs=0.0, seed0=0, sampler="iid"):
@@ -31,6 +32,11 @@ class TestWorkspace:
         W = build_log_weight_matrix(fam, [(0.4,)], ch)
         ws = Stage2Workspace(W, np.ones(1))
         assert bf_hat(ws, (0.4,)) == 1.0
+        # no control variates: the CV estimate is the plain one, beta is empty
+        for h in (0.4, -0.3, 1.1):
+            est, beta = bf_cv_hat(ws, (h,))
+            assert est == bf_hat(ws, (h,))
+            assert beta.shape == (0,)
 
     def test_z_column_means_small(self):
         _, _, _, ws = two_stage([(0.0,), (1.0,), (2.0,)], 4000, 20000, seed0=3)
@@ -68,12 +74,13 @@ class TestWorkspace:
             skeleton = [(0.6 * s,) for s in range(k)]
             _, _, _, ws = two_stage(skeleton, 800, 600, seed0=seed0)
             W = ws.W
-            log_den = logsumexp(W.logw + (ws.log_a - ws.log_d)[:, None], axis=0)
+            log_a, log_d = np.log(W.proportions), np.log(ws.d_hat)
+            log_den = logsumexp(W.logw + (log_a - log_d)[:, None], axis=0)
             ref = np.exp(W.logw[0] - log_den)
-            Z = np.column_stack([np.exp(W.logw[j] - ws.log_d[j] - log_den) - ref
+            Z = np.column_stack([np.exp(W.logw[j] - log_d[j] - log_den) - ref
                                  for j in range(1, k)])
             psi = np.column_stack([
-                np.exp(ws.log_a[j] + W.logw[j] - 2.0 * ws.log_d[j] - log_den)
+                np.exp(log_a[j] + W.logw[j] - 2.0 * log_d[j] - log_den)
                 for j in range(1, k)])
             # log_den and Z change sign: relative to their largest entry
             for got, want in ((ws.log_den, log_den), (ws.Z, Z)):
@@ -130,6 +137,30 @@ class TestBfHat:
 
 
 class TestControlVariates:
+    # a full-rank design, and one with two identical nonzero Z columns (two
+    # skeleton chains at one h with equal d and equal length)
+    @pytest.mark.parametrize("skeleton, d, deficient", [
+        ([(0.0,), (1.0,), (2.0,)], None, False),
+        ([(0.0,), (1.0,), (1.0,)], [1.0, 0.8, 0.8], True),
+    ])
+    def test_beta_matches_lstsq(self, skeleton, d, deficient):
+        fam = ConjugateToy(y_obs=0.0)
+        ch = [fam.sample_posterior(ChainSpec(h=h, length=500, seed=90 + i))
+              for i, h in enumerate(skeleton)]
+        W = build_log_weight_matrix(fam, skeleton, ch)
+        if d is None:
+            d, _ = estimate_d(W)
+        ws = Stage2Workspace(W, np.asarray(d, dtype=float))
+        design = np.column_stack([np.ones(ws.n), ws.Z])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for h in np.linspace(-0.5, 2.5, 7):
+                u, _ = ws.terms((h,))
+                want = np.linalg.lstsq(design, u, rcond=_RANK_RTOL)[0][1:]
+                np.testing.assert_allclose(ws.cv_coefficients(u), want, rtol=1e-12)
+        degenerate = [w for w in caught if w.category is DegenerateDesignWarning]
+        assert len(degenerate) == (1 if deficient else 0)
+
     def test_zero_z_columns_fall_back_to_plain(self):
         fam = ConjugateToy(y_obs=0.0)
         skeleton = [(0.6,), (0.6,)]

@@ -8,8 +8,8 @@ from priorsweep.errors import DegenerateDesignWarning
 from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
 from priorsweep.surface import Stage2Workspace, pe_hat, surface
-from priorsweep.variance import (PlanInputs, SpectralConfig, VarianceBreakdown,
-                                 assemble_variance, c_hat, chain_lrv,
+from priorsweep.variance import (MIN_SERIES_LENGTH, PlanInputs, SpectralConfig,
+                                 VarianceBreakdown, assemble_variance, c_hat, chain_lrv,
                                  lrv_diag, lrv_matrix, predicted_variance,
                                  q_opt, spectral_lrv, v_hat, w_hat)
 
@@ -94,7 +94,7 @@ def ar1_series(n, p, phi, seed):
 
 class TestBartlettKernel:
     @pytest.mark.parametrize("p", [1, 2, 15, 17])
-    @pytest.mark.parametrize("n", [SpectralConfig().min_length + 1, 37, 1000])
+    @pytest.mark.parametrize("n", [MIN_SERIES_LENGTH + 1, 37, 1000])
     @pytest.mark.parametrize("phi", [0.0, 0.9])
     def test_matches_lag_loop(self, n, p, phi):
         X = ar1_series(n, p, phi, seed=100 * n + p) + 3.0
@@ -342,18 +342,18 @@ def v_per_function(ws, h, f):
 
 class TestAssembleAndPlan:
     def test_q_zero_drops_stage1(self):
-        vb = assemble_variance("bf", np.array([1.0]), np.array([[4.0]]), 2.5,
+        vb = assemble_variance(np.array([1.0]), np.array([[4.0]]), 2.5,
                                q=0.0, n=100)
         assert vb.stage1_term == 0.0 and vb.total == 2.5
         assert vb.se == pytest.approx(math.sqrt(2.5 / 100))
 
     def test_zero_sigma_drops_stage1(self):
-        vb = assemble_variance("bf", np.array([1.0]), np.zeros((1, 1)), 2.5,
+        vb = assemble_variance(np.array([1.0]), np.zeros((1, 1)), 2.5,
                                q=0.7, n=100)
         assert vb.total == 2.5
 
     def test_total_is_sum(self):
-        vb = assemble_variance("bf_cv", np.array([1.0, 2.0]),
+        vb = assemble_variance(np.array([1.0, 2.0]),
                                np.eye(2), 0.5, q=0.5, n=10)
         assert vb.stage1_term == pytest.approx(0.5 * 5.0)
         assert vb.total == pytest.approx(3.0)
@@ -401,9 +401,9 @@ class TestVarianceSurface:
         ws = Stage2Workspace(W, np.ones(1))
         recs = surface(ws, [(0.3,), (0.6,)], [], np.zeros((0, 0)), q=0.5)
         for rec in recs:
-            cv, plain = rec.var["bf_cv"], rec.var["bf"]
-            assert cv.stage1_term == 0.0
-            assert (cv.stage1_term, cv.stage2_term) == (plain.stage1_term, plain.stage2_term)
+            assert rec.var["bf_cv"].stage1_term == 0.0
+            assert rec.bf_cv == rec.bf
+            assert rec.var["bf_cv"] == rec.var["bf"]
 
     def test_reported_se_zero_for_constant_function(self):
         # the f == 1 chain: v = 0 and rho = 0, so the pe se must be 0
