@@ -8,8 +8,7 @@ from .blvs import BlvsChain, BlvsFamily, Dataset, ModelEnumeration, ingest_csv
 from .families import ChainSpec, ConjugateToy, DensityFamily, FunctionOfTheta, toy_function
 from .ratio import (LogWeightMatrix, RatioEstimate, build_log_weight_matrix,
                     estimate_d, estimate_ratios, estimate_sigma)
-from .surface import (Stage2Workspace, SurfaceRecord, bf_cv_hat, bf_gradient_hat,
-                      bf_hat, pe_hat, surface)
+from .surface import Stage2Workspace, SurfaceRecord, bf_cv_hat, bf_hat, pe_hat, surface
 from .variance import (PlanInputs, SpectralConfig, StagePlan, VarianceBreakdown,
                        assemble_variance, c_hat, chain_lrv, lrv_diag, lrv_matrix,
                        q_opt, spectral_lrv, v_hat, w_hat)
@@ -19,8 +18,7 @@ __all__ = [
     "ChainSpec", "ConjugateToy", "DensityFamily", "FunctionOfTheta", "toy_function",
     "LogWeightMatrix", "RatioEstimate", "build_log_weight_matrix",
     "estimate_d", "estimate_ratios", "estimate_sigma",
-    "Stage2Workspace", "SurfaceRecord", "bf_cv_hat", "bf_gradient_hat",
-    "bf_hat", "pe_hat", "surface",
+    "Stage2Workspace", "SurfaceRecord", "bf_cv_hat", "bf_hat", "pe_hat", "surface",
     "PlanInputs", "SpectralConfig", "StagePlan", "VarianceBreakdown",
     "assemble_variance", "c_hat", "chain_lrv", "lrv_diag", "lrv_matrix", "q_opt",
     "spectral_lrv", "v_hat", "w_hat",

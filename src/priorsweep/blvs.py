@@ -27,8 +27,6 @@ from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import cho_solve
-from scipy.linalg.lapack import dtrtrs
 
 from .errors import InvalidHyperparameterError, SingularDesignError
 from .families import ChainSpec, DensityFamily, FunctionOfTheta
@@ -36,15 +34,6 @@ from .families import ChainSpec, DensityFamily, FunctionOfTheta
 logger = logging.getLogger(__name__)
 
 ENUMERATION_MAX_Q = 25
-
-
-def _solve_lower(L: np.ndarray, b: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """L^{-1} b, or L^{-T} b, for a C-ordered lower-triangular L.
-
-    This is LAPACK trtrs on the Fortran-ordered view L', called as
-    scipy.linalg.solve_triangular calls it, so the numbers are the same; the
-    wrapper's checks cost more than the solve at these sizes."""
-    return dtrtrs(L.T, b, lower=0, trans=0 if transpose else 1)[0]
 
 
 def _expit(logit: float) -> float:
@@ -178,8 +167,12 @@ class BlvsFamily(DensityFamily):
         if self._tss == 0.0:
             raise ValueError("response is constant")
         self._Xc = dataset.X - dataset.X.mean(axis=0)
-        self._XtX = self._Xc.T @ self._Xc
-        self._Xty = self._Xc.T @ self._yc
+        # the bordered Gram matrix [X y]'[X y] of the centred data
+        q = self.q
+        self._G = np.empty((q + 1, q + 1))
+        self._G[:q, :q] = self._Xc.T @ self._Xc
+        self._G[:q, q] = self._G[q, :q] = self._Xc.T @ self._yc
+        self._G[q, q] = self._tss
         # The model table, keyed by the model code sum_i gamma_i 2^i and shared
         # by every chain of both stages and every thread: 1 - R^2 of each
         # model seen (None when singular or too large), and the fit the
@@ -200,31 +193,51 @@ class BlvsFamily(DensityFamily):
 
     # per-model linear algebra
     def _chol(self, idx: np.ndarray) -> np.ndarray:
-        G = self._XtX[idx[:, None], idx]
         try:
-            return np.linalg.cholesky(G)
+            return np.linalg.cholesky(self._G[idx[:, None], idx])
         except np.linalg.LinAlgError:
             raise SingularDesignError(
                 f"singular design for model {[self.names[j] for j in idx]}"
             ) from None
 
-    def _ssr(self, idx: np.ndarray, L: np.ndarray) -> float:
-        """Regression sum of squares of model idx from its Cholesky factor L."""
-        half = _solve_lower(L, self._Xty[idx])
-        return float(half @ half)
+    def _factors(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(L, half, rss) of each model in a block of models of one size.
 
-    def _rss_ratio(self, idx: np.ndarray) -> float:
-        """(1 - R^2) for the model given by idx, clipped to be nonnegative."""
-        if idx.size == 0:
+        Row b of the (B, s + 1) array cols lists the columns of G of model b:
+        its s predictors, then the response's column q.  The Cholesky factor
+        of G restricted to them is [[L, 0], [half', ell]]: X'X = LL',
+        half = L^{-1} X'y and ell^2 is the residual sum of squares.  A block
+        holding a singular or exactly fitting model goes model by model: a
+        singular X'X raises SingularDesignError naming the model, and an exact
+        or near-saturated fit (ell^2 below 1e-10 tss, or a bordered factor
+        that fails while X'X is positive definite) takes rss from the
+        residual vector itself.
+        """
+        B, s = cols.shape[0], cols.shape[1] - 1
+        try:
+            F = np.linalg.cholesky(self._G[cols[:, :, None], cols[:, None, :]])
+        except np.linalg.LinAlgError:
+            F = None
+        if F is not None:
+            L, half, rss = F[:, :s, :s], F[:, s, :s], F[:, s, s] ** 2
+            # min of a list: a ufunc reduction costs more than a small model's fit
+            if min(rss.tolist()) >= 1e-10 * self._tss:
+                return L, half, rss
+        if B > 1:
+            parts = [self._factors(cols[b:b + 1]) for b in range(B)]
+            return tuple(np.concatenate(part) for part in zip(*parts))
+        idx = cols[0, :s]
+        if F is None:
+            L = self._chol(idx)[None]
+            half = np.linalg.solve(L[0], self._G[idx, self.q])[None]
+        resid = self._yc - self._Xc[:, idx] @ np.linalg.solve(L[0].T, half[0])
+        return L, half, np.array([resid @ resid])
+
+    def _rss_ratio(self, cols: np.ndarray) -> float:
+        """(1 - R^2) of the model whose columns of G are cols (see _factors)."""
+        if cols.size == 1:
             return 1.0
-        L = self._chol(idx)
-        rss = self._tss - self._ssr(idx, L)
-        if rss < 1e-10 * self._tss:
-            # near-saturated fit: recompute from the residual vector itself
-            beta = cho_solve((L, True), self._Xty[idx], check_finite=False)
-            resid = self._yc - self._Xc[:, idx] @ beta
-            rss = float(resid @ resid)
-        return max(rss, 0.0) / self._tss
+        return float(self._factors(cols[None])[2][0]) / self._tss
 
     def log_marginal_of_model(self, gamma, g: float) -> float:
         """log m(y | gamma, g) up to one additive constant shared by all models.
@@ -235,15 +248,15 @@ class BlvsFamily(DensityFamily):
         gamma = np.asarray(gamma, dtype=bool)
         if g <= 0.0:
             raise InvalidHyperparameterError(f"g must be positive, got {g}")
-        idx = np.flatnonzero(gamma)
-        if idx.size > self.m - 2:
+        cols = np.flatnonzero(np.append(gamma, True))
+        if cols.size - 1 > self.m - 2:
             raise SingularDesignError(
-                f"model with {idx.size} predictors too large for m={self.m}"
+                f"model with {cols.size - 1} predictors too large for m={self.m}"
             )
-        return self._log_marginal_idx(idx, g)
+        return self._log_marginal_cols(cols, g)
 
-    def _log_marginal_idx(self, idx: np.ndarray, g: float) -> float:
-        return self._log_marginal(idx.size, self._rss_ratio(idx), g)
+    def _log_marginal_cols(self, cols: np.ndarray, g: float) -> float:
+        return self._log_marginal(cols.size - 1, self._rss_ratio(cols), g)
 
     def _log_marginal(self, size: int, rssr: float, g: float) -> float:
         """The closed form above from the model size and 1 - R^2."""
@@ -252,7 +265,9 @@ class BlvsFamily(DensityFamily):
 
     # the model table
     def _columns(self, code: int) -> np.ndarray:
-        return np.array([j for j in range(self.q) if code >> j & 1], dtype=np.intp)
+        """The columns of G of model `code`: its predictors, then the response."""
+        return np.array([j for j in range(self.q) if code >> j & 1] + [self.q],
+                        dtype=np.intp)
 
     def _table_rss_ratio(self, code: int) -> float | None:
         """1 - R^2 of model `code` from the table; None for a singular or
@@ -271,18 +286,15 @@ class BlvsFamily(DensityFamily):
         return rssr
 
     def _table_draw_fit(self, code: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """(ssr, Cholesky L, least-squares beta, columns) of a nonsingular model."""
+        """(ssr, T = L^{-T}, half = L^{-1} X'y, columns) of a nonsingular
+        model; its least-squares fit is T @ half."""
         try:
             return self._draw_fit[code]
         except KeyError:
             pass
-        idx = self._columns(code)
-        if idx.size:
-            L = self._chol(idx)
-            fit = (self._ssr(idx, L), L, cho_solve((L, True), self._Xty[idx],
-                                                check_finite=False), idx)
-        else:
-            fit = (0.0, np.empty((0, 0)), np.empty(0), idx)
+        cols = self._columns(code)
+        L, half, _ = self._factors(cols[None])
+        fit = (float(half[0] @ half[0]), np.linalg.inv(L[0]).T, half[0], cols[:-1])
         self._draw_fit[code] = fit
         return fit
 
@@ -295,13 +307,12 @@ class BlvsFamily(DensityFamily):
     def conditional_inclusion_prob(self, gamma, i: int, h) -> float:
         """p(gamma_i = 1 | gamma_{-i}, y) with (beta, sigma) integrated out."""
         w, g = self.validate_h(h)
-        gamma = np.asarray(gamma, dtype=bool)
-        base = gamma.copy()
+        base = np.append(np.asarray(gamma, dtype=bool), True)    # and the response
         base[i] = False
-        lm0 = self._log_marginal_idx(np.flatnonzero(base), g)
+        lm0 = self._log_marginal_cols(np.flatnonzero(base), g)
         base[i] = True
         try:
-            lm1 = self._log_marginal_idx(np.flatnonzero(base), g)
+            lm1 = self._log_marginal_cols(np.flatnonzero(base), g)
         except SingularDesignError:
             return 0.0
         logit = math.log(w) - math.log1p(-w) + lm1 - lm0
@@ -367,15 +378,13 @@ class BlvsFamily(DensityFamily):
                     code = flipped
                     lm_cur = lm_try
 
-            ssr, L, beta_hat, idx = self._table_draw_fit(code)
+            # beta = shrink beta_hat + sqrt(sigma2 shrink) L^{-T} z, with
+            # beta_hat = T @ half
+            ssr, T, half, idx = self._table_draw_fit(code)
             a_scale = self._tss - shrink * ssr
             sigma2 = 0.5 * a_scale / rng.standard_gamma(0.5 * (m - 1))
-            if beta_hat.size:
-                z = rng.standard_normal(beta_hat.size)
-                beta = shrink * beta_hat + math.sqrt(sigma2 * shrink) * \
-                    _solve_lower(L, z, transpose=True)
-            else:
-                beta = np.empty(0)
+            z = rng.standard_normal(half.size)
+            beta = T @ (shrink * half + math.sqrt(sigma2 * shrink) * z)
             beta0 = rng.normal(self._ybar, math.sqrt(sigma2 / m))
             row = sweep - spec.burn_in
             if row >= 0:
@@ -411,12 +420,6 @@ class BlvsFamily(DensityFamily):
         return stats.q_gamma * (math.log(w) - math.log1p(-w) - 0.5 * math.log(g)) \
             + self.q * math.log1p(-w) - stats.t2 / (2.0 * g)
 
-    def grad_log_weights(self, h, stats: BlvsStats) -> np.ndarray:
-        w, g = self.validate_h(h)
-        dw = stats.q_gamma / w - (self.q - stats.q_gamma) / (1.0 - w)
-        dg = -0.5 * stats.q_gamma / g + stats.t2 / (2.0 * g * g)
-        return np.column_stack([dw, dg])
-
     def concat_chains(self, chains: Sequence[BlvsChain]) -> BlvsChain:
         return BlvsChain(*(np.concatenate([getattr(c, f.name) for c in chains])
                            for f in fields(BlvsChain)))
@@ -446,7 +449,7 @@ class ModelEnumeration:
     family's cache of it makes no reference cycle.
     """
 
-    BLOCK = 512     # models per batched Cholesky call
+    BLOCK = 512     # models per bordered Cholesky call
 
     def __init__(self, family: BlvsFamily):
         q = family.q
@@ -461,28 +464,14 @@ class ModelEnumeration:
         rssr = np.ones(n_models)        # the null model has R^2 = 0
         for size in range(1, q + 1):
             of_size = np.flatnonzero(self.q_gamma == size)
+            # each model's predictors, then the response column (see _factors)
+            cols = np.column_stack([np.nonzero(self.bits[of_size])[1].reshape(-1, size),
+                                    np.full(of_size.size, q)])
             for start in range(0, of_size.size, self.BLOCK):
-                block = of_size[start:start + self.BLOCK]
-                rssr[block] = self._rss_ratios(family, block, size)
+                block = slice(start, start + self.BLOCK)
+                rssr[of_size[block]] = family._factors(cols[block])[2] / family._tss
         self.rss_ratio = rssr
         self._last_point = None
-
-    def _rss_ratios(self, family: BlvsFamily, block: np.ndarray, size: int) -> np.ndarray:
-        """1 - R^2 of a block of models with `size` predictors each, as
-        BlvsFamily._rss_ratio computes it model by model."""
-        idx = np.nonzero(self.bits[block])[1].reshape(block.size, size)
-        try:
-            L = np.linalg.cholesky(family._XtX[idx[:, :, None], idx[:, None, :]])
-        except np.linalg.LinAlgError:
-            for cols in idx:
-                family._chol(cols)      # raises, naming the singular model
-            raise
-        half = np.linalg.solve(L, family._Xty[idx][:, :, None])[:, :, 0]
-        rss = family._tss - np.einsum("bi,bi->b", half, half)
-        out = np.maximum(rss, 0.0) / family._tss
-        for b in np.flatnonzero(rss < 1e-10 * family._tss):
-            out[b] = family._rss_ratio(idx[b])      # near-saturated fit
-        return out
 
     @property
     def family(self) -> BlvsFamily:

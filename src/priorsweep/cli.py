@@ -29,7 +29,7 @@ from .families import ConjugateToy
 from .ratio import RatioEstimate, build_log_weight_matrix, estimate_ratios
 from .surface import Stage2Workspace, surface
 from .validate import run_all
-from .variance import PlanInputs, q_opt
+from .variance import MIN_SERIES_LENGTH, PlanInputs, q_opt
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -280,6 +280,9 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
 def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int,
              threads: int | None) -> Path:
     """Measure t1/t2 and pilot variance components, then solve for q_opt."""
+    if pilot_length < MIN_SERIES_LENGTH:
+        raise ConfigError(f"--pilot-length must be at least {MIN_SERIES_LENGTH}, "
+                          f"got {pilot_length}")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     specs1 = [sp.__class__(h=sp.h, length=pilot_length, burn_in=sp.burn_in,

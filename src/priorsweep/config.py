@@ -17,7 +17,7 @@ import yaml
 from .blvs import BlvsFamily, ingest_csv
 from .errors import ConfigError, InvalidHyperparameterError
 from .families import ChainSpec, ConjugateToy, DensityFamily, FunctionOfTheta, toy_function
-from .variance import SpectralConfig
+from .variance import MIN_SERIES_LENGTH, SpectralConfig
 
 STAGE1_SECTIONS = ("model", "skeleton", "stage1", "spectral")
 CONFIG_KEYS = (*STAGE1_SECTIONS, "stage2", "grid", "functions", "out", "save_chains")
@@ -40,10 +40,14 @@ class StageConfig:
         if lengths is None or len(lengths) != k:
             raise ConfigError(f"{label}: need 'length' or a k-entry 'lengths' list")
         lengths = [int(v) for v in lengths]
-        if any(v <= 0 for v in lengths):
-            raise ConfigError(f"{label}: chain lengths must be positive")
-        return cls(lengths=lengths, burn_in=int(raw.get("burn_in", 0)),
-                   seed=int(raw["seed"]))
+        if any(v < MIN_SERIES_LENGTH for v in lengths):
+            raise ConfigError(f"{label}: chain lengths must be at least "
+                              f"{MIN_SERIES_LENGTH}, the shortest series a long-run "
+                              f"variance is taken of")
+        burn_in = int(raw.get("burn_in", 0))
+        if burn_in < 0:
+            raise ConfigError(f"{label}: burn_in must be nonnegative, got {burn_in}")
+        return cls(lengths=lengths, burn_in=burn_in, seed=int(raw["seed"]))
 
     def chain_specs(self, skeleton) -> list[ChainSpec]:
         specs = []
@@ -168,6 +172,8 @@ def load_config(path) -> StudyConfig:
         raise ConfigError("stage1 and stage2 seeds must differ "
                           "(the two stages must be independent)")
     grid = make_grid(raw.get("grid"), family.coord_names)
+    if not grid:
+        raise ConfigError("grid has no points")
     for h in grid:
         try:
             family.validate_h(h)

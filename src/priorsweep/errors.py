@@ -9,10 +9,6 @@ class InvalidHyperparameterError(PriorsweepError, ValueError):
     """Hyperparameter outside the family's domain (e.g. w not in (0,1))."""
 
 
-class UnsupportedOperationError(PriorsweepError):
-    """The family does not implement an optional capability (e.g. gradients)."""
-
-
 class SingularDesignError(PriorsweepError):
     """X_gamma'X_gamma is singular for a visited model."""
 

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidHyperparameterError, UnsupportedOperationError
+from .errors import InvalidHyperparameterError
 
 
 @dataclass(frozen=True)
@@ -107,12 +107,6 @@ class DensityFamily(ABC):
     def log_weights(self, h, stats) -> np.ndarray:
         """Vectorized log nu_h over cached statistics (same offset as
         ``log_prior_weight``)."""
-
-    def grad_log_weights(self, h, stats) -> np.ndarray:
-        """d/dh of log nu_h as an (n, h_dim) array; optional capability."""
-        raise UnsupportedOperationError(
-            f"{type(self).__name__} does not provide prior-weight gradients"
-        )
 
     def concat_chains(self, chains: Sequence):
         """Pool per-chain sample containers into one batch."""
@@ -205,10 +199,6 @@ class ConjugateToy(DensityFamily):
     def log_weights(self, h, stats) -> np.ndarray:
         (h,) = self.validate_h(h)
         return -0.5 * (stats - h) ** 2 / self.prior_sd**2
-
-    def grad_log_weights(self, h, stats) -> np.ndarray:
-        (h,) = self.validate_h(h)
-        return ((stats - h) / self.prior_sd**2)[:, None]
 
 
 def toy_function(f_id: str) -> FunctionOfTheta:

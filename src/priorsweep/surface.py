@@ -158,14 +158,6 @@ def pe_hat(ws: Stage2Workspace, h, f: FunctionOfTheta) -> float:
     return float(_point(ws, h, [f])[3][0])
 
 
-def bf_gradient_hat(ws: Stage2Workspace, h) -> np.ndarray:
-    """Gradient of the Bayes-factor surface: the numerator weight nu_h is
-    replaced by its h-derivative nu_h * dlog nu_h/dh."""
-    grads = np.asarray(ws.family.grad_log_weights(h, ws.W.stats), dtype=float)
-    u, shift = ws.terms(h)
-    return (grads.T @ u) / ws.n * math.exp(shift)
-
-
 @dataclass
 class SurfaceRecord:
     """Point estimates at one h and their variance breakdowns, keyed "bf",

@@ -9,12 +9,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.linalg import solve_triangular
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
-from priorsweep.blvs import (BlvsChain, BlvsFamily, Dataset, ModelEnumeration,
-                             _solve_lower, ingest_csv)
+from priorsweep.blvs import BlvsChain, BlvsFamily, Dataset, ModelEnumeration, ingest_csv
 from priorsweep.errors import InvalidHyperparameterError, SingularDesignError
 from priorsweep.families import ChainSpec
 from priorsweep.variance import spectral_lrv
@@ -292,7 +290,7 @@ class TestPriorWeight:
             want = qg * math.log(h1[0] / h2[0]) \
                 + (fam.q - qg) * math.log((1 - h1[0]) / (1 - h2[0]))
             if qg:
-                gram_inv = np.linalg.inv(fam._XtX[np.ix_(idx, idx)])
+                gram_inv = np.linalg.inv(fam._G[np.ix_(idx, idx)])
                 for g, sign in ((h1[1], 1.0), (h2[1], -1.0)):
                     want += sign * multivariate_normal.logpdf(
                         st.beta[0, idx], mean=np.zeros(qg),
@@ -333,32 +331,6 @@ class TestPriorWeight:
         scal = [small_family.log_prior_weight(h, one_row(chain, p))
                 for p in range(len(chain))]
         np.testing.assert_allclose(vec, scal, atol=1e-10)
-
-    def test_gradient_analytic_forms(self, small_family):
-        rng = np.random.default_rng(4)
-        st = self._random_state(small_family, rng, qon=2)
-        stats = small_family.weight_stats(st)
-        w, g = 0.37, 12.0
-        grad = small_family.grad_log_weights((w, g), stats)[0]
-        qg = 2
-        assert grad[0] == pytest.approx(qg / w - (5 - qg) / (1 - w), rel=1e-12)
-        t2 = stats.t2[0]
-        assert grad[1] == pytest.approx(-qg / (2 * g) + t2 / (2 * g * g), rel=1e-12)
-
-    def test_gradient_finite_difference(self, small_family):
-        rng = np.random.default_rng(14)
-        states = [self._random_state(small_family, rng, qon=j % 4) for j in range(8)]
-        stats = small_family.weight_stats(small_family.concat_chains(states))
-        h = (0.44, 17.0)
-        grad = small_family.grad_log_weights(h, stats)
-        eps = 1e-5
-        for dim in range(2):
-            hp = list(h); hm = list(h)
-            hp[dim] += eps; hm[dim] -= eps
-            fd = (small_family.log_weights(tuple(hp), stats)
-                  - small_family.log_weights(tuple(hm), stats)) / (2 * eps)
-            rel = np.abs(grad[:, dim] - fd) / np.maximum(np.abs(fd), 1.0)
-            assert rel.max() < 1e-5
 
     def test_domain_checks(self, small_family):
         for bad in [(0.0, 5.0), (1.0, 5.0), (0.5, 0.0), (0.5, -2.0)]:
@@ -428,6 +400,21 @@ class TestGibbs:
         assert np.array_equal(chain.beta != 0.0, chain.gamma)
         assert np.all(chain.sigma > 0)
 
+    def test_exact_fit_chain(self):
+        # y is exactly 0.4 + 1.5 x0 + 1.5 x1 (the exact_fit data of
+        # test_batched_fits_match_per_model_path): the chain moves onto the
+        # models holding x0 and x1, whose 1 - R^2 comes from the residual
+        # vector (a bordered factor alone would leave about 1e-16), and the
+        # (sigma, beta) draw stays finite
+        fam = BlvsFamily(synthetic_dataset(m=30, q=10, seed=17, strong=(0, 1), noise=0.0))
+        chain = fam.gibbs_run(ChainSpec(h=(0.5, 10.0), length=50, burn_in=10, seed=4))
+        assert chain.gamma[:, :2].all()
+        codes = {sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma}
+        assert len(codes) > 1
+        assert all(fam._rssr[code] < 1e-20 for code in codes)
+        assert np.all(np.isfinite(chain.sigma)) and np.all(chain.sigma > 0)
+        assert np.all(np.isfinite(chain.beta))
+
 
 def chain_values(chain):
     return [getattr(chain, f.name).tobytes() for f in fields(BlvsChain)]
@@ -473,30 +460,24 @@ class TestModelTable:
                 np.testing.assert_allclose(chain.sigma[:4], sigma, rtol=1e-10)
         assert fam._rssr[5] is None     # columns a and a2
 
-    def test_triangular_solves_equal_solve_triangular(self, uscrime_path):
-        fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
-        rng = np.random.default_rng(6)
-        for code in rng.choice(np.arange(1, 1 << fam.q), size=300, replace=False):
-            idx = fam._columns(int(code))
-            L = fam._chol(idx)
-            b, z = fam._Xty[idx], rng.standard_normal(idx.size)
-            assert np.array_equal(_solve_lower(L, b),
-                                  solve_triangular(L, b, lower=True))
-            assert np.array_equal(_solve_lower(L, z, transpose=True),
-                                  solve_triangular(L.T, z, lower=False))
-
     def test_draw_fit_factors_each_model_once(self, uscrime_path):
         fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
-        chol, calls = fam._chol, []
-        fam._chol = lambda idx: calls.append(idx.size) or chol(idx)
+        factors, calls = fam._factors, []
+        fam._factors = lambda cols: calls.append(cols.shape) or factors(cols)
         rng = np.random.default_rng(8)
         for code in rng.choice(np.arange(1, 1 << fam.q), size=50, replace=False):
             calls.clear()
-            ssr, L, _, idx = fam._table_draw_fit(int(code))
-            assert calls == [idx.size]
-            half = solve_triangular(np.linalg.cholesky(fam._XtX[np.ix_(idx, idx)]),
-                                    fam._Xty[idx], lower=True)
-            assert ssr == float(half @ half)
+            ssr, T, half, idx = fam._table_draw_fit(int(code))
+            assert calls == [(1, idx.size + 1)]
+            # the last row of the bordered factor is (L^{-1} X'y, ell)
+            cols = np.append(idx, fam.q)
+            want = np.linalg.cholesky(fam._G[np.ix_(cols, cols)])[-1, :-1]
+            assert np.array_equal(half, want)
+            assert ssr == float(want @ want)
+            X = fam._Xc[:, idx]
+            beta = np.linalg.lstsq(X, fam._yc, rcond=None)[0]
+            assert ssr == pytest.approx((X @ beta) @ (X @ beta), rel=1e-12)
+            np.testing.assert_allclose(T @ half, beta, rtol=0, atol=1e-10 * np.abs(beta).max())
 
     def test_threads_filling_one_table_match_serial_chains(self, uscrime_path):
         ds = ingest_csv(uscrime_path, "y", ["S"])

@@ -206,6 +206,12 @@ class TestOracle:
 
 
 class TestPlan:
+    def test_short_pilot_rejected_before_sampling(self, toy_config, tmp_path, capsys):
+        assert main(["plan", "--config", str(toy_config), "--budget", "60",
+                     "--pilot-length", "9"]) == 2
+        assert "--pilot-length must be at least 10" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_plan_outputs(self, toy_config, tmp_path):
         assert main(["plan", "--config", str(toy_config), "--budget", "60",
                      "--pilot-length", "300"]) == 0

@@ -56,6 +56,24 @@ class TestStageConfig:
         with pytest.raises(ConfigError, match="seed"):
             StageConfig.parse({"length": 10}, 1, "stage1")
 
+    # every chain must be long enough for a long-run variance (10 draws)
+    @pytest.mark.parametrize("raw", [{"length": 9}, {"length": 0}, {"length": -3},
+                                     {"lengths": [10, 5]}])
+    def test_chain_too_short_for_long_run_variance(self, raw):
+        k = len(raw.get("lengths", [0, 0]))
+        with pytest.raises(ConfigError, match="at least 10"):
+            StageConfig.parse({**raw, "seed": 5}, k, "stage1")
+
+    def test_negative_burn_in(self):
+        with pytest.raises(ConfigError, match="burn_in"):
+            StageConfig.parse({"length": 10, "burn_in": -1, "seed": 5}, 1, "stage1")
+
+    @pytest.mark.parametrize("raw", [{"length": 10}, {"length": 10, "burn_in": 0},
+                                     {"lengths": [10, 11], "burn_in": 3}])
+    def test_shortest_valid_chains(self, raw):
+        sc = StageConfig.parse({**raw, "seed": 5}, 2, "stage1")
+        assert min(sc.lengths) == 10
+
 
 def write_toy_config(path, out="run-out", seed1=11, seed2=22):
     cfg = {
@@ -143,18 +161,32 @@ class TestLoadConfig:
         assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run-out").exists()
 
-    def test_load_does_not_import_scipy_signal(self, tmp_path):
-        # only the toy's AR(1) sampler needs scipy.signal; importing it with
-        # the package would make it most of the import time
-        p = tmp_path / "study.yaml"
-        write_toy_config(p)
-        src = Path(__file__).resolve().parent.parent / "src"
+    @pytest.mark.parametrize("config", ["toy", "uscrime-smoke"])
+    def test_load_does_not_import_scipy_signal(self, tmp_path, config):
+        # at run time only the toy's AR(1) sampler needs scipy (scipy.signal);
+        # importing any of it with the package would make it most of the
+        # import time
+        root = Path(__file__).resolve().parent.parent
+        if config == "toy":
+            p = tmp_path / "study.yaml"
+            write_toy_config(p)
+        else:
+            p = root / "configs" / f"{config}.yaml"
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import priorsweep; "
                 "from priorsweep.config import load_config; load_config(sys.argv[2]); "
-                "print('scipy.signal' in sys.modules)")
-        out = subprocess.run([sys.executable, "-c", code, str(src), str(p)],
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(p)],
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "[]"
+
+    def test_empty_grid_rejected(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        raw["grid"] = {"points": []}
+        p.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(p)]) == 2
+        assert "grid has no points" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [p]
 
     @pytest.mark.parametrize("scale", [-2, 0, float("inf")])
     def test_bad_truncation_scale_rejected(self, tmp_path, scale):

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
-from priorsweep.errors import InvalidHyperparameterError, UnsupportedOperationError
+from priorsweep.errors import InvalidHyperparameterError
 from priorsweep.families import ChainSpec, ConjugateToy, toy_function
 
 
@@ -99,16 +99,6 @@ class TestLogPriorWeight:
         scal = [fam.log_prior_weight((0.3,), t) for t in thetas]
         np.testing.assert_allclose(vec, scal, rtol=1e-15)
 
-    def test_gradient_matches_finite_difference(self):
-        fam = ConjugateToy(y_obs=0.0)
-        thetas = np.linspace(-2, 2, 7)
-        stats = fam.weight_stats(thetas)
-        h, eps = 0.37, 1e-6
-        grad = fam.grad_log_weights((h,), stats)[:, 0]
-        fd = (fam.log_weights((h + eps,), stats)
-              - fam.log_weights((h - eps,), stats)) / (2 * eps)
-        np.testing.assert_allclose(grad, fd, atol=1e-8)
-
     def test_invalid_h(self):
         fam = ConjugateToy(y_obs=0.0)
         with pytest.raises(InvalidHyperparameterError):
@@ -160,12 +150,3 @@ def test_toy_function_vectorization():
     np.testing.assert_array_equal(sq(xs), xs**2)
     with pytest.raises(ValueError):
         toy_function("cube")
-
-
-def test_grad_unsupported_on_plain_family():
-    class NoGrad(ConjugateToy):
-        grad_log_weights = ConjugateToy.__mro__[1].grad_log_weights
-
-    fam = NoGrad(y_obs=0.0)
-    with pytest.raises(UnsupportedOperationError):
-        fam.grad_log_weights((0.0,), np.zeros(3))

@@ -9,8 +9,7 @@ from priorsweep.errors import (DegenerateDesignWarning, SupportViolationError,
                                SupportWarning)
 from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from priorsweep.ratio import LogWeightMatrix, build_log_weight_matrix, estimate_d
-from priorsweep.surface import (_RANK_RTOL, Stage2Workspace, bf_cv_hat,
-                                bf_gradient_hat, bf_hat, pe_hat, surface)
+from priorsweep.surface import _RANK_RTOL, Stage2Workspace, bf_cv_hat, bf_hat, pe_hat, surface
 
 
 def two_stage(skeleton, n1, n2, y_obs=0.0, seed0=0, sampler="iid"):
@@ -235,34 +234,6 @@ class TestPeHat:
         fam, _, _, ws = two_stage([(0.0,), (1.0,)], 20000, 20000, seed0=37)
         got = pe_hat(ws, (1.0,), toy_function("identity"))
         assert got == pytest.approx(fam.exact_pe("identity", (1.0,)), abs=0.01)
-
-
-class TestGradient:
-    def test_zero_gradient_at_exact_maximum(self):
-        # B(h, h1) is maximized at h = y; the estimated gradient there should
-        # vanish within replication noise
-        fam = ConjugateToy(y_obs=0.0)
-        skeleton = [(0.0,), (1.0,)]
-        reps = 50
-        grads = np.empty(reps)
-        for rep in range(reps):
-            seeds = np.random.SeedSequence((99, rep)).generate_state(2)
-            ch = [fam.sample_posterior(ChainSpec(h=h, length=600, seed=int(s)))
-                  for h, s in zip(skeleton, seeds)]
-            W = build_log_weight_matrix(fam, skeleton, ch)
-            d, _ = estimate_d(W)
-            ws = Stage2Workspace(W, d)
-            grads[rep] = bf_gradient_hat(ws, (0.0,))[0]
-        se = grads.std(ddof=1) / math.sqrt(reps)
-        assert abs(grads.mean()) < 3 * se
-
-    def test_matches_finite_difference_of_surface(self):
-        _, _, _, ws = two_stage([(0.0,), (1.0,)], 4000, 4000, seed0=41)
-        eps = 1e-4
-        for h in (0.3, 0.9, 1.4):
-            grad = bf_gradient_hat(ws, (h,))[0]
-            fd = (bf_hat(ws, (h + eps,)) - bf_hat(ws, (h - eps,))) / (2 * eps)
-            assert grad == pytest.approx(fd, rel=2e-2)
 
 
 class TestSurfaceSweep:
