@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import threading
 import weakref
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -34,6 +35,11 @@ from .families import ChainSpec, DensityFamily, FunctionOfTheta
 logger = logging.getLogger(__name__)
 
 ENUMERATION_MAX_Q = 25
+# Up to this q the Gibbs sampler reads 1 - R^2 from one array over all 2^q
+# models, built before any chain starts; above it, the sampler fits the
+# models it tries one at a time (the full build takes seconds at q = 20).
+TABLE_MAX_Q = 16
+FIT_BLOCK = 512     # models per bordered Cholesky call of the table build
 
 
 def _expit(logit: float) -> float:
@@ -173,13 +179,17 @@ class BlvsFamily(DensityFamily):
         self._G[:q, :q] = self._Xc.T @ self._Xc
         self._G[:q, q] = self._G[q, :q] = self._Xc.T @ self._yc
         self._G[q, q] = self._tss
-        # The model table, keyed by the model code sum_i gamma_i 2^i and shared
-        # by every chain of both stages and every thread: 1 - R^2 of each
-        # model seen (None when singular or too large), and the fit the
-        # (sigma, beta) draw needs, with the model's columns, for each model
-        # a chain sat on.  Every entry is a pure function of its code, so the
-        # order in which chains fill the table never changes a draw, and two
+        # The model tables, shared by every chain of both stages and every
+        # thread, both indexed by the model code sum_i gamma_i 2^i: 1 - R^2 of
+        # every model (NaN when singular or too large), one array built once
+        # by rss_ratios(), or for q > TABLE_MAX_Q a dict of the models the
+        # chains tried (None when singular or too large); and the fit the
+        # (sigma, beta) draw needs, with the model's columns, for each model a
+        # chain sat on.  Every entry is a pure function of its code, so the
+        # order in which chains fill a dict never changes a draw, and two
         # threads that fill one entry at once store equal values.
+        self._table: np.ndarray | None = None
+        self._table_lock = threading.Lock()
         self._rssr: dict[int, float | None] = {}
         self._draw_fit: dict[int, tuple[float, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._enumeration = None
@@ -269,9 +279,55 @@ class BlvsFamily(DensityFamily):
         return np.array([j for j in range(self.q) if code >> j & 1] + [self.q],
                         dtype=np.intp)
 
+    def _build_table(self) -> np.ndarray:
+        """1 - R^2 of every model code, NaN for a singular or too-large model,
+        from bordered Cholesky factors of blocks of models of one size."""
+        q = self.q
+        rssr = np.full(1 << q, np.nan)
+        rssr[0] = 1.0       # the null model has R^2 = 0
+        sizes = np.bitwise_count(np.arange(1 << q, dtype=np.uint32))
+        shifts = np.arange(q + 1)
+        for size in range(1, min(q, self.m - 2) + 1):
+            of_size = np.flatnonzero(sizes == size)
+            for start in range(0, of_size.size, FIT_BLOCK):
+                block = of_size[start:start + FIT_BLOCK]
+                # each model's predictors, then the response's column q (see _factors)
+                cols = np.nonzero((block | 1 << q)[:, None] >> shifts & 1)[1]
+                cols = cols.reshape(-1, size + 1)
+                try:
+                    rssr[block] = self._factors(cols)[2] / self._tss
+                except SingularDesignError:
+                    for code, model_cols in zip(block.tolist(), cols):
+                        try:
+                            rssr[code] = self._rss_ratio(model_cols)
+                        except SingularDesignError:
+                            pass
+        return rssr
+
+    def rss_ratios(self) -> np.ndarray:
+        """1 - R^2 of every model code (NaN for a singular or too-large
+        model), built once, on the thread of the first caller.  The test
+        outside the lock keeps the sampler's lookups off it."""
+        if self._table is None:
+            with self._table_lock:
+                if self._table is None:
+                    self._table = self._build_table()
+        return self._table
+
+    def model_table(self) -> np.ndarray | None:
+        """The array the Gibbs sampler reads 1 - R^2 from: rss_ratios() when
+        q <= TABLE_MAX_Q, else None (the sampler fits models as it tries
+        them).  Ask for it before chains start, so the build runs once, on
+        the calling thread."""
+        return self.rss_ratios() if self.q <= TABLE_MAX_Q else None
+
     def _table_rss_ratio(self, code: int) -> float | None:
         """1 - R^2 of model `code` from the table; None for a singular or
         too-large model."""
+        table = self.model_table()
+        if table is not None:
+            rssr = float(table[code])
+            return None if math.isnan(rssr) else rssr
         try:
             return self._rssr[code]
         except KeyError:
@@ -300,8 +356,9 @@ class BlvsFamily(DensityFamily):
 
     @property
     def models_fitted(self) -> int:
-        """Number of models in the table."""
-        return len(self._rssr)
+        """Number of models in the family's 1 - R^2 table: 2^q once the full
+        array is built."""
+        return len(self._rssr) if self._table is None else self._table.size
 
     # Gibbs sampler
     def conditional_inclusion_prob(self, gamma, i: int, h) -> float:
@@ -357,6 +414,8 @@ class BlvsFamily(DensityFamily):
         sigmas, beta0s = np.empty(n), np.empty(n)
         warned = False
         for sweep in range(spec.burn_in + n):
+            # one uniform per predictor, drawn whether or not its flip is tried
+            u = rng.random(q).tolist()
             for i in range(q):
                 bit = 1 << i
                 flipped = code ^ bit
@@ -367,14 +426,13 @@ class BlvsFamily(DensityFamily):
                             "singular candidate model at predictor %s; "
                             "treating it as prior-probability zero", self.names[i])
                         warned = True
-                    rng.random()  # keep the draw stream aligned
                     continue
                 included = bool(code & bit)
                 if included:
                     lm1, lm0 = lm_cur, lm_try
                 else:
                     lm1, lm0 = lm_try, lm_cur
-                if (rng.random() < _expit(log_odds + lm1 - lm0)) != included:
+                if (u[i] < _expit(log_odds + lm1 - lm0)) != included:
                     code = flipped
                     lm_cur = lm_try
 
@@ -442,14 +500,12 @@ class ModelEnumeration:
     """Exact posterior quantities by summing over all 2^q models.
 
     R^2_gamma does not depend on (w, g), so the expensive per-model fits are
-    done once, in batches of models of one size; every hyperparameter
-    evaluation afterwards is a vectorized pass over the cached models.
-    Model `code` (row `code` of `bits`) includes predictor i when bit i of
-    the code is set.  The enumeration refers to its family weakly, so the
-    family's cache of it makes no reference cycle.
+    done once, by the family's table build; every hyperparameter evaluation
+    afterwards is a vectorized pass over the cached models.  Model `code`
+    includes predictor i when bit i of the code is set.  The enumeration
+    refers to its family weakly, so the family's cache of it makes no
+    reference cycle.
     """
-
-    BLOCK = 512     # models per bordered Cholesky call
 
     def __init__(self, family: BlvsFamily):
         q = family.q
@@ -457,20 +513,12 @@ class ModelEnumeration:
             raise ValueError(f"enumeration supports q <= {ENUMERATION_MAX_Q}, got q={q}")
         self._family = weakref.ref(family)
         self.q = q
-        n_models = 1 << q
-        codes = np.arange(n_models, dtype=np.uint32)
-        self.bits = ((codes[:, None] >> np.arange(q)) & 1).astype(bool)
-        self.q_gamma = self.bits.sum(axis=1).astype(np.int64)
-        rssr = np.ones(n_models)        # the null model has R^2 = 0
-        for size in range(1, q + 1):
-            of_size = np.flatnonzero(self.q_gamma == size)
-            # each model's predictors, then the response column (see _factors)
-            cols = np.column_stack([np.nonzero(self.bits[of_size])[1].reshape(-1, size),
-                                    np.full(of_size.size, q)])
-            for start in range(0, of_size.size, self.BLOCK):
-                block = slice(start, start + self.BLOCK)
-                rssr[of_size[block]] = family._factors(cols[block])[2] / family._tss
-        self.rss_ratio = rssr
+        self.rss_ratio = family.rss_ratios()
+        bad = np.flatnonzero(np.isnan(self.rss_ratio))
+        if bad.size:
+            # the table holds NaN exactly where this raises, naming the model
+            family.log_marginal_of_model(int(bad[0]) >> np.arange(q) & 1, 1.0)
+        self.q_gamma = np.bitwise_count(np.arange(1 << q, dtype=np.uint32)).astype(np.int64)
         self._last_point = None
 
     @property

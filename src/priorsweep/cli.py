@@ -134,6 +134,10 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
         "sizes": {},
     }
 
+    if isinstance(cfg.family, BlvsFamily):
+        # the 1 - R^2 table, built on this thread before any chain starts
+        with _timed(timings, "table_s"):
+            cfg.family.model_table()
     est = None
     if stage in ("1", "both"):
         specs = cfg.stage1.chain_specs(cfg.skeleton)
@@ -287,6 +291,8 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int,
     out.mkdir(parents=True, exist_ok=True)
     specs1 = [sp.__class__(h=sp.h, length=pilot_length, burn_in=sp.burn_in,
                            seed=sp.seed) for sp in cfg.stage1.chain_specs(cfg.skeleton)]
+    if isinstance(cfg.family, BlvsFamily):
+        cfg.family.model_table()    # built before the chains and outside t1
     t0 = time.perf_counter()
     chains1 = _sample_stage(cfg.family, specs1, threads)
     t1 = (time.perf_counter() - t0) / sum(sp.length + sp.burn_in for sp in specs1)

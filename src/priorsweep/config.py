@@ -119,7 +119,11 @@ def _build_functions(spec_list, family) -> list[FunctionOfTheta]:
         if isinstance(family, BlvsFamily) and item == "inclusion:*":
             out.extend(family.inclusion_function(nm) for nm in family.names)
         elif isinstance(family, BlvsFamily) and item.startswith("inclusion:"):
-            out.append(family.inclusion_function(item.split(":", 1)[1]))
+            name = item.split(":", 1)[1]
+            if name not in family.names:
+                raise ConfigError(f"function {item!r}: unknown predictor {name!r} "
+                                  f"(known: {', '.join(family.names)})")
+            out.append(family.inclusion_function(name))
         elif isinstance(family, ConjugateToy):
             out.append(toy_function(item))
         else:

@@ -1,7 +1,9 @@
 import gc
+import importlib.resources
 import logging
 import math
 import sys
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -12,6 +14,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
 
+from priorsweep import blvs
 from priorsweep.blvs import BlvsChain, BlvsFamily, Dataset, ModelEnumeration, ingest_csv
 from priorsweep.errors import InvalidHyperparameterError, SingularDesignError
 from priorsweep.families import ChainSpec
@@ -190,7 +193,8 @@ class TestEnumeration:
         enum = ModelEnumeration(fam)
         codes = range(1 << fam.q)
         per_model = np.array([fam._rss_ratio(fam._columns(c)) for c in codes])
-        np.testing.assert_allclose(enum.rss_ratio, per_model, rtol=1e-12, atol=1e-12)
+        # the batched build and the per-model path agree bit for bit
+        assert enum.rss_ratio.tobytes() == per_model.tobytes()
         bits = np.array([[(c >> i) & 1 for i in range(fam.q)] for c in codes], dtype=bool)
         for h in [(0.2, 4.0), (0.5, 15.0), (0.9, 100.0)]:
             lw = np.array([math.log(h[0]) * b.sum() + math.log1p(-h[0]) * (fam.q - b.sum())
@@ -411,7 +415,8 @@ class TestGibbs:
         assert chain.gamma[:, :2].all()
         codes = {sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma}
         assert len(codes) > 1
-        assert all(fam._rssr[code] < 1e-20 for code in codes)
+        table = fam.model_table()
+        assert all(table[code] < 1e-20 for code in codes)
         assert np.all(np.isfinite(chain.sigma)) and np.all(chain.sigma > 0)
         assert np.all(np.isfinite(chain.beta))
 
@@ -420,27 +425,82 @@ def chain_values(chain):
     return [getattr(chain, f.name).tobytes() for f in fields(BlvsChain)]
 
 
+def table_paths(monkeypatch):
+    """Yield "table", then "lazy" with TABLE_MAX_Q lowered below every
+    family's q, so the sampler fits models one at a time."""
+    yield "table"
+    monkeypatch.setattr(blvs, "TABLE_MAX_Q", 0)
+    yield "lazy"
+
+
+def crime_family():
+    return BlvsFamily(ingest_csv(
+        importlib.resources.files("priorsweep") / "data" / "uscrime.csv", "y", ["S"]))
+
+
 class TestModelTable:
-    def test_cold_table_equals_prewarmed_table(self, uscrime_path):
+    def test_cold_table_equals_prewarmed_table(self, uscrime_path, monkeypatch):
         ds = ingest_csv(uscrime_path, "y", ["S"])
         spec = ChainSpec(h=(0.5, 15.0), length=150, burn_in=20, seed=5)
-        cold = BlvsFamily(ds)
-        warm = BlvsFamily(ds)
-        for seed, h in enumerate([(0.3, 100.0), (0.8, 225.0)]):
-            warm.gibbs_run(ChainSpec(h=h, length=150, burn_in=20, seed=seed))
-        fitted = warm.models_fitted
-        assert chain_values(cold.gibbs_run(spec)) == chain_values(warm.gibbs_run(spec))
-        assert 0 < fitted <= warm.models_fitted
+        for path in table_paths(monkeypatch):
+            cold = BlvsFamily(ds)
+            warm = BlvsFamily(ds)
+            for seed, h in enumerate([(0.3, 100.0), (0.8, 225.0)]):
+                warm.gibbs_run(ChainSpec(h=h, length=150, burn_in=20, seed=seed))
+            fitted = warm.models_fitted
+            assert chain_values(cold.gibbs_run(spec)) == chain_values(warm.gibbs_run(spec))
+            assert 0 < fitted <= warm.models_fitted
+            assert (fitted == 1 << warm.q) == (path == "table")
+
+    @pytest.mark.parametrize("make_family", [
+        crime_family,
+        duplicate_column_family,
+        lambda: BlvsFamily(synthetic_dataset(m=40, q=blvs.TABLE_MAX_Q + 1, seed=5)),
+    ], ids=["uscrime", "duplicate_column", "q_above_limit"])
+    def test_full_table_and_lazy_fits_give_identical_chains(self, make_family, monkeypatch):
+        fam = make_family()
+        specs = [ChainSpec(h=(w, g), length=40, burn_in=10, seed=s)
+                 for s, (w, g) in enumerate([(0.5, 15.0), (0.3, 100.0), (0.8, 4.0)])]
+        monkeypatch.setattr(blvs, "TABLE_MAX_Q", fam.q)
+        full = [chain_values(fam.gibbs_run(sp)) for sp in specs]
+        assert fam.models_fitted == 1 << fam.q and not fam._rssr
+        monkeypatch.setattr(blvs, "TABLE_MAX_Q", fam.q - 1)
+        lazy = make_family()
+        assert [chain_values(lazy.gibbs_run(sp)) for sp in specs] == full
+        assert lazy._table is None and 0 < lazy.models_fitted <= 1 << fam.q
 
     def test_table_log_marginal_equals_log_marginal_of_model(self, uscrime_path):
         fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
         g = 50.0
-        fam.gibbs_run(ChainSpec(h=(0.6, g), length=100, seed=9))
-        assert fam.models_fitted == len(fam._rssr) > 100
-        for code, rssr in fam._rssr.items():
+        table = fam.model_table()
+        assert table.shape == (1 << fam.q,) and fam.models_fitted == table.size
+        assert not np.isnan(table).any()
+        rng = np.random.default_rng(9)
+        for code in rng.choice(table.size, size=500, replace=False).tolist():
             gamma = np.array([(code >> i) & 1 for i in range(fam.q)], dtype=bool)
-            assert fam._log_marginal(code.bit_count(), rssr, g) \
+            assert fam._log_marginal(code.bit_count(), fam._table_rss_ratio(code), g) \
                 == fam.log_marginal_of_model(gamma, g)
+
+    def test_too_large_models_hold_nan(self):
+        # m = 8: models of more than m - 2 = 6 predictors are not fitted
+        fam = BlvsFamily(synthetic_dataset(m=8, q=7, seed=2, strong=(0,)))
+        table = fam.model_table()
+        sizes = np.array([code.bit_count() for code in range(table.size)])
+        assert np.array_equal(np.isnan(table), sizes > 6)
+        assert fam._table_rss_ratio(table.size - 1) is None
+        with pytest.raises(SingularDesignError, match="7 predictors too large"):
+            fam.enumeration()
+
+    def test_table_build_allocates_no_per_model_bit_matrix(self):
+        # the table and its block temporaries, not (2^q, q) int64 arrays
+        fam = BlvsFamily(synthetic_dataset(m=40, q=15, seed=3))
+        tracemalloc.start()
+        try:
+            fam.model_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (8 << fam.q)
 
     def test_duplicate_column_warns_once_per_chain(self, caplog):
         fam = duplicate_column_family()
@@ -458,7 +518,8 @@ class TestModelTable:
                 assert len(singular) == 1
                 assert [sum(1 << j for j in np.flatnonzero(row)) for row in chain.gamma] == codes
                 np.testing.assert_allclose(chain.sigma[:4], sigma, rtol=1e-10)
-        assert fam._rssr[5] is None     # columns a and a2
+        assert np.isnan(fam.model_table()[5])      # columns a and a2
+        assert fam._table_rss_ratio(5) is None
 
     def test_draw_fit_factors_each_model_once(self, uscrime_path):
         fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
@@ -479,21 +540,28 @@ class TestModelTable:
             assert ssr == pytest.approx((X @ beta) @ (X @ beta), rel=1e-12)
             np.testing.assert_allclose(T @ half, beta, rtol=0, atol=1e-10 * np.abs(beta).max())
 
-    def test_threads_filling_one_table_match_serial_chains(self, uscrime_path):
+    def test_threads_filling_one_table_match_serial_chains(self, uscrime_path, monkeypatch):
         ds = ingest_csv(uscrime_path, "y", ["S"])
         specs = [ChainSpec(h=(w, g), length=60, burn_in=10, seed=s)
                  for s, (w, g) in enumerate([(0.5, 15.0), (0.3, 50.0), (0.6, 100.0),
                                              (0.8, 225.0), (0.4, 20.0), (0.7, 70.0)])]
-        serial = BlvsFamily(ds)
-        want = [chain_values(serial.gibbs_run(sp)) for sp in specs]
-        shared = BlvsFamily(ds)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=len(specs)) as ex:
-                futures = [ex.submit(shared.gibbs_run, sp) for sp in specs]
-                got = [chain_values(f.result(timeout=120)) for f in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert got == want
-        assert shared._rssr == serial._rssr
+        for path in table_paths(monkeypatch):
+            serial = BlvsFamily(ds)
+            want = [chain_values(serial.gibbs_run(sp)) for sp in specs]
+            # six threads start chains on a family with no table yet
+            shared = BlvsFamily(ds)
+            build, builds = shared._build_table, []
+            shared._build_table = lambda: builds.append(1) or build()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with ThreadPoolExecutor(max_workers=len(specs)) as ex:
+                    futures = [ex.submit(shared.gibbs_run, sp) for sp in specs]
+                    got = [chain_values(f.result(timeout=120)) for f in futures]
+            finally:
+                sys.setswitchinterval(interval)
+            assert got == want
+            assert shared._rssr == serial._rssr
+            assert len(builds) == (path == "table")
+            if path == "table":
+                assert shared._table.tobytes() == serial._table.tobytes()

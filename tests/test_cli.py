@@ -76,8 +76,8 @@ class TestRun:
                 assert read_bytes(tmp_path / "1" / name) \
                     == read_bytes(tmp_path / "2" / name), name
         manifest = json.loads((tmp_path / "2" / "manifest.json").read_text())
-        assert set(manifest["timings"]) == RUN_TIMINGS
-        assert manifest["sizes"]["models_fitted"] > 0
+        assert set(manifest["timings"]) == RUN_TIMINGS | {"table_s"}
+        assert manifest["sizes"]["models_fitted"] == 1 << 15
 
     def test_two_stage_isolation(self, toy_config, tmp_path):
         out = tmp_path / "out"

@@ -129,6 +129,27 @@ class TestLoadConfig:
         study = load_config(p)
         assert len(study.functions) == 15
         assert study.functions[0].name == "inclusion:Age"
+        # the model table is built by the commands that sample, not at load
+        assert study.family._table is None
+
+    def test_unknown_inclusion_predictor_rejected(self, tmp_path, capsys, uscrime_path):
+        cfg = {
+            "model": {"kind": "blvs", "dataset": str(uscrime_path),
+                      "response": "y", "binary": ["S"]},
+            "skeleton": [[0.5, 15], [0.5, 50]],
+            "stage1": {"length": 50, "seed": 1},
+            "stage2": {"length": 50, "seed": 2},
+            "grid": {"points": [[0.5, 15]]},
+            "functions": ["inclusion:Age", "inclusion:Nope"],
+            "out": str(tmp_path / "out"),
+        }
+        p = tmp_path / "blvs.yaml"
+        p.write_text(yaml.safe_dump(cfg))
+        with pytest.raises(ConfigError, match=r"unknown predictor 'Nope' \(known: Age, S, Ed,"):
+            load_config(p)
+        assert main(["run", "--config", str(p)]) == 2
+        assert "'inclusion:Nope': unknown predictor 'Nope'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_model_kind(self, tmp_path):
         p = tmp_path / "study.yaml"
