@@ -40,6 +40,16 @@ ENUMERATION_MAX_Q = 25
 # models it tries one at a time (the full build takes seconds at q = 20).
 TABLE_MAX_Q = 16
 FIT_BLOCK = 512     # models per bordered Cholesky call of the table build
+UNFITTED = -1.0     # table entry of a model left to be fitted on its own
+
+
+def _model_sizes(q: int) -> np.ndarray:
+    """The number of predictors of each model code 0, ..., 2^q - 1 (uint8):
+    codes 2^j, ..., 2^(j+1) - 1 add predictor j to the codes below 2^j."""
+    sizes = np.zeros(1, dtype=np.uint8)
+    for _ in range(q):
+        sizes = np.concatenate([sizes, sizes + 1])
+    return sizes
 
 
 def _expit(logit: float) -> float:
@@ -183,14 +193,14 @@ class BlvsFamily(DensityFamily):
         # thread, both indexed by the model code sum_i gamma_i 2^i: 1 - R^2 of
         # every model (NaN when singular or too large), one array built once
         # by rss_ratios(), or for q > TABLE_MAX_Q a dict of the models the
-        # chains tried (None when singular or too large); and the fit the
-        # (sigma, beta) draw needs, with the model's columns, for each model a
-        # chain sat on.  Every entry is a pure function of its code, so the
-        # order in which chains fill a dict never changes a draw, and two
-        # threads that fill one entry at once store equal values.
+        # chains tried; and the fit the (sigma, beta) draw needs, with the
+        # model's columns, for each model a chain sat on.  Every entry is a
+        # pure function of its code, so the order in which chains fill a
+        # table never changes a draw, and two threads that fill one entry at
+        # once store equal values.
         self._table: np.ndarray | None = None
         self._table_lock = threading.Lock()
-        self._rssr: dict[int, float | None] = {}
+        self._rssr: dict[int, float] = {}
         self._draw_fit: dict[int, tuple[float, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._enumeration = None
 
@@ -210,14 +220,15 @@ class BlvsFamily(DensityFamily):
                 f"singular design for model {[self.names[j] for j in idx]}"
             ) from None
 
-    def _factors(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _factors(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """(L, half, rss) of each model in a block of models of one size.
 
         Row b of the (B, s + 1) array cols lists the columns of G of model b:
         its s predictors, then the response's column q.  The Cholesky factor
         of G restricted to them is [[L, 0], [half', ell]]: X'X = LL',
         half = L^{-1} X'y and ell^2 is the residual sum of squares.  A block
-        holding a singular or exactly fitting model goes model by model: a
+        of several models that holds a singular or exactly fitting model
+        gives None (see _build_table).  For a single model, a
         singular X'X raises SingularDesignError naming the model, and an exact
         or near-saturated fit (ell^2 below 1e-10 tss, or a bordered factor
         that fails while X'X is positive definite) takes rss from the
@@ -234,8 +245,7 @@ class BlvsFamily(DensityFamily):
             if min(rss.tolist()) >= 1e-10 * self._tss:
                 return L, half, rss
         if B > 1:
-            parts = [self._factors(cols[b:b + 1]) for b in range(B)]
-            return tuple(np.concatenate(part) for part in zip(*parts))
+            return None
         idx = cols[0, :s]
         if F is None:
             L = self._chol(idx)[None]
@@ -279,13 +289,25 @@ class BlvsFamily(DensityFamily):
         return np.array([j for j in range(self.q) if code >> j & 1] + [self.q],
                         dtype=np.intp)
 
+    def _code_rss_ratio(self, code: int) -> float:
+        """1 - R^2 of model `code`, fitted on its own; SingularDesignError
+        names a singular or too-large model."""
+        size = code.bit_count()
+        if size > self.m - 2:
+            raise SingularDesignError(
+                f"model with {size} predictors too large for m={self.m}")
+        return self._rss_ratio(self._columns(code))
+
     def _build_table(self) -> np.ndarray:
-        """1 - R^2 of every model code, NaN for a singular or too-large model,
-        from bordered Cholesky factors of blocks of models of one size."""
+        """1 - R^2 of every model code from bordered Cholesky factors of
+        blocks of models of one size: NaN for a model of more than m - 2
+        predictors, and UNFITTED for each model of a block of several whose
+        batched factor fails (it holds a singular or exactly fitting model),
+        which its readers fit one at a time."""
         q = self.q
-        rssr = np.full(1 << q, np.nan)
+        sizes = _model_sizes(q)
+        rssr = np.where(sizes > self.m - 2, np.nan, UNFITTED)
         rssr[0] = 1.0       # the null model has R^2 = 0
-        sizes = np.bitwise_count(np.arange(1 << q, dtype=np.uint32))
         shifts = np.arange(q + 1)
         for size in range(1, min(q, self.m - 2) + 1):
             of_size = np.flatnonzero(sizes == size)
@@ -293,21 +315,24 @@ class BlvsFamily(DensityFamily):
                 block = of_size[start:start + FIT_BLOCK]
                 # each model's predictors, then the response's column q (see _factors)
                 cols = np.nonzero((block | 1 << q)[:, None] >> shifts & 1)[1]
-                cols = cols.reshape(-1, size + 1)
                 try:
-                    rssr[block] = self._factors(cols)[2] / self._tss
-                except SingularDesignError:
-                    for code, model_cols in zip(block.tolist(), cols):
-                        try:
-                            rssr[code] = self._rss_ratio(model_cols)
-                        except SingularDesignError:
-                            pass
+                    factors = self._factors(cols.reshape(-1, size + 1))
+                except SingularDesignError:     # a block of one singular model
+                    rssr[block] = np.nan
+                    continue
+                if factors is not None:
+                    rssr[block] = factors[2] / self._tss
+                del factors     # the block's factor, before the next is made
         return rssr
 
     def rss_ratios(self) -> np.ndarray:
-        """1 - R^2 of every model code (NaN for a singular or too-large
-        model), built once, on the thread of the first caller.  The test
-        outside the lock keeps the sampler's lookups off it."""
+        """The array of _build_table.  When q <= TABLE_MAX_Q it is built
+        once, on the thread of the first caller, and kept for the sampler,
+        which fills in its UNFITTED entries as chains try them; the test
+        outside the lock keeps the sampler's lookups off it.  Above, each
+        call builds an array of its own."""
+        if self.q > TABLE_MAX_Q:
+            return self._build_table()
         if self._table is None:
             with self._table_lock:
                 if self._table is None:
@@ -322,24 +347,20 @@ class BlvsFamily(DensityFamily):
         return self.rss_ratios() if self.q <= TABLE_MAX_Q else None
 
     def _table_rss_ratio(self, code: int) -> float | None:
-        """1 - R^2 of model `code` from the table; None for a singular or
-        too-large model."""
+        """1 - R^2 of model `code` from the table, fitting it there if the
+        build left it UNFITTED; None for a singular or too-large model."""
         table = self.model_table()
-        if table is not None:
-            rssr = float(table[code])
-            return None if math.isnan(rssr) else rssr
-        try:
-            return self._rssr[code]
-        except KeyError:
-            pass
-        rssr = None
-        if code.bit_count() <= self.m - 2:
+        rssr = self._rssr.get(code, UNFITTED) if table is None else float(table[code])
+        if rssr == UNFITTED:
             try:
-                rssr = self._rss_ratio(self._columns(code))
+                rssr = self._code_rss_ratio(code)
             except SingularDesignError:
-                pass
-        self._rssr[code] = rssr
-        return rssr
+                rssr = math.nan
+            if table is None:
+                self._rssr[code] = rssr
+            else:
+                table[code] = rssr
+        return None if math.isnan(rssr) else rssr
 
     def _table_draw_fit(self, code: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """(ssr, T = L^{-T}, half = L^{-1} X'y, columns) of a nonsingular
@@ -356,9 +377,12 @@ class BlvsFamily(DensityFamily):
 
     @property
     def models_fitted(self) -> int:
-        """Number of models in the family's 1 - R^2 table: 2^q once the full
-        array is built."""
-        return len(self._rssr) if self._table is None else self._table.size
+        """Number of models in the 1 - R^2 table the sampler reads that are
+        not UNFITTED: 2^q when every block of the build went through (and
+        q <= TABLE_MAX_Q), else the models the chains tried as well."""
+        if self._table is None:
+            return len(self._rssr)
+        return self._table.size - int(np.count_nonzero(self._table == UNFITTED))
 
     # Gibbs sampler
     def conditional_inclusion_prob(self, gamma, i: int, h) -> float:
@@ -513,12 +537,14 @@ class ModelEnumeration:
             raise ValueError(f"enumeration supports q <= {ENUMERATION_MAX_Q}, got q={q}")
         self._family = weakref.ref(family)
         self.q = q
-        self.rss_ratio = family.rss_ratios()
-        bad = np.flatnonzero(np.isnan(self.rss_ratio))
-        if bad.size:
-            # the table holds NaN exactly where this raises, naming the model
-            family.log_marginal_of_model(int(bad[0]) >> np.arange(q) & 1, 1.0)
-        self.q_gamma = np.bitwise_count(np.arange(1 << q, dtype=np.uint32)).astype(np.int64)
+        rssr = family.rss_ratios()
+        self.q_gamma = _model_sizes(q).astype(np.int64)
+        # fit each model the table does not hold, in order of size and then
+        # code: the first singular or too-large one raises, naming it
+        todo = np.flatnonzero(np.isnan(rssr) | (rssr == UNFITTED))
+        for code in todo[np.argsort(self.q_gamma[todo], kind="stable")].tolist():
+            rssr[code] = family._code_rss_ratio(code)
+        self.rss_ratio = rssr
         self._last_point = None
 
     @property

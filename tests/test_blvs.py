@@ -232,6 +232,15 @@ def duplicate_column_family():
     return BlvsFamily(ds)
 
 
+def collinear_family(q=10):
+    """Synthetic data whose last predictor repeats x0: every model holding
+    both is singular, and most blocks of the table build hold one."""
+    ds = synthetic_dataset(m=40, q=q - 1, seed=6, strong=(0, 1))
+    ds = Dataset(y=ds.y, X=np.column_stack([ds.X, ds.X[:, 0]]),
+                 names=ds.names + [f"x{q - 1}"], log_mask=np.zeros(q, bool))
+    return BlvsFamily(ds)
+
+
 class TestBlvsChain:
     def _arrays(self):
         gamma = np.array([[True, False, True], [False, False, False]])
@@ -455,15 +464,16 @@ class TestModelTable:
     @pytest.mark.parametrize("make_family", [
         crime_family,
         duplicate_column_family,
+        collinear_family,
         lambda: BlvsFamily(synthetic_dataset(m=40, q=blvs.TABLE_MAX_Q + 1, seed=5)),
-    ], ids=["uscrime", "duplicate_column", "q_above_limit"])
+    ], ids=["uscrime", "duplicate_column", "collinear", "q_above_limit"])
     def test_full_table_and_lazy_fits_give_identical_chains(self, make_family, monkeypatch):
         fam = make_family()
         specs = [ChainSpec(h=(w, g), length=40, burn_in=10, seed=s)
                  for s, (w, g) in enumerate([(0.5, 15.0), (0.3, 100.0), (0.8, 4.0)])]
         monkeypatch.setattr(blvs, "TABLE_MAX_Q", fam.q)
         full = [chain_values(fam.gibbs_run(sp)) for sp in specs]
-        assert fam.models_fitted == 1 << fam.q and not fam._rssr
+        assert fam._table is not None and not fam._rssr
         monkeypatch.setattr(blvs, "TABLE_MAX_Q", fam.q - 1)
         lazy = make_family()
         assert [chain_values(lazy.gibbs_run(sp)) for sp in specs] == full
@@ -490,6 +500,37 @@ class TestModelTable:
         assert fam._table_rss_ratio(table.size - 1) is None
         with pytest.raises(SingularDesignError, match="7 predictors too large"):
             fam.enumeration()
+
+    def test_collinear_build_fits_no_model_on_its_own(self):
+        fam = collinear_family()
+        factors, calls = fam._factors, []
+        fam._factors = lambda cols: calls.append(cols.shape) or factors(cols)
+        table = fam.model_table()
+        # one factor call per block, and no refits: the models of a failed
+        # block are left to whoever reads them
+        blocks = [(min(blvs.FIT_BLOCK, n - start), size + 1)
+                  for size, n in ((s, math.comb(fam.q, s)) for s in range(1, fam.q + 1))
+                  for start in range(0, n, blvs.FIT_BLOCK)]
+        assert calls == blocks
+        both = 1 | 1 << (fam.q - 1)
+        assert table[both] == blvs.UNFITTED
+        assert fam._table_rss_ratio(both) is None and np.isnan(table[both])
+        assert fam.models_fitted == table.size - np.count_nonzero(table == blvs.UNFITTED)
+        # the enumeration fits models one at a time in order of size and
+        # raises at the first singular one, before any larger model
+        calls.clear()
+        with pytest.raises(SingularDesignError, match=r"\['x0', 'x9'\]"):
+            fam.enumeration()
+        assert calls and max(s for _, s in calls) == 3
+
+    def test_table_needs_no_numpy_2(self, monkeypatch):
+        # the package supports numpy 1.24, which has no bitwise_count
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        fam = BlvsFamily(synthetic_dataset(m=30, q=6, seed=4))
+        enum = fam.enumeration()
+        sizes = [code.bit_count() for code in range(1 << fam.q)]
+        assert enum.q_gamma.tolist() == sizes
+        assert not np.isnan(fam.model_table()).any() and fam.models_fitted == 1 << fam.q
 
     def test_table_build_allocates_no_per_model_bit_matrix(self):
         # the table and its block temporaries, not (2^q, q) int64 arrays
