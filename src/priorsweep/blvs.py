@@ -52,6 +52,13 @@ def _model_sizes(q: int) -> np.ndarray:
     return sizes
 
 
+class _LazyLogMarginals(dict):
+    """log m(y | gamma, g) at one g of the models tried so far; NaN for others."""
+
+    def __missing__(self, code: int) -> float:
+        return math.nan
+
+
 def _expit(logit: float) -> float:
     if logit >= 0.0:
         return 1.0 / (1.0 + math.exp(-logit))
@@ -190,18 +197,18 @@ class BlvsFamily(DensityFamily):
         self._G[:q, q] = self._G[q, :q] = self._Xc.T @ self._yc
         self._G[q, q] = self._tss
         # The model tables, shared by every chain of both stages and every
-        # thread, both indexed by the model code sum_i gamma_i 2^i: 1 - R^2 of
+        # thread, all indexed by the model code sum_i gamma_i 2^i: 1 - R^2 of
         # every model (NaN when singular or too large), one array built once
         # by rss_ratios(), or for q > TABLE_MAX_Q a dict of the models the
-        # chains tried; and the fit the (sigma, beta) draw needs, with the
-        # model's columns, for each model a chain sat on.  Every entry is a
-        # pure function of its code, so the order in which chains fill a
-        # table never changes a draw, and two threads that fill one entry at
-        # once store equal values.
+        # chains tried; and for each g a chain ran at, the log marginals the
+        # sampler reads (_log_marginal_store).  Every entry is a pure
+        # function of its code, so the order in which chains fill a table
+        # never changes a draw, and two threads that fill one entry at once
+        # store equal values.
         self._table: np.ndarray | None = None
         self._table_lock = threading.Lock()
         self._rssr: dict[int, float] = {}
-        self._draw_fit: dict[int, tuple[float, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._lms: dict[float, memoryview | _LazyLogMarginals] = {}
         self._enumeration = None
 
     def _check_domain(self, coords):
@@ -276,12 +283,14 @@ class BlvsFamily(DensityFamily):
         return self._log_marginal_cols(cols, g)
 
     def _log_marginal_cols(self, cols: np.ndarray, g: float) -> float:
-        return self._log_marginal(cols.size - 1, self._rss_ratio(cols), g)
+        return float(self._log_marginal(cols.size - 1, self._rss_ratio(cols), g))
 
-    def _log_marginal(self, size: int, rssr: float, g: float) -> float:
-        """The closed form above from the model size and 1 - R^2."""
-        return 0.5 * (self.m - 1 - size) * math.log1p(g) \
-            - 0.5 * (self.m - 1) * math.log1p(g * rssr)
+    def _log_marginal(self, size, rssr, g: float):
+        """The closed form above from the model size and 1 - R^2, or arrays of
+        them (signed sizes).  Every log marginal of the family comes from here,
+        so the sampler's table and lazy paths store the same bits."""
+        return 0.5 * (self.m - 1 - size) * np.log1p(g) \
+            - 0.5 * (self.m - 1) * np.log1p(g * rssr)
 
     # the model table
     def _columns(self, code: int) -> np.ndarray:
@@ -362,18 +371,35 @@ class BlvsFamily(DensityFamily):
                 table[code] = rssr
         return None if math.isnan(rssr) else rssr
 
-    def _table_draw_fit(self, code: int) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-        """(ssr, T = L^{-T}, half = L^{-1} X'y, columns) of a nonsingular
-        model; its least-squares fit is T @ half."""
-        try:
-            return self._draw_fit[code]
-        except KeyError:
-            pass
-        cols = self._columns(code)
-        L, half, _ = self._factors(cols[None])
-        fit = (float(half[0] @ half[0]), np.linalg.inv(L[0]).T, half[0], cols[:-1])
-        self._draw_fit[code] = fit
-        return fit
+    def _log_marginal_store(self, g: float) -> memoryview | _LazyLogMarginals:
+        """log m(y | gamma, g) by model code, kept for every chain at g: a
+        float array over all 2^q codes from the table when q <= TABLE_MAX_Q
+        (NaN where the table holds NaN or UNFITTED), seen through a
+        memoryview, whose items are Python floats; else a _LazyLogMarginals.
+        The sampler fills a NaN entry when it reads one (_fill_log_marginal)."""
+        store = self._lms.get(g)
+        if store is None:
+            table = self.model_table()
+            if table is None:
+                store = _LazyLogMarginals()
+            else:   # by blocks of FIT_BLOCK codes, so the temporaries stay small
+                store, sizes = np.empty(table.size), _model_sizes(self.q)
+                for start in range(0, table.size, FIT_BLOCK):
+                    block = slice(start, start + FIT_BLOCK)
+                    rssr = np.where(table[block] == UNFITTED, np.nan, table[block])
+                    store[block] = self._log_marginal(sizes[block].astype(np.intp), rssr, g)
+                store = memoryview(store)
+            store = self._lms.setdefault(g, store)
+        return store
+
+    def _fill_log_marginal(self, store, code: int, g: float) -> float | None:
+        """log m(y | gamma, g) of model `code`, also written to `store`;
+        None for a singular or too-large model, which stays NaN there."""
+        rssr = self._table_rss_ratio(code)
+        if rssr is None:
+            return None
+        store[code] = lm = float(self._log_marginal(code.bit_count(), rssr, g))
+        return lm
 
     @property
     def models_fitted(self) -> int:
@@ -407,74 +433,112 @@ class BlvsFamily(DensityFamily):
         beta_gamma) from their exact conditionals given gamma, so the chain on
         theta has the full posterior as its invariant law.  A singular
         candidate model is treated as having prior probability zero.
-        The chain works on the model code; fits come from the model table.
+        The chain works on the model code and reads log marginals from the
+        family's store at g; each sweep draws the variates of (sigma^2,
+        beta, beta0), which one batched pass turns into the draw at the end.
         """
         w, g = self.validate_h(spec.h)
         rng = np.random.default_rng(spec.seed)
         m, q = self.m, self.q
-        shrink = g / (1.0 + g)
         log_odds = math.log(w) - math.log1p(-w)
         gamma = rng.random(q) < w
+        lms = self._log_marginal_store(g)
 
-        # log marginal at this chain's g for every model it has tried (None
-        # for a singular one); the chain revisits a small set of models
-        lm_cache: dict[int, float | None] = {}
-
-        def log_marginal(code: int) -> float | None:
-            rssr = self._table_rss_ratio(code)
-            lm = None if rssr is None else self._log_marginal(code.bit_count(), rssr, g)
-            lm_cache[code] = lm
-            return lm
-
-        code = 0
-        if int(gamma.sum()) <= m - 2:
-            code = sum(1 << j for j in np.flatnonzero(gamma).tolist())
-        lm_cur = log_marginal(code)
-        if lm_cur is None:      # singular start: fall back to the null model
+        code = sum(1 << j for j in np.flatnonzero(gamma).tolist())
+        lm_cur = self._fill_log_marginal(lms, code, g)
+        if lm_cur is None:      # singular or too-large start: the null model instead
             code = 0
-            lm_cur = log_marginal(code)
-        n = spec.length
-        gammas, betas = np.zeros((n, q), dtype=bool), np.zeros((n, q))
-        sigmas, beta0s = np.empty(n), np.empty(n)
+            lm_cur = self._fill_log_marginal(lms, code, g)
+        n, burn_in = spec.length, spec.burn_in
+        # one row per kept sweep, and a scratch row (the last) for burn-in
+        codes, gam, z = [0] * (n + 1), np.empty(n + 1), np.zeros((n + 1, q + 1))
+        gamma_shape = 0.5 * (m - 1)
+        bits = [1 << i for i in range(q)]
+        exp = math.exp
         warned = False
-        for sweep in range(spec.burn_in + n):
+        for sweep in range(burn_in + n):
             # one uniform per predictor, drawn whether or not its flip is tried
             u = rng.random(q).tolist()
-            for i in range(q):
-                bit = 1 << i
+            for ui, bit in zip(u, bits):
                 flipped = code ^ bit
-                lm_try = lm_cache[flipped] if flipped in lm_cache else log_marginal(flipped)
-                if lm_try is None:
-                    if not warned:
-                        logger.warning(
-                            "singular candidate model at predictor %s; "
-                            "treating it as prior-probability zero", self.names[i])
-                        warned = True
-                    continue
-                included = bool(code & bit)
-                if included:
-                    lm1, lm0 = lm_cur, lm_try
+                lm_try = lms[flipped]
+                if lm_try != lm_try:    # NaN: not filled yet, or singular
+                    lm_try = self._fill_log_marginal(lms, flipped, g)
+                    if lm_try is None:
+                        if not warned:
+                            logger.warning(
+                                "singular candidate model at predictor %s; treating it "
+                                "as prior-probability zero", self.names[bit.bit_length() - 1])
+                            warned = True
+                        continue
+                included = (code & bit) != 0
+                logit = log_odds + lm_cur - lm_try if included else log_odds + lm_try - lm_cur
+                # the inclusion probability expit(logit), by the branch that
+                # cannot overflow
+                if logit >= 0.0:
+                    p = 1.0 / (1.0 + exp(-logit))
                 else:
-                    lm1, lm0 = lm_try, lm_cur
-                if (u[i] < _expit(log_odds + lm1 - lm0)) != included:
+                    p = exp(logit)
+                    p = p / (1.0 + p)
+                if (ui < p) != included:
                     code = flipped
                     lm_cur = lm_try
 
-            # beta = shrink beta_hat + sqrt(sigma2 shrink) L^{-T} z, with
-            # beta_hat = T @ half
-            ssr, T, half, idx = self._table_draw_fit(code)
-            a_scale = self._tss - shrink * ssr
-            sigma2 = 0.5 * a_scale / rng.standard_gamma(0.5 * (m - 1))
-            z = rng.standard_normal(half.size)
-            beta = T @ (shrink * half + math.sqrt(sigma2 * shrink) * z)
-            beta0 = rng.normal(self._ybar, math.sqrt(sigma2 / m))
-            row = sweep - spec.burn_in
-            if row >= 0:
-                gammas[row, idx] = True
-                sigmas[row] = math.sqrt(sigma2)
-                beta0s[row] = beta0
-                betas[row, idx] = beta
-        return BlvsChain(gamma=gammas, sigma=sigmas, beta0=beta0s, beta=betas)
+            # the draw's variates: a gamma variate, then one standard normal
+            # per included predictor and one for beta0, in one call
+            row = max(sweep - burn_in, -1)
+            codes[row], size = code, code.bit_count()
+            gam[row] = rng.standard_gamma(gamma_shape)
+            z[row, :size + 1] = rng.standard_normal(size + 1)
+        return self._draw_given_models(codes[:n], gam, z, g)
+
+    def _draw_given_models(self, codes, gam, z, g: float) -> BlvsChain:
+        """The chain of rows with model `codes`, from each row's gamma variate
+        gam of shape (m - 1)/2 and standard normals z (its first q_gamma
+        entries) and z0 (the next).  With shrink = g/(1+g), and L and
+        half = L^{-1} X'y of the model's factor,
+
+            sigma^2 = (tss - shrink |half|^2) / (2 gam),
+            beta    = L^{-T} (shrink half + sqrt(sigma^2 shrink) z),
+            beta0   = ybar + sqrt(sigma^2 / m) z0.
+
+        One _factors call serves the distinct models of each size (one call
+        per model when that block holds an exact fit)."""
+        n, q = len(codes), self.q
+        shrink = g / (1.0 + g)
+        # the distinct models in order of first row, each row's index among
+        # them, and their columns of G as bits (the response's column q set)
+        first = dict.fromkeys(codes)
+        for i, code in enumerate(first):
+            first[code] = i
+        which = np.fromiter(map(first.__getitem__, codes), np.intp, n)
+        width = q // 8 + 1
+        raw = b"".join(code.to_bytes(width, "little") for code in first)
+        member = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, width), axis=1,
+                               bitorder="little").astype(bool)
+        member[:, q] = True
+        model_size = member.sum(axis=1) - 1
+        sizes = model_size[which]
+        sigma2, beta0, betas = np.empty(n), np.empty(n), np.zeros((n, q))
+        for size in np.unique(model_size).tolist():
+            models, rows = np.flatnonzero(model_size == size), np.flatnonzero(sizes == size)
+            k = np.searchsorted(models, which[rows])    # each row's model among them
+            cols = np.nonzero(member[models])[1].reshape(-1, size + 1)
+            factors = self._factors(cols)
+            if factors is None:
+                factors = [np.concatenate(f)
+                           for f in zip(*(self._factors(c[None]) for c in cols))]
+            L, half, _ = factors
+            ssr = np.einsum("bi,bi->b", half, half)
+            s2 = 0.5 * (self._tss - shrink * ssr[k]) / gam[rows]
+            v = shrink * half[k] + np.sqrt(s2 * shrink)[:, None] * z[rows, :size]
+            # beta_i = sum_j v_j (L^{-1})_ji
+            betas[rows[:, None], cols[k, :size]] = \
+                np.matmul(v[:, None], np.linalg.inv(L)[k])[:, 0]
+            sigma2[rows] = s2
+            beta0[rows] = self._ybar + np.sqrt(s2 / self.m) * z[rows, size]
+        return BlvsChain(gamma=member[which, :q], sigma=np.sqrt(sigma2), beta0=beta0,
+                         beta=betas)
 
     # family contract
     def log_prior_weight(self, h, state: BlvsChain) -> float:

@@ -429,6 +429,37 @@ class TestGibbs:
         assert np.all(np.isfinite(chain.sigma)) and np.all(chain.sigma > 0)
         assert np.all(np.isfinite(chain.beta))
 
+    def test_us_crime_chain_codes_are_pinned(self):
+        # the model codes this seed gave before the (sigma, beta) draw was
+        # batched after the sweeps: the random stream is unchanged
+        want = [12431, 30477, 23949, 5967, 5613, 5933, 13357, 5135, 4653, 7245,
+                6925, 5133, 7469, 7567, 30125, 7197, 6679, 6153, 5405, 5175,
+                7345, 13367, 5653, 5845, 5269, 6195, 12848, 12311, 5495, 5685,
+                21389, 16335, 5005, 20748, 21165, 21519, 24461, 7453, 4365, 5183]
+        chain = crime_family().gibbs_run(
+            ChainSpec(h=(0.6, 50.0), length=40, burn_in=10, seed=2024))
+        assert [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma] == want
+
+    def test_normal_is_loc_plus_scale_times_standard_normal(self):
+        # the sampler draws beta0 as ybar + sd z from one standard normal,
+        # where it once called rng.normal(ybar, sd): the two agree bit for bit
+        for seed in range(100):
+            loc, sd = 10.0 * math.sin(seed), 0.01 + math.cos(seed) ** 2
+            assert np.random.default_rng(seed).normal(loc, sd) \
+                == loc + sd * np.random.default_rng(seed).standard_normal()
+
+    def test_burn_in_sweeps_advance_the_stream(self):
+        fam = crime_family()
+        b, n = 25, 40
+        short = fam.gibbs_run(ChainSpec(h=(0.6, 50.0), length=n, burn_in=b, seed=3))
+        full = fam.gibbs_run(ChainSpec(h=(0.6, 50.0), length=b + n, seed=3))
+        assert np.array_equal(short.gamma, full.gamma[b:])
+        # the draws are batched over other rows, so they may differ in
+        # summation order
+        for name in ("sigma", "beta0", "beta"):
+            got, want = getattr(short, name), getattr(full, name)[b:]
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max(axis=0))
+
 
 def chain_values(chain):
     return [getattr(chain, f.name).tobytes() for f in fields(BlvsChain)]
@@ -480,16 +511,26 @@ class TestModelTable:
         assert lazy._table is None and 0 < lazy.models_fitted <= 1 << fam.q
 
     def test_table_log_marginal_equals_log_marginal_of_model(self, uscrime_path):
+        # the sampler's array at g, built by blocks, holds the bits of the
+        # one-model path
         fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
         g = 50.0
         table = fam.model_table()
         assert table.shape == (1 << fam.q,) and fam.models_fitted == table.size
         assert not np.isnan(table).any()
+        store = fam._log_marginal_store(g)
+        assert fam._log_marginal_store(g) is store and not np.isnan(store).any()
         rng = np.random.default_rng(9)
         for code in rng.choice(table.size, size=500, replace=False).tolist():
             gamma = np.array([(code >> i) & 1 for i in range(fam.q)], dtype=bool)
-            assert fam._log_marginal(code.bit_count(), fam._table_rss_ratio(code), g) \
-                == fam.log_marginal_of_model(gamma, g)
+            assert store[code] == fam.log_marginal_of_model(gamma, g)
+
+    def test_codes_beyond_int64(self):
+        # model codes are Python integers, so q may exceed 63
+        fam = BlvsFamily(synthetic_dataset(m=80, q=70, seed=6, strong=(0, 69)))
+        chain = fam.gibbs_run(ChainSpec(h=(0.05, 20.0), length=15, burn_in=5, seed=1))
+        assert chain.gamma[:, 69].any() and np.array_equal(chain.beta != 0.0, chain.gamma)
+        assert fam._table is None and max(fam._rssr) >= 1 << 63
 
     def test_too_large_models_hold_nan(self):
         # m = 8: models of more than m - 2 = 6 predictors are not fitted
@@ -543,6 +584,23 @@ class TestModelTable:
             tracemalloc.stop()
         assert peak < 8 * (8 << fam.q)
 
+    def test_log_marginal_store_keeps_eight_bytes_per_code(self):
+        # one float64 per code and small block temporaries, not a list of
+        # Python floats (32 bytes per code)
+        fam = BlvsFamily(synthetic_dataset(m=40, q=15, seed=3))
+        fam.model_table()
+        tracemalloc.start()
+        try:
+            for g in (4.0, 15.0, 100.0, 225.0):
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                fam._log_marginal_store(g)
+                after, peak = tracemalloc.get_traced_memory()
+                assert peak - before <= 2 * 8 << fam.q
+                assert after - before <= (8 << fam.q) + 4096
+        finally:
+            tracemalloc.stop()
+
     def test_duplicate_column_warns_once_per_chain(self, caplog):
         fam = duplicate_column_family()
         # reference draws of the sampler that refit every model on every sweep
@@ -562,24 +620,63 @@ class TestModelTable:
         assert np.isnan(fam.model_table()[5])      # columns a and a2
         assert fam._table_rss_ratio(5) is None
 
-    def test_draw_fit_factors_each_model_once(self, uscrime_path):
-        fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
+    @pytest.mark.parametrize("make_family", [
+        crime_family,
+        lambda: BlvsFamily(synthetic_dataset(m=30, q=10, seed=17, strong=(0, 1), noise=0.0)),
+    ], ids=["uscrime", "exact_fit"])
+    def test_batched_draw_matches_per_row_reference(self, make_family):
+        fam = make_family()
+        # no burn-in, so every sweep's variates belong to a kept row
+        spec = ChainSpec(h=(0.6, 15.0), length=300, seed=6)
+        fam.gibbs_run(spec)     # the log marginals this chain reads, filled
         factors, calls = fam._factors, []
-        fam._factors = lambda cols: calls.append(cols.shape) or factors(cols)
-        rng = np.random.default_rng(8)
-        for code in rng.choice(np.arange(1, 1 << fam.q), size=50, replace=False):
-            calls.clear()
-            ssr, T, half, idx = fam._table_draw_fit(int(code))
-            assert calls == [(1, idx.size + 1)]
-            # the last row of the bordered factor is (L^{-1} X'y, ell)
-            cols = np.append(idx, fam.q)
-            want = np.linalg.cholesky(fam._G[np.ix_(cols, cols)])[-1, :-1]
-            assert np.array_equal(half, want)
-            assert ssr == float(want @ want)
-            X = fam._Xc[:, idx]
-            beta = np.linalg.lstsq(X, fam._yc, rcond=None)[0]
-            assert ssr == pytest.approx((X @ beta) @ (X @ beta), rel=1e-12)
-            np.testing.assert_allclose(T @ half, beta, rtol=0, atol=1e-10 * np.abs(beta).max())
+
+        def counted(cols):
+            out = factors(cols)
+            calls.append((cols.shape, out is None))
+            return out
+
+        fam._factors = counted
+        chain = fam.gibbs_run(spec)
+        codes = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma]
+        # one factor call per model size, over the chain's distinct models of
+        # that size; a block that holds an exact fit gives None and is fitted
+        # one model at a time
+        left = iter(calls)
+        for size in sorted({c.bit_count() for c in codes}):
+            n_models = len({c for c in codes if c.bit_count() == size})
+            shape, failed = next(left)
+            assert shape == (n_models, size + 1)
+            if failed:
+                assert n_models > 1
+                assert [next(left) for _ in range(n_models)] \
+                    == [((1, size + 1), False)] * n_models
+        assert next(left, None) is None
+        assert any(failed for _, failed in calls) == (fam.q == 10)
+        # replay the stream: the start's uniforms, then per sweep q
+        # uniforms, a gamma variate, one normal per included predictor and
+        # one for beta0
+        rng = np.random.default_rng(spec.seed)
+        rng.random(fam.q)
+        shrink = spec.h[1] / (1.0 + spec.h[1])
+        n = len(chain)
+        sigma, beta0, beta = np.empty(n), np.empty(n), np.zeros((n, fam.q))
+        for r in range(n):
+            rng.random(fam.q)
+            idx = np.flatnonzero(chain.gamma[r])
+            L = np.linalg.cholesky(fam._G[np.ix_(idx, idx)])
+            half = np.linalg.solve(L, fam._G[idx, fam.q])
+            sigma2 = 0.5 * (fam._tss - shrink * half @ half) \
+                / rng.standard_gamma(0.5 * (fam.m - 1))
+            z = rng.standard_normal(idx.size)
+            beta[r, idx] = np.linalg.inv(L).T \
+                @ (shrink * half + math.sqrt(sigma2 * shrink) * z)
+            sigma[r] = math.sqrt(sigma2)
+            beta0[r] = fam._ybar + math.sqrt(sigma2 / fam.m) * rng.standard_normal()
+        np.testing.assert_allclose(chain.sigma, sigma, rtol=1e-12)
+        np.testing.assert_allclose(chain.beta0, beta0, rtol=1e-12)
+        np.testing.assert_allclose(chain.beta, beta, rtol=1e-12,
+                                   atol=1e-12 * np.abs(beta).max())
 
     def test_threads_filling_one_table_match_serial_chains(self, uscrime_path, monkeypatch):
         ds = ingest_csv(uscrime_path, "y", ["S"])
@@ -603,6 +700,13 @@ class TestModelTable:
                 sys.setswitchinterval(interval)
             assert got == want
             assert shared._rssr == serial._rssr
+            # the log marginals the chains read, one store per g
+            assert shared._lms.keys() == serial._lms.keys()
+            for g, store in serial._lms.items():
+                if path == "table":
+                    assert shared._lms[g].tobytes() == store.tobytes()
+                else:
+                    assert shared._lms[g] == store
             assert len(builds) == (path == "table")
             if path == "table":
                 assert shared._table.tobytes() == serial._table.tobytes()
