@@ -37,10 +37,14 @@ logger = logging.getLogger(__name__)
 ENUMERATION_MAX_Q = 25
 # Up to this q the Gibbs sampler reads 1 - R^2 from one array over all 2^q
 # models, built before any chain starts; above it, the sampler fits the
-# models it tries one at a time (the full build takes seconds at q = 20).
+# models it tries one at a time (the table and each per-g array of log
+# marginals hold 8 bytes per model, 8 MB each at q = 20).
 TABLE_MAX_Q = 16
-FIT_BLOCK = 512     # models per bordered Cholesky call of the table build
-UNFITTED = -1.0     # table entry of a model left to be fitted on its own
+# the table build runs its last SPLIT levels for PARENTS codes of level
+# q - SPLIT at a time, which keeps its temporaries near 5 x 8 x PARENTS x
+# 2^SPLIT bytes (0.2 MB) whatever q is
+SPLIT, PARENTS = 10, 4
+BLOCK = 4096        # codes per block of an array of log marginals
 
 
 def _model_sizes(q: int) -> np.ndarray:
@@ -50,6 +54,27 @@ def _model_sizes(q: int) -> np.ndarray:
     for _ in range(q):
         sizes = np.concatenate([sizes, sizes + 1])
     return sizes
+
+
+def _eliminate(S: np.ndarray) -> np.ndarray:
+    """Eliminate the first column of a (k, k) matrix, or of each matrix of a
+    stack (n, k, k): the Schur complement S[1:, 1:] - row' (row / pivot),
+    with row = S[0, 1:] and pivot = S[0, 0].  The table build and the
+    one-model path both take their 1 - R^2 from here, and both treat a
+    pivot that is not positive as a singular model: its first column lies
+    in the span of the columns eliminated before it."""
+    row = S[..., :1, 1:]
+    return S[..., 1:, 1:] - row.swapaxes(-1, -2) * (row / S[..., :1, :1])
+
+
+def _next_level(S: np.ndarray) -> np.ndarray:
+    """One level of the table build: the matrices of the stack S without
+    their first column, then with it eliminated.  A matrix whose pivot is
+    not positive gives NaN, so the model and every model the tree grows
+    from it hold NaN."""
+    E = _eliminate(S)
+    E[~(S[:, 0, 0] > 0.0)] = np.nan
+    return np.concatenate([S[:, 1:, 1:], E])
 
 
 class _LazyLogMarginals(dict):
@@ -227,19 +252,17 @@ class BlvsFamily(DensityFamily):
                 f"singular design for model {[self.names[j] for j in idx]}"
             ) from None
 
-    def _factors(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """(L, half, rss) of each model in a block of models of one size.
+    def _factors(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+        """(L, half) of each model in a block of models of one size.
 
         Row b of the (B, s + 1) array cols lists the columns of G of model b:
         its s predictors, then the response's column q.  The Cholesky factor
         of G restricted to them is [[L, 0], [half', ell]]: X'X = LL',
         half = L^{-1} X'y and ell^2 is the residual sum of squares.  A block
         of several models that holds a singular or exactly fitting model
-        gives None (see _build_table).  For a single model, a
-        singular X'X raises SingularDesignError naming the model, and an exact
-        or near-saturated fit (ell^2 below 1e-10 tss, or a bordered factor
-        that fails while X'X is positive definite) takes rss from the
-        residual vector itself.
+        (ell^2 below 1e-10 tss) gives None.  A single model whose bordered
+        factor fails takes L from X'X alone, and a singular X'X raises
+        SingularDesignError naming the model.
         """
         B, s = cols.shape[0], cols.shape[1] - 1
         try:
@@ -247,24 +270,36 @@ class BlvsFamily(DensityFamily):
         except np.linalg.LinAlgError:
             F = None
         if F is not None:
-            L, half, rss = F[:, :s, :s], F[:, s, :s], F[:, s, s] ** 2
             # min of a list: a ufunc reduction costs more than a small model's fit
-            if min(rss.tolist()) >= 1e-10 * self._tss:
-                return L, half, rss
+            if B == 1 or min((F[:, s, s] ** 2).tolist()) >= 1e-10 * self._tss:
+                return F[:, :s, :s], F[:, s, :s]
         if B > 1:
             return None
         idx = cols[0, :s]
-        if F is None:
-            L = self._chol(idx)[None]
-            half = np.linalg.solve(L[0], self._G[idx, self.q])[None]
-        resid = self._yc - self._Xc[:, idx] @ np.linalg.solve(L[0].T, half[0])
-        return L, half, np.array([resid @ resid])
+        L = self._chol(idx)
+        return L[None], np.linalg.solve(L, self._G[idx, self.q])[None]
 
     def _rss_ratio(self, cols: np.ndarray) -> float:
-        """(1 - R^2) of the model whose columns of G are cols (see _factors)."""
-        if cols.size == 1:
-            return 1.0
-        return float(self._factors(cols[None])[2][0]) / self._tss
+        """1 - R^2 of the model whose columns of G are cols (its predictors,
+        then the response's column q), by the eliminations of the table
+        build on its own matrix, so the two agree bit for bit: the residual
+        sum of squares is what is left of G[q, q].  SingularDesignError names
+        a model with a pivot that is not positive.  An exact or
+        near-saturated fit (rss below 1e-10 tss) takes rss from the residual
+        vector instead."""
+        S = self._G[cols[:, None], cols]
+        for _ in range(cols.size - 1):
+            if not S[0, 0] > 0.0:
+                raise SingularDesignError(
+                    f"singular design for model {[self.names[j] for j in cols[:-1]]}")
+            S = _eliminate(S)
+        rss = float(S[0, 0])
+        if rss < 1e-10 * self._tss:
+            idx = cols[:-1]
+            L, half = self._factors(cols[None])
+            resid = self._yc - self._Xc[:, idx] @ np.linalg.solve(L[0].T, half[0])
+            rss = float(resid @ resid)
+        return rss / self._tss
 
     def log_marginal_of_model(self, gamma, g: float) -> float:
         """log m(y | gamma, g) up to one additive constant shared by all models.
@@ -292,6 +327,16 @@ class BlvsFamily(DensityFamily):
         return 0.5 * (self.m - 1 - size) * np.log1p(g) \
             - 0.5 * (self.m - 1) * np.log1p(g * rssr)
 
+    def _log_marginals(self, rssr: np.ndarray, g: float) -> np.ndarray:
+        """_log_marginal at g of every model code, from the array rssr of
+        their 1 - R^2, by blocks of BLOCK codes so the temporaries stay
+        small; the sizes are promoted from uint8 before m - 1 - size."""
+        out, sizes = np.empty(rssr.size), _model_sizes(self.q)
+        for start in range(0, rssr.size, BLOCK):
+            block = slice(start, start + BLOCK)
+            out[block] = self._log_marginal(sizes[block].astype(np.intp), rssr[block], g)
+        return out
+
     # the model table
     def _columns(self, code: int) -> np.ndarray:
         """The columns of G of model `code`: its predictors, then the response."""
@@ -308,38 +353,48 @@ class BlvsFamily(DensityFamily):
         return self._rss_ratio(self._columns(code))
 
     def _build_table(self) -> np.ndarray:
-        """1 - R^2 of every model code from bordered Cholesky factors of
-        blocks of models of one size: NaN for a model of more than m - 2
-        predictors, and UNFITTED for each model of a block of several whose
-        batched factor fails (it holds a singular or exactly fitting model),
-        which its readers fit one at a time."""
+        """1 - R^2 of every model code, read-only, from one tree of
+        eliminations (Furnival 1971).  The stack at level j holds, for each
+        code below 2^j, G on columns j, ..., q with the code's predictors
+        eliminated (_eliminate); eliminating column j from each gives the
+        codes 2^j, ..., 2^(j+1) - 1, which extend them by predictor j.  At
+        level q each model's residual sum of squares is all that is left.
+        Each entry is the one _rss_ratio gives: NaN for a singular model
+        (and so for every model the tree grows from it) and for a model of
+        more than m - 2 predictors, and an exact fit refitted from its
+        residual vector."""
         q = self.q
-        sizes = _model_sizes(q)
-        rssr = np.where(sizes > self.m - 2, np.nan, UNFITTED)
-        rssr[0] = 1.0       # the null model has R^2 = 0
-        shifts = np.arange(q + 1)
-        for size in range(1, min(q, self.m - 2) + 1):
-            of_size = np.flatnonzero(sizes == size)
-            for start in range(0, of_size.size, FIT_BLOCK):
-                block = of_size[start:start + FIT_BLOCK]
-                # each model's predictors, then the response's column q (see _factors)
-                cols = np.nonzero((block | 1 << q)[:, None] >> shifts & 1)[1]
-                try:
-                    factors = self._factors(cols.reshape(-1, size + 1))
-                except SingularDesignError:     # a block of one singular model
-                    rssr[block] = np.nan
-                    continue
-                if factors is not None:
-                    rssr[block] = factors[2] / self._tss
-                del factors     # the block's factor, before the next is made
-        return rssr
+        top = max(q - SPLIT, 0)
+        rss = np.empty(1 << q)
+        # code i's descendant with the bits t above `top` is code t 2^top + i
+        by_parent = rss.reshape(-1, 1 << top)
+        with np.errstate(divide="ignore", invalid="ignore"):    # singular pivots
+            S = self._G[None]
+            for _ in range(top):
+                S = _next_level(S)
+            for start in range(0, 1 << top, PARENTS):
+                T = S[start:start + PARENTS]
+                parents = T.shape[0]
+                for _ in range(q - top):
+                    T = _next_level(T)
+                by_parent[:, start:start + parents] = T.reshape(-1, parents)
+                del T   # the chunk's last level, before the next chunk's first
+        exact_fits = np.flatnonzero(rss < 1e-10 * self._tss).tolist()
+        rss /= self._tss
+        rss[_model_sizes(q) > self.m - 2] = np.nan
+        for code in exact_fits:
+            try:
+                rss[code] = self._code_rss_ratio(code)
+            except SingularDesignError:
+                rss[code] = np.nan
+        rss.flags.writeable = False
+        return rss
 
     def rss_ratios(self) -> np.ndarray:
         """The array of _build_table.  When q <= TABLE_MAX_Q it is built
-        once, on the thread of the first caller, and kept for the sampler,
-        which fills in its UNFITTED entries as chains try them; the test
-        outside the lock keeps the sampler's lookups off it.  Above, each
-        call builds an array of its own."""
+        once, on the thread of the first caller, and kept for the sampler;
+        the test outside the lock keeps the sampler's lookups off it.
+        Above, each call builds an array of its own."""
         if self.q > TABLE_MAX_Q:
             return self._build_table()
         if self._table is None:
@@ -356,39 +411,33 @@ class BlvsFamily(DensityFamily):
         return self.rss_ratios() if self.q <= TABLE_MAX_Q else None
 
     def _table_rss_ratio(self, code: int) -> float | None:
-        """1 - R^2 of model `code` from the table, fitting it there if the
-        build left it UNFITTED; None for a singular or too-large model."""
+        """1 - R^2 of model `code` from the table, or above TABLE_MAX_Q from
+        the dict of models fitted so far, fitting it there on first read;
+        None for a singular or too-large model."""
         table = self.model_table()
-        rssr = self._rssr.get(code, UNFITTED) if table is None else float(table[code])
-        if rssr == UNFITTED:
-            try:
-                rssr = self._code_rss_ratio(code)
-            except SingularDesignError:
-                rssr = math.nan
-            if table is None:
+        if table is not None:
+            rssr = float(table[code])
+        else:
+            rssr = self._rssr.get(code)
+            if rssr is None:
+                try:
+                    rssr = self._code_rss_ratio(code)
+                except SingularDesignError:
+                    rssr = math.nan
                 self._rssr[code] = rssr
-            else:
-                table[code] = rssr
         return None if math.isnan(rssr) else rssr
 
     def _log_marginal_store(self, g: float) -> memoryview | _LazyLogMarginals:
         """log m(y | gamma, g) by model code, kept for every chain at g: a
         float array over all 2^q codes from the table when q <= TABLE_MAX_Q
-        (NaN where the table holds NaN or UNFITTED), seen through a
-        memoryview, whose items are Python floats; else a _LazyLogMarginals.
-        The sampler fills a NaN entry when it reads one (_fill_log_marginal)."""
+        (NaN where the table holds NaN), seen through a memoryview, whose
+        items are Python floats; else a _LazyLogMarginals, which the sampler
+        fills as it reads a NaN entry (_fill_log_marginal)."""
         store = self._lms.get(g)
         if store is None:
             table = self.model_table()
-            if table is None:
-                store = _LazyLogMarginals()
-            else:   # by blocks of FIT_BLOCK codes, so the temporaries stay small
-                store, sizes = np.empty(table.size), _model_sizes(self.q)
-                for start in range(0, table.size, FIT_BLOCK):
-                    block = slice(start, start + FIT_BLOCK)
-                    rssr = np.where(table[block] == UNFITTED, np.nan, table[block])
-                    store[block] = self._log_marginal(sizes[block].astype(np.intp), rssr, g)
-                store = memoryview(store)
+            store = _LazyLogMarginals() if table is None \
+                else memoryview(self._log_marginals(table, g))
             store = self._lms.setdefault(g, store)
         return store
 
@@ -403,12 +452,10 @@ class BlvsFamily(DensityFamily):
 
     @property
     def models_fitted(self) -> int:
-        """Number of models in the 1 - R^2 table the sampler reads that are
-        not UNFITTED: 2^q when every block of the build went through (and
-        q <= TABLE_MAX_Q), else the models the chains tried as well."""
-        if self._table is None:
-            return len(self._rssr)
-        return self._table.size - int(np.count_nonzero(self._table == UNFITTED))
+        """Number of models whose 1 - R^2 the sampler's table holds: 2^q
+        when q <= TABLE_MAX_Q and the table is built, else the models the
+        chains tried."""
+        return len(self._rssr) if self._table is None else self._table.size
 
     # Gibbs sampler
     def conditional_inclusion_prob(self, gamma, i: int, h) -> float:
@@ -528,7 +575,7 @@ class BlvsFamily(DensityFamily):
             if factors is None:
                 factors = [np.concatenate(f)
                            for f in zip(*(self._factors(c[None]) for c in cols))]
-            L, half, _ = factors
+            L, half = factors
             ssr = np.einsum("bi,bi->b", half, half)
             s2 = 0.5 * (self._tss - shrink * ssr[k]) / gam[rows]
             v = shrink * half[k] + np.sqrt(s2 * shrink)[:, None] * z[rows, :size]
@@ -587,12 +634,11 @@ class BlvsFamily(DensityFamily):
 class ModelEnumeration:
     """Exact posterior quantities by summing over all 2^q models.
 
-    R^2_gamma does not depend on (w, g), so the expensive per-model fits are
-    done once, by the family's table build; every hyperparameter evaluation
-    afterwards is a vectorized pass over the cached models.  Model `code`
-    includes predictor i when bit i of the code is set.  The enumeration
-    refers to its family weakly, so the family's cache of it makes no
-    reference cycle.
+    R^2_gamma does not depend on (w, g), so the per-model fits are done
+    once, by the family's table build; every hyperparameter evaluation
+    afterwards is a vectorized pass over the table.  Model `code` includes
+    predictor i when bit i of the code is set.  The enumeration refers to
+    its family weakly, so the family's cache of it makes no reference cycle.
     """
 
     def __init__(self, family: BlvsFamily):
@@ -602,14 +648,13 @@ class ModelEnumeration:
         self._family = weakref.ref(family)
         self.q = q
         rssr = family.rss_ratios()
-        self.q_gamma = _model_sizes(q).astype(np.int64)
-        # fit each model the table does not hold, in order of size and then
-        # code: the first singular or too-large one raises, naming it
-        todo = np.flatnonzero(np.isnan(rssr) | (rssr == UNFITTED))
-        for code in todo[np.argsort(self.q_gamma[todo], kind="stable")].tolist():
-            rssr[code] = family._code_rss_ratio(code)
+        self.q_gamma = _model_sizes(q)
+        # a singular or too-large model holds NaN: fit the first, in order of
+        # size and then code, on its own, which raises naming it
+        bad = np.flatnonzero(np.isnan(rssr))
+        if bad.size:
+            family._code_rss_ratio(int(bad[np.argmin(self.q_gamma[bad])]))
         self.rss_ratio = rssr
-        self._last_point = None
 
     @property
     def family(self) -> BlvsFamily:
@@ -618,44 +663,58 @@ class ModelEnumeration:
             raise ReferenceError("the family of this enumeration no longer exists")
         return family
 
-    def log_model_weights(self, h) -> np.ndarray:
-        """log[ prior(gamma) m(y|gamma,g) ] for every model, up to one constant."""
+    def _scaled_weights(self, points):
+        """For each point h = (w, g), grouped by g: (index of h in points,
+        c, p) where the log model weights log[prior(gamma) m(y|gamma,g)] are
+        c + log p and max p = 1.  The g-part, log m(y | gamma, g), is
+        computed once per distinct g, and one such array is alive at a time;
+        the w-part depends on the model size alone."""
         family = self.family
-        w, g = family.validate_h(h)
-        m = family.m
-        return self.q_gamma * math.log(w) + (self.q - self.q_gamma) * math.log1p(-w) \
-            + 0.5 * (m - 1 - self.q_gamma) * math.log1p(g) \
-            - 0.5 * (m - 1) * np.log1p(g * self.rss_ratio)
+        points = [family.validate_h(h) for h in points]
+        by_g: dict[float, list[int]] = {}
+        for i, (_, g) in enumerate(points):
+            by_g.setdefault(g, []).append(i)
+        for g, rows in by_g.items():
+            lm = family._log_marginals(self.rss_ratio, g)
+            for i in rows:
+                w = points[i][0]
+                # float64 from the uint8 sizes (numpy 1.x would make float16)
+                p = np.multiply(self.q_gamma, math.log(w) - math.log1p(-w), dtype=float)
+                p += lm
+                top = float(p.max())
+                p -= top
+                yield i, self.q * math.log1p(-w) + top, np.exp(p, out=p)
+            del lm
 
-    def _point(self, h) -> tuple[float, np.ndarray]:
-        """(log m_h, model probabilities at h) from one exp and one sum.  The
-        last point is kept, since the oracle asks for both at each point."""
-        h = self.family.validate_h(h)
-        point = self._last_point
-        if point is None or point[0] != h:
-            lw = self.log_model_weights(h)
-            top = float(lw.max())
-            p = np.exp(lw - top)
-            total = float(p.sum())
-            probs = p / total
-            probs.flags.writeable = False
-            point = self._last_point = (h, top + math.log(total), probs)
-        return point[1], point[2]
+    def evaluate(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """(log m_h, P(gamma_i = 1 | y) for each predictor i) at each point h
+        of points, in their order; log m_h is up to one h-independent
+        constant.  The models holding the top predictor are the upper half
+        of the codes, so q halvings of the weights give every inclusion
+        probability, and the last one the total."""
+        log_m, incl = np.empty(len(points)), np.empty((len(points), self.q))
+        for i, c, p in self._scaled_weights(points):
+            for j in reversed(range(self.q)):
+                lo, hi = p.reshape(2, -1)
+                incl[i, j] = hi.sum()
+                p = lo + hi
+            incl[i] /= p[0]
+            log_m[i] = c + math.log(p[0])
+        return log_m, incl
 
     def log_marginal(self, h) -> float:
         """log m_h up to the same h-independent constant."""
-        return self._point(h)[0]
+        return float(self.evaluate([h])[0][0])
 
     def model_probs(self, h) -> np.ndarray:
-        return self._point(h)[1].copy()
+        _, _, p = next(self._scaled_weights([h]))
+        return p / p.sum()
 
     def inclusion_probs(self, h) -> np.ndarray:
         """P(gamma_i = 1 | y) for each predictor."""
-        probs = self._point(h)[1]
-        # the models including predictor i are the upper half of every
-        # block of 2^(i+1) consecutive codes
-        return np.array([probs.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(self.q)])
+        return self.evaluate([h])[1][0]
 
     def exact_bf(self, h, h1) -> float:
         """Bayes factor B(h, h1) = m_h / m_{h1}; the shared constant cancels."""
-        return math.exp(self.log_marginal(h) - self.log_marginal(h1))
+        log_m = self.evaluate([h, h1])[0]
+        return math.exp(log_m[0] - log_m[1])

@@ -117,22 +117,28 @@ def _timed(timings: dict, key: str):
         timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
 
 
-def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    ratio_path = out / "ratio.json"
-    timings: dict = {}
-    manifest: dict = {
+def _manifest(cfg: StudyConfig, timings: dict, **extra) -> dict:
+    """The manifest.json of a command: config and versions, its timings and
+    then `extra`."""
+    return {
         "schema_version": MANIFEST_SCHEMA_VERSION,
         "package_version": __version__,
         "config_hash": cfg.config_hash,
         "config": cfg.raw,
-        "stages_run": stage,
+        **extra,
         "versions": {"python": sys.version.split()[0],
                      "numpy": np.__version__},
         "timings": timings,
         "sizes": {},
     }
+
+
+def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
+    ratio_path = out / "ratio.json"
+    timings: dict = {}
+    manifest = _manifest(cfg, timings, stages_run=stage)
 
     if isinstance(cfg.family, BlvsFamily):
         # the 1 - R^2 table, built on this thread before any chain starts
@@ -207,15 +213,13 @@ def _exact_surface(cfg: StudyConfig):
             pes = {f.name: family.exact_pe(f.name, h) for f in cfg.functions}
             rows.append((h, family.exact_bf(h, h1), pes))
     elif isinstance(family, BlvsFamily):
-        enum = family.enumeration()
-        log_m1 = enum.log_marginal(h1)
-        for h in cfg.grid:
-            probs = enum.inclusion_probs(h)
-            pes = {}
-            for f in cfg.functions:
-                if f.name.startswith("inclusion:"):
-                    pes[f.name] = float(probs[family.names.index(f.name.split(":", 1)[1])])
-            rows.append((h, math.exp(enum.log_marginal(h) - log_m1), pes))
+        # one pass over h1 and the grid, which keeps the grid's order
+        log_m, incl = family.enumeration().evaluate([h1, *cfg.grid])
+        cols = {f.name: family.names.index(f.name.split(":", 1)[1])
+                for f in cfg.functions if f.name.startswith("inclusion:")}
+        for h, log_mh, probs in zip(cfg.grid, log_m[1:].tolist(), incl[1:]):
+            pes = {name: float(probs[j]) for name, j in cols.items()}
+            rows.append((h, math.exp(log_mh - log_m[0]), pes))
     else:
         raise ConfigError("no exact oracle for this model kind")
     return rows
@@ -224,9 +228,19 @@ def _exact_surface(cfg: StudyConfig):
 def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    exact = _exact_surface(cfg)
+    timings: dict = {}
+    manifest = _manifest(cfg, timings, command="oracle")
+    if isinstance(cfg.family, BlvsFamily):
+        # the 1 - R^2 table of every model, outside the grid pass
+        with _timed(timings, "table_s"):
+            cfg.family.enumeration()
+        manifest["sizes"]["models"] = 1 << cfg.family.q
+    with _timed(timings, "grid_s"):
+        exact = _exact_surface(cfg)
+    manifest["sizes"]["grid"] = len(exact)
     names = [f.name for f in cfg.functions]
-    with open(out / "oracle.csv", "w", newline="", encoding="utf-8") as fh:
+    with _timed(timings, "write_s"), \
+            open(out / "oracle.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([*cfg.family.coord_names, "bf_exact",
                          *[f"pe_{nm}_exact" for nm in names]])
@@ -276,8 +290,11 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
             }
         if per_f:
             report["functions"] = per_f
-    with open(out / "comparison.json", "w", encoding="utf-8") as fh:
+    with _timed(timings, "write_s"), \
+            open(out / "comparison.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2, default=str)
     return out
 
 

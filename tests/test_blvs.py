@@ -10,6 +10,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 from scipy.special import logsumexp
 from scipy.stats import multivariate_normal
@@ -478,6 +480,25 @@ def crime_family():
         importlib.resources.files("priorsweep") / "data" / "uscrime.csv", "y", ["S"]))
 
 
+@st.composite
+def small_designs(draw):
+    """Random designs of up to 7 predictors: some with a duplicated column,
+    some fitted exactly, and some with m <= q + 1 rows, so that models are
+    singular, exact fits or too large."""
+    q = draw(st.integers(1, 7))
+    m = draw(st.integers(3, q + 1) if q >= 2 and draw(st.booleans())
+             else st.integers(q + 2, q + 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(m, q))
+    if q >= 2 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+        X[:, j] = X[:, i]
+    y = 0.4 + X @ rng.normal(size=q)
+    if not draw(st.booleans()):     # noise, unless the fit is exact
+        y = y + rng.normal(scale=0.5, size=m)
+    return Dataset(y=y, X=X, names=[f"x{j}" for j in range(q)], log_mask=np.zeros(q, bool))
+
+
 class TestModelTable:
     def test_cold_table_equals_prewarmed_table(self, uscrime_path, monkeypatch):
         ds = ingest_csv(uscrime_path, "y", ["S"])
@@ -546,23 +567,58 @@ class TestModelTable:
         fam = collinear_family()
         factors, calls = fam._factors, []
         fam._factors = lambda cols: calls.append(cols.shape) or factors(cols)
+        rss_ratio, fits = fam._rss_ratio, []
+        fam._rss_ratio = lambda cols: fits.append(cols.tolist()) or rss_ratio(cols)
         table = fam.model_table()
-        # one factor call per block, and no refits: the models of a failed
-        # block are left to whoever reads them
-        blocks = [(min(blvs.FIT_BLOCK, n - start), size + 1)
-                  for size, n in ((s, math.comb(fam.q, s)) for s in range(1, fam.q + 1))
-                  for start in range(0, n, blvs.FIT_BLOCK)]
-        assert calls == blocks
-        both = 1 | 1 << (fam.q - 1)
-        assert table[both] == blvs.UNFITTED
-        assert fam._table_rss_ratio(both) is None and np.isnan(table[both])
-        assert fam.models_fitted == table.size - np.count_nonzero(table == blvs.UNFITTED)
-        # the enumeration fits models one at a time in order of size and
-        # raises at the first singular one, before any larger model
-        calls.clear()
+        # the build fits no model on its own: a model holding x0 and x9 has
+        # a pivot of 0, and the build leaves it NaN
+        assert calls == [] and fits == []
+        codes = np.arange(table.size)
+        both = (codes & 1 != 0) & (codes >> (fam.q - 1) & 1 != 0)
+        assert np.array_equal(np.isnan(table), both)
+        assert not table.flags.writeable
+        assert fam._table_rss_ratio(1 | 1 << (fam.q - 1)) is None
+        assert fam.models_fitted == table.size
+        # the enumeration fits the first singular model, in order of size,
+        # on its own, which raises naming it
         with pytest.raises(SingularDesignError, match=r"\['x0', 'x9'\]"):
             fam.enumeration()
-        assert calls and max(s for _, s in calls) == 3
+        assert calls == [] and fits == [[0, fam.q - 1, fam.q]]
+
+    @settings(max_examples=80, deadline=None)
+    @given(design=small_designs())
+    def test_table_entries_are_one_model_fits(self, design):
+        # every entry of the built table is the one-model path's 1 - R^2 bit
+        # for bit, and NaN exactly where that path raises
+        fam = BlvsFamily(design)
+        table = fam.model_table()
+        for code in range(table.size):
+            try:
+                want = fam._code_rss_ratio(code)
+            except SingularDesignError:
+                assert np.isnan(table[code]), code
+            else:
+                assert table[code].tobytes() == np.float64(want).tobytes(), code
+
+    def test_more_rows_than_a_uint8_size_holds(self):
+        # model sizes are uint8; m - 1 - size must not be taken in uint8
+        # (numpy 2 raises OverflowError on 299 - uint8, numpy 1 wraps)
+        fam = BlvsFamily(synthetic_dataset(m=300, q=6, seed=8, strong=(1, 4)))
+        table = fam.model_table()
+        assert not np.isnan(table).any()
+        bits = np.array([[(c >> i) & 1 for i in range(fam.q)] for c in range(table.size)],
+                        dtype=bool)
+        lm = np.array([fam.log_marginal_of_model(b, 30.0) for b in bits])
+        assert np.asarray(fam._log_marginal_store(30.0)).tobytes() == lm.tobytes()
+        enum = fam.enumeration()
+        assert enum.q_gamma.dtype == np.uint8
+        w = 0.3
+        lw = lm + bits.sum(axis=1) * math.log(w) + (fam.q - bits.sum(axis=1)) * math.log1p(-w)
+        assert enum.log_marginal((w, 30.0)) == pytest.approx(logsumexp(lw), rel=1e-12)
+        probs = np.exp(lw - logsumexp(lw))
+        np.testing.assert_allclose(enum.inclusion_probs((w, 30.0)),
+                                   [probs[bits[:, i]].sum() for i in range(fam.q)],
+                                   rtol=1e-12, atol=1e-15)
 
     def test_table_needs_no_numpy_2(self, monkeypatch):
         # the package supports numpy 1.24, which has no bitwise_count
@@ -583,6 +639,19 @@ class TestModelTable:
         finally:
             tracemalloc.stop()
         assert peak < 8 * (8 << fam.q)
+
+    @pytest.mark.parametrize("q", [16, 20])
+    def test_table_build_peak_stays_near_the_table(self, q):
+        # the last levels run a few parents at a time: a build of all 2^q
+        # stacks at once peaked at 3.3 MB (q = 16) and 51 MB (q = 20)
+        fam = BlvsFamily(synthetic_dataset(m=40, q=q, seed=3))
+        tracemalloc.start()
+        try:
+            fam._build_table()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * (8 << q) + (512 << 10)
 
     def test_log_marginal_store_keeps_eight_bytes_per_code(self):
         # one float64 per code and small block temporaries, not a list of

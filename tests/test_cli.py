@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import shutil
 import time
 from pathlib import Path
@@ -10,6 +11,7 @@ import yaml
 
 from priorsweep.blvs import BlvsFamily, ingest_csv
 from priorsweep.cli import _write_chain_csv, main
+from priorsweep.config import load_config
 from priorsweep.families import ChainSpec
 
 from test_config import write_toy_config
@@ -203,6 +205,73 @@ class TestOracle:
         report = json.loads((out / "comparison.json").read_text())
         assert report["rmse_bf_cv_hat"] == 0.0
         assert report["max_abs_err_bf_hat"] == 0.0
+
+
+@pytest.fixture
+def regression_config(tmp_path):
+    """A small regression study whose grid lists g fastest, so the grid's
+    order is not the order in which the oracle groups points by g."""
+    rng = np.random.default_rng(12)
+    X = np.exp(rng.normal(size=(30, 5)))
+    y = np.exp(0.3 + 1.2 * np.log(X[:, 0]) - 0.8 * np.log(X[:, 3])
+               + rng.normal(scale=0.6, size=30))
+    data = tmp_path / "data.csv"
+    with open(data, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", *[f"x{j}" for j in range(5)]])
+        writer.writerows([[yi, *row] for yi, row in zip(y.tolist(), X.tolist())])
+    raw = {"model": {"kind": "blvs", "dataset": str(data), "response": "y"},
+           "skeleton": [[0.5, 10.0], [0.3, 40.0]],
+           "stage1": {"length": 50, "seed": 1}, "stage2": {"length": 50, "seed": 2},
+           "grid": {"points": [[w, g] for w in (0.2, 0.5, 0.8) for g in (3.0, 40.0, 10.0)]},
+           "functions": ["inclusion:*"],
+           "out": str(tmp_path / "out")}
+    p = tmp_path / "study.yaml"
+    p.write_text(yaml.safe_dump(raw))
+    return p, raw
+
+
+class TestRegressionOracle:
+    def test_rows_in_config_order_match_the_enumeration(self, regression_config, tmp_path):
+        p, raw = regression_config
+        assert main(["oracle", "--config", str(p)]) == 0
+        out = tmp_path / "out"
+        with open(out / "oracle.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        grid = [tuple(h) for h in raw["grid"]["points"]]
+        assert [(float(r["w"]), float(r["g"])) for r in rows] == grid
+        family = load_config(p).family     # the enumeration refers to it weakly
+        enum = family.enumeration()
+        log_m1 = enum.log_marginal(tuple(raw["skeleton"][0]))
+        for row, h in zip(rows, grid):
+            assert float(row["bf_exact"]) == pytest.approx(
+                math.exp(enum.log_marginal(h) - log_m1), rel=1e-12)
+            got = [float(row[f"pe_inclusion:x{j}_exact"]) for j in range(5)]
+            np.testing.assert_allclose(got, enum.inclusion_probs(h), rtol=1e-12, atol=1e-15)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == "oracle"
+        assert set(manifest["timings"]) == {"table_s", "grid_s", "write_s"}
+        assert manifest["sizes"] == {"models": 32, "grid": len(grid)}
+
+    def test_self_comparison_rmse_zero(self, regression_config, tmp_path):
+        p, _ = regression_config
+        assert main(["oracle", "--config", str(p)]) == 0
+        out = tmp_path / "out"
+        with open(out / "oracle.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        names = [f"inclusion:x{j}" for j in range(5)]
+        with open(out / "surface.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["w", "g", "bf_hat", "bf_cv_hat", "se_bf", "se_bf_cv",
+                             *[c for nm in names for c in (f"pe_{nm}", f"se_pe_{nm}")]])
+            for row in rows:
+                writer.writerow([row["w"], row["g"], row["bf_exact"], row["bf_exact"], "0", "0",
+                                 *[c for nm in names for c in (row[f"pe_{nm}_exact"], "0")]])
+        assert main(["oracle", "--config", str(p)]) == 0
+        report = json.loads((out / "comparison.json").read_text())
+        assert report["grid_points"] == len(rows)
+        assert report["rmse_bf_cv_hat"] == 0.0 and report["max_abs_err_bf_hat"] == 0.0
+        assert all(f["rmse"] == 0.0 for f in report["functions"].values())
 
 
 class TestPlan:
