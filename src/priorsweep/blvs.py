@@ -78,10 +78,28 @@ def _next_level(S: np.ndarray) -> np.ndarray:
 
 
 class _LazyLogMarginals(dict):
-    """log m(y | gamma, g) at one g of the models tried so far; NaN for others."""
+    """log m(y | gamma, g) at one g of the models tried so far, for
+    q > TABLE_MAX_Q: a code read for the first time takes its 1 - R^2 from
+    the family's dict of fitted models, fitting it there if it is new, and
+    stores its log marginal, NaN for a singular or too-large model.  It
+    refers to its family weakly, so the family's dict of stores makes no
+    reference cycle."""
+
+    def __init__(self, family: "BlvsFamily", g: float):
+        super().__init__()
+        self._family, self._g = weakref.ref(family), g
 
     def __missing__(self, code: int) -> float:
-        return math.nan
+        family = self._family()
+        rssr = family._rssr.get(code)
+        if rssr is None:
+            try:
+                rssr = family._code_rss_ratio(code)
+            except SingularDesignError:
+                rssr = math.nan
+            family._rssr[code] = rssr
+        self[code] = lm = float(family._log_marginal(code.bit_count(), rssr, self._g))
+        return lm
 
 
 def _expit(logit: float) -> float:
@@ -224,7 +242,7 @@ class BlvsFamily(DensityFamily):
         # The model tables, shared by every chain of both stages and every
         # thread, all indexed by the model code sum_i gamma_i 2^i: 1 - R^2 of
         # every model (NaN when singular or too large), one array built once
-        # by rss_ratios(), or for q > TABLE_MAX_Q a dict of the models the
+        # by model_table(), or for q > TABLE_MAX_Q a dict of the models the
         # chains tried; and for each g a chain ran at, the log marginals the
         # sampler reads (_log_marginal_store).  Every entry is a pure
         # function of its code, so the order in which chains fill a table
@@ -252,33 +270,6 @@ class BlvsFamily(DensityFamily):
                 f"singular design for model {[self.names[j] for j in idx]}"
             ) from None
 
-    def _factors(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-        """(L, half) of each model in a block of models of one size.
-
-        Row b of the (B, s + 1) array cols lists the columns of G of model b:
-        its s predictors, then the response's column q.  The Cholesky factor
-        of G restricted to them is [[L, 0], [half', ell]]: X'X = LL',
-        half = L^{-1} X'y and ell^2 is the residual sum of squares.  A block
-        of several models that holds a singular or exactly fitting model
-        (ell^2 below 1e-10 tss) gives None.  A single model whose bordered
-        factor fails takes L from X'X alone, and a singular X'X raises
-        SingularDesignError naming the model.
-        """
-        B, s = cols.shape[0], cols.shape[1] - 1
-        try:
-            F = np.linalg.cholesky(self._G[cols[:, :, None], cols[:, None, :]])
-        except np.linalg.LinAlgError:
-            F = None
-        if F is not None:
-            # min of a list: a ufunc reduction costs more than a small model's fit
-            if B == 1 or min((F[:, s, s] ** 2).tolist()) >= 1e-10 * self._tss:
-                return F[:, :s, :s], F[:, s, :s]
-        if B > 1:
-            return None
-        idx = cols[0, :s]
-        L = self._chol(idx)
-        return L[None], np.linalg.solve(L, self._G[idx, self.q])[None]
-
     def _rss_ratio(self, cols: np.ndarray) -> float:
         """1 - R^2 of the model whose columns of G are cols (its predictors,
         then the response's column q), by the eliminations of the table
@@ -286,7 +277,8 @@ class BlvsFamily(DensityFamily):
         sum of squares is what is left of G[q, q].  SingularDesignError names
         a model with a pivot that is not positive.  An exact or
         near-saturated fit (rss below 1e-10 tss) takes rss from the residual
-        vector instead."""
+        vector instead, with the coefficients from the Cholesky factor of
+        X'X."""
         S = self._G[cols[:, None], cols]
         for _ in range(cols.size - 1):
             if not S[0, 0] > 0.0:
@@ -296,8 +288,9 @@ class BlvsFamily(DensityFamily):
         rss = float(S[0, 0])
         if rss < 1e-10 * self._tss:
             idx = cols[:-1]
-            L, half = self._factors(cols[None])
-            resid = self._yc - self._Xc[:, idx] @ np.linalg.solve(L[0].T, half[0])
+            L = self._chol(idx)
+            half = np.linalg.solve(L, self._G[idx, self.q])
+            resid = self._yc - self._Xc[:, idx] @ np.linalg.solve(L.T, half)
             rss = float(resid @ resid)
         return rss / self._tss
 
@@ -390,65 +383,34 @@ class BlvsFamily(DensityFamily):
         rss.flags.writeable = False
         return rss
 
-    def rss_ratios(self) -> np.ndarray:
-        """The array of _build_table.  When q <= TABLE_MAX_Q it is built
-        once, on the thread of the first caller, and kept for the sampler;
-        the test outside the lock keeps the sampler's lookups off it.
-        Above, each call builds an array of its own."""
+    def model_table(self) -> np.ndarray | None:
+        """The array of _build_table the Gibbs sampler reads 1 - R^2 from
+        when q <= TABLE_MAX_Q, else None: the sampler fits models as it tries
+        them, and the enumeration builds an array of its own.  The array is
+        built once, on the thread of the first caller, so ask for it before
+        chains start; the test outside the lock keeps later calls off it."""
         if self.q > TABLE_MAX_Q:
-            return self._build_table()
+            return None
         if self._table is None:
             with self._table_lock:
                 if self._table is None:
                     self._table = self._build_table()
         return self._table
 
-    def model_table(self) -> np.ndarray | None:
-        """The array the Gibbs sampler reads 1 - R^2 from: rss_ratios() when
-        q <= TABLE_MAX_Q, else None (the sampler fits models as it tries
-        them).  Ask for it before chains start, so the build runs once, on
-        the calling thread."""
-        return self.rss_ratios() if self.q <= TABLE_MAX_Q else None
-
-    def _table_rss_ratio(self, code: int) -> float | None:
-        """1 - R^2 of model `code` from the table, or above TABLE_MAX_Q from
-        the dict of models fitted so far, fitting it there on first read;
-        None for a singular or too-large model."""
-        table = self.model_table()
-        if table is not None:
-            rssr = float(table[code])
-        else:
-            rssr = self._rssr.get(code)
-            if rssr is None:
-                try:
-                    rssr = self._code_rss_ratio(code)
-                except SingularDesignError:
-                    rssr = math.nan
-                self._rssr[code] = rssr
-        return None if math.isnan(rssr) else rssr
-
     def _log_marginal_store(self, g: float) -> memoryview | _LazyLogMarginals:
         """log m(y | gamma, g) by model code, kept for every chain at g: a
-        float array over all 2^q codes from the table when q <= TABLE_MAX_Q
-        (NaN where the table holds NaN), seen through a memoryview, whose
-        items are Python floats; else a _LazyLogMarginals, which the sampler
-        fills as it reads a NaN entry (_fill_log_marginal)."""
+        float array over all 2^q codes from the table when q <= TABLE_MAX_Q,
+        seen through a memoryview, whose items are Python floats; else a
+        _LazyLogMarginals, which fits each code on its first read.  Either
+        way an entry is final when read, and NaN means a singular or
+        too-large model."""
         store = self._lms.get(g)
         if store is None:
             table = self.model_table()
-            store = _LazyLogMarginals() if table is None \
+            store = _LazyLogMarginals(self, g) if table is None \
                 else memoryview(self._log_marginals(table, g))
             store = self._lms.setdefault(g, store)
         return store
-
-    def _fill_log_marginal(self, store, code: int, g: float) -> float | None:
-        """log m(y | gamma, g) of model `code`, also written to `store`;
-        None for a singular or too-large model, which stays NaN there."""
-        rssr = self._table_rss_ratio(code)
-        if rssr is None:
-            return None
-        store[code] = lm = float(self._log_marginal(code.bit_count(), rssr, g))
-        return lm
 
     @property
     def models_fitted(self) -> int:
@@ -480,9 +442,11 @@ class BlvsFamily(DensityFamily):
         beta_gamma) from their exact conditionals given gamma, so the chain on
         theta has the full posterior as its invariant law.  A singular
         candidate model is treated as having prior probability zero.
-        The chain works on the model code and reads log marginals from the
-        family's store at g; each sweep draws the variates of (sigma^2,
-        beta, beta0), which one batched pass turns into the draw at the end.
+        The chain works on the model code and reads each log marginal from
+        the family's store at g (_log_marginal_store), where NaN marks a
+        singular or too-large model; each sweep draws the variates of
+        (sigma^2, beta, beta0), which one batched pass (_draw_given_models)
+        turns into the draw at the end.
         """
         w, g = self.validate_h(spec.h)
         rng = np.random.default_rng(spec.seed)
@@ -492,10 +456,10 @@ class BlvsFamily(DensityFamily):
         lms = self._log_marginal_store(g)
 
         code = sum(1 << j for j in np.flatnonzero(gamma).tolist())
-        lm_cur = self._fill_log_marginal(lms, code, g)
-        if lm_cur is None:      # singular or too-large start: the null model instead
+        lm_cur = lms[code]
+        if lm_cur != lm_cur:    # singular or too-large start: the null model instead
             code = 0
-            lm_cur = self._fill_log_marginal(lms, code, g)
+            lm_cur = lms[code]
         n, burn_in = spec.length, spec.burn_in
         # one row per kept sweep, and a scratch row (the last) for burn-in
         codes, gam, z = [0] * (n + 1), np.empty(n + 1), np.zeros((n + 1, q + 1))
@@ -509,15 +473,13 @@ class BlvsFamily(DensityFamily):
             for ui, bit in zip(u, bits):
                 flipped = code ^ bit
                 lm_try = lms[flipped]
-                if lm_try != lm_try:    # NaN: not filled yet, or singular
-                    lm_try = self._fill_log_marginal(lms, flipped, g)
-                    if lm_try is None:
-                        if not warned:
-                            logger.warning(
-                                "singular candidate model at predictor %s; treating it "
-                                "as prior-probability zero", self.names[bit.bit_length() - 1])
-                            warned = True
-                        continue
+                if lm_try != lm_try:    # NaN: singular or too large
+                    if not warned:
+                        logger.warning(
+                            "singular candidate model at predictor %s; treating it "
+                            "as prior-probability zero", self.names[bit.bit_length() - 1])
+                        warned = True
+                    continue
                 included = (code & bit) != 0
                 logit = log_odds + lm_cur - lm_try if included else log_odds + lm_try - lm_cur
                 # the inclusion probability expit(logit), by the branch that
@@ -542,46 +504,48 @@ class BlvsFamily(DensityFamily):
     def _draw_given_models(self, codes, gam, z, g: float) -> BlvsChain:
         """The chain of rows with model `codes`, from each row's gamma variate
         gam of shape (m - 1)/2 and standard normals z (its first q_gamma
-        entries) and z0 (the next).  With shrink = g/(1+g), and L and
-        half = L^{-1} X'y of the model's factor,
+        entries) and z0 (the next).  With shrink = g/(1+g), X'X = LL' and
+        half = L^{-1} X'y,
 
             sigma^2 = (tss - shrink |half|^2) / (2 gam),
             beta    = L^{-T} (shrink half + sqrt(sigma^2 shrink) z),
             beta0   = ybar + sqrt(sigma^2 / m) z0.
 
-        One _factors call serves the distinct models of each size (one call
-        per model when that block holds an exact fit)."""
+        One Cholesky call factors X'X of the distinct models of each size,
+        and a singular one raises SingularDesignError; L^{-1} gives both
+        half and beta."""
         n, q = len(codes), self.q
         shrink = g / (1.0 + g)
         # the distinct models in order of first row, each row's index among
-        # them, and their columns of G as bits (the response's column q set)
+        # them, and their predictors as bits
         first = dict.fromkeys(codes)
         for i, code in enumerate(first):
             first[code] = i
         which = np.fromiter(map(first.__getitem__, codes), np.intp, n)
-        width = q // 8 + 1
+        width = (q + 7) // 8
         raw = b"".join(code.to_bytes(width, "little") for code in first)
         member = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, width), axis=1,
                                bitorder="little").astype(bool)
-        member[:, q] = True
-        model_size = member.sum(axis=1) - 1
+        model_size = member.sum(axis=1)
         sizes = model_size[which]
         sigma2, beta0, betas = np.empty(n), np.empty(n), np.zeros((n, q))
         for size in np.unique(model_size).tolist():
             models, rows = np.flatnonzero(model_size == size), np.flatnonzero(sizes == size)
             k = np.searchsorted(models, which[rows])    # each row's model among them
-            cols = np.nonzero(member[models])[1].reshape(-1, size + 1)
-            factors = self._factors(cols)
-            if factors is None:
-                factors = [np.concatenate(f)
-                           for f in zip(*(self._factors(c[None]) for c in cols))]
-            L, half = factors
+            idx = np.nonzero(member[models])[1].reshape(models.size, size)
+            try:
+                L = np.linalg.cholesky(self._G[idx[:, :, None], idx[:, None, :]])
+            except np.linalg.LinAlgError:
+                raise SingularDesignError(
+                    f"singular design among the chain's models of {size} predictors"
+                ) from None
+            L_inv = np.linalg.inv(L)
+            half = np.einsum("bij,bj->bi", L_inv, self._G[idx, q])
             ssr = np.einsum("bi,bi->b", half, half)
             s2 = 0.5 * (self._tss - shrink * ssr[k]) / gam[rows]
             v = shrink * half[k] + np.sqrt(s2 * shrink)[:, None] * z[rows, :size]
             # beta_i = sum_j v_j (L^{-1})_ji
-            betas[rows[:, None], cols[k, :size]] = \
-                np.matmul(v[:, None], np.linalg.inv(L)[k])[:, 0]
+            betas[rows[:, None], idx[k]] = np.matmul(v[:, None], L_inv[k])[:, 0]
             sigma2[rows] = s2
             beta0[rows] = self._ybar + np.sqrt(s2 / self.m) * z[rows, size]
         return BlvsChain(gamma=member[which, :q], sigma=np.sqrt(sigma2), beta0=beta0,
@@ -647,7 +611,9 @@ class ModelEnumeration:
             raise ValueError(f"enumeration supports q <= {ENUMERATION_MAX_Q}, got q={q}")
         self._family = weakref.ref(family)
         self.q = q
-        rssr = family.rss_ratios()
+        rssr = family.model_table()
+        if rssr is None:
+            rssr = family._build_table()
         self.q_gamma = _model_sizes(q)
         # a singular or too-large model holds NaN: fit the first, in order of
         # size and then code, on its own, which raises naming it

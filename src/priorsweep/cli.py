@@ -293,7 +293,8 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
     with _timed(timings, "write_s"), \
             open(out / "comparison.json", "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2)
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    # a name of its own, so an oracle into a run's directory keeps the run's manifest
+    with open(out / "oracle-manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
     return out
 

@@ -210,10 +210,14 @@ class TestEnumeration:
         with pytest.raises(SingularDesignError, match=r"\['a', 'a2'\]"):
             duplicate_column_family().enumeration()
 
-    def test_family_is_freed_without_the_cycle_collector(self):
+    def test_family_is_freed_without_the_cycle_collector(self, monkeypatch):
+        # the enumeration and the lazy store both refer to the family
+        monkeypatch.setattr(blvs, "TABLE_MAX_Q", 0)
         gc.disable()
         try:
             fam = BlvsFamily(synthetic_dataset(q=4))
+            fam.gibbs_run(ChainSpec(h=(0.5, 10.0), length=10, seed=1))
+            assert fam._lms and fam._table is None
             enum = fam.enumeration()
             assert enum.family is fam
             ref = weakref.ref(fam)
@@ -559,31 +563,27 @@ class TestModelTable:
         table = fam.model_table()
         sizes = np.array([code.bit_count() for code in range(table.size)])
         assert np.array_equal(np.isnan(table), sizes > 6)
-        assert fam._table_rss_ratio(table.size - 1) is None
         with pytest.raises(SingularDesignError, match="7 predictors too large"):
             fam.enumeration()
 
     def test_collinear_build_fits_no_model_on_its_own(self):
         fam = collinear_family()
-        factors, calls = fam._factors, []
-        fam._factors = lambda cols: calls.append(cols.shape) or factors(cols)
         rss_ratio, fits = fam._rss_ratio, []
         fam._rss_ratio = lambda cols: fits.append(cols.tolist()) or rss_ratio(cols)
         table = fam.model_table()
         # the build fits no model on its own: a model holding x0 and x9 has
         # a pivot of 0, and the build leaves it NaN
-        assert calls == [] and fits == []
+        assert fits == []
         codes = np.arange(table.size)
         both = (codes & 1 != 0) & (codes >> (fam.q - 1) & 1 != 0)
         assert np.array_equal(np.isnan(table), both)
         assert not table.flags.writeable
-        assert fam._table_rss_ratio(1 | 1 << (fam.q - 1)) is None
         assert fam.models_fitted == table.size
         # the enumeration fits the first singular model, in order of size,
         # on its own, which raises naming it
         with pytest.raises(SingularDesignError, match=r"\['x0', 'x9'\]"):
             fam.enumeration()
-        assert calls == [] and fits == [[0, fam.q - 1, fam.q]]
+        assert fits == [[0, fam.q - 1, fam.q]]
 
     @settings(max_examples=80, deadline=None)
     @given(design=small_designs())
@@ -670,58 +670,51 @@ class TestModelTable:
         finally:
             tracemalloc.stop()
 
-    def test_duplicate_column_warns_once_per_chain(self, caplog):
-        fam = duplicate_column_family()
+    def test_duplicate_column_warns_once_per_chain(self, caplog, monkeypatch):
         # reference draws of the sampler that refit every model on every sweep
         want_codes = [[0, 4, 0, 2, 0, 1, 0, 4, 0, 1, 0, 4],
                       [0, 1, 0, 0, 1, 0, 6, 0, 2, 2, 4, 2]]
         want_sigma = [[0.929045037312, 1.09213558988, 0.877967189506, 0.904638850345],
                       [1.21609112199, 0.800466765174, 0.867330744703, 0.938548037436]]
-        with caplog.at_level(logging.WARNING, logger="priorsweep.blvs"):
-            for seed, codes, sigma in zip((1, 2), want_codes, want_sigma):
-                caplog.clear()
-                chain = fam.gibbs_run(ChainSpec(h=(0.5, 10.0), length=12, burn_in=3,
-                                                seed=seed))
-                singular = [r for r in caplog.records if "singular candidate" in r.getMessage()]
-                assert len(singular) == 1
-                assert [sum(1 << j for j in np.flatnonzero(row)) for row in chain.gamma] == codes
-                np.testing.assert_allclose(chain.sigma[:4], sigma, rtol=1e-10)
-        assert np.isnan(fam.model_table()[5])      # columns a and a2
-        assert fam._table_rss_ratio(5) is None
+        for path in table_paths(monkeypatch):
+            # the second chain reads the NaN the first one left in the store
+            fam = duplicate_column_family()
+            with caplog.at_level(logging.WARNING, logger="priorsweep.blvs"):
+                for seed, codes, sigma in zip((1, 2), want_codes, want_sigma):
+                    caplog.clear()
+                    chain = fam.gibbs_run(ChainSpec(h=(0.5, 10.0), length=12, burn_in=3,
+                                                    seed=seed))
+                    singular = [r for r in caplog.records
+                                if "singular candidate" in r.getMessage()]
+                    assert len(singular) == 1, path
+                    assert [sum(1 << j for j in np.flatnonzero(row))
+                            for row in chain.gamma] == codes
+                    np.testing.assert_allclose(chain.sigma[:4], sigma, rtol=1e-10)
+            # columns a and a2: NaN in the table's store, and stored by the
+            # lazy one when a chain first read it
+            store = fam._log_marginal_store(10.0)
+            assert (path == "table" or 5 in store) and math.isnan(store[5])
 
     @pytest.mark.parametrize("make_family", [
         crime_family,
         lambda: BlvsFamily(synthetic_dataset(m=30, q=10, seed=17, strong=(0, 1), noise=0.0)),
     ], ids=["uscrime", "exact_fit"])
-    def test_batched_draw_matches_per_row_reference(self, make_family):
+    def test_batched_draw_matches_per_row_reference(self, make_family, monkeypatch):
         fam = make_family()
         # no burn-in, so every sweep's variates belong to a kept row
         spec = ChainSpec(h=(0.6, 15.0), length=300, seed=6)
-        fam.gibbs_run(spec)     # the log marginals this chain reads, filled
-        factors, calls = fam._factors, []
-
-        def counted(cols):
-            out = factors(cols)
-            calls.append((cols.shape, out is None))
-            return out
-
-        fam._factors = counted
+        fam.gibbs_run(spec)     # the table, with its exact fits, built
+        cholesky, calls = np.linalg.cholesky, []
+        monkeypatch.setattr(np.linalg, "cholesky",
+                            lambda a: calls.append(a.shape) or cholesky(a))
         chain = fam.gibbs_run(spec)
+        monkeypatch.undo()
         codes = [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma]
-        # one factor call per model size, over the chain's distinct models of
-        # that size; a block that holds an exact fit gives None and is fitted
-        # one model at a time
-        left = iter(calls)
-        for size in sorted({c.bit_count() for c in codes}):
-            n_models = len({c for c in codes if c.bit_count() == size})
-            shape, failed = next(left)
-            assert shape == (n_models, size + 1)
-            if failed:
-                assert n_models > 1
-                assert [next(left) for _ in range(n_models)] \
-                    == [((1, size + 1), False)] * n_models
-        assert next(left, None) is None
-        assert any(failed for _, failed in calls) == (fam.q == 10)
+        # one Cholesky call per model size, over X'X of the chain's distinct
+        # models of that size, exact fits included
+        sizes = sorted({c.bit_count() for c in codes})
+        assert calls == [(len({c for c in codes if c.bit_count() == s}), s, s)
+                         for s in sizes]
         # replay the stream: the start's uniforms, then per sweep q
         # uniforms, a gamma variate, one normal per included predictor and
         # one for beta0

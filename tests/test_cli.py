@@ -248,10 +248,21 @@ class TestRegressionOracle:
                 math.exp(enum.log_marginal(h) - log_m1), rel=1e-12)
             got = [float(row[f"pe_inclusion:x{j}_exact"]) for j in range(5)]
             np.testing.assert_allclose(got, enum.inclusion_probs(h), rtol=1e-12, atol=1e-15)
-        manifest = json.loads((out / "manifest.json").read_text())
+        manifest = json.loads((out / "oracle-manifest.json").read_text())
         assert manifest["command"] == "oracle"
         assert set(manifest["timings"]) == {"table_s", "grid_s", "write_s"}
         assert manifest["sizes"] == {"models": 32, "grid": len(grid)}
+
+    def test_oracle_after_run_keeps_the_run_manifest(self, regression_config, tmp_path):
+        # both commands write to the config's out
+        p, _ = regression_config
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(p)]) == 0
+        run_manifest = read_bytes(out / "manifest.json")
+        assert main(["oracle", "--config", str(p)]) == 0
+        assert read_bytes(out / "manifest.json") == run_manifest
+        assert "d_hat_provenance" in json.loads(run_manifest)
+        assert json.loads((out / "oracle-manifest.json").read_text())["command"] == "oracle"
 
     def test_self_comparison_rmse_zero(self, regression_config, tmp_path):
         p, _ = regression_config
