@@ -9,9 +9,9 @@ from .families import ChainSpec, ConjugateToy, DensityFamily, FunctionOfTheta, t
 from .ratio import (LogWeightMatrix, RatioEstimate, build_log_weight_matrix,
                     estimate_d, estimate_ratios, estimate_sigma)
 from .surface import Stage2Workspace, SurfaceRecord, bf_cv_hat, bf_hat, pe_hat, surface
-from .variance import (PlanInputs, SpectralConfig, StagePlan, VarianceBreakdown,
-                       assemble_variance, c_hat, chain_lrv, lrv_diag, lrv_matrix,
-                       q_opt, spectral_lrv, v_hat, w_hat)
+from .variance import (PlanInputs, StagePlan, VarianceBreakdown, assemble_variance,
+                       c_hat, chain_lrv, lrv_diag, lrv_matrix, q_opt, spectral_lrv,
+                       v_hat, w_hat)
 
 __all__ = [
     "BlvsChain", "BlvsFamily", "Dataset", "ModelEnumeration", "ingest_csv",
@@ -19,7 +19,7 @@ __all__ = [
     "LogWeightMatrix", "RatioEstimate", "build_log_weight_matrix",
     "estimate_d", "estimate_ratios", "estimate_sigma",
     "Stage2Workspace", "SurfaceRecord", "bf_cv_hat", "bf_hat", "pe_hat", "surface",
-    "PlanInputs", "SpectralConfig", "StagePlan", "VarianceBreakdown",
+    "PlanInputs", "StagePlan", "VarianceBreakdown",
     "assemble_variance", "c_hat", "chain_lrv", "lrv_diag", "lrv_matrix", "q_opt",
     "spectral_lrv", "v_hat", "w_hat",
 ]

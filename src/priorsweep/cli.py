@@ -103,8 +103,8 @@ def _check_ratio_matches(est: RatioEstimate, cfg: StudyConfig, path: Path) -> No
         raise ConfigError(f"{path} was estimated for skeleton {est.skeleton}, "
                           f"not {cfg.skeleton}; rerun stage 1")
     if est.stage1_hash != cfg.stage1_hash:
-        raise ConfigError(f"{path} was estimated under another model, skeleton, "
-                          f"stage1 or spectral config; rerun stage 1")
+        raise ConfigError(f"{path} was estimated under another model, skeleton "
+                          f"or stage1 config; rerun stage 1")
 
 
 @contextmanager
@@ -158,7 +158,7 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
         with _timed(timings, "weights_s"):
             W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
         with _timed(timings, "ratio_s"):
-            est = estimate_ratios(W1, spectral=cfg.spectral)
+            est = estimate_ratios(W1)
         est.stage1_hash = cfg.stage1_hash
         with _timed(timings, "write_s"):
             est.save(ratio_path)
@@ -182,8 +182,7 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
         n, N = ws.n, est.N
         q = n / N
         with _timed(timings, "sweep_s"):
-            records = surface(ws, cfg.grid, cfg.functions, est.sigma_hat, q,
-                              cfg.spectral)
+            records = surface(ws, cfg.grid, cfg.functions, est.sigma_hat, q)
         timings["t2_s_per_term"] = timings["sweep_s"] / (len(cfg.grid) * n)
         manifest["sizes"] = {"N": int(N), "n": int(n), "q": q,
                              "k": len(cfg.skeleton), "grid": len(cfg.grid)}
@@ -198,7 +197,9 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
                                        "total": totals[imax]}
     if isinstance(cfg.family, BlvsFamily):
         manifest["sizes"]["models_fitted"] = cfg.family.models_fitted
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+    # a stage-2 run into a stage-1 directory keeps the stage-1 manifest
+    name = "manifest-stage2.json" if stage == "2" else "manifest.json"
+    with open(out / name, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, default=str)
     return out
 
@@ -253,11 +254,17 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
     surface_path = Path(est_dir) / "surface.csv"
     if surface_path.exists():
         with open(surface_path, newline="", encoding="utf-8") as fh:
-            est_rows = list(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            est_rows = list(reader)
+        coord_names = cfg.family.coord_names
+        missing = [col for col in (*coord_names, "bf_hat", "bf_cv_hat", "se_bf_cv",
+                                   *[f"pe_{nm}" for nm in names])
+                   if col not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{surface_path} lacks columns {', '.join(missing)}")
         if len(est_rows) != len(exact):
             raise ConfigError(
                 f"{surface_path} has {len(est_rows)} rows, expected {len(exact)}")
-        coord_names = cfg.family.coord_names
         for row, (h, _, _) in zip(est_rows, exact):
             got = tuple(float(row[c]) for c in coord_names)
             if any(abs(a - b) > 1e-9 for a, b in zip(got, h)):
@@ -315,7 +322,7 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int,
     chains1 = _sample_stage(cfg.family, specs1, threads)
     t1 = (time.perf_counter() - t0) / sum(sp.length + sp.burn_in for sp in specs1)
     W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains1)
-    est = estimate_ratios(W1, spectral=cfg.spectral)
+    est = estimate_ratios(W1)
 
     specs2 = [sp.__class__(h=sp.h, length=pilot_length, burn_in=sp.burn_in,
                            seed=sp.seed) for sp in cfg.stage2.chain_specs(cfg.skeleton)]
@@ -327,7 +334,7 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int,
     # plain estimator at a few representative grid points
     probe = [cfg.grid[i] for i in sorted({0, len(cfg.grid) // 2, len(cfg.grid) - 1})]
     t0 = time.perf_counter()
-    records = surface(ws, probe, (), est.sigma_hat, 1.0, cfg.spectral)
+    records = surface(ws, probe, (), est.sigma_hat, 1.0)
     t2 = (time.perf_counter() - t0) / (len(probe) * ws.n)
     pilots = [{"h": list(rec.h), "v1": rec.var["bf"].stage1_term,
                "v2": rec.var["bf"].stage2_term} for rec in records]
@@ -357,8 +364,8 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int,
     return out
 
 
-def cmd_validate(reps_scale: float, corrupt_dhat: bool) -> int:
-    results = run_all(reps_scale=reps_scale, corrupt_dhat=corrupt_dhat)
+def cmd_validate(reps_scale: float) -> int:
+    results = run_all(reps_scale=reps_scale)
     failed = 0
     for res in results:
         print(res.line())
@@ -412,13 +419,11 @@ def main(argv=None) -> int:
 
     p_val = sub.add_parser("validate", help="run the built-in toy suites")
     p_val.add_argument("--reps-scale", type=float, default=1.0)
-    p_val.add_argument("--corrupt-dhat", action="store_true",
-                       help="negative control: corrupt d_hat and expect failure")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "validate":
-            return cmd_validate(args.reps_scale, args.corrupt_dhat)
+            return cmd_validate(args.reps_scale)
         cfg = load_config(args.config)
         if args.out:
             cfg.out_dir = Path(args.out)

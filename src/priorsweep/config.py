@@ -17,9 +17,9 @@ import yaml
 from .blvs import BlvsFamily, ingest_csv
 from .errors import ConfigError, InvalidHyperparameterError
 from .families import ChainSpec, ConjugateToy, DensityFamily, FunctionOfTheta, toy_function
-from .variance import MIN_SERIES_LENGTH, SpectralConfig
+from .variance import MIN_SERIES_LENGTH
 
-STAGE1_SECTIONS = ("model", "skeleton", "stage1", "spectral")
+STAGE1_SECTIONS = ("model", "skeleton", "stage1")
 CONFIG_KEYS = (*STAGE1_SECTIONS, "stage2", "grid", "functions", "out", "save_chains")
 
 
@@ -71,7 +71,6 @@ class StudyConfig:
     stage2: StageConfig
     grid: list[tuple]
     functions: list[FunctionOfTheta]
-    spectral: SpectralConfig
     out_dir: Path
     save_chains: bool = False
 
@@ -184,17 +183,12 @@ def load_config(path) -> StudyConfig:
         except InvalidHyperparameterError as exc:
             raise ConfigError(f"grid: {exc}") from None
     functions = _build_functions(raw.get("functions"), family)
-    spectral_raw = raw.get("spectral", {}) or {}
-    scale = float(spectral_raw.get("truncation_scale", 1.5))
-    if not (math.isfinite(scale) and scale > 0):
-        raise ConfigError(f"spectral.truncation_scale must be finite and > 0, got {scale}")
-    spectral = SpectralConfig(truncation_scale=scale)
     out_dir = Path(raw.get("out", "priorsweep-out"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
     return StudyConfig(
         raw=raw, base_dir=base_dir, family=family, skeleton=skeleton,
         stage1=stage1, stage2=stage2, grid=grid, functions=functions,
-        spectral=spectral, out_dir=out_dir,
+        out_dir=out_dir,
         save_chains=bool(raw.get("save_chains", False)),
     )

@@ -18,9 +18,11 @@ import numpy as np
 
 from .errors import ConnectivityError, ConvergenceError, SupportViolationError
 from .families import DensityFamily
-from .variance import SpectralConfig, chain_lrv
+from .variance import chain_lrv
 
 RATIO_SCHEMA_VERSION = 2
+TOL = 1e-10         # converged when max_j |gradient_j| / N < TOL
+MAX_ITER = 200      # Newton iterations before ConvergenceError
 
 
 @dataclass
@@ -179,11 +181,11 @@ def _objective(base: np.ndarray, eta: np.ndarray, counts: np.ndarray, out=None):
     return -float(counts @ eta) - float(lse.sum()), lse, P
 
 
-def estimate_d(W: LogWeightMatrix, tol: float = 1e-10, max_iter: int = 200):
+def estimate_d(W: LogWeightMatrix):
     """Maximize the reverse-logistic quasi-likelihood; returns the fitted
     ratios together with solver diagnostics.
 
-    Converged when max_j |gradient_j| / N < tol.  Raises ConnectivityError
+    Converged when max_j |gradient_j| / N < TOL.  Raises ConnectivityError
     when the pooled samples cannot identify all ratios.  Besides the
     iteration count and final gradient norm, the diagnostics hold the trace
     (objective, gradient norm and sup-norm step in eta = log d at the start
@@ -232,8 +234,8 @@ def estimate_d(W: LogWeightMatrix, tol: float = 1e-10, max_iter: int = 200):
     value, lse, P = _objective(base, np.zeros(k), counts)
     _check_support(W, lse)
     set_point(np.zeros(k), value, lse, P)
-    for iterations in range(max_iter):
-        if state["grad_norm"] < tol:
+    for iterations in range(MAX_ITER):
+        if state["grad_norm"] < TOL:
             break
         P = state["P"]
         B = np.diag(P.sum(axis=1)) - P @ P.T     # -Hessian of the objective
@@ -263,10 +265,10 @@ def estimate_d(W: LogWeightMatrix, tol: float = 1e-10, max_iter: int = 200):
                     "appear insufficiently connected"
                 )
     else:
-        iterations = max_iter
-        if state["grad_norm"] >= tol:
+        iterations = MAX_ITER
+        if state["grad_norm"] >= TOL:
             raise ConvergenceError(
-                f"ratio solver did not reach tolerance after {max_iter} iterations "
+                f"ratio solver did not reach tolerance after {MAX_ITER} iterations "
                 f"(gradient norm {state['grad_norm']:.3e})"
             )
     _check_curvature(state["P"], counts)
@@ -291,16 +293,14 @@ def _check_curvature(P: np.ndarray, counts: np.ndarray) -> None:
         ) from None
 
 
-def estimate_sigma(W: LogWeightMatrix, d_hat: np.ndarray,
-                   spectral: SpectralConfig | None = None) -> np.ndarray:
+def estimate_sigma(W: LogWeightMatrix, d_hat: np.ndarray) -> np.ndarray:
     """Sandwich covariance of sqrt(N)(d_hat - d)."""
     z = W.logw + np.log(W.proportions)[:, None]
     z -= np.log(np.asarray(d_hat, dtype=float))[:, None]
-    return _sandwich(W, d_hat, _softmax(z)[1], spectral)
+    return _sandwich(W, d_hat, _softmax(z)[1])
 
 
-def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
-              spectral: SpectralConfig | None) -> np.ndarray:
+def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Sandwich covariance from the membership probabilities P at d_hat.
 
     B_hat is the averaged negative Hessian of the quasi-likelihood; S_hat is
@@ -311,13 +311,12 @@ def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
     N = W.total
     if W.k == 1:
         return np.zeros((0, 0))
-    spectral = spectral or SpectralConfig()
     B = (np.diag(P.sum(axis=1)) - P @ P.T)[1:, 1:] / N
     scores = -P[1:, :].T.copy()                  # (M, k-1)
     for j, sl in enumerate(W.chain_slices):
         if j >= 1:
             scores[sl, j - 1] += 1.0
-    S = chain_lrv(scores, W.chain_slices, W.proportions, spectral)
+    S = chain_lrv(scores, W.chain_slices, W.proportions)
     # S'S is PSD by construction; the clip removes rounding-level negatives
     evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
     S = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
@@ -334,12 +333,11 @@ def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
     return sigma_eta * np.outer(scale, scale)
 
 
-def estimate_ratios(W: LogWeightMatrix, tol: float = 1e-10,
-                    spectral: SpectralConfig | None = None) -> RatioEstimate:
+def estimate_ratios(W: LogWeightMatrix) -> RatioEstimate:
     """Run both halves of stage 1 and package the result; the sandwich
     reuses the solver's P at the optimum."""
-    d_hat, info = estimate_d(W, tol=tol)
-    sigma_hat = _sandwich(W, d_hat, info["P"], spectral)
+    d_hat, info = estimate_d(W)
+    sigma_hat = _sandwich(W, d_hat, info["P"])
     return RatioEstimate(d_hat=d_hat, sigma_hat=sigma_hat, N=W.total,
                          counts=W.counts.copy(), iterations=info["iterations"],
                          final_grad_norm=info["final_grad_norm"],

@@ -21,8 +21,8 @@ import numpy as np
 from .errors import DegenerateDesignWarning, SupportWarning
 from .families import FunctionOfTheta
 from .ratio import LogWeightMatrix, _check_support, _softmax
-from .variance import (SpectralConfig, VarianceBreakdown, assemble_variance,
-                       c_hat, chain_lrv, lrv_diag, v_hat, w_hat)
+from .variance import (VarianceBreakdown, assemble_variance, c_hat, chain_lrv,
+                       lrv_diag, v_hat, w_hat)
 
 _RANK_RTOL = 1e-10
 
@@ -172,8 +172,7 @@ class SurfaceRecord:
 
 
 def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
-            sigma_hat: np.ndarray, q: float, cfg: SpectralConfig | None = None) \
-        -> list[SurfaceRecord]:
+            sigma_hat: np.ndarray, q: float) -> list[SurfaceRecord]:
     """Evaluate every estimator and its plug-in variance at every grid point.
 
     The stage-1 terms are q vec' Sigma vec with vec = c, w or v.  The
@@ -185,7 +184,6 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
     zero series and rho = 0 exactly.  Only the shifted terms u = Y e^-shift
     are formed; rho is scale free, the other two are rescaled.
     """
-    cfg = cfg or SpectralConfig()
     F = _function_matrix(ws, functions)
     records = []
     for h in grid:
@@ -196,7 +194,7 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
         # with nu_h vanishing everywhere u is 0 and pe is nan
         centred = (F - (pe if u_mean > 0.0 else 0.0)) * u[:, None]
         series = np.column_stack([u, u - ws.Z @ (beta * math.exp(-shift)), centred])
-        lrv = chain_lrv(series, ws.chain_slices, ws.proportions, cfg, reduce=lrv_diag)
+        lrv = chain_lrv(series, ws.chain_slices, ws.proportions, reduce=lrv_diag)
         scale = math.exp(2.0 * shift)
         c = c_hat(ws, u, shift)
         var = {"bf": assemble_variance(c, sigma_hat, lrv[0] * scale, q, ws.n),

@@ -19,7 +19,13 @@ import numpy as np
 from .families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from .ratio import _objective, build_log_weight_matrix, estimate_d, estimate_ratios
 from .surface import Stage2Workspace, _point, bf_hat, pe_hat, surface
-from .variance import PlanInputs, SpectralConfig, predicted_variance, q_opt
+from .variance import PlanInputs, predicted_variance, q_opt
+
+# Suite sizes: draws per chain (V1, V4) or over all chains (V2), and the
+# reference replication counts at which the tolerances are pinned
+V1_PER_CHAIN, V1_REPS = 20000, 200
+V2_N_TOTAL, V2_REPS = 10000, 500
+V4_PER_CHAIN, V4_REPS = 1500, 200
 
 
 @dataclass
@@ -42,8 +48,7 @@ def _seed_block(master: int, rep: int, k: int, salt: int):
     return np.random.SeedSequence((master, salt, rep)).generate_state(k)
 
 
-def suite_v1_ratio_calibration(reps: int = 200, per_chain: int = 20000,
-                               master_seed: int = 1151, ref_reps: int = 200) -> SuiteResult:
+def suite_v1_ratio_calibration(reps: int = V1_REPS, master_seed: int = 1151) -> SuiteResult:
     """|d_hat_j - d_j| < 3 sqrt(Sigma_jj / N) in at least 93% of replications
     on the i.i.d. toy with a three-point skeleton."""
     family = ConjugateToy(y_obs=0.0)
@@ -51,14 +56,14 @@ def suite_v1_ratio_calibration(reps: int = 200, per_chain: int = 20000,
     d_true = np.array([family.exact_bf(h, skeleton[0]) for h in skeleton])
     hits = np.zeros(2)
     for rep in range(reps):
-        chains = _chains(family, skeleton, per_chain,
+        chains = _chains(family, skeleton, V1_PER_CHAIN,
                          _seed_block(master_seed, rep, 3, 1))
         W = build_log_weight_matrix(family, skeleton, chains)
         est = estimate_ratios(W)
         se = np.sqrt(np.diag(est.sigma_hat) / est.N)
         hits += (np.abs(est.d_hat[1:] - d_true[1:]) < 3.0 * se)
     frac = hits / reps
-    floor = 0.93 - max(0.0, 0.02 * (math.sqrt(ref_reps / reps) - 1.0))
+    floor = 0.93 - max(0.0, 0.02 * (math.sqrt(V1_REPS / reps) - 1.0))
     passed = bool(np.all(frac >= floor))
     return SuiteResult(
         "V1 ratio-estimator calibration",
@@ -67,28 +72,22 @@ def suite_v1_ratio_calibration(reps: int = 200, per_chain: int = 20000,
     )
 
 
-def _v2_single_run(family, skeleton, h_star, f, lengths, seeds1, seeds2, cfg, q,
-                   corrupt_dhat: bool = False):
+def _v2_single_run(family, skeleton, h_star, f, lengths, seeds1, seeds2, q):
     chains1 = [family.sample_posterior(ChainSpec(h=h, length=n, seed=int(s)))
                for h, n, s in zip(skeleton, lengths, seeds1)]
     W1 = build_log_weight_matrix(family, skeleton, chains1)
-    est = estimate_ratios(W1, spectral=cfg)
-    if corrupt_dhat:
-        est.d_hat = est.d_hat.copy()
-        est.d_hat[1:] *= 1.5
+    est = estimate_ratios(W1)
     chains2 = [family.sample_posterior(ChainSpec(h=h, length=n, seed=int(s)))
                for h, n, s in zip(skeleton, lengths, seeds2)]
     W2 = build_log_weight_matrix(family, skeleton, chains2)
     ws = Stage2Workspace(W2, est.d_hat)
-    rec = surface(ws, [h_star], [f], est.sigma_hat, q, cfg)[0]
+    rec = surface(ws, [h_star], [f], est.sigma_hat, q)[0]
     return ((rec.bf, rec.bf_cv, rec.pe[f.name]),
             (rec.var["bf"], rec.var["bf_cv"], rec.var[f"pe:{f.name}"]))
 
 
-def suite_v2_variance_validation(variant: str = "iid", reps: int = 500,
-                                 n_total: int = 10000, master_seed: int = 2062,
-                                 ref_reps: int = 500,
-                                 corrupt_dhat: bool = False) -> SuiteResult:
+def suite_v2_variance_validation(variant: str = "iid", reps: int = V2_REPS,
+                                 master_seed: int = 2062) -> SuiteResult:
     """Empirical variance of sqrt(n)(estimator - truth) must match the mean
     assembled plug-in variance within +-15%, and nominal 95% intervals must
     cover truth 93-97% of the time, for each of B_hat, the control-variate
@@ -97,9 +96,8 @@ def suite_v2_variance_validation(variant: str = "iid", reps: int = 500,
     skeleton = [(0.0,), (1.0,), (2.0,)]
     h_star = (0.5,)
     f = toy_function("identity")
-    cfg = SpectralConfig()
     k = len(skeleton)
-    lengths = [n_total // k + (1 if i < n_total % k else 0) for i in range(k)]
+    lengths = [V2_N_TOTAL // k + (1 if i < V2_N_TOTAL % k else 0) for i in range(k)]
     q = 1.0     # n = N by construction
 
     truth = np.array([
@@ -113,8 +111,7 @@ def suite_v2_variance_validation(variant: str = "iid", reps: int = 500,
     for rep in range(reps):
         seeds = _seed_block(master_seed + (variant == "ar1"), rep, 2 * k, 2)
         (bf, bf_cv, pe), variances = _v2_single_run(
-            family, skeleton, h_star, f, lengths, seeds[:k], seeds[k:], cfg, q,
-            corrupt_dhat=corrupt_dhat)
+            family, skeleton, h_star, f, lengths, seeds[:k], seeds[k:], q)
         ests[rep] = (bf, bf_cv, pe)
         totals[rep] = [v.total for v in variances]
         ses = np.array([v.se for v in variances])
@@ -126,11 +123,11 @@ def suite_v2_variance_validation(variant: str = "iid", reps: int = 500,
     ratio = emp_var / mean_total
     coverage = covered / reps
 
-    widen = max(1.0, math.sqrt(ref_reps / reps))
+    widen = max(1.0, math.sqrt(V2_REPS / reps))
     band = 0.15 * widen
     # at the reference count this is the criterion's 93-97% window; smoke runs
     # get binomial-aware extra room
-    cov_slack = 0.02 if reps >= ref_reps else 0.02 * widen + math.sqrt(0.05 * 0.95 / reps)
+    cov_slack = 0.02 if reps >= V2_REPS else 0.02 * widen + math.sqrt(0.05 * 0.95 / reps)
     names = ["bf", "bf_cv", "pe"]
     details = [
         f"{nm}: emp/plug-in variance ratio {r:.3f} (band 1+-{band:.2f}), "
@@ -211,10 +208,9 @@ def suite_v3_exact_identities(master_seed: int = 3033) -> SuiteResult:
     return SuiteResult("V3 exact identities", ok, details)
 
 
-def suite_v4_cv_reduction(reps: int = 200, per_chain: int = 1500,
-                          master_seed: int = 4044, ref_reps: int = 200) -> SuiteResult:
+def suite_v4_cv_reduction(reps: int = V4_REPS, master_seed: int = 4044) -> SuiteResult:
     """Var(bf_cv_hat) <= Var(bf_hat) at >= 80% of interior grid points, with
-    d estimated from stage 1 of per_chain draws per chain and stage 2 at the
+    d estimated from stage 1 of V4_PER_CHAIN draws per chain and stage 2 at the
     stage ratio q = n/N = 0.1.
 
     With d estimated, the two estimators have asymptotic variances
@@ -226,7 +222,7 @@ def suite_v4_cv_reduction(reps: int = 200, per_chain: int = 1500,
     study (10,000 stage-1 and 1,000 stage-2 draws per chain), where the
     control variates are meant to pay off."""
     q = 0.1
-    per_chain2 = int(round(q * per_chain))
+    per_chain2 = int(round(q * V4_PER_CHAIN))
     family = ConjugateToy(y_obs=0.0)
     skeleton = [(0.0,), (1.0,), (2.0,)]
     grid = [(h,) for h in np.linspace(0.1, 1.9, 19)]   # inside the skeleton hull
@@ -234,7 +230,7 @@ def suite_v4_cv_reduction(reps: int = 200, per_chain: int = 1500,
     cv = np.empty((reps, len(grid)))
     for rep in range(reps):
         seeds = _seed_block(master_seed, rep, 6, 4)
-        chains1 = _chains(family, skeleton, per_chain, seeds[:3])
+        chains1 = _chains(family, skeleton, V4_PER_CHAIN, seeds[:3])
         W1 = build_log_weight_matrix(family, skeleton, chains1)
         d_hat, _ = estimate_d(W1)
         chains2 = _chains(family, skeleton, per_chain2, seeds[3:])
@@ -244,31 +240,27 @@ def suite_v4_cv_reduction(reps: int = 200, per_chain: int = 1500,
             # both estimators from one pass over the point's terms
             bf[rep, j], cv[rep, j], _, _ = _point(ws, h)
     wins = (cv.var(axis=0, ddof=1) <= bf.var(axis=0, ddof=1)).mean()
-    floor = 0.80 - max(0.0, 0.05 * (math.sqrt(ref_reps / reps) - 1.0))
+    floor = 0.80 - max(0.0, 0.05 * (math.sqrt(V4_REPS / reps) - 1.0))
     med = float(np.median(cv.var(axis=0, ddof=1) / bf.var(axis=0, ddof=1)))
     return SuiteResult(
         "V4 control-variate variance reduction",
         bool(wins >= floor),
-        [f"stage ratio q = n/N = {per_chain2}/{per_chain}; "
+        [f"stage ratio q = n/N = {per_chain2}/{V4_PER_CHAIN}; "
          f"CV wins at {wins:.0%} of interior points (floor {floor:.0%}); "
          f"median variance ratio {med:.3f}"],
     )
 
 
-def run_all(reps_scale: float = 1.0, corrupt_dhat: bool = False) -> list[SuiteResult]:
-    """Run every suite; reps_scale < 1 shrinks replication counts (tolerances
-    widen accordingly), and corrupt_dhat injects a broken ratio estimate as a
-    negative control for the coverage checks."""
+def run_all(reps_scale: float = 1.0) -> list[SuiteResult]:
+    """Run every suite; reps_scale < 1 shrinks replication counts below the
+    reference counts (tolerances widen accordingly)."""
     def scaled(n):
         return max(20, int(round(n * reps_scale)))
 
-    results = [
-        suite_v1_ratio_calibration(reps=scaled(200)),
+    return [
+        suite_v1_ratio_calibration(reps=scaled(V1_REPS)),
         suite_v3_exact_identities(),
-        suite_v2_variance_validation("iid", reps=scaled(500),
-                                     corrupt_dhat=corrupt_dhat),
-        suite_v2_variance_validation("ar1", reps=scaled(500),
-                                     corrupt_dhat=corrupt_dhat),
-        suite_v4_cv_reduction(reps=scaled(200)),
+        suite_v2_variance_validation("iid", reps=scaled(V2_REPS)),
+        suite_v2_variance_validation("ar1", reps=scaled(V2_REPS)),
+        suite_v4_cv_reduction(reps=scaled(V4_REPS)),
     ]
-    return results

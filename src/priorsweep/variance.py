@@ -6,7 +6,7 @@ variances q vec' Sigma vec + stage-2 term, and the stage-allocation planner.
 One Bartlett kernel (scaled window sums S of the centered series) is used
 for every spectral quantity so that the pieces are mutually comparable:
 `lrv_matrix` is S'S and `lrv_diag` its diagonal.  The truncation lag is
-L = floor(scale * n^(1/3)) with scale 1.5 by default.
+L = floor(1.5 n^(1/3)), a rate Flegal & Jones (2010) study for this window.
 """
 
 from __future__ import annotations
@@ -20,26 +20,21 @@ import numpy as np
 MIN_SERIES_LENGTH = 10      # shortest series a long-run variance is taken of
 
 
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Bartlett-window long-run variance estimation settings."""
-
-    truncation_scale: float = 1.5
-
-    def lags(self, n: int) -> int:
-        if n < MIN_SERIES_LENGTH:
-            raise ValueError(f"series too short for spectral estimation (n={n})")
-        return max(1, min(n - 1, int(self.truncation_scale * n ** (1.0 / 3.0))))
+def _lags(n: int) -> int:
+    """The Bartlett truncation lag L = floor(1.5 n^(1/3)), kept in [1, n - 1]."""
+    if n < MIN_SERIES_LENGTH:
+        raise ValueError(f"series too short for spectral estimation (n={n})")
+    return max(1, min(n - 1, int(1.5 * n ** (1.0 / 3.0))))
 
 
-def _bartlett_rows(X, cfg: SpectralConfig | None = None) -> np.ndarray:
+def _bartlett_rows(X) -> np.ndarray:
     """Rows S with S'S = sum_{|t|<=L} (1 - |t|/(L+1)) gamma_t for a series
     (rows are time points) centered at its mean: the sums of the zero-padded
     series over every window of L+1 rows, scaled by 1/sqrt(n(L+1)).  Rows t
     apart share L+1-|t| windows, and a zero series gives S = 0 exactly."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    L = (cfg or SpectralConfig()).lags(n)
+    L = _lags(n)
     X = X.reshape(n, -1)
     # C[m] = sum of the first m - L centered rows, m - L clamped to [0, n]
     C = np.zeros((n + 2 * L + 1, X.shape[1]))
@@ -48,33 +43,32 @@ def _bartlett_rows(X, cfg: SpectralConfig | None = None) -> np.ndarray:
     return (C[L + 1:] - C[:n + L]) / math.sqrt(n * (L + 1.0))
 
 
-def lrv_matrix(X, cfg: SpectralConfig | None = None) -> np.ndarray:
+def lrv_matrix(X) -> np.ndarray:
     """Bartlett-windowed long-run covariance matrix of a vector series (rows
     are time points), centered at the series mean; PSD by construction."""
-    S = _bartlett_rows(X, cfg)
+    S = _bartlett_rows(X)
     return S.T @ S
 
 
-def lrv_diag(X, cfg: SpectralConfig | None = None) -> np.ndarray:
+def lrv_diag(X) -> np.ndarray:
     """The diagonal of `lrv_matrix`: one long-run variance per column."""
-    S = _bartlett_rows(X, cfg)
+    S = _bartlett_rows(X)
     return np.einsum("ij,ij->j", S, S)
 
 
-def spectral_lrv(series, cfg: SpectralConfig | None = None) -> float:
+def spectral_lrv(series) -> float:
     """Bartlett-windowed long-run variance of a scalar series."""
     x = np.asarray(series, dtype=float)
-    lrv = lrv_diag(x, cfg)      # raises on a too-short series
+    lrv = lrv_diag(x)      # raises on a too-short series
     # a constant series centers to exact zeros only if its mean is exact
     return 0.0 if np.ptp(x) == 0.0 else float(lrv[0])
 
 
-def chain_lrv(X, slices: Sequence[slice], a, cfg: SpectralConfig | None = None,
-              reduce=lrv_matrix) -> np.ndarray:
+def chain_lrv(X, slices: Sequence[slice], a, reduce=lrv_matrix) -> np.ndarray:
     """Chain-proportion-weighted long-run covariance sum_l a_l LRV(X[chain l]),
     each chain centered at its own mean (the chains are independent, so
     cross-chain terms vanish); reduce=lrv_diag gives only its diagonal."""
-    return sum(a_l * reduce(X[sl], cfg) for a_l, sl in zip(a, slices))
+    return sum(a_l * reduce(X[sl]) for a_l, sl in zip(a, slices))
 
 
 def c_hat(ws, u, shift: float) -> np.ndarray:

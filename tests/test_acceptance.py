@@ -21,7 +21,6 @@ from priorsweep.validate import (suite_v1_ratio_calibration,
                                  suite_v2_variance_validation,
                                  suite_v3_exact_identities,
                                  suite_v4_cv_reduction)
-from priorsweep.variance import SpectralConfig
 from priorsweep.config import make_grid
 from priorsweep.variance import spectral_lrv
 
@@ -185,13 +184,12 @@ class TestA3:
 
 class TestA4:
     def test_skeleton_refinement_variance_ratio(self, paper_run, refined_run):
-        cfg = SpectralConfig()
         _, est1, ws1 = paper_run
         _, est2, ws2 = refined_run
         q1 = ws1.n / est1.N
         q2 = ws2.n / est2.N
-        summary1 = _cv_variance_max(surface(ws1, GRID, [], est1.sigma_hat, q1, cfg))
-        summary2 = _cv_variance_max(surface(ws2, GRID, [], est2.sigma_hat, q2, cfg))
+        summary1 = _cv_variance_max(surface(ws1, GRID, [], est1.sigma_hat, q1))
+        summary2 = _cv_variance_max(surface(ws2, GRID, [], est2.sigma_hat, q2))
         ratio = summary1["max_total"] / summary2["max_total"]
         assert _report("A4 skeleton refinement variance ratio",
                        6.0 <= ratio <= 12.0,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from priorsweep import validate
 from priorsweep.blvs import BlvsFamily, ingest_csv
 from priorsweep.cli import _write_chain_csv, main
 from priorsweep.config import load_config
@@ -89,6 +90,17 @@ class TestRun:
         (out / "variance.csv").unlink()
         assert main(["run", "--config", str(toy_config), "--stage", "2"]) == 0
         assert read_bytes(out / "surface.csv") == surface_before
+
+    def test_stage2_keeps_the_stage1_manifest(self, toy_config, tmp_path):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(toy_config), "--stage", "1"]) == 0
+        stage1_manifest = read_bytes(out / "manifest.json")
+        assert "stage1_s" in json.loads(stage1_manifest)["timings"]
+        assert main(["run", "--config", str(toy_config), "--stage", "2"]) == 0
+        assert read_bytes(out / "manifest.json") == stage1_manifest
+        manifest = json.loads((out / "manifest-stage2.json").read_text())
+        assert manifest["stages_run"] == "2"
+        assert "sweep_s" in manifest["timings"]
 
     def test_stage2_requires_ratio_json(self, toy_config, tmp_path):
         assert main(["run", "--config", str(toy_config), "--stage", "2",
@@ -187,6 +199,18 @@ class TestOracle:
         assert report["grid_points"] == 11
         assert report["rmse_bf_cv_hat"] < 0.05
         assert "z_bf_cv" in report
+
+    def test_estimates_missing_a_function_column_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p, out="run")
+        assert main(["run", "--config", str(p)]) == 0
+        raw["functions"] = ["identity", "square"]
+        p.write_text(yaml.safe_dump(raw))
+        assert main(["oracle", "--config", str(p), "--out", str(tmp_path / "oracle"),
+                     "--estimates", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert "pe_square" in err and "pe_identity" not in err
+        assert not (tmp_path / "oracle" / "comparison.json").exists()
 
     def test_self_comparison_rmse_zero(self, toy_config, tmp_path):
         # a surface whose estimates equal the oracle values compares at RMSE 0
@@ -311,7 +335,15 @@ class TestValidateCommand:
         assert out.count("PASS") == 5
         assert "FAIL" not in out
 
-    def test_corrupt_dhat_negative_control_fails(self, capsys):
-        assert main(["validate", "--reps-scale", "0.1", "--corrupt-dhat"]) == 1
-        out = capsys.readouterr().out
-        assert "FAIL" in out
+    def test_corrupt_dhat_negative_control_fails(self, monkeypatch):
+        # V2's coverage checks must catch a broken stage-1 ratio estimate
+        real = validate.estimate_ratios
+
+        def corrupt(W):
+            est = real(W)
+            est.d_hat = est.d_hat.copy()
+            est.d_hat[1:] *= 1.5
+            return est
+
+        monkeypatch.setattr(validate, "estimate_ratios", corrupt)
+        assert not validate.suite_v2_variance_validation("iid", reps=50).passed

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from priorsweep.errors import ConnectivityError, SupportViolationError
+from priorsweep import ratio
+from priorsweep.errors import ConnectivityError, ConvergenceError, SupportViolationError
 from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import (LogWeightMatrix, RatioEstimate,
                               _objective, _softmax, build_log_weight_matrix,
@@ -192,6 +193,12 @@ class TestEstimateD:
         with pytest.raises(ConnectivityError):
             d, _ = estimate_d(W)
             estimate_sigma(W, d)
+
+    def test_iteration_limit_raises_convergence_error(self, monkeypatch):
+        _, W = toy_matrix([(0.0,), (1.0,), (2.0,)], [300, 300, 300])
+        monkeypatch.setattr(ratio, "MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="after 1 iterations"):
+            estimate_d(W)
 
 
 class TestEstimateSigma:

@@ -8,9 +8,9 @@ from priorsweep.errors import DegenerateDesignWarning
 from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
 from priorsweep.surface import Stage2Workspace, pe_hat, surface
-from priorsweep.variance import (MIN_SERIES_LENGTH, PlanInputs, SpectralConfig,
-                                 VarianceBreakdown, assemble_variance, c_hat, chain_lrv,
-                                 lrv_diag, lrv_matrix, predicted_variance,
+from priorsweep.variance import (MIN_SERIES_LENGTH, PlanInputs,
+                                 VarianceBreakdown, _lags, assemble_variance, c_hat,
+                                 chain_lrv, lrv_diag, lrv_matrix, predicted_variance,
                                  q_opt, spectral_lrv, v_hat, w_hat)
 
 
@@ -69,12 +69,12 @@ class TestSpectralLrv:
         np.testing.assert_array_equal(chain_lrv(X, slices, a), want)
 
 
-def lag_loop_lrv(X, cfg=SpectralConfig()):
+def lag_loop_lrv(X):
     """Reference Bartlett estimate: sum_{|t|<=L} (1 - |t|/(L+1)) gamma_t,
     one lagged cross product per lag."""
     X = np.asarray(X, dtype=float)
     n = X.shape[0]
-    L = cfg.lags(n)
+    L = _lags(n)
     Xc = X - X.mean(axis=0)
     S = Xc.T @ Xc / n
     for t in range(1, L + 1):
@@ -188,20 +188,19 @@ class TestTauSigma:
         assert rec.var["bf_cv"].stage2_term <= rec.var["bf"].stage2_term
 
 
-def gamma_rho_reference(ws, h, f, cfg=SpectralConfig()):
+def gamma_rho_reference(ws, h, f):
     """rho by the delta method on the joint long-run covariance Gamma of
     (f Y, Y): (Gamma_00 - 2 I Gamma_01 + I^2 Gamma_11) / Ybar^2."""
     u, _ = ws.terms(h)
     fv = f(ws.W.samples)
     ratio = float((fv * u).sum()) / float(u.sum())
-    gamma = chain_lrv(np.column_stack([fv * u, u]), ws.chain_slices,
-                      ws.proportions, cfg)
+    gamma = chain_lrv(np.column_stack([fv * u, u]), ws.chain_slices, ws.proportions)
     u_mean = float(u.mean())
     return (gamma[0, 0] - 2.0 * ratio * gamma[0, 1] + ratio * ratio * gamma[1, 1]) \
         / (u_mean * u_mean)
 
 
-def exact_rho(ws, h, f, cfg=SpectralConfig()):
+def exact_rho(ws, h, f):
     """rho in rational arithmetic from the same float terms."""
     u, _ = ws.terms(h)
     U = [Fraction(float(x)) for x in u]
@@ -213,7 +212,7 @@ def exact_rho(ws, h, f, cfg=SpectralConfig()):
         n = len(x)
         mean = sum(x) / n
         x = [v - mean for v in x]
-        L = cfg.lags(n)
+        L = _lags(n)
         s = sum(v * v for v in x) / n
         for t in range(1, L + 1):
             s += 2 * (1 - Fraction(t, L + 1)) * sum(x[i] * x[i - t] for i in range(t, n)) / n
