@@ -171,8 +171,8 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="grid: w must lie in"):
             load_config(p)
 
-    # a misspelt section, and the removed q override, threads and spectral keys
-    @pytest.mark.parametrize("key", ["skeletn", "q", "threads", "spectral"])
+    # a misspelt section, and the removed q override and threads keys
+    @pytest.mark.parametrize("key", ["skeletn", "q", "threads"])
     def test_unknown_key_rejected(self, tmp_path, capsys, key):
         p = tmp_path / "study.yaml"
         raw = write_toy_config(p)
@@ -208,6 +208,17 @@ class TestLoadConfig:
         assert main(["run", "--config", str(p)]) == 2
         assert "grid has no points" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [p]
+
+    # the Bartlett lag rule is a constant: a spectral section, whatever
+    # truncation_scale it sets, is an unknown key
+    @pytest.mark.parametrize("scale", [-2, 0, float("inf")])
+    def test_bad_truncation_scale_rejected(self, tmp_path, scale):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        raw["spectral"] = {"truncation_scale": scale}
+        p.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="unknown config key 'spectral'"):
+            load_config(p)
 
     def test_stage1_hash_ignores_stage2_and_grid(self, tmp_path):
         p = tmp_path / "study.yaml"
