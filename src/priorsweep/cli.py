@@ -226,9 +226,30 @@ def _exact_surface(cfg: StudyConfig):
     return rows
 
 
+def _read_estimates(surface_path: Path, cfg: StudyConfig, exact) -> list[dict]:
+    """The rows of a run's surface.csv, refused unless they carry the oracle's
+    columns, row count and grid."""
+    with open(surface_path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        est_rows = list(reader)
+    coord_names = cfg.family.coord_names
+    missing = [col for col in (*coord_names, "bf_hat", "bf_cv_hat", "se_bf_cv",
+                               *[f"pe_{f.name}" for f in cfg.functions])
+               if col not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{surface_path} lacks columns {', '.join(missing)}")
+    if len(est_rows) != len(exact):
+        raise ConfigError(
+            f"{surface_path} has {len(est_rows)} rows, expected {len(exact)}")
+    for row, (h, _, _) in zip(est_rows, exact):
+        got = tuple(float(row[c]) for c in coord_names)
+        if any(abs(a - b) > 1e-9 for a, b in zip(got, h)):
+            raise ConfigError(f"grid mismatch against {surface_path}: "
+                              f"{got} vs {h}")
+    return est_rows
+
+
 def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
-    out = cfg.out_dir
-    out.mkdir(parents=True, exist_ok=True)
     timings: dict = {}
     manifest = _manifest(cfg, timings, command="oracle")
     if isinstance(cfg.family, BlvsFamily):
@@ -239,6 +260,12 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
     with _timed(timings, "grid_s"):
         exact = _exact_surface(cfg)
     manifest["sizes"]["grid"] = len(exact)
+    # a surface.csv to compare against is checked before anything is written
+    surface_path = Path(estimates_dir or cfg.out_dir) / "surface.csv"
+    est_rows = (_read_estimates(surface_path, cfg, exact)
+                if surface_path.exists() else None)
+    out = cfg.out_dir
+    out.mkdir(parents=True, exist_ok=True)
     names = [f.name for f in cfg.functions]
     with _timed(timings, "write_s"), \
             open(out / "oracle.csv", "w", newline="", encoding="utf-8") as fh:
@@ -250,26 +277,7 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
                              *[_fmt(pes.get(nm)) for nm in names]])
 
     report = {"grid_points": len(exact)}
-    est_dir = estimates_dir or cfg.out_dir
-    surface_path = Path(est_dir) / "surface.csv"
-    if surface_path.exists():
-        with open(surface_path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            est_rows = list(reader)
-        coord_names = cfg.family.coord_names
-        missing = [col for col in (*coord_names, "bf_hat", "bf_cv_hat", "se_bf_cv",
-                                   *[f"pe_{nm}" for nm in names])
-                   if col not in (reader.fieldnames or ())]
-        if missing:
-            raise ConfigError(f"{surface_path} lacks columns {', '.join(missing)}")
-        if len(est_rows) != len(exact):
-            raise ConfigError(
-                f"{surface_path} has {len(est_rows)} rows, expected {len(exact)}")
-        for row, (h, _, _) in zip(est_rows, exact):
-            got = tuple(float(row[c]) for c in coord_names)
-            if any(abs(a - b) > 1e-9 for a, b in zip(got, h)):
-                raise ConfigError(f"grid mismatch against {surface_path}: "
-                                  f"{got} vs {h}")
+    if est_rows is not None:
         exact_bf = np.array([bf for _, bf, _ in exact])
         for col in ("bf_hat", "bf_cv_hat"):
             est = np.array([float(r[col]) for r in est_rows])

@@ -20,7 +20,11 @@ from .families import ChainSpec, ConjugateToy, DensityFamily, FunctionOfTheta, t
 from .variance import MIN_SERIES_LENGTH
 
 STAGE1_SECTIONS = ("model", "skeleton", "stage1")
-CONFIG_KEYS = (*STAGE1_SECTIONS, "stage2", "grid", "functions", "out", "save_chains")
+# every top-level section with the YAML shape it must have
+SECTIONS = {"model": (dict, "mapping"), "skeleton": (list, "list"),
+            "stage1": (dict, "mapping"), "stage2": (dict, "mapping"),
+            "grid": (dict, "mapping"), "functions": (list, "list"),
+            "out": (str, "string"), "save_chains": (bool, "boolean")}
 
 
 @dataclass
@@ -37,7 +41,7 @@ class StageConfig:
             raise ConfigError(f"{label}: missing seed")
         length = raw.get("length")
         lengths = raw.get("lengths", [length] * k if length is not None else None)
-        if lengths is None or len(lengths) != k:
+        if not isinstance(lengths, list) or len(lengths) != k:
             raise ConfigError(f"{label}: need 'length' or a k-entry 'lengths' list")
         lengths = [int(v) for v in lengths]
         if any(v < MIN_SERIES_LENGTH for v in lengths):
@@ -113,8 +117,10 @@ def _build_family(model: dict, base_dir: Path) -> DensityFamily:
 
 
 def _build_functions(spec_list, family) -> list[FunctionOfTheta]:
+    if not all(isinstance(item, str) for item in spec_list):
+        raise ConfigError("functions: expected a list of function names")
     out = []
-    for item in spec_list or []:
+    for item in spec_list:
         if isinstance(family, BlvsFamily) and item == "inclusion:*":
             out.extend(family.inclusion_function(nm) for nm in family.names)
         elif isinstance(family, BlvsFamily) and item.startswith("inclusion:"):
@@ -135,12 +141,17 @@ def make_grid(grid_cfg, coord_names) -> list[tuple]:
     if grid_cfg is None:
         raise ConfigError("missing grid")
     if "points" in grid_cfg:
-        return [tuple(float(c) for c in pt) for pt in grid_cfg["points"]]
+        points = grid_cfg["points"]
+        if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
+            raise ConfigError("grid: points must be a list of coordinate lists")
+        return [tuple(float(c) for c in pt) for pt in points]
     axes = []
     for name in coord_names:
         if name not in grid_cfg:
             raise ConfigError(f"grid: missing axis {name!r}")
         ax = grid_cfg[name]
+        if not isinstance(ax, dict) or not {"min", "max", "step"} <= ax.keys():
+            raise ConfigError(f"grid axis {name!r}: need min, max and step")
         lo, hi, step = float(ax["min"]), float(ax["max"]), float(ax["step"])
         if step <= 0 or hi < lo:
             raise ConfigError(f"grid axis {name!r}: need step > 0 and max >= min")
@@ -158,10 +169,14 @@ def load_config(path) -> StudyConfig:
         raw = yaml.safe_load(fh)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
-    for key in raw:
-        if key not in CONFIG_KEYS:
+    for key, value in raw.items():
+        if key not in SECTIONS:
             raise ConfigError(f"{path}: unknown config key {key!r} "
-                              f"(known: {', '.join(CONFIG_KEYS)})")
+                              f"(known: {', '.join(SECTIONS)})")
+        kind, noun = SECTIONS[key]
+        if not isinstance(value, kind):
+            raise ConfigError(f"{path}: {key} must be a {noun}, "
+                              f"got {type(value).__name__}")
     base_dir = path.parent
     family = _build_family(raw.get("model", {}), base_dir)
     skeleton_raw = raw.get("skeleton")
@@ -182,7 +197,7 @@ def load_config(path) -> StudyConfig:
             family.validate_h(h)
         except InvalidHyperparameterError as exc:
             raise ConfigError(f"grid: {exc}") from None
-    functions = _build_functions(raw.get("functions"), family)
+    functions = _build_functions(raw.get("functions", []), family)
     out_dir = Path(raw.get("out", "priorsweep-out"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
@@ -190,5 +205,5 @@ def load_config(path) -> StudyConfig:
         raw=raw, base_dir=base_dir, family=family, skeleton=skeleton,
         stage1=stage1, stage2=stage2, grid=grid, functions=functions,
         out_dir=out_dir,
-        save_chains=bool(raw.get("save_chains", False)),
+        save_chains=raw.get("save_chains", False),
     )

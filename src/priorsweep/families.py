@@ -183,13 +183,15 @@ class ConjugateToy(DensityFamily):
         if self.sampler == "iid":
             draws = rng.normal(mu, sd, size=total)
         else:
-            # imported here: scipy.signal (with the scipy.stats it loads)
-            # would otherwise be most of the package's import time
-            from scipy.signal import lfilter
+            # doubling scan: after each pass x[n] = sum_{j < 2 step} phi^j e[n-j]
             phi = self.ar1_phi
             x0 = rng.normal(0.0, sd)
-            innov = rng.normal(0.0, sd * math.sqrt(1.0 - phi**2), size=total)
-            x, _ = lfilter([1.0], [1.0, -phi], innov, zi=np.array([phi * x0]))
+            x = rng.normal(0.0, sd * math.sqrt(1.0 - phi**2), size=total)
+            x[0] += phi * x0
+            step, c = 1, phi
+            while step < total:
+                x[step:] += c * x[:-step]
+                step, c = 2 * step, c * c
             draws = mu + x
         return draws[spec.burn_in:]
 

@@ -16,7 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConnectivityError, ConvergenceError, SupportViolationError
+from .errors import (ConfigError, ConnectivityError, ConvergenceError,
+                     SupportViolationError)
 from .families import DensityFamily
 from .variance import chain_lrv
 
@@ -145,7 +146,19 @@ class RatioEstimate:
     @classmethod
     def load(cls, path) -> "RatioEstimate":
         with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            doc = json.load(fh)
+        version = doc.get("schema_version") if isinstance(doc, dict) else None
+        if version != RATIO_SCHEMA_VERSION:
+            raise ConfigError(f"{path}: unsupported schema_version {version!r}, "
+                              f"expected {RATIO_SCHEMA_VERSION}; rerun stage 1")
+        solver = doc.get("solver")
+        missing = [key for key in ("d_hat", "sigma_hat", "N", "counts") if key not in doc]
+        missing += [f"solver.{key}" for key in ("iterations", "final_grad_norm")
+                    if not isinstance(solver, dict) or key not in solver]
+        if missing:
+            raise ConfigError(f"{path} lacks fields {', '.join(missing)}; "
+                              f"rerun stage 1")
+        return cls.from_dict(doc)
 
 
 def _check_support(W: LogWeightMatrix, lse: np.ndarray) -> None:

@@ -129,6 +129,25 @@ class TestRun:
         (out / "ratio.json").write_text(json.dumps(doc))
         assert main(["run", "--config", str(toy_config), "--stage", "2"]) == 2
 
+    # a ratio.json with a field dropped, or of another schema, is refused
+    # before stage 2 samples anything
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.pop("d_hat"), "lacks fields d_hat"),
+        (lambda doc: doc.pop("counts"), "lacks fields counts"),
+        (lambda doc: doc.pop("solver"), "lacks fields solver.iterations"),
+        (lambda doc: doc.update(schema_version=99), "unsupported schema_version 99"),
+    ], ids=["no-d_hat", "no-counts", "no-solver", "schema-99"])
+    def test_stage2_refuses_malformed_ratio_json(self, toy_config, tmp_path, capsys,
+                                                 edit, message):
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(toy_config), "--stage", "1"]) == 0
+        doc = json.loads((out / "ratio.json").read_text())
+        edit(doc)
+        (out / "ratio.json").write_text(json.dumps(doc))
+        assert main(["run", "--config", str(toy_config), "--stage", "2"]) == 2
+        assert message in capsys.readouterr().err
+        assert not (out / "surface.csv").exists()
+
     def test_stage2_accepts_a_new_stage2_seed(self, toy_config, tmp_path):
         assert main(["run", "--config", str(toy_config), "--stage", "1"]) == 0
         assert main(["run", "--config", str(toy_config), "--stage", "2",
@@ -211,6 +230,7 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "pe_square" in err and "pe_identity" not in err
         assert not (tmp_path / "oracle" / "comparison.json").exists()
+        assert not (tmp_path / "oracle" / "oracle.csv").exists()
 
     def test_self_comparison_rmse_zero(self, toy_config, tmp_path):
         # a surface whose estimates equal the oracle values compares at RMSE 0

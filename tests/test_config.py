@@ -64,6 +64,11 @@ class TestStageConfig:
         with pytest.raises(ConfigError, match="at least 10"):
             StageConfig.parse({**raw, "seed": 5}, k, "stage1")
 
+    @pytest.mark.parametrize("lengths", [5, "ab", [10]])
+    def test_lengths_not_a_k_entry_list(self, lengths):
+        with pytest.raises(ConfigError, match="k-entry 'lengths' list"):
+            StageConfig.parse({"lengths": lengths, "seed": 5}, 2, "stage1")
+
     def test_negative_burn_in(self):
         with pytest.raises(ConfigError, match="burn_in"):
             StageConfig.parse({"length": 10, "burn_in": -1, "seed": 5}, 1, "stage1")
@@ -184,21 +189,48 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("config", ["toy", "uscrime-smoke"])
     def test_load_does_not_import_scipy_signal(self, tmp_path, config):
-        # at run time only the toy's AR(1) sampler needs scipy (scipy.signal);
-        # importing any of it with the package would make it most of the
-        # import time
+        # the runtime needs numpy and PyYAML only: neither loading a config
+        # nor sampling its stage-1 chains (the toy's AR(1) chain, the US-crime
+        # Gibbs sampler) may import any of scipy, a test dependency
         root = Path(__file__).resolve().parent.parent
         if config == "toy":
             p = tmp_path / "study.yaml"
-            write_toy_config(p)
+            raw = write_toy_config(p)
+            raw["model"]["sampler"] = "ar1"
+            p.write_text(yaml.safe_dump(raw))
         else:
             p = root / "configs" / f"{config}.yaml"
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import priorsweep; "
-                "from priorsweep.config import load_config; load_config(sys.argv[2]); "
+                "from priorsweep.config import load_config; cfg = load_config(sys.argv[2]); "
+                "[cfg.family.sample_posterior(sp) "
+                "for sp in cfg.stage1.chain_specs(cfg.skeleton)]; "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(p)],
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    # sections of the wrong YAML shape in the US-crime smoke config
+    @pytest.mark.parametrize("section, value, message", [
+        ("grid", {"w": {"min": 0.2, "max": 0.8}, "g": {"min": 10, "max": 100, "step": 45}},
+         "grid axis 'w': need min, max and step"),
+        ("functions", [1], "functions: expected a list of function names"),
+        ("functions", "inclusion:*", "functions must be a list, got str"),
+        ("skeleton", 5, "skeleton must be a list, got int"),
+        ("grid", {"points": [0.5, 0.6]}, "grid: points must be a list of coordinate lists"),
+    ], ids=["axis-without-step", "function-not-a-string", "functions-a-string",
+            "skeleton-an-int", "points-not-lists"])
+    def test_malformed_section_rejected(self, tmp_path, capsys, uscrime_path,
+                                        section, value, message):
+        root = Path(__file__).resolve().parent.parent
+        raw = yaml.safe_load((root / "configs" / "uscrime-smoke.yaml").read_text())
+        raw["model"]["dataset"] = str(uscrime_path)
+        raw["out"] = "oracle-out"
+        raw[section] = value
+        p = tmp_path / "study.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        assert main(["oracle", "--config", str(p)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [p]
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         p = tmp_path / "study.yaml"

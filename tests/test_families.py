@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.signal import lfilter
 from scipy.stats import norm
 
 from priorsweep.errors import InvalidHyperparameterError
@@ -136,6 +137,26 @@ class TestSampling:
         assert draws.var() == pytest.approx(var, rel=0.05)
         lag1 = np.corrcoef(draws[1:], draws[:-1])[0, 1]
         assert lag1 == pytest.approx(0.6, abs=0.02)
+
+    # the doubling scan against the recursion as lfilter runs it, on the same
+    # stream: x0 first, then the innovations
+    @pytest.mark.parametrize("phi", [-0.95, 0.0, 0.5, 0.99])
+    @pytest.mark.parametrize("length", [1, 2, 5, 1025])
+    @pytest.mark.parametrize("burn_in", [0, 7])
+    def test_ar1_matches_lfilter(self, phi, length, burn_in):
+        fam = ConjugateToy(y_obs=0.4, prior_sd=1.3, like_sd=0.7, sampler="ar1",
+                           ar1_phi=phi)
+        spec = ChainSpec(h=(0.2,), length=length, burn_in=burn_in, seed=17)
+        mu, sd = fam.posterior_mean((0.2,)), math.sqrt(fam.posterior_var())
+        rng = np.random.default_rng(spec.seed)
+        x0 = rng.normal(0.0, sd)
+        innov = rng.normal(0.0, sd * math.sqrt(1.0 - phi**2), size=length + burn_in)
+        x, _ = lfilter([1.0], [1.0, -phi], innov, zi=np.array([phi * x0]))
+        want = (mu + x)[burn_in:]
+        got = fam.sample_posterior(spec)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(want)))
 
     def test_unknown_sampler_rejected(self):
         with pytest.raises(ValueError):
