@@ -70,6 +70,7 @@ def _write_surface_csv(path: Path, cfg: StudyConfig, records) -> None:
     header = [*cfg.family.coord_names, "bf_hat", "bf_cv_hat", "se_bf", "se_bf_cv"]
     for nm in names:
         header += [f"pe_{nm}", f"se_pe_{nm}"]
+    header += ["ess", "max_weight_share"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -78,7 +79,7 @@ def _write_surface_csv(path: Path, cfg: StudyConfig, records) -> None:
                    _fmt(rec.var["bf"].se), _fmt(rec.var["bf_cv"].se)]
             for nm in names:
                 row += [_fmt(rec.pe[nm]), _fmt(rec.var[f"pe:{nm}"].se)]
-            writer.writerow(row)
+            writer.writerow([*row, _fmt(rec.ess), _fmt(rec.max_weight_share)])
 
 
 def _write_variance_csv(path: Path, cfg: StudyConfig, records) -> None:
@@ -250,6 +251,11 @@ def _read_estimates(surface_path: Path, cfg: StudyConfig, exact) -> list[dict]:
 
 
 def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
+    # a surface.csv to compare against is checked before anything is written;
+    # only the implicit one in out_dir may be absent
+    surface_path = Path(estimates_dir or cfg.out_dir) / "surface.csv"
+    if estimates_dir is not None and not surface_path.is_file():
+        raise ConfigError(f"--estimates {estimates_dir}: no surface.csv there")
     timings: dict = {}
     manifest = _manifest(cfg, timings, command="oracle")
     if isinstance(cfg.family, BlvsFamily):
@@ -260,8 +266,6 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
     with _timed(timings, "grid_s"):
         exact = _exact_surface(cfg)
     manifest["sizes"]["grid"] = len(exact)
-    # a surface.csv to compare against is checked before anything is written
-    surface_path = Path(estimates_dir or cfg.out_dir) / "surface.csv"
     est_rows = (_read_estimates(surface_path, cfg, exact)
                 if surface_path.exists() else None)
     out = cfg.out_dir

@@ -3,11 +3,13 @@ control-variate-adjusted) and posterior expectations, each with its plug-in
 variance, from the pooled stage-2 chains and the stage-1 ratio estimate.
 
 The mixture denominator sum_s a_s nu_{h_s}(theta)/d_s does not depend on the
-grid point, so it is computed once per workspace; each grid point then costs
-O(n) arithmetic on cached arrays.  All accumulation happens after subtracting
-the cached log denominator and a per-grid-point max shift, which keeps the
-sums finite even when nu_h is many orders of magnitude away from the skeleton
-mixture.
+grid point, so it is computed once per workspace; the grid is then swept in
+blocks of max(1, TERMS_BLOCK // n) points, the rows of a (B, n) array, and
+each per-point quantity is a row reduction or one identical call per row, so
+a point's numbers do not depend on its block.  All accumulation happens after
+subtracting the cached log denominator and a per-grid-point max shift, which
+keeps the sums finite even when nu_h is many orders of magnitude away from
+the skeleton mixture.
 """
 
 from __future__ import annotations
@@ -15,16 +17,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DegenerateDesignWarning, SupportWarning
 from .families import FunctionOfTheta
 from .ratio import LogWeightMatrix, _check_support, _softmax
-from .variance import (VarianceBreakdown, assemble_variance, c_hat, chain_lrv,
-                       lrv_diag, v_hat, w_hat)
+from .variance import VarianceBreakdown, assemble_variance, c_hat, lrv_diag, w_hat
 
 _RANK_RTOL = 1e-10
+TERMS_BLOCK = 1 << 13       # importance terms (floats) of one block of grid points
 
 
 class Stage2Workspace:
@@ -46,9 +49,11 @@ class Stage2Workspace:
         # from one kernel call
         self.log_den, P = _softmax(W.logw + (np.log(a) - np.log(d_hat))[:, None])
         _check_support(W, self.log_den)
-        # Z_j = nu_j/(d_j den) - nu_1/den and psi_j = a_j nu_j/(d_j^2 den)
+        # Z_j = nu_j/(d_j den) - nu_1/den and psi_j = a_j nu_j/(d_j^2 den);
+        # psi is stored by rows, the layout of the per-row products
         self.Z = np.ascontiguousarray((P[1:] / a[1:, None] - P[0] / a[0]).T)
-        self.psi = np.ascontiguousarray((P[1:] / d_hat[1:, None]).T)
+        self.psiT = P[1:] / d_hat[1:, None]                          # (k-1, n)
+        self.psi = self.psiT.T
         self.z_means = self.Z.mean(axis=0)
         self.psi_chain_means = np.vstack([self.psi[sl].mean(axis=0)
                                           for sl in W.chain_slices])   # (k, k-1)
@@ -79,89 +84,106 @@ class Stage2Workspace:
     def chain_slices(self):
         return self.W.chain_slices
 
-    def terms(self, h) -> tuple[np.ndarray, float]:
-        """Shifted importance terms u_p = Y_p * exp(-shift) for grid point h;
-        Y_p = nu_h(theta_p) / (sum_s a_s nu_{h_s}(theta_p)/d_hat_s)."""
-        h = self.family.validate_h(h)
-        lognum = np.asarray(self.family.log_weights(h, self.W.stats), dtype=float)
-        t = lognum - self.log_den
-        shift = float(np.max(t))
-        if math.isinf(shift):   # nu_h vanishes on every pooled sample
-            u = np.zeros(self.n)
-            shift = 0.0
-        else:
-            u = np.exp(t - shift)
-        return u, shift
+    def terms(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Shifted importance terms of a block of grid points, one row per
+        point: U[b] = Y e^-shift[b] with Y_p = nu_h(theta_p) / (sum_s a_s
+        nu_{h_s}(theta_p)/d_hat_s), the largest term of a row 1, or zeros and
+        shift 0 where nu_h vanishes on every pooled sample."""
+        U = np.empty((len(points), self.n))
+        for row, h in zip(U, points):
+            row[:] = self.family.log_weights(self.family.validate_h(h), self.W.stats)
+        U -= self.log_den
+        shift = U.max(axis=1)
+        shift[np.isneginf(shift)] = 0.0
+        U -= shift[:, None]
+        np.exp(U, out=U)
+        return U, shift
 
-    def cv_coefficients(self, u: np.ndarray) -> np.ndarray:
-        """Least-squares coefficients of u on (1, Z), less the intercept; the
-        minimum-norm solution, with a degeneracy warning when the design is
-        rank deficient."""
+    def cv_coefficients(self, U: np.ndarray) -> np.ndarray:
+        """Least-squares coefficients of each row of U on (1, Z), less the
+        intercept; the minimum-norm solution, with a degeneracy warning
+        (once per workspace) when the design is rank deficient."""
         if self._rank_warning_due:
             warnings.warn(
                 "control-variate design is rank deficient; using the "
                 "minimum-norm least-squares solution",
                 DegenerateDesignWarning, stacklevel=3)
             self._rank_warning_due = False
-        return self._cv_map @ u
+        return np.matmul(self._cv_map, U[..., None])[..., 0]
 
 
-def _function_matrix(ws: Stage2Workspace, functions) -> np.ndarray:
-    """(n, J) matrix whose column j holds f_j at every pooled sample."""
-    F = np.empty((ws.n, len(functions)))
-    for j, f in enumerate(functions):
+def _function_rows(ws: Stage2Workspace, functions) -> np.ndarray:
+    """(J + 1, n) array: row j holds f_j at every pooled sample, the last 1."""
+    F1 = np.ones((len(functions) + 1, ws.n))
+    for row, f in zip(F1, functions):
         vals = f(ws.W.samples)
         if vals.shape != (ws.n,):
             raise ValueError(f"function {f.name!r} returned wrong shape")
-        F[:, j] = vals
-    return F
+        row[:] = vals
+    return F1
 
 
-def _estimates(ws: Stage2Workspace, h, u: np.ndarray, shift: float,
-               F: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Every point estimate at h from the terms (u, shift): the Bayes factor,
-    the control-variate Bayes factor with its coefficients (on the Y scale),
-    and the posterior expectation of each column of F, a ratio of two sums
-    (exactly 1 for f == 1, and in [0, 1] exactly for 0/1-valued f)."""
-    scale = math.exp(shift)
-    mean_u = float(u.mean())
-    beta_u = ws.cv_coefficients(u)
-    est = mean_u - float(ws.z_means @ beta_u)
-    den = float(np.sum(u))
-    if den == 0.0:
+class _Block(NamedTuple):
+    """A block of grid points' terms and point estimates, one row per point."""
+
+    U: np.ndarray          # (B, n) terms u = Y e^-shift
+    shift: np.ndarray      # (B,)
+    u_sum: np.ndarray      # (B,) 0 where nu_h vanishes on every sample
+    mean_u: np.ndarray     # (B,)
+    beta_u: np.ndarray     # (B, k-1) control-variate coefficients of u
+    bf: np.ndarray         # (B,)
+    bf_cv: np.ndarray      # (B,)
+    beta: np.ndarray       # (B, k-1) the coefficients on the Y scale
+    pe: np.ndarray         # (B, J) nan where nu_h vanishes
+
+
+def _estimates(ws: Stage2Workspace, points, F1: np.ndarray) -> _Block:
+    """Every point estimate at a block of grid points.  The
+    posterior expectations of the rows of F1 (ones last) are ratios of sums
+    from one reduction over F1 u per point, so f == 1 gives exactly 1 and
+    0/1-valued f stays in [0, 1] exactly."""
+    U, shift = ws.terms(points)
+    sums = np.array([np.sum(u * F1, axis=1) for u in U])
+    u_sum = sums[:, -1]
+    live = u_sum > 0.0
+    for h in (h for h, ok in zip(points, live) if not ok):
         warnings.warn(f"nu_h vanishes on every pooled sample at h={h}: the "
                       f"Bayes factor is 0 and posterior expectations are "
                       f"undefined", SupportWarning, stacklevel=3)
-        pe = np.full(F.shape[1], math.nan)
-    else:
-        pe = np.array([float(np.sum(F[:, j] * u)) / den for j in range(F.shape[1])])
-    return scale * mean_u, est * scale, beta_u * scale, pe
-
-
-def _point(ws: Stage2Workspace, h, functions=()):
-    return _estimates(ws, h, *ws.terms(h), _function_matrix(ws, functions))
+    pe = np.full((len(points), len(F1) - 1), math.nan)
+    np.divide(sums[:, :-1], u_sum[:, None], out=pe, where=live[:, None])
+    mean_u = U.mean(axis=1)
+    beta_u = ws.cv_coefficients(U)
+    scale = np.exp(shift)
+    cv_u = mean_u - (beta_u * ws.z_means).sum(axis=1)
+    return _Block(U, shift, u_sum, mean_u, beta_u, scale * mean_u, scale * cv_u,
+                  beta_u * scale[:, None], pe)
 
 
 def bf_hat(ws: Stage2Workspace, h) -> float:
     """Importance-sampling Bayes-factor estimate B_hat(h, h_1, d_hat)."""
-    return _point(ws, h)[0]
+    return float(_estimates(ws, [h], _function_rows(ws, ())).bf[0])
 
 
 def bf_cv_hat(ws: Stage2Workspace, h) -> tuple[float, np.ndarray]:
     """Control-variate-adjusted Bayes-factor estimate and its regression
     coefficients (on the Y scale)."""
-    return _point(ws, h)[1:3]
+    est = _estimates(ws, [h], _function_rows(ws, ()))
+    return float(est.bf_cv[0]), est.beta[0]
 
 
 def pe_hat(ws: Stage2Workspace, h, f: FunctionOfTheta) -> float:
     """Posterior-expectation estimate of f at h (nan where nu_h vanishes)."""
-    return float(_point(ws, h, [f])[3][0])
+    return float(_estimates(ws, [h], _function_rows(ws, [f])).pe[0, 0])
 
 
 @dataclass
 class SurfaceRecord:
     """Point estimates at one h and their variance breakdowns, keyed "bf",
-    "bf_cv" and "pe:<name>"; standard errors are var[key].se."""
+    "bf_cv" and "pe:<name>"; standard errors are var[key].se.  ess is the
+    Kish effective sample size (sum u)^2 / sum u^2 of the importance terms
+    and max_weight_share the largest term's share of their sum (both nan
+    where nu_h vanishes)."""
 
     h: tuple
     bf: float
@@ -169,6 +191,8 @@ class SurfaceRecord:
     beta: np.ndarray
     pe: dict[str, float]
     var: dict[str, VarianceBreakdown]
+    ess: float
+    max_weight_share: float
 
 
 def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
@@ -182,28 +206,49 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
     per-chain centering, so the last equals (1, -I_j) Gamma (1, -I_j)' for
     the joint long-run covariance Gamma of (f_j Y, Y), and f == 1 gives a
     zero series and rho = 0 exactly.  Only the shifted terms u = Y e^-shift
-    are formed; rho is scale free, the other two are rescaled.
+    are formed; rho is scale free, the other two are rescaled.  Each chain's
+    (m, B, J + 2) series of a block is built on its own, with one Bartlett
+    call and one product giving its share of v.
     """
-    F = _function_matrix(ws, functions)
+    F1 = _function_rows(ws, functions)
+    J = len(functions)
+    points = [ws.family.validate_h(h) for h in grid]
+    step = max(1, TERMS_BLOCK // ws.n)
     records = []
-    for h in grid:
-        h = ws.family.validate_h(h)
-        u, shift = ws.terms(h)
-        bf, bf_cv, beta, pe = _estimates(ws, h, u, shift, F)
-        u_mean = float(u.mean())
+    for start in range(0, len(points), step):
+        block = points[start:start + step]
+        B = len(block)
+        est = _estimates(ws, block, F1)
         # with nu_h vanishing everywhere u is 0 and pe is nan
-        centred = (F - (pe if u_mean > 0.0 else 0.0)) * u[:, None]
-        series = np.column_stack([u, u - ws.Z @ (beta * math.exp(-shift)), centred])
-        lrv = chain_lrv(series, ws.chain_slices, ws.proportions, reduce=lrv_diag)
-        scale = math.exp(2.0 * shift)
-        c = c_hat(ws, u, shift)
-        var = {"bf": assemble_variance(c, sigma_hat, lrv[0] * scale, q, ws.n),
-               "bf_cv": assemble_variance(w_hat(ws, c, beta), sigma_hat,
-                                          lrv[1] * scale, q, ws.n)}
-        v = v_hat(ws, centred, float(u.sum()))
-        for f, lrv_f, v_f in zip(functions, lrv[2:], v.T):
-            rho = lrv_f / (u_mean * u_mean) if u_mean > 0.0 else math.nan
-            var[f"pe:{f.name}"] = assemble_variance(v_f, sigma_hat, rho, q, ws.n)
-        pes = {f.name: float(p) for f, p in zip(functions, pe)}
-        records.append(SurfaceRecord(h=h, bf=bf, bf_cv=bf_cv, beta=beta, pe=pes, var=var))
+        centre = np.where(est.u_sum[:, None] > 0.0, est.pe, 0.0)
+        z_beta = np.matmul(ws.Z, est.beta_u[:, :, None])[:, :, 0]
+        lrv = psi_x = 0.0
+        for a_l, sl in zip(ws.proportions, ws.chain_slices):
+            u_l = est.U[:, sl].T
+            X = np.empty((len(u_l), B, J + 2))
+            X[:, :, 0] = u_l
+            np.subtract(u_l, z_beta[:, sl].T, out=X[:, :, 1])
+            np.subtract(F1[:J, sl].T[:, None, :], centre, out=X[:, :, 2:])
+            X[:, :, 2:] *= u_l[:, :, None]
+            lrv = lrv + a_l * lrv_diag(X).reshape(B, J + 2)
+            psi_x = psi_x + np.matmul(ws.psiT[:, sl], X[:, :, 2:].transpose(1, 0, 2))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = psi_x / est.u_sum[:, None, None]                       # (B, k-1, J)
+            rho = lrv[:, 2:] / (est.mean_u * est.mean_u)[:, None]
+            ess = est.u_sum * est.u_sum / np.square(est.U).sum(axis=1)
+            share = est.U.max(axis=1) / est.u_sum
+        scale = np.exp(2.0 * est.shift)
+        c = c_hat(ws, est.U, est.shift)
+        var_bf = assemble_variance(c, sigma_hat, lrv[:, 0] * scale, q, ws.n)
+        var_cv = assemble_variance(w_hat(ws, c, est.beta), sigma_hat,
+                                   lrv[:, 1] * scale, q, ws.n)
+        var_pe = [assemble_variance(v[:, :, j], sigma_hat, rho[:, j], q, ws.n)
+                  for j in range(J)]
+        for b, h in enumerate(block):
+            var = {"bf": var_bf[b], "bf_cv": var_cv[b],
+                   **{f"pe:{f.name}": vbs[b] for f, vbs in zip(functions, var_pe)}}
+            records.append(SurfaceRecord(
+                h=h, bf=float(est.bf[b]), bf_cv=float(est.bf_cv[b]), beta=est.beta[b],
+                pe={f.name: float(p) for f, p in zip(functions, est.pe[b])}, var=var,
+                ess=float(ess[b]), max_weight_share=float(share[b])))
     return records

@@ -18,7 +18,7 @@ import numpy as np
 
 from .families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from .ratio import _objective, build_log_weight_matrix, estimate_d, estimate_ratios
-from .surface import Stage2Workspace, _point, bf_hat, pe_hat, surface
+from .surface import Stage2Workspace, _estimates, _function_rows, bf_hat, pe_hat, surface
 from .variance import PlanInputs, predicted_variance, q_opt
 
 # Suite sizes: draws per chain (V1, V4) or over all chains (V2), and the
@@ -236,9 +236,9 @@ def suite_v4_cv_reduction(reps: int = V4_REPS, master_seed: int = 4044) -> Suite
         chains2 = _chains(family, skeleton, per_chain2, seeds[3:])
         W2 = build_log_weight_matrix(family, skeleton, chains2)
         ws = Stage2Workspace(W2, d_hat)
-        for j, h in enumerate(grid):
-            # both estimators from one pass over the point's terms
-            bf[rep, j], cv[rep, j], _, _ = _point(ws, h)
+        # both estimators from one block call over the grid's terms
+        est = _estimates(ws, grid, _function_rows(ws, ()))
+        bf[rep], cv[rep] = est.bf, est.bf_cv
     wins = (cv.var(axis=0, ddof=1) <= bf.var(axis=0, ddof=1)).mean()
     floor = 0.80 - max(0.0, 0.05 * (math.sqrt(V4_REPS / reps) - 1.0))
     med = float(np.median(cv.var(axis=0, ddof=1) / bf.var(axis=0, ddof=1)))

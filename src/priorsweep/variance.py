@@ -1,7 +1,9 @@
 """Plug-in estimation of the asymptotic-variance pieces for every estimator:
 the Bartlett long-run covariance behind every stage-2 term (tau^2, sigma^2,
-rho), the stage-1 sensitivity vectors (c, w, v), their assembly into total
-variances q vec' Sigma vec + stage-2 term, and the stage-allocation planner.
+rho), the stage-1 sensitivity vectors c and w (v comes from the stage-2
+sweep), their assembly into total variances q vec' Sigma vec + stage-2 term,
+and the stage-allocation planner.  The vectors and the assembly take the
+rows of a block of grid points, with one identical computation per row.
 
 One Bartlett kernel (scaled window sums S of the centered series) is used
 for every spectral quantity so that the pieces are mutually comparable:
@@ -40,7 +42,9 @@ def _bartlett_rows(X) -> np.ndarray:
     C = np.zeros((n + 2 * L + 1, X.shape[1]))
     np.cumsum(X - X.mean(axis=0), axis=0, out=C[L + 1:n + L + 1])
     C[n + L + 1:] = C[n + L]
-    return (C[L + 1:] - C[:n + L]) / math.sqrt(n * (L + 1.0))
+    S = C[L + 1:] - C[:n + L]
+    S /= math.sqrt(n * (L + 1.0))
+    return S
 
 
 def lrv_matrix(X) -> np.ndarray:
@@ -71,13 +75,14 @@ def chain_lrv(X, slices: Sequence[slice], a, reduce=lrv_matrix) -> np.ndarray:
     return sum(a_l * reduce(X[sl]) for a_l, sl in zip(a, slices))
 
 
-def c_hat(ws, u, shift: float) -> np.ndarray:
-    """Stage-1 sensitivity of the Bayes-factor estimator from ws.terms(h)."""
-    return (ws.psi.T @ u) / ws.n * math.exp(shift)
+def c_hat(ws, U, shift) -> np.ndarray:
+    """Stage-1 sensitivities of the Bayes-factor estimator, one row per row
+    of terms U (and its shift) from ws.terms."""
+    return np.matmul(ws.psiT, U[..., None])[..., 0] / ws.n * np.exp(shift)[..., None]
 
 
 def w_hat(ws, c, beta_hat) -> np.ndarray:
-    """Stage-1 sensitivity of the control-variate estimator.
+    """Stage-1 sensitivities of the control-variate estimator, by rows.
 
     Three pieces: c (`c_hat` at the same h), beta_t / d_t, and the
     beta-weighted difference of chain-1 versus chain-j sample means of the
@@ -85,16 +90,7 @@ def w_hat(ws, c, beta_hat) -> np.ndarray:
     """
     beta_hat = np.asarray(beta_hat, dtype=float)
     diff = ws.psi_chain_means[0][None, :] - ws.psi_chain_means[1:, :]   # (k-1, k-1)
-    return c + beta_hat / ws.d_hat[1:] + diff.T @ beta_hat
-
-
-def v_hat(ws, centred, u_sum: float) -> np.ndarray:
-    """Stage-1 sensitivities of the posterior-expectation estimators: column j
-    is the posterior expectation of the centred integrand (f_j - I_j) psi,
-    from the columns (f_j - I_j) u of `centred` and u_sum = sum(u)."""
-    if u_sum == 0.0:
-        return np.full((ws.k - 1, centred.shape[1]), math.nan)
-    return ws.psi.T @ centred / u_sum
+    return c + beta_hat / ws.d_hat[1:] + np.matmul(diff.T, beta_hat[..., None])[..., 0]
 
 
 @dataclass
@@ -114,18 +110,22 @@ class VarianceBreakdown:
         return math.sqrt(self.total / self.n)
 
 
-def assemble_variance(vec, sigma_hat, stage2_term: float,
-                      q: float, n: int) -> VarianceBreakdown:
-    """Combine a stage-1 quadratic form with a stage-2 long-run variance.
+def assemble_variance(vecs, sigma_hat, stage2_terms, q: float,
+                      n: int) -> list[VarianceBreakdown]:
+    """One VarianceBreakdown per row of vecs: the stage-1 quadratic form
+    q vec' Sigma vec with that row's stage-2 long-run variance.
 
     q is the stage-size ratio n/N; with q = 0 the stage-1 component vanishes
-    and the estimator behaves as if d were known.  With k = 1, vec and
+    and the estimator behaves as if d were known.  With k = 1, the rows and
     sigma_hat are empty and the quadratic form is 0.
     """
-    vec = np.asarray(vec, dtype=float)
-    stage1 = q * float(vec @ np.asarray(sigma_hat, dtype=float) @ vec)
-    return VarianceBreakdown(stage1_term=max(stage1, 0.0),
-                             stage2_term=max(float(stage2_term), 0.0), n=n)
+    vecs = np.asarray(vecs, dtype=float)
+    R, K = vecs.shape
+    # elementwise products, then one sum along the last axis per row, so a
+    # row's form does not depend on the other rows
+    quad = (vecs[:, :, None] * sigma_hat * vecs[:, None, :]).reshape(R, K * K).sum(axis=1)
+    return [VarianceBreakdown(stage1_term=max(q * s1, 0.0), stage2_term=max(s2, 0.0), n=n)
+            for s1, s2 in zip(quad.tolist(), np.asarray(stage2_terms, dtype=float).tolist())]
 
 
 @dataclass(frozen=True)

@@ -1,0 +1,80 @@
+"""The per-point stage-2 sweep that the block path of `priorsweep.surface`
+replaced, kept as the reference the tests compare it against: one grid
+point at a time, its terms as a vector, every sum over all n pooled samples
+at once, and one Bartlett call per chain and point."""
+
+import math
+
+import numpy as np
+
+from priorsweep.surface import SurfaceRecord
+from priorsweep.variance import VarianceBreakdown, chain_lrv, lrv_diag
+
+
+def point_terms(ws, h):
+    """The shifted importance terms u = Y e^-shift at one grid point."""
+    lognum = ws.family.log_weights(ws.family.validate_h(h), ws.W.stats)
+    t = np.asarray(lognum, dtype=float) - ws.log_den
+    shift = float(np.max(t))
+    if math.isinf(shift):
+        return np.zeros(ws.n), 0.0
+    return np.exp(t - shift), shift
+
+
+def c_hat(ws, u, shift):
+    return (ws.psi.T @ u) / ws.n * math.exp(shift)
+
+
+def w_hat(ws, c, beta):
+    diff = ws.psi_chain_means[0][None, :] - ws.psi_chain_means[1:, :]
+    return c + beta / ws.d_hat[1:] + diff.T @ beta
+
+
+def v_hat(ws, centred, u_sum):
+    """Column j: psi' (f_j - I_j) u / sum(u), from centred = (f_j - I_j) u."""
+    if u_sum == 0.0:
+        return np.full((ws.k - 1, centred.shape[1]), math.nan)
+    return ws.psi.T @ centred / u_sum
+
+
+def assemble_variance(vec, sigma_hat, stage2_term, q, n):
+    stage1 = q * float(vec @ np.asarray(sigma_hat, dtype=float) @ vec)
+    return VarianceBreakdown(stage1_term=max(stage1, 0.0),
+                             stage2_term=max(float(stage2_term), 0.0), n=n)
+
+
+def surface_by_point(ws, grid, functions, sigma_hat, q):
+    """Every record of `surface`, one grid point at a time."""
+    F = np.column_stack([f(ws.W.samples) for f in functions] or [np.empty((ws.n, 0))])
+    records = []
+    for h in grid:
+        h = ws.family.validate_h(h)
+        u, shift = point_terms(ws, h)
+        scale = math.exp(shift)
+        u_mean = float(u.mean())
+        u_sum = float(np.sum(u))
+        beta_u = ws._cv_map @ u
+        beta = beta_u * scale
+        bf_cv = (u_mean - float(ws.z_means @ beta_u)) * scale
+        pe = (np.array([float(np.sum(F[:, j] * u)) / u_sum for j in range(F.shape[1])])
+              if u_sum > 0.0 else np.full(F.shape[1], math.nan))
+        centred = (F - (pe if u_mean > 0.0 else 0.0)) * u[:, None]
+        series = np.column_stack([u, u - ws.Z @ (beta * math.exp(-shift)), centred])
+        lrv = chain_lrv(series, ws.chain_slices, ws.proportions, reduce=lrv_diag)
+        scale2 = math.exp(2.0 * shift)
+        c = c_hat(ws, u, shift)
+        var = {"bf": assemble_variance(c, sigma_hat, lrv[0] * scale2, q, ws.n),
+               "bf_cv": assemble_variance(w_hat(ws, c, beta), sigma_hat,
+                                          lrv[1] * scale2, q, ws.n)}
+        v = v_hat(ws, centred, u_sum)
+        for f, lrv_f, v_f in zip(functions, lrv[2:], v.T):
+            rho = lrv_f / (u_mean * u_mean) if u_mean > 0.0 else math.nan
+            var[f"pe:{f.name}"] = assemble_variance(v_f, sigma_hat, rho, q, ws.n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ess = float(np.float64(u_sum) ** 2 / (u @ u))
+            share = float(np.float64(u.max()) / u_sum)
+        records.append(SurfaceRecord(
+            h=h, bf=scale * u_mean, bf_cv=bf_cv, beta=beta,
+            pe={f.name: float(p) for f, p in zip(functions, pe)}, var=var,
+            ess=ess, max_weight_share=share))
+    return records

@@ -48,6 +48,11 @@ class TestRun:
         assert len(rows) == 11
         assert {"h", "bf_hat", "bf_cv_hat", "se_bf", "se_bf_cv",
                 "pe_identity", "se_pe_identity"} <= set(rows[0])
+        # the weight diagnostics come last, after the pe_*/se_* pairs
+        assert list(rows[0])[-2:] == ["ess", "max_weight_share"]
+        for row in rows:
+            assert 1.0 <= float(row["ess"]) <= 1600
+            assert 0.0 < float(row["max_weight_share"]) <= 1.0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["sizes"]["n"] == 1600
         assert "models_fitted" not in manifest["sizes"]
@@ -231,6 +236,18 @@ class TestOracle:
         assert "pe_square" in err and "pe_identity" not in err
         assert not (tmp_path / "oracle" / "comparison.json").exists()
         assert not (tmp_path / "oracle" / "oracle.csv").exists()
+
+    def test_estimates_dir_without_surface_exit_2(self, toy_config, tmp_path, capsys):
+        # an explicit --estimates must hold a surface.csv; out_dir need not
+        (tmp_path / "empty").mkdir()
+        assert main(["oracle", "--config", str(toy_config),
+                     "--estimates", str(tmp_path / "empty")]) == 2
+        assert "surface.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "oracle.csv").exists()
+        assert not (tmp_path / "out" / "comparison.json").exists()
+        assert main(["oracle", "--config", str(toy_config)]) == 0
+        report = json.loads((tmp_path / "out" / "comparison.json").read_text())
+        assert report == {"grid_points": 11}
 
     def test_self_comparison_rmse_zero(self, toy_config, tmp_path):
         # a surface whose estimates equal the oracle values compares at RMSE 0

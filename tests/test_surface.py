@@ -1,3 +1,4 @@
+import importlib
 import math
 import warnings
 
@@ -8,8 +9,14 @@ from scipy.special import logsumexp
 from priorsweep.errors import (DegenerateDesignWarning, SupportViolationError,
                                SupportWarning)
 from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
-from priorsweep.ratio import LogWeightMatrix, build_log_weight_matrix, estimate_d
+from priorsweep.ratio import (LogWeightMatrix, build_log_weight_matrix, estimate_d,
+                              estimate_sigma)
 from priorsweep.surface import _RANK_RTOL, Stage2Workspace, bf_cv_hat, bf_hat, pe_hat, surface
+
+from per_point import point_terms, surface_by_point
+
+# the module, which the package's re-export of `surface` shadows
+surface_module = importlib.import_module("priorsweep.surface")
 
 
 def two_stage(skeleton, n1, n2, y_obs=0.0, seed0=0, sampler="iid"):
@@ -154,7 +161,7 @@ class TestControlVariates:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for h in np.linspace(-0.5, 2.5, 7):
-                u, _ = ws.terms((h,))
+                u, _ = point_terms(ws, (h,))
                 want = np.linalg.lstsq(design, u, rcond=_RANK_RTOL)[0][1:]
                 np.testing.assert_allclose(ws.cv_coefficients(u), want, rtol=1e-12)
         degenerate = [w for w in caught if w.category is DegenerateDesignWarning]
@@ -200,7 +207,7 @@ class TestControlVariates:
                   for hh, s in zip(skeleton, seeds)]
             W = build_log_weight_matrix(fam, skeleton, ch)
             ws = Stage2Workspace(W, d_true)
-            u, shift = ws.terms(h)
+            u, shift = point_terms(ws, h)
             y_mean = math.exp(shift) * u.mean()
             vals[rep] = y_mean - float(ws.z_means @ beta)
         se = vals.std(ddof=1) / math.sqrt(reps)
@@ -225,7 +232,7 @@ class TestPeHat:
         _, _, _, ws = two_stage([(0.0,), (1.0,)], 800, 800, seed0=31)
         f = FunctionOfTheta("signed", lambda s: np.sin(np.asarray(s)))
         h = (0.7,)
-        u, _ = ws.terms(h)
+        u, _ = point_terms(ws, h)
         fv = np.sin(np.asarray(ws.W.samples))
         want = float((fv * u).sum() / u.sum())
         assert pe_hat(ws, h, f) == pytest.approx(want, rel=1e-13)
@@ -300,3 +307,186 @@ class TestSurfaceSweep:
             rmse.append(float(np.sqrt(np.mean(np.square(errs)))))
         assert rmse[0] / rmse[1] == pytest.approx(math.sqrt(10), rel=0.55)
         assert rmse[1] / rmse[2] == pytest.approx(math.sqrt(10), rel=0.55)
+
+
+def records_equal(a, b):
+    """Every number of two records, compared exactly (nan equal to nan)."""
+    return (a.h == b.h and a.beta.shape == b.beta.shape
+            and np.array_equal([a.bf, a.bf_cv, a.ess, a.max_weight_share, *a.beta],
+                               [b.bf, b.bf_cv, b.ess, b.max_weight_share, *b.beta],
+                               equal_nan=True)
+            and a.pe.keys() == b.pe.keys() and a.var.keys() == b.var.keys()
+            and np.array_equal([a.pe[k] for k in a.pe], [b.pe[k] for k in a.pe],
+                               equal_nan=True)
+            and np.array_equal([(vb.stage1_term, vb.stage2_term) for vb in a.var.values()],
+                               [(vb.stage1_term, vb.stage2_term) for vb in b.var.values()],
+                               equal_nan=True))
+
+
+def toy_study(lengths, seed0=47):
+    """Toy skeleton 0, 1, 2, ... with a stage-2 chain of each given length,
+    and the stage-1 sigma_hat."""
+    fam = ConjugateToy(y_obs=0.0)
+    skeleton = [(float(s),) for s in range(len(lengths))]
+    c1 = [fam.sample_posterior(ChainSpec(h=h, length=600, seed=seed0 + i))
+          for i, h in enumerate(skeleton)]
+    W1 = build_log_weight_matrix(fam, skeleton, c1)
+    d, _ = estimate_d(W1)
+    c2 = [fam.sample_posterior(ChainSpec(h=h, length=n2, seed=seed0 + 50 + i))
+          for i, (h, n2) in enumerate(zip(skeleton, lengths))]
+    ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, c2), d)
+    return ws, estimate_sigma(W1, d)
+
+
+TOY_FUNCTIONS = [toy_function("identity"), toy_function("square"),
+                 FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0.5).astype(float))]
+
+
+class TestBlockPath:
+    def assert_matches_per_point(self, ws, grid, functions, sigma):
+        """The block path against the per-point reference: estimates within
+        1e-12 relative, every variance term within 1e-10 of its total and
+        every standard error within 1e-10 relative; and each record exactly
+        what the point gives alone."""
+        got = surface(ws, grid, functions, sigma, q=0.7)
+        want = surface_by_point(ws, grid, functions, sigma, q=0.7)
+        alone = [surface(ws, [h], functions, sigma, q=0.7)[0] for h in grid]
+        assert all(map(records_equal, got, alone))
+        for g, w in zip(got, want, strict=True):
+            assert g.h == w.h
+            for a, b in [(g.bf, w.bf), (g.bf_cv, w.bf_cv), *zip(g.pe.values(), w.pe.values())]:
+                assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
+            np.testing.assert_allclose(g.beta, w.beta, rtol=1e-12)
+            assert g.ess == pytest.approx(w.ess, rel=1e-12)
+            assert g.max_weight_share == pytest.approx(w.max_weight_share, rel=1e-12)
+            for key, vb in w.var.items():
+                for term in ("stage1_term", "stage2_term"):
+                    assert abs(getattr(g.var[key], term) - getattr(vb, term)) <= 1e-10 * vb.total
+                assert g.var[key].se == pytest.approx(vb.se, rel=1e-10)
+
+    def test_matches_per_point_reference_toy(self):
+        ws, sigma = toy_study((500, 500, 500))
+        self.assert_matches_per_point(ws, [(h,) for h in np.linspace(-0.5, 2.5, 13)],
+                                      TOY_FUNCTIONS, sigma)
+
+    def test_matches_per_point_reference_blvs(self, small_family):
+        skeleton = [(0.3, 10.0), (0.6, 40.0), (0.5, 100.0)]
+        c1 = [small_family.gibbs_run(ChainSpec(h=h, length=200, burn_in=20, seed=80 + i))
+              for i, h in enumerate(skeleton)]
+        W1 = build_log_weight_matrix(small_family, skeleton, c1)
+        d, _ = estimate_d(W1)
+        c2 = [small_family.gibbs_run(ChainSpec(h=h, length=150, burn_in=20, seed=60 + i))
+              for i, h in enumerate(skeleton)]
+        ws = Stage2Workspace(build_log_weight_matrix(small_family, skeleton, c2), d)
+        functions = [small_family.inclusion_function(name) for name in small_family.names]
+        grid = [(w, g) for w in (0.2, 0.45, 0.7) for g in (5.0, 50.0, 150.0)]
+        self.assert_matches_per_point(ws, grid, functions, estimate_sigma(W1, d))
+
+    def test_unequal_chain_lengths(self, monkeypatch):
+        ws, sigma = toy_study((300, 420, 250), seed0=5)
+        grid = [(h,) for h in np.linspace(-0.5, 2.5, 7)]
+        self.assert_matches_per_point(ws, grid, TOY_FUNCTIONS, sigma)
+        monkeypatch.setattr(surface_module, "TERMS_BLOCK", 3 * ws.n)
+        alone = [surface(ws, [h], TOY_FUNCTIONS, sigma, q=0.7)[0] for h in grid]
+        assert all(map(records_equal, surface(ws, grid, TOY_FUNCTIONS, sigma, q=0.7), alone))
+
+    @pytest.mark.parametrize("per_block", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [0, 1])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_records_do_not_depend_on_block(self, monkeypatch, per_block, extra, k):
+        ws, sigma = toy_study((400,) * k, seed0=11)
+        alone = {h: surface(ws, [(h,)], TOY_FUNCTIONS, sigma, q=0.7)[0]
+                 for h in np.linspace(-1.0, 3.0, 4)}
+        monkeypatch.setattr(surface_module, "TERMS_BLOCK", per_block * ws.n + ws.n // 2)
+        for size in {1, per_block + extra}:
+            grid = [(h,) for h in list(alone)[:size]]
+            recs = surface(ws, grid, TOY_FUNCTIONS, sigma, q=0.7)
+            assert len(recs) == size
+            assert all(records_equal(rec, alone[h]) for rec, (h,) in zip(recs, grid))
+
+    def test_no_functions_do_not_depend_on_block(self, monkeypatch):
+        ws, sigma = toy_study((400, 400, 400), seed0=13)
+        grid = [(h,) for h in np.linspace(-1.0, 3.0, 5)]
+        alone = [surface(ws, [h], [], sigma, q=0.7)[0] for h in grid]
+        monkeypatch.setattr(surface_module, "TERMS_BLOCK", 2 * ws.n)
+        assert all(map(records_equal, surface(ws, grid, [], sigma, q=0.7), alone))
+
+    def test_dead_point_among_live_ones(self, monkeypatch):
+        class Vanishing(ConjugateToy):
+            def log_weights(self, h, stats):
+                out = super().log_weights(h, stats)
+                return np.full_like(out, -np.inf) if h[0] > 9.0 else out
+
+        fam = Vanishing(y_obs=0.0)
+        skeleton = [(0.0,), (1.0,)]
+        ch = [fam.sample_posterior(ChainSpec(h=h, length=300, seed=3 + i))
+              for i, h in enumerate(skeleton)]
+        ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, ch), np.array([1.0, 0.9]))
+        sigma = np.full((1, 1), 0.2)
+        f = toy_function("identity")
+        grid = [(0.2,), (9.5,), (0.8,)]
+        monkeypatch.setattr(surface_module, "TERMS_BLOCK", 3 * ws.n)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            recs = surface(ws, grid, [f], sigma, q=0.5)
+        support = [w for w in caught if w.category is SupportWarning]
+        assert len(support) == 1 and "9.5" in str(support[0].message)
+        dead = recs[1]
+        assert dead.bf == 0.0 and math.isnan(dead.pe["identity"])
+        assert math.isnan(dead.var["pe:identity"].se)
+        assert dead.var["bf"].stage2_term == 0.0
+        for rec, h in zip(recs[::2], grid[::2]):
+            assert records_equal(rec, surface(ws, [h], [f], sigma, q=0.5)[0])
+
+    @pytest.mark.parametrize("per_block", [1, 4])
+    def test_constant_and_indicator_exact_in_blocks(self, monkeypatch, per_block):
+        ws, sigma = toy_study((700, 700, 700), seed0=23)
+        monkeypatch.setattr(surface_module, "TERMS_BLOCK", per_block * ws.n)
+        one = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
+        ind = FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0).astype(float))
+        recs = surface(ws, [(h,) for h in np.linspace(-3, 5, 17)], [one, ind], sigma, q=0.5)
+        for rec in recs:
+            assert rec.pe["one"] == 1.0
+            assert rec.var["pe:one"].se == 0.0
+            assert 0.0 <= rec.pe["pos"] <= 1.0
+
+    def test_degenerate_design_warns_once_per_workspace(self, monkeypatch):
+        fam = ConjugateToy(y_obs=0.0)
+        skeleton = [(0.6,), (0.6,)]
+        ch = [fam.sample_posterior(ChainSpec(h=h, length=400, seed=30 + i))
+              for i, h in enumerate(skeleton)]
+        ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, ch), np.ones(2))
+        monkeypatch.setattr(surface_module, "TERMS_BLOCK", 2 * ws.n)
+        grid = [(h,) for h in np.linspace(0.0, 1.2, 5)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            surface(ws, grid, [], np.zeros((1, 1)), q=0.0)
+            surface(ws, grid, [], np.zeros((1, 1)), q=0.0)
+            bf_cv_hat(ws, (0.3,))
+        assert [w.category for w in caught].count(DegenerateDesignWarning) == 1
+
+    def test_terms_rows_match_one_point_terms(self):
+        ws, _ = toy_study((300, 300, 300), seed0=29)
+        grid = [(h,) for h in np.linspace(-1.0, 3.0, 6)]
+        U, shift = ws.terms(grid)
+        for row, s, h in zip(U, shift, grid):
+            u, s1 = point_terms(ws, h)
+            assert np.array_equal(row, u) and s == s1
+
+
+class TestWeightDiagnostics:
+    def test_against_direct_formulas(self):
+        ws, sigma = toy_study((500, 500, 500), seed0=31)
+        grid = [(h,) for h in np.linspace(-0.5, 2.5, 9)]
+        for rec in surface(ws, grid, [], sigma, q=0.5):
+            u, _ = point_terms(ws, rec.h)
+            assert rec.ess == pytest.approx(u.sum() ** 2 / np.sum(u * u), rel=1e-12)
+            assert rec.max_weight_share == pytest.approx(u.max() / u.sum(), rel=1e-12)
+            assert 1.0 <= rec.ess <= ws.n
+            assert 0.0 < rec.max_weight_share <= 1.0
+
+    def test_ess_falls_outside_the_skeleton_hull(self):
+        ws, sigma = toy_study((500, 500, 500), seed0=37)
+        inside, outside = surface(ws, [(1.0,), (6.0,)], [], sigma, q=0.5)
+        assert outside.ess < 0.1 * inside.ess
+        assert outside.max_weight_share > 10 * inside.max_weight_share

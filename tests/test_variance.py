@@ -11,7 +11,9 @@ from priorsweep.surface import Stage2Workspace, pe_hat, surface
 from priorsweep.variance import (MIN_SERIES_LENGTH, PlanInputs,
                                  VarianceBreakdown, _lags, assemble_variance, c_hat,
                                  chain_lrv, lrv_diag, lrv_matrix, predicted_variance,
-                                 q_opt, spectral_lrv, v_hat, w_hat)
+                                 q_opt, spectral_lrv, w_hat)
+
+from per_point import point_terms, v_hat
 
 
 def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
@@ -191,7 +193,7 @@ class TestTauSigma:
 def gamma_rho_reference(ws, h, f):
     """rho by the delta method on the joint long-run covariance Gamma of
     (f Y, Y): (Gamma_00 - 2 I Gamma_01 + I^2 Gamma_11) / Ybar^2."""
-    u, _ = ws.terms(h)
+    u, _ = point_terms(ws, h)
     fv = f(ws.W.samples)
     ratio = float((fv * u).sum()) / float(u.sum())
     gamma = chain_lrv(np.column_stack([fv * u, u]), ws.chain_slices, ws.proportions)
@@ -202,7 +204,7 @@ def gamma_rho_reference(ws, h, f):
 
 def exact_rho(ws, h, f):
     """rho in rational arithmetic from the same float terms."""
-    u, _ = ws.terms(h)
+    u, _ = point_terms(ws, h)
     U = [Fraction(float(x)) for x in u]
     FV = [Fraction(float(x)) for x in f(ws.W.samples)]
     ratio = sum(a * b for a, b in zip(FV, U)) / sum(U)
@@ -282,21 +284,21 @@ class TestGammaRho:
 class TestSensitivityVectors:
     def test_c_identical_densities_equals_proportion(self):
         _, ws = toy_workspace([(0.5,), (0.5,)], 1000, d=[1.0, 1.0], seed0=4)
-        c = c_hat(ws, *ws.terms((0.5,)))
+        c = c_hat(ws, *point_terms(ws, (0.5,)))
         assert c[0] == pytest.approx(ws.proportions[1], abs=1e-12)
 
     def test_c_nonnegative(self):
         _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 900, seed0=6)
-        assert np.all(c_hat(ws, *ws.terms((0.7,))) >= 0.0)
+        assert np.all(c_hat(ws, *point_terms(ws, (0.7,))) >= 0.0)
 
     def test_w_reduces_to_c_when_beta_zero(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 700, seed0=8)
-        c = c_hat(ws, *ws.terms((0.4,)))
+        c = c_hat(ws, *point_terms(ws, (0.4,)))
         np.testing.assert_allclose(w_hat(ws, c, np.zeros(1)), c, rtol=1e-12)
 
     def test_w_term3_vanishes_for_identical_densities(self):
         _, ws = toy_workspace([(0.5,), (0.5,)], 1000, d=[1.0, 1.0], seed0=9)
-        c = c_hat(ws, *ws.terms((0.5,)))
+        c = c_hat(ws, *point_terms(ws, (0.5,)))
         beta = np.array([0.7])
         want = c + beta / 1.0   # term 3 must vanish exactly
         np.testing.assert_allclose(w_hat(ws, c, beta), want, atol=1e-12)
@@ -325,7 +327,7 @@ class TestSensitivityVectors:
 
 def stacked_v(ws, h, functions):
     """v_hat on the centred columns (f_j - I_j) u, as surface builds them."""
-    u, _ = ws.terms(h)
+    u, _ = point_terms(ws, h)
     centred = np.column_stack([(f(ws.W.samples) - pe_hat(ws, h, f)) * u
                                for f in functions])
     return v_hat(ws, centred, float(u.sum()))
@@ -333,7 +335,7 @@ def stacked_v(ws, h, functions):
 
 def v_per_function(ws, h, f):
     """Reference: psi' (f - I) u / sum(u) for one f, I = sum(f u) / sum(u)."""
-    u, _ = ws.terms(h)
+    u, _ = point_terms(ws, h)
     fv = f(ws.W.samples)
     den = float(u.sum())
     return ws.psi.T @ ((fv - float((fv * u).sum()) / den) * u) / den
@@ -341,19 +343,19 @@ def v_per_function(ws, h, f):
 
 class TestAssembleAndPlan:
     def test_q_zero_drops_stage1(self):
-        vb = assemble_variance(np.array([1.0]), np.array([[4.0]]), 2.5,
-                               q=0.0, n=100)
+        (vb,) = assemble_variance(np.array([[1.0]]), np.array([[4.0]]), [2.5],
+                                  q=0.0, n=100)
         assert vb.stage1_term == 0.0 and vb.total == 2.5
         assert vb.se == pytest.approx(math.sqrt(2.5 / 100))
 
     def test_zero_sigma_drops_stage1(self):
-        vb = assemble_variance(np.array([1.0]), np.zeros((1, 1)), 2.5,
-                               q=0.7, n=100)
+        (vb,) = assemble_variance(np.array([[1.0]]), np.zeros((1, 1)), [2.5],
+                                  q=0.7, n=100)
         assert vb.total == 2.5
 
     def test_total_is_sum(self):
-        vb = assemble_variance(np.array([1.0, 2.0]),
-                               np.eye(2), 0.5, q=0.5, n=10)
+        (vb,) = assemble_variance(np.array([[1.0, 2.0]]),
+                                  np.eye(2), [0.5], q=0.5, n=10)
         assert vb.stage1_term == pytest.approx(0.5 * 5.0)
         assert vb.total == pytest.approx(3.0)
 
