@@ -22,7 +22,6 @@ from __future__ import annotations
 import csv
 import logging
 import math
-import threading
 import weakref
 from dataclasses import dataclass, fields
 from typing import Sequence
@@ -45,6 +44,9 @@ TABLE_MAX_Q = 16
 # 2^SPLIT bytes (0.2 MB) whatever q is
 SPLIT, PARENTS = 10, 4
 BLOCK = 4096        # codes per block of an array of log marginals
+# rows of one batched (sigma, beta0, beta) draw, which bounds its arrays (at
+# 1 << 14, two 10,000-row chains a draw raised a 176 MB run's peak by 1.5 MB)
+DRAW_ROWS = 1 << 13
 
 
 def _model_sizes(q: int) -> np.ndarray:
@@ -100,13 +102,6 @@ class _LazyLogMarginals(dict):
             family._rssr[code] = rssr
         self[code] = lm = float(family._log_marginal(code.bit_count(), rssr, self._g))
         return lm
-
-
-def _expit(logit: float) -> float:
-    if logit >= 0.0:
-        return 1.0 / (1.0 + math.exp(-logit))
-    e = math.exp(logit)
-    return e / (1.0 + e)
 
 
 @dataclass
@@ -239,17 +234,15 @@ class BlvsFamily(DensityFamily):
         self._G[:q, :q] = self._Xc.T @ self._Xc
         self._G[:q, q] = self._G[q, :q] = self._Xc.T @ self._yc
         self._G[q, q] = self._tss
-        # The model tables, shared by every chain of both stages and every
-        # thread, all indexed by the model code sum_i gamma_i 2^i: 1 - R^2 of
-        # every model (NaN when singular or too large), one array built once
-        # by model_table(), or for q > TABLE_MAX_Q a dict of the models the
+        # The model tables, shared by every chain of both stages, all indexed
+        # by the model code sum_i gamma_i 2^i: 1 - R^2 of every model (NaN
+        # when singular or too large), one array built once by
+        # model_table(), or for q > TABLE_MAX_Q a dict of the models the
         # chains tried; and for each g a chain ran at, the log marginals the
         # sampler reads (_log_marginal_store).  Every entry is a pure
         # function of its code, so the order in which chains fill a table
-        # never changes a draw, and two threads that fill one entry at once
-        # store equal values.
+        # never changes a draw.
         self._table: np.ndarray | None = None
-        self._table_lock = threading.Lock()
         self._rssr: dict[int, float] = {}
         self._lms: dict[float, memoryview | _LazyLogMarginals] = {}
         self._enumeration = None
@@ -308,9 +301,6 @@ class BlvsFamily(DensityFamily):
             raise SingularDesignError(
                 f"model with {cols.size - 1} predictors too large for m={self.m}"
             )
-        return self._log_marginal_cols(cols, g)
-
-    def _log_marginal_cols(self, cols: np.ndarray, g: float) -> float:
         return float(self._log_marginal(cols.size - 1, self._rss_ratio(cols), g))
 
     def _log_marginal(self, size, rssr, g: float):
@@ -387,14 +377,11 @@ class BlvsFamily(DensityFamily):
         """The array of _build_table the Gibbs sampler reads 1 - R^2 from
         when q <= TABLE_MAX_Q, else None: the sampler fits models as it tries
         them, and the enumeration builds an array of its own.  The array is
-        built once, on the thread of the first caller, so ask for it before
-        chains start; the test outside the lock keeps later calls off it."""
+        built once, by the first caller."""
         if self.q > TABLE_MAX_Q:
             return None
         if self._table is None:
-            with self._table_lock:
-                if self._table is None:
-                    self._table = self._build_table()
+            self._table = self._build_table()
         return self._table
 
     def _log_marginal_store(self, g: float) -> memoryview | _LazyLogMarginals:
@@ -407,9 +394,8 @@ class BlvsFamily(DensityFamily):
         store = self._lms.get(g)
         if store is None:
             table = self.model_table()
-            store = _LazyLogMarginals(self, g) if table is None \
+            store = self._lms[g] = _LazyLogMarginals(self, g) if table is None \
                 else memoryview(self._log_marginals(table, g))
-            store = self._lms.setdefault(g, store)
         return store
 
     @property
@@ -420,34 +406,46 @@ class BlvsFamily(DensityFamily):
         return len(self._rssr) if self._table is None else self._table.size
 
     # Gibbs sampler
-    def conditional_inclusion_prob(self, gamma, i: int, h) -> float:
-        """p(gamma_i = 1 | gamma_{-i}, y) with (beta, sigma) integrated out."""
-        w, g = self.validate_h(h)
-        base = np.append(np.asarray(gamma, dtype=bool), True)    # and the response
-        base[i] = False
-        lm0 = self._log_marginal_cols(np.flatnonzero(base), g)
-        base[i] = True
-        try:
-            lm1 = self._log_marginal_cols(np.flatnonzero(base), g)
-        except SingularDesignError:
-            return 0.0
-        logit = math.log(w) - math.log1p(-w) + lm1 - lm0
-        return _expit(logit)
-
     def gibbs_run(self, spec: ChainSpec) -> BlvsChain:
-        """Marginalized sweep over gamma, then exact (sigma, beta0, beta) draw.
+        """The chain of one spec: sample_chains([spec])[0]."""
+        return self.sample_chains([spec])[0]
+
+    def sample_chains(self, specs: Sequence[ChainSpec]) -> list[BlvsChain]:
+        """Marginalized sweeps over gamma, then exact (sigma, beta0, beta) draws.
 
         Each sweep updates every gamma_i from its Bernoulli full conditional
         under the integrated likelihood, then draws (sigma^2, beta0,
-        beta_gamma) from their exact conditionals given gamma, so the chain on
-        theta has the full posterior as its invariant law.  A singular
+        beta_gamma) from their exact conditionals given gamma, so each chain
+        on theta has the full posterior as its invariant law.  A singular
         candidate model is treated as having prior probability zero.
-        The chain works on the model code and reads each log marginal from
-        the family's store at g (_log_marginal_store), where NaN marks a
-        singular or too-large model; each sweep draws the variates of
-        (sigma^2, beta, beta0), which one batched pass (_draw_given_models)
-        turns into the draw at the end.
+        Chains run one after another, each on its own stream (_sweeps), and
+        one pass (_draw_given_models) draws the rows of a chunk of whole
+        chains, closed once it holds DRAW_ROWS rows.  A row's draw depends
+        only on its own model and variates, so a chain is the same bits
+        alone or in its stage.
         """
+        chains, chunk = [], []
+        for i, spec in enumerate(specs):
+            chunk.append(spec)
+            if i < len(specs) - 1 and sum(sp.length for sp in chunk) < DRAW_ROWS:
+                continue
+            bounds = np.cumsum([0, *(sp.length for sp in chunk)]).tolist()
+            codes, gam, g = [], np.empty(bounds[-1]), np.empty(bounds[-1])
+            z = np.empty((bounds[-1], self.q + 1))
+            for sp, lo, hi in zip(chunk, bounds, bounds[1:]):
+                codes += self._sweeps(sp, gam[lo:hi], z[lo:hi])
+                g[lo:hi] = sp.h[1]
+            drawn = self._draw_given_models(codes, gam, z, g)
+            chains += [BlvsChain(*(a[lo:hi] for a in drawn))
+                       for lo, hi in zip(bounds, bounds[1:])]
+            chunk = []
+        return chains
+
+    def _sweeps(self, spec: ChainSpec, gam: np.ndarray, z: np.ndarray) -> list[int]:
+        """The model code of each kept sweep of one chain, reading each log
+        marginal from the family's store at g (NaN: a singular or too-large
+        model).  The variates of each row's draw go to gam and z; burn-in
+        sweeps write to the first row, which the first kept sweep overwrites."""
         w, g = self.validate_h(spec.h)
         rng = np.random.default_rng(spec.seed)
         m, q = self.m, self.q
@@ -461,8 +459,7 @@ class BlvsFamily(DensityFamily):
             code = 0
             lm_cur = lms[code]
         n, burn_in = spec.length, spec.burn_in
-        # one row per kept sweep, and a scratch row (the last) for burn-in
-        codes, gam, z = [0] * (n + 1), np.empty(n + 1), np.zeros((n + 1, q + 1))
+        codes = [0] * n
         gamma_shape = 0.5 * (m - 1)
         bits = [1 << i for i in range(q)]
         exp = math.exp
@@ -495,17 +492,17 @@ class BlvsFamily(DensityFamily):
 
             # the draw's variates: a gamma variate, then one standard normal
             # per included predictor and one for beta0, in one call
-            row = max(sweep - burn_in, -1)
+            row = max(sweep - burn_in, 0)
             codes[row], size = code, code.bit_count()
             gam[row] = rng.standard_gamma(gamma_shape)
             z[row, :size + 1] = rng.standard_normal(size + 1)
-        return self._draw_given_models(codes[:n], gam, z, g)
+        return codes
 
-    def _draw_given_models(self, codes, gam, z, g: float) -> BlvsChain:
-        """The chain of rows with model `codes`, from each row's gamma variate
-        gam of shape (m - 1)/2 and standard normals z (its first q_gamma
-        entries) and z0 (the next).  With shrink = g/(1+g), X'X = LL' and
-        half = L^{-1} X'y,
+    def _draw_given_models(self, codes, gam, z, g):
+        """(gamma, sigma, beta0, beta) of rows with model `codes`, from each
+        row's gamma variate gam of shape (m - 1)/2, standard normals z (its
+        first q_gamma entries) and z0 (the next), and its g.  With shrink =
+        g/(1+g), X'X = LL' and half = L^{-1} X'y,
 
             sigma^2 = (tss - shrink |half|^2) / (2 gam),
             beta    = L^{-T} (shrink half + sqrt(sigma^2 shrink) z),
@@ -537,19 +534,19 @@ class BlvsFamily(DensityFamily):
                 L = np.linalg.cholesky(self._G[idx[:, :, None], idx[:, None, :]])
             except np.linalg.LinAlgError:
                 raise SingularDesignError(
-                    f"singular design among the chain's models of {size} predictors"
+                    f"singular design among the stage's models of {size} predictors"
                 ) from None
             L_inv = np.linalg.inv(L)
             half = np.einsum("bij,bj->bi", L_inv, self._G[idx, q])
             ssr = np.einsum("bi,bi->b", half, half)
-            s2 = 0.5 * (self._tss - shrink * ssr[k]) / gam[rows]
-            v = shrink * half[k] + np.sqrt(s2 * shrink)[:, None] * z[rows, :size]
+            shr = shrink[rows]
+            s2 = 0.5 * (self._tss - shr * ssr[k]) / gam[rows]
+            v = shr[:, None] * half[k] + np.sqrt(s2 * shr)[:, None] * z[rows, :size]
             # beta_i = sum_j v_j (L^{-1})_ji
             betas[rows[:, None], idx[k]] = np.matmul(v[:, None], L_inv[k])[:, 0]
             sigma2[rows] = s2
             beta0[rows] = self._ybar + np.sqrt(s2 / self.m) * z[rows, size]
-        return BlvsChain(gamma=member[which, :q], sigma=np.sqrt(sigma2), beta0=beta0,
-                         beta=betas)
+        return member[which, :q], np.sqrt(sigma2), beta0, betas
 
     # family contract
     def log_prior_weight(self, h, state: BlvsChain) -> float:

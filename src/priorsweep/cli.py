@@ -3,8 +3,8 @@ planning, and the built-in validation suites.
 
 Stages can run in separate invocations: stage 1 writes ratio.json, stage 2
 reads it back, which mirrors the independence of the two sampling stages.
-All outputs are deterministic for a fixed config (seeds included), whatever
-the thread count.
+All outputs are deterministic for a fixed config (seeds included).  Each
+stage's chains are sampled serially, in one pass.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -32,19 +31,14 @@ from .validate import run_all
 from .variance import MIN_SERIES_LENGTH, PlanInputs, q_opt
 
 MANIFEST_SCHEMA_VERSION = 1
+THREADS_HELP = ("accepted and ignored: chains run serially, since the Gibbs "
+                "loop holds the GIL and threads only slowed it down")
 
 
 def _fmt(x) -> str:
     if x is None:
         return ""
     return f"{float(x):.17g}"
-
-
-def _sample_stage(family, specs, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            return list(ex.map(family.sample_posterior, specs))
-    return [family.sample_posterior(sp) for sp in specs]
 
 
 def _write_chain_csv(path: Path, family, chain) -> None:
@@ -134,7 +128,7 @@ def _manifest(cfg: StudyConfig, timings: dict, **extra) -> dict:
     }
 
 
-def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
+def cmd_run(cfg: StudyConfig, stage: str) -> Path:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     ratio_path = out / "ratio.json"
@@ -142,14 +136,14 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
     manifest = _manifest(cfg, timings, stages_run=stage)
 
     if isinstance(cfg.family, BlvsFamily):
-        # the 1 - R^2 table, built on this thread before any chain starts
+        # the 1 - R^2 table, built before any chain starts
         with _timed(timings, "table_s"):
             cfg.family.model_table()
     est = None
     if stage in ("1", "both"):
         specs = cfg.stage1.chain_specs(cfg.skeleton)
         with _timed(timings, "stage1_s"):
-            chains = _sample_stage(cfg.family, specs, threads)
+            chains = cfg.family.sample_chains(specs)
         steps = sum(sp.length + sp.burn_in for sp in specs)
         timings["t1_s_per_step"] = timings["stage1_s"] / steps
         if cfg.save_chains:
@@ -172,7 +166,7 @@ def cmd_run(cfg: StudyConfig, stage: str, threads: int | None) -> Path:
             _check_ratio_matches(est, cfg, ratio_path)
         specs = cfg.stage2.chain_specs(cfg.skeleton)
         with _timed(timings, "stage2_s"):
-            chains = _sample_stage(cfg.family, specs, threads)
+            chains = cfg.family.sample_chains(specs)
         if cfg.save_chains:
             with _timed(timings, "write_s"):
                 for i, c in enumerate(chains):
@@ -318,8 +312,7 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
     return out
 
 
-def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int,
-             threads: int | None) -> Path:
+def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
     """Measure t1/t2 and pilot variance components, then solve for q_opt."""
     if pilot_length < MIN_SERIES_LENGTH:
         raise ConfigError(f"--pilot-length must be at least {MIN_SERIES_LENGTH}, "
@@ -331,14 +324,14 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int,
     if isinstance(cfg.family, BlvsFamily):
         cfg.family.model_table()    # built before the chains and outside t1
     t0 = time.perf_counter()
-    chains1 = _sample_stage(cfg.family, specs1, threads)
+    chains1 = cfg.family.sample_chains(specs1)
     t1 = (time.perf_counter() - t0) / sum(sp.length + sp.burn_in for sp in specs1)
     W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains1)
     est = estimate_ratios(W1)
 
     specs2 = [sp.__class__(h=sp.h, length=pilot_length, burn_in=sp.burn_in,
                            seed=sp.seed) for sp in cfg.stage2.chain_specs(cfg.skeleton)]
-    chains2 = _sample_stage(cfg.family, specs2, threads)
+    chains2 = cfg.family.sample_chains(specs2)
     W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains2)
     ws = Stage2Workspace(W2, est.d_hat)
 
@@ -411,7 +404,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--stage", choices=["1", "2", "both"], default="both")
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p_run.add_argument("--seed-override", action="append", default=[],
                        metavar="STAGE=SEED")
 
@@ -426,7 +419,7 @@ def main(argv=None) -> int:
     p_plan.add_argument("--budget", type=float, required=True,
                         help="total computational budget in seconds")
     p_plan.add_argument("--pilot-length", type=int, default=500)
-    p_plan.add_argument("--threads", type=int, default=None)
+    p_plan.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p_plan.add_argument("--out", default=None)
 
     p_val = sub.add_parser("validate", help="run the built-in toy suites")
@@ -441,7 +434,7 @@ def main(argv=None) -> int:
             cfg.out_dir = Path(args.out)
         if args.command == "run":
             _apply_overrides(cfg, args.seed_override)
-            out = cmd_run(cfg, args.stage, args.threads)
+            out = cmd_run(cfg, args.stage)
             print(f"wrote {out}")
             return 0
         if args.command == "oracle":
@@ -449,7 +442,7 @@ def main(argv=None) -> int:
             print(f"wrote {out / 'oracle.csv'}")
             return 0
         if args.command == "plan":
-            out = cmd_plan(cfg, args.budget, args.pilot_length, args.threads)
+            out = cmd_plan(cfg, args.budget, args.pilot_length)
             print(f"wrote {out / 'plan.json'}")
             return 0
         raise ConfigError(f"unknown command {args.command}")

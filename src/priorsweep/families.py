@@ -99,6 +99,12 @@ class DensityFamily(ABC):
     def sample_posterior(self, spec: ChainSpec):
         """Draw a posterior sample path; identical spec gives identical path."""
 
+    def sample_chains(self, specs: Sequence[ChainSpec]) -> list:
+        """The sample paths of a stage, one per spec and in order, each the
+        path sample_posterior gives for its spec alone.  A family may
+        override it to share work across the stage's chains."""
+        return [self.sample_posterior(sp) for sp in specs]
+
     @abstractmethod
     def weight_stats(self, samples):
         """Per-sample statistics sufficient to evaluate weights at any h."""

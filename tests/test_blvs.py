@@ -2,10 +2,8 @@ import gc
 import importlib.resources
 import logging
 import math
-import sys
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -357,6 +355,29 @@ class TestPriorWeight:
                 small_family.validate_h(bad)
 
 
+def conditional_inclusion_prob(fam, gamma, i, h) -> float:
+    """p(gamma_i = 1 | gamma_{-i}, y) with (beta, sigma) integrated out, by
+    two one-model fits: the reference for the sampler's inlined update."""
+    w, g = fam.validate_h(h)
+
+    def log_marginal(cols):
+        return fam._log_marginal(cols.size - 1, fam._rss_ratio(cols), g)
+
+    base = np.append(np.asarray(gamma, dtype=bool), True)    # and the response
+    base[i] = False
+    lm0 = log_marginal(np.flatnonzero(base))
+    base[i] = True
+    try:
+        lm1 = log_marginal(np.flatnonzero(base))
+    except SingularDesignError:
+        return 0.0
+    logit = math.log(w) - math.log1p(-w) + lm1 - lm0
+    if logit >= 0.0:
+        return 1.0 / (1.0 + math.exp(-logit))
+    e = math.exp(logit)
+    return e / (1.0 + e)
+
+
 class TestGibbs:
     def test_sweep_kernel_leaves_enumerated_posterior_invariant(self, tiny_family):
         # exact stationarity of the 2^3-state sweep kernel (beta and sigma
@@ -370,7 +391,7 @@ class TestGibbs:
         for i in range(fam.q):
             K = np.zeros((n_states, n_states))
             for c, mask in enumerate(masks):
-                p1 = fam.conditional_inclusion_prob(mask, i, h)
+                p1 = conditional_inclusion_prob(fam, mask, i, h)
                 on = c | (1 << i)
                 off = c & ~(1 << i)
                 K[c, on] += p1
@@ -740,35 +761,36 @@ class TestModelTable:
         np.testing.assert_allclose(chain.beta, beta, rtol=1e-12,
                                    atol=1e-12 * np.abs(beta).max())
 
-    def test_threads_filling_one_table_match_serial_chains(self, uscrime_path, monkeypatch):
+    def test_stage_chains_match_chains_sampled_alone(self, uscrime_path, monkeypatch):
         ds = ingest_csv(uscrime_path, "y", ["S"])
-        specs = [ChainSpec(h=(w, g), length=60, burn_in=10, seed=s)
-                 for s, (w, g) in enumerate([(0.5, 15.0), (0.3, 50.0), (0.6, 100.0),
-                                             (0.8, 225.0), (0.4, 20.0), (0.7, 70.0)])]
+        specs = [ChainSpec(h=h, length=n, burn_in=b, seed=s)
+                 for s, (h, n, b) in enumerate([((0.5, 15.0), 60, 10), ((0.3, 50.0), 40, 0),
+                                                ((0.6, 100.0), 70, 25), ((0.8, 225.0), 30, 5),
+                                                ((0.4, 20.0), 50, 10), ((0.7, 70.0), 80, 3)])]
+        # a chunk closes after three chains (170 rows), so one boundary falls
+        # between the third chain and the fourth
+        monkeypatch.setattr(blvs, "DRAW_ROWS", 150)
         for path in table_paths(monkeypatch):
+            want = [chain_values(BlvsFamily(ds).gibbs_run(sp)) for sp in specs]
             serial = BlvsFamily(ds)
-            want = [chain_values(serial.gibbs_run(sp)) for sp in specs]
-            # six threads start chains on a family with no table yet
-            shared = BlvsFamily(ds)
-            build, builds = shared._build_table, []
-            shared._build_table = lambda: builds.append(1) or build()
-            interval = sys.getswitchinterval()
-            sys.setswitchinterval(1e-6)
-            try:
-                with ThreadPoolExecutor(max_workers=len(specs)) as ex:
-                    futures = [ex.submit(shared.gibbs_run, sp) for sp in specs]
-                    got = [chain_values(f.result(timeout=120)) for f in futures]
-            finally:
-                sys.setswitchinterval(interval)
+            for sp in specs:
+                serial.gibbs_run(sp)
+            stage = BlvsFamily(ds)
+            build, builds = stage._build_table, []
+            stage._build_table = lambda: builds.append(1) or build()
+            draw, draws = stage._draw_given_models, []
+            stage._draw_given_models = lambda *a: draws.append(len(a[0])) or draw(*a)
+            got = [chain_values(c) for c in stage.sample_chains(specs)]
             assert got == want
-            assert shared._rssr == serial._rssr
+            assert draws == [170, 160]
+            assert stage._rssr == serial._rssr
             # the log marginals the chains read, one store per g
-            assert shared._lms.keys() == serial._lms.keys()
+            assert stage._lms.keys() == serial._lms.keys()
             for g, store in serial._lms.items():
                 if path == "table":
-                    assert shared._lms[g].tobytes() == store.tobytes()
+                    assert stage._lms[g].tobytes() == store.tobytes()
                 else:
-                    assert shared._lms[g] == store
+                    assert stage._lms[g] == store
             assert len(builds) == (path == "table")
             if path == "table":
-                assert shared._table.tobytes() == serial._table.tobytes()
+                assert stage._table.tobytes() == serial._table.tobytes()

@@ -129,6 +129,16 @@ class TestSampling:
         np.testing.assert_array_equal(fam.sample_posterior(spec),
                                       fam.sample_posterior(spec))
 
+    @pytest.mark.parametrize("sampler", ["iid", "ar1"])
+    def test_sample_chains_is_sample_posterior_per_spec(self, sampler):
+        fam = ConjugateToy(y_obs=1.0, sampler=sampler)
+        specs = [ChainSpec(h=(h,), length=n, burn_in=b, seed=s)
+                 for h, n, b, s in [(0.5, 300, 10, 99), (-1.0, 7, 0, 3), (0.5, 300, 10, 98)]]
+        chains = fam.sample_chains(specs)
+        assert len(chains) == len(specs)
+        for spec, chain in zip(specs, chains):
+            np.testing.assert_array_equal(chain, fam.sample_posterior(spec))
+
     def test_ar1_stationary_moments(self):
         fam = ConjugateToy(y_obs=0.0, sampler="ar1", ar1_phi=0.6)
         draws = fam.sample_posterior(ChainSpec(h=(1.0,), length=200_000, seed=3))
