@@ -596,10 +596,12 @@ class ModelEnumeration:
     """Exact posterior quantities by summing over all 2^q models.
 
     R^2_gamma does not depend on (w, g), so the per-model fits are done
-    once, by the family's table build; every hyperparameter evaluation
-    afterwards is a vectorized pass over the table.  Model `code` includes
-    predictor i when bit i of the code is set.  The enumeration refers to
-    its family weakly, so the family's cache of it makes no reference cycle.
+    once, by the family's table build.  The prior's w-part depends on the
+    model size alone, so `evaluate` sums the model weights by size in one
+    O(2^q q) pass over the table per distinct g, and then needs O(q^2) work
+    per point.  Model `code` includes predictor i when bit i of the code is
+    set.  The enumeration refers to its family weakly, so the family's cache
+    of it makes no reference cycle.
     """
 
     def __init__(self, family: BlvsFamily):
@@ -618,6 +620,10 @@ class ModelEnumeration:
         if bad.size:
             family._code_rss_ratio(int(bad[np.argmin(self.q_gamma[bad])]))
         self.rss_ratio = rssr
+        # at a fixed size, log m(y | gamma, g) falls as 1 - R^2 rises, so at
+        # every g the model of least 1 - R^2 of a size has its largest one
+        self._least_rss_ratio = np.full(q + 1, np.inf)
+        np.minimum.at(self._least_rss_ratio, self.q_gamma, rssr)
 
     @property
     def family(self) -> BlvsFamily:
@@ -626,52 +632,68 @@ class ModelEnumeration:
             raise ReferenceError("the family of this enumeration no longer exists")
         return family
 
-    def _scaled_weights(self, points):
-        """For each point h = (w, g), grouped by g: (index of h in points,
-        c, p) where the log model weights log[prior(gamma) m(y|gamma,g)] are
-        c + log p and max p = 1.  The g-part, log m(y | gamma, g), is
-        computed once per distinct g, and one such array is alive at a time;
-        the w-part depends on the model size alone."""
-        family = self.family
-        points = [family.validate_h(h) for h in points]
-        by_g: dict[float, list[int]] = {}
-        for i, (_, g) in enumerate(points):
-            by_g.setdefault(g, []).append(i)
-        for g, rows in by_g.items():
-            lm = family._log_marginals(self.rss_ratio, g)
-            for i in rows:
-                w = points[i][0]
-                # float64 from the uint8 sizes (numpy 1.x would make float16)
-                p = np.multiply(self.q_gamma, math.log(w) - math.log1p(-w), dtype=float)
-                p += lm
-                top = float(p.max())
-                p -= top
-                yield i, self.q * math.log1p(-w) + top, np.exp(p, out=p)
-            del lm
+    def _size_sums(self, g: float, high: np.ndarray, low: np.ndarray):
+        """(top, S) at g: top[s] is the largest log m(y | gamma, g) among the
+        models of size s; S[i, s] sums exp(log m - top[s]) over the models of
+        size s that hold predictor i, and S[q, s] over all models of size s.
+
+        The shift by top[s] keeps every model that can matter at some w from
+        underflowing.  The weights, as a (2^a, 2^b) matrix of high by low code
+        bits with b = q // 2, reduce through `_half_indicators` of each half
+        to sums by (predictor, high size, low size), whose anti-diagonals are
+        the sums by size."""
+        family, q = self.family, self.q
+        b = q // 2
+        a = q - b
+        top = family._log_marginal(np.arange(q + 1), self._least_rss_ratio, g)
+        e = family._log_marginals(self.rss_ratio, g)
+        e -= top[self.q_gamma]
+        weights = np.exp(e, out=e).reshape(1 << a, 1 << b)
+        by_low_size = weights @ low[:, -(b + 1):]
+        by_high_size = high[:, -(a + 1):].T @ weights
+        # (q + 1, a + 1, b + 1): the low predictors, the high ones, then all
+        sums = np.concatenate([
+            (by_high_size @ low[:, :-(b + 1)]).reshape(a + 1, b, b + 1).transpose(1, 0, 2),
+            (high.T @ by_low_size).reshape(a + 1, a + 1, b + 1)])
+        S = np.zeros((q + 1, q + 1))
+        for j in range(b + 1):
+            S[:, j:j + a + 1] += sums[:, :, j]
+        return top, S
 
     def evaluate(self, points) -> tuple[np.ndarray, np.ndarray]:
         """(log m_h, P(gamma_i = 1 | y) for each predictor i) at each point h
         of points, in their order; log m_h is up to one h-independent
-        constant.  The models holding the top predictor are the upper half
-        of the codes, so q halvings of the weights give every inclusion
-        probability, and the last one the total."""
-        log_m, incl = np.empty(len(points)), np.empty((len(points), self.q))
-        for i, c, p in self._scaled_weights(points):
-            for j in reversed(range(self.q)):
-                lo, hi = p.reshape(2, -1)
-                incl[i, j] = hi.sum()
-                p = lo + hi
-            incl[i] /= p[0]
-            log_m[i] = c + math.log(p[0])
+        constant.  With the size sums of the point's g and
+        v_s = exp(s log(w / (1 - w)) + top[s]), m_h = (1 - w)^q sum_s v_s S[q, s]
+        and P(gamma_i = 1 | y) = sum_s v_s S[i, s] / sum_s v_s S[q, s].  Each
+        point's sums run along its own row, so its numbers do not depend on
+        the other points of the call."""
+        family, q = self.family, self.q
+        points = [family.validate_h(h) for h in points]
+        by_g: dict[float, list[int]] = {}
+        for i, (_, g) in enumerate(points):
+            by_g.setdefault(g, []).append(i)
+        log_m, incl = np.empty(len(points)), np.empty((len(points), q))
+        high = _half_indicators(self.q_gamma, q - q // 2)
+        low = _half_indicators(self.q_gamma, q // 2)
+        sizes = np.arange(q + 1, dtype=float)
+        for g, rows in by_g.items():
+            top, S = self._size_sums(g, high, low)
+            w = [points[i][0] for i in rows]
+            alpha = np.array([math.log(x) - math.log1p(-x) for x in w])
+            log_v = alpha[:, None] * sizes + top
+            shift = log_v.max(axis=1)
+            log_v -= shift[:, None]
+            # products and a sum along each row, not a matmul, whose blocking
+            # may depend on how many rows there are
+            sums = (np.exp(log_v, out=log_v)[:, None, :] * S).sum(axis=-1)
+            incl[rows] = sums[:, :q] / sums[:, q:]
+            log_m[rows] = np.array([q * math.log1p(-x) for x in w]) + shift + np.log(sums[:, q])
         return log_m, incl
 
     def log_marginal(self, h) -> float:
         """log m_h up to the same h-independent constant."""
         return float(self.evaluate([h])[0][0])
-
-    def model_probs(self, h) -> np.ndarray:
-        _, _, p = next(self._scaled_weights([h]))
-        return p / p.sum()
 
     def inclusion_probs(self, h) -> np.ndarray:
         """P(gamma_i = 1 | y) for each predictor."""
@@ -681,3 +703,15 @@ class ModelEnumeration:
         """Bayes factor B(h, h1) = m_h / m_{h1}; the shared constant cancels."""
         log_m = self.evaluate([h, h1])[0]
         return math.exp(log_m[0] - log_m[1])
+
+
+def _half_indicators(q_gamma: np.ndarray, bits: int) -> np.ndarray:
+    """For the codes 0, ..., 2^bits - 1 of one half of a code's bits, the
+    (2^bits, (bits + 1)^2) 0/1 matrix whose column i (bits + 1) + s marks the
+    codes of size s that hold predictor i of the half; the last bits + 1
+    columns (i = bits) mark the codes of size s."""
+    n = 1 << bits
+    size = q_gamma[:n, None] == np.arange(bits + 1)
+    held = np.ones((n, bits + 1), dtype=bool)
+    held[:, :bits] = np.arange(n)[:, None] >> np.arange(bits) & 1
+    return (held[:, :, None] & size[:, None, :]).reshape(n, -1).astype(float)

@@ -257,6 +257,8 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
         with _timed(timings, "table_s"):
             cfg.family.enumeration()
         manifest["sizes"]["models"] = 1 << cfg.family.q
+        # the grid pass sums the models once per distinct g
+        manifest["sizes"]["g_values"] = len({h[1] for h in (cfg.skeleton[0], *cfg.grid)})
     with _timed(timings, "grid_s"):
         exact = _exact_surface(cfg)
     manifest["sizes"]["grid"] = len(exact)

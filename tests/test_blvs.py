@@ -134,33 +134,62 @@ class TestLogMarginal:
 
 
 class TestEnumeration:
+    @pytest.mark.parametrize("q", [1, 2, 5])
+    def test_any_split_of_the_code_bits(self, q):
+        # q = 1 leaves the low half of the codes' bits empty, q = 5 splits
+        # them 3 + 2
+        fam = BlvsFamily(synthetic_dataset(m=20, q=q, seed=q, strong=(0,)))
+        enum = fam.enumeration()
+        bits = np.array([[(c >> i) & 1 for i in range(q)] for c in range(1 << q)], dtype=bool)
+        for h in W_ENDS_AND_MIDDLE:
+            lw = log_weights(fam, bits, h)
+            want = [math.exp(logsumexp(lw[bits[:, i]]) - logsumexp(lw)) for i in range(q)]
+            np.testing.assert_allclose(enum.inclusion_probs(h), want, rtol=1e-12, atol=0)
+            assert enum.log_marginal(h) == pytest.approx(logsumexp(lw), rel=1e-12)
+
     def test_brute_force_cross_check(self, small_family):
         fam = small_family
         enum = fam.enumeration()
-        h = (0.4, 9.0)
-        # independent direct computation of all 2^5 model weights
-        lw = np.empty(32)
+        # independent direct computation of all 2^5 model fits
+        r2 = np.empty(32)
         for code in range(32):
             gamma = np.array([(code >> i) & 1 for i in range(5)], dtype=bool)
             idx = np.flatnonzero(gamma)
             if idx.size:
                 Xc = fam._Xc[:, idx]
                 beta_ls, *_ = np.linalg.lstsq(Xc, fam._yc, rcond=None)
-                r2 = 1 - ((fam._yc - Xc @ beta_ls) ** 2).sum() / fam._tss
+                r2[code] = 1 - ((fam._yc - Xc @ beta_ls) ** 2).sum() / fam._tss
             else:
-                r2 = 0.0
-            lw[code] = idx.size * math.log(0.4) + (5 - idx.size) * math.log(0.6) \
-                + 0.5 * (fam.m - 1 - idx.size) * math.log1p(9.0) \
-                - 0.5 * (fam.m - 1) * math.log1p(9.0 * (1 - r2))
-        probs = np.exp(lw - logsumexp(lw))
-        want_incl = np.array([probs[[(c >> i) & 1 == 1 for c in range(32)]].sum()
-                              for i in range(5)])
-        np.testing.assert_allclose(enum.inclusion_probs(h), want_incl, atol=1e-12)
-        np.testing.assert_allclose(enum.model_probs(h), probs, atol=1e-12)
+                r2[code] = 0.0
+        sizes = np.array([code.bit_count() for code in range(32)])
+        for w, g in [(0.4, 9.0), *W_ENDS_AND_MIDDLE]:
+            lw = sizes * math.log(w) + (5 - sizes) * math.log1p(-w) \
+                + 0.5 * (fam.m - 1 - sizes) * math.log1p(g) \
+                - 0.5 * (fam.m - 1) * np.log1p(g * (1 - r2))
+            probs = np.exp(lw - logsumexp(lw))
+            want_incl = np.array([math.exp(logsumexp(lw[[(c >> i) & 1 == 1 for c in range(32)]])
+                                           - logsumexp(lw)) for i in range(5)])
+            np.testing.assert_allclose(enum.inclusion_probs((w, g)), want_incl, rtol=1e-12, atol=0)
+            assert enum.log_marginal((w, g)) == pytest.approx(logsumexp(lw), rel=1e-12)
+            np.testing.assert_allclose(model_probs(enum, (w, g)), probs, atol=1e-12)
 
     def test_normalization(self, small_family):
-        probs = small_family.enumeration().model_probs((0.3, 20.0))
+        # log m_h of the enumeration normalizes the model weights
+        enum, h = small_family.enumeration(), (0.3, 20.0)
+        bits = np.array([[(c >> i) & 1 for i in range(5)] for c in range(32)], dtype=bool)
+        probs = np.exp(log_weights(small_family, bits, h) - enum.log_marginal(h))
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_each_row_matches_the_point_evaluated_alone(self, small_family):
+        # shared g, duplicate points and extreme w in one call
+        enum = small_family.enumeration()
+        points = [(0.3, 5.0), (0.6, 5.0), (0.3, 5.0), (1e-12, 5.0), (0.45, 60.0),
+                  (1 - 1e-12, 5.0), (0.6, 5.0), (0.45, 60.0), (0.2, 60.0)]
+        log_m, incl = enum.evaluate(points)
+        for i, h in enumerate(points):
+            alone_m, alone_incl = enum.evaluate([h])
+            assert log_m[i].tobytes() == alone_m[0].tobytes(), h
+            assert incl[i].tobytes() == alone_incl[0].tobytes(), h
 
     def test_w_near_one_includes_everything(self, small_family):
         incl = small_family.enumeration().inclusion_probs((1 - 1e-12, 10.0))
@@ -168,7 +197,8 @@ class TestEnumeration:
 
     def test_exact_bf_identity_and_cocycle(self, small_family):
         enum = small_family.enumeration()
-        assert enum.exact_bf((0.5, 10.0), (0.5, 10.0)) == 1.0
+        for h in [(0.5, 10.0), *W_ENDS_AND_MIDDLE]:
+            assert enum.exact_bf(h, h) == 1.0
         h1, h2, h3 = (0.3, 5.0), (0.6, 20.0), (0.45, 60.0)
         assert enum.exact_bf(h1, h2) * enum.exact_bf(h2, h3) == pytest.approx(
             enum.exact_bf(h1, h3), rel=1e-12)
@@ -196,12 +226,11 @@ class TestEnumeration:
         # the batched build and the per-model path agree bit for bit
         assert enum.rss_ratio.tobytes() == per_model.tobytes()
         bits = np.array([[(c >> i) & 1 for i in range(fam.q)] for c in codes], dtype=bool)
-        for h in [(0.2, 4.0), (0.5, 15.0), (0.9, 100.0)]:
-            lw = np.array([math.log(h[0]) * b.sum() + math.log1p(-h[0]) * (fam.q - b.sum())
-                           + fam.log_marginal_of_model(b, h[1]) for b in bits])
+        for h in [(0.2, 4.0), (0.5, 15.0), (0.9, 100.0), *W_ENDS_AND_MIDDLE]:
+            lw = log_weights(fam, bits, h)
             want = np.array([math.exp(logsumexp(lw[bits[:, i]]) - logsumexp(lw))
                              for i in range(fam.q)])
-            np.testing.assert_allclose(enum.inclusion_probs(h), want, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(enum.inclusion_probs(h), want, rtol=1e-12, atol=0)
             assert enum.log_marginal(h) == pytest.approx(logsumexp(lw), rel=1e-12)
 
     def test_singular_design_names_the_model(self):
@@ -225,6 +254,27 @@ class TestEnumeration:
                 enum.log_marginal((0.5, 10.0))
         finally:
             gc.enable()
+
+
+# w at both ends of (0, 1) and at 1/2, at two g
+W_ENDS_AND_MIDDLE = [(w, g) for g in (4.0, 100.0) for w in (1e-12, 0.5, 1 - 1e-12)]
+
+
+def log_weights(fam, bits, h):
+    """log[prior(gamma) m(y | gamma, g)] of each model, one row of bits each,
+    from the one-model path."""
+    w, g = h
+    return np.array([b.sum() * math.log(w) + (fam.q - b.sum()) * math.log1p(-w)
+                     + fam.log_marginal_of_model(b, g) for b in bits])
+
+
+def model_probs(enum, h):
+    """P(gamma | y, h) of every model code, from the enumeration's table."""
+    w, g = h
+    sizes = enum.q_gamma.astype(float)
+    lw = sizes * math.log(w) + (enum.q - sizes) * math.log1p(-w) \
+        + enum.family._log_marginals(enum.rss_ratio, g)
+    return np.exp(lw - logsumexp(lw))
 
 
 def duplicate_column_family():
@@ -397,7 +447,7 @@ class TestGibbs:
                 K[c, on] += p1
                 K[c, off] += 1 - p1
             kernel = kernel @ K
-        pi = fam.enumeration().model_probs(h)
+        pi = model_probs(fam.enumeration(), h)
         np.testing.assert_allclose(pi @ kernel, pi, atol=1e-12)
 
     def test_long_run_inclusion_matches_enumeration(self, small_family):

@@ -312,7 +312,8 @@ class TestRegressionOracle:
         manifest = json.loads((out / "oracle-manifest.json").read_text())
         assert manifest["command"] == "oracle"
         assert set(manifest["timings"]) == {"table_s", "grid_s", "write_s"}
-        assert manifest["sizes"] == {"models": 32, "grid": len(grid)}
+        # g = 10 at the baseline, and 3, 40 and 10 on the grid
+        assert manifest["sizes"] == {"models": 32, "grid": len(grid), "g_values": 3}
 
     def test_oracle_after_run_keeps_the_run_manifest(self, regression_config, tmp_path):
         # both commands write to the config's out
