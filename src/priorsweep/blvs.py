@@ -47,14 +47,17 @@ BLOCK = 4096        # codes per block of an array of log marginals
 # rows of one batched (sigma, beta0, beta) draw, which bounds its arrays (at
 # 1 << 14, two 10,000-row chains a draw raised a 176 MB run's peak by 1.5 MB)
 DRAW_ROWS = 1 << 13
+# sweeps whose uniforms one call draws; any value gives the same stream
+SWEEP_ROWS = 256
 
 
-def _model_sizes(q: int) -> np.ndarray:
-    """The number of predictors of each model code 0, ..., 2^q - 1 (uint8):
-    codes 2^j, ..., 2^(j+1) - 1 add predictor j to the codes below 2^j."""
-    sizes = np.zeros(1, dtype=np.uint8)
-    for _ in range(q):
-        sizes = np.concatenate([sizes, sizes + 1])
+def _model_sizes(q: int, dtype=np.uint8) -> np.ndarray:
+    """The number of predictors of each model code 0, ..., 2^q - 1: codes
+    2^j, ..., 2^(j+1) - 1 add predictor j to the codes below 2^j.  Filled in
+    place, so building it takes no memory beyond its own."""
+    sizes = np.zeros(1 << q, dtype=dtype)
+    for j in range(q):
+        np.add(sizes[:1 << j], 1, out=sizes[1 << j:2 << j])
     return sizes
 
 
@@ -243,6 +246,7 @@ class BlvsFamily(DensityFamily):
         # function of its code, so the order in which chains fill a table
         # never changes a draw.
         self._table: np.ndarray | None = None
+        self._sizes: np.ndarray | None = None
         self._rssr: dict[int, float] = {}
         self._lms: dict[float, memoryview | _LazyLogMarginals] = {}
         self._enumeration = None
@@ -313,11 +317,11 @@ class BlvsFamily(DensityFamily):
     def _log_marginals(self, rssr: np.ndarray, g: float) -> np.ndarray:
         """_log_marginal at g of every model code, from the array rssr of
         their 1 - R^2, by blocks of BLOCK codes so the temporaries stay
-        small; the sizes are promoted from uint8 before m - 1 - size."""
-        out, sizes = np.empty(rssr.size), _model_sizes(self.q)
+        small."""
+        out, sizes = np.empty(rssr.size), self.model_sizes()
         for start in range(0, rssr.size, BLOCK):
             block = slice(start, start + BLOCK)
-            out[block] = self._log_marginal(sizes[block].astype(np.intp), rssr[block], g)
+            out[block] = self._log_marginal(sizes[block], rssr[block], g)
         return out
 
     # the model table
@@ -382,7 +386,18 @@ class BlvsFamily(DensityFamily):
             return None
         if self._table is None:
             self._table = self._build_table()
+            self.model_sizes()      # every per-g array of log marginals reads both
         return self._table
+
+    def model_sizes(self) -> np.ndarray:
+        """The number of predictors of each model code, read-only and intp,
+        so that neither m - 1 - size nor a gather by size casts it; built
+        once, by the first caller, and shared by the arrays of log marginals
+        and the enumeration."""
+        if self._sizes is None:
+            self._sizes = _model_sizes(self.q, np.intp)
+            self._sizes.flags.writeable = False
+        return self._sizes
 
     def _log_marginal_store(self, g: float) -> memoryview | _LazyLogMarginals:
         """log m(y | gamma, g) by model code, kept for every chain at g: a
@@ -444,11 +459,20 @@ class BlvsFamily(DensityFamily):
     def _sweeps(self, spec: ChainSpec, gam: np.ndarray, z: np.ndarray) -> list[int]:
         """The model code of each kept sweep of one chain, reading each log
         marginal from the family's store at g (NaN: a singular or too-large
-        model).  The variates of each row's draw go to gam and z; burn-in
-        sweeps write to the first row, which the first kept sweep overwrites."""
+        model).  The chain's stream holds the start's q uniforms, then q
+        uniforms per sweep, burn-in included, drawn SWEEP_ROWS sweeps at a
+        time (Generator.random fills in order, so the block size does not
+        change the stream), then after the last sweep burn_in + n gamma
+        variates and a (burn_in + n, q + 1) array of standard normals: kept
+        row r takes those of sweep burn_in + r, into gam and z.
+
+        A flip is tested in logit space: with t = logit(u) - logit(w), an
+        excluded predictor enters iff t < lm_try - lm_cur and an included
+        one leaves iff t >= lm_cur - lm_try, which is u < expit(.) of its
+        full conditional."""
         w, g = self.validate_h(spec.h)
         rng = np.random.default_rng(spec.seed)
-        m, q = self.m, self.q
+        q = self.q
         log_odds = math.log(w) - math.log1p(-w)
         gamma = rng.random(q) < w
         lms = self._log_marginal_store(g)
@@ -459,44 +483,37 @@ class BlvsFamily(DensityFamily):
             code = 0
             lm_cur = lms[code]
         n, burn_in = spec.length, spec.burn_in
-        codes = [0] * n
-        gamma_shape = 0.5 * (m - 1)
+        codes = []
         bits = [1 << i for i in range(q)]
-        exp = math.exp
         warned = False
-        for sweep in range(burn_in + n):
-            # one uniform per predictor, drawn whether or not its flip is tried
-            u = rng.random(q).tolist()
-            for ui, bit in zip(u, bits):
-                flipped = code ^ bit
-                lm_try = lms[flipped]
-                if lm_try != lm_try:    # NaN: singular or too large
-                    if not warned:
-                        logger.warning(
-                            "singular candidate model at predictor %s; treating it "
-                            "as prior-probability zero", self.names[bit.bit_length() - 1])
-                        warned = True
-                    continue
-                included = (code & bit) != 0
-                logit = log_odds + lm_cur - lm_try if included else log_odds + lm_try - lm_cur
-                # the inclusion probability expit(logit), by the branch that
-                # cannot overflow
-                if logit >= 0.0:
-                    p = 1.0 / (1.0 + exp(-logit))
-                else:
-                    p = exp(logit)
-                    p = p / (1.0 + p)
-                if (ui < p) != included:
-                    code = flipped
-                    lm_cur = lm_try
-
-            # the draw's variates: a gamma variate, then one standard normal
-            # per included predictor and one for beta0, in one call
-            row = max(sweep - burn_in, 0)
-            codes[row], size = code, code.bit_count()
-            gam[row] = rng.standard_gamma(gamma_shape)
-            z[row, :size + 1] = rng.standard_normal(size + 1)
-        return codes
+        for start in range(0, burn_in + n, SWEEP_ROWS):
+            u = rng.random((min(SWEEP_ROWS, burn_in + n - start), q))
+            with np.errstate(divide="ignore"):      # u = 0 gives t = -inf
+                t = np.log(u) - np.log1p(-u) - log_odds
+            thresholds = iter(t.ravel().tolist())
+            for _ in range(u.shape[0]):
+                # bits first, so zip stops after q thresholds
+                for bit, ti in zip(bits, thresholds):
+                    flipped = code ^ bit
+                    lm_try = lms[flipped]
+                    if lm_try != lm_try:    # NaN: singular or too large
+                        if not warned:
+                            logger.warning(
+                                "singular candidate model at predictor %s; treating it "
+                                "as prior-probability zero", self.names[bit.bit_length() - 1])
+                            warned = True
+                        continue
+                    if (ti >= lm_cur - lm_try) if code & bit else (ti < lm_try - lm_cur):
+                        code = flipped
+                        lm_cur = lm_try
+                codes.append(code)
+        # the draw's variates of every sweep: the burn-in sweeps' are drawn
+        # and dropped, the kept rows' go straight into gam and z
+        rng.standard_gamma(0.5 * (self.m - 1), burn_in)
+        rng.standard_gamma(0.5 * (self.m - 1), out=gam)
+        rng.standard_normal((burn_in, q + 1))
+        rng.standard_normal(out=z)
+        return codes[burn_in:]
 
     def _draw_given_models(self, codes, gam, z, g):
         """(gamma, sigma, beta0, beta) of rows with model `codes`, from each
@@ -613,7 +630,7 @@ class ModelEnumeration:
         rssr = family.model_table()
         if rssr is None:
             rssr = family._build_table()
-        self.q_gamma = _model_sizes(q)
+        self.q_gamma = family.model_sizes()
         # a singular or too-large model holds NaN: fit the first, in order of
         # size and then code, on its own, which raises naming it
         bad = np.flatnonzero(np.isnan(rssr))

@@ -25,6 +25,8 @@ SECTIONS = {"model": (dict, "mapping"), "skeleton": (list, "list"),
             "stage1": (dict, "mapping"), "stage2": (dict, "mapping"),
             "grid": (dict, "mapping"), "functions": (list, "list"),
             "out": (str, "string"), "save_chains": (bool, "boolean")}
+# libyaml's parser where PyYAML was built with it: the same dicts, about 9x faster
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass
@@ -166,7 +168,10 @@ def make_grid(grid_cfg, coord_names) -> list[tuple]:
 def load_config(path) -> StudyConfig:
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.load(fh, Loader=YAML_LOADER)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
     for key, value in raw.items():

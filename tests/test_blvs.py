@@ -507,15 +507,34 @@ class TestGibbs:
         assert np.all(np.isfinite(chain.beta))
 
     def test_us_crime_chain_codes_are_pinned(self):
-        # the model codes this seed gave before the (sigma, beta) draw was
-        # batched after the sweeps: the random stream is unchanged
-        want = [12431, 30477, 23949, 5967, 5613, 5933, 13357, 5135, 4653, 7245,
-                6925, 5133, 7469, 7567, 30125, 7197, 6679, 6153, 5405, 5175,
-                7345, 13367, 5653, 5845, 5269, 6195, 12848, 12311, 5495, 5685,
-                21389, 16335, 5005, 20748, 21165, 21519, 24461, 7453, 4365, 5183]
+        # the model codes of this seed on the stream of uniforms first, then
+        # the draw's variates; a sampler that refits every model on every
+        # sweep gives the same codes
+        want = [29975, 7071, 12424, 5197, 15405, 14717, 4145, 13837, 15375, 5389,
+                23949, 12941, 15501, 6687, 24077, 5613, 12669, 5717, 23061, 7573,
+                13687, 31765, 5261, 16093, 13965, 7181, 13581, 4109, 13325, 22703,
+                29725, 21781, 21933, 21837, 7949, 13327, 6157, 5261, 24015, 5775]
         chain = crime_family().gibbs_run(
             ChainSpec(h=(0.6, 50.0), length=40, burn_in=10, seed=2024))
         assert [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma] == want
+
+    @pytest.mark.parametrize("h", [(0.5, 15.0), (0.05, 225.0), (1 - 1e-9, 4.0)])
+    def test_logit_thresholds_match_expit_per_coordinate(self, h):
+        # the old rule, u < expit(logit of the full conditional) coordinate
+        # by coordinate, on the same uniforms gives the same codes
+        fam = crime_family()
+        spec = ChainSpec(h=h, length=2000, burn_in=100, seed=8)
+        chain = fam.gibbs_run(spec)
+        assert [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma] \
+            == expit_sweeps(fam, spec)
+
+    def test_uniform_block_size_does_not_change_the_chain(self, monkeypatch):
+        fam = crime_family()
+        spec = ChainSpec(h=(0.6, 50.0), length=300, burn_in=40, seed=5)
+        want = chain_values(fam.gibbs_run(spec))
+        for rows in (1, 7, 1000):
+            monkeypatch.setattr(blvs, "SWEEP_ROWS", rows)
+            assert chain_values(fam.gibbs_run(spec)) == want
 
     def test_normal_is_loc_plus_scale_times_standard_normal(self):
         # the sampler draws beta0 as ybar + sd z from one standard normal,
@@ -536,6 +555,33 @@ class TestGibbs:
         for name in ("sigma", "beta0", "beta"):
             got, want = getattr(short, name), getattr(full, name)[b:]
             assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max(axis=0))
+
+
+def expit_sweeps(fam, spec):
+    """The kept codes of the sweep that tests u < expit(logit) at each
+    coordinate, on the chain's uniforms: the start's q, then q per sweep."""
+    w, g = fam.validate_h(spec.h)
+    rng = np.random.default_rng(spec.seed)
+    code = sum(1 << int(j) for j in np.flatnonzero(rng.random(fam.q) < w))
+    lms = fam._log_marginal_store(g)
+    if math.isnan(lms[code]):
+        code = 0
+    log_odds = math.log(w) - math.log1p(-w)
+    codes = []
+    for u in rng.random((spec.burn_in + spec.length, fam.q)).tolist():
+        for i, ui in enumerate(u):
+            flipped = code ^ 1 << i
+            if math.isnan(lms[flipped]):
+                continue
+            on, off = (code, flipped) if code >> i & 1 else (flipped, code)
+            logit = log_odds + lms[on] - lms[off]
+            if logit >= 0.0:
+                p = 1.0 / (1.0 + math.exp(-logit))
+            else:
+                p = math.exp(logit) / (1.0 + math.exp(logit))
+            code = on if ui < p else off
+        codes.append(code)
+    return codes[spec.burn_in:]
 
 
 def chain_values(chain):
@@ -672,8 +718,9 @@ class TestModelTable:
                 assert table[code].tobytes() == np.float64(want).tobytes(), code
 
     def test_more_rows_than_a_uint8_size_holds(self):
-        # model sizes are uint8; m - 1 - size must not be taken in uint8
-        # (numpy 2 raises OverflowError on 299 - uint8, numpy 1 wraps)
+        # m - 1 - size must not be taken in uint8, the dtype of the table
+        # build's own sizes (numpy 2 raises OverflowError on 299 - uint8,
+        # numpy 1 wraps): the family's sizes are intp
         fam = BlvsFamily(synthetic_dataset(m=300, q=6, seed=8, strong=(1, 4)))
         table = fam.model_table()
         assert not np.isnan(table).any()
@@ -682,7 +729,7 @@ class TestModelTable:
         lm = np.array([fam.log_marginal_of_model(b, 30.0) for b in bits])
         assert np.asarray(fam._log_marginal_store(30.0)).tobytes() == lm.tobytes()
         enum = fam.enumeration()
-        assert enum.q_gamma.dtype == np.uint8
+        assert enum.q_gamma is fam.model_sizes() and enum.q_gamma.dtype == np.intp
         w = 0.3
         lw = lm + bits.sum(axis=1) * math.log(w) + (fam.q - bits.sum(axis=1)) * math.log1p(-w)
         assert enum.log_marginal((w, 30.0)) == pytest.approx(logsumexp(lw), rel=1e-12)
@@ -743,10 +790,10 @@ class TestModelTable:
 
     def test_duplicate_column_warns_once_per_chain(self, caplog, monkeypatch):
         # reference draws of the sampler that refit every model on every sweep
-        want_codes = [[0, 4, 0, 2, 0, 1, 0, 4, 0, 1, 0, 4],
-                      [0, 1, 0, 0, 1, 0, 6, 0, 2, 2, 4, 2]]
-        want_sigma = [[0.929045037312, 1.09213558988, 0.877967189506, 0.904638850345],
-                      [1.21609112199, 0.800466765174, 0.867330744703, 0.938548037436]]
+        want_codes = [[0, 2, 3, 0, 0, 2, 2, 0, 1, 1, 2, 0],
+                      [0, 0, 2, 0, 0, 6, 0, 0, 0, 0, 0, 4]]
+        want_sigma = [[0.982594931745, 1.0744490596, 0.891937103285, 0.951242467052],
+                      [0.889414806396, 0.63689252735, 0.932857046801, 0.813734840305]]
         for path in table_paths(monkeypatch):
             # the second chain reads the NaN the first one left in the store
             fam = duplicate_column_family()
@@ -786,26 +833,28 @@ class TestModelTable:
         sizes = sorted({c.bit_count() for c in codes})
         assert calls == [(len({c for c in codes if c.bit_count() == s}), s, s)
                          for s in sizes]
-        # replay the stream: the start's uniforms, then per sweep q
-        # uniforms, a gamma variate, one normal per included predictor and
-        # one for beta0
+        # replay the stream: the start's uniforms, q uniforms per sweep,
+        # then a gamma variate per sweep and a row of q + 1 normals per
+        # sweep, of which a row uses one per included predictor and the
+        # next for beta0
+        n = len(chain)
         rng = np.random.default_rng(spec.seed)
         rng.random(fam.q)
+        rng.random((n, fam.q))
+        gam = rng.standard_gamma(0.5 * (fam.m - 1), n)
+        normals = rng.standard_normal((n, fam.q + 1))
         shrink = spec.h[1] / (1.0 + spec.h[1])
-        n = len(chain)
         sigma, beta0, beta = np.empty(n), np.empty(n), np.zeros((n, fam.q))
         for r in range(n):
-            rng.random(fam.q)
             idx = np.flatnonzero(chain.gamma[r])
             L = np.linalg.cholesky(fam._G[np.ix_(idx, idx)])
             half = np.linalg.solve(L, fam._G[idx, fam.q])
-            sigma2 = 0.5 * (fam._tss - shrink * half @ half) \
-                / rng.standard_gamma(0.5 * (fam.m - 1))
-            z = rng.standard_normal(idx.size)
+            sigma2 = 0.5 * (fam._tss - shrink * half @ half) / gam[r]
+            z = normals[r, :idx.size]
             beta[r, idx] = np.linalg.inv(L).T \
                 @ (shrink * half + math.sqrt(sigma2 * shrink) * z)
             sigma[r] = math.sqrt(sigma2)
-            beta0[r] = fam._ybar + math.sqrt(sigma2 / fam.m) * rng.standard_normal()
+            beta0[r] = fam._ybar + math.sqrt(sigma2 / fam.m) * normals[r, idx.size]
         np.testing.assert_allclose(chain.sigma, sigma, rtol=1e-12)
         np.testing.assert_allclose(chain.beta0, beta0, rtol=1e-12)
         np.testing.assert_allclose(chain.beta, beta, rtol=1e-12,

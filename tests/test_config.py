@@ -7,7 +7,7 @@ import pytest
 import yaml
 
 from priorsweep.cli import main
-from priorsweep.config import StageConfig, load_config, make_grid
+from priorsweep.config import YAML_LOADER, StageConfig, load_config, make_grid
 from priorsweep.errors import ConfigError
 
 
@@ -231,6 +231,20 @@ class TestLoadConfig:
         assert main(["oracle", "--config", str(p)]) == 2
         assert message in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [p]
+
+    def test_malformed_yaml_exits_2_naming_the_file(self, tmp_path, capsys):
+        p = tmp_path / "study.yaml"
+        p.write_text("model: {kind: toy\nskeleton: [[0.0]]\n")
+        assert main(["run", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"{p}: not valid YAML" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("path", sorted(
+        (Path(__file__).resolve().parent.parent / "configs").glob("*.yaml")),
+        ids=lambda p: p.name)
+    def test_both_yaml_loaders_give_equal_dicts(self, path):
+        text = path.read_text(encoding="utf-8")
+        assert yaml.load(text, Loader=YAML_LOADER) == yaml.load(text, Loader=yaml.SafeLoader)
 
     def test_empty_grid_rejected(self, tmp_path, capsys):
         p = tmp_path / "study.yaml"
