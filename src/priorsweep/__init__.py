@@ -10,8 +10,7 @@ from .ratio import (LogWeightMatrix, RatioEstimate, build_log_weight_matrix,
                     estimate_d, estimate_ratios, estimate_sigma)
 from .surface import Stage2Workspace, SurfaceRecord, bf_cv_hat, bf_hat, pe_hat, surface
 from .variance import (PlanInputs, StagePlan, VarianceBreakdown, assemble_variance,
-                       c_hat, chain_lrv, lrv_diag, lrv_matrix, q_opt, spectral_lrv,
-                       w_hat)
+                       c_hat, chain_lrv, lrv_diag, lrv_matrix, q_opt, w_hat)
 
 __all__ = [
     "BlvsChain", "BlvsFamily", "Dataset", "ModelEnumeration", "ingest_csv",
@@ -21,5 +20,5 @@ __all__ = [
     "Stage2Workspace", "SurfaceRecord", "bf_cv_hat", "bf_hat", "pe_hat", "surface",
     "PlanInputs", "StagePlan", "VarianceBreakdown",
     "assemble_variance", "c_hat", "chain_lrv", "lrv_diag", "lrv_matrix", "q_opt",
-    "spectral_lrv", "w_hat",
+    "w_hat",
 ]

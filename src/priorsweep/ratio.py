@@ -72,16 +72,13 @@ def build_log_weight_matrix(family: DensityFamily, skeleton: Sequence,
         raise ValueError("empty chain in stage input")
     pooled = family.concat_chains(chains)
     stats = family.weight_stats(pooled)
-    rows = []
-    for s, h in enumerate(hs):
-        row = np.asarray(family.log_weights(h, stats), dtype=float)
-        bad = np.flatnonzero(np.isnan(row) | np.isposinf(row))
-        if bad.size:
-            raise ValueError(
-                f"family weight evaluation failed at skeleton {s}, pooled sample {bad[0]}"
-            )
-        rows.append(row)
-    logw = np.vstack(rows)
+    logw = np.empty((len(hs), int(counts.sum())))
+    for row, h in zip(logw, hs):
+        row[:] = family.log_weights(h, stats)
+    ok = logw < np.inf                           # false at nan and +inf
+    if not ok.all():
+        s, p = np.argwhere(~ok)[0]
+        raise ValueError(f"family weight evaluation failed at skeleton {s}, pooled sample {p}")
     return LogWeightMatrix(logw=logw, counts=counts, skeleton=hs,
                            family=family, stats=stats, samples=pooled)
 
@@ -202,12 +199,12 @@ def estimate_d(W: LogWeightMatrix):
     when the pooled samples cannot identify all ratios.  Besides the
     iteration count and final gradient norm, the diagnostics hold the trace
     (objective, gradient norm and sup-norm step in eta = log d at the start
-    and after each iteration) and P at the optimum, for the sandwich.
+    and after each iteration), and P and the curvature at the optimum.
     """
     k, N = W.k, W.total
     if k == 1:
-        return np.ones(1), {"iterations": 0, "final_grad_norm": 0.0,
-                            "trace": [], "P": np.ones((1, N))}
+        return np.ones(1), {"iterations": 0, "final_grad_norm": 0.0, "trace": [],
+                            "P": np.ones((1, N)), "curvature": np.zeros((0, 0))}
     counts = W.counts.astype(float)
     log_a = np.log(counts) - np.log(N)
     # three k x N arrays: base, the state's P and the trial buffer
@@ -284,15 +281,16 @@ def estimate_d(W: LogWeightMatrix):
                 f"ratio solver did not reach tolerance after {MAX_ITER} iterations "
                 f"(gradient norm {state['grad_norm']:.3e})"
             )
-    _check_curvature(state["P"], counts)
     return np.exp(state["eta"]), {"iterations": iterations,
                                   "final_grad_norm": float(state["grad_norm"]),
-                                  "trace": trace, "P": state["P"]}
+                                  "trace": trace, "P": state["P"],
+                                  "curvature": _check_curvature(state["P"], counts)}
 
 
-def _check_curvature(P: np.ndarray, counts: np.ndarray) -> None:
-    """The curvature matrix must be nonsingular at the optimum, else the
-    ratios are not identified (e.g. chains with pairwise-disjoint support)."""
+def _check_curvature(P: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The curvature matrix (the negative Hessian in eta_2..eta_k) at the
+    optimum's P, which must be nonsingular, else the ratios are not
+    identified (e.g. chains with pairwise-disjoint support)."""
     B = (np.diag(P.sum(axis=1)) - P @ P.T)[1:, 1:]
     n_dim = B.shape[0]
     ridge = 1e-12 * max(np.trace(B), 1e-300) / n_dim
@@ -304,6 +302,7 @@ def _check_curvature(P: np.ndarray, counts: np.ndarray) -> None:
             f"curvature matrix singular at the optimum; chains {weak or '(mixed)'} "
             f"do not overlap the rest of the skeleton"
         ) from None
+    return B
 
 
 def estimate_sigma(W: LogWeightMatrix, d_hat: np.ndarray) -> np.ndarray:
@@ -313,8 +312,10 @@ def estimate_sigma(W: LogWeightMatrix, d_hat: np.ndarray) -> np.ndarray:
     return _sandwich(W, d_hat, _softmax(z)[1])
 
 
-def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Sandwich covariance from the membership probabilities P at d_hat.
+def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
+              curvature=None) -> np.ndarray:
+    """Sandwich covariance from the membership probabilities P at d_hat and
+    the curvature matrix there (formed from P if not given).
 
     B_hat is the averaged negative Hessian of the quasi-likelihood; S_hat is
     the chain-weighted spectral long-run covariance of the per-observation
@@ -324,13 +325,12 @@ def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray) -> np.ndarra
     N = W.total
     if W.k == 1:
         return np.zeros((0, 0))
-    B = (np.diag(P.sum(axis=1)) - P @ P.T)[1:, 1:] / N
-    scores = -P[1:, :].T.copy()                  # (M, k-1)
-    for j, sl in enumerate(W.chain_slices):
-        if j >= 1:
-            scores[sl, j - 1] += 1.0
+    B = (_check_curvature(P, W.counts) if curvature is None else curvature) / N
+    scores = -P[1:]                              # (k-1, N)
+    for j, sl in enumerate(W.chain_slices[1:]):
+        scores[j, sl] += 1.0
     S = chain_lrv(scores, W.chain_slices, W.proportions)
-    # S'S is PSD by construction; the clip removes rounding-level negatives
+    # S is PSD by construction; the clip removes rounding-level negatives
     evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
     S = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
     try:
@@ -348,9 +348,9 @@ def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray) -> np.ndarra
 
 def estimate_ratios(W: LogWeightMatrix) -> RatioEstimate:
     """Run both halves of stage 1 and package the result; the sandwich
-    reuses the solver's P at the optimum."""
+    reuses the solver's P and curvature matrix at the optimum."""
     d_hat, info = estimate_d(W)
-    sigma_hat = _sandwich(W, d_hat, info["P"])
+    sigma_hat = _sandwich(W, d_hat, info["P"], info["curvature"])
     return RatioEstimate(d_hat=d_hat, sigma_hat=sigma_hat, N=W.total,
                          counts=W.counts.copy(), iterations=info["iterations"],
                          final_grad_norm=info["final_grad_norm"],

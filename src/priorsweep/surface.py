@@ -49,19 +49,18 @@ class Stage2Workspace:
         # from one kernel call
         self.log_den, P = _softmax(W.logw + (np.log(a) - np.log(d_hat))[:, None])
         _check_support(W, self.log_den)
-        # Z_j = nu_j/(d_j den) - nu_1/den and psi_j = a_j nu_j/(d_j^2 den);
-        # psi is stored by rows, the layout of the per-row products
-        self.Z = np.ascontiguousarray((P[1:] / a[1:, None] - P[0] / a[0]).T)
-        self.psiT = P[1:] / d_hat[1:, None]                          # (k-1, n)
-        self.psi = self.psiT.T
-        self.z_means = self.Z.mean(axis=0)
-        self.psi_chain_means = np.vstack([self.psi[sl].mean(axis=0)
-                                          for sl in W.chain_slices])   # (k, k-1)
+        # Z_j = nu_j/(d_j den) - nu_1/den and psi_j = a_j nu_j/(d_j^2 den),
+        # (k-1, n) arrays with the samples along the last axis
+        self.Z = P[1:] / a[1:, None] - P[0] / a[0]
+        self.psi = P[1:] / d_hat[1:, None]
+        self.z_means = self.Z.mean(axis=1)
+        self.psi_chain_means = np.stack([self.psi[:, sl].mean(axis=1)
+                                         for sl in W.chain_slices])    # (k, k-1)
         # least squares onto (1, Z) is the pseudo-inverse of the design; its
         # rows past the intercept map any u to beta.  Singular values at or
         # below _RANK_RTOL * s_max count as zero (numpy's rcond rule), which
         # gives the minimum-norm solution; with k = 1 the map has no rows.
-        U, s, Vt = np.linalg.svd(np.column_stack([np.ones(self.n), self.Z]),
+        U, s, Vt = np.linalg.svd(np.vstack([np.ones(self.n), self.Z]).T,
                                  full_matrices=False)
         keep = s > _RANK_RTOL * s[0]
         self._cv_map = (Vt[keep, 1:].T / s[keep]) @ U[:, keep].T   # (k-1, n)
@@ -207,7 +206,7 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
     the joint long-run covariance Gamma of (f_j Y, Y), and f == 1 gives a
     zero series and rho = 0 exactly.  Only the shifted terms u = Y e^-shift
     are formed; rho is scale free, the other two are rescaled.  Each chain's
-    (m, B, J + 2) series of a block is built on its own, with one Bartlett
+    (B, J + 2, m) series of a block is built on its own, with one Bartlett
     call and one product giving its share of v.
     """
     F1 = _function_rows(ws, functions)
@@ -221,17 +220,17 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
         est = _estimates(ws, block, F1)
         # with nu_h vanishing everywhere u is 0 and pe is nan
         centre = np.where(est.u_sum[:, None] > 0.0, est.pe, 0.0)
-        z_beta = np.matmul(ws.Z, est.beta_u[:, :, None])[:, :, 0]
+        z_beta = np.matmul(est.beta_u[:, None, :], ws.Z)[:, 0]         # (B, n)
         lrv = psi_x = 0.0
         for a_l, sl in zip(ws.proportions, ws.chain_slices):
-            u_l = est.U[:, sl].T
-            X = np.empty((len(u_l), B, J + 2))
-            X[:, :, 0] = u_l
-            np.subtract(u_l, z_beta[:, sl].T, out=X[:, :, 1])
-            np.subtract(F1[:J, sl].T[:, None, :], centre, out=X[:, :, 2:])
-            X[:, :, 2:] *= u_l[:, :, None]
-            lrv = lrv + a_l * lrv_diag(X).reshape(B, J + 2)
-            psi_x = psi_x + np.matmul(ws.psiT[:, sl], X[:, :, 2:].transpose(1, 0, 2))
+            u_l = est.U[:, sl]
+            X = np.empty((B, J + 2, u_l.shape[1]))
+            X[:, 0] = u_l
+            np.subtract(u_l, z_beta[:, sl], out=X[:, 1])
+            np.subtract(F1[:J, sl], centre[:, :, None], out=X[:, 2:])
+            X[:, 2:] *= u_l[:, None, :]
+            lrv = lrv + a_l * lrv_diag(X)
+            psi_x = psi_x + np.matmul(ws.psi[:, sl], X[:, 2:].swapaxes(1, 2))
         with np.errstate(divide="ignore", invalid="ignore"):
             v = psi_x / est.u_sum[:, None, None]                       # (B, k-1, J)
             rho = lrv[:, 2:] / (est.mean_u * est.mean_u)[:, None]

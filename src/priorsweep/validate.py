@@ -194,12 +194,13 @@ def suite_v3_exact_identities(master_seed: int = 3033) -> SuiteResult:
     # planner: analytic optimum vs fine grid search
     rng = np.random.default_rng(master_seed + 1)
     worst_q = 0.0
+    ratios = np.logspace(-1, 1, 20001)
     for _ in range(100):
         plan = PlanInputs(t1=rng.uniform(1e-4, 1e-1), t2=rng.uniform(1e-7, 1e-3),
                           g=rng.uniform(1, 2000), T=rng.uniform(10, 3600),
                           v1=rng.uniform(1e-4, 10), v2=rng.uniform(1e-4, 10))
         sol = q_opt(plan)
-        grid = sol.q_opt * np.logspace(-1, 1, 20001)
+        grid = sol.q_opt * ratios
         q_grid = grid[int(np.argmin(predicted_variance(plan, grid)))]
         worst_q = max(worst_q, abs(q_grid - sol.q_opt) / sol.q_opt)
     check(f"q_opt analytic vs grid minimizer rel err {worst_q:.2e} < 1e-3",

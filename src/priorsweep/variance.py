@@ -7,7 +7,8 @@ rows of a block of grid points, with one identical computation per row.
 
 One Bartlett kernel (scaled window sums S of the centered series) is used
 for every spectral quantity so that the pieces are mutually comparable:
-`lrv_matrix` is S'S and `lrv_diag` its diagonal.  The truncation lag is
+`lrv_matrix` is S S' and `lrv_diag` its diagonal, on series with time along
+the last (contiguous) axis, a chain a slice of it.  The truncation lag is
 L = floor(1.5 n^(1/3)), a rate Flegal & Jones (2010) study for this window.
 """
 
@@ -29,56 +30,48 @@ def _lags(n: int) -> int:
     return max(1, min(n - 1, int(1.5 * n ** (1.0 / 3.0))))
 
 
-def _bartlett_rows(X) -> np.ndarray:
-    """Rows S with S'S = sum_{|t|<=L} (1 - |t|/(L+1)) gamma_t for a series
-    (rows are time points) centered at its mean: the sums of the zero-padded
-    series over every window of L+1 rows, scaled by 1/sqrt(n(L+1)).  Rows t
-    apart share L+1-|t| windows, and a zero series gives S = 0 exactly."""
+def _bartlett_sums(X) -> np.ndarray:
+    """S with S S' = sum_{|t|<=L} (1 - |t|/(L+1)) gamma_t for the series along
+    the last axis, centered at their means: the sums of the zero-padded
+    series over every window of L+1 points, scaled by 1/sqrt(n(L+1)).  Points
+    t apart share L+1-|t| windows, and a zero series gives S = 0 exactly."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[0]
+    n = X.shape[-1]
     L = _lags(n)
-    X = X.reshape(n, -1)
-    # C[m] = sum of the first m - L centered rows, m - L clamped to [0, n]
-    C = np.zeros((n + 2 * L + 1, X.shape[1]))
-    np.cumsum(X - X.mean(axis=0), axis=0, out=C[L + 1:n + L + 1])
-    C[n + L + 1:] = C[n + L]
-    S = C[L + 1:] - C[:n + L]
+    # C[..., m] = sum of the first m - L centered points, m - L clamped to [0, n]
+    C = np.zeros(X.shape[:-1] + (n + 2 * L + 1,))
+    np.cumsum(X - X.mean(axis=-1, keepdims=True), axis=-1, out=C[..., L + 1:n + L + 1])
+    C[..., n + L + 1:] = C[..., n + L, None]
+    S = C[..., L + 1:] - C[..., :n + L]
     S /= math.sqrt(n * (L + 1.0))
     return S
 
 
 def lrv_matrix(X) -> np.ndarray:
-    """Bartlett-windowed long-run covariance matrix of a vector series (rows
-    are time points), centered at the series mean; PSD by construction."""
-    S = _bartlett_rows(X)
-    return S.T @ S
+    """Bartlett-windowed long-run covariance matrix of a (..., K, n) vector
+    series, centered at the series mean; PSD by construction."""
+    S = _bartlett_sums(X)
+    return S @ S.swapaxes(-1, -2)
 
 
 def lrv_diag(X) -> np.ndarray:
-    """The diagonal of `lrv_matrix`: one long-run variance per column."""
-    S = _bartlett_rows(X)
-    return np.einsum("ij,ij->j", S, S)
-
-
-def spectral_lrv(series) -> float:
-    """Bartlett-windowed long-run variance of a scalar series."""
-    x = np.asarray(series, dtype=float)
-    lrv = lrv_diag(x)      # raises on a too-short series
-    # a constant series centers to exact zeros only if its mean is exact
-    return 0.0 if np.ptp(x) == 0.0 else float(lrv[0])
+    """The diagonal of `lrv_matrix`: one long-run variance per series of a
+    (..., n) array, each reduced on its own, so stacking changes no bit."""
+    S = _bartlett_sums(X)
+    return np.einsum("...i,...i->...", S, S)
 
 
 def chain_lrv(X, slices: Sequence[slice], a, reduce=lrv_matrix) -> np.ndarray:
-    """Chain-proportion-weighted long-run covariance sum_l a_l LRV(X[chain l]),
+    """Chain-proportion-weighted long-run covariance sum_l a_l LRV(X[..., chain l]),
     each chain centered at its own mean (the chains are independent, so
     cross-chain terms vanish); reduce=lrv_diag gives only its diagonal."""
-    return sum(a_l * reduce(X[sl]) for a_l, sl in zip(a, slices))
+    return sum(a_l * reduce(X[..., sl]) for a_l, sl in zip(a, slices))
 
 
 def c_hat(ws, U, shift) -> np.ndarray:
     """Stage-1 sensitivities of the Bayes-factor estimator, one row per row
     of terms U (and its shift) from ws.terms."""
-    return np.matmul(ws.psiT, U[..., None])[..., 0] / ws.n * np.exp(shift)[..., None]
+    return np.matmul(ws.psi, U[..., None])[..., 0] / ws.n * np.exp(shift)[..., None]
 
 
 def w_hat(ws, c, beta_hat) -> np.ndarray:

@@ -1,14 +1,62 @@
-"""The per-point stage-2 sweep that the block path of `priorsweep.surface`
-replaced, kept as the reference the tests compare it against: one grid
-point at a time, its terms as a vector, every sum over all n pooled samples
-at once, and one Bartlett call per chain and point."""
+"""References the tests compare the program against, kept from the code it
+replaced:
+
+- the time-major Bartlett kernel (rows are time points) that
+  `priorsweep.variance` had before it put time along the last axis, and the
+  scalar long-run variance `spectral_lrv` on it;
+- the per-point stage-2 sweep that the block path of `priorsweep.surface`
+  replaced: one grid point at a time, its terms as a vector, every sum over
+  all n pooled samples at once, and one Bartlett call per chain and point.
+"""
 
 import math
 
 import numpy as np
 
 from priorsweep.surface import SurfaceRecord
-from priorsweep.variance import VarianceBreakdown, chain_lrv, lrv_diag
+from priorsweep.variance import VarianceBreakdown, _lags
+
+
+def bartlett_rows(X):
+    """Rows S with S'S = sum_{|t|<=L} (1 - |t|/(L+1)) gamma_t for a series
+    (rows are time points) centered at its mean: the sums of the zero-padded
+    series over every window of L+1 rows, scaled by 1/sqrt(n(L+1))."""
+    X = np.asarray(X, dtype=float)
+    n = X.shape[0]
+    L = _lags(n)
+    X = X.reshape(n, -1)
+    # C[m] = sum of the first m - L centered rows, m - L clamped to [0, n]
+    C = np.zeros((n + 2 * L + 1, X.shape[1]))
+    np.cumsum(X - X.mean(axis=0), axis=0, out=C[L + 1:n + L + 1])
+    C[n + L + 1:] = C[n + L]
+    S = C[L + 1:] - C[:n + L]
+    S /= math.sqrt(n * (L + 1.0))
+    return S
+
+
+def lrv_matrix(X):
+    """The time-major long-run covariance matrix S'S of an (n, K) series."""
+    S = bartlett_rows(X)
+    return S.T @ S
+
+
+def lrv_diag(X):
+    """The diagonal of the time-major `lrv_matrix`, one entry per column."""
+    S = bartlett_rows(X)
+    return np.einsum("ij,ij->j", S, S)
+
+
+def chain_lrv(X, slices, a, reduce=lrv_matrix):
+    """sum_l a_l reduce(X[chain l]) with the chains blocks of rows."""
+    return sum(a_l * reduce(X[sl]) for a_l, sl in zip(a, slices))
+
+
+def spectral_lrv(series):
+    """Bartlett-windowed long-run variance of a scalar series."""
+    x = np.asarray(series, dtype=float)
+    lrv = lrv_diag(x)      # raises on a too-short series
+    # a constant series centers to exact zeros only if its mean is exact
+    return 0.0 if np.ptp(x) == 0.0 else float(lrv[0])
 
 
 def point_terms(ws, h):
@@ -22,7 +70,7 @@ def point_terms(ws, h):
 
 
 def c_hat(ws, u, shift):
-    return (ws.psi.T @ u) / ws.n * math.exp(shift)
+    return (ws.psi @ u) / ws.n * math.exp(shift)
 
 
 def w_hat(ws, c, beta):
@@ -34,7 +82,7 @@ def v_hat(ws, centred, u_sum):
     """Column j: psi' (f_j - I_j) u / sum(u), from centred = (f_j - I_j) u."""
     if u_sum == 0.0:
         return np.full((ws.k - 1, centred.shape[1]), math.nan)
-    return ws.psi.T @ centred / u_sum
+    return ws.psi @ centred / u_sum
 
 
 def assemble_variance(vec, sigma_hat, stage2_term, q, n):
@@ -59,7 +107,7 @@ def surface_by_point(ws, grid, functions, sigma_hat, q):
         pe = (np.array([float(np.sum(F[:, j] * u)) / u_sum for j in range(F.shape[1])])
               if u_sum > 0.0 else np.full(F.shape[1], math.nan))
         centred = (F - (pe if u_mean > 0.0 else 0.0)) * u[:, None]
-        series = np.column_stack([u, u - ws.Z @ (beta * math.exp(-shift)), centred])
+        series = np.column_stack([u, u - (beta * math.exp(-shift)) @ ws.Z, centred])
         lrv = chain_lrv(series, ws.chain_slices, ws.proportions, reduce=lrv_diag)
         scale2 = math.exp(2.0 * shift)
         c = c_hat(ws, u, shift)

@@ -22,7 +22,8 @@ from priorsweep.validate import (suite_v1_ratio_calibration,
                                  suite_v3_exact_identities,
                                  suite_v4_cv_reduction)
 from priorsweep.config import make_grid
-from priorsweep.variance import spectral_lrv
+
+from per_point import spectral_lrv
 
 BASELINE = (0.5, 15.0)
 SKELETON_1 = [(w, g) for w in (0.3, 0.5, 0.6, 0.8) for g in (15.0, 50.0, 100.0, 225.0)]

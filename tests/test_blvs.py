@@ -18,9 +18,9 @@ from priorsweep import blvs
 from priorsweep.blvs import BlvsChain, BlvsFamily, Dataset, ModelEnumeration, ingest_csv
 from priorsweep.errors import InvalidHyperparameterError, SingularDesignError
 from priorsweep.families import ChainSpec
-from priorsweep.variance import spectral_lrv
 
 from conftest import synthetic_dataset
+from per_point import spectral_lrv
 
 
 class TestIngest:

@@ -42,6 +42,33 @@ class TestBuild:
         assert W.chain_of(100) == 1 and W.chain_of(249) == 1
         np.testing.assert_allclose(W.proportions, [0.4, 0.6])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_failed_weight_names_first_bad_entry(self, bad):
+        class Failing(ConjugateToy):
+            def log_weights(self, h, stats):
+                out = super().log_weights(h, stats)
+                if h[0] >= 1.0:
+                    out[[7, 3]] = bad           # the error names sample 3
+                return out
+
+        fam = Failing(y_obs=0.0)
+        skeleton = [(0.0,), (1.0,), (2.0,)]
+        chains = [fam.sample_posterior(ChainSpec(h=h, length=20, seed=i))
+                  for i, h in enumerate(skeleton)]
+        with pytest.raises(ValueError, match="failed at skeleton 1, pooled sample 3$"):
+            build_log_weight_matrix(fam, skeleton, chains)
+
+    def test_neg_inf_weight_accepted(self):
+        class Vanishing(ConjugateToy):
+            def log_weights(self, h, stats):
+                out = super().log_weights(h, stats)
+                out[5] = -np.inf
+                return out
+
+        fam = Vanishing(y_obs=0.0)
+        chains = [fam.sample_posterior(ChainSpec(h=(0.0,), length=20, seed=1))]
+        assert build_log_weight_matrix(fam, [(0.0,)], chains).logw[0, 5] == -np.inf
+
 
 class TestSoftmaxKernel:
     @pytest.mark.parametrize("k", [1, 3, 16])
@@ -224,6 +251,20 @@ class TestEstimateSigma:
         np.testing.assert_allclose(est.sigma_hat, sigma, rtol=1e-12,
                                    atol=1e-12 * np.abs(sigma).max())
         assert est.iterations == info["iterations"]
+
+    def test_sigma_from_solver_curvature_matches_estimate_sigma(self):
+        for skeleton, lengths, seed0 in (([(0.0,), (0.7,), (1.5,)], [3000, 2500, 3500], 21),
+                                         ([(0.0,), (1.0,)], [800, 1300], 5)):
+            _, W = toy_matrix(skeleton, lengths, seed0=seed0)
+            est = estimate_ratios(W)
+            sigma = estimate_sigma(W, est.d_hat)
+            np.testing.assert_allclose(est.sigma_hat, sigma, rtol=1e-13,
+                                       atol=1e-13 * np.abs(sigma).max())
+
+    def test_k1_sigma_is_empty(self):
+        _, W = toy_matrix([(0.0,)], [200])
+        assert estimate_ratios(W).sigma_hat.shape == (0, 0)
+        assert estimate_sigma(W, np.ones(1)).shape == (0, 0)
 
     def test_peak_memory_of_estimate_ratios(self):
         skeleton = [(0.2 * s,) for s in range(16)]

@@ -83,9 +83,9 @@ class TestWorkspace:
             log_a, log_d = np.log(W.proportions), np.log(ws.d_hat)
             log_den = logsumexp(W.logw + (log_a - log_d)[:, None], axis=0)
             ref = np.exp(W.logw[0] - log_den)
-            Z = np.column_stack([np.exp(W.logw[j] - log_d[j] - log_den) - ref
-                                 for j in range(1, k)])
-            psi = np.column_stack([
+            Z = np.vstack([np.exp(W.logw[j] - log_d[j] - log_den) - ref
+                           for j in range(1, k)])
+            psi = np.vstack([
                 np.exp(log_a[j] + W.logw[j] - 2.0 * log_d[j] - log_den)
                 for j in range(1, k)])
             # log_den and Z change sign: relative to their largest entry
@@ -157,7 +157,7 @@ class TestControlVariates:
         if d is None:
             d, _ = estimate_d(W)
         ws = Stage2Workspace(W, np.asarray(d, dtype=float))
-        design = np.column_stack([np.ones(ws.n), ws.Z])
+        design = np.column_stack([np.ones(ws.n), ws.Z.T])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for h in np.linspace(-0.5, 2.5, 7):

@@ -11,9 +11,10 @@ from priorsweep.surface import Stage2Workspace, pe_hat, surface
 from priorsweep.variance import (MIN_SERIES_LENGTH, PlanInputs,
                                  VarianceBreakdown, _lags, assemble_variance, c_hat,
                                  chain_lrv, lrv_diag, lrv_matrix, predicted_variance,
-                                 q_opt, spectral_lrv, w_hat)
+                                 q_opt, w_hat)
 
-from per_point import point_terms, v_hat
+import per_point
+from per_point import point_terms, spectral_lrv, v_hat
 
 
 def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
@@ -58,16 +59,16 @@ class TestSpectralLrv:
     def test_matrix_version_diag_matches_scalar(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(5000, 2))
-        S = lrv_matrix(X)
+        S = lrv_matrix(X.T)
         assert S[0, 0] == pytest.approx(spectral_lrv(X[:, 0]), rel=1e-12)
         assert S[1, 0] == S[0, 1]
 
     def test_chain_lrv_is_weighted_sum_over_chains(self):
         rng = np.random.default_rng(4)
-        X = rng.normal(size=(700, 2))
+        X = rng.normal(size=(2, 700))
         slices = [slice(0, 300), slice(300, 700)]
         a = np.array([0.3, 0.7])
-        want = 0.3 * lrv_matrix(X[:300]) + 0.7 * lrv_matrix(X[300:])
+        want = 0.3 * lrv_matrix(X[:, :300]) + 0.7 * lrv_matrix(X[:, 300:])
         np.testing.assert_array_equal(chain_lrv(X, slices, a), want)
 
 
@@ -101,11 +102,11 @@ class TestBartlettKernel:
     def test_matches_lag_loop(self, n, p, phi):
         X = ar1_series(n, p, phi, seed=100 * n + p) + 3.0
         want = lag_loop_lrv(X)
-        got = lrv_matrix(X)
+        got = lrv_matrix(X.T)
         assert np.array_equal(got, got.T)
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-13 * np.abs(want).max())
-        np.testing.assert_allclose(lrv_diag(X), np.diag(want), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(lrv_diag(X.T), np.diag(want), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("p", [1, 2, 15, 17])
     def test_chain_weighted_diagonal_matches_lag_loop(self, p):
@@ -113,12 +114,53 @@ class TestBartlettKernel:
         slices = [slice(0, 400), slice(400, 650)]
         a = np.array([400 / 650, 250 / 650])
         want = sum(a_l * np.diag(lag_loop_lrv(X[sl])) for a_l, sl in zip(a, slices))
-        got = chain_lrv(X, slices, a, reduce=lrv_diag)
+        got = chain_lrv(X.T, slices, a, reduce=lrv_diag)
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_zero_series_exactly_zero(self):
-        assert np.all(lrv_matrix(np.zeros((50, 3))) == 0.0)
-        assert np.all(lrv_diag(np.zeros((50, 3))) == 0.0)
+        assert np.all(lrv_matrix(np.zeros((3, 50))) == 0.0)
+        assert np.all(lrv_diag(np.zeros((3, 50))) == 0.0)
+        assert np.all(lrv_diag(np.zeros((4, 3, MIN_SERIES_LENGTH))) == 0.0)
+
+
+class TestSeriesMajorLayout:
+    """The kernel on (..., n) series against the time-major reference it
+    replaced, which took (n, K) arrays."""
+
+    @pytest.mark.parametrize("p", [1, 2, 17])
+    @pytest.mark.parametrize("n", [MIN_SERIES_LENGTH, 11, 1000])
+    def test_matches_time_major_reference(self, n, p):
+        X = ar1_series(n, p, 0.7, seed=7 * n + p) - 2.0
+        XT = np.ascontiguousarray(X.T)
+        want = per_point.lrv_matrix(X)
+        np.testing.assert_allclose(lrv_matrix(XT), want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(lrv_diag(XT), per_point.lrv_diag(X), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("lengths", [(400, 250, 37), (MIN_SERIES_LENGTH, 60)])
+    def test_chain_lrv_unequal_chains_matches_reference(self, lengths):
+        X = np.vstack([ar1_series(m, 3, 0.5, seed=m) + i for i, m in enumerate(lengths)])
+        ends = np.cumsum(lengths)
+        slices = [slice(int(e - m), int(e)) for e, m in zip(ends, lengths)]
+        a = np.asarray(lengths) / ends[-1]
+        XT = np.ascontiguousarray(X.T)
+        want = per_point.chain_lrv(X, slices, a)
+        np.testing.assert_allclose(chain_lrv(XT, slices, a), want, rtol=0.0,
+                                   atol=1e-13 * np.abs(want).max())
+        np.testing.assert_allclose(chain_lrv(XT, slices, a, reduce=lrv_diag),
+                                   per_point.chain_lrv(X, slices, a, reduce=per_point.lrv_diag),
+                                   rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("m", [MIN_SERIES_LENGTH, 250])
+    def test_stacked_rows_bit_identical_to_each_alone(self, m):
+        # the sweep's (B, J + 2, m) series: every row as if reduced alone
+        X = np.random.default_rng(m).normal(size=(4, 5, m)) * np.arange(1.0, 6.0)[:, None]
+        got = lrv_diag(X)
+        assert got.shape == (4, 5)
+        for b in range(4):
+            assert np.array_equal(got[b], lrv_diag(X[b]))
+            for j in range(5):
+                assert got[b, j] == lrv_diag(X[b, j])
 
 
 class TestTauSigma:
@@ -196,7 +238,7 @@ def gamma_rho_reference(ws, h, f):
     u, _ = point_terms(ws, h)
     fv = f(ws.W.samples)
     ratio = float((fv * u).sum()) / float(u.sum())
-    gamma = chain_lrv(np.column_stack([fv * u, u]), ws.chain_slices, ws.proportions)
+    gamma = chain_lrv(np.vstack([fv * u, u]), ws.chain_slices, ws.proportions)
     u_mean = float(u.mean())
     return (gamma[0, 0] - 2.0 * ratio * gamma[0, 1] + ratio * ratio * gamma[1, 1]) \
         / (u_mean * u_mean)
@@ -338,7 +380,7 @@ def v_per_function(ws, h, f):
     u, _ = point_terms(ws, h)
     fv = f(ws.W.samples)
     den = float(u.sum())
-    return ws.psi.T @ ((fv - float((fv * u).sum()) / den) * u) / den
+    return ws.psi @ ((fv - float((fv * u).sum()) / den) * u) / den
 
 
 class TestAssembleAndPlan:
