@@ -11,10 +11,11 @@ indexed by the hyperparameter h = (w, g).  Predictor columns are centered
 before analysis so the flat-prior intercept is orthogonal to beta_gamma;
 with that convention every per-model marginal likelihood is closed form,
 which yields an exact enumeration oracle for q <= 25 alongside the Gibbs
-sampler.  The priors across h are not mutually absolutely continuous with
-respect to a common density, but their pairwise ratios are, and
-``log_prior_weight`` evaluates a representative of that ratio with no matrix
-inversion or determinant.
+sampler.  The sampler integrates (sigma, beta0, beta) out of every gamma
+update, so its chains carry gamma alone, and a draw is weighted by
+pi_w(gamma) m(y | gamma, g): the Rao-Blackwellized form (Gelfand & Smith
+1990) of the importance weights of the joint prior, a function of the
+draw's model code alone.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import csv
 import logging
 import math
 import weakref
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,9 +45,6 @@ TABLE_MAX_Q = 16
 # 2^SPLIT bytes (0.2 MB) whatever q is
 SPLIT, PARENTS = 10, 4
 BLOCK = 4096        # codes per block of an array of log marginals
-# rows of one batched (sigma, beta0, beta) draw, which bounds its arrays (at
-# 1 << 14, two 10,000-row chains a draw raised a 176 MB run's peak by 1.5 MB)
-DRAW_ROWS = 1 << 13
 # sweeps whose uniforms one call draws; any value gives the same stream
 SWEEP_ROWS = 256
 
@@ -96,43 +94,22 @@ class _LazyLogMarginals(dict):
 
     def __missing__(self, code: int) -> float:
         family = self._family()
-        rssr = family._rssr.get(code)
-        if rssr is None:
-            try:
-                rssr = family._code_rss_ratio(code)
-            except SingularDesignError:
-                rssr = math.nan
-            family._rssr[code] = rssr
+        rssr = family._fitted_rss_ratio(code)
         self[code] = lm = float(family._log_marginal(code.bit_count(), rssr, self._g))
         return lm
 
 
 @dataclass
 class BlvsChain:
-    """Draws theta = (gamma, sigma, beta0, beta), one row per draw.
-
-    beta is dense: column j holds the coefficient of predictor j, and 0.0
-    wherever gamma excludes it.
-    """
+    """The model of each draw, one row per draw: gamma[r, j] is True when
+    draw r includes predictor j.  (sigma, beta0, beta) are integrated out."""
 
     gamma: np.ndarray      # bool, (n, q)
-    sigma: np.ndarray      # (n,)
-    beta0: np.ndarray      # (n,)
-    beta: np.ndarray       # (n, q)
 
     def __post_init__(self):
         self.gamma = np.asarray(self.gamma, dtype=bool)
-        self.sigma = np.asarray(self.sigma, dtype=float)
-        self.beta0 = np.asarray(self.beta0, dtype=float)
-        self.beta = np.asarray(self.beta, dtype=float)
-        shape = self.gamma.shape
-        if len(shape) != 2 or self.beta.shape != shape \
-                or self.sigma.shape != shape[:1] or self.beta0.shape != shape[:1]:
-            raise ValueError("need (n, q) gamma and beta, and (n,) sigma and beta0")
-        if not np.all(self.sigma > 0):
-            raise ValueError("sigma must be positive")
-        if np.any(self.beta[~self.gamma]):
-            raise ValueError("beta must be 0 where gamma excludes the predictor")
+        if self.gamma.ndim != 2:
+            raise ValueError("need an (n, q) gamma")
 
     def __len__(self) -> int:
         return self.gamma.shape[0]
@@ -209,10 +186,10 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
 
 @dataclass
 class BlvsStats:
-    """Per-sample statistics sufficient for prior-weight ratios at any (w, g)."""
+    """Per-draw statistics sufficient for the weights at any (w, g)."""
 
     q_gamma: np.ndarray    # int, number of included predictors
-    t2: np.ndarray         # ||X_gamma beta_gamma||^2 / sigma^2
+    rss_ratio: np.ndarray  # 1 - R^2 of the draw's model
 
 
 class BlvsFamily(DensityFamily):
@@ -225,8 +202,7 @@ class BlvsFamily(DensityFamily):
         self.m = dataset.m
         self.q = dataset.q
         self.names = list(dataset.names)
-        self._ybar = dataset.y.mean()
-        self._yc = dataset.y - self._ybar
+        self._yc = dataset.y - dataset.y.mean()
         self._tss = float(self._yc @ self._yc)
         if self._tss == 0.0:
             raise ValueError("response is constant")
@@ -237,9 +213,9 @@ class BlvsFamily(DensityFamily):
         self._G[:q, :q] = self._Xc.T @ self._Xc
         self._G[:q, q] = self._G[q, :q] = self._Xc.T @ self._yc
         self._G[q, q] = self._tss
-        # The model tables, shared by every chain of both stages, all indexed
-        # by the model code sum_i gamma_i 2^i: 1 - R^2 of every model (NaN
-        # when singular or too large), one array built once by
+        # The model tables, shared by every chain and weight of both stages,
+        # all indexed by the model code sum_i gamma_i 2^i: 1 - R^2 of every
+        # model (NaN when singular or too large), one array built once by
         # model_table(), or for q > TABLE_MAX_Q a dict of the models the
         # chains tried; and for each g a chain ran at, the log marginals the
         # sampler reads (_log_marginal_store).  Every entry is a pure
@@ -339,6 +315,19 @@ class BlvsFamily(DensityFamily):
                 f"model with {size} predictors too large for m={self.m}")
         return self._rss_ratio(self._columns(code))
 
+    def _fitted_rss_ratio(self, code: int) -> float:
+        """1 - R^2 of model `code` from the dict of models fitted one at a
+        time, fitting it there if it is new: NaN for a singular or
+        too-large model."""
+        rssr = self._rssr.get(code)
+        if rssr is None:
+            try:
+                rssr = self._code_rss_ratio(code)
+            except SingularDesignError:
+                rssr = math.nan
+            self._rssr[code] = rssr
+        return rssr
+
     def _build_table(self) -> np.ndarray:
         """1 - R^2 of every model code, read-only, from one tree of
         eliminations (Furnival 1971).  The stack at level j holds, for each
@@ -426,45 +415,30 @@ class BlvsFamily(DensityFamily):
         return self.sample_chains([spec])[0]
 
     def sample_chains(self, specs: Sequence[ChainSpec]) -> list[BlvsChain]:
-        """Marginalized sweeps over gamma, then exact (sigma, beta0, beta) draws.
+        """Marginalized sweeps over gamma, one chain after another, each on
+        its own stream (_sweeps).
 
         Each sweep updates every gamma_i from its Bernoulli full conditional
-        under the integrated likelihood, then draws (sigma^2, beta0,
-        beta_gamma) from their exact conditionals given gamma, so each chain
-        on theta has the full posterior as its invariant law.  A singular
-        candidate model is treated as having prior probability zero.
-        Chains run one after another, each on its own stream (_sweeps), and
-        one pass (_draw_given_models) draws the rows of a chunk of whole
-        chains, closed once it holds DRAW_ROWS rows.  A row's draw depends
-        only on its own model and variates, so a chain is the same bits
-        alone or in its stage.
+        under the integrated likelihood, so each chain has the posterior of
+        gamma as its invariant law.  A singular candidate model is treated
+        as having prior probability zero.
         """
-        chains, chunk = [], []
-        for i, spec in enumerate(specs):
-            chunk.append(spec)
-            if i < len(specs) - 1 and sum(sp.length for sp in chunk) < DRAW_ROWS:
-                continue
-            bounds = np.cumsum([0, *(sp.length for sp in chunk)]).tolist()
-            codes, gam, g = [], np.empty(bounds[-1]), np.empty(bounds[-1])
-            z = np.empty((bounds[-1], self.q + 1))
-            for sp, lo, hi in zip(chunk, bounds, bounds[1:]):
-                codes += self._sweeps(sp, gam[lo:hi], z[lo:hi])
-                g[lo:hi] = sp.h[1]
-            drawn = self._draw_given_models(codes, gam, z, g)
-            chains += [BlvsChain(*(a[lo:hi] for a in drawn))
-                       for lo, hi in zip(bounds, bounds[1:])]
-            chunk = []
+        q, width = self.q, (self.q + 7) // 8
+        chains = []
+        for spec in specs:
+            raw = b"".join(code.to_bytes(width, "little") for code in self._sweeps(spec))
+            bits = np.frombuffer(raw, np.uint8).reshape(-1, width)
+            chains.append(BlvsChain(np.unpackbits(bits, axis=1, count=q, bitorder="little")
+                                    .view(bool)))
         return chains
 
-    def _sweeps(self, spec: ChainSpec, gam: np.ndarray, z: np.ndarray) -> list[int]:
+    def _sweeps(self, spec: ChainSpec) -> list[int]:
         """The model code of each kept sweep of one chain, reading each log
         marginal from the family's store at g (NaN: a singular or too-large
         model).  The chain's stream holds the start's q uniforms, then q
         uniforms per sweep, burn-in included, drawn SWEEP_ROWS sweeps at a
         time (Generator.random fills in order, so the block size does not
-        change the stream), then after the last sweep burn_in + n gamma
-        variates and a (burn_in + n, q + 1) array of standard normals: kept
-        row r takes those of sweep burn_in + r, into gam and z.
+        change the stream).
 
         A flip is tested in logit space: with t = logit(u) - logit(w), an
         excluded predictor enters iff t < lm_try - lm_cur and an included
@@ -507,93 +481,36 @@ class BlvsFamily(DensityFamily):
                         code = flipped
                         lm_cur = lm_try
                 codes.append(code)
-        # the draw's variates of every sweep: the burn-in sweeps' are drawn
-        # and dropped, the kept rows' go straight into gam and z
-        rng.standard_gamma(0.5 * (self.m - 1), burn_in)
-        rng.standard_gamma(0.5 * (self.m - 1), out=gam)
-        rng.standard_normal((burn_in, q + 1))
-        rng.standard_normal(out=z)
         return codes[burn_in:]
 
-    def _draw_given_models(self, codes, gam, z, g):
-        """(gamma, sigma, beta0, beta) of rows with model `codes`, from each
-        row's gamma variate gam of shape (m - 1)/2, standard normals z (its
-        first q_gamma entries) and z0 (the next), and its g.  With shrink =
-        g/(1+g), X'X = LL' and half = L^{-1} X'y,
-
-            sigma^2 = (tss - shrink |half|^2) / (2 gam),
-            beta    = L^{-T} (shrink half + sqrt(sigma^2 shrink) z),
-            beta0   = ybar + sqrt(sigma^2 / m) z0.
-
-        One Cholesky call factors X'X of the distinct models of each size,
-        and a singular one raises SingularDesignError; L^{-1} gives both
-        half and beta."""
-        n, q = len(codes), self.q
-        shrink = g / (1.0 + g)
-        # the distinct models in order of first row, each row's index among
-        # them, and their predictors as bits
-        first = dict.fromkeys(codes)
-        for i, code in enumerate(first):
-            first[code] = i
-        which = np.fromiter(map(first.__getitem__, codes), np.intp, n)
-        width = (q + 7) // 8
-        raw = b"".join(code.to_bytes(width, "little") for code in first)
-        member = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(-1, width), axis=1,
-                               bitorder="little").astype(bool)
-        model_size = member.sum(axis=1)
-        sizes = model_size[which]
-        sigma2, beta0, betas = np.empty(n), np.empty(n), np.zeros((n, q))
-        for size in np.unique(model_size).tolist():
-            models, rows = np.flatnonzero(model_size == size), np.flatnonzero(sizes == size)
-            k = np.searchsorted(models, which[rows])    # each row's model among them
-            idx = np.nonzero(member[models])[1].reshape(models.size, size)
-            try:
-                L = np.linalg.cholesky(self._G[idx[:, :, None], idx[:, None, :]])
-            except np.linalg.LinAlgError:
-                raise SingularDesignError(
-                    f"singular design among the stage's models of {size} predictors"
-                ) from None
-            L_inv = np.linalg.inv(L)
-            half = np.einsum("bij,bj->bi", L_inv, self._G[idx, q])
-            ssr = np.einsum("bi,bi->b", half, half)
-            shr = shrink[rows]
-            s2 = 0.5 * (self._tss - shr * ssr[k]) / gam[rows]
-            v = shr[:, None] * half[k] + np.sqrt(s2 * shr)[:, None] * z[rows, :size]
-            # beta_i = sum_j v_j (L^{-1})_ji
-            betas[rows[:, None], idx[k]] = np.matmul(v[:, None], L_inv[k])[:, 0]
-            sigma2[rows] = s2
-            beta0[rows] = self._ybar + np.sqrt(s2 / self.m) * z[rows, size]
-        return member[which, :q], np.sqrt(sigma2), beta0, betas
-
     # family contract
-    def log_prior_weight(self, h, state: BlvsChain) -> float:
-        """The weight of the one draw in `state`, a one-row chain."""
-        w, g = self.validate_h(h)
-        if len(state) != 1:
-            raise ValueError(f"expected a one-row chain, got {len(state)} rows")
-        idx = np.flatnonzero(state.gamma[0])
-        qg = idx.size
-        xb = self._Xc[:, idx] @ state.beta[0, idx]
-        t2 = float(xb @ xb) / state.sigma[0]**2
-        return qg * math.log(w) + (self.q - qg) * math.log1p(-w) \
-            - 0.5 * qg * math.log(g) - 0.5 * t2 / g
-
     def sample_posterior(self, spec: ChainSpec) -> BlvsChain:
         return self.gibbs_run(spec)
 
     def weight_stats(self, chain: BlvsChain) -> BlvsStats:
-        xb = chain.beta @ self._Xc.T
-        t2 = np.einsum("pi,pi->p", xb, xb) / chain.sigma**2
-        return BlvsStats(q_gamma=chain.gamma.sum(axis=1), t2=t2)
+        """Each draw's model size and 1 - R^2, read from the model table, or
+        above TABLE_MAX_Q from the models the chains fitted (a model not
+        fitted yet is fitted there)."""
+        packed = np.packbits(chain.gamma, axis=1, bitorder="little")
+        table = self.model_table()
+        if table is not None:
+            rss_ratio = table[packed.astype(np.intp) @ (1 << 8 * np.arange(packed.shape[1]))]
+        else:
+            models, which = np.unique(packed, axis=0, return_inverse=True)
+            rss_ratio = np.array([self._fitted_rss_ratio(int.from_bytes(row, "little"))
+                                  for row in map(bytes, models)])[which.ravel()]
+        return BlvsStats(q_gamma=chain.gamma.sum(axis=1), rss_ratio=rss_ratio)
 
     def log_weights(self, h, stats: BlvsStats) -> np.ndarray:
+        """log pi_w(gamma) + log m(y | gamma, g) of each draw, the
+        log marginal relative to the null model's, which does not depend on
+        g, so weights at different g are comparable."""
         w, g = self.validate_h(h)
-        return stats.q_gamma * (math.log(w) - math.log1p(-w) - 0.5 * math.log(g)) \
-            + self.q * math.log1p(-w) - stats.t2 / (2.0 * g)
+        return stats.q_gamma * (math.log(w) - math.log1p(-w)) + self.q * math.log1p(-w) \
+            + self._log_marginal(stats.q_gamma, stats.rss_ratio, g)
 
     def concat_chains(self, chains: Sequence[BlvsChain]) -> BlvsChain:
-        return BlvsChain(*(np.concatenate([getattr(c, f.name) for c in chains])
-                           for f in fields(BlvsChain)))
+        return BlvsChain(np.concatenate([c.gamma for c in chains]))
 
     def inclusion_function(self, name: str) -> FunctionOfTheta:
         """Indicator f(theta) = gamma_i for the named predictor."""

@@ -45,14 +45,9 @@ def _write_chain_csv(path: Path, family, chain) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         if isinstance(family, BlvsFamily):
-            writer.writerow(["sweep", "gamma", "sigma", "beta0",
-                             *[f"b_{nm}" for nm in family.names]])
-            rows = zip(chain.gamma.tolist(), chain.sigma.tolist(),
-                       chain.beta0.tolist(), chain.beta.tolist())
-            for i, (gamma, sigma, beta0, beta) in enumerate(rows):
-                writer.writerow([i, "".join("1" if g else "0" for g in gamma),
-                                 _fmt(sigma), _fmt(beta0),
-                                 *(_fmt(b) if g else "" for g, b in zip(gamma, beta))])
+            writer.writerow(["sweep", "gamma"])
+            for i, gamma in enumerate(chain.gamma.tolist()):
+                writer.writerow([i, "".join("1" if g else "0" for g in gamma)])
         else:
             writer.writerow(["step", "theta"])
             for i, th in enumerate(np.asarray(chain)):

@@ -1,13 +1,13 @@
 """Family contract for prior densities indexed by a hyperparameter, plus a
 conjugate-normal toy family with closed-form answers for validation.
 
-A family supplies, for hyperparameter h and parameter value theta, the log
-prior weight log nu_h(theta).  Weights are meaningful only through
-differences: implementations may add any function of theta alone, since every
-estimator downstream consumes ratios nu_h / nu_{h'}.  Families also supply a
-posterior sampler and a vectorized weight evaluator over cached per-sample
-statistics so that sweeping a large hyperparameter grid never re-touches
-per-sample density code.
+A family supplies a posterior sampler and, for hyperparameter h, the log
+weight log nu_h of each draw: a density in h of whatever the chains carry,
+evaluated over cached per-sample statistics so that sweeping a large
+hyperparameter grid never re-touches per-sample density code.  Weights are
+meaningful only through differences: implementations may add any function
+of the draw alone, since every estimator downstream consumes ratios
+nu_h / nu_{h'}.
 """
 
 from __future__ import annotations
@@ -89,13 +89,6 @@ class DensityFamily(ABC):
         """Raise InvalidHyperparameterError outside the family's domain."""
 
     @abstractmethod
-    def log_prior_weight(self, h, state) -> float:
-        """log nu_h(state), up to an additive function of state alone.
-
-        Returns -inf iff nu_h(state) = 0.
-        """
-
-    @abstractmethod
     def sample_posterior(self, spec: ChainSpec):
         """Draw a posterior sample path; identical spec gives identical path."""
 
@@ -111,8 +104,8 @@ class DensityFamily(ABC):
 
     @abstractmethod
     def log_weights(self, h, stats) -> np.ndarray:
-        """Vectorized log nu_h over cached statistics (same offset as
-        ``log_prior_weight``)."""
+        """log nu_h of every sample, from cached statistics, up to an
+        additive function of the sample alone; -inf where nu_h = 0."""
 
     def concat_chains(self, chains: Sequence):
         """Pool per-chain sample containers into one batch."""
@@ -175,11 +168,12 @@ class ConjugateToy(DensityFamily):
             return self.posterior_var() + mu**2
         raise ValueError(f"unknown toy function {f_id!r}")
 
-    # family contract
     def log_prior_weight(self, h, state) -> float:
+        """log nu_h of one draw: the scalar reference of log_weights."""
         (h,) = self.validate_h(h)
         return -0.5 * (float(state) - h) ** 2 / self.prior_sd**2
 
+    # family contract
     def sample_posterior(self, spec: ChainSpec) -> np.ndarray:
         (h,) = self.validate_h(spec.h)
         mu = self.posterior_mean(h)

@@ -3,8 +3,9 @@ chains via reverse logistic regression, with a sandwich estimate of the
 asymptotic covariance of sqrt(N) (d_hat - d).
 
 The log quasi-likelihood is maximized in eta = log d coordinates (eta_1
-pinned to 0), where it is concave.  A damped Newton iteration is used, with
-the classical self-consistency fixed point as a fallback when a Newton step
+pinned to 0), where it is concave.  A damped Newton iteration is used,
+started from one step of the classical self-consistency fixed point
+(Geyer 1994) from eta = 0, with that step as a fallback when a Newton step
 fails to increase the objective.
 """
 
@@ -21,7 +22,7 @@ from .errors import (ConfigError, ConnectivityError, ConvergenceError,
 from .families import DensityFamily
 from .variance import chain_lrv
 
-RATIO_SCHEMA_VERSION = 2
+RATIO_SCHEMA_VERSION = 3
 TOL = 1e-10         # converged when max_j |gradient_j| / N < TOL
 MAX_ITER = 200      # Newton iterations before ConvergenceError
 
@@ -241,10 +242,20 @@ def estimate_d(W: LogWeightMatrix):
                 return True
         return False
 
+    def fixed_point_step() -> bool:
+        """One self-consistency step, re-pinned to eta_1 = 0: the row
+        log-sum-exp of logw - lse, the kernel on the transposed buffer."""
+        row_lse, _ = _softmax(np.subtract(W.logw, state["lse"], out=buf).T)
+        trial = row_lse - np.log(N)
+        return try_point(trial - trial[0])
+
     value, lse, P = _objective(base, np.zeros(k), counts)
     _check_support(W, lse)
     set_point(np.zeros(k), value, lse, P)
-    for iterations in range(MAX_ITER):
+    # the first iteration is a fixed-point step, which lands near the
+    # optimum; if it is rejected, Newton starts from eta = 0
+    start = int(state["grad_norm"] >= TOL and fixed_point_step())
+    for iterations in range(start, MAX_ITER):
         if state["grad_norm"] < TOL:
             break
         P = state["P"]
@@ -263,17 +274,11 @@ def estimate_d(W: LogWeightMatrix):
                     moved = True
                     break
                 alpha *= 0.5
-        if not moved:
-            # self-consistency fixed point, re-pinned to eta_1 = 0: the row
-            # log-sum-exp of logw - lse, the kernel on the transposed buffer
-            row_lse, _ = _softmax(np.subtract(W.logw, state["lse"], out=buf).T)
-            trial = row_lse - np.log(N)
-            trial = trial - trial[0]
-            if not try_point(trial):
-                raise ConnectivityError(
-                    "quasi-likelihood solver stalled; skeleton chains "
-                    "appear insufficiently connected"
-                )
+        if not moved and not fixed_point_step():
+            raise ConnectivityError(
+                "quasi-likelihood solver stalled; skeleton chains "
+                "appear insufficiently connected"
+            )
     else:
         iterations = MAX_ITER
         if state["grad_norm"] >= TOL:
