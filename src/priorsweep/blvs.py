@@ -409,11 +409,7 @@ class BlvsFamily(DensityFamily):
         chains tried."""
         return len(self._rssr) if self._table is None else self._table.size
 
-    # Gibbs sampler
-    def gibbs_run(self, spec: ChainSpec) -> BlvsChain:
-        """The chain of one spec: sample_chains([spec])[0]."""
-        return self.sample_chains([spec])[0]
-
+    # Gibbs sampler, the family's sampling method
     def sample_chains(self, specs: Sequence[ChainSpec]) -> list[BlvsChain]:
         """Marginalized sweeps over gamma, one chain after another, each on
         its own stream (_sweeps).
@@ -484,9 +480,6 @@ class BlvsFamily(DensityFamily):
         return codes[burn_in:]
 
     # family contract
-    def sample_posterior(self, spec: ChainSpec) -> BlvsChain:
-        return self.gibbs_run(spec)
-
     def weight_stats(self, chain: BlvsChain) -> BlvsStats:
         """Each draw's model size and 1 - R^2, read from the model table, or
         above TABLE_MAX_Q from the models the chains fitted (a model not
@@ -628,15 +621,6 @@ class ModelEnumeration:
     def log_marginal(self, h) -> float:
         """log m_h up to the same h-independent constant."""
         return float(self.evaluate([h])[0][0])
-
-    def inclusion_probs(self, h) -> np.ndarray:
-        """P(gamma_i = 1 | y) for each predictor."""
-        return self.evaluate([h])[1][0]
-
-    def exact_bf(self, h, h1) -> float:
-        """Bayes factor B(h, h1) = m_h / m_{h1}; the shared constant cancels."""
-        log_m = self.evaluate([h, h1])[0]
-        return math.exp(log_m[0] - log_m[1])
 
 
 def _half_indicators(q_gamma: np.ndarray, bits: int) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -316,8 +317,9 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
                           f"got {pilot_length}")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    specs1 = [sp.__class__(h=sp.h, length=pilot_length, burn_in=sp.burn_in,
-                           seed=sp.seed) for sp in cfg.stage1.chain_specs(cfg.skeleton)]
+    specs1, specs2 = ([dataclasses.replace(sp, length=pilot_length)
+                       for sp in stage.chain_specs(cfg.skeleton)]
+                      for stage in (cfg.stage1, cfg.stage2))
     if isinstance(cfg.family, BlvsFamily):
         cfg.family.model_table()    # built before the chains and outside t1
     t0 = time.perf_counter()
@@ -326,8 +328,6 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
     W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains1)
     est = estimate_ratios(W1)
 
-    specs2 = [sp.__class__(h=sp.h, length=pilot_length, burn_in=sp.burn_in,
-                           seed=sp.seed) for sp in cfg.stage2.chain_specs(cfg.skeleton)]
     chains2 = cfg.family.sample_chains(specs2)
     W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains2)
     ws = Stage2Workspace(W2, est.d_hat)

@@ -29,6 +29,13 @@ SECTIONS = {"model": (dict, "mapping"), "skeleton": (list, "list"),
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def _integer(value, label: str, key: str) -> int:
+    """value if it is a YAML integer (not a boolean), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{label}: {key} must be an integer, got {value!r}")
+    return value
+
+
 @dataclass
 class StageConfig:
     lengths: list[int]        # one entry per skeleton chain
@@ -42,18 +49,21 @@ class StageConfig:
         if "seed" not in raw:
             raise ConfigError(f"{label}: missing seed")
         length = raw.get("length")
+        if length is not None:
+            _integer(length, label, "length")
         lengths = raw.get("lengths", [length] * k if length is not None else None)
         if not isinstance(lengths, list) or len(lengths) != k:
             raise ConfigError(f"{label}: need 'length' or a k-entry 'lengths' list")
-        lengths = [int(v) for v in lengths]
+        lengths = [_integer(v, label, "lengths") for v in lengths]
         if any(v < MIN_SERIES_LENGTH for v in lengths):
             raise ConfigError(f"{label}: chain lengths must be at least "
                               f"{MIN_SERIES_LENGTH}, the shortest series a long-run "
                               f"variance is taken of")
-        burn_in = int(raw.get("burn_in", 0))
+        burn_in = _integer(raw.get("burn_in", 0), label, "burn_in")
         if burn_in < 0:
             raise ConfigError(f"{label}: burn_in must be nonnegative, got {burn_in}")
-        return cls(lengths=lengths, burn_in=burn_in, seed=int(raw["seed"]))
+        seed = _integer(raw["seed"], label, "seed")
+        return cls(lengths=lengths, burn_in=burn_in, seed=seed)
 
     def chain_specs(self, skeleton) -> list[ChainSpec]:
         specs = []

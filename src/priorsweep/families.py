@@ -1,13 +1,13 @@
 """Family contract for prior densities indexed by a hyperparameter, plus a
 conjugate-normal toy family with closed-form answers for validation.
 
-A family supplies a posterior sampler and, for hyperparameter h, the log
-weight log nu_h of each draw: a density in h of whatever the chains carry,
-evaluated over cached per-sample statistics so that sweeping a large
-hyperparameter grid never re-touches per-sample density code.  Weights are
-meaningful only through differences: implementations may add any function
-of the draw alone, since every estimator downstream consumes ratios
-nu_h / nu_{h'}.
+A family supplies Markov chains at the skeleton points (sample_chains, its
+one sampling method) and, for hyperparameter h, the log weight log nu_h of
+each draw: a density in h of whatever the chains carry, evaluated over
+cached per-sample statistics so that sweeping a large hyperparameter grid
+never re-touches per-sample density code.  Weights are meaningful only
+through differences: implementations may add any function of the draw
+alone, since every estimator downstream consumes ratios nu_h / nu_{h'}.
 """
 
 from __future__ import annotations
@@ -89,14 +89,10 @@ class DensityFamily(ABC):
         """Raise InvalidHyperparameterError outside the family's domain."""
 
     @abstractmethod
-    def sample_posterior(self, spec: ChainSpec):
-        """Draw a posterior sample path; identical spec gives identical path."""
-
     def sample_chains(self, specs: Sequence[ChainSpec]) -> list:
-        """The sample paths of a stage, one per spec and in order, each the
-        path sample_posterior gives for its spec alone.  A family may
-        override it to share work across the stage's chains."""
-        return [self.sample_posterior(sp) for sp in specs]
+        """The posterior sample paths of a stage, one per spec and in order;
+        a chain depends on its own spec alone, so identical specs give
+        identical paths."""
 
     @abstractmethod
     def weight_stats(self, samples):
@@ -168,13 +164,12 @@ class ConjugateToy(DensityFamily):
             return self.posterior_var() + mu**2
         raise ValueError(f"unknown toy function {f_id!r}")
 
-    def log_prior_weight(self, h, state) -> float:
-        """log nu_h of one draw: the scalar reference of log_weights."""
-        (h,) = self.validate_h(h)
-        return -0.5 * (float(state) - h) ** 2 / self.prior_sd**2
-
     # family contract
+    def sample_chains(self, specs: Sequence[ChainSpec]) -> list[np.ndarray]:
+        return [self.sample_posterior(sp) for sp in specs]
+
     def sample_posterior(self, spec: ChainSpec) -> np.ndarray:
+        """The draws of one chain."""
         (h,) = self.validate_h(spec.h)
         mu = self.posterior_mean(h)
         sd = math.sqrt(self.posterior_var())

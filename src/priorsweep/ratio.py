@@ -310,17 +310,10 @@ def _check_curvature(P: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return B
 
 
-def estimate_sigma(W: LogWeightMatrix, d_hat: np.ndarray) -> np.ndarray:
-    """Sandwich covariance of sqrt(N)(d_hat - d)."""
-    z = W.logw + np.log(W.proportions)[:, None]
-    z -= np.log(np.asarray(d_hat, dtype=float))[:, None]
-    return _sandwich(W, d_hat, _softmax(z)[1])
-
-
 def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
-              curvature=None) -> np.ndarray:
-    """Sandwich covariance from the membership probabilities P at d_hat and
-    the curvature matrix there (formed from P if not given).
+              curvature: np.ndarray) -> np.ndarray:
+    """Sandwich covariance of sqrt(N)(d_hat - d) from the membership
+    probabilities P at d_hat and the curvature matrix there.
 
     B_hat is the averaged negative Hessian of the quasi-likelihood; S_hat is
     the chain-weighted spectral long-run covariance of the per-observation
@@ -330,7 +323,7 @@ def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
     N = W.total
     if W.k == 1:
         return np.zeros((0, 0))
-    B = (_check_curvature(P, W.counts) if curvature is None else curvature) / N
+    B = curvature / N
     scores = -P[1:]                              # (k-1, N)
     for j, sl in enumerate(W.chain_slices[1:]):
         scores[j, sl] += 1.0

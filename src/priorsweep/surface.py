@@ -66,22 +66,9 @@ class Stage2Workspace:
         self._cv_map = (Vt[keep, 1:].T / s[keep]) @ U[:, keep].T   # (k-1, n)
         self._rank_warning_due = not keep.all()
 
-    # basic geometry
-    @property
-    def k(self) -> int:
-        return self.W.k
-
     @property
     def n(self) -> int:
         return self.W.total
-
-    @property
-    def proportions(self) -> np.ndarray:
-        return self.W.proportions
-
-    @property
-    def chain_slices(self):
-        return self.W.chain_slices
 
     def terms(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Shifted importance terms of a block of grid points, one row per
@@ -159,23 +146,6 @@ def _estimates(ws: Stage2Workspace, points, F1: np.ndarray) -> _Block:
                   beta_u * scale[:, None], pe)
 
 
-def bf_hat(ws: Stage2Workspace, h) -> float:
-    """Importance-sampling Bayes-factor estimate B_hat(h, h_1, d_hat)."""
-    return float(_estimates(ws, [h], _function_rows(ws, ())).bf[0])
-
-
-def bf_cv_hat(ws: Stage2Workspace, h) -> tuple[float, np.ndarray]:
-    """Control-variate-adjusted Bayes-factor estimate and its regression
-    coefficients (on the Y scale)."""
-    est = _estimates(ws, [h], _function_rows(ws, ()))
-    return float(est.bf_cv[0]), est.beta[0]
-
-
-def pe_hat(ws: Stage2Workspace, h, f: FunctionOfTheta) -> float:
-    """Posterior-expectation estimate of f at h (nan where nu_h vanishes)."""
-    return float(_estimates(ws, [h], _function_rows(ws, [f])).pe[0, 0])
-
-
 @dataclass
 class SurfaceRecord:
     """Point estimates at one h and their variance breakdowns, keyed "bf",
@@ -222,7 +192,7 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
         centre = np.where(est.u_sum[:, None] > 0.0, est.pe, 0.0)
         z_beta = np.matmul(est.beta_u[:, None, :], ws.Z)[:, 0]         # (B, n)
         lrv = psi_x = 0.0
-        for a_l, sl in zip(ws.proportions, ws.chain_slices):
+        for a_l, sl in zip(ws.W.proportions, ws.W.chain_slices):
             u_l = est.U[:, sl]
             X = np.empty((B, J + 2, u_l.shape[1]))
             X[:, 0] = u_l

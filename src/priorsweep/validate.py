@@ -18,7 +18,7 @@ import numpy as np
 
 from .families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from .ratio import _objective, build_log_weight_matrix, estimate_d, estimate_ratios
-from .surface import Stage2Workspace, _estimates, _function_rows, bf_hat, pe_hat, surface
+from .surface import Stage2Workspace, _estimates, _function_rows, surface
 from .variance import PlanInputs, predicted_variance, q_opt
 
 # Suite sizes: draws per chain (V1, V4) or over all chains (V2), and the
@@ -38,10 +38,11 @@ class SuiteResult:
         return f"{'PASS' if self.passed else 'FAIL'}: {self.name}"
 
 
-def _chains(family, skeleton, length, seed_seq):
-    specs = [ChainSpec(h=h, length=length, seed=int(s))
-             for h, s in zip(skeleton, seed_seq)]
-    return [family.sample_posterior(sp) for sp in specs]
+def _chains(family, skeleton, lengths, seeds):
+    """One chain per skeleton point; lengths is one length or one per point."""
+    lengths = np.broadcast_to(lengths, len(skeleton)).tolist()
+    return family.sample_chains([ChainSpec(h=h, length=n, seed=int(s))
+                                 for h, n, s in zip(skeleton, lengths, seeds)])
 
 
 def _seed_block(master: int, rep: int, k: int, salt: int):
@@ -73,13 +74,9 @@ def suite_v1_ratio_calibration(reps: int = V1_REPS, master_seed: int = 1151) -> 
 
 
 def _v2_single_run(family, skeleton, h_star, f, lengths, seeds1, seeds2, q):
-    chains1 = [family.sample_posterior(ChainSpec(h=h, length=n, seed=int(s)))
-               for h, n, s in zip(skeleton, lengths, seeds1)]
-    W1 = build_log_weight_matrix(family, skeleton, chains1)
+    W1 = build_log_weight_matrix(family, skeleton, _chains(family, skeleton, lengths, seeds1))
     est = estimate_ratios(W1)
-    chains2 = [family.sample_posterior(ChainSpec(h=h, length=n, seed=int(s)))
-               for h, n, s in zip(skeleton, lengths, seeds2)]
-    W2 = build_log_weight_matrix(family, skeleton, chains2)
+    W2 = build_log_weight_matrix(family, skeleton, _chains(family, skeleton, lengths, seeds2))
     ws = Stage2Workspace(W2, est.d_hat)
     rec = surface(ws, [h_star], [f], est.sigma_hat, q)[0]
     return ((rec.bf, rec.bf_cv, rec.pe[f.name]),
@@ -157,18 +154,20 @@ def suite_v3_exact_identities(master_seed: int = 3033) -> SuiteResult:
     d_hat, _ = estimate_d(W)
     ws = Stage2Workspace(W, d_hat)
     f_one = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
-    vals = [pe_hat(ws, (h,), f_one) for h in np.linspace(-1.0, 2.5, 7)]
-    check("pe_hat(f==1) == 1 exactly", all(v == 1.0 for v in vals))
+    pe = _estimates(ws, [(h,) for h in np.linspace(-1.0, 2.5, 7)],
+                    _function_rows(ws, [f_one])).pe
+    check("pe_hat(f==1) == 1 exactly", bool(np.all(pe == 1.0)))
 
     # bf_hat(h1) == 1 exactly when k = 1
     chains1 = _chains(family, skeleton[:1], 3000, _seed_block(master_seed, 1, 1, 3))
     W1 = build_log_weight_matrix(family, skeleton[:1], chains1)
     ws1 = Stage2Workspace(W1, np.ones(1))
-    check("bf_hat(h1) == 1 exactly (k=1)", bf_hat(ws1, skeleton[0]) == 1.0)
+    check("bf_hat(h1) == 1 exactly (k=1)",
+          _estimates(ws1, skeleton[:1], _function_rows(ws1, ())).bf[0] == 1.0)
 
     # stage-1 self-consistency: replaying bf_hat on stage-1 samples returns d_hat
-    ws_replay = Stage2Workspace(W, d_hat)
-    resid = max(abs(bf_hat(ws_replay, h) - d) / d for h, d in zip(skeleton, d_hat))
+    bf = _estimates(ws, skeleton, _function_rows(ws, ())).bf
+    resid = float(np.max(np.abs(bf - d_hat) / d_hat))
     check(f"self-consistency residual {resid:.2e} < 1e-8", resid < 1e-8)
 
     # quasi-likelihood gradient vs central finite differences

@@ -61,11 +61,11 @@ def lrv_diag(X) -> np.ndarray:
     return np.einsum("...i,...i->...", S, S)
 
 
-def chain_lrv(X, slices: Sequence[slice], a, reduce=lrv_matrix) -> np.ndarray:
+def chain_lrv(X, slices: Sequence[slice], a) -> np.ndarray:
     """Chain-proportion-weighted long-run covariance sum_l a_l LRV(X[..., chain l]),
     each chain centered at its own mean (the chains are independent, so
-    cross-chain terms vanish); reduce=lrv_diag gives only its diagonal."""
-    return sum(a_l * reduce(X[..., sl]) for a_l, sl in zip(a, slices))
+    cross-chain terms vanish)."""
+    return sum(a_l * lrv_matrix(X[..., sl]) for a_l, sl in zip(a, slices))
 
 
 def c_hat(ws, U, shift) -> np.ndarray:

@@ -6,14 +6,19 @@ replaced:
   scalar long-run variance `spectral_lrv` on it;
 - the per-point stage-2 sweep that the block path of `priorsweep.surface`
   replaced: one grid point at a time, its terms as a vector, every sum over
-  all n pooled samples at once, and one Bartlett call per chain and point.
+  all n pooled samples at once, and one Bartlett call per chain and point;
+- the one-point estimators `bf_hat`, `bf_cv_hat` and `pe_hat`, each one row
+  of the block path, and `estimate_sigma`, the sandwich covariance formed
+  from d_hat alone, which `priorsweep.ratio` builds from the solver's
+  curvature instead.
 """
 
 import math
 
 import numpy as np
 
-from priorsweep.surface import SurfaceRecord
+from priorsweep.ratio import _check_curvature, _sandwich, _softmax
+from priorsweep.surface import SurfaceRecord, _estimates, _function_rows
 from priorsweep.variance import VarianceBreakdown, _lags
 
 
@@ -59,6 +64,34 @@ def spectral_lrv(series):
     return 0.0 if np.ptp(x) == 0.0 else float(lrv[0])
 
 
+def bf_hat(ws, h):
+    """Importance-sampling Bayes-factor estimate B_hat(h, h_1, d_hat)."""
+    return float(_estimates(ws, [h], _function_rows(ws, ())).bf[0])
+
+
+def bf_cv_hat(ws, h):
+    """Control-variate-adjusted Bayes-factor estimate and its regression
+    coefficients (on the Y scale)."""
+    est = _estimates(ws, [h], _function_rows(ws, ()))
+    return float(est.bf_cv[0]), est.beta[0]
+
+
+def pe_hat(ws, h, f):
+    """Posterior-expectation estimate of f at h (nan where nu_h vanishes)."""
+    return float(_estimates(ws, [h], _function_rows(ws, [f])).pe[0, 0])
+
+
+def estimate_sigma(W, d_hat):
+    """Sandwich covariance of sqrt(N)(d_hat - d), with P and the curvature
+    formed at d_hat."""
+    if W.k == 1:
+        return np.zeros((0, 0))
+    z = W.logw + np.log(W.proportions)[:, None]
+    z -= np.log(np.asarray(d_hat, dtype=float))[:, None]
+    P = _softmax(z)[1]
+    return _sandwich(W, d_hat, P, _check_curvature(P, W.counts))
+
+
 def point_terms(ws, h):
     """The shifted importance terms u = Y e^-shift at one grid point."""
     lognum = ws.family.log_weights(ws.family.validate_h(h), ws.W.stats)
@@ -81,7 +114,7 @@ def w_hat(ws, c, beta):
 def v_hat(ws, centred, u_sum):
     """Column j: psi' (f_j - I_j) u / sum(u), from centred = (f_j - I_j) u."""
     if u_sum == 0.0:
-        return np.full((ws.k - 1, centred.shape[1]), math.nan)
+        return np.full((ws.W.k - 1, centred.shape[1]), math.nan)
     return ws.psi @ centred / u_sum
 
 
@@ -108,7 +141,7 @@ def surface_by_point(ws, grid, functions, sigma_hat, q):
               if u_sum > 0.0 else np.full(F.shape[1], math.nan))
         centred = (F - (pe if u_mean > 0.0 else 0.0)) * u[:, None]
         series = np.column_stack([u, u - (beta * math.exp(-shift)) @ ws.Z, centred])
-        lrv = chain_lrv(series, ws.chain_slices, ws.proportions, reduce=lrv_diag)
+        lrv = chain_lrv(series, ws.W.chain_slices, ws.W.proportions, reduce=lrv_diag)
         scale2 = math.exp(2.0 * shift)
         c = c_hat(ws, u, shift)
         var = {"bf": assemble_variance(c, sigma_hat, lrv[0] * scale2, q, ws.n),

@@ -16,14 +16,14 @@ import pytest
 from priorsweep.blvs import BlvsFamily, ingest_csv
 from priorsweep.families import ChainSpec
 from priorsweep.ratio import build_log_weight_matrix, estimate_ratios
-from priorsweep.surface import Stage2Workspace, bf_cv_hat, surface
+from priorsweep.surface import Stage2Workspace, surface
 from priorsweep.validate import (suite_v1_ratio_calibration,
                                  suite_v2_variance_validation,
                                  suite_v3_exact_identities,
                                  suite_v4_cv_reduction)
 from priorsweep.config import make_grid
 
-from per_point import spectral_lrv
+from per_point import bf_cv_hat, spectral_lrv
 
 BASELINE = (0.5, 15.0)
 SKELETON_1 = [(w, g) for w in (0.3, 0.5, 0.6, 0.8) for g in (15.0, 50.0, 100.0, 225.0)]
@@ -67,13 +67,13 @@ def run_two_stage(family, skeleton, seed1, seed2):
     specs1 = [ChainSpec(h=h, length=STAGE1_LENGTH, burn_in=BURN_IN,
                         seed=int(np.random.SeedSequence((seed1, i)).generate_state(1)[0]))
               for i, h in enumerate(skeleton)]
-    chains1 = [family.sample_posterior(sp) for sp in specs1]
+    chains1 = family.sample_chains(specs1)
     W1 = build_log_weight_matrix(family, skeleton, chains1)
     est = estimate_ratios(W1)
     specs2 = [ChainSpec(h=h, length=STAGE2_LENGTH, burn_in=BURN_IN,
                         seed=int(np.random.SeedSequence((seed2, i)).generate_state(1)[0]))
               for i, h in enumerate(skeleton)]
-    chains2 = [family.sample_posterior(sp) for sp in specs2]
+    chains2 = family.sample_chains(specs2)
     W2 = build_log_weight_matrix(family, skeleton, chains2)
     return est, Stage2Workspace(W2, est.d_hat)
 
@@ -110,7 +110,7 @@ class TestOracleAgainstPaper:
         enum = family.enumeration()
         worst = 0.0
         for h, expected in TABLE_1.items():
-            probs = enum.inclusion_probs(h)
+            probs = enum.evaluate([h])[1][0]
             worst = max(worst, float(np.max(np.abs(probs - np.array(expected)))))
         assert _report("oracle/Table-1", worst <= 0.011,
                        f"max |inclusion - table| = {worst:.4f} (tol 0.011)"), worst
@@ -166,13 +166,13 @@ class TestA3:
         worst_table = 0.0
         worst_z = 0.0
         for idx, (h, expected) in enumerate(TABLE_1.items()):
-            chain = family.gibbs_run(ChainSpec(h=h, length=10_000, burn_in=500,
-                                               seed=777 + idx))
+            chain = family.sample_chains([ChainSpec(h=h, length=10_000, burn_in=500,
+                                                    seed=777 + idx)])[0]
             incl = chain.gamma.astype(float)
             means = incl.mean(axis=0)
             worst_table = max(worst_table,
                               float(np.max(np.abs(means - np.array(expected)))))
-            exact = enum.inclusion_probs(h)
+            exact = enum.evaluate([h])[1][0]
             for j in range(family.q):
                 se = math.sqrt(max(spectral_lrv(incl[:, j]), 1e-12) / len(chain))
                 z = abs(means[j] - exact[j]) / max(se, 1e-9)

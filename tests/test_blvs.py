@@ -142,7 +142,7 @@ class TestEnumeration:
         for h in W_ENDS_AND_MIDDLE:
             lw = log_weights(fam, bits, h)
             want = [math.exp(logsumexp(lw[bits[:, i]]) - logsumexp(lw)) for i in range(q)]
-            np.testing.assert_allclose(enum.inclusion_probs(h), want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(enum.evaluate([h])[1][0], want, rtol=1e-12, atol=0)
             assert enum.log_marginal(h) == pytest.approx(logsumexp(lw), rel=1e-12)
 
     def test_brute_force_cross_check(self, small_family):
@@ -167,7 +167,8 @@ class TestEnumeration:
             probs = np.exp(lw - logsumexp(lw))
             want_incl = np.array([math.exp(logsumexp(lw[[(c >> i) & 1 == 1 for c in range(32)]])
                                            - logsumexp(lw)) for i in range(5)])
-            np.testing.assert_allclose(enum.inclusion_probs((w, g)), want_incl, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(enum.evaluate([(w, g)])[1][0], want_incl,
+                                       rtol=1e-12, atol=0)
             assert enum.log_marginal((w, g)) == pytest.approx(logsumexp(lw), rel=1e-12)
             np.testing.assert_allclose(model_probs(enum, (w, g)), probs, atol=1e-12)
 
@@ -190,16 +191,17 @@ class TestEnumeration:
             assert incl[i].tobytes() == alone_incl[0].tobytes(), h
 
     def test_w_near_one_includes_everything(self, small_family):
-        incl = small_family.enumeration().inclusion_probs((1 - 1e-12, 10.0))
+        incl = small_family.enumeration().evaluate([(1 - 1e-12, 10.0)])[1][0]
         assert np.all(incl > 1 - 1e-6)
 
     def test_exact_bf_identity_and_cocycle(self, small_family):
         enum = small_family.enumeration()
         for h in [(0.5, 10.0), *W_ENDS_AND_MIDDLE]:
-            assert enum.exact_bf(h, h) == 1.0
-        h1, h2, h3 = (0.3, 5.0), (0.6, 20.0), (0.45, 60.0)
-        assert enum.exact_bf(h1, h2) * enum.exact_bf(h2, h3) == pytest.approx(
-            enum.exact_bf(h1, h3), rel=1e-12)
+            log_m = enum.evaluate([h, h])[0]
+            assert math.exp(log_m[0] - log_m[1]) == 1.0
+        log_m = enum.evaluate([(0.3, 5.0), (0.6, 20.0), (0.45, 60.0)])[0]
+        bf = [[math.exp(a - b) for b in log_m] for a in log_m]
+        assert bf[0][1] * bf[1][2] == pytest.approx(bf[0][2], rel=1e-12)
 
     def test_q_guard(self):
         rng = np.random.default_rng(0)
@@ -228,7 +230,7 @@ class TestEnumeration:
             lw = log_weights(fam, bits, h)
             want = np.array([math.exp(logsumexp(lw[bits[:, i]]) - logsumexp(lw))
                              for i in range(fam.q)])
-            np.testing.assert_allclose(enum.inclusion_probs(h), want, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(enum.evaluate([h])[1][0], want, rtol=1e-12, atol=0)
             assert enum.log_marginal(h) == pytest.approx(logsumexp(lw), rel=1e-12)
 
     def test_singular_design_names_the_model(self):
@@ -241,7 +243,7 @@ class TestEnumeration:
         gc.disable()
         try:
             fam = BlvsFamily(synthetic_dataset(q=4))
-            fam.gibbs_run(ChainSpec(h=(0.5, 10.0), length=10, seed=1))
+            fam.sample_chains([ChainSpec(h=(0.5, 10.0), length=10, seed=1)])[0]
             assert fam._lms and fam._table is None
             enum = fam.enumeration()
             assert enum.family is fam
@@ -379,7 +381,7 @@ class TestPriorWeight:
                   for _ in range(6)]
         for fam in (crime_family(),
                     BlvsFamily(synthetic_dataset(m=40, q=blvs.TABLE_MAX_Q + 1, seed=5))):
-            sampled = fam.gibbs_run(ChainSpec(h=(0.5, 15.0), length=30, seed=3))
+            sampled = fam.sample_chains([ChainSpec(h=(0.5, 15.0), length=30, seed=3)])[0]
             fitted = fam.models_fitted
             assert fam.weight_stats(sampled).rss_ratio.shape == (30,)
             assert fam.models_fitted == fitted     # every sampled model was fitted
@@ -446,23 +448,23 @@ class TestGibbs:
     def test_long_run_inclusion_matches_enumeration(self, small_family):
         fam = small_family
         h = (0.5, 16.0)
-        chain = fam.gibbs_run(ChainSpec(h=h, length=6000, burn_in=300, seed=42))
+        chain = fam.sample_chains([ChainSpec(h=h, length=6000, burn_in=300, seed=42)])[0]
         incl = chain.gamma.astype(float)
-        want = fam.enumeration().inclusion_probs(h)
+        want = fam.enumeration().evaluate([h])[1][0]
         for j in range(fam.q):
             se = math.sqrt(max(spectral_lrv(incl[:, j]), 1e-12) / len(chain))
             assert abs(incl[:, j].mean() - want[j]) < 3.0 * se + 1e-4, \
                 f"variable {j}: {incl[:, j].mean()} vs {want[j]} (se {se})"
 
     def test_w_near_one_absorbs(self, small_family):
-        chain = small_family.gibbs_run(
-            ChainSpec(h=(1 - 1e-12, 5.0), length=50, burn_in=50, seed=7))
+        chain = small_family.sample_chains([
+            ChainSpec(h=(1 - 1e-12, 5.0), length=50, burn_in=50, seed=7)])[0]
         assert chain.gamma.all()
 
     def test_determinism(self, small_family):
         spec = ChainSpec(h=(0.5, 10.0), length=50, seed=11)
-        c1 = small_family.gibbs_run(spec)
-        c2 = small_family.gibbs_run(spec)
+        c1 = small_family.sample_chains([spec])[0]
+        c2 = small_family.sample_chains([spec])[0]
         assert len(c1) == 50 and np.array_equal(c1.gamma, c2.gamma)
 
     def test_exact_fit_chain(self):
@@ -471,7 +473,7 @@ class TestGibbs:
         # models holding x0 and x1, whose 1 - R^2 comes from the residual
         # vector (a bordered factor alone would leave about 1e-16)
         fam = BlvsFamily(synthetic_dataset(m=30, q=10, seed=17, strong=(0, 1), noise=0.0))
-        chain = fam.gibbs_run(ChainSpec(h=(0.5, 10.0), length=50, burn_in=10, seed=4))
+        chain = fam.sample_chains([ChainSpec(h=(0.5, 10.0), length=50, burn_in=10, seed=4)])[0]
         assert chain.gamma[:, :2].all()
         codes = {sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma}
         assert len(codes) > 1
@@ -485,8 +487,8 @@ class TestGibbs:
                 23949, 12941, 15501, 6687, 24077, 5613, 12669, 5717, 23061, 7573,
                 13687, 31765, 5261, 16093, 13965, 7181, 13581, 4109, 13325, 22703,
                 29725, 21781, 21933, 21837, 7949, 13327, 6157, 5261, 24015, 5775]
-        chain = crime_family().gibbs_run(
-            ChainSpec(h=(0.6, 50.0), length=40, burn_in=10, seed=2024))
+        chain = crime_family().sample_chains([
+            ChainSpec(h=(0.6, 50.0), length=40, burn_in=10, seed=2024)])[0]
         assert [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma] == want
 
     @pytest.mark.parametrize("h", [(0.5, 15.0), (0.05, 225.0), (1 - 1e-9, 4.0)])
@@ -495,23 +497,23 @@ class TestGibbs:
         # by coordinate, on the same uniforms gives the same codes
         fam = crime_family()
         spec = ChainSpec(h=h, length=2000, burn_in=100, seed=8)
-        chain = fam.gibbs_run(spec)
+        chain = fam.sample_chains([spec])[0]
         assert [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma] \
             == expit_sweeps(fam, spec)
 
     def test_uniform_block_size_does_not_change_the_chain(self, monkeypatch):
         fam = crime_family()
         spec = ChainSpec(h=(0.6, 50.0), length=300, burn_in=40, seed=5)
-        want = chain_values(fam.gibbs_run(spec))
+        want = chain_values(fam.sample_chains([spec])[0])
         for rows in (1, 7, 1000):
             monkeypatch.setattr(blvs, "SWEEP_ROWS", rows)
-            assert chain_values(fam.gibbs_run(spec)) == want
+            assert chain_values(fam.sample_chains([spec])[0]) == want
 
     def test_burn_in_sweeps_advance_the_stream(self):
         fam = crime_family()
         b, n = 25, 40
-        short = fam.gibbs_run(ChainSpec(h=(0.6, 50.0), length=n, burn_in=b, seed=3))
-        full = fam.gibbs_run(ChainSpec(h=(0.6, 50.0), length=b + n, seed=3))
+        short = fam.sample_chains([ChainSpec(h=(0.6, 50.0), length=n, burn_in=b, seed=3)])[0]
+        full = fam.sample_chains([ChainSpec(h=(0.6, 50.0), length=b + n, seed=3)])[0]
         assert np.array_equal(short.gamma, full.gamma[b:])
 
 
@@ -586,9 +588,10 @@ class TestModelTable:
             cold = BlvsFamily(ds)
             warm = BlvsFamily(ds)
             for seed, h in enumerate([(0.3, 100.0), (0.8, 225.0)]):
-                warm.gibbs_run(ChainSpec(h=h, length=150, burn_in=20, seed=seed))
+                warm.sample_chains([ChainSpec(h=h, length=150, burn_in=20, seed=seed)])
             fitted = warm.models_fitted
-            assert chain_values(cold.gibbs_run(spec)) == chain_values(warm.gibbs_run(spec))
+            assert chain_values(cold.sample_chains([spec])[0]) \
+                == chain_values(warm.sample_chains([spec])[0])
             assert 0 < fitted <= warm.models_fitted
             assert (fitted == 1 << warm.q) == (path == "table")
 
@@ -603,11 +606,11 @@ class TestModelTable:
         specs = [ChainSpec(h=(w, g), length=40, burn_in=10, seed=s)
                  for s, (w, g) in enumerate([(0.5, 15.0), (0.3, 100.0), (0.8, 4.0)])]
         monkeypatch.setattr(blvs, "TABLE_MAX_Q", fam.q)
-        full = [chain_values(fam.gibbs_run(sp)) for sp in specs]
+        full = [chain_values(c) for c in fam.sample_chains(specs)]
         assert fam._table is not None and not fam._rssr
         monkeypatch.setattr(blvs, "TABLE_MAX_Q", fam.q - 1)
         lazy = make_family()
-        assert [chain_values(lazy.gibbs_run(sp)) for sp in specs] == full
+        assert [chain_values(c) for c in lazy.sample_chains(specs)] == full
         assert lazy._table is None and 0 < lazy.models_fitted <= 1 << fam.q
 
     def test_table_log_marginal_equals_log_marginal_of_model(self, uscrime_path):
@@ -628,7 +631,7 @@ class TestModelTable:
     def test_codes_beyond_int64(self):
         # model codes are Python integers, so q may exceed 63
         fam = BlvsFamily(synthetic_dataset(m=80, q=70, seed=6, strong=(0, 69)))
-        chain = fam.gibbs_run(ChainSpec(h=(0.05, 20.0), length=15, burn_in=5, seed=1))
+        chain = fam.sample_chains([ChainSpec(h=(0.05, 20.0), length=15, burn_in=5, seed=1)])[0]
         assert chain.gamma[:, 69].any()
         assert fam._table is None and max(fam._rssr) >= 1 << 63
 
@@ -692,7 +695,7 @@ class TestModelTable:
         lw = lm + bits.sum(axis=1) * math.log(w) + (fam.q - bits.sum(axis=1)) * math.log1p(-w)
         assert enum.log_marginal((w, 30.0)) == pytest.approx(logsumexp(lw), rel=1e-12)
         probs = np.exp(lw - logsumexp(lw))
-        np.testing.assert_allclose(enum.inclusion_probs((w, 30.0)),
+        np.testing.assert_allclose(enum.evaluate([(w, 30.0)])[1][0],
                                    [probs[bits[:, i]].sum() for i in range(fam.q)],
                                    rtol=1e-12, atol=1e-15)
 
@@ -756,8 +759,8 @@ class TestModelTable:
             with caplog.at_level(logging.WARNING, logger="priorsweep.blvs"):
                 for seed, codes in zip((1, 2), want_codes):
                     caplog.clear()
-                    chain = fam.gibbs_run(ChainSpec(h=(0.5, 10.0), length=12, burn_in=3,
-                                                    seed=seed))
+                    chain = fam.sample_chains([ChainSpec(h=(0.5, 10.0), length=12, burn_in=3,
+                                                         seed=seed)])[0]
                     singular = [r for r in caplog.records
                                 if "singular candidate" in r.getMessage()]
                     assert len(singular) == 1, path
@@ -775,10 +778,10 @@ class TestModelTable:
                                                 ((0.6, 100.0), 70, 25), ((0.8, 225.0), 30, 5),
                                                 ((0.4, 20.0), 50, 10), ((0.7, 70.0), 80, 3)])]
         for path in table_paths(monkeypatch):
-            want = [chain_values(BlvsFamily(ds).gibbs_run(sp)) for sp in specs]
+            want = [chain_values(BlvsFamily(ds).sample_chains([sp])[0]) for sp in specs]
             serial = BlvsFamily(ds)
             for sp in specs:
-                serial.gibbs_run(sp)
+                serial.sample_chains([sp])
             stage = BlvsFamily(ds)
             build, builds = stage._build_table, []
             stage._build_table = lambda: builds.append(1) or build()

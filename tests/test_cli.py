@@ -195,7 +195,7 @@ class TestRun:
 
     def test_blvs_chain_csv_parses_back_to_the_chain(self, uscrime_path, tmp_path):
         fam = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
-        chain = fam.gibbs_run(ChainSpec(h=(0.5, 15.0), length=40, burn_in=5, seed=3))
+        chain = fam.sample_chains([ChainSpec(h=(0.5, 15.0), length=40, burn_in=5, seed=3)])[0]
         path = tmp_path / "chain.csv"
         _write_chain_csv(path, fam, chain)
         with open(path, newline="") as fh:
@@ -303,7 +303,7 @@ class TestRegressionOracle:
             assert float(row["bf_exact"]) == pytest.approx(
                 math.exp(enum.log_marginal(h) - log_m1), rel=1e-12)
             got = [float(row[f"pe_inclusion:x{j}_exact"]) for j in range(5)]
-            np.testing.assert_allclose(got, enum.inclusion_probs(h), rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(got, enum.evaluate([h])[1][0], rtol=1e-12, atol=1e-15)
         manifest = json.loads((out / "oracle-manifest.json").read_text())
         assert manifest["command"] == "oracle"
         assert set(manifest["timings"]) == {"table_s", "grid_s", "write_s"}

@@ -79,6 +79,17 @@ class TestStageConfig:
         sc = StageConfig.parse({**raw, "seed": 5}, 2, "stage1")
         assert min(sc.lengths) == 10
 
+    # a value that is not a YAML integer is refused, not truncated by int()
+    @pytest.mark.parametrize("raw, key", [
+        ({"length": 300.9, "seed": 5}, "length"),
+        ({"lengths": [10, "20"], "seed": 5}, "lengths"),
+        ({"length": 10, "burn_in": True, "seed": 5}, "burn_in"),
+        ({"length": 10, "seed": 5.0}, "seed"),
+    ], ids=["length", "lengths", "burn_in", "seed"])
+    def test_non_integer_rejected(self, raw, key):
+        with pytest.raises(ConfigError, match=f"^stage2: {key} must be an integer, got "):
+            StageConfig.parse(raw, 2, "stage2")
+
 
 def write_toy_config(path, out="run-out", seed1=11, seed2=22):
     cfg = {
@@ -202,8 +213,7 @@ class TestLoadConfig:
             p = root / "configs" / f"{config}.yaml"
         code = ("import sys; sys.path.insert(0, sys.argv[1]); import priorsweep; "
                 "from priorsweep.config import load_config; cfg = load_config(sys.argv[2]); "
-                "[cfg.family.sample_posterior(sp) "
-                "for sp in cfg.stage1.chain_specs(cfg.skeleton)]; "
+                "cfg.family.sample_chains(cfg.stage1.chain_specs(cfg.skeleton)); "
                 "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         out = subprocess.run([sys.executable, "-c", code, str(root / "src"), str(p)],
                              capture_output=True, text=True, check=True)
@@ -217,8 +227,10 @@ class TestLoadConfig:
         ("functions", "inclusion:*", "functions must be a list, got str"),
         ("skeleton", 5, "skeleton must be a list, got int"),
         ("grid", {"points": [0.5, 0.6]}, "grid: points must be a list of coordinate lists"),
+        ("stage1", {"length": 300.9, "burn_in": 50, "seed": 202011},
+         "stage1: length must be an integer, got 300.9"),
     ], ids=["axis-without-step", "function-not-a-string", "functions-a-string",
-            "skeleton-an-int", "points-not-lists"])
+            "skeleton-an-int", "points-not-lists", "fractional-length"])
     def test_malformed_section_rejected(self, tmp_path, capsys, uscrime_path,
                                         section, value, message):
         root = Path(__file__).resolve().parent.parent

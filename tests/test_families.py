@@ -7,7 +7,15 @@ from scipy.signal import lfilter
 from scipy.stats import norm
 
 from priorsweep.errors import InvalidHyperparameterError
-from priorsweep.families import ChainSpec, ConjugateToy, toy_function
+from priorsweep.families import ChainSpec, ConjugateToy, DensityFamily, toy_function
+from priorsweep.ratio import build_log_weight_matrix, estimate_ratios
+from priorsweep.surface import Stage2Workspace, surface
+
+
+def log_prior_weight(fam, h, theta):
+    """log nu_h of one toy draw: the scalar reference of log_weights."""
+    (h,) = fam.validate_h(h)
+    return -0.5 * (float(theta) - h) ** 2 / fam.prior_sd**2
 
 
 def quad_marginal(fam, h):
@@ -65,15 +73,15 @@ class TestLogPriorWeight:
     def test_same_h_difference_zero(self):
         fam = ConjugateToy(y_obs=0.0)
         for theta in (-1.2, 0.0, 3.4):
-            assert fam.log_prior_weight((0.9,), theta) \
-                == fam.log_prior_weight((0.9,), theta)
+            assert log_prior_weight(fam, (0.9,), theta) \
+                == log_prior_weight(fam, (0.9,), theta)
 
     def test_difference_is_log_density_ratio(self):
         fam = ConjugateToy(y_obs=0.0)
         rng = np.random.default_rng(11)
         for _ in range(30):
             h, h2, theta = rng.normal(0, 2, 3)
-            got = fam.log_prior_weight((h,), theta) - fam.log_prior_weight((h2,), theta)
+            got = log_prior_weight(fam, (h,), theta) - log_prior_weight(fam, (h2,), theta)
             want = norm.logpdf(theta, h, 1.0) - norm.logpdf(theta, h2, 1.0)
             assert got == pytest.approx(want, abs=1e-12)
 
@@ -97,7 +105,7 @@ class TestLogPriorWeight:
         fam = ConjugateToy(y_obs=0.5, prior_sd=1.7)
         thetas = np.array([-1.0, 0.0, 2.5])
         vec = fam.log_weights((0.3,), fam.weight_stats(thetas))
-        scal = [fam.log_prior_weight((0.3,), t) for t in thetas]
+        scal = [log_prior_weight(fam, (0.3,), t) for t in thetas]
         np.testing.assert_allclose(vec, scal, rtol=1e-15)
 
     def test_invalid_h(self):
@@ -181,3 +189,40 @@ def test_toy_function_vectorization():
     np.testing.assert_array_equal(sq(xs), xs**2)
     with pytest.raises(ValueError):
         toy_function("cube")
+
+
+class MinimalFamily(DensityFamily):
+    """A family with only the three methods the contract asks for: i.i.d.
+    draws from the posterior N(h / 2, 1 / 2) of the default toy (y = 0, unit
+    prior and likelihood variances), with the toy's weights."""
+
+    def sample_chains(self, specs):
+        return [np.random.default_rng(sp.seed).normal(sp.h[0] / 2.0, math.sqrt(0.5), sp.length)
+                for sp in specs]
+
+    def weight_stats(self, samples):
+        return samples
+
+    def log_weights(self, h, stats):
+        (h,) = self.validate_h(h)
+        return -0.5 * (stats - h) ** 2
+
+
+def test_three_method_family_runs_both_stages():
+    # the same draws and weights as the toy, so the same surface bit for bit
+    skeleton = [(0.0,), (1.0,), (2.0,)]
+    grid = [(h,) for h in np.linspace(-0.5, 2.5, 7)]
+    f = toy_function("identity")
+    records = []
+    for fam in (MinimalFamily(), ConjugateToy(y_obs=0.0)):
+        specs1 = [ChainSpec(h=h, length=2000, seed=10 + i) for i, h in enumerate(skeleton)]
+        specs2 = [ChainSpec(h=h, length=500, seed=20 + i) for i, h in enumerate(skeleton)]
+        est = estimate_ratios(build_log_weight_matrix(fam, skeleton, fam.sample_chains(specs1)))
+        ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, fam.sample_chains(specs2)),
+                             est.d_hat)
+        records.append(surface(ws, grid, [f], est.sigma_hat, q=0.25))
+    toy = ConjugateToy(y_obs=0.0)
+    for got, want in zip(*records):
+        assert (got.h, got.bf, got.bf_cv, got.pe) == (want.h, want.bf, want.bf_cv, want.pe)
+        assert got.var == want.var
+        assert abs(got.bf_cv - toy.exact_bf(got.h, skeleton[0])) < 4.0 * got.var["bf_cv"].se

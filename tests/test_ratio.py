@@ -10,8 +10,10 @@ from priorsweep.errors import ConnectivityError, ConvergenceError, SupportViolat
 from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import (LogWeightMatrix, RatioEstimate,
                               _objective, _softmax, build_log_weight_matrix,
-                              estimate_d, estimate_ratios, estimate_sigma)
-from priorsweep.surface import Stage2Workspace, bf_hat
+                              estimate_d, estimate_ratios)
+from priorsweep.surface import Stage2Workspace
+
+from per_point import bf_hat, estimate_sigma
 
 
 def toy_matrix(skeleton, lengths, seed0=0, y_obs=0.0, sampler="iid"):

@@ -1,4 +1,3 @@
-import importlib
 import math
 import warnings
 
@@ -6,17 +5,14 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import priorsweep.surface as surface_module
 from priorsweep.errors import (DegenerateDesignWarning, SupportViolationError,
                                SupportWarning)
 from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
-from priorsweep.ratio import (LogWeightMatrix, build_log_weight_matrix, estimate_d,
-                              estimate_sigma)
-from priorsweep.surface import _RANK_RTOL, Stage2Workspace, bf_cv_hat, bf_hat, pe_hat, surface
+from priorsweep.ratio import LogWeightMatrix, build_log_weight_matrix, estimate_d
+from priorsweep.surface import _RANK_RTOL, Stage2Workspace, surface
 
-from per_point import point_terms, surface_by_point
-
-# the module, which the package's re-export of `surface` shadows
-surface_module = importlib.import_module("priorsweep.surface")
+from per_point import bf_cv_hat, bf_hat, estimate_sigma, pe_hat, point_terms, surface_by_point
 
 
 def two_stage(skeleton, n1, n2, y_obs=0.0, seed0=0, sampler="iid"):
@@ -49,30 +45,26 @@ class TestWorkspace:
         assert np.all(np.abs(ws.z_means) < 0.05)
 
     def test_grid_evaluation_never_touches_density_code(self):
-        fam, _, d, _ = two_stage([(0.0,), (1.0,)], 500, 500)
-        calls = {"scalar": 0, "stats": 0}
-        orig_weight = fam.log_prior_weight
-        orig_stats = fam.weight_stats
+        # the per-sample statistics are built once, before the sweep, and
+        # every grid point reads its weights from them
+        _, _, d, _ = two_stage([(0.0,), (1.0,)], 500, 500)
+        calls = {"stats": 0}
 
         class Counting(ConjugateToy):
-            def log_prior_weight(self, h, state):
-                calls["scalar"] += 1
-                return orig_weight(h, state)
-
             def weight_stats(self, samples):
                 calls["stats"] += 1
-                return orig_stats(samples)
+                return super().weight_stats(samples)
 
         counting = Counting(y_obs=0.0)
-        chains = [counting.sample_posterior(ChainSpec(h=h, length=400, seed=9 + i))
-                  for i, h in enumerate([(0.0,), (1.0,)])]
+        chains = counting.sample_chains([ChainSpec(h=h, length=400, seed=9 + i)
+                                         for i, h in enumerate([(0.0,), (1.0,)])])
         W = build_log_weight_matrix(counting, [(0.0,), (1.0,)], chains)
         assert calls["stats"] == 1
         ws = Stage2Workspace(W, d)
-        calls["scalar"] = 0
-        surface(ws, [(h,) for h in np.linspace(-0.5, 2.5, 40)],
-                [toy_function("identity")], np.zeros((1, 1)), q=0.0)
-        assert calls["scalar"] == 0
+        recs = surface(ws, [(h,) for h in np.linspace(-0.5, 2.5, 40)],
+                       [toy_function("identity")], np.zeros((1, 1)), q=0.0)
+        assert len(recs) == 40
+        assert calls["stats"] == 1
 
     def test_kernel_terms_match_per_row_formulas(self):
         # the per-row formulas the workspace used before its one kernel call
@@ -245,7 +237,7 @@ class TestPeHat:
 
 class TestSurfaceSweep:
     def _assert_one_path(self, ws, grid, functions):
-        recs = surface(ws, grid, functions, np.zeros((ws.k - 1, ws.k - 1)), q=0.0)
+        recs = surface(ws, grid, functions, np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)
         for rec, h in zip(recs, grid):
             assert rec.bf == bf_hat(ws, h)
             est, beta = bf_cv_hat(ws, h)
@@ -262,8 +254,8 @@ class TestSurfaceSweep:
 
     def test_one_path_blvs(self, small_family):
         skeleton = [(0.3, 10.0), (0.6, 40.0), (0.5, 100.0)]
-        chains = [small_family.gibbs_run(ChainSpec(h=h, length=150, burn_in=20, seed=60 + i))
-                  for i, h in enumerate(skeleton)]
+        chains = small_family.sample_chains([ChainSpec(h=h, length=150, burn_in=20, seed=60 + i)
+                                             for i, h in enumerate(skeleton)])
         W = build_log_weight_matrix(small_family, skeleton, chains)
         d, _ = estimate_d(W)
         ws = Stage2Workspace(W, d)
@@ -273,7 +265,6 @@ class TestSurfaceSweep:
 
     def test_records_and_errors(self):
         fam, W1, d, ws = two_stage([(0.0,), (1.0,)], 3000, 3000, seed0=43)
-        from priorsweep.ratio import estimate_sigma
         sigma = estimate_sigma(W1, d)
         grid = [(h,) for h in np.linspace(-0.5, 2.0, 11)]
         f = toy_function("identity")
@@ -371,12 +362,12 @@ class TestBlockPath:
 
     def test_matches_per_point_reference_blvs(self, small_family):
         skeleton = [(0.3, 10.0), (0.6, 40.0), (0.5, 100.0)]
-        c1 = [small_family.gibbs_run(ChainSpec(h=h, length=200, burn_in=20, seed=80 + i))
-              for i, h in enumerate(skeleton)]
+        c1 = small_family.sample_chains([ChainSpec(h=h, length=200, burn_in=20, seed=80 + i)
+                                         for i, h in enumerate(skeleton)])
         W1 = build_log_weight_matrix(small_family, skeleton, c1)
         d, _ = estimate_d(W1)
-        c2 = [small_family.gibbs_run(ChainSpec(h=h, length=150, burn_in=20, seed=60 + i))
-              for i, h in enumerate(skeleton)]
+        c2 = small_family.sample_chains([ChainSpec(h=h, length=150, burn_in=20, seed=60 + i)
+                                         for i, h in enumerate(skeleton)])
         ws = Stage2Workspace(build_log_weight_matrix(small_family, skeleton, c2), d)
         functions = [small_family.inclusion_function(name) for name in small_family.names]
         grid = [(w, g) for w in (0.2, 0.45, 0.7) for g in (5.0, 50.0, 150.0)]

@@ -7,14 +7,14 @@ import pytest
 from priorsweep.errors import DegenerateDesignWarning
 from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
-from priorsweep.surface import Stage2Workspace, pe_hat, surface
+from priorsweep.surface import Stage2Workspace, surface
 from priorsweep.variance import (MIN_SERIES_LENGTH, PlanInputs,
                                  VarianceBreakdown, _lags, assemble_variance, c_hat,
                                  chain_lrv, lrv_diag, lrv_matrix, predicted_variance,
                                  q_opt, w_hat)
 
 import per_point
-from per_point import point_terms, spectral_lrv, v_hat
+from per_point import estimate_sigma, pe_hat, point_terms, spectral_lrv, v_hat
 
 
 def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
@@ -30,7 +30,7 @@ def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
 def point(ws, h, functions=()):
     """The surface record at one h with sigma_hat = 0, so every variance is
     its stage-2 term: tau^2 ("bf"), sigma^2 ("bf_cv"), rho ("pe:<name>")."""
-    return surface(ws, [h], list(functions), np.zeros((ws.k - 1, ws.k - 1)), q=0.0)[0]
+    return surface(ws, [h], list(functions), np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)[0]
 
 
 class TestSpectralLrv:
@@ -114,7 +114,7 @@ class TestBartlettKernel:
         slices = [slice(0, 400), slice(400, 650)]
         a = np.array([400 / 650, 250 / 650])
         want = sum(a_l * np.diag(lag_loop_lrv(X[sl])) for a_l, sl in zip(a, slices))
-        got = chain_lrv(X.T, slices, a, reduce=lrv_diag)
+        got = np.diag(chain_lrv(X.T, slices, a))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_zero_series_exactly_zero(self):
@@ -147,7 +147,7 @@ class TestSeriesMajorLayout:
         want = per_point.chain_lrv(X, slices, a)
         np.testing.assert_allclose(chain_lrv(XT, slices, a), want, rtol=0.0,
                                    atol=1e-13 * np.abs(want).max())
-        np.testing.assert_allclose(chain_lrv(XT, slices, a, reduce=lrv_diag),
+        np.testing.assert_allclose(np.diag(chain_lrv(XT, slices, a)),
                                    per_point.chain_lrv(X, slices, a, reduce=per_point.lrv_diag),
                                    rtol=1e-13, atol=0.0)
 
@@ -238,7 +238,7 @@ def gamma_rho_reference(ws, h, f):
     u, _ = point_terms(ws, h)
     fv = f(ws.W.samples)
     ratio = float((fv * u).sum()) / float(u.sum())
-    gamma = chain_lrv(np.vstack([fv * u, u]), ws.chain_slices, ws.proportions)
+    gamma = chain_lrv(np.vstack([fv * u, u]), ws.W.chain_slices, ws.W.proportions)
     u_mean = float(u.mean())
     return (gamma[0, 0] - 2.0 * ratio * gamma[0, 1] + ratio * ratio * gamma[1, 1]) \
         / (u_mean * u_mean)
@@ -251,7 +251,7 @@ def exact_rho(ws, h, f):
     FV = [Fraction(float(x)) for x in f(ws.W.samples)]
     ratio = sum(a * b for a, b in zip(FV, U)) / sum(U)
     total = Fraction(0)
-    for a_l, sl in zip(ws.proportions, ws.chain_slices):
+    for a_l, sl in zip(ws.W.proportions, ws.W.chain_slices):
         x = [(FV[p] - ratio) * U[p] for p in range(sl.start, sl.stop)]
         n = len(x)
         mean = sum(x) / n
@@ -327,7 +327,7 @@ class TestSensitivityVectors:
     def test_c_identical_densities_equals_proportion(self):
         _, ws = toy_workspace([(0.5,), (0.5,)], 1000, d=[1.0, 1.0], seed0=4)
         c = c_hat(ws, *point_terms(ws, (0.5,)))
-        assert c[0] == pytest.approx(ws.proportions[1], abs=1e-12)
+        assert c[0] == pytest.approx(ws.W.proportions[1], abs=1e-12)
 
     def test_c_nonnegative(self):
         _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 900, seed0=6)
@@ -430,7 +430,6 @@ class TestAssembleAndPlan:
 class TestVarianceSurface:
     def test_single_point_grid(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 600, seed0=13)
-        from priorsweep.ratio import estimate_sigma
         sigma = estimate_sigma(ws.W, ws.d_hat)
         recs = surface(ws, [(0.5,)], [], sigma, q=1.0)
         assert len(recs) == 1
@@ -451,7 +450,6 @@ class TestVarianceSurface:
     def test_reported_se_zero_for_constant_function(self):
         # the f == 1 chain: v = 0 and rho = 0, so the pe se must be 0
         _, ws = toy_workspace([(0.0,), (1.0,)], 700, seed0=14)
-        from priorsweep.ratio import estimate_sigma
         sigma = estimate_sigma(ws.W, ws.d_hat)
         f1 = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
         recs = surface(ws, [(0.5,)], [f1], sigma, q=1.0)
