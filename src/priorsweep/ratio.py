@@ -6,7 +6,9 @@ The log quasi-likelihood is maximized in eta = log d coordinates (eta_1
 pinned to 0), where it is concave.  A damped Newton iteration is used,
 started from one step of the classical self-consistency fixed point
 (Geyer 1994) from eta = 0, with that step as a fallback when a Newton step
-fails to increase the objective.
+fails to increase the objective.  Every evaluation reads the one
+exponentiated k x N array E of `Mixture`: a trial point costs one product
+c E, an accepted point one E s^-1, and a Newton step one E s^-2 E'.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .variance import chain_lrv
 RATIO_SCHEMA_VERSION = 3
 TOL = 1e-10         # converged when max_j |gradient_j| / N < TOL
 MAX_ITER = 200      # Newton iterations before ConvergenceError
+REACH = 30.0        # E is re-taken past this from ref, so that s >= e^-30
 
 
 @dataclass
@@ -159,37 +162,59 @@ class RatioEstimate:
         return cls.from_dict(doc)
 
 
-def _check_support(W: LogWeightMatrix, lse: np.ndarray) -> None:
-    """Raise for a pooled sample whose log-terms are all -inf: the kernel
-    gives it lse = -inf."""
-    dead = np.flatnonzero(np.isneginf(lse))
-    if dead.size:
-        p = int(dead[0])
-        raise SupportViolationError(
-            f"pooled sample {p} (chain {W.chain_of(p)}) has zero density "
-            f"under every skeleton prior"
-        )
+class Mixture:
+    """The skeleton mixture of the pooled samples from one exponentiation:
+    E = exp(logw + log a - ref - mx) at a reference eta = ref, mx the column
+    max, so every entry of E lies in [0, 1] and every column holds a 1.  At
+    any eta = log d, with c = exp(ref - eta), the column sums s = c E give
+    the log mixture density lse = mx + log s and the membership
+    probabilities P = c E / s, so E is the only k x N array."""
 
+    def __init__(self, W: LogWeightMatrix, ref: np.ndarray):
+        self.W = W
+        self.counts = W.counts.astype(float)
+        self.E = np.empty_like(W.logw)
+        self.reference(ref)
 
-def _softmax(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lse, P): the column log-sum-exp and softmax of a k x N array of
-    log-terms from one max-shifted in-place exp, so z is overwritten by P.
-    An all -inf column gives lse = -inf (and a nan column of P), not nan."""
-    mx = z.max(axis=0)
-    mx[np.isneginf(mx)] = 0.0
-    z -= mx
-    np.exp(z, out=z)
-    s = z.sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z /= s
-        return mx + np.log(s), z
+    def reference(self, ref: np.ndarray) -> None:
+        """Take E at ref; raise for a pooled sample whose log-terms are all
+        -inf."""
+        E = np.add(self.W.logw, (np.log(self.W.proportions) - ref)[:, None], out=self.E)
+        self.mx = E.max(axis=0)
+        dead = np.flatnonzero(np.isneginf(self.mx))
+        if dead.size:
+            p = int(dead[0])
+            raise SupportViolationError(
+                f"pooled sample {p} (chain {self.W.chain_of(p)}) has zero density "
+                f"under every skeleton prior")
+        E -= self.mx
+        np.exp(E, out=E)
+        self.ref = ref
 
+    def objective(self, eta: np.ndarray):
+        """The log quasi-likelihood at eta, the column sums s and lse."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            s = np.exp(self.ref - eta) @ self.E
+            lse = np.log(s)
+        lse += self.mx
+        return -float(self.counts @ eta) - float(lse.sum()), s, lse
 
-def _objective(base: np.ndarray, eta: np.ndarray, counts: np.ndarray, out=None):
-    """The log quasi-likelihood at eta with the column lse and the membership
-    probabilities P from one kernel call; P is written into out if given."""
-    lse, P = _softmax(np.subtract(base, eta[:, None], out=out))
-    return -float(counts @ eta) - float(lse.sum()), lse, P
+    def masses(self, eta: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """P 1 = c (E s^-1), the row sums of P."""
+        return np.exp(self.ref - eta) * (self.E @ (1.0 / s))
+
+    def curvature(self, eta, s, masses, out: np.ndarray) -> np.ndarray:
+        """diag(P 1) - P P' = diag(masses) - (c c') (E s^-2 E'), the negative
+        Hessian of the objective, with E s^-2 written into out."""
+        c, r = np.exp(self.ref - eta), 1.0 / s
+        np.multiply(self.E, r * r, out=out)
+        return np.diag(masses) - np.outer(c, c) * (out @ self.E.T)
+
+    def probabilities(self, eta, s, out: np.ndarray) -> np.ndarray:
+        """P = c E / s, written into out (which may be E itself)."""
+        np.divide(self.E, s, out=out)
+        out *= np.exp(self.ref - eta)[:, None]
+        return out
 
 
 def estimate_d(W: LogWeightMatrix):
@@ -206,22 +231,20 @@ def estimate_d(W: LogWeightMatrix):
     if k == 1:
         return np.ones(1), {"iterations": 0, "final_grad_norm": 0.0, "trace": [],
                             "P": np.ones((1, N)), "curvature": np.zeros((0, 0))}
-    counts = W.counts.astype(float)
-    log_a = np.log(counts) - np.log(N)
-    # three k x N arrays: base, the state's P and the trial buffer
-    base = W.logw + log_a[:, None]
-    buf = np.empty_like(base)
+    mix = Mixture(W, np.zeros(k))
+    counts = mix.counts
+    scratch = np.empty_like(mix.E)           # E s^-2 for each curvature, then P
     state = {}
     trace = []
 
-    def set_point(eta, value, lse, P, grad=None):
-        nonlocal buf                             # the old P becomes the buffer
-        if grad is None:
-            grad = P.sum(axis=1) - counts
+    def set_point(eta, value, s):
+        if np.max(np.abs(eta - mix.ref)) > REACH:
+            mix.reference(eta)
+            value, s, _ = mix.objective(eta)
+        masses = mix.masses(eta, s)
+        grad = masses - counts
         step = float(np.max(np.abs(eta - state["eta"]))) if state else 0.0
-        if P is buf:
-            buf = state["P"]
-        state.update(eta=eta, value=value, lse=lse, P=P, grad=grad,
+        state.update(eta=eta, value=value, s=s, masses=masses, grad=grad,
                      grad_norm=np.max(np.abs(grad[1:])) / N)
         trace.append({"objective": value, "grad_norm": float(state["grad_norm"]),
                       "step": step})
@@ -229,37 +252,31 @@ def estimate_d(W: LogWeightMatrix):
     def try_point(trial) -> bool:
         """Accept on objective increase or, near the float resolution of the
         objective, on gradient contraction."""
-        t_value, t_lse, t_P = _objective(base, trial, counts, out=buf)
+        t_value, t_s, _ = mix.objective(trial)
         if not np.isfinite(t_value):
             return False
-        if t_value > state["value"]:
-            set_point(trial, t_value, t_lse, t_P)
+        near = t_value >= state["value"] - 1e-13 * max(abs(state["value"]), 1.0)
+        if t_value > state["value"] or (near and np.max(np.abs(
+                (mix.masses(trial, t_s) - counts)[1:])) / N < 0.9 * state["grad_norm"]):
+            set_point(trial, t_value, t_s)
             return True
-        if t_value >= state["value"] - 1e-13 * max(abs(state["value"]), 1.0):
-            t_grad = t_P.sum(axis=1) - counts
-            if np.max(np.abs(t_grad[1:])) / N < 0.9 * state["grad_norm"]:
-                set_point(trial, t_value, t_lse, t_P, t_grad)
-                return True
         return False
 
     def fixed_point_step() -> bool:
-        """One self-consistency step, re-pinned to eta_1 = 0: the row
-        log-sum-exp of logw - lse, the kernel on the transposed buffer."""
-        row_lse, _ = _softmax(np.subtract(W.logw, state["lse"], out=buf).T)
-        trial = row_lse - np.log(N)
+        """One self-consistency step, re-pinned to eta_1 = 0: the row sums of
+        nu_s / (N mixture), log(P 1) + eta - log counts."""
+        with np.errstate(divide="ignore"):
+            trial = np.log(state["masses"]) + state["eta"] - np.log(counts)
         return try_point(trial - trial[0])
 
-    value, lse, P = _objective(base, np.zeros(k), counts)
-    _check_support(W, lse)
-    set_point(np.zeros(k), value, lse, P)
+    set_point(np.zeros(k), *mix.objective(np.zeros(k))[:2])
     # the first iteration is a fixed-point step, which lands near the
     # optimum; if it is rejected, Newton starts from eta = 0
     start = int(state["grad_norm"] >= TOL and fixed_point_step())
     for iterations in range(start, MAX_ITER):
         if state["grad_norm"] < TOL:
             break
-        P = state["P"]
-        B = np.diag(P.sum(axis=1)) - P @ P.T     # -Hessian of the objective
+        B = mix.curvature(state["eta"], state["s"], state["masses"], scratch)
         try:
             step = np.linalg.solve(B[1:, 1:], state["grad"][1:])
         except np.linalg.LinAlgError:
@@ -286,17 +303,19 @@ def estimate_d(W: LogWeightMatrix):
                 f"ratio solver did not reach tolerance after {MAX_ITER} iterations "
                 f"(gradient norm {state['grad_norm']:.3e})"
             )
-    return np.exp(state["eta"]), {"iterations": iterations,
-                                  "final_grad_norm": float(state["grad_norm"]),
-                                  "trace": trace, "P": state["P"],
-                                  "curvature": _check_curvature(state["P"], counts)}
+    eta, s = state["eta"], state["s"]
+    B = _check_curvature(mix.curvature(eta, s, state["masses"], scratch), counts)
+    return np.exp(eta), {"iterations": iterations,
+                         "final_grad_norm": float(state["grad_norm"]),
+                         "trace": trace, "P": mix.probabilities(eta, s, scratch),
+                         "curvature": B}
 
 
-def _check_curvature(P: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The curvature matrix (the negative Hessian in eta_2..eta_k) at the
-    optimum's P, which must be nonsingular, else the ratios are not
-    identified (e.g. chains with pairwise-disjoint support)."""
-    B = (np.diag(P.sum(axis=1)) - P @ P.T)[1:, 1:]
+def _check_curvature(B: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The curvature matrix (the negative Hessian in eta_2..eta_k) from the
+    k x k one at the optimum, which must be nonsingular, else the ratios are
+    not identified (e.g. chains with pairwise-disjoint support)."""
+    B = B[1:, 1:]
     n_dim = B.shape[0]
     ridge = 1e-12 * max(np.trace(B), 1e-300) / n_dim
     try:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DegenerateDesignWarning, SupportWarning
 from .families import FunctionOfTheta
-from .ratio import LogWeightMatrix, _check_support, _softmax
+from .ratio import LogWeightMatrix, Mixture
 from .variance import VarianceBreakdown, assemble_variance, c_hat, lrv_diag, w_hat
 
 _RANK_RTOL = 1e-10
@@ -46,9 +46,10 @@ class Stage2Workspace:
         self.d_hat = d_hat
         a = W.proportions
         # log_den and the membership probabilities P_s = a_s nu_s / (d_s den)
-        # from one kernel call
-        self.log_den, P = _softmax(W.logw + (np.log(a) - np.log(d_hat))[:, None])
-        _check_support(W, self.log_den)
+        # from the stage-1 kernel at eta = log d_hat, P written over its E
+        mix = Mixture(W, np.log(d_hat))
+        _, s, self.log_den = mix.objective(mix.ref)
+        P = mix.probabilities(mix.ref, s, mix.E)
         # Z_j = nu_j/(d_j den) - nu_1/den and psi_j = a_j nu_j/(d_j^2 den),
         # (k-1, n) arrays with the samples along the last axis
         self.Z = P[1:] / a[1:, None] - P[0] / a[0]

@@ -10,14 +10,19 @@ replaced:
 - the one-point estimators `bf_hat`, `bf_cv_hat` and `pe_hat`, each one row
   of the block path, and `estimate_sigma`, the sandwich covariance formed
   from d_hat alone, which `priorsweep.ratio` builds from the solver's
-  curvature instead.
+  curvature instead;
+- the max-shifted softmax kernel `softmax` and the stage-1 solver
+  `estimate_d_softmax` on it, one softmax of the k x N log-terms per trial
+  point, which `priorsweep.ratio.Mixture` replaced with column sums of one
+  exponentiated array.
 """
 
 import math
 
 import numpy as np
 
-from priorsweep.ratio import _check_curvature, _sandwich, _softmax
+from priorsweep.errors import ConnectivityError
+from priorsweep.ratio import MAX_ITER, TOL, _check_curvature, _sandwich
 from priorsweep.surface import SurfaceRecord, _estimates, _function_rows
 from priorsweep.variance import VarianceBreakdown, _lags
 
@@ -88,8 +93,88 @@ def estimate_sigma(W, d_hat):
         return np.zeros((0, 0))
     z = W.logw + np.log(W.proportions)[:, None]
     z -= np.log(np.asarray(d_hat, dtype=float))[:, None]
-    P = _softmax(z)[1]
-    return _sandwich(W, d_hat, P, _check_curvature(P, W.counts))
+    P = softmax(z)[1]
+    return _sandwich(W, d_hat, P, _check_curvature(curvature_of(P), W.counts))
+
+
+def softmax(z):
+    """(lse, P): the column log-sum-exp and softmax of a k x N array of
+    log-terms from one max-shifted in-place exp, so z is overwritten by P.
+    An all -inf column gives lse = -inf (and a nan column of P), not nan."""
+    mx = z.max(axis=0)
+    mx[np.isneginf(mx)] = 0.0
+    z -= mx
+    np.exp(z, out=z)
+    s = z.sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z /= s
+        return mx + np.log(s), z
+
+
+def curvature_of(P):
+    """The k x k negative Hessian diag(P 1) - P P' of the quasi-likelihood."""
+    return np.diag(P.sum(axis=1)) - P @ P.T
+
+
+def softmax_objective(base, eta, counts):
+    """The log quasi-likelihood at eta, the column lse and P from one softmax
+    of base - eta, base = logw + log a."""
+    lse, P = softmax(base - eta[:, None])
+    return -float(counts @ eta) - float(lse.sum()), lse, P
+
+
+def estimate_d_softmax(W):
+    """The stage-1 solver of `priorsweep.ratio.estimate_d` with a softmax of
+    the k x N log-terms at every trial point: the same starts, line search,
+    acceptance rule and trace; returns (d_hat, iterations, trace, P,
+    curvature) for k >= 2."""
+    k, N = W.k, W.total
+    counts = W.counts.astype(float)
+    base = W.logw + np.log(counts / N)[:, None]
+    state, trace = {}, []
+
+    def set_point(eta, value, lse, P):
+        grad = P.sum(axis=1) - counts
+        step = float(np.max(np.abs(eta - state["eta"]))) if state else 0.0
+        state.update(eta=eta, value=value, lse=lse, P=P, grad=grad,
+                     grad_norm=np.max(np.abs(grad[1:])) / N)
+        trace.append({"objective": value, "grad_norm": float(state["grad_norm"]),
+                      "step": step})
+
+    def try_point(trial):
+        t_value, t_lse, t_P = softmax_objective(base, trial, counts)
+        if not np.isfinite(t_value):
+            return False
+        near = t_value >= state["value"] - 1e-13 * max(abs(state["value"]), 1.0)
+        if t_value > state["value"] or (
+                near and np.max(np.abs((t_P.sum(axis=1) - counts)[1:])) / N
+                < 0.9 * state["grad_norm"]):
+            set_point(trial, t_value, t_lse, t_P)
+            return True
+        return False
+
+    def fixed_point_step():
+        row_lse, _ = softmax((W.logw - state["lse"]).T)
+        trial = row_lse - np.log(N)
+        return try_point(trial - trial[0])
+
+    set_point(np.zeros(k), *softmax_objective(base, np.zeros(k), counts))
+    iterations = int(state["grad_norm"] >= TOL and fixed_point_step())
+    while state["grad_norm"] >= TOL:
+        assert iterations < MAX_ITER
+        step = np.linalg.solve(curvature_of(state["P"])[1:, 1:], state["grad"][1:])
+        for alpha in 0.5 ** np.arange(40):
+            trial = state["eta"].copy()
+            trial[1:] += alpha * step
+            if try_point(trial):
+                break
+        else:
+            if not fixed_point_step():
+                raise ConnectivityError("reference solver stalled")
+        iterations += 1
+    P = state["P"]
+    return (np.exp(state["eta"]), iterations, trace, P,
+            _check_curvature(curvature_of(P), counts))
 
 
 def point_terms(ws, h):

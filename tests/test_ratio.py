@@ -8,12 +8,12 @@ from scipy.special import logsumexp
 from priorsweep import ratio
 from priorsweep.errors import ConnectivityError, ConvergenceError, SupportViolationError
 from priorsweep.families import ChainSpec, ConjugateToy
-from priorsweep.ratio import (LogWeightMatrix, RatioEstimate,
-                              _objective, _softmax, build_log_weight_matrix,
-                              estimate_d, estimate_ratios)
+from priorsweep.ratio import (LogWeightMatrix, Mixture, RatioEstimate, _sandwich,
+                              build_log_weight_matrix, estimate_d, estimate_ratios)
 from priorsweep.surface import Stage2Workspace
 
-from per_point import bf_hat, estimate_sigma
+from per_point import (bf_hat, curvature_of, estimate_d_softmax, estimate_sigma,
+                       softmax)
 
 
 def toy_matrix(skeleton, lengths, seed0=0, y_obs=0.0, sampler="iid"):
@@ -72,16 +72,42 @@ class TestBuild:
         assert build_log_weight_matrix(fam, [(0.0,)], chains).logw[0, 5] == -np.inf
 
 
+def log_terms(logw, counts):
+    """A LogWeightMatrix holding logw alone, for the kernel."""
+    return LogWeightMatrix(logw=logw, counts=np.asarray(counts), skeleton=None,
+                           family=None, stats=None, samples=None)
+
+
+def mixture_lse_and_p(z, ref, eta):
+    """lse and P of the kernel on log-terms z (equal counts, so log a is one
+    constant) at reference ref and point eta."""
+    k = z.shape[0]
+    mix = Mixture(log_terms(z + math.log(k), np.ones(k, dtype=np.int64)), ref)
+    _, s, lse = mix.objective(eta)
+    return lse, mix.probabilities(eta, s, np.empty_like(z))
+
+
 class TestSoftmaxKernel:
+    """The mixture kernel of the solver and stage 2, against scipy and the
+    softmax reference of the tests, at its reference point and away from it."""
+
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_matches_scipy_logsumexp(self, k):
         rng = np.random.default_rng(k)
         z = rng.normal(0.0, 40.0, size=(k, 500))
-        lse, P = _softmax(z.copy())
         want = logsumexp(z, axis=0)
+        lse, P = softmax(z.copy())
         np.testing.assert_allclose(lse, want, rtol=1e-13)
         np.testing.assert_allclose(P, np.exp(z - want), rtol=1e-13, atol=1e-300)
         assert np.max(np.abs(P.sum(axis=0) - 1.0)) <= 1e-15
+        eta = rng.normal(0.0, 3.0, k)
+        want = logsumexp(z - eta[:, None], axis=0)
+        for ref in (eta, np.zeros(k)):
+            lse, P = mixture_lse_and_p(z, ref, eta)
+            np.testing.assert_allclose(lse, want, rtol=1e-13)
+            np.testing.assert_allclose(P, np.exp(z - eta[:, None] - want),
+                                       rtol=1e-12, atol=1e-300)
+            assert np.max(np.abs(P.sum(axis=0) - 1.0)) <= 1e-14
 
     @pytest.mark.parametrize("k", [1, 3, 16])
     def test_scattered_neg_inf_and_dead_column(self, k):
@@ -93,24 +119,34 @@ class TestSoftmaxKernel:
         z[-1, 8] = 1.5                             # one live entry
         z[:, 0] = 700.0
         live = ~np.all(np.isneginf(z), axis=0)
-        lse, P = _softmax(z.copy())
         want = logsumexp(z, axis=0)
-        np.testing.assert_allclose(lse[live], want[live], rtol=1e-13)
+        lse, P = softmax(z.copy())
         assert lse[7] == -np.inf and not np.isnan(lse).any()
-        assert P[-1, 8] == 1.0
-        assert np.max(np.abs(P[:, live].sum(axis=0) - 1.0)) <= 1e-15
-        assert np.all(P[:, live][np.isneginf(z[:, live])] == 0.0)
+        # the kernel refuses a dead column when it takes E, naming the first
+        first_dead = np.flatnonzero(~live)[0]
+        with pytest.raises(SupportViolationError, match=f"pooled sample {first_dead} "):
+            mixture_lse_and_p(z, np.zeros(k), np.zeros(k))
+        lse_live, P_live = mixture_lse_and_p(z[:, live], np.zeros(k), np.zeros(k))
+        for lse, P in ((lse[live], P[:, live]), (lse_live, P_live)):
+            np.testing.assert_allclose(lse, want[live], rtol=1e-13)
+            assert P[-1, np.count_nonzero(live[:8])] == 1.0       # column 8
+            assert np.max(np.abs(P.sum(axis=0) - 1.0)) <= 1e-15
+            assert np.all(P[np.isneginf(z[:, live])] == 0.0)
 
     def test_transposed_view_gives_row_lse(self):
-        # the self-consistency step of estimate_d runs the kernel on z.T
+        # the reference solver's self-consistency step runs softmax on z.T
         z = np.random.default_rng(3).normal(0.0, 20.0, size=(4, 700))
-        lse, _ = _softmax(z.copy().T)
+        lse, _ = softmax(z.copy().T)
         np.testing.assert_allclose(lse, logsumexp(z, axis=1), rtol=1e-13)
 
     def test_overwrites_its_input_with_p(self):
         z = np.random.default_rng(2).normal(size=(4, 50))
-        _, P = _softmax(z)
+        _, P = softmax(z)
         assert P is z
+        # stage 2 writes P over the kernel's own E
+        mix = Mixture(log_terms(z, np.ones(4, dtype=np.int64)), np.zeros(4))
+        _, s, _ = mix.objective(np.zeros(4))
+        assert mix.probabilities(np.zeros(4), s, mix.E) is mix.E
 
 
 class TestEstimateD:
@@ -142,47 +178,84 @@ class TestEstimateD:
     def test_gradient_matches_finite_difference(self):
         _, W = toy_matrix([(0.0,), (1.0,), (2.0,)], [800, 700, 900], seed0=3)
         counts = W.counts.astype(float)
-        base = W.logw + (np.log(counts) - np.log(W.total))[:, None]
+        mix = Mixture(W, np.zeros(3))
         rng = np.random.default_rng(12)
         for _ in range(10):
             eta = np.concatenate([[0.0], rng.normal(0, 0.8, 2)])
-            _, _, P = _objective(base, eta, counts)
-            grad = (P.sum(axis=1) - counts)[1:]
+            _, s, _ = mix.objective(eta)
+            grad = (mix.masses(eta, s) - counts)[1:]
             for j in (1, 2):
                 up, dn = eta.copy(), eta.copy()
                 up[j] += 1e-6
                 dn[j] -= 1e-6
-                fd = (_objective(base, up, counts)[0]
-                      - _objective(base, dn, counts)[0]) / 2e-6
+                fd = (mix.objective(up)[0] - mix.objective(dn)[0]) / 2e-6
                 assert abs(fd - grad[j - 1]) / max(abs(fd), 1.0) < 1e-6
 
     def test_objective_lse_matches_scipy_with_neg_inf_entries(self):
         rng = np.random.default_rng(19)
-        base = rng.normal(0.0, 30.0, size=(5, 400))
+        logw = rng.normal(0.0, 30.0, size=(5, 400))
         # -inf entries, but none in the last row: no column is all -inf
-        base[:4][rng.random((4, 400)) < 0.3] = -np.inf
-        base[:, 0] = [-np.inf, -np.inf, -np.inf, -np.inf, 2.0]
-        base[:, 1] = 700.0
-        counts = np.full(5, 80.0)
+        logw[:4][rng.random((4, 400)) < 0.3] = -np.inf
+        logw[:, 0] = [-np.inf, -np.inf, -np.inf, -np.inf, 2.0]
+        logw[:, 1] = 700.0
+        counts = np.array([60, 70, 80, 90, 100])
         eta = np.concatenate([[0.0], rng.normal(0, 2.0, 4)])
-        value, lse, _ = _objective(base, eta, counts)
-        want = logsumexp(base - eta[:, None], axis=0)
-        np.testing.assert_allclose(lse, want, rtol=1e-13)
-        assert value == pytest.approx(-counts @ eta - want.sum(), rel=1e-13)
+        want = logsumexp(logw + np.log(counts / counts.sum())[:, None] - eta[:, None],
+                         axis=0)
+        for ref in (np.zeros(5), eta, -eta):
+            value, _, lse = Mixture(log_terms(logw, counts), ref).objective(eta)
+            np.testing.assert_allclose(lse, want, rtol=1e-13)
+            assert value == pytest.approx(-counts @ eta - want.sum(), rel=1e-13)
 
     def test_concavity_along_random_segments(self):
         _, W = toy_matrix([(0.0,), (1.2,)], [600, 600], seed0=5)
-        counts = W.counts.astype(float)
-        base = W.logw + (np.log(counts) - np.log(W.total))[:, None]
+        mix = Mixture(W, np.zeros(2))
         rng = np.random.default_rng(0)
         for _ in range(20):
             e1 = np.array([0.0, rng.normal(0, 1.5)])
             e2 = np.array([0.0, rng.normal(0, 1.5)])
-            v1 = _objective(base, e1, counts)[0]
-            v2 = _objective(base, e2, counts)[0]
+            v1 = mix.objective(e1)[0]
+            v2 = mix.objective(e2)[0]
             for lam in (0.25, 0.5, 0.75):
-                mid = _objective(base, (1 - lam) * e1 + lam * e2, counts)[0]
+                mid = mix.objective((1 - lam) * e1 + lam * e2)[0]
                 assert mid >= (1 - lam) * v1 + lam * v2 - 1e-9
+
+    def test_curvature_matches_softmax_reference(self):
+        _, W = toy_matrix([(0.0,), (0.8,), (1.6,), (2.4,)], [900, 700, 800, 600],
+                          seed0=11)
+        counts = W.counts.astype(float)
+        base = W.logw + np.log(counts / W.total)[:, None]
+        rng = np.random.default_rng(8)
+        for ref in (np.zeros(4), np.array([0.0, -20.0, 25.0, -5.0])):
+            mix = Mixture(W, ref)
+            for _ in range(5):
+                eta = np.concatenate([[0.0], rng.normal(0, 1.5, 3)])
+                _, s, _ = mix.objective(eta)
+                B = mix.curvature(eta, s, mix.masses(eta, s), np.empty_like(W.logw))
+                want = curvature_of(softmax(base - eta[:, None])[1])
+                np.testing.assert_allclose(B, want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
+
+    def test_far_skeleton_matches_softmax_solver(self):
+        # log d_hat_3 is near -81, so the solver re-takes its kernel's E
+        fam, W = toy_matrix([(0.0,), (9.0,), (18.0,)], [4000, 4000, 4000], seed0=30)
+        d, info = estimate_d(W)
+        d_ref, iterations, trace, P, B = estimate_d_softmax(W)
+        assert math.log(d[2]) < -3 * ratio.REACH / 2
+        np.testing.assert_allclose(d, d_ref, rtol=1e-12)
+        assert info["iterations"] == iterations
+        assert len(info["trace"]) == len(trace)
+        np.testing.assert_allclose([t["objective"] for t in info["trace"]],
+                                   [t["objective"] for t in trace], rtol=1e-12)
+        np.testing.assert_allclose(info["P"], P, rtol=0, atol=1e-12)
+        # diag(P 1) - P P' cancels from P 1 ~ 4000 to entries ~ 1 in both
+        # solvers, so each carries an error of a few eps * 4000
+        eps = np.finfo(float).eps
+        np.testing.assert_allclose(info["curvature"], B, rtol=0,
+                                   atol=8 * eps * W.counts.max())
+        sigma, sigma_ref = (_sandwich(W, d, info["P"], info["curvature"]),
+                            _sandwich(W, d_ref, P, B))
+        np.testing.assert_allclose(sigma, sigma_ref, rtol=1e-10)
 
     def test_chain_permutation_equivariance(self):
         fam = ConjugateToy(y_obs=0.0)
@@ -281,6 +354,20 @@ class TestEstimateSigma:
         finally:
             tracemalloc.stop()
         assert peak <= 3.5 * unit, f"peak {peak / unit:.2f} k x N arrays"
+
+    def test_peak_memory_of_estimate_d(self):
+        skeleton = [(0.2 * s,) for s in range(16)]
+        _, W = toy_matrix(skeleton, [2500] * 16, seed0=40)
+        unit = W.logw.nbytes                       # one k x N float array
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            estimate_d(W)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * unit, f"peak {peak / unit:.2f} k x N arrays"
 
     def test_replication_calibration(self):
         # empirical covariance of sqrt(N)(d_hat - d) vs the mean sandwich
