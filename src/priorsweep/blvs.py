@@ -196,6 +196,8 @@ class BlvsFamily(DensityFamily):
     """Density-family adapter plus all model-specific machinery."""
 
     coord_names = ("w", "g")
+    domain = ((0, lambda w: (0.0 < w) & (w < 1.0), "lie in (0,1)"),
+              (1, lambda g: g > 0.0, "be positive"))
 
     def __init__(self, dataset: Dataset):
         self.dataset = dataset
@@ -226,13 +228,6 @@ class BlvsFamily(DensityFamily):
         self._rssr: dict[int, float] = {}
         self._lms: dict[float, memoryview | _LazyLogMarginals] = {}
         self._enumeration = None
-
-    def _check_domain(self, coords):
-        w, g = coords
-        if not 0.0 < w < 1.0:
-            raise InvalidHyperparameterError(f"w must lie in (0,1), got {w}")
-        if g <= 0.0:
-            raise InvalidHyperparameterError(f"g must be positive, got {g}")
 
     # per-model linear algebra
     def _chol(self, idx: np.ndarray) -> np.ndarray:
@@ -565,16 +560,20 @@ class ModelEnumeration:
         size s that hold predictor i, and S[q, s] over all models of size s.
 
         The shift by top[s] keeps every model that can matter at some w from
-        underflowing.  The weights, as a (2^a, 2^b) matrix of high by low code
-        bits with b = q // 2, reduce through `_half_indicators` of each half
-        to sums by (predictor, high size, low size), whose anti-diagonals are
-        the sums by size."""
+        underflowing; log m - top[s] is -(m - 1)/2 (log1p(g r) - log1p(g
+        r_min[s])) for 1 - R^2 = r and its least value r_min[s] at the size,
+        whose log1p(g) terms cancel.  The weights, as a (2^a, 2^b) matrix of
+        high by low code bits with b = q // 2, reduce through
+        `_half_indicators` of each half to sums by (predictor, high size, low
+        size), whose anti-diagonals are the sums by size."""
         family, q = self.family, self.q
         b = q // 2
         a = q - b
         top = family._log_marginal(np.arange(q + 1), self._least_rss_ratio, g)
-        e = family._log_marginals(self.rss_ratio, g)
-        e -= top[self.q_gamma]
+        e = np.multiply(self.rss_ratio, g)
+        np.log1p(e, out=e)
+        e -= np.log1p(g * self._least_rss_ratio)[self.q_gamma]
+        e *= -0.5 * (family.m - 1)
         weights = np.exp(e, out=e).reshape(1 << a, 1 << b)
         by_low_size = weights @ low[:, -(b + 1):]
         by_high_size = high[:, -(a + 1):].T @ weights
@@ -596,17 +595,16 @@ class ModelEnumeration:
         point's sums run along its own row, so its numbers do not depend on
         the other points of the call."""
         family, q = self.family, self.q
-        points = [family.validate_h(h) for h in points]
-        by_g: dict[float, list[int]] = {}
-        for i, (_, g) in enumerate(points):
-            by_g.setdefault(g, []).append(i)
-        log_m, incl = np.empty(len(points)), np.empty((len(points), q))
+        H = family.validate_grid(points)
+        gs, which = np.unique(H[:, 1], return_inverse=True)
+        log_m, incl = np.empty(len(H)), np.empty((len(H), q))
         high = _half_indicators(self.q_gamma, q - q // 2)
         low = _half_indicators(self.q_gamma, q // 2)
         sizes = np.arange(q + 1, dtype=float)
-        for g, rows in by_g.items():
+        for i, g in enumerate(gs.tolist()):
+            rows = np.flatnonzero(which == i)
             top, S = self._size_sums(g, high, low)
-            w = [points[i][0] for i in rows]
+            w = H[rows, 0].tolist()
             alpha = np.array([math.log(x) - math.log1p(-x) for x in w])
             log_v = alpha[:, None] * sizes + top
             shift = log_v.max(axis=1)

@@ -36,53 +36,50 @@ THREADS_HELP = ("accepted and ignored: chains run serially, since the Gibbs "
                 "loop holds the GIL and threads only slowed it down")
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    return f"{float(x):.17g}"
+def _write_csv(path: Path, header, rows, template: str) -> None:
+    """The header through csv.writer, then each row by one % on template,
+    formatted and written one row at a time.  "%.17g" of a float gives the
+    bytes csv.writer writes for f"{x:.17g}", and template's lines end in
+    "\r\n" as csv.writer's do."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(template % row for row in rows)
+
+
+def _write_floats(path: Path, header, *columns) -> None:
+    """A CSV of float columns (arrays of one or more columns each), every
+    value written as "%.17g"."""
+    rows = (tuple(row.tolist()) for row in np.column_stack(columns))
+    _write_csv(path, header, rows, ",".join(["%.17g"] * len(header)) + "\r\n")
 
 
 def _write_chain_csv(path: Path, family, chain) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if isinstance(family, BlvsFamily):
-            writer.writerow(["sweep", "gamma"])
-            for i, gamma in enumerate(chain.gamma.tolist()):
-                writer.writerow([i, "".join("1" if g else "0" for g in gamma)])
-        else:
-            writer.writerow(["step", "theta"])
-            for i, th in enumerate(np.asarray(chain)):
-                writer.writerow([i, _fmt(th)])
+    if isinstance(family, BlvsFamily):
+        # each draw's model as a string of 0s and 1s, predictor 0 first
+        bits = (chain.gamma.astype(np.uint8) + ord("0")).view(f"S{family.q}")[:, 0]
+        _write_csv(path, ["sweep", "gamma"], enumerate(bits.astype(str).tolist()),
+                   "%d,%s\r\n")
+    else:
+        _write_csv(path, ["step", "theta"],
+                   enumerate(np.asarray(chain, dtype=float).tolist()), "%d,%.17g\r\n")
 
 
-def _write_surface_csv(path: Path, cfg: StudyConfig, records) -> None:
+def _write_surface_csv(path: Path, cfg: StudyConfig, surf) -> None:
     names = [f.name for f in cfg.functions]
-    header = [*cfg.family.coord_names, "bf_hat", "bf_cv_hat", "se_bf", "se_bf_cv"]
-    for nm in names:
-        header += [f"pe_{nm}", f"se_pe_{nm}"]
-    header += ["ess", "max_weight_share"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rec in records:
-            row = [*(_fmt(c) for c in rec.h), _fmt(rec.bf), _fmt(rec.bf_cv),
-                   _fmt(rec.var["bf"].se), _fmt(rec.var["bf_cv"].se)]
-            for nm in names:
-                row += [_fmt(rec.pe[nm]), _fmt(rec.var[f"pe:{nm}"].se)]
-            writer.writerow([*row, _fmt(rec.ess), _fmt(rec.max_weight_share)])
+    se = surf.se
+    # each function's estimate next to its standard error
+    pe_se = np.stack([surf.pe, se[:, 2:]], axis=2).reshape(len(se), 2 * len(names))
+    _write_floats(path, [*cfg.family.coord_names, "bf_hat", "bf_cv_hat", "se_bf", "se_bf_cv",
+                         *[col for nm in names for col in (f"pe_{nm}", f"se_pe_{nm}")],
+                         "ess", "max_weight_share"],
+                  surf.h, surf.bf, surf.bf_cv, se[:, :2], pe_se, surf.ess, surf.max_weight_share)
 
 
-def _write_variance_csv(path: Path, cfg: StudyConfig, records) -> None:
+def _write_variance_csv(path: Path, cfg: StudyConfig, surf) -> None:
     """Variance surface of the control-variate estimator (with k = 1 there
     are no control variates and it is the plain estimator's)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*cfg.family.coord_names,
-                         "stage1_term", "stage2_term", "total", "se"])
-        for rec in records:
-            vb = rec.var["bf_cv"]
-            writer.writerow([*(_fmt(c) for c in rec.h), _fmt(vb.stage1_term),
-                             _fmt(vb.stage2_term), _fmt(vb.total), _fmt(vb.se)])
+    _write_floats(path, [*cfg.family.coord_names, "stage1_term", "stage2_term", "total", "se"],
+                  surf.h, surf.stage1[:, 1], surf.stage2[:, 1], surf.total[:, 1], surf.se[:, 1])
 
 
 def _check_ratio_matches(est: RatioEstimate, cfg: StudyConfig, path: Path) -> None:
@@ -173,19 +170,19 @@ def cmd_run(cfg: StudyConfig, stage: str) -> Path:
         n, N = ws.n, est.N
         q = n / N
         with _timed(timings, "sweep_s"):
-            records = surface(ws, cfg.grid, cfg.functions, est.sigma_hat, q)
+            surf = surface(ws, cfg.grid, cfg.functions, est.sigma_hat, q)
         timings["t2_s_per_term"] = timings["sweep_s"] / (len(cfg.grid) * n)
         manifest["sizes"] = {"N": int(N), "n": int(n), "q": q,
                              "k": len(cfg.skeleton), "grid": len(cfg.grid)}
         manifest["d_hat_provenance"] = ("this run" if stage == "both"
                                         else str(ratio_path))
         with _timed(timings, "write_s"):
-            _write_surface_csv(out / "surface.csv", cfg, records)
-            _write_variance_csv(out / "variance.csv", cfg, records)
-        totals = [rec.var["bf_cv"].total for rec in records]
+            _write_surface_csv(out / "surface.csv", cfg, surf)
+            _write_variance_csv(out / "variance.csv", cfg, surf)
+        totals = surf.total[:, 1]
         imax = int(np.argmax(totals))
-        manifest["variance_argmax"] = {"h": list(records[imax].h),
-                                       "total": totals[imax]}
+        manifest["variance_argmax"] = {"h": surf.h[imax].tolist(),
+                                       "total": float(totals[imax])}
     if isinstance(cfg.family, BlvsFamily):
         manifest["sizes"]["models_fitted"] = cfg.family.models_fitted
     # a stage-2 run into a stage-1 directory keeps the stage-1 manifest
@@ -195,49 +192,49 @@ def cmd_run(cfg: StudyConfig, stage: str) -> Path:
     return out
 
 
-def _exact_surface(cfg: StudyConfig):
-    """Exact Bayes factors and posterior expectations on the config grid."""
+def _exact_surface(cfg: StudyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Bayes factors (G,) and posterior expectations (G, J) on the
+    config grid."""
     family = cfg.family
     h1 = cfg.skeleton[0]
-    rows = []
     if isinstance(family, ConjugateToy):
-        for h in cfg.grid:
-            pes = {f.name: family.exact_pe(f.name, h) for f in cfg.functions}
-            rows.append((h, family.exact_bf(h, h1), pes))
+        bf = [family.exact_bf(h, h1) for h in cfg.grid]
+        pe = [[family.exact_pe(f.name, h) for f in cfg.functions] for h in cfg.grid]
     elif isinstance(family, BlvsFamily):
         # one pass over h1 and the grid, which keeps the grid's order
-        log_m, incl = family.enumeration().evaluate([h1, *cfg.grid])
-        cols = {f.name: family.names.index(f.name.split(":", 1)[1])
-                for f in cfg.functions if f.name.startswith("inclusion:")}
-        for h, log_mh, probs in zip(cfg.grid, log_m[1:].tolist(), incl[1:]):
-            pes = {name: float(probs[j]) for name, j in cols.items()}
-            rows.append((h, math.exp(log_mh - log_m[0]), pes))
+        log_m, incl = family.enumeration().evaluate(np.vstack([h1, cfg.grid]))
+        bf = [math.exp(x - log_m[0]) for x in log_m[1:].tolist()]
+        pe = incl[1:, [family.names.index(f.name.split(":", 1)[1])
+                       for f in cfg.functions]]
     else:
         raise ConfigError("no exact oracle for this model kind")
-    return rows
+    return np.array(bf), np.array(pe).reshape(len(cfg.grid), len(cfg.functions))
 
 
-def _read_estimates(surface_path: Path, cfg: StudyConfig, exact) -> list[dict]:
-    """The rows of a run's surface.csv, refused unless they carry the oracle's
-    columns, row count and grid."""
+def _read_estimates(surface_path: Path, cfg: StudyConfig) -> dict[str, np.ndarray]:
+    """The columns of a run's surface.csv that the oracle compares, by name,
+    refused unless the file carries them all, the grid's row count and the
+    grid."""
     with open(surface_path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         est_rows = list(reader)
     coord_names = cfg.family.coord_names
-    missing = [col for col in (*coord_names, "bf_hat", "bf_cv_hat", "se_bf_cv",
-                               *[f"pe_{f.name}" for f in cfg.functions])
-               if col not in (reader.fieldnames or ())]
+    needed = [*coord_names, "bf_hat", "bf_cv_hat", "se_bf_cv",
+              *[f"pe_{f.name}" for f in cfg.functions]]
+    missing = [col for col in needed if col not in (reader.fieldnames or ())]
     if missing:
         raise ConfigError(f"{surface_path} lacks columns {', '.join(missing)}")
-    if len(est_rows) != len(exact):
+    if len(est_rows) != len(cfg.grid):
         raise ConfigError(
-            f"{surface_path} has {len(est_rows)} rows, expected {len(exact)}")
-    for row, (h, _, _) in zip(est_rows, exact):
-        got = tuple(float(row[c]) for c in coord_names)
-        if any(abs(a - b) > 1e-9 for a, b in zip(got, h)):
-            raise ConfigError(f"grid mismatch against {surface_path}: "
-                              f"{got} vs {h}")
-    return est_rows
+            f"{surface_path} has {len(est_rows)} rows, expected {len(cfg.grid)}")
+    est = {col: np.array([float(row[col]) for row in est_rows]) for col in needed}
+    got = np.column_stack([est[col] for col in coord_names])
+    bad = np.flatnonzero((np.abs(got - cfg.grid) > 1e-9).any(axis=1))
+    if bad.size:
+        raise ConfigError(f"grid mismatch against {surface_path}: "
+                          f"{tuple(got[bad[0]].tolist())} vs "
+                          f"{tuple(cfg.grid[bad[0]].tolist())}")
+    return est
 
 
 def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
@@ -254,36 +251,28 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
             cfg.family.enumeration()
         manifest["sizes"]["models"] = 1 << cfg.family.q
         # the grid pass sums the models once per distinct g
-        manifest["sizes"]["g_values"] = len({h[1] for h in (cfg.skeleton[0], *cfg.grid)})
+        manifest["sizes"]["g_values"] = len({cfg.skeleton[0][1], *cfg.grid[:, 1].tolist()})
     with _timed(timings, "grid_s"):
-        exact = _exact_surface(cfg)
-    manifest["sizes"]["grid"] = len(exact)
-    est_rows = (_read_estimates(surface_path, cfg, exact)
-                if surface_path.exists() else None)
+        exact_bf, exact_pe = _exact_surface(cfg)
+    manifest["sizes"]["grid"] = len(exact_bf)
+    est = _read_estimates(surface_path, cfg) if surface_path.exists() else None
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     names = [f.name for f in cfg.functions]
-    with _timed(timings, "write_s"), \
-            open(out / "oracle.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*cfg.family.coord_names, "bf_exact",
-                         *[f"pe_{nm}_exact" for nm in names]])
-        for h, bf, pes in exact:
-            writer.writerow([*(_fmt(c) for c in h), _fmt(bf),
-                             *[_fmt(pes.get(nm)) for nm in names]])
+    with _timed(timings, "write_s"):
+        _write_floats(out / "oracle.csv", [*cfg.family.coord_names, "bf_exact",
+                                           *[f"pe_{nm}_exact" for nm in names]],
+                      cfg.grid, exact_bf, exact_pe)
 
-    report = {"grid_points": len(exact)}
-    if est_rows is not None:
-        exact_bf = np.array([bf for _, bf, _ in exact])
+    report = {"grid_points": len(exact_bf)}
+    if est is not None:
         for col in ("bf_hat", "bf_cv_hat"):
-            est = np.array([float(r[col]) for r in est_rows])
-            err = est - exact_bf
+            err = est[col] - exact_bf
             report[f"rmse_{col}"] = float(np.sqrt(np.mean(err**2)))
             report[f"max_abs_err_{col}"] = float(np.max(np.abs(err)))
-        se = np.array([float(r["se_bf_cv"]) for r in est_rows])
+        se = est["se_bf_cv"]
         with np.errstate(divide="ignore", invalid="ignore"):
-            z = np.where(se > 0, (np.array([float(r["bf_cv_hat"]) for r in est_rows])
-                                  - exact_bf) / se, np.nan)
+            z = np.where(se > 0, (est["bf_cv_hat"] - exact_bf) / se, np.nan)
         z = z[np.isfinite(z)]
         if z.size:
             report["z_bf_cv"] = {"mean": float(z.mean()),
@@ -291,14 +280,9 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
                                  "max_abs": float(np.max(np.abs(z)))}
         else:
             report["z_bf_cv"] = None
-        per_f = {}
-        for nm in names:
-            exact_pe = np.array([pes[nm] for _, _, pes in exact])
-            est = np.array([float(r[f"pe_{nm}"]) for r in est_rows])
-            per_f[nm] = {
-                "rmse": float(np.sqrt(np.mean((est - exact_pe) ** 2))),
-                "max_abs_err": float(np.max(np.abs(est - exact_pe))),
-            }
+        per_f = {nm: {"rmse": float(np.sqrt(np.mean((est[f"pe_{nm}"] - exact) ** 2))),
+                      "max_abs_err": float(np.max(np.abs(est[f"pe_{nm}"] - exact)))}
+                 for nm, exact in zip(names, exact_pe.T)}
         if per_f:
             report["functions"] = per_f
     with _timed(timings, "write_s"), \
@@ -334,12 +318,12 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
 
     # pilot variance components (q = 1: v1 = c' Sigma c, v2 = tau^2) of the
     # plain estimator at a few representative grid points
-    probe = [cfg.grid[i] for i in sorted({0, len(cfg.grid) // 2, len(cfg.grid) - 1})]
+    probe = cfg.grid[sorted({0, len(cfg.grid) // 2, len(cfg.grid) - 1})]
     t0 = time.perf_counter()
-    records = surface(ws, probe, (), est.sigma_hat, 1.0)
+    surf = surface(ws, probe, cfg.functions, est.sigma_hat, 1.0)
     t2 = (time.perf_counter() - t0) / (len(probe) * ws.n)
-    pilots = [{"h": list(rec.h), "v1": rec.var["bf"].stage1_term,
-               "v2": rec.var["bf"].stage2_term} for rec in records]
+    pilots = [{"h": h, "v1": v1, "v2": v2} for h, v1, v2 in
+              zip(surf.h.tolist(), surf.stage1[:, 0].tolist(), surf.stage2[:, 0].tolist())]
 
     plans = []
     for p in pilots:

@@ -85,7 +85,7 @@ class StudyConfig:
     skeleton: list[tuple]
     stage1: StageConfig
     stage2: StageConfig
-    grid: list[tuple]
+    grid: np.ndarray              # (G, d), read-only
     functions: list[FunctionOfTheta]
     out_dir: Path
     save_chains: bool = False
@@ -148,8 +148,10 @@ def _build_functions(spec_list, family) -> list[FunctionOfTheta]:
     return out
 
 
-def make_grid(grid_cfg, coord_names) -> list[tuple]:
-    """Cartesian grid from per-coordinate {min, max, step}, or explicit points."""
+def make_grid(grid_cfg, coord_names):
+    """The points of a Cartesian grid from per-coordinate {min, max, step},
+    as the rows of an array with the first coordinate slowest, or the
+    explicit points as tuples."""
     if grid_cfg is None:
         raise ConfigError("missing grid")
     if "points" in grid_cfg:
@@ -169,10 +171,7 @@ def make_grid(grid_cfg, coord_names) -> list[tuple]:
             raise ConfigError(f"grid axis {name!r}: need step > 0 and max >= min")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
         axes.append(lo + step * np.arange(count))
-    mesh = [[]]
-    for ax in axes:
-        mesh = [prefix + [v] for prefix in mesh for v in ax]
-    return [tuple(pt) for pt in mesh]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def load_config(path) -> StudyConfig:
@@ -204,14 +203,12 @@ def load_config(path) -> StudyConfig:
     if stage1.seed == stage2.seed:
         raise ConfigError("stage1 and stage2 seeds must differ "
                           "(the two stages must be independent)")
-    grid = make_grid(raw.get("grid"), family.coord_names)
-    if not grid:
+    try:
+        grid = family.validate_grid(make_grid(raw.get("grid"), family.coord_names))
+    except InvalidHyperparameterError as exc:
+        raise ConfigError(f"grid: {exc}") from None
+    if not len(grid):
         raise ConfigError("grid has no points")
-    for h in grid:
-        try:
-            family.validate_h(h)
-        except InvalidHyperparameterError as exc:
-            raise ConfigError(f"grid: {exc}") from None
     functions = _build_functions(raw.get("functions", []), family)
     out_dir = Path(raw.get("out", "priorsweep-out"))
     if not out_dir.is_absolute():

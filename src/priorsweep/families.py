@@ -71,6 +71,10 @@ class DensityFamily(ABC):
     """Contract every model must satisfy to enter the two-stage pipeline."""
 
     coord_names: tuple[str, ...] = ("h",)
+    # the domain, as (coordinate, test, rule) triples: each test holds for
+    # one value or elementwise for an array of them, and a value that fails
+    # is reported as "<coordinate> must <rule>"
+    domain: tuple = ()
 
     @property
     def h_dim(self) -> int:
@@ -82,11 +86,28 @@ class DensityFamily(ABC):
             raise InvalidHyperparameterError(
                 f"expected {self.h_dim} coordinates {self.coord_names}, got {coords}"
             )
-        self._check_domain(coords)
+        for i, test, rule in self.domain:
+            if not test(coords[i]):
+                raise InvalidHyperparameterError(
+                    f"{self.coord_names[i]} must {rule}, got {coords[i]}")
         return coords
 
-    def _check_domain(self, coords: tuple[float, ...]) -> None:
-        """Raise InvalidHyperparameterError outside the family's domain."""
+    def validate_grid(self, points) -> np.ndarray:
+        """The points as a read-only (G, h_dim) float array.  One vectorized
+        test of the domain accepts a good grid; any other is checked point by
+        point, so the error names its first bad point as validate_h does."""
+        try:
+            H = np.array(points, dtype=float)
+        except (TypeError, ValueError):
+            H = np.empty((0, 0))
+        if H.ndim == 1 and (self.h_dim == 1 or not H.size):
+            H = H.reshape(-1, self.h_dim)
+        if H.shape[1:] != (self.h_dim,) or not (
+                np.isfinite(H).all()
+                and all(test(H[:, i]).all() for i, test, _ in self.domain)):
+            H = np.array([self.validate_h(h) for h in points]).reshape(-1, self.h_dim)
+        H.flags.writeable = False
+        return H
 
     @abstractmethod
     def sample_chains(self, specs: Sequence[ChainSpec]) -> list:

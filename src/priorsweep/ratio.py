@@ -203,12 +203,18 @@ class Mixture:
         """P 1 = c (E s^-1), the row sums of P."""
         return np.exp(self.ref - eta) * (self.E @ (1.0 / s))
 
-    def curvature(self, eta, s, masses, out: np.ndarray) -> np.ndarray:
-        """diag(P 1) - P P' = diag(masses) - (c c') (E s^-2 E'), the negative
-        Hessian of the objective, with E s^-2 written into out."""
+    def curvature(self, eta, s, out: np.ndarray) -> np.ndarray:
+        """diag(P 1) - P P', the negative Hessian of the objective, with
+        P P' = (c c') (E s^-2 E') and E s^-2 written into out.  Each column
+        of P sums to 1, so each row of the curvature sums to 0: its diagonal
+        is the sum of the row's off-diagonal products, which does not cancel
+        P 1 against the squares of P when the chains barely overlap."""
         c, r = np.exp(self.ref - eta), 1.0 / s
         np.multiply(self.E, r * r, out=out)
-        return np.diag(masses) - np.outer(c, c) * (out @ self.E.T)
+        B = -np.outer(c, c) * (out @ self.E.T)
+        np.fill_diagonal(B, 0.0)
+        np.fill_diagonal(B, -B.sum(axis=1))
+        return B
 
     def probabilities(self, eta, s, out: np.ndarray) -> np.ndarray:
         """P = c E / s, written into out (which may be E itself)."""
@@ -276,7 +282,7 @@ def estimate_d(W: LogWeightMatrix):
     for iterations in range(start, MAX_ITER):
         if state["grad_norm"] < TOL:
             break
-        B = mix.curvature(state["eta"], state["s"], state["masses"], scratch)
+        B = mix.curvature(state["eta"], state["s"], scratch)
         try:
             step = np.linalg.solve(B[1:, 1:], state["grad"][1:])
         except np.linalg.LinAlgError:
@@ -304,7 +310,7 @@ def estimate_d(W: LogWeightMatrix):
                 f"(gradient norm {state['grad_norm']:.3e})"
             )
     eta, s = state["eta"], state["s"]
-    B = _check_curvature(mix.curvature(eta, s, state["masses"], scratch), counts)
+    B = _check_curvature(mix.curvature(eta, s, scratch), counts)
     return np.exp(eta), {"iterations": iterations,
                          "final_grad_norm": float(state["grad_norm"]),
                          "trace": trace, "P": mix.probabilities(eta, s, scratch),

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,7 +23,7 @@ import numpy as np
 from .errors import DegenerateDesignWarning, SupportWarning
 from .families import FunctionOfTheta
 from .ratio import LogWeightMatrix, Mixture
-from .variance import VarianceBreakdown, assemble_variance, c_hat, lrv_diag, w_hat
+from .variance import assemble_variance, c_hat, lrv_diag, w_hat
 
 _RANK_RTOL = 1e-10
 TERMS_BLOCK = 1 << 13       # importance terms (floats) of one block of grid points
@@ -78,7 +77,7 @@ class Stage2Workspace:
         shift 0 where nu_h vanishes on every pooled sample."""
         U = np.empty((len(points), self.n))
         for row, h in zip(U, points):
-            row[:] = self.family.log_weights(self.family.validate_h(h), self.W.stats)
+            row[:] = self.family.log_weights(h, self.W.stats)
         U -= self.log_den
         shift = U.max(axis=1)
         shift[np.isneginf(shift)] = 0.0
@@ -134,7 +133,7 @@ def _estimates(ws: Stage2Workspace, points, F1: np.ndarray) -> _Block:
     u_sum = sums[:, -1]
     live = u_sum > 0.0
     for h in (h for h, ok in zip(points, live) if not ok):
-        warnings.warn(f"nu_h vanishes on every pooled sample at h={h}: the "
+        warnings.warn(f"nu_h vanishes on every pooled sample at h={tuple(map(float, h))}: the "
                       f"Bayes factor is 0 and posterior expectations are "
                       f"undefined", SupportWarning, stacklevel=3)
     pe = np.full((len(points), len(F1) - 1), math.nan)
@@ -147,29 +146,38 @@ def _estimates(ws: Stage2Workspace, points, F1: np.ndarray) -> _Block:
                   beta_u * scale[:, None], pe)
 
 
-@dataclass
-class SurfaceRecord:
-    """Point estimates at one h and their variance breakdowns, keyed "bf",
-    "bf_cv" and "pe:<name>"; standard errors are var[key].se.  ess is the
-    Kish effective sample size (sum u)^2 / sum u^2 of the importance terms
-    and max_weight_share the largest term's share of their sum (both nan
-    where nu_h vanishes)."""
+class Surface(NamedTuple):
+    """Every estimate at every grid point, one row per point; the variance
+    columns are those of bf, bf_cv and each function's pe, in that order.
+    ess is the Kish effective sample size (sum u)^2 / sum u^2 of the terms
+    and max_weight_share the largest term's share of their sum."""
 
-    h: tuple
-    bf: float
-    bf_cv: float
-    beta: np.ndarray
-    pe: dict[str, float]
-    var: dict[str, VarianceBreakdown]
-    ess: float
-    max_weight_share: float
+    h: np.ndarray                  # (G, d)
+    bf: np.ndarray                 # (G,)
+    bf_cv: np.ndarray              # (G,)
+    beta: np.ndarray               # (G, k-1)
+    pe: np.ndarray                 # (G, J) nan where nu_h vanishes
+    ess: np.ndarray                # (G,) nan where nu_h vanishes
+    max_weight_share: np.ndarray   # (G,) nan where nu_h vanishes
+    stage1: np.ndarray             # (G, 2 + J) q vec' Sigma vec
+    stage2: np.ndarray             # (G, 2 + J) tau^2, sigma^2, rho_j
+    n: int
+
+    @property
+    def total(self) -> np.ndarray:
+        return self.stage1 + self.stage2
+
+    @property
+    def se(self) -> np.ndarray:
+        return np.sqrt(self.total / self.n)
 
 
 def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
-            sigma_hat: np.ndarray, q: float) -> list[SurfaceRecord]:
+            sigma_hat: np.ndarray, q: float) -> Surface:
     """Evaluate every estimator and its plug-in variance at every grid point.
 
-    The stage-1 terms are q vec' Sigma vec with vec = c, w or v.  The
+    The stage-1 terms are q vec' Sigma vec with vec = c, w or v, all 2 + J
+    of a block's forms from one `assemble_variance` call.  The
     stage-2 terms come from one chain-weighted Bartlett covariance of the
     stacked series [Y, Y - Z beta, (f_j - I_j) Y ...]: its diagonal holds
     tau^2, sigma^2 and Ybar^2 rho_j.  The Bartlett estimate is bilinear with
@@ -182,13 +190,15 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
     """
     F1 = _function_rows(ws, functions)
     J = len(functions)
-    points = [ws.family.validate_h(h) for h in grid]
+    H = ws.family.validate_grid(grid)
+    G, K = len(H), ws.W.k - 1
+    out = Surface(H, *(np.empty((G, *shape)) for shape in
+                       ((), (), (K,), (J,), (), (), (2 + J,), (2 + J,))), n=ws.n)
     step = max(1, TERMS_BLOCK // ws.n)
-    records = []
-    for start in range(0, len(points), step):
-        block = points[start:start + step]
-        B = len(block)
-        est = _estimates(ws, block, F1)
+    for start in range(0, G, step):
+        rows = slice(start, start + step)
+        est = _estimates(ws, H[rows], F1)
+        B = len(est.U)
         # with nu_h vanishing everywhere u is 0 and pe is nan
         centre = np.where(est.u_sum[:, None] > 0.0, est.pe, 0.0)
         z_beta = np.matmul(est.beta_u[:, None, :], ws.Z)[:, 0]         # (B, n)
@@ -202,23 +212,18 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
             X[:, 2:] *= u_l[:, None, :]
             lrv = lrv + a_l * lrv_diag(X)
             psi_x = psi_x + np.matmul(ws.psi[:, sl], X[:, 2:].swapaxes(1, 2))
+        stage2 = np.empty((B, 2 + J))
+        np.multiply(lrv[:, :2], np.exp(2.0 * est.shift)[:, None], out=stage2[:, :2])
         with np.errstate(divide="ignore", invalid="ignore"):
             v = psi_x / est.u_sum[:, None, None]                       # (B, k-1, J)
-            rho = lrv[:, 2:] / (est.mean_u * est.mean_u)[:, None]
-            ess = est.u_sum * est.u_sum / np.square(est.U).sum(axis=1)
-            share = est.U.max(axis=1) / est.u_sum
-        scale = np.exp(2.0 * est.shift)
+            np.divide(lrv[:, 2:], (est.mean_u * est.mean_u)[:, None], out=stage2[:, 2:])
+            out.ess[rows] = est.u_sum * est.u_sum / np.square(est.U).sum(axis=1)
+            out.max_weight_share[rows] = est.U.max(axis=1) / est.u_sum
         c = c_hat(ws, est.U, est.shift)
-        var_bf = assemble_variance(c, sigma_hat, lrv[:, 0] * scale, q, ws.n)
-        var_cv = assemble_variance(w_hat(ws, c, est.beta), sigma_hat,
-                                   lrv[:, 1] * scale, q, ws.n)
-        var_pe = [assemble_variance(v[:, :, j], sigma_hat, rho[:, j], q, ws.n)
-                  for j in range(J)]
-        for b, h in enumerate(block):
-            var = {"bf": var_bf[b], "bf_cv": var_cv[b],
-                   **{f"pe:{f.name}": vbs[b] for f, vbs in zip(functions, var_pe)}}
-            records.append(SurfaceRecord(
-                h=h, bf=float(est.bf[b]), bf_cv=float(est.bf_cv[b]), beta=est.beta[b],
-                pe={f.name: float(p) for f, p in zip(functions, est.pe[b])}, var=var,
-                ess=float(ess[b]), max_weight_share=float(share[b])))
-    return records
+        vecs = np.concatenate([c[:, None], w_hat(ws, c, est.beta)[:, None],
+                               v.swapaxes(1, 2)], axis=1)              # (B, 2 + J, k-1)
+        s1, s2 = assemble_variance(vecs.reshape(B * (2 + J), K), sigma_hat, stage2.ravel(), q)
+        out.stage1[rows], out.stage2[rows] = s1.reshape(B, 2 + J), s2.reshape(B, 2 + J)
+        out.bf[rows], out.bf_cv[rows], out.beta[rows], out.pe[rows] = \
+            est.bf, est.bf_cv, est.beta, est.pe
+    return out

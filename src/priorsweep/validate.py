@@ -78,9 +78,8 @@ def _v2_single_run(family, skeleton, h_star, f, lengths, seeds1, seeds2, q):
     est = estimate_ratios(W1)
     W2 = build_log_weight_matrix(family, skeleton, _chains(family, skeleton, lengths, seeds2))
     ws = Stage2Workspace(W2, est.d_hat)
-    rec = surface(ws, [h_star], [f], est.sigma_hat, q)[0]
-    return ((rec.bf, rec.bf_cv, rec.pe[f.name]),
-            (rec.var["bf"], rec.var["bf_cv"], rec.var[f"pe:{f.name}"]))
+    surf = surface(ws, [h_star], [f], est.sigma_hat, q)
+    return (surf.bf[0], surf.bf_cv[0], surf.pe[0, 0]), surf.total[0], surf.se[0]
 
 
 def suite_v2_variance_validation(variant: str = "iid", reps: int = V2_REPS,
@@ -107,11 +106,8 @@ def suite_v2_variance_validation(variant: str = "iid", reps: int = V2_REPS,
     covered = np.zeros(3)
     for rep in range(reps):
         seeds = _seed_block(master_seed + (variant == "ar1"), rep, 2 * k, 2)
-        (bf, bf_cv, pe), variances = _v2_single_run(
+        ests[rep], totals[rep], ses = _v2_single_run(
             family, skeleton, h_star, f, lengths, seeds[:k], seeds[k:], q)
-        ests[rep] = (bf, bf_cv, pe)
-        totals[rep] = [v.total for v in variances]
-        ses = np.array([v.se for v in variances])
         covered += (np.abs(ests[rep] - truth) < 1.959964 * ses)
 
     n = sum(lengths)

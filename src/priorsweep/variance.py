@@ -86,27 +86,11 @@ def w_hat(ws, c, beta_hat) -> np.ndarray:
     return c + beta_hat / ws.d_hat[1:] + np.matmul(diff.T, beta_hat[..., None])[..., 0]
 
 
-@dataclass
-class VarianceBreakdown:
-    """q vec' Sigma vec + stage-2 term, for one estimator at one h."""
-
-    stage1_term: float
-    stage2_term: float
-    n: int
-
-    @property
-    def total(self) -> float:
-        return self.stage1_term + self.stage2_term
-
-    @property
-    def se(self) -> float:
-        return math.sqrt(self.total / self.n)
-
-
-def assemble_variance(vecs, sigma_hat, stage2_terms, q: float,
-                      n: int) -> list[VarianceBreakdown]:
-    """One VarianceBreakdown per row of vecs: the stage-1 quadratic form
-    q vec' Sigma vec with that row's stage-2 long-run variance.
+def assemble_variance(vecs, sigma_hat, stage2_terms, q: float):
+    """The two variance terms of each row of vecs, clipped at 0: the stage-1
+    quadratic form q vec' Sigma vec, and that row's stage-2 long-run
+    variance.  A negative term becomes 0, while -0.0 and nan pass as they
+    are.
 
     q is the stage-size ratio n/N; with q = 0 the stage-1 component vanishes
     and the estimator behaves as if d were known.  With k = 1, the rows and
@@ -116,9 +100,9 @@ def assemble_variance(vecs, sigma_hat, stage2_terms, q: float,
     R, K = vecs.shape
     # elementwise products, then one sum along the last axis per row, so a
     # row's form does not depend on the other rows
-    quad = (vecs[:, :, None] * sigma_hat * vecs[:, None, :]).reshape(R, K * K).sum(axis=1)
-    return [VarianceBreakdown(stage1_term=max(q * s1, 0.0), stage2_term=max(s2, 0.0), n=n)
-            for s1, s2 in zip(quad.tolist(), np.asarray(stage2_terms, dtype=float).tolist())]
+    stage1 = q * (vecs[:, :, None] * sigma_hat * vecs[:, None, :]).reshape(R, K * K).sum(axis=1)
+    stage2 = np.asarray(stage2_terms, dtype=float)
+    return np.where(stage1 < 0.0, 0.0, stage1), np.where(stage2 < 0.0, 0.0, stage2)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ replaced:
   scalar long-run variance `spectral_lrv` on it;
 - the per-point stage-2 sweep that the block path of `priorsweep.surface`
   replaced: one grid point at a time, its terms as a vector, every sum over
-  all n pooled samples at once, and one Bartlett call per chain and point;
+  all n pooled samples at once, and one Bartlett call per chain and point,
+  with one `PointRecord` per point in place of the columns of a `Surface`;
 - the one-point estimators `bf_hat`, `bf_cv_hat` and `pe_hat`, each one row
   of the block path, and `estimate_sigma`, the sandwich covariance formed
   from d_hat alone, which `priorsweep.ratio` builds from the solver's
@@ -18,13 +19,14 @@ replaced:
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from priorsweep.errors import ConnectivityError
 from priorsweep.ratio import MAX_ITER, TOL, _check_curvature, _sandwich
-from priorsweep.surface import SurfaceRecord, _estimates, _function_rows
-from priorsweep.variance import VarianceBreakdown, _lags
+from priorsweep.surface import _estimates, _function_rows
+from priorsweep.variance import _lags
 
 
 def bartlett_rows(X):
@@ -203,10 +205,42 @@ def v_hat(ws, centred, u_sum):
     return ws.psi @ centred / u_sum
 
 
+@dataclass
+class VarianceTerms:
+    """q vec' Sigma vec + stage-2 term, for one estimator at one h."""
+
+    stage1_term: float
+    stage2_term: float
+    n: int
+
+    @property
+    def total(self) -> float:
+        return self.stage1_term + self.stage2_term
+
+    @property
+    def se(self) -> float:
+        return math.sqrt(self.total / self.n)
+
+
+@dataclass
+class PointRecord:
+    """Point estimates at one h and their variance terms, keyed "bf",
+    "bf_cv" and "pe:<name>", in the order of a `Surface`'s columns."""
+
+    h: tuple
+    bf: float
+    bf_cv: float
+    beta: np.ndarray
+    pe: dict[str, float]
+    var: dict[str, VarianceTerms]
+    ess: float
+    max_weight_share: float
+
+
 def assemble_variance(vec, sigma_hat, stage2_term, q, n):
     stage1 = q * float(vec @ np.asarray(sigma_hat, dtype=float) @ vec)
-    return VarianceBreakdown(stage1_term=max(stage1, 0.0),
-                             stage2_term=max(float(stage2_term), 0.0), n=n)
+    return VarianceTerms(stage1_term=max(stage1, 0.0),
+                         stage2_term=max(float(stage2_term), 0.0), n=n)
 
 
 def surface_by_point(ws, grid, functions, sigma_hat, q):
@@ -239,7 +273,7 @@ def surface_by_point(ws, grid, functions, sigma_hat, q):
         with np.errstate(divide="ignore", invalid="ignore"):
             ess = float(np.float64(u_sum) ** 2 / (u @ u))
             share = float(np.float64(u.max()) / u_sum)
-        records.append(SurfaceRecord(
+        records.append(PointRecord(
             h=h, bf=scale * u_mean, bf_cv=bf_cv, beta=beta,
             pe={f.name: float(p) for f, p in zip(functions, pe)}, var=var,
             ess=ess, max_weight_share=share))

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
@@ -14,8 +15,11 @@ from scipy.special import logsumexp
 
 from priorsweep import blvs
 from priorsweep.blvs import BlvsChain, BlvsFamily, Dataset, ModelEnumeration, ingest_csv
-from priorsweep.errors import InvalidHyperparameterError, SingularDesignError
+from priorsweep.config import load_config
+from priorsweep.errors import ConfigError, InvalidHyperparameterError, SingularDesignError
 from priorsweep.families import ChainSpec
+from priorsweep.ratio import build_log_weight_matrix
+from priorsweep.surface import Stage2Workspace, surface
 
 from conftest import synthetic_dataset
 from per_point import spectral_lrv
@@ -798,3 +802,63 @@ class TestModelTable:
             assert len(builds) == (path == "table")
             if path == "table":
                 assert stage._table.tobytes() == serial._table.tobytes()
+
+
+# grids with one bad point after a good one and before another bad one: the
+# first bad point must be named as validate_h names it
+BAD_POINTS = [(math.nan, 15.0), (0.5, math.inf), (0.0, 15.0), (1.0, 15.0), (1.2, 15.0),
+              (0.5, 0.0), (0.5, -1.0), (0.5,), (0.5, 15.0, 1.0)]
+
+
+def first_bad_message(fam, bad):
+    with pytest.raises(InvalidHyperparameterError) as exc:
+        fam.validate_h(bad)
+    return str(exc.value)
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("bad", BAD_POINTS)
+    def test_config_names_first_bad_point(self, tmp_path, uscrime_path, bad):
+        raw = {"model": {"kind": "blvs", "dataset": str(uscrime_path),
+                         "response": "y", "binary": ["S"]},
+               "skeleton": [[0.5, 15]],
+               "stage1": {"length": 50, "seed": 1}, "stage2": {"length": 50, "seed": 2},
+               "grid": {"points": [[0.5, 15.0], list(bad), [1.5, -3.0]]}}
+        p = tmp_path / "blvs.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        family = BlvsFamily(ingest_csv(uscrime_path, "y", ["S"]))
+        assert str(exc.value) == f"grid: {first_bad_message(family, bad)}"
+
+    @pytest.mark.parametrize("bad", BAD_POINTS)
+    def test_surface_names_first_bad_point(self, small_family, bad):
+        skeleton = [(0.5, 15.0)]
+        chains = small_family.sample_chains([ChainSpec(h=skeleton[0], length=20, seed=3)])
+        ws = Stage2Workspace(build_log_weight_matrix(small_family, skeleton, chains), np.ones(1))
+        with pytest.raises(InvalidHyperparameterError) as exc:
+            surface(ws, [(0.5, 15.0), bad, (1.5, -3.0)], [], np.zeros((0, 0)), q=0.5)
+        assert str(exc.value) == first_bad_message(small_family, bad)
+
+    @pytest.mark.parametrize("bad", BAD_POINTS)
+    def test_evaluate_names_first_bad_point(self, small_family, bad):
+        with pytest.raises(InvalidHyperparameterError) as exc:
+            small_family.enumeration().evaluate([(0.5, 15.0), bad, (1.5, -3.0)])
+        assert str(exc.value) == first_bad_message(small_family, bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ((1.0, 15.0), "w must lie in (0,1), got 1.0"),
+        ((0.5, -1.0), "g must be positive, got -1.0")])
+    def test_domain_messages(self, small_family, bad, message):
+        # one statement of the domain gives both the per-point and the grid check
+        for check in (small_family.validate_h, lambda h: small_family.validate_grid([h])):
+            with pytest.raises(InvalidHyperparameterError) as exc:
+                check(bad)
+            assert str(exc.value) == message
+
+    def test_grid_is_a_read_only_array(self, small_family):
+        grid = [(0.2, 10.0), (0.7, 40.0)]
+        H = small_family.validate_grid(grid)
+        assert H.dtype == float and H.shape == (2, 2) and not H.flags.writeable
+        assert H.tolist() == [list(h) for h in grid]
+        assert small_family.validate_grid([]).shape == (0, 2)

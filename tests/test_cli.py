@@ -4,16 +4,19 @@ import math
 import shutil
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import yaml
 
-from priorsweep import validate
+from priorsweep import cli, validate
 from priorsweep.blvs import BlvsFamily, ingest_csv
-from priorsweep.cli import _write_chain_csv, main
+from priorsweep.cli import (_write_chain_csv, _write_floats, _write_surface_csv,
+                            _write_variance_csv, main)
 from priorsweep.config import load_config
-from priorsweep.families import ChainSpec
+from priorsweep.families import ChainSpec, ConjugateToy
+from priorsweep.surface import Surface
 
 from test_config import write_toy_config
 
@@ -208,6 +211,102 @@ class TestRun:
         assert list(rows[0]) == ["sweep", "gamma"]
 
 
+def _fmt(x):
+    """Each value as the CSV writers formatted it one at a time for csv.writer."""
+    return "" if x is None else f"{float(x):.17g}"
+
+
+def csv_writer_bytes(path, header, rows):
+    """The reference: csv.writer with _fmt of every float."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([v if isinstance(v, int) else _fmt(v) for v in row])
+    return read_bytes(path)
+
+
+def special_floats(rng, shape):
+    """Random floats over the whole exponent range, with -0.0, nan, +-inf,
+    +-1e308 and subnormals among them."""
+    X = rng.standard_normal(shape) * 10.0 ** rng.uniform(-300, 300, shape)
+    specials = [-0.0, 0.0, math.nan, math.inf, -math.inf, 1e308, -1e308,
+                5e-324, 2.2e-310, -4.9e-320]
+    X.flat[rng.choice(X.size, size=2 * len(specials), replace=False)] = specials * 2
+    return X
+
+
+def parsed(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return np.array([[float(v) for v in row] for row in list(csv.reader(fh))[1:]])
+
+
+def same_floats(a, b):
+    """Exactly equal, nan equal to nan, and zeros of the same sign."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+class TestWriters:
+    def random_surface(self, G=40, J=3, k=4, n=1000):
+        rng = np.random.default_rng(5)
+        stage1, stage2 = np.abs(special_floats(rng, (2, G, 2 + J)))
+        stage1[3, 1] = stage2[3, 1] = -0.0
+        surf = Surface(special_floats(rng, (G, 2)), *special_floats(rng, (2, G)),
+                       special_floats(rng, (G, k - 1)), special_floats(rng, (G, J)),
+                       *special_floats(rng, (2, G)), stage1, stage2, n)
+        # a point where nu_h vanishes on every sample
+        surf.bf[7] = surf.bf_cv[7] = surf.stage2[7, 0] = 0.0
+        for col in (surf.pe[7], surf.stage1[7, 2:], surf.stage2[7, 2:],
+                    surf.ess[7:8], surf.max_weight_share[7:8]):
+            col[...] = math.nan
+        cfg = SimpleNamespace(family=SimpleNamespace(coord_names=("w", "g")),
+                              functions=[SimpleNamespace(name=nm) for nm in "abc"[:J]])
+        return cfg, surf
+
+    def test_surface_csv_bytes_and_values(self, tmp_path):
+        cfg, surf = self.random_surface()
+        _write_surface_csv(tmp_path / "surface.csv", cfg, surf)
+        header = ["w", "g", "bf_hat", "bf_cv_hat", "se_bf", "se_bf_cv",
+                  "pe_a", "se_pe_a", "pe_b", "se_pe_b", "pe_c", "se_pe_c",
+                  "ess", "max_weight_share"]
+        rows = []
+        for i in range(len(surf.h)):
+            se = [math.sqrt((a + b) / surf.n) for a, b in zip(surf.stage1[i], surf.stage2[i])]
+            rows.append([*surf.h[i], surf.bf[i], surf.bf_cv[i], *se[:2],
+                         *[v for j in range(3) for v in (surf.pe[i, j], se[2 + j])],
+                         surf.ess[i], surf.max_weight_share[i]])
+        assert read_bytes(tmp_path / "surface.csv") == csv_writer_bytes(
+            tmp_path / "reference.csv", header, rows)
+        assert same_floats(parsed(tmp_path / "surface.csv"), np.array(rows))
+        assert math.isnan(parsed(tmp_path / "surface.csv")[7, 6])
+
+    def test_variance_csv_bytes_and_values(self, tmp_path):
+        cfg, surf = self.random_surface()
+        _write_variance_csv(tmp_path / "variance.csv", cfg, surf)
+        rows = [[*h, a, b, a + b, math.sqrt((a + b) / surf.n)]
+                for h, a, b in zip(surf.h, surf.stage1[:, 1], surf.stage2[:, 1])]
+        assert read_bytes(tmp_path / "variance.csv") == csv_writer_bytes(
+            tmp_path / "reference.csv", ["w", "g", "stage1_term", "stage2_term", "total", "se"],
+            rows)
+        assert same_floats(parsed(tmp_path / "variance.csv"), np.array(rows))
+
+    def test_oracle_table_bytes_and_values(self, tmp_path):
+        rng = np.random.default_rng(6)
+        h, bf, pe = (special_floats(rng, shape) for shape in ((30, 2), 30, (30, 2)))
+        header = ["w", "g", "bf_exact", "pe_a_exact", "pe_b_exact"]
+        _write_floats(tmp_path / "oracle.csv", header, h, bf, pe)
+        rows = [[*a, b, *c] for a, b, c in zip(h, bf, pe)]
+        assert read_bytes(tmp_path / "oracle.csv") == csv_writer_bytes(
+            tmp_path / "reference.csv", header, rows)
+        assert same_floats(parsed(tmp_path / "oracle.csv"), np.array(rows))
+
+    def test_toy_chain_csv_bytes(self, tmp_path):
+        theta = special_floats(np.random.default_rng(7), 50)
+        _write_chain_csv(tmp_path / "chain.csv", ConjugateToy(y_obs=0.0), theta)
+        assert read_bytes(tmp_path / "chain.csv") == csv_writer_bytes(
+            tmp_path / "reference.csv", ["step", "theta"], list(enumerate(theta.tolist())))
+
+
 class TestOracle:
     def test_oracle_and_comparison(self, toy_config, tmp_path):
         out = tmp_path / "out"
@@ -359,6 +458,21 @@ class TestPlan:
         for plan in doc["plans"]:
             assert plan["q_opt"] > 0
             assert plan["N"] == pytest.approx(plan["n"] / plan["q_opt"], rel=1e-9)
+
+
+    def test_plan_times_the_configured_functions(self, toy_config, monkeypatch):
+        # t2 is timed on the sweep that `run` performs, functions included
+        seen = []
+        real = cli.surface
+
+        def spy(ws, grid, functions, sigma_hat, q):
+            seen.append([f.name for f in functions])
+            return real(ws, grid, functions, sigma_hat, q)
+
+        monkeypatch.setattr(cli, "surface", spy)
+        assert main(["plan", "--config", str(toy_config), "--budget", "60",
+                     "--pilot-length", "100"]) == 0
+        assert seen == [[f.name for f in load_config(toy_config).functions]] == [["identity"]]
 
 
 class TestValidateCommand:

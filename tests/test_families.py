@@ -115,6 +115,17 @@ class TestLogPriorWeight:
         with pytest.raises(InvalidHyperparameterError):
             fam.validate_h((0.0, 1.0))
 
+    def test_domain_gives_both_checks(self):
+        class PositiveToy(ConjugateToy):
+            domain = ((0, lambda h: h > 0.0, "be positive"),)
+
+        fam = PositiveToy(y_obs=0.0)
+        assert fam.validate_grid([0.5, 2.0]).tolist() == [[0.5], [2.0]]
+        for check in (fam.validate_h, lambda h: fam.validate_grid([1.0, h, -2.0])):
+            with pytest.raises(InvalidHyperparameterError) as exc:
+                check(-1.0)
+            assert str(exc.value) == "h must be positive, got -1.0"
+
 
 class TestSampling:
     def test_posterior_mean_within_four_se(self):
@@ -213,16 +224,17 @@ def test_three_method_family_runs_both_stages():
     skeleton = [(0.0,), (1.0,), (2.0,)]
     grid = [(h,) for h in np.linspace(-0.5, 2.5, 7)]
     f = toy_function("identity")
-    records = []
+    surfaces = []
     for fam in (MinimalFamily(), ConjugateToy(y_obs=0.0)):
         specs1 = [ChainSpec(h=h, length=2000, seed=10 + i) for i, h in enumerate(skeleton)]
         specs2 = [ChainSpec(h=h, length=500, seed=20 + i) for i, h in enumerate(skeleton)]
         est = estimate_ratios(build_log_weight_matrix(fam, skeleton, fam.sample_chains(specs1)))
         ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, fam.sample_chains(specs2)),
                              est.d_hat)
-        records.append(surface(ws, grid, [f], est.sigma_hat, q=0.25))
+        surfaces.append(surface(ws, grid, [f], est.sigma_hat, q=0.25))
+    got, want = surfaces
+    for col in ("h", "bf", "bf_cv", "pe", "stage1", "stage2"):
+        assert np.array_equal(getattr(got, col), getattr(want, col))
     toy = ConjugateToy(y_obs=0.0)
-    for got, want in zip(*records):
-        assert (got.h, got.bf, got.bf_cv, got.pe) == (want.h, want.bf, want.bf_cv, want.pe)
-        assert got.var == want.var
-        assert abs(got.bf_cv - toy.exact_bf(got.h, skeleton[0])) < 4.0 * got.var["bf_cv"].se
+    exact = np.array([toy.exact_bf(h, skeleton[0]) for h in grid])
+    assert np.all(np.abs(got.bf_cv - exact) < 4.0 * got.se[:, 1])

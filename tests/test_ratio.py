@@ -231,7 +231,7 @@ class TestEstimateD:
             for _ in range(5):
                 eta = np.concatenate([[0.0], rng.normal(0, 1.5, 3)])
                 _, s, _ = mix.objective(eta)
-                B = mix.curvature(eta, s, mix.masses(eta, s), np.empty_like(W.logw))
+                B = mix.curvature(eta, s, np.empty_like(W.logw))
                 want = curvature_of(softmax(base - eta[:, None])[1])
                 np.testing.assert_allclose(B, want, rtol=0,
                                            atol=1e-12 * np.abs(want).max())
@@ -256,6 +256,21 @@ class TestEstimateD:
         sigma, sigma_ref = (_sandwich(W, d, info["P"], info["curvature"]),
                             _sandwich(W, d_ref, P, B))
         np.testing.assert_allclose(sigma, sigma_ref, rtol=1e-10)
+
+    def test_curvature_diagonal_matches_longdouble_reference(self):
+        # P 1 is about 4000 on the diagonal and P P' about 4000 too, so
+        # diag(P 1) - P P' would cancel to entries about 1
+        _, W = toy_matrix([(0.0,), (9.0,), (18.0,)], [4000, 4000, 4000], seed0=30)
+        eta = np.log(estimate_d(W)[0])
+        mix = Mixture(W, eta)
+        _, s, _ = mix.objective(eta)
+        got = np.diag(mix.curvature(eta, s, np.empty_like(W.logw)))
+        z = W.logw.astype(np.longdouble) + np.log(W.proportions)[:, None] - eta[:, None]
+        P = np.exp(z - z.max(axis=0))
+        P /= P.sum(axis=0)
+        want = P.sum(axis=1) - np.einsum("jp,jp->j", P, P)
+        assert np.all(want < 20.0) and np.all(P.sum(axis=1) > 3000.0)
+        assert np.max(np.abs(got - want)) <= 1e-13
 
     def test_chain_permutation_equivariance(self):
         fam = ConjugateToy(y_obs=0.0)

@@ -61,9 +61,9 @@ class TestWorkspace:
         W = build_log_weight_matrix(counting, [(0.0,), (1.0,)], chains)
         assert calls["stats"] == 1
         ws = Stage2Workspace(W, d)
-        recs = surface(ws, [(h,) for h in np.linspace(-0.5, 2.5, 40)],
+        surf = surface(ws, [(h,) for h in np.linspace(-0.5, 2.5, 40)],
                        [toy_function("identity")], np.zeros((1, 1)), q=0.0)
-        assert len(recs) == 40
+        assert surf.h.shape == (40, 1)
         assert calls["stats"] == 1
 
     def test_kernel_terms_match_per_row_formulas(self):
@@ -112,7 +112,7 @@ class TestBfHat:
         truth = fam.exact_bf((0.5,), (0.0,))
         reps = [bf_hat(ws, (0.5,))]
         # plug-in se from the surface pass
-        tau_sq = surface(ws, [(0.5,)], [], np.zeros((1, 1)), q=0.0)[0].var["bf"].stage2_term
+        tau_sq = surface(ws, [(0.5,)], [], np.zeros((1, 1)), q=0.0).stage2[0, 0]
         se = math.sqrt(tau_sq / ws.n) * 3  # stage-2 only; d is near-exact here
         assert abs(reps[0] - truth) < 3 * max(se, 0.005)
 
@@ -237,14 +237,14 @@ class TestPeHat:
 
 class TestSurfaceSweep:
     def _assert_one_path(self, ws, grid, functions):
-        recs = surface(ws, grid, functions, np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)
-        for rec, h in zip(recs, grid):
-            assert rec.bf == bf_hat(ws, h)
+        surf = surface(ws, grid, functions, np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)
+        for i, h in enumerate(grid):
+            assert surf.bf[i] == bf_hat(ws, h)
             est, beta = bf_cv_hat(ws, h)
-            assert rec.bf_cv == est
-            assert np.array_equal(rec.beta, beta)
-            for f in functions:
-                assert rec.pe[f.name] == pe_hat(ws, h, f)
+            assert surf.bf_cv[i] == est
+            assert np.array_equal(surf.beta[i], beta)
+            for j, f in enumerate(functions):
+                assert surf.pe[i, j] == pe_hat(ws, h, f)
 
     def test_one_path_toy(self):
         _, _, _, ws = two_stage([(0.0,), (1.0,), (2.0,)], 500, 500, seed0=47)
@@ -268,15 +268,15 @@ class TestSurfaceSweep:
         sigma = estimate_sigma(W1, d)
         grid = [(h,) for h in np.linspace(-0.5, 2.0, 11)]
         f = toy_function("identity")
-        recs = surface(ws, grid, [f], sigma, q=1.0)
-        assert len(recs) == 11
-        for rec in recs:
-            assert rec.bf > 0
-            assert rec.var["bf"].se > 0
-            assert math.isfinite(rec.var["bf_cv"].se)
-            assert set(rec.pe) == {"identity"}
-            assert set(rec.var) == {"bf", "bf_cv", "pe:identity"}
-            assert rec.var["bf"].total >= rec.var["bf"].stage2_term
+        surf = surface(ws, grid, [f], sigma, q=1.0)
+        assert np.array_equal(surf.h, np.array(grid))
+        assert np.all(surf.bf > 0)
+        assert np.all(surf.se[:, 0] > 0)
+        assert np.all(np.isfinite(surf.se[:, 1]))
+        # one pe column; variance columns bf, bf_cv and pe:identity
+        assert surf.pe.shape == (11, 1)
+        assert surf.stage1.shape == surf.stage2.shape == (11, 3)
+        assert np.all(surf.total[:, 0] >= surf.stage2[:, 0])
 
     def test_monotone_consistency_rate(self):
         # error at the sqrt(n) rate within a factor-2 band across decades
@@ -300,18 +300,17 @@ class TestSurfaceSweep:
         assert rmse[1] / rmse[2] == pytest.approx(math.sqrt(10), rel=0.55)
 
 
-def records_equal(a, b):
-    """Every number of two records, compared exactly (nan equal to nan)."""
-    return (a.h == b.h and a.beta.shape == b.beta.shape
-            and np.array_equal([a.bf, a.bf_cv, a.ess, a.max_weight_share, *a.beta],
-                               [b.bf, b.bf_cv, b.ess, b.max_weight_share, *b.beta],
-                               equal_nan=True)
-            and a.pe.keys() == b.pe.keys() and a.var.keys() == b.var.keys()
-            and np.array_equal([a.pe[k] for k in a.pe], [b.pe[k] for k in a.pe],
-                               equal_nan=True)
-            and np.array_equal([(vb.stage1_term, vb.stage2_term) for vb in a.var.values()],
-                               [(vb.stage1_term, vb.stage2_term) for vb in b.var.values()],
-                               equal_nan=True))
+def rows_equal(a, i, b, j=0):
+    """Every number of row i of surface a and row j of surface b, compared
+    exactly (nan equal to nan)."""
+    return a.n == b.n and all(np.array_equal(x[i], y[j], equal_nan=True)
+                              for x, y in zip(a[:-1], b[:-1]))
+
+
+def matches_alone(surf, alone):
+    """Whether each row of surf is exactly the one-point surface in alone."""
+    return len(surf.h) == len(alone) and all(rows_equal(surf, i, s)
+                                             for i, s in enumerate(alone))
 
 
 def toy_study(lengths, seed0=47):
@@ -341,19 +340,22 @@ class TestBlockPath:
         what the point gives alone."""
         got = surface(ws, grid, functions, sigma, q=0.7)
         want = surface_by_point(ws, grid, functions, sigma, q=0.7)
-        alone = [surface(ws, [h], functions, sigma, q=0.7)[0] for h in grid]
-        assert all(map(records_equal, got, alone))
-        for g, w in zip(got, want, strict=True):
-            assert g.h == w.h
-            for a, b in [(g.bf, w.bf), (g.bf_cv, w.bf_cv), *zip(g.pe.values(), w.pe.values())]:
+        assert matches_alone(got, [surface(ws, [h], functions, sigma, q=0.7) for h in grid])
+        assert len(got.h) == len(want)
+        for i, w in enumerate(want):
+            assert tuple(got.h[i]) == w.h
+            for a, b in [(got.bf[i], w.bf), (got.bf_cv[i], w.bf_cv),
+                         *zip(got.pe[i], w.pe.values())]:
                 assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
-            np.testing.assert_allclose(g.beta, w.beta, rtol=1e-12)
-            assert g.ess == pytest.approx(w.ess, rel=1e-12)
-            assert g.max_weight_share == pytest.approx(w.max_weight_share, rel=1e-12)
-            for key, vb in w.var.items():
-                for term in ("stage1_term", "stage2_term"):
-                    assert abs(getattr(g.var[key], term) - getattr(vb, term)) <= 1e-10 * vb.total
-                assert g.var[key].se == pytest.approx(vb.se, rel=1e-10)
+            np.testing.assert_allclose(got.beta[i], w.beta, rtol=1e-12)
+            assert got.ess[i] == pytest.approx(w.ess, rel=1e-12)
+            assert got.max_weight_share[i] == pytest.approx(w.max_weight_share, rel=1e-12)
+            # the columns are bf, bf_cv, pe:<name>..., the order of w.var
+            assert list(w.var) == ["bf", "bf_cv", *[f"pe:{f.name}" for f in functions]]
+            for col, vb in enumerate(w.var.values()):
+                assert abs(got.stage1[i, col] - vb.stage1_term) <= 1e-10 * vb.total
+                assert abs(got.stage2[i, col] - vb.stage2_term) <= 1e-10 * vb.total
+                assert got.se[i, col] == pytest.approx(vb.se, rel=1e-10)
 
     def test_matches_per_point_reference_toy(self):
         ws, sigma = toy_study((500, 500, 500))
@@ -378,29 +380,29 @@ class TestBlockPath:
         grid = [(h,) for h in np.linspace(-0.5, 2.5, 7)]
         self.assert_matches_per_point(ws, grid, TOY_FUNCTIONS, sigma)
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", 3 * ws.n)
-        alone = [surface(ws, [h], TOY_FUNCTIONS, sigma, q=0.7)[0] for h in grid]
-        assert all(map(records_equal, surface(ws, grid, TOY_FUNCTIONS, sigma, q=0.7), alone))
+        alone = [surface(ws, [h], TOY_FUNCTIONS, sigma, q=0.7) for h in grid]
+        assert matches_alone(surface(ws, grid, TOY_FUNCTIONS, sigma, q=0.7), alone)
 
     @pytest.mark.parametrize("per_block", [1, 2, 3])
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("k", [3, 5])
     def test_records_do_not_depend_on_block(self, monkeypatch, per_block, extra, k):
         ws, sigma = toy_study((400,) * k, seed0=11)
-        alone = {h: surface(ws, [(h,)], TOY_FUNCTIONS, sigma, q=0.7)[0]
+        alone = {h: surface(ws, [(h,)], TOY_FUNCTIONS, sigma, q=0.7)
                  for h in np.linspace(-1.0, 3.0, 4)}
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", per_block * ws.n + ws.n // 2)
         for size in {1, per_block + extra}:
             grid = [(h,) for h in list(alone)[:size]]
-            recs = surface(ws, grid, TOY_FUNCTIONS, sigma, q=0.7)
-            assert len(recs) == size
-            assert all(records_equal(rec, alone[h]) for rec, (h,) in zip(recs, grid))
+            surf = surface(ws, grid, TOY_FUNCTIONS, sigma, q=0.7)
+            assert len(surf.h) == size
+            assert matches_alone(surf, [alone[h] for (h,) in grid])
 
     def test_no_functions_do_not_depend_on_block(self, monkeypatch):
         ws, sigma = toy_study((400, 400, 400), seed0=13)
         grid = [(h,) for h in np.linspace(-1.0, 3.0, 5)]
-        alone = [surface(ws, [h], [], sigma, q=0.7)[0] for h in grid]
+        alone = [surface(ws, [h], [], sigma, q=0.7) for h in grid]
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", 2 * ws.n)
-        assert all(map(records_equal, surface(ws, grid, [], sigma, q=0.7), alone))
+        assert matches_alone(surface(ws, grid, [], sigma, q=0.7), alone)
 
     def test_dead_point_among_live_ones(self, monkeypatch):
         class Vanishing(ConjugateToy):
@@ -419,15 +421,14 @@ class TestBlockPath:
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", 3 * ws.n)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            recs = surface(ws, grid, [f], sigma, q=0.5)
+            surf = surface(ws, grid, [f], sigma, q=0.5)
         support = [w for w in caught if w.category is SupportWarning]
         assert len(support) == 1 and "9.5" in str(support[0].message)
-        dead = recs[1]
-        assert dead.bf == 0.0 and math.isnan(dead.pe["identity"])
-        assert math.isnan(dead.var["pe:identity"].se)
-        assert dead.var["bf"].stage2_term == 0.0
-        for rec, h in zip(recs[::2], grid[::2]):
-            assert records_equal(rec, surface(ws, [h], [f], sigma, q=0.5)[0])
+        assert surf.bf[1] == 0.0 and math.isnan(surf.pe[1, 0])
+        assert math.isnan(surf.se[1, 2])
+        assert surf.stage2[1, 0] == 0.0
+        for i in (0, 2):
+            assert rows_equal(surf, i, surface(ws, [grid[i]], [f], sigma, q=0.5))
 
     @pytest.mark.parametrize("per_block", [1, 4])
     def test_constant_and_indicator_exact_in_blocks(self, monkeypatch, per_block):
@@ -435,11 +436,10 @@ class TestBlockPath:
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", per_block * ws.n)
         one = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
         ind = FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0).astype(float))
-        recs = surface(ws, [(h,) for h in np.linspace(-3, 5, 17)], [one, ind], sigma, q=0.5)
-        for rec in recs:
-            assert rec.pe["one"] == 1.0
-            assert rec.var["pe:one"].se == 0.0
-            assert 0.0 <= rec.pe["pos"] <= 1.0
+        surf = surface(ws, [(h,) for h in np.linspace(-3, 5, 17)], [one, ind], sigma, q=0.5)
+        assert np.all(surf.pe[:, 0] == 1.0)
+        assert np.all(surf.se[:, 2] == 0.0)
+        assert np.all((0.0 <= surf.pe[:, 1]) & (surf.pe[:, 1] <= 1.0))
 
     def test_degenerate_design_warns_once_per_workspace(self, monkeypatch):
         fam = ConjugateToy(y_obs=0.0)
@@ -469,15 +469,17 @@ class TestWeightDiagnostics:
     def test_against_direct_formulas(self):
         ws, sigma = toy_study((500, 500, 500), seed0=31)
         grid = [(h,) for h in np.linspace(-0.5, 2.5, 9)]
-        for rec in surface(ws, grid, [], sigma, q=0.5):
-            u, _ = point_terms(ws, rec.h)
-            assert rec.ess == pytest.approx(u.sum() ** 2 / np.sum(u * u), rel=1e-12)
-            assert rec.max_weight_share == pytest.approx(u.max() / u.sum(), rel=1e-12)
-            assert 1.0 <= rec.ess <= ws.n
-            assert 0.0 < rec.max_weight_share <= 1.0
+        surf = surface(ws, grid, [], sigma, q=0.5)
+        for h, ess, share in zip(surf.h, surf.ess, surf.max_weight_share):
+            u, _ = point_terms(ws, h)
+            assert ess == pytest.approx(u.sum() ** 2 / np.sum(u * u), rel=1e-12)
+            assert share == pytest.approx(u.max() / u.sum(), rel=1e-12)
+            assert 1.0 <= ess <= ws.n
+            assert 0.0 < share <= 1.0
 
     def test_ess_falls_outside_the_skeleton_hull(self):
         ws, sigma = toy_study((500, 500, 500), seed0=37)
-        inside, outside = surface(ws, [(1.0,), (6.0,)], [], sigma, q=0.5)
-        assert outside.ess < 0.1 * inside.ess
-        assert outside.max_weight_share > 10 * inside.max_weight_share
+        surf = surface(ws, [(1.0,), (6.0,)], [], sigma, q=0.5)
+        (ess_in, ess_out), (share_in, share_out) = surf.ess, surf.max_weight_share
+        assert ess_out < 0.1 * ess_in
+        assert share_out > 10 * share_in

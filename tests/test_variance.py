@@ -9,7 +9,7 @@ from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_fu
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
 from priorsweep.surface import Stage2Workspace, surface
 from priorsweep.variance import (MIN_SERIES_LENGTH, PlanInputs,
-                                 VarianceBreakdown, _lags, assemble_variance, c_hat,
+                                 _lags, assemble_variance, c_hat,
                                  chain_lrv, lrv_diag, lrv_matrix, predicted_variance,
                                  q_opt, w_hat)
 
@@ -27,10 +27,14 @@ def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
     return fam, Stage2Workspace(W, np.asarray(d, dtype=float))
 
 
+# the variance columns of a Surface
+BF, BF_CV, PE = 0, 1, 2
+
+
 def point(ws, h, functions=()):
-    """The surface record at one h with sigma_hat = 0, so every variance is
-    its stage-2 term: tau^2 ("bf"), sigma^2 ("bf_cv"), rho ("pe:<name>")."""
-    return surface(ws, [h], list(functions), np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)[0]
+    """The surface at one h with sigma_hat = 0, so every variance is its
+    stage-2 term: tau^2 (column BF), sigma^2 (BF_CV), rho (PE + j)."""
+    return surface(ws, [h], list(functions), np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)
 
 
 class TestSpectralLrv:
@@ -167,20 +171,19 @@ class TestTauSigma:
     def test_identical_skeleton_and_baseline_gives_zero(self):
         _, ws = toy_workspace([(0.5,), (0.5,)], 1500, d=[1.0, 1.0])
         with pytest.warns(DegenerateDesignWarning):
-            rec = point(ws, (0.5,))
-        assert rec.var["bf"].stage2_term < 1e-25
+            surf = point(ws, (0.5,))
+        assert surf.stage2[0, BF] < 1e-25
 
     def test_nonnegative(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 1200, seed0=5)
-        assert point(ws, (0.4,)).var["bf"].stage2_term >= 0.0
+        assert point(ws, (0.4,)).stage2[0, BF] >= 0.0
 
     def test_sigma_equals_tau_when_z_zero(self):
         _, ws = toy_workspace([(0.5,), (0.5,)], 800, d=[1.0, 1.0], seed0=7)
         assert np.all(ws.Z == 0.0)
         with pytest.warns(DegenerateDesignWarning):
-            rec = point(ws, (1.1,))
-        assert rec.var["bf_cv"].stage2_term == pytest.approx(
-            rec.var["bf"].stage2_term, rel=1e-12)
+            surf = point(ws, (1.1,))
+        assert surf.stage2[0, BF_CV] == pytest.approx(surf.stage2[0, BF], rel=1e-12)
 
     def test_tau_replication_iid(self):
         # empirical variance of sqrt(n)(B_hat - B) with the true d vs the
@@ -199,9 +202,9 @@ class TestTauSigma:
                   for hh, s in zip(skeleton, seeds)]
             W = build_log_weight_matrix(fam, skeleton, ch)
             ws = Stage2Workspace(W, np.asarray(dt))
-            rec = point(ws, h)
-            est[rep] = rec.bf
-            taus[rep] = rec.var["bf"].stage2_term
+            surf = point(ws, h)
+            est[rep] = surf.bf[0]
+            taus[rep] = surf.stage2[0, BF]
         emp = 2 * n * est.var(ddof=1)
         assert emp / taus.mean() == pytest.approx(1.0, abs=0.15)
 
@@ -219,17 +222,17 @@ class TestTauSigma:
                   for hh, s in zip(skeleton, seeds)]
             W = build_log_weight_matrix(fam, skeleton, ch)
             ws = Stage2Workspace(W, dt)
-            rec = point(ws, h)
-            est[rep] = rec.bf_cv
-            sig[rep] = rec.var["bf_cv"].stage2_term
+            surf = point(ws, h)
+            est[rep] = surf.bf_cv[0]
+            sig[rep] = surf.stage2[0, BF_CV]
         emp = 2 * n * est.var(ddof=1)
         assert emp / sig.mean() == pytest.approx(1.0, abs=0.15)
 
     def test_cv_variance_leq_plain_at_interior(self):
         # reported (not asserted as a theorem): sigma^2 <= tau^2 here
         _, ws = toy_workspace([(0.0,), (1.0,)], 4000, seed0=23)
-        rec = point(ws, (0.5,))
-        assert rec.var["bf_cv"].stage2_term <= rec.var["bf"].stage2_term
+        surf = point(ws, (0.5,))
+        assert surf.stage2[0, BF_CV] <= surf.stage2[0, BF]
 
 
 def gamma_rho_reference(ws, h, f):
@@ -268,24 +271,24 @@ class TestGammaRho:
     def test_constant_function_rho_exactly_zero(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 900, seed0=2)
         f1 = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
-        assert point(ws, (0.6,), [f1]).var["pe:one"].stage2_term == 0.0
+        assert point(ws, (0.6,), [f1]).stage2[0, PE] == 0.0
 
     def test_stage2_terms_nonnegative(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 1100, seed0=3)
-        rec = point(ws, (0.8,), [toy_function("identity")])
-        assert all(vb.stage2_term >= 0 for vb in rec.var.values())
+        surf = point(ws, (0.8,), [toy_function("identity")])
+        assert surf.stage2.shape == (1, 3) and np.all(surf.stage2 >= 0)
 
     def test_rho_matches_two_by_two_gamma_formula(self):
         _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 1500, seed0=15)
         fs = [toy_function("square"),
               FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0.5).astype(float))]
         for h in ((0.3,), (0.9,), (1.6,)):
-            rec = point(ws, h, fs)
-            for f in fs:
+            surf = point(ws, h, fs)
+            for j, f in enumerate(fs):
                 if f.name == "pos":
-                    assert 0.05 < rec.pe["pos"] < 0.95
+                    assert 0.05 < surf.pe[0, j] < 0.95
                 want = gamma_rho_reference(ws, h, f)
-                assert rec.var[f"pe:{f.name}"].stage2_term == pytest.approx(want, rel=1e-10)
+                assert surf.stage2[0, PE + j] == pytest.approx(want, rel=1e-10)
 
     def test_rho_exact_near_pe_one(self):
         # f is 0 only on the smallest pooled draw, which carries little weight
@@ -296,10 +299,9 @@ class TestGammaRho:
         lowest = np.sort(np.asarray(ws.W.samples))[:2].mean()
         f = FunctionOfTheta("above", lambda s: (np.asarray(s) > lowest).astype(float))
         h = (2.5,)
-        rec = point(ws, h, [f])
-        assert 1.0 - 1e-4 < rec.pe["above"] < 1.0
-        assert rec.var["pe:above"].stage2_term == pytest.approx(exact_rho(ws, h, f),
-                                                                rel=1e-12)
+        surf = point(ws, h, [f])
+        assert 1.0 - 1e-4 < surf.pe[0, 0] < 1.0
+        assert surf.stage2[0, PE] == pytest.approx(exact_rho(ws, h, f), rel=1e-12)
 
     def test_rho_replication_iid(self):
         fam = ConjugateToy(y_obs=0.0)
@@ -316,9 +318,9 @@ class TestGammaRho:
                   for hh, s in zip(skeleton, seeds)]
             W = build_log_weight_matrix(fam, skeleton, ch)
             ws = Stage2Workspace(W, dt)
-            rec = point(ws, h, [f])
-            est[rep] = rec.pe["identity"]
-            rhos[rep] = rec.var["pe:identity"].stage2_term
+            surf = point(ws, h, [f])
+            est[rep] = surf.pe[0, 0]
+            rhos[rep] = surf.stage2[0, PE]
         emp = 2 * n * est.var(ddof=1)
         assert emp / rhos.mean() == pytest.approx(1.0, abs=0.15)
 
@@ -385,21 +387,18 @@ def v_per_function(ws, h, f):
 
 class TestAssembleAndPlan:
     def test_q_zero_drops_stage1(self):
-        (vb,) = assemble_variance(np.array([[1.0]]), np.array([[4.0]]), [2.5],
-                                  q=0.0, n=100)
-        assert vb.stage1_term == 0.0 and vb.total == 2.5
-        assert vb.se == pytest.approx(math.sqrt(2.5 / 100))
+        (s1,), (s2,) = assemble_variance(np.array([[1.0]]), np.array([[4.0]]), [2.5], q=0.0)
+        assert s1 == 0.0 and s1 + s2 == 2.5
+        assert math.sqrt((s1 + s2) / 100) == pytest.approx(math.sqrt(2.5 / 100))
 
     def test_zero_sigma_drops_stage1(self):
-        (vb,) = assemble_variance(np.array([[1.0]]), np.zeros((1, 1)), [2.5],
-                                  q=0.7, n=100)
-        assert vb.total == 2.5
+        (s1,), (s2,) = assemble_variance(np.array([[1.0]]), np.zeros((1, 1)), [2.5], q=0.7)
+        assert s1 + s2 == 2.5
 
     def test_total_is_sum(self):
-        (vb,) = assemble_variance(np.array([[1.0, 2.0]]),
-                                  np.eye(2), [0.5], q=0.5, n=10)
-        assert vb.stage1_term == pytest.approx(0.5 * 5.0)
-        assert vb.total == pytest.approx(3.0)
+        (s1,), (s2,) = assemble_variance(np.array([[1.0, 2.0]]), np.eye(2), [0.5], q=0.5)
+        assert s1 == pytest.approx(0.5 * 5.0)
+        assert s1 + s2 == pytest.approx(3.0)
 
     def test_q_opt_equal_components(self):
         plan = PlanInputs(t1=0.01, t2=1e-15, g=100, T=60, v1=2.0, v2=2.0)
@@ -431,26 +430,26 @@ class TestVarianceSurface:
     def test_single_point_grid(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 600, seed0=13)
         sigma = estimate_sigma(ws.W, ws.d_hat)
-        recs = surface(ws, [(0.5,)], [], sigma, q=1.0)
-        assert len(recs) == 1
-        assert list(recs[0].h) == [0.5]
-        assert recs[0].var["bf_cv"].total >= recs[0].var["bf_cv"].stage2_term
+        surf = surface(ws, [(0.5,)], [], sigma, q=1.0)
+        assert surf.h.tolist() == [[0.5]]
+        assert surf.total[0, BF_CV] >= surf.stage2[0, BF_CV]
 
     def test_k1_uses_plain_estimator(self):
         fam = ConjugateToy(y_obs=0.0)
         ch = [fam.sample_posterior(ChainSpec(h=(0.0,), length=500, seed=1))]
         W = build_log_weight_matrix(fam, [(0.0,)], ch)
         ws = Stage2Workspace(W, np.ones(1))
-        recs = surface(ws, [(0.3,), (0.6,)], [], np.zeros((0, 0)), q=0.5)
-        for rec in recs:
-            assert rec.var["bf_cv"].stage1_term == 0.0
-            assert rec.bf_cv == rec.bf
-            assert rec.var["bf_cv"] == rec.var["bf"]
+        surf = surface(ws, [(0.3,), (0.6,)], [], np.zeros((0, 0)), q=0.5)
+        assert surf.beta.shape == (2, 0)
+        assert np.all(surf.stage1[:, BF_CV] == 0.0)
+        assert np.array_equal(surf.bf_cv, surf.bf)
+        assert np.array_equal(surf.stage1[:, BF_CV], surf.stage1[:, BF])
+        assert np.array_equal(surf.stage2[:, BF_CV], surf.stage2[:, BF])
 
     def test_reported_se_zero_for_constant_function(self):
         # the f == 1 chain: v = 0 and rho = 0, so the pe se must be 0
         _, ws = toy_workspace([(0.0,), (1.0,)], 700, seed0=14)
         sigma = estimate_sigma(ws.W, ws.d_hat)
         f1 = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
-        recs = surface(ws, [(0.5,)], [f1], sigma, q=1.0)
-        assert recs[0].var["pe:one"].se == 0.0
+        surf = surface(ws, [(0.5,)], [f1], sigma, q=1.0)
+        assert surf.se[0, PE] == 0.0
