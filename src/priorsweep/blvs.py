@@ -29,8 +29,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidHyperparameterError, SingularDesignError
-from .families import ChainSpec, DensityFamily, FunctionOfTheta
+from .errors import ConfigError, InvalidHyperparameterError, SingularDesignError
+from .families import ChainSpec, DensityFamily
 
 logger = logging.getLogger(__name__)
 
@@ -100,29 +100,12 @@ class _LazyLogMarginals(dict):
 
 
 @dataclass
-class BlvsChain:
-    """The model of each draw, one row per draw: gamma[r, j] is True when
-    draw r includes predictor j.  (sigma, beta0, beta) are integrated out."""
-
-    gamma: np.ndarray      # bool, (n, q)
-
-    def __post_init__(self):
-        self.gamma = np.asarray(self.gamma, dtype=bool)
-        if self.gamma.ndim != 2:
-            raise ValueError("need an (n, q) gamma")
-
-    def __len__(self) -> int:
-        return self.gamma.shape[0]
-
-
-@dataclass
 class Dataset:
     """Transformed regression data: y and X are ready for analysis."""
 
     y: np.ndarray
     X: np.ndarray
     names: list[str]
-    log_mask: np.ndarray   # True where the log transform was applied
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -180,8 +163,7 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
 
     y = column(response_name)
     X = np.column_stack([column(c) for c in names])
-    log_mask = np.array([c not in binary for c in names])
-    return Dataset(y=y, X=X, names=names, log_mask=log_mask)
+    return Dataset(y=y, X=X, names=names)
 
 
 @dataclass
@@ -200,10 +182,11 @@ class BlvsFamily(DensityFamily):
               (1, lambda g: g > 0.0, "be positive"))
 
     def __init__(self, dataset: Dataset):
-        self.dataset = dataset
         self.m = dataset.m
         self.q = dataset.q
         self.names = list(dataset.names)
+        # the column of gamma of each inclusion indicator, by function name
+        self._inclusion = {f"inclusion:{nm}": j for j, nm in enumerate(self.names)}
         self._yc = dataset.y - dataset.y.mean()
         self._tss = float(self._yc @ self._yc)
         if self._tss == 0.0:
@@ -405,9 +388,10 @@ class BlvsFamily(DensityFamily):
         return len(self._rssr) if self._table is None else self._table.size
 
     # Gibbs sampler, the family's sampling method
-    def sample_chains(self, specs: Sequence[ChainSpec]) -> list[BlvsChain]:
+    def sample_chains(self, specs: Sequence[ChainSpec]) -> list[np.ndarray]:
         """Marginalized sweeps over gamma, one chain after another, each on
-        its own stream (_sweeps).
+        its own stream (_sweeps).  A chain is the (n, q) bool array of its
+        draws' models, True where draw r includes predictor j.
 
         Each sweep updates every gamma_i from its Bernoulli full conditional
         under the integrated likelihood, so each chain has the posterior of
@@ -419,8 +403,7 @@ class BlvsFamily(DensityFamily):
         for spec in specs:
             raw = b"".join(code.to_bytes(width, "little") for code in self._sweeps(spec))
             bits = np.frombuffer(raw, np.uint8).reshape(-1, width)
-            chains.append(BlvsChain(np.unpackbits(bits, axis=1, count=q, bitorder="little")
-                                    .view(bool)))
+            chains.append(np.unpackbits(bits, axis=1, count=q, bitorder="little").view(bool))
         return chains
 
     def _sweeps(self, spec: ChainSpec) -> list[int]:
@@ -475,11 +458,11 @@ class BlvsFamily(DensityFamily):
         return codes[burn_in:]
 
     # family contract
-    def weight_stats(self, chain: BlvsChain) -> BlvsStats:
+    def weight_stats(self, gamma: np.ndarray) -> BlvsStats:
         """Each draw's model size and 1 - R^2, read from the model table, or
         above TABLE_MAX_Q from the models the chains fitted (a model not
         fitted yet is fitted there)."""
-        packed = np.packbits(chain.gamma, axis=1, bitorder="little")
+        packed = np.packbits(gamma, axis=1, bitorder="little")
         table = self.model_table()
         if table is not None:
             rss_ratio = table[packed.astype(np.intp) @ (1 << 8 * np.arange(packed.shape[1]))]
@@ -487,7 +470,7 @@ class BlvsFamily(DensityFamily):
             models, which = np.unique(packed, axis=0, return_inverse=True)
             rss_ratio = np.array([self._fitted_rss_ratio(int.from_bytes(row, "little"))
                                   for row in map(bytes, models)])[which.ravel()]
-        return BlvsStats(q_gamma=chain.gamma.sum(axis=1), rss_ratio=rss_ratio)
+        return BlvsStats(q_gamma=gamma.sum(axis=1), rss_ratio=rss_ratio)
 
     def log_weights(self, h, stats: BlvsStats) -> np.ndarray:
         """log pi_w(gamma) + log m(y | gamma, g) of each draw, the
@@ -497,16 +480,31 @@ class BlvsFamily(DensityFamily):
         return stats.q_gamma * (math.log(w) - math.log1p(-w)) + self.q * math.log1p(-w) \
             + self._log_marginal(stats.q_gamma, stats.rss_ratio, g)
 
-    def concat_chains(self, chains: Sequence[BlvsChain]) -> BlvsChain:
-        return BlvsChain(np.concatenate([c.gamma for c in chains]))
+    def function_names(self, items):
+        """inclusion:<predictor>, the indicator gamma_j of the predictor,
+        and inclusion:*, one such name per predictor in their order."""
+        out = []
+        for item in items:
+            if item == "inclusion:*":
+                out.extend(self._inclusion)
+            elif item in self._inclusion:
+                out.append(item)
+            elif item.startswith("inclusion:"):
+                raise ConfigError(f"function {item!r}: unknown predictor "
+                                  f"{item.partition(':')[2]!r} "
+                                  f"(known: {', '.join(self.names)})")
+            else:
+                raise ConfigError(f"unknown function {item!r} for this model")
+        return out
 
-    def inclusion_function(self, name: str) -> FunctionOfTheta:
-        """Indicator f(theta) = gamma_i for the named predictor."""
-        j = self.names.index(name)
-        return FunctionOfTheta(
-            f"inclusion:{name}",
-            lambda chain: chain.gamma[:, j],
-        )
+    def function_rows(self, names, gamma):
+        return gamma[:, [self._inclusion[nm] for nm in names]].T.astype(float)
+
+    def exact(self, h1, grid, names):
+        # one pass of the enumeration over h1 and the grid, which keeps the grid's order
+        log_m, incl = self.enumeration().evaluate(np.vstack([h1, grid]))
+        bf = [math.exp(x - log_m[0]) for x in log_m[1:].tolist()]
+        return np.array(bf), incl[1:, [self._inclusion[nm] for nm in names]]
 
     def enumeration(self) -> "ModelEnumeration":
         if self._enumeration is None:

@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import sys
 import time
 from contextlib import contextmanager
@@ -25,7 +24,6 @@ from . import __version__
 from .blvs import BlvsFamily
 from .config import StudyConfig, load_config
 from .errors import ConfigError, PriorsweepError
-from .families import ConjugateToy
 from .ratio import RatioEstimate, build_log_weight_matrix, estimate_ratios
 from .surface import Stage2Workspace, surface
 from .validate import run_all
@@ -56,7 +54,7 @@ def _write_floats(path: Path, header, *columns) -> None:
 def _write_chain_csv(path: Path, family, chain) -> None:
     if isinstance(family, BlvsFamily):
         # each draw's model as a string of 0s and 1s, predictor 0 first
-        bits = (chain.gamma.astype(np.uint8) + ord("0")).view(f"S{family.q}")[:, 0]
+        bits = (chain.astype(np.uint8) + ord("0")).view(f"S{family.q}")[:, 0]
         _write_csv(path, ["sweep", "gamma"], enumerate(bits.astype(str).tolist()),
                    "%d,%s\r\n")
     else:
@@ -65,12 +63,11 @@ def _write_chain_csv(path: Path, family, chain) -> None:
 
 
 def _write_surface_csv(path: Path, cfg: StudyConfig, surf) -> None:
-    names = [f.name for f in cfg.functions]
     se = surf.se
     # each function's estimate next to its standard error
-    pe_se = np.stack([surf.pe, se[:, 2:]], axis=2).reshape(len(se), 2 * len(names))
+    pe_se = np.stack([surf.pe, se[:, 2:]], axis=2).reshape(len(se), 2 * len(cfg.functions))
     _write_floats(path, [*cfg.family.coord_names, "bf_hat", "bf_cv_hat", "se_bf", "se_bf_cv",
-                         *[col for nm in names for col in (f"pe_{nm}", f"se_pe_{nm}")],
+                         *[col for nm in cfg.functions for col in (f"pe_{nm}", f"se_pe_{nm}")],
                          "ess", "max_weight_share"],
                   surf.h, surf.bf, surf.bf_cv, se[:, :2], pe_se, surf.ess, surf.max_weight_share)
 
@@ -170,7 +167,8 @@ def cmd_run(cfg: StudyConfig, stage: str) -> Path:
         n, N = ws.n, est.N
         q = n / N
         with _timed(timings, "sweep_s"):
-            surf = surface(ws, cfg.grid, cfg.functions, est.sigma_hat, q)
+            F = cfg.family.function_rows(cfg.functions, ws.W.samples)
+            surf = surface(ws, cfg.grid, F, est.sigma_hat, q)
         timings["t2_s_per_term"] = timings["sweep_s"] / (len(cfg.grid) * n)
         manifest["sizes"] = {"N": int(N), "n": int(n), "q": q,
                              "k": len(cfg.skeleton), "grid": len(cfg.grid)}
@@ -192,25 +190,6 @@ def cmd_run(cfg: StudyConfig, stage: str) -> Path:
     return out
 
 
-def _exact_surface(cfg: StudyConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Exact Bayes factors (G,) and posterior expectations (G, J) on the
-    config grid."""
-    family = cfg.family
-    h1 = cfg.skeleton[0]
-    if isinstance(family, ConjugateToy):
-        bf = [family.exact_bf(h, h1) for h in cfg.grid]
-        pe = [[family.exact_pe(f.name, h) for f in cfg.functions] for h in cfg.grid]
-    elif isinstance(family, BlvsFamily):
-        # one pass over h1 and the grid, which keeps the grid's order
-        log_m, incl = family.enumeration().evaluate(np.vstack([h1, cfg.grid]))
-        bf = [math.exp(x - log_m[0]) for x in log_m[1:].tolist()]
-        pe = incl[1:, [family.names.index(f.name.split(":", 1)[1])
-                       for f in cfg.functions]]
-    else:
-        raise ConfigError("no exact oracle for this model kind")
-    return np.array(bf), np.array(pe).reshape(len(cfg.grid), len(cfg.functions))
-
-
 def _read_estimates(surface_path: Path, cfg: StudyConfig) -> dict[str, np.ndarray]:
     """The columns of a run's surface.csv that the oracle compares, by name,
     refused unless the file carries them all, the grid's row count and the
@@ -220,14 +199,21 @@ def _read_estimates(surface_path: Path, cfg: StudyConfig) -> dict[str, np.ndarra
         est_rows = list(reader)
     coord_names = cfg.family.coord_names
     needed = [*coord_names, "bf_hat", "bf_cv_hat", "se_bf_cv",
-              *[f"pe_{f.name}" for f in cfg.functions]]
+              *[f"pe_{nm}" for nm in cfg.functions]]
     missing = [col for col in needed if col not in (reader.fieldnames or ())]
     if missing:
         raise ConfigError(f"{surface_path} lacks columns {', '.join(missing)}")
     if len(est_rows) != len(cfg.grid):
         raise ConfigError(
             f"{surface_path} has {len(est_rows)} rows, expected {len(cfg.grid)}")
-    est = {col: np.array([float(row[col]) for row in est_rows]) for col in needed}
+    est = dict(zip(needed, np.empty((len(needed), len(est_rows)))))
+    for i, row in enumerate(est_rows):
+        try:
+            for col in needed:
+                est[col][i] = float(row[col])
+        except (TypeError, ValueError):
+            raise ConfigError(f"{surface_path}, row {i + 1}: not a number in "
+                              f"every column of the header") from None
     got = np.column_stack([est[col] for col in coord_names])
     bad = np.flatnonzero((np.abs(got - cfg.grid) > 1e-9).any(axis=1))
     if bad.size:
@@ -253,15 +239,14 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
         # the grid pass sums the models once per distinct g
         manifest["sizes"]["g_values"] = len({cfg.skeleton[0][1], *cfg.grid[:, 1].tolist()})
     with _timed(timings, "grid_s"):
-        exact_bf, exact_pe = _exact_surface(cfg)
+        exact_bf, exact_pe = cfg.family.exact(cfg.skeleton[0], cfg.grid, cfg.functions)
     manifest["sizes"]["grid"] = len(exact_bf)
     est = _read_estimates(surface_path, cfg) if surface_path.exists() else None
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    names = [f.name for f in cfg.functions]
     with _timed(timings, "write_s"):
         _write_floats(out / "oracle.csv", [*cfg.family.coord_names, "bf_exact",
-                                           *[f"pe_{nm}_exact" for nm in names]],
+                                           *[f"pe_{nm}_exact" for nm in cfg.functions]],
                       cfg.grid, exact_bf, exact_pe)
 
     report = {"grid_points": len(exact_bf)}
@@ -282,7 +267,7 @@ def cmd_oracle(cfg: StudyConfig, estimates_dir: Path | None) -> Path:
             report["z_bf_cv"] = None
         per_f = {nm: {"rmse": float(np.sqrt(np.mean((est[f"pe_{nm}"] - exact) ** 2))),
                       "max_abs_err": float(np.max(np.abs(est[f"pe_{nm}"] - exact)))}
-                 for nm, exact in zip(names, exact_pe.T)}
+                 for nm, exact in zip(cfg.functions, exact_pe.T)}
         if per_f:
             report["functions"] = per_f
     with _timed(timings, "write_s"), \
@@ -320,7 +305,8 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
     # plain estimator at a few representative grid points
     probe = cfg.grid[sorted({0, len(cfg.grid) // 2, len(cfg.grid) - 1})]
     t0 = time.perf_counter()
-    surf = surface(ws, probe, cfg.functions, est.sigma_hat, 1.0)
+    F = cfg.family.function_rows(cfg.functions, ws.W.samples)
+    surf = surface(ws, probe, F, est.sigma_hat, 1.0)
     t2 = (time.perf_counter() - t0) / (len(probe) * ws.n)
     pilots = [{"h": h, "v1": v1, "v2": v2} for h, v1, v2 in
               zip(surf.h.tolist(), surf.stage1[:, 0].tolist(), surf.stage2[:, 0].tolist())]

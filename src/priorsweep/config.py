@@ -16,7 +16,7 @@ import yaml
 
 from .blvs import BlvsFamily, ingest_csv
 from .errors import ConfigError, InvalidHyperparameterError
-from .families import ChainSpec, ConjugateToy, DensityFamily, FunctionOfTheta, toy_function
+from .families import ChainSpec, ConjugateToy, DensityFamily
 from .variance import MIN_SERIES_LENGTH
 
 STAGE1_SECTIONS = ("model", "skeleton", "stage1")
@@ -80,13 +80,12 @@ class StageConfig:
 @dataclass
 class StudyConfig:
     raw: dict
-    base_dir: Path
     family: DensityFamily
     skeleton: list[tuple]
     stage1: StageConfig
     stage2: StageConfig
     grid: np.ndarray              # (G, d), read-only
-    functions: list[FunctionOfTheta]
+    functions: list[str]          # the family's function names, inclusion:* expanded
     out_dir: Path
     save_chains: bool = False
 
@@ -126,26 +125,6 @@ def _build_family(model: dict, base_dir: Path) -> DensityFamily:
                              model.get("binary", []))
         return BlvsFamily(dataset)
     raise ConfigError(f"unknown model kind {kind!r}")
-
-
-def _build_functions(spec_list, family) -> list[FunctionOfTheta]:
-    if not all(isinstance(item, str) for item in spec_list):
-        raise ConfigError("functions: expected a list of function names")
-    out = []
-    for item in spec_list:
-        if isinstance(family, BlvsFamily) and item == "inclusion:*":
-            out.extend(family.inclusion_function(nm) for nm in family.names)
-        elif isinstance(family, BlvsFamily) and item.startswith("inclusion:"):
-            name = item.split(":", 1)[1]
-            if name not in family.names:
-                raise ConfigError(f"function {item!r}: unknown predictor {name!r} "
-                                  f"(known: {', '.join(family.names)})")
-            out.append(family.inclusion_function(name))
-        elif isinstance(family, ConjugateToy):
-            out.append(toy_function(item))
-        else:
-            raise ConfigError(f"unknown function {item!r} for this model")
-    return out
 
 
 def make_grid(grid_cfg, coord_names):
@@ -209,12 +188,15 @@ def load_config(path) -> StudyConfig:
         raise ConfigError(f"grid: {exc}") from None
     if not len(grid):
         raise ConfigError("grid has no points")
-    functions = _build_functions(raw.get("functions", []), family)
+    functions = raw.get("functions", [])
+    if not all(isinstance(item, str) for item in functions):
+        raise ConfigError("functions: expected a list of function names")
+    functions = family.function_names(functions)
     out_dir = Path(raw.get("out", "priorsweep-out"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir
     return StudyConfig(
-        raw=raw, base_dir=base_dir, family=family, skeleton=skeleton,
+        raw=raw, family=family, skeleton=skeleton,
         stage1=stage1, stage2=stage2, grid=grid, functions=functions,
         out_dir=out_dir,
         save_chains=raw.get("save_chains", False),

@@ -8,6 +8,10 @@ cached per-sample statistics so that sweeping a large hyperparameter grid
 never re-touches per-sample density code.  Weights are meaningful only
 through differences: implementations may add any function of the draw
 alone, since every estimator downstream consumes ratios nu_h / nu_{h'}.
+The functions f(theta) whose posterior expectations a run estimates are
+names, and only the family knows what a name means: it checks the names a
+config gives (function_names), evaluates them over the pooled draws
+(function_rows) and, where it can, gives their exact values (exact).
 """
 
 from __future__ import annotations
@@ -15,11 +19,11 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidHyperparameterError
+from .errors import ConfigError, InvalidHyperparameterError
 
 
 @dataclass(frozen=True)
@@ -47,24 +51,6 @@ def _as_coords(h) -> tuple[float, ...]:
     if not all(math.isfinite(c) for c in coords):
         raise InvalidHyperparameterError(f"non-finite hyperparameter {coords}")
     return coords
-
-
-@dataclass(frozen=True)
-class FunctionOfTheta:
-    """Named function f(theta) with a vectorized evaluator over a sample batch.
-
-    The moment condition required for the posterior-expectation CLT is the
-    caller's responsibility; indicators and other bounded f always satisfy it.
-    """
-
-    name: str
-    batch: Callable[[object], np.ndarray]
-
-    def __call__(self, samples) -> np.ndarray:
-        out = np.asarray(self.batch(samples), dtype=float)
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"function {self.name!r} returned non-finite values")
-        return out
 
 
 class DensityFamily(ABC):
@@ -111,9 +97,10 @@ class DensityFamily(ABC):
 
     @abstractmethod
     def sample_chains(self, specs: Sequence[ChainSpec]) -> list:
-        """The posterior sample paths of a stage, one per spec and in order;
-        a chain depends on its own spec alone, so identical specs give
-        identical paths."""
+        """The posterior sample paths of a stage, one per spec and in order,
+        each an array with one draw per row, so the chains of a stage pool
+        by np.concatenate; a chain depends on its own spec alone, so
+        identical specs give identical paths."""
 
     @abstractmethod
     def weight_stats(self, samples):
@@ -124,9 +111,23 @@ class DensityFamily(ABC):
         """log nu_h of every sample, from cached statistics, up to an
         additive function of the sample alone; -inf where nu_h = 0."""
 
-    def concat_chains(self, chains: Sequence):
-        """Pool per-chain sample containers into one batch."""
-        return np.concatenate([np.asarray(c, dtype=float) for c in chains])
+    def function_names(self, items: Sequence[str]) -> list[str]:
+        """The functions f(theta) a config names, one name per function in
+        the order of their rows; ConfigError names one this family lacks."""
+        if items:
+            raise ConfigError(f"unknown function {items[0]!r} for this model")
+        return []
+
+    def function_rows(self, names: Sequence[str], samples) -> np.ndarray:
+        """(J, n) float array: row j holds the function names[j] at each of
+        the n pooled samples (bounded f, as indicators, meet the CLT's moment
+        condition)."""
+        return np.empty((0, len(samples)))
+
+    def exact(self, h1, grid: np.ndarray, names: Sequence[str]):
+        """Exact Bayes factors B(h, h1) (G,) and posterior expectations of
+        the named functions (G, J) at the points of grid."""
+        raise ConfigError("no exact oracle for this model kind")
 
 
 class ConjugateToy(DensityFamily):
@@ -176,6 +177,11 @@ class ConjugateToy(DensityFamily):
         """Exact ratio of marginal likelihoods m_h / m_{h1}."""
         return math.exp(self.log_marginal(h) - self.log_marginal(h1))
 
+    def exact(self, h1, grid, names):
+        bf = [self.exact_bf(h, h1) for h in grid]
+        pe = [[self.exact_pe(nm, h) for nm in names] for h in grid]
+        return np.array(bf), np.array(pe).reshape(len(grid), len(names))
+
     def exact_pe(self, f_id: str, h) -> float:
         """Exact posterior expectation of f for f in {identity, square}."""
         mu = self.posterior_mean(h)
@@ -186,6 +192,17 @@ class ConjugateToy(DensityFamily):
         raise ValueError(f"unknown toy function {f_id!r}")
 
     # family contract
+    def function_names(self, items):
+        for item in items:
+            if item not in ("identity", "square"):
+                raise ConfigError(f"unknown toy function {item!r}")
+        return list(items)
+
+    def function_rows(self, names, samples):
+        s = np.asarray(samples, dtype=float)
+        return np.array([s if nm == "identity" else s**2 for nm in names]).reshape(
+            len(names), len(s))
+
     def sample_chains(self, specs: Sequence[ChainSpec]) -> list[np.ndarray]:
         return [self.sample_posterior(sp) for sp in specs]
 
@@ -218,11 +235,3 @@ class ConjugateToy(DensityFamily):
         (h,) = self.validate_h(h)
         return -0.5 * (stats - h) ** 2 / self.prior_sd**2
 
-
-def toy_function(f_id: str) -> FunctionOfTheta:
-    """Vectorized toy functions matching ``ConjugateToy.exact_pe`` ids."""
-    if f_id == "identity":
-        return FunctionOfTheta("identity", lambda s: np.asarray(s, dtype=float))
-    if f_id == "square":
-        return FunctionOfTheta("square", lambda s: np.asarray(s, dtype=float) ** 2)
-    raise ValueError(f"unknown toy function {f_id!r}")

@@ -74,7 +74,7 @@ def build_log_weight_matrix(family: DensityFamily, skeleton: Sequence,
     counts = np.array([len(c) for c in chains], dtype=np.int64)
     if np.any(counts == 0):
         raise ValueError("empty chain in stage input")
-    pooled = family.concat_chains(chains)
+    pooled = np.concatenate(chains)
     stats = family.weight_stats(pooled)
     logw = np.empty((len(hs), int(counts.sum())))
     for row, h in zip(logw, hs):
@@ -159,7 +159,11 @@ class RatioEstimate:
         if missing:
             raise ConfigError(f"{path} lacks fields {', '.join(missing)}; "
                               f"rerun stage 1")
-        return cls.from_dict(doc)
+        try:
+            return cls.from_dict(doc)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{path} holds a field of the wrong type ({exc}); "
+                              f"rerun stage 1") from None
 
 
 class Mixture:

@@ -21,7 +21,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateDesignWarning, SupportWarning
-from .families import FunctionOfTheta
 from .ratio import LogWeightMatrix, Mixture
 from .variance import assemble_variance, c_hat, lrv_diag, w_hat
 
@@ -41,7 +40,6 @@ class Stage2Workspace:
         if np.any(d_hat <= 0):
             raise ValueError("d_hat entries must be positive")
         self.W = W
-        self.family = W.family
         self.d_hat = d_hat
         a = W.proportions
         # log_den and the membership probabilities P_s = a_s nu_s / (d_s den)
@@ -77,7 +75,7 @@ class Stage2Workspace:
         shift 0 where nu_h vanishes on every pooled sample."""
         U = np.empty((len(points), self.n))
         for row, h in zip(U, points):
-            row[:] = self.family.log_weights(h, self.W.stats)
+            row[:] = self.W.family.log_weights(h, self.W.stats)
         U -= self.log_den
         shift = U.max(axis=1)
         shift[np.isneginf(shift)] = 0.0
@@ -98,17 +96,6 @@ class Stage2Workspace:
         return np.matmul(self._cv_map, U[..., None])[..., 0]
 
 
-def _function_rows(ws: Stage2Workspace, functions) -> np.ndarray:
-    """(J + 1, n) array: row j holds f_j at every pooled sample, the last 1."""
-    F1 = np.ones((len(functions) + 1, ws.n))
-    for row, f in zip(F1, functions):
-        vals = f(ws.W.samples)
-        if vals.shape != (ws.n,):
-            raise ValueError(f"function {f.name!r} returned wrong shape")
-        row[:] = vals
-    return F1
-
-
 class _Block(NamedTuple):
     """A block of grid points' terms and point estimates, one row per point."""
 
@@ -124,10 +111,11 @@ class _Block(NamedTuple):
 
 
 def _estimates(ws: Stage2Workspace, points, F1: np.ndarray) -> _Block:
-    """Every point estimate at a block of grid points.  The
-    posterior expectations of the rows of F1 (ones last) are ratios of sums
-    from one reduction over F1 u per point, so f == 1 gives exactly 1 and
-    0/1-valued f stays in [0, 1] exactly."""
+    """Every point estimate at a block of grid points.  F1 holds one row
+    per function, each f at every pooled sample, and a row of ones last.
+    The posterior expectations are ratios of sums from one reduction over
+    F1 u per point, so f == 1 gives exactly 1 and 0/1-valued f stays in
+    [0, 1] exactly."""
     U, shift = ws.terms(points)
     sums = np.array([np.sum(u * F1, axis=1) for u in U])
     u_sum = sums[:, -1]
@@ -172,9 +160,11 @@ class Surface(NamedTuple):
         return np.sqrt(self.total / self.n)
 
 
-def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
+def surface(ws: Stage2Workspace, grid, F: np.ndarray,
             sigma_hat: np.ndarray, q: float) -> Surface:
-    """Evaluate every estimator and its plug-in variance at every grid point.
+    """Evaluate every estimator and its plug-in variance at every grid point,
+    for the functions whose values at the pooled samples are the rows of the
+    (J, n) array F.
 
     The stage-1 terms are q vec' Sigma vec with vec = c, w or v, all 2 + J
     of a block's forms from one `assemble_variance` call.  The
@@ -188,9 +178,14 @@ def surface(ws: Stage2Workspace, grid, functions: list[FunctionOfTheta],
     (B, J + 2, m) series of a block is built on its own, with one Bartlett
     call and one product giving its share of v.
     """
-    F1 = _function_rows(ws, functions)
-    J = len(functions)
-    H = ws.family.validate_grid(grid)
+    F = np.asarray(F, dtype=float)
+    if F.ndim != 2 or F.shape[1] != ws.n:
+        raise ValueError(f"function rows have shape {F.shape}, need (J, {ws.n})")
+    if not np.isfinite(F).all():
+        raise ValueError("function rows hold non-finite values")
+    J = len(F)
+    F1 = np.vstack([F, np.ones((1, ws.n))])
+    H = ws.W.family.validate_grid(grid)
     G, K = len(H), ws.W.k - 1
     out = Surface(H, *(np.empty((G, *shape)) for shape in
                        ((), (), (K,), (J,), (), (), (2 + J,), (2 + J,))), n=ws.n)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
+from .families import ChainSpec, ConjugateToy
 from .ratio import Mixture, build_log_weight_matrix, estimate_d, estimate_ratios
-from .surface import Stage2Workspace, _estimates, _function_rows, surface
+from .surface import Stage2Workspace, _estimates, surface
 from .variance import PlanInputs, predicted_variance, q_opt
 
 # Suite sizes: draws per chain (V1, V4) or over all chains (V2), and the
@@ -78,7 +78,7 @@ def _v2_single_run(family, skeleton, h_star, f, lengths, seeds1, seeds2, q):
     est = estimate_ratios(W1)
     W2 = build_log_weight_matrix(family, skeleton, _chains(family, skeleton, lengths, seeds2))
     ws = Stage2Workspace(W2, est.d_hat)
-    surf = surface(ws, [h_star], [f], est.sigma_hat, q)
+    surf = surface(ws, [h_star], family.function_rows([f], W2.samples), est.sigma_hat, q)
     return (surf.bf[0], surf.bf_cv[0], surf.pe[0, 0]), surf.total[0], surf.se[0]
 
 
@@ -91,7 +91,7 @@ def suite_v2_variance_validation(variant: str = "iid", reps: int = V2_REPS,
     family = ConjugateToy(y_obs=0.0, sampler=variant)
     skeleton = [(0.0,), (1.0,), (2.0,)]
     h_star = (0.5,)
-    f = toy_function("identity")
+    f = "identity"
     k = len(skeleton)
     lengths = [V2_N_TOTAL // k + (1 if i < V2_N_TOTAL % k else 0) for i in range(k)]
     q = 1.0     # n = N by construction
@@ -99,7 +99,7 @@ def suite_v2_variance_validation(variant: str = "iid", reps: int = V2_REPS,
     truth = np.array([
         family.exact_bf(h_star, skeleton[0]),
         family.exact_bf(h_star, skeleton[0]),
-        family.exact_pe("identity", h_star),
+        family.exact_pe(f, h_star),
     ])
     ests = np.empty((reps, 3))
     totals = np.empty((reps, 3))
@@ -149,9 +149,8 @@ def suite_v3_exact_identities(master_seed: int = 3033) -> SuiteResult:
     W = build_log_weight_matrix(family, skeleton, chains)
     d_hat, _ = estimate_d(W)
     ws = Stage2Workspace(W, d_hat)
-    f_one = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
-    pe = _estimates(ws, [(h,) for h in np.linspace(-1.0, 2.5, 7)],
-                    _function_rows(ws, [f_one])).pe
+    # f == 1 above the ones row _estimates reads last
+    pe = _estimates(ws, [(h,) for h in np.linspace(-1.0, 2.5, 7)], np.ones((2, ws.n))).pe
     check("pe_hat(f==1) == 1 exactly", bool(np.all(pe == 1.0)))
 
     # bf_hat(h1) == 1 exactly when k = 1
@@ -159,10 +158,10 @@ def suite_v3_exact_identities(master_seed: int = 3033) -> SuiteResult:
     W1 = build_log_weight_matrix(family, skeleton[:1], chains1)
     ws1 = Stage2Workspace(W1, np.ones(1))
     check("bf_hat(h1) == 1 exactly (k=1)",
-          _estimates(ws1, skeleton[:1], _function_rows(ws1, ())).bf[0] == 1.0)
+          _estimates(ws1, skeleton[:1], np.ones((1, ws1.n))).bf[0] == 1.0)
 
     # stage-1 self-consistency: replaying bf_hat on stage-1 samples returns d_hat
-    bf = _estimates(ws, skeleton, _function_rows(ws, ())).bf
+    bf = _estimates(ws, skeleton, np.ones((1, ws.n))).bf
     resid = float(np.max(np.abs(bf - d_hat) / d_hat))
     check(f"self-consistency residual {resid:.2e} < 1e-8", resid < 1e-8)
 
@@ -231,7 +230,7 @@ def suite_v4_cv_reduction(reps: int = V4_REPS, master_seed: int = 4044) -> Suite
         W2 = build_log_weight_matrix(family, skeleton, chains2)
         ws = Stage2Workspace(W2, d_hat)
         # both estimators from one block call over the grid's terms
-        est = _estimates(ws, grid, _function_rows(ws, ()))
+        est = _estimates(ws, grid, np.ones((1, ws.n)))
         bf[rep], cv[rep] = est.bf, est.bf_cv
     wins = (cv.var(axis=0, ddof=1) <= bf.var(axis=0, ddof=1)).mean()
     floor = 0.80 - max(0.0, 0.05 * (math.sqrt(V4_REPS / reps) - 1.0))

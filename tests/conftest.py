@@ -15,7 +15,7 @@ def synthetic_dataset(m=40, q=5, seed=1234, strong=(0, 2), noise=0.7):
         beta[j] = 1.5
     y = 0.4 + X @ beta + rng.normal(scale=noise, size=m)
     names = [f"x{j}" for j in range(q)]
-    return Dataset(y=y, X=X, names=names, log_mask=np.zeros(q, dtype=bool))
+    return Dataset(y=y, X=X, names=names)
 
 
 @pytest.fixture(scope="session")

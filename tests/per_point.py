@@ -25,7 +25,7 @@ import numpy as np
 
 from priorsweep.errors import ConnectivityError
 from priorsweep.ratio import MAX_ITER, TOL, _check_curvature, _sandwich
-from priorsweep.surface import _estimates, _function_rows
+from priorsweep.surface import _estimates
 from priorsweep.variance import _lags
 
 
@@ -73,19 +73,20 @@ def spectral_lrv(series):
 
 def bf_hat(ws, h):
     """Importance-sampling Bayes-factor estimate B_hat(h, h_1, d_hat)."""
-    return float(_estimates(ws, [h], _function_rows(ws, ())).bf[0])
+    return float(_estimates(ws, [h], np.ones((1, ws.n))).bf[0])
 
 
 def bf_cv_hat(ws, h):
     """Control-variate-adjusted Bayes-factor estimate and its regression
     coefficients (on the Y scale)."""
-    est = _estimates(ws, [h], _function_rows(ws, ()))
+    est = _estimates(ws, [h], np.ones((1, ws.n)))
     return float(est.bf_cv[0]), est.beta[0]
 
 
 def pe_hat(ws, h, f):
-    """Posterior-expectation estimate of f at h (nan where nu_h vanishes)."""
-    return float(_estimates(ws, [h], _function_rows(ws, [f])).pe[0, 0])
+    """Posterior-expectation estimate at h of the function whose values at
+    the pooled samples are the row f (nan where nu_h vanishes)."""
+    return float(_estimates(ws, [h], np.vstack([f, np.ones(ws.n)])).pe[0, 0])
 
 
 def estimate_sigma(W, d_hat):
@@ -181,7 +182,7 @@ def estimate_d_softmax(W):
 
 def point_terms(ws, h):
     """The shifted importance terms u = Y e^-shift at one grid point."""
-    lognum = ws.family.log_weights(ws.family.validate_h(h), ws.W.stats)
+    lognum = ws.W.family.log_weights(ws.W.family.validate_h(h), ws.W.stats)
     t = np.asarray(lognum, dtype=float) - ws.log_den
     shift = float(np.max(t))
     if math.isinf(shift):
@@ -231,7 +232,7 @@ class PointRecord:
     bf: float
     bf_cv: float
     beta: np.ndarray
-    pe: dict[str, float]
+    pe: dict[int, float]
     var: dict[str, VarianceTerms]
     ess: float
     max_weight_share: float
@@ -243,12 +244,13 @@ def assemble_variance(vec, sigma_hat, stage2_term, q, n):
                          stage2_term=max(float(stage2_term), 0.0), n=n)
 
 
-def surface_by_point(ws, grid, functions, sigma_hat, q):
-    """Every record of `surface`, one grid point at a time."""
-    F = np.column_stack([f(ws.W.samples) for f in functions] or [np.empty((ws.n, 0))])
+def surface_by_point(ws, grid, F, sigma_hat, q):
+    """Every record of `surface`, one grid point at a time, for the
+    function rows F; a function's pe and var entries are keyed by its row."""
+    F = np.asarray(F, dtype=float).T
     records = []
     for h in grid:
-        h = ws.family.validate_h(h)
+        h = ws.W.family.validate_h(h)
         u, shift = point_terms(ws, h)
         scale = math.exp(shift)
         u_mean = float(u.mean())
@@ -267,14 +269,14 @@ def surface_by_point(ws, grid, functions, sigma_hat, q):
                "bf_cv": assemble_variance(w_hat(ws, c, beta), sigma_hat,
                                           lrv[1] * scale2, q, ws.n)}
         v = v_hat(ws, centred, u_sum)
-        for f, lrv_f, v_f in zip(functions, lrv[2:], v.T):
+        for j, (lrv_f, v_f) in enumerate(zip(lrv[2:], v.T)):
             rho = lrv_f / (u_mean * u_mean) if u_mean > 0.0 else math.nan
-            var[f"pe:{f.name}"] = assemble_variance(v_f, sigma_hat, rho, q, ws.n)
+            var[f"pe:{j}"] = assemble_variance(v_f, sigma_hat, rho, q, ws.n)
         with np.errstate(divide="ignore", invalid="ignore"):
             ess = float(np.float64(u_sum) ** 2 / (u @ u))
             share = float(np.float64(u.max()) / u_sum)
         records.append(PointRecord(
             h=h, bf=scale * u_mean, bf_cv=bf_cv, beta=beta,
-            pe={f.name: float(p) for f, p in zip(functions, pe)}, var=var,
+            pe={j: float(p) for j, p in enumerate(pe)}, var=var,
             ess=ess, max_weight_share=share))
     return records

@@ -168,7 +168,7 @@ class TestA3:
         for idx, (h, expected) in enumerate(TABLE_1.items()):
             chain = family.sample_chains([ChainSpec(h=h, length=10_000, burn_in=500,
                                                     seed=777 + idx)])[0]
-            incl = chain.gamma.astype(float)
+            incl = chain.astype(float)
             means = incl.mean(axis=0)
             worst_table = max(worst_table,
                               float(np.max(np.abs(means - np.array(expected)))))
@@ -189,8 +189,8 @@ class TestA4:
         _, est2, ws2 = refined_run
         q1 = ws1.n / est1.N
         q2 = ws2.n / est2.N
-        summary1 = _cv_variance_max(surface(ws1, GRID, [], est1.sigma_hat, q1))
-        summary2 = _cv_variance_max(surface(ws2, GRID, [], est2.sigma_hat, q2))
+        summary1 = _cv_variance_max(surface(ws1, GRID, np.empty((0, ws1.n)), est1.sigma_hat, q1))
+        summary2 = _cv_variance_max(surface(ws2, GRID, np.empty((0, ws2.n)), est2.sigma_hat, q2))
         ratio = summary1["max_total"] / summary2["max_total"]
         assert _report("A4 skeleton refinement variance ratio",
                        6.0 <= ratio <= 12.0,

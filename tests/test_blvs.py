@@ -14,7 +14,7 @@ from scipy.integrate import dblquad, quad
 from scipy.special import logsumexp
 
 from priorsweep import blvs
-from priorsweep.blvs import BlvsChain, BlvsFamily, Dataset, ModelEnumeration, ingest_csv
+from priorsweep.blvs import BlvsFamily, Dataset, ModelEnumeration, ingest_csv
 from priorsweep.config import load_config
 from priorsweep.errors import ConfigError, InvalidHyperparameterError, SingularDesignError
 from priorsweep.families import ChainSpec
@@ -29,7 +29,7 @@ class TestIngest:
     def test_uscrime_shape(self, uscrime_path):
         ds = ingest_csv(uscrime_path, "y", ["S"])
         assert ds.m == 47 and ds.q == 15
-        assert ds.names[1] == "S" and not ds.log_mask[1]
+        assert ds.names[1] == "S"
 
     def test_binary_column_passthrough(self, uscrime_path):
         ds = ingest_csv(uscrime_path, "y", ["S"])
@@ -66,7 +66,7 @@ class TestLogMarginal:
         m = 8
         X = rng.normal(size=(m, 2))
         y = 1.0 + 0.8 * X[:, 0] + rng.normal(scale=0.6, size=m)
-        ds = Dataset(y=y, X=X, names=["a", "b"], log_mask=np.zeros(2, bool))
+        ds = Dataset(y=y, X=X, names=["a", "b"])
         fam = BlvsFamily(ds)
         g = 6.0
         yc = y - y.mean()
@@ -119,8 +119,7 @@ class TestLogMarginal:
         rng = np.random.default_rng(3)
         X = rng.normal(size=(20, 2))
         X = np.column_stack([X, X[:, 0]])
-        ds = Dataset(y=rng.normal(size=20), X=X, names=["a", "b", "a2"],
-                     log_mask=np.zeros(3, bool))
+        ds = Dataset(y=rng.normal(size=20), X=X, names=["a", "b", "a2"])
         fam = BlvsFamily(ds)
         with pytest.raises(SingularDesignError):
             fam.log_marginal_of_model(np.array([True, False, True]), 5.0)
@@ -128,8 +127,7 @@ class TestLogMarginal:
     def test_model_too_large(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(4, 3))
-        ds = Dataset(y=rng.normal(size=4), X=X, names=list("abc"),
-                     log_mask=np.zeros(3, bool))
+        ds = Dataset(y=rng.normal(size=4), X=X, names=list("abc"))
         fam = BlvsFamily(ds)
         with pytest.raises(SingularDesignError, match="too large"):
             fam.log_marginal_of_model(np.ones(3, bool), 5.0)
@@ -211,8 +209,7 @@ class TestEnumeration:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 26))
         ds = Dataset(y=rng.normal(size=40), X=X,
-                     names=[f"c{i}" for i in range(26)],
-                     log_mask=np.zeros(26, bool))
+                     names=[f"c{i}" for i in range(26)])
         with pytest.raises(ValueError, match="q <= 25"):
             ModelEnumeration(BlvsFamily(ds))
 
@@ -285,8 +282,7 @@ def duplicate_column_family():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(20, 2))
     X = np.column_stack([X, X[:, 0]])
-    ds = Dataset(y=rng.normal(size=20), X=X, names=["a", "b", "a2"],
-                 log_mask=np.zeros(3, bool))
+    ds = Dataset(y=rng.normal(size=20), X=X, names=["a", "b", "a2"])
     return BlvsFamily(ds)
 
 
@@ -295,19 +291,22 @@ def collinear_family(q=10):
     both is singular, and most blocks of the table build hold one."""
     ds = synthetic_dataset(m=40, q=q - 1, seed=6, strong=(0, 1))
     ds = Dataset(y=ds.y, X=np.column_stack([ds.X, ds.X[:, 0]]),
-                 names=ds.names + [f"x{q - 1}"], log_mask=np.zeros(q, bool))
+                 names=ds.names + [f"x{q - 1}"])
     return BlvsFamily(ds)
 
 
 class TestBlvsChain:
-    def test_valid_chain(self):
-        chain = BlvsChain(gamma=np.array([[True, False, True], [False, False, False]]))
-        assert len(chain) == 2 and chain.gamma.dtype == bool
-
-    def test_rejects_mismatched_shapes(self):
-        for gamma in (np.ones(3, bool), np.ones((2, 3, 1), bool)):
-            with pytest.raises(ValueError, match=r"\(n, q\) gamma"):
-                BlvsChain(gamma=gamma)
+    def test_valid_chain(self, small_family):
+        # a chain is the (n, q) bool array of its draws' models, and the
+        # chains of a stage pool by np.concatenate
+        specs = [ChainSpec(h=(0.4, 10.0), length=30, seed=1),
+                 ChainSpec(h=(0.6, 50.0), length=20, burn_in=5, seed=2)]
+        chains = small_family.sample_chains(specs)
+        assert [c.shape for c in chains] == [(30, 5), (20, 5)]
+        assert all(c.dtype == bool for c in chains)
+        W = build_log_weight_matrix(small_family, [sp.h for sp in specs], chains)
+        assert np.array_equal(W.samples, np.vstack(chains))
+        assert np.array_equal(W.stats.q_gamma, W.samples.sum(axis=1))
 
 
 def random_chain(fam, rng, n):
@@ -315,7 +314,37 @@ def random_chain(fam, rng, n):
     gamma = np.zeros((n, fam.q), dtype=bool)
     for row, size in zip(gamma, rng.integers(0, fam.q + 1, n)):
         row[rng.choice(fam.q, size=size, replace=False)] = True
-    return BlvsChain(gamma)
+    return gamma
+
+
+class TestInclusionFunctions:
+    def test_rows_are_gamma_in_predictor_order(self, small_family):
+        chain = random_chain(small_family, np.random.default_rng(4), 30)
+        names = small_family.function_names(["inclusion:*"])
+        assert names == [f"inclusion:{nm}" for nm in small_family.names]
+        rows = small_family.function_rows(names, chain)
+        assert rows.dtype == float and np.array_equal(rows, chain.T.astype(float))
+        # named indicators, in the order named
+        picked = small_family.function_names(["inclusion:x3", "inclusion:*", "inclusion:x0"])
+        assert picked == ["inclusion:x3", *names, "inclusion:x0"]
+        np.testing.assert_array_equal(small_family.function_rows(picked, chain),
+                                      chain[:, [3, 0, 1, 2, 3, 4, 0]].T)
+        assert small_family.function_rows([], chain).shape == (0, 30)
+
+    def test_unknown_names_refused(self, small_family):
+        with pytest.raises(ConfigError, match=r"^function 'inclusion:zz': unknown "
+                                              r"predictor 'zz' \(known: x0, x1, x2, x3, x4\)$"):
+            small_family.function_names(["inclusion:x1", "inclusion:zz"])
+        with pytest.raises(ConfigError, match="^unknown function 'identity' for this model$"):
+            small_family.function_names(["identity"])
+
+    def test_exact_values_by_name(self, small_family):
+        h1, grid = (0.5, 20.0), np.array([[0.3, 10.0], [0.6, 50.0], [0.8, 5.0]])
+        bf, pe = small_family.exact(h1, grid, ["inclusion:x4", "inclusion:x1"])
+        log_m, incl = small_family.enumeration().evaluate(np.vstack([h1, grid]))
+        np.testing.assert_allclose(bf, np.exp(log_m[1:] - log_m[0]), rtol=1e-14)
+        assert np.array_equal(pe, incl[1:, [4, 1]])
+        assert small_family.exact(h1, grid, [])[1].shape == (3, 0)
 
 
 def log_prior_and_marginal(fam, gamma, h):
@@ -348,7 +377,7 @@ class TestPriorWeight:
         h1, h2 = (0.35, 4.0), (0.7, 19.0)
         stats = fam.weight_stats(chain)
         got = fam.log_weights(h1, stats) - fam.log_weights(h2, stats)
-        for gamma, diff in zip(chain.gamma, got):
+        for gamma, diff in zip(chain, got):
             qg = int(gamma.sum())
             want = qg * math.log(h1[0] / h2[0]) \
                 + (fam.q - qg) * math.log((1 - h1[0]) / (1 - h2[0])) \
@@ -363,7 +392,7 @@ class TestPriorWeight:
 
     def test_empty_model_reduces_to_bernoulli(self, small_family):
         # the null model's log marginal is 0 at every g
-        stats = small_family.weight_stats(BlvsChain(np.zeros((1, 5), bool)))
+        stats = small_family.weight_stats(np.zeros((1, 5), bool))
         h1, h2 = (0.2, 5.0), (0.8, 50.0)
         got = small_family.log_weights(h1, stats) - small_family.log_weights(h2, stats)
         want = 5 * math.log((1 - h1[0]) / (1 - h2[0]))
@@ -389,13 +418,12 @@ class TestPriorWeight:
             fitted = fam.models_fitted
             assert fam.weight_stats(sampled).rss_ratio.shape == (30,)
             assert fam.models_fitted == fitted     # every sampled model was fitted
-            chain = fam.concat_chains([random_chain(fam, rng, 40), sampled,
-                                       BlvsChain(np.zeros((1, fam.q), bool)),
-                                       BlvsChain(np.ones((1, fam.q), bool))])
+            chain = np.concatenate([random_chain(fam, rng, 40), sampled,
+                                    np.zeros((1, fam.q), bool), np.ones((1, fam.q), bool)])
             stats = fam.weight_stats(chain)
             assert (fam._table is None) == (fam.q > blvs.TABLE_MAX_Q)
             for h in points:
-                want = [log_prior_and_marginal(fam, gamma, h) for gamma in chain.gamma]
+                want = [log_prior_and_marginal(fam, gamma, h) for gamma in chain]
                 np.testing.assert_allclose(fam.log_weights(h, stats), want, rtol=1e-12, atol=0)
 
     def test_domain_checks(self, small_family):
@@ -453,7 +481,7 @@ class TestGibbs:
         fam = small_family
         h = (0.5, 16.0)
         chain = fam.sample_chains([ChainSpec(h=h, length=6000, burn_in=300, seed=42)])[0]
-        incl = chain.gamma.astype(float)
+        incl = chain.astype(float)
         want = fam.enumeration().evaluate([h])[1][0]
         for j in range(fam.q):
             se = math.sqrt(max(spectral_lrv(incl[:, j]), 1e-12) / len(chain))
@@ -463,13 +491,13 @@ class TestGibbs:
     def test_w_near_one_absorbs(self, small_family):
         chain = small_family.sample_chains([
             ChainSpec(h=(1 - 1e-12, 5.0), length=50, burn_in=50, seed=7)])[0]
-        assert chain.gamma.all()
+        assert chain.all()
 
     def test_determinism(self, small_family):
         spec = ChainSpec(h=(0.5, 10.0), length=50, seed=11)
         c1 = small_family.sample_chains([spec])[0]
         c2 = small_family.sample_chains([spec])[0]
-        assert len(c1) == 50 and np.array_equal(c1.gamma, c2.gamma)
+        assert len(c1) == 50 and np.array_equal(c1, c2)
 
     def test_exact_fit_chain(self):
         # y is exactly 0.4 + 1.5 x0 + 1.5 x1 (the exact_fit data of
@@ -478,8 +506,8 @@ class TestGibbs:
         # vector (a bordered factor alone would leave about 1e-16)
         fam = BlvsFamily(synthetic_dataset(m=30, q=10, seed=17, strong=(0, 1), noise=0.0))
         chain = fam.sample_chains([ChainSpec(h=(0.5, 10.0), length=50, burn_in=10, seed=4)])[0]
-        assert chain.gamma[:, :2].all()
-        codes = {sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma}
+        assert chain[:, :2].all()
+        codes = {sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain}
         assert len(codes) > 1
         table = fam.model_table()
         assert all(table[code] < 1e-20 for code in codes)
@@ -493,7 +521,7 @@ class TestGibbs:
                 29725, 21781, 21933, 21837, 7949, 13327, 6157, 5261, 24015, 5775]
         chain = crime_family().sample_chains([
             ChainSpec(h=(0.6, 50.0), length=40, burn_in=10, seed=2024)])[0]
-        assert [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma] == want
+        assert [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain] == want
 
     @pytest.mark.parametrize("h", [(0.5, 15.0), (0.05, 225.0), (1 - 1e-9, 4.0)])
     def test_logit_thresholds_match_expit_per_coordinate(self, h):
@@ -502,7 +530,7 @@ class TestGibbs:
         fam = crime_family()
         spec = ChainSpec(h=h, length=2000, burn_in=100, seed=8)
         chain = fam.sample_chains([spec])[0]
-        assert [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain.gamma] \
+        assert [sum(1 << int(j) for j in np.flatnonzero(row)) for row in chain] \
             == expit_sweeps(fam, spec)
 
     def test_uniform_block_size_does_not_change_the_chain(self, monkeypatch):
@@ -518,7 +546,7 @@ class TestGibbs:
         b, n = 25, 40
         short = fam.sample_chains([ChainSpec(h=(0.6, 50.0), length=n, burn_in=b, seed=3)])[0]
         full = fam.sample_chains([ChainSpec(h=(0.6, 50.0), length=b + n, seed=3)])[0]
-        assert np.array_equal(short.gamma, full.gamma[b:])
+        assert np.array_equal(short, full[b:])
 
 
 def expit_sweeps(fam, spec):
@@ -549,7 +577,7 @@ def expit_sweeps(fam, spec):
 
 
 def chain_values(chain):
-    return chain.gamma.tobytes()
+    return chain.tobytes()
 
 
 def table_paths(monkeypatch):
@@ -581,7 +609,7 @@ def small_designs(draw):
     y = 0.4 + X @ rng.normal(size=q)
     if not draw(st.booleans()):     # noise, unless the fit is exact
         y = y + rng.normal(scale=0.5, size=m)
-    return Dataset(y=y, X=X, names=[f"x{j}" for j in range(q)], log_mask=np.zeros(q, bool))
+    return Dataset(y=y, X=X, names=[f"x{j}" for j in range(q)])
 
 
 class TestModelTable:
@@ -636,7 +664,7 @@ class TestModelTable:
         # model codes are Python integers, so q may exceed 63
         fam = BlvsFamily(synthetic_dataset(m=80, q=70, seed=6, strong=(0, 69)))
         chain = fam.sample_chains([ChainSpec(h=(0.05, 20.0), length=15, burn_in=5, seed=1)])[0]
-        assert chain.gamma[:, 69].any()
+        assert chain[:, 69].any()
         assert fam._table is None and max(fam._rssr) >= 1 << 63
 
     def test_too_large_models_hold_nan(self):
@@ -769,7 +797,7 @@ class TestModelTable:
                                 if "singular candidate" in r.getMessage()]
                     assert len(singular) == 1, path
                     assert [sum(1 << j for j in np.flatnonzero(row))
-                            for row in chain.gamma] == codes
+                            for row in chain] == codes
             # columns a and a2: NaN in the table's store, and stored by the
             # lazy one when a chain first read it
             store = fam._log_marginal_store(10.0)
@@ -837,7 +865,8 @@ class TestGridValidation:
         chains = small_family.sample_chains([ChainSpec(h=skeleton[0], length=20, seed=3)])
         ws = Stage2Workspace(build_log_weight_matrix(small_family, skeleton, chains), np.ones(1))
         with pytest.raises(InvalidHyperparameterError) as exc:
-            surface(ws, [(0.5, 15.0), bad, (1.5, -3.0)], [], np.zeros((0, 0)), q=0.5)
+            surface(ws, [(0.5, 15.0), bad, (1.5, -3.0)], np.empty((0, ws.n)), np.zeros((0, 0)),
+                    q=0.5)
         assert str(exc.value) == first_bad_message(small_family, bad)
 
     @pytest.mark.parametrize("bad", BAD_POINTS)

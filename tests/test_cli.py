@@ -146,7 +146,10 @@ class TestRun:
         (lambda doc: doc.pop("solver"), "lacks fields solver.iterations"),
         (lambda doc: doc.update(schema_version=99), "unsupported schema_version 99"),
         (lambda doc: doc.update(schema_version=2), "unsupported schema_version 2"),
-    ], ids=["no-d_hat", "no-counts", "no-solver", "schema-99", "schema-2"])
+        (lambda doc: doc.update(skeleton=5), "ratio.json holds a field of the wrong type"),
+        (lambda doc: doc.update(N=None), "ratio.json holds a field of the wrong type"),
+    ], ids=["no-d_hat", "no-counts", "no-solver", "schema-99", "schema-2",
+            "skeleton-a-number", "N-null"])
     def test_stage2_refuses_malformed_ratio_json(self, toy_config, tmp_path, capsys,
                                                  edit, message):
         out = tmp_path / "out"
@@ -205,7 +208,7 @@ class TestRun:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(chain)
         for i, row in enumerate(rows):
-            gamma = chain.gamma[i]
+            gamma = chain[i]
             assert int(row["sweep"]) == i
             assert row["gamma"] == "".join("1" if g else "0" for g in gamma)
         assert list(rows[0]) == ["sweep", "gamma"]
@@ -260,7 +263,7 @@ class TestWriters:
                     surf.ess[7:8], surf.max_weight_share[7:8]):
             col[...] = math.nan
         cfg = SimpleNamespace(family=SimpleNamespace(coord_names=("w", "g")),
-                              functions=[SimpleNamespace(name=nm) for nm in "abc"[:J]])
+                              functions=list("abc"[:J]))
         return cfg, surf
 
     def test_surface_csv_bytes_and_values(self, tmp_path):
@@ -330,6 +333,22 @@ class TestOracle:
         assert "pe_square" in err and "pe_identity" not in err
         assert not (tmp_path / "oracle" / "comparison.json").exists()
         assert not (tmp_path / "oracle" / "oracle.csv").exists()
+
+    @pytest.mark.parametrize("edit", [
+        lambda line: ",".join(line.split(",")[:3]),              # fields short
+        lambda line: line.replace(line.split(",")[2], "abc", 1),  # bf_hat not a number
+    ], ids=["short-row", "non-numeric-cell"])
+    def test_estimates_with_a_malformed_row_exit_2(self, toy_config, tmp_path, capsys, edit):
+        # refused naming the file and the row, before anything is written
+        assert main(["run", "--config", str(toy_config), "--out", str(tmp_path / "run")]) == 0
+        path = tmp_path / "run" / "surface.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = edit(lines[4])
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["oracle", "--config", str(toy_config), "--out", str(tmp_path / "oracle"),
+                     "--estimates", str(tmp_path / "run")]) == 2
+        assert f"{path}, row 4: not a number" in capsys.readouterr().err
+        assert not (tmp_path / "oracle").exists()
 
     def test_estimates_dir_without_surface_exit_2(self, toy_config, tmp_path, capsys):
         # an explicit --estimates must hold a surface.csv; out_dir need not
@@ -465,14 +484,17 @@ class TestPlan:
         seen = []
         real = cli.surface
 
-        def spy(ws, grid, functions, sigma_hat, q):
-            seen.append([f.name for f in functions])
-            return real(ws, grid, functions, sigma_hat, q)
+        def spy(ws, grid, F, sigma_hat, q):
+            seen.append((F, ws.W.samples))
+            return real(ws, grid, F, sigma_hat, q)
 
         monkeypatch.setattr(cli, "surface", spy)
         assert main(["plan", "--config", str(toy_config), "--budget", "60",
                      "--pilot-length", "100"]) == 0
-        assert seen == [[f.name for f in load_config(toy_config).functions]] == [["identity"]]
+        assert load_config(toy_config).functions == ["identity"]
+        # one sweep, on the row of the identity at the pilot's pooled samples
+        [(F, samples)] = seen
+        assert F.shape == (1, len(samples)) and np.array_equal(F[0], samples)
 
 
 class TestValidateCommand:

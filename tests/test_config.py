@@ -112,7 +112,7 @@ class TestLoadConfig:
         cfg = load_config(p)
         assert len(cfg.skeleton) == 2
         assert len(cfg.grid) == 11
-        assert [f.name for f in cfg.functions] == ["identity"]
+        assert cfg.functions == ["identity"]
         assert cfg.out_dir == tmp_path / "run-out"
         assert len(cfg.config_hash) == 64
 
@@ -120,6 +120,14 @@ class TestLoadConfig:
         p = tmp_path / "study.yaml"
         write_toy_config(p, seed1=7, seed2=7)
         with pytest.raises(ConfigError, match="seeds must differ"):
+            load_config(p)
+
+    def test_unknown_toy_function_rejected(self, tmp_path):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        raw["functions"] = ["square", "cube"]
+        p.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError, match="^unknown toy function 'cube'$"):
             load_config(p)
 
     def test_empty_skeleton_rejected(self, tmp_path):
@@ -144,7 +152,8 @@ class TestLoadConfig:
         p.write_text(yaml.safe_dump(cfg))
         study = load_config(p)
         assert len(study.functions) == 15
-        assert study.functions[0].name == "inclusion:Age"
+        assert study.functions == [f"inclusion:{nm}" for nm in study.family.names]
+        assert study.functions[0] == "inclusion:Age"
         # the model table is built by the commands that sample, not at load
         assert study.family._table is None
 
@@ -225,12 +234,14 @@ class TestLoadConfig:
          "grid axis 'w': need min, max and step"),
         ("functions", [1], "functions: expected a list of function names"),
         ("functions", "inclusion:*", "functions must be a list, got str"),
+        ("functions", ["inclusion:*", "identity"], "unknown function 'identity' for this model"),
         ("skeleton", 5, "skeleton must be a list, got int"),
         ("grid", {"points": [0.5, 0.6]}, "grid: points must be a list of coordinate lists"),
         ("stage1", {"length": 300.9, "burn_in": 50, "seed": 202011},
          "stage1: length must be an integer, got 300.9"),
     ], ids=["axis-without-step", "function-not-a-string", "functions-a-string",
-            "skeleton-an-int", "points-not-lists", "fractional-length"])
+            "function-of-another-model", "skeleton-an-int", "points-not-lists",
+            "fractional-length"])
     def test_malformed_section_rejected(self, tmp_path, capsys, uscrime_path,
                                         section, value, message):
         root = Path(__file__).resolve().parent.parent

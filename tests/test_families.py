@@ -6,8 +6,8 @@ from scipy.integrate import quad
 from scipy.signal import lfilter
 from scipy.stats import norm
 
-from priorsweep.errors import InvalidHyperparameterError
-from priorsweep.families import ChainSpec, ConjugateToy, DensityFamily, toy_function
+from priorsweep.errors import ConfigError, InvalidHyperparameterError
+from priorsweep.families import ChainSpec, ConjugateToy, DensityFamily
 from priorsweep.ratio import build_log_weight_matrix, estimate_ratios
 from priorsweep.surface import Stage2Workspace, surface
 
@@ -193,13 +193,17 @@ class TestSampling:
 
 
 def test_toy_function_vectorization():
-    ident = toy_function("identity")
-    sq = toy_function("square")
+    # the rows of identity and square over a sample are s and s**2, in the
+    # order the names come
+    fam = ConjugateToy(y_obs=0.0)
     xs = np.array([1.0, -2.0, 0.5])
-    np.testing.assert_array_equal(ident(xs), xs)
-    np.testing.assert_array_equal(sq(xs), xs**2)
-    with pytest.raises(ValueError):
-        toy_function("cube")
+    assert fam.function_names(["square", "identity"]) == ["square", "identity"]
+    rows = fam.function_rows(["identity", "square", "identity"], xs)
+    assert rows.dtype == float
+    np.testing.assert_array_equal(rows, [xs, xs**2, xs])
+    assert fam.function_rows([], xs).shape == (0, 3)
+    with pytest.raises(ConfigError, match="unknown toy function 'cube'"):
+        fam.function_names(["identity", "cube"])
 
 
 class MinimalFamily(DensityFamily):
@@ -223,7 +227,6 @@ def test_three_method_family_runs_both_stages():
     # the same draws and weights as the toy, so the same surface bit for bit
     skeleton = [(0.0,), (1.0,), (2.0,)]
     grid = [(h,) for h in np.linspace(-0.5, 2.5, 7)]
-    f = toy_function("identity")
     surfaces = []
     for fam in (MinimalFamily(), ConjugateToy(y_obs=0.0)):
         specs1 = [ChainSpec(h=h, length=2000, seed=10 + i) for i, h in enumerate(skeleton)]
@@ -231,10 +234,32 @@ def test_three_method_family_runs_both_stages():
         est = estimate_ratios(build_log_weight_matrix(fam, skeleton, fam.sample_chains(specs1)))
         ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, fam.sample_chains(specs2)),
                              est.d_hat)
-        surfaces.append(surface(ws, grid, [f], est.sigma_hat, q=0.25))
+        F = ConjugateToy(y_obs=0.0).function_rows(["identity"], ws.W.samples)
+        surfaces.append(surface(ws, grid, F, est.sigma_hat, q=0.25))
     got, want = surfaces
     for col in ("h", "bf", "bf_cv", "pe", "stage1", "stage2"):
         assert np.array_equal(getattr(got, col), getattr(want, col))
     toy = ConjugateToy(y_obs=0.0)
     exact = np.array([toy.exact_bf(h, skeleton[0]) for h in grid])
     assert np.all(np.abs(got.bf_cv - exact) < 4.0 * got.se[:, 1])
+
+
+def test_a_family_without_functions_or_oracle():
+    # the defaults of the contract: no function names, no rows, no oracle
+    fam = MinimalFamily()
+    assert fam.function_names([]) == []
+    with pytest.raises(ConfigError, match="unknown function 'identity' for this model"):
+        fam.function_names(["identity"])
+    assert fam.function_rows([], np.zeros(5)).shape == (0, 5)
+    with pytest.raises(ConfigError, match="no exact oracle for this model kind"):
+        fam.exact((0.0,), np.zeros((3, 1)), [])
+
+
+def test_toy_exact_values_by_name():
+    fam = ConjugateToy(y_obs=0.4)
+    grid = np.array([[-0.5], [0.0], [1.5]])
+    bf, pe = fam.exact((0.0,), grid, ["square", "identity"])
+    assert bf.tolist() == [fam.exact_bf(h, (0.0,)) for h in grid]
+    assert pe.tolist() == [[fam.exact_pe("square", h), fam.exact_pe("identity", h)]
+                           for h in grid]
+    assert fam.exact((0.0,), grid, [])[1].shape == (3, 0)

@@ -8,7 +8,7 @@ from scipy.special import logsumexp
 import priorsweep.surface as surface_module
 from priorsweep.errors import (DegenerateDesignWarning, SupportViolationError,
                                SupportWarning)
-from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
+from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import LogWeightMatrix, build_log_weight_matrix, estimate_d
 from priorsweep.surface import _RANK_RTOL, Stage2Workspace, surface
 
@@ -62,7 +62,7 @@ class TestWorkspace:
         assert calls["stats"] == 1
         ws = Stage2Workspace(W, d)
         surf = surface(ws, [(h,) for h in np.linspace(-0.5, 2.5, 40)],
-                       [toy_function("identity")], np.zeros((1, 1)), q=0.0)
+                       W.samples[None], np.zeros((1, 1)), q=0.0)
         assert surf.h.shape == (40, 1)
         assert calls["stats"] == 1
 
@@ -112,7 +112,7 @@ class TestBfHat:
         truth = fam.exact_bf((0.5,), (0.0,))
         reps = [bf_hat(ws, (0.5,))]
         # plug-in se from the surface pass
-        tau_sq = surface(ws, [(0.5,)], [], np.zeros((1, 1)), q=0.0).stage2[0, 0]
+        tau_sq = surface(ws, [(0.5,)], no_rows(ws), np.zeros((1, 1)), q=0.0).stage2[0, 0]
         se = math.sqrt(tau_sq / ws.n) * 3  # stage-2 only; d is near-exact here
         assert abs(reps[0] - truth) < 3 * max(se, 0.005)
 
@@ -131,7 +131,7 @@ class TestBfHat:
         with pytest.warns(SupportWarning):
             assert bf_hat(ws, (9.5,)) == 0.0
         with pytest.warns(SupportWarning):
-            assert math.isnan(pe_hat(ws, (9.5,), toy_function("identity")))
+            assert math.isnan(pe_hat(ws, (9.5,), W.samples))
 
 
 class TestControlVariates:
@@ -209,48 +209,45 @@ class TestControlVariates:
 class TestPeHat:
     def test_constant_function_exactly_one(self):
         _, _, _, ws = two_stage([(0.0,), (1.0,)], 700, 700, seed0=23)
-        f1 = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
+        f1 = np.ones(ws.n)
         for h in np.linspace(-1, 3, 9):
             assert pe_hat(ws, (h,), f1) == 1.0
 
     def test_indicator_range_exact(self):
         _, _, _, ws = two_stage([(0.0,), (1.0,)], 900, 900, seed0=29)
-        ind = FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0).astype(float))
+        ind = (ws.W.samples > 0).astype(float)
         for h in np.linspace(-2, 3, 21):
             v = pe_hat(ws, (h,), ind)
             assert 0.0 <= v <= 1.0
 
     def test_signed_function_against_direct_sum(self):
         _, _, _, ws = two_stage([(0.0,), (1.0,)], 800, 800, seed0=31)
-        f = FunctionOfTheta("signed", lambda s: np.sin(np.asarray(s)))
+        fv = np.sin(ws.W.samples)
         h = (0.7,)
         u, _ = point_terms(ws, h)
-        fv = np.sin(np.asarray(ws.W.samples))
         want = float((fv * u).sum() / u.sum())
-        assert pe_hat(ws, h, f) == pytest.approx(want, rel=1e-13)
+        assert pe_hat(ws, h, fv) == pytest.approx(want, rel=1e-13)
 
     def test_toy_posterior_mean_recovered(self):
         fam, _, _, ws = two_stage([(0.0,), (1.0,)], 20000, 20000, seed0=37)
-        got = pe_hat(ws, (1.0,), toy_function("identity"))
+        got = pe_hat(ws, (1.0,), fam.function_rows(["identity"], ws.W.samples)[0])
         assert got == pytest.approx(fam.exact_pe("identity", (1.0,)), abs=0.01)
 
 
 class TestSurfaceSweep:
-    def _assert_one_path(self, ws, grid, functions):
-        surf = surface(ws, grid, functions, np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)
+    def _assert_one_path(self, ws, grid, F):
+        surf = surface(ws, grid, F, np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)
         for i, h in enumerate(grid):
             assert surf.bf[i] == bf_hat(ws, h)
             est, beta = bf_cv_hat(ws, h)
             assert surf.bf_cv[i] == est
             assert np.array_equal(surf.beta[i], beta)
-            for j, f in enumerate(functions):
+            for j, f in enumerate(F):
                 assert surf.pe[i, j] == pe_hat(ws, h, f)
 
     def test_one_path_toy(self):
         _, _, _, ws = two_stage([(0.0,), (1.0,), (2.0,)], 500, 500, seed0=47)
-        functions = [toy_function("identity"), toy_function("square"),
-                     FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0.5).astype(float))]
-        self._assert_one_path(ws, [(h,) for h in np.linspace(-0.5, 2.5, 13)], functions)
+        self._assert_one_path(ws, [(h,) for h in np.linspace(-0.5, 2.5, 13)], toy_rows(ws))
 
     def test_one_path_blvs(self, small_family):
         skeleton = [(0.3, 10.0), (0.6, 40.0), (0.5, 100.0)]
@@ -259,16 +256,14 @@ class TestSurfaceSweep:
         W = build_log_weight_matrix(small_family, skeleton, chains)
         d, _ = estimate_d(W)
         ws = Stage2Workspace(W, d)
-        functions = [small_family.inclusion_function(name) for name in small_family.names]
         grid = [(w, g) for w in (0.2, 0.45, 0.7) for g in (5.0, 50.0, 150.0)]
-        self._assert_one_path(ws, grid, functions)
+        self._assert_one_path(ws, grid, inclusion_rows(small_family, ws))
 
     def test_records_and_errors(self):
         fam, W1, d, ws = two_stage([(0.0,), (1.0,)], 3000, 3000, seed0=43)
         sigma = estimate_sigma(W1, d)
         grid = [(h,) for h in np.linspace(-0.5, 2.0, 11)]
-        f = toy_function("identity")
-        surf = surface(ws, grid, [f], sigma, q=1.0)
+        surf = surface(ws, grid, fam.function_rows(["identity"], ws.W.samples), sigma, q=1.0)
         assert np.array_equal(surf.h, np.array(grid))
         assert np.all(surf.bf > 0)
         assert np.all(surf.se[:, 0] > 0)
@@ -277,6 +272,21 @@ class TestSurfaceSweep:
         assert surf.pe.shape == (11, 1)
         assert surf.stage1.shape == surf.stage2.shape == (11, 3)
         assert np.all(surf.total[:, 0] >= surf.stage2[:, 0])
+
+    def test_refuses_rows_of_the_wrong_shape(self):
+        _, _, _, ws = two_stage([(0.0,), (1.0,)], 300, 300, seed0=41)
+        s = ws.W.samples
+        for F in (s, s[None, :-1], np.ones((1, ws.n + 1)), np.ones((1, 1, ws.n)), []):
+            with pytest.raises(ValueError, match="function rows have shape"):
+                surface(ws, [(0.5,)], F, np.zeros((1, 1)), q=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_refuses_rows_that_are_not_finite(self, bad):
+        _, _, _, ws = two_stage([(0.0,), (1.0,)], 300, 300, seed0=41)
+        F = toy_rows(ws)
+        F[1, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            surface(ws, [(0.5,)], F, np.zeros((1, 1)), q=0.0)
 
     def test_monotone_consistency_rate(self):
         # error at the sqrt(n) rate within a factor-2 band across decades
@@ -328,19 +338,32 @@ def toy_study(lengths, seed0=47):
     return ws, estimate_sigma(W1, d)
 
 
-TOY_FUNCTIONS = [toy_function("identity"), toy_function("square"),
-                 FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0.5).astype(float))]
+def no_rows(ws):
+    """The function rows of a sweep with no functions."""
+    return np.empty((0, ws.n))
+
+
+def toy_rows(ws):
+    """Rows of theta, theta^2 and the indicator theta > 0.5 at the pooled
+    toy samples."""
+    s = ws.W.samples
+    return np.array([s, s**2, (s > 0.5).astype(float)])
+
+
+def inclusion_rows(family, ws):
+    """Rows of every inclusion indicator at the pooled BLVS samples."""
+    return family.function_rows(family.function_names(["inclusion:*"]), ws.W.samples)
 
 
 class TestBlockPath:
-    def assert_matches_per_point(self, ws, grid, functions, sigma):
+    def assert_matches_per_point(self, ws, grid, F, sigma):
         """The block path against the per-point reference: estimates within
         1e-12 relative, every variance term within 1e-10 of its total and
         every standard error within 1e-10 relative; and each record exactly
         what the point gives alone."""
-        got = surface(ws, grid, functions, sigma, q=0.7)
-        want = surface_by_point(ws, grid, functions, sigma, q=0.7)
-        assert matches_alone(got, [surface(ws, [h], functions, sigma, q=0.7) for h in grid])
+        got = surface(ws, grid, F, sigma, q=0.7)
+        want = surface_by_point(ws, grid, F, sigma, q=0.7)
+        assert matches_alone(got, [surface(ws, [h], F, sigma, q=0.7) for h in grid])
         assert len(got.h) == len(want)
         for i, w in enumerate(want):
             assert tuple(got.h[i]) == w.h
@@ -350,8 +373,8 @@ class TestBlockPath:
             np.testing.assert_allclose(got.beta[i], w.beta, rtol=1e-12)
             assert got.ess[i] == pytest.approx(w.ess, rel=1e-12)
             assert got.max_weight_share[i] == pytest.approx(w.max_weight_share, rel=1e-12)
-            # the columns are bf, bf_cv, pe:<name>..., the order of w.var
-            assert list(w.var) == ["bf", "bf_cv", *[f"pe:{f.name}" for f in functions]]
+            # the columns are bf, bf_cv, pe:<row>..., the order of w.var
+            assert list(w.var) == ["bf", "bf_cv", *[f"pe:{j}" for j in range(len(F))]]
             for col, vb in enumerate(w.var.values()):
                 assert abs(got.stage1[i, col] - vb.stage1_term) <= 1e-10 * vb.total
                 assert abs(got.stage2[i, col] - vb.stage2_term) <= 1e-10 * vb.total
@@ -360,7 +383,7 @@ class TestBlockPath:
     def test_matches_per_point_reference_toy(self):
         ws, sigma = toy_study((500, 500, 500))
         self.assert_matches_per_point(ws, [(h,) for h in np.linspace(-0.5, 2.5, 13)],
-                                      TOY_FUNCTIONS, sigma)
+                                      toy_rows(ws), sigma)
 
     def test_matches_per_point_reference_blvs(self, small_family):
         skeleton = [(0.3, 10.0), (0.6, 40.0), (0.5, 100.0)]
@@ -371,38 +394,40 @@ class TestBlockPath:
         c2 = small_family.sample_chains([ChainSpec(h=h, length=150, burn_in=20, seed=60 + i)
                                          for i, h in enumerate(skeleton)])
         ws = Stage2Workspace(build_log_weight_matrix(small_family, skeleton, c2), d)
-        functions = [small_family.inclusion_function(name) for name in small_family.names]
         grid = [(w, g) for w in (0.2, 0.45, 0.7) for g in (5.0, 50.0, 150.0)]
-        self.assert_matches_per_point(ws, grid, functions, estimate_sigma(W1, d))
+        self.assert_matches_per_point(ws, grid, inclusion_rows(small_family, ws),
+                                      estimate_sigma(W1, d))
 
     def test_unequal_chain_lengths(self, monkeypatch):
         ws, sigma = toy_study((300, 420, 250), seed0=5)
         grid = [(h,) for h in np.linspace(-0.5, 2.5, 7)]
-        self.assert_matches_per_point(ws, grid, TOY_FUNCTIONS, sigma)
+        F = toy_rows(ws)
+        self.assert_matches_per_point(ws, grid, F, sigma)
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", 3 * ws.n)
-        alone = [surface(ws, [h], TOY_FUNCTIONS, sigma, q=0.7) for h in grid]
-        assert matches_alone(surface(ws, grid, TOY_FUNCTIONS, sigma, q=0.7), alone)
+        alone = [surface(ws, [h], F, sigma, q=0.7) for h in grid]
+        assert matches_alone(surface(ws, grid, F, sigma, q=0.7), alone)
 
     @pytest.mark.parametrize("per_block", [1, 2, 3])
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("k", [3, 5])
     def test_records_do_not_depend_on_block(self, monkeypatch, per_block, extra, k):
         ws, sigma = toy_study((400,) * k, seed0=11)
-        alone = {h: surface(ws, [(h,)], TOY_FUNCTIONS, sigma, q=0.7)
+        F = toy_rows(ws)
+        alone = {h: surface(ws, [(h,)], F, sigma, q=0.7)
                  for h in np.linspace(-1.0, 3.0, 4)}
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", per_block * ws.n + ws.n // 2)
         for size in {1, per_block + extra}:
             grid = [(h,) for h in list(alone)[:size]]
-            surf = surface(ws, grid, TOY_FUNCTIONS, sigma, q=0.7)
+            surf = surface(ws, grid, F, sigma, q=0.7)
             assert len(surf.h) == size
             assert matches_alone(surf, [alone[h] for (h,) in grid])
 
     def test_no_functions_do_not_depend_on_block(self, monkeypatch):
         ws, sigma = toy_study((400, 400, 400), seed0=13)
         grid = [(h,) for h in np.linspace(-1.0, 3.0, 5)]
-        alone = [surface(ws, [h], [], sigma, q=0.7) for h in grid]
+        alone = [surface(ws, [h], no_rows(ws), sigma, q=0.7) for h in grid]
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", 2 * ws.n)
-        assert matches_alone(surface(ws, grid, [], sigma, q=0.7), alone)
+        assert matches_alone(surface(ws, grid, no_rows(ws), sigma, q=0.7), alone)
 
     def test_dead_point_among_live_ones(self, monkeypatch):
         class Vanishing(ConjugateToy):
@@ -416,27 +441,26 @@ class TestBlockPath:
               for i, h in enumerate(skeleton)]
         ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, ch), np.array([1.0, 0.9]))
         sigma = np.full((1, 1), 0.2)
-        f = toy_function("identity")
+        F = ws.W.samples[None]
         grid = [(0.2,), (9.5,), (0.8,)]
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", 3 * ws.n)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            surf = surface(ws, grid, [f], sigma, q=0.5)
+            surf = surface(ws, grid, F, sigma, q=0.5)
         support = [w for w in caught if w.category is SupportWarning]
         assert len(support) == 1 and "9.5" in str(support[0].message)
         assert surf.bf[1] == 0.0 and math.isnan(surf.pe[1, 0])
         assert math.isnan(surf.se[1, 2])
         assert surf.stage2[1, 0] == 0.0
         for i in (0, 2):
-            assert rows_equal(surf, i, surface(ws, [grid[i]], [f], sigma, q=0.5))
+            assert rows_equal(surf, i, surface(ws, [grid[i]], F, sigma, q=0.5))
 
     @pytest.mark.parametrize("per_block", [1, 4])
     def test_constant_and_indicator_exact_in_blocks(self, monkeypatch, per_block):
         ws, sigma = toy_study((700, 700, 700), seed0=23)
         monkeypatch.setattr(surface_module, "TERMS_BLOCK", per_block * ws.n)
-        one = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
-        ind = FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0).astype(float))
-        surf = surface(ws, [(h,) for h in np.linspace(-3, 5, 17)], [one, ind], sigma, q=0.5)
+        one_ind = np.array([np.ones(ws.n), (ws.W.samples > 0).astype(float)])
+        surf = surface(ws, [(h,) for h in np.linspace(-3, 5, 17)], one_ind, sigma, q=0.5)
         assert np.all(surf.pe[:, 0] == 1.0)
         assert np.all(surf.se[:, 2] == 0.0)
         assert np.all((0.0 <= surf.pe[:, 1]) & (surf.pe[:, 1] <= 1.0))
@@ -451,8 +475,8 @@ class TestBlockPath:
         grid = [(h,) for h in np.linspace(0.0, 1.2, 5)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            surface(ws, grid, [], np.zeros((1, 1)), q=0.0)
-            surface(ws, grid, [], np.zeros((1, 1)), q=0.0)
+            surface(ws, grid, no_rows(ws), np.zeros((1, 1)), q=0.0)
+            surface(ws, grid, no_rows(ws), np.zeros((1, 1)), q=0.0)
             bf_cv_hat(ws, (0.3,))
         assert [w.category for w in caught].count(DegenerateDesignWarning) == 1
 
@@ -469,7 +493,7 @@ class TestWeightDiagnostics:
     def test_against_direct_formulas(self):
         ws, sigma = toy_study((500, 500, 500), seed0=31)
         grid = [(h,) for h in np.linspace(-0.5, 2.5, 9)]
-        surf = surface(ws, grid, [], sigma, q=0.5)
+        surf = surface(ws, grid, no_rows(ws), sigma, q=0.5)
         for h, ess, share in zip(surf.h, surf.ess, surf.max_weight_share):
             u, _ = point_terms(ws, h)
             assert ess == pytest.approx(u.sum() ** 2 / np.sum(u * u), rel=1e-12)
@@ -479,7 +503,7 @@ class TestWeightDiagnostics:
 
     def test_ess_falls_outside_the_skeleton_hull(self):
         ws, sigma = toy_study((500, 500, 500), seed0=37)
-        surf = surface(ws, [(1.0,), (6.0,)], [], sigma, q=0.5)
+        surf = surface(ws, [(1.0,), (6.0,)], no_rows(ws), sigma, q=0.5)
         (ess_in, ess_out), (share_in, share_out) = surf.ess, surf.max_weight_share
         assert ess_out < 0.1 * ess_in
         assert share_out > 10 * share_in

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from priorsweep.errors import DegenerateDesignWarning
-from priorsweep.families import ChainSpec, ConjugateToy, FunctionOfTheta, toy_function
+from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
 from priorsweep.surface import Stage2Workspace, surface
 from priorsweep.variance import (MIN_SERIES_LENGTH, PlanInputs,
@@ -31,10 +31,12 @@ def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
 BF, BF_CV, PE = 0, 1, 2
 
 
-def point(ws, h, functions=()):
-    """The surface at one h with sigma_hat = 0, so every variance is its
-    stage-2 term: tau^2 (column BF), sigma^2 (BF_CV), rho (PE + j)."""
-    return surface(ws, [h], list(functions), np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)
+def point(ws, h, rows=()):
+    """The surface at one h for the function rows given, with sigma_hat =
+    0, so every variance is its stage-2 term: tau^2 (column BF), sigma^2
+    (BF_CV), rho (PE + j)."""
+    F = np.array(rows, dtype=float).reshape(-1, ws.n)
+    return surface(ws, [h], F, np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)
 
 
 class TestSpectralLrv:
@@ -235,11 +237,11 @@ class TestTauSigma:
         assert surf.stage2[0, BF_CV] <= surf.stage2[0, BF]
 
 
-def gamma_rho_reference(ws, h, f):
+def gamma_rho_reference(ws, h, fv):
     """rho by the delta method on the joint long-run covariance Gamma of
-    (f Y, Y): (Gamma_00 - 2 I Gamma_01 + I^2 Gamma_11) / Ybar^2."""
+    (f Y, Y), for the row fv of f at the pooled samples:
+    (Gamma_00 - 2 I Gamma_01 + I^2 Gamma_11) / Ybar^2."""
     u, _ = point_terms(ws, h)
-    fv = f(ws.W.samples)
     ratio = float((fv * u).sum()) / float(u.sum())
     gamma = chain_lrv(np.vstack([fv * u, u]), ws.W.chain_slices, ws.W.proportions)
     u_mean = float(u.mean())
@@ -247,11 +249,11 @@ def gamma_rho_reference(ws, h, f):
         / (u_mean * u_mean)
 
 
-def exact_rho(ws, h, f):
+def exact_rho(ws, h, fv):
     """rho in rational arithmetic from the same float terms."""
     u, _ = point_terms(ws, h)
     U = [Fraction(float(x)) for x in u]
-    FV = [Fraction(float(x)) for x in f(ws.W.samples)]
+    FV = [Fraction(float(x)) for x in fv]
     ratio = sum(a * b for a, b in zip(FV, U)) / sum(U)
     total = Fraction(0)
     for a_l, sl in zip(ws.W.proportions, ws.W.chain_slices):
@@ -270,22 +272,21 @@ def exact_rho(ws, h, f):
 class TestGammaRho:
     def test_constant_function_rho_exactly_zero(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 900, seed0=2)
-        f1 = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
-        assert point(ws, (0.6,), [f1]).stage2[0, PE] == 0.0
+        assert point(ws, (0.6,), [np.ones(ws.n)]).stage2[0, PE] == 0.0
 
     def test_stage2_terms_nonnegative(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 1100, seed0=3)
-        surf = point(ws, (0.8,), [toy_function("identity")])
+        surf = point(ws, (0.8,), [ws.W.samples])
         assert surf.stage2.shape == (1, 3) and np.all(surf.stage2 >= 0)
 
     def test_rho_matches_two_by_two_gamma_formula(self):
         _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 1500, seed0=15)
-        fs = [toy_function("square"),
-              FunctionOfTheta("pos", lambda s: (np.asarray(s) > 0.5).astype(float))]
+        s = ws.W.samples
+        fs = [s**2, (s > 0.5).astype(float)]      # theta^2, and theta > 0.5
         for h in ((0.3,), (0.9,), (1.6,)):
             surf = point(ws, h, fs)
             for j, f in enumerate(fs):
-                if f.name == "pos":
+                if j == 1:
                     assert 0.05 < surf.pe[0, j] < 0.95
                 want = gamma_rho_reference(ws, h, f)
                 assert surf.stage2[0, PE + j] == pytest.approx(want, rel=1e-10)
@@ -296,8 +297,8 @@ class TestGammaRho:
         # equal terms there (about 1e-8 relative error on this draw); the
         # centered series does not.
         _, ws = toy_workspace([(0.0,), (1.0,)], 300, seed0=16)
-        lowest = np.sort(np.asarray(ws.W.samples))[:2].mean()
-        f = FunctionOfTheta("above", lambda s: (np.asarray(s) > lowest).astype(float))
+        lowest = np.sort(ws.W.samples)[:2].mean()
+        f = (ws.W.samples > lowest).astype(float)
         h = (2.5,)
         surf = point(ws, h, [f])
         assert 1.0 - 1e-4 < surf.pe[0, 0] < 1.0
@@ -307,7 +308,6 @@ class TestGammaRho:
         fam = ConjugateToy(y_obs=0.0)
         skeleton = [(0.0,), (1.0,)]
         dt = np.array([1.0, fam.exact_bf((1.0,), (0.0,))])
-        f = toy_function("identity")
         h = (0.5,)
         reps, n = 400, 2000
         est = np.empty(reps)
@@ -318,7 +318,7 @@ class TestGammaRho:
                   for hh, s in zip(skeleton, seeds)]
             W = build_log_weight_matrix(fam, skeleton, ch)
             ws = Stage2Workspace(W, dt)
-            surf = point(ws, h, [f])
+            surf = point(ws, h, [W.samples])
             est[rep] = surf.pe[0, 0]
             rhos[rep] = surf.stage2[0, PE]
         emp = 2 * n * est.var(ddof=1)
@@ -349,19 +349,17 @@ class TestSensitivityVectors:
 
     def test_v_zero_for_constant_function(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 800, seed0=10)
-        f1 = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
-        assert np.all(stacked_v(ws, (0.9,), [f1]) == 0.0)
+        assert np.all(stacked_v(ws, (0.9,), [np.ones(ws.n)]) == 0.0)
 
     def test_v_sign_flip(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 800, seed0=11)
-        f = toy_function("identity")
-        neg = FunctionOfTheta("neg", lambda s: -np.asarray(s, dtype=float))
-        v = stacked_v(ws, (0.9,), [neg, f])
+        f = ws.W.samples
+        v = stacked_v(ws, (0.9,), [-f, f])
         np.testing.assert_allclose(v[:, 0], -v[:, 1], atol=1e-14)
 
     def test_v_matches_per_function_form(self):
         _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 800, seed0=12)
-        functions = [toy_function("identity"), toy_function("square")]
+        functions = [ws.W.samples, ws.W.samples**2]
         for h in [(0.3,), (1.4,), (2.6,)]:
             v = stacked_v(ws, h, functions)
             for j, f in enumerate(functions):
@@ -369,18 +367,17 @@ class TestSensitivityVectors:
                                            rtol=1e-12, atol=0.0)
 
 
-def stacked_v(ws, h, functions):
+def stacked_v(ws, h, rows):
     """v_hat on the centred columns (f_j - I_j) u, as surface builds them."""
     u, _ = point_terms(ws, h)
-    centred = np.column_stack([(f(ws.W.samples) - pe_hat(ws, h, f)) * u
-                               for f in functions])
+    centred = np.column_stack([(f - pe_hat(ws, h, f)) * u for f in rows])
     return v_hat(ws, centred, float(u.sum()))
 
 
-def v_per_function(ws, h, f):
-    """Reference: psi' (f - I) u / sum(u) for one f, I = sum(f u) / sum(u)."""
+def v_per_function(ws, h, fv):
+    """Reference: psi' (f - I) u / sum(u) for the row fv of one f,
+    I = sum(f u) / sum(u)."""
     u, _ = point_terms(ws, h)
-    fv = f(ws.W.samples)
     den = float(u.sum())
     return ws.psi @ ((fv - float((fv * u).sum()) / den) * u) / den
 
@@ -430,7 +427,7 @@ class TestVarianceSurface:
     def test_single_point_grid(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 600, seed0=13)
         sigma = estimate_sigma(ws.W, ws.d_hat)
-        surf = surface(ws, [(0.5,)], [], sigma, q=1.0)
+        surf = surface(ws, [(0.5,)], np.empty((0, ws.n)), sigma, q=1.0)
         assert surf.h.tolist() == [[0.5]]
         assert surf.total[0, BF_CV] >= surf.stage2[0, BF_CV]
 
@@ -439,7 +436,7 @@ class TestVarianceSurface:
         ch = [fam.sample_posterior(ChainSpec(h=(0.0,), length=500, seed=1))]
         W = build_log_weight_matrix(fam, [(0.0,)], ch)
         ws = Stage2Workspace(W, np.ones(1))
-        surf = surface(ws, [(0.3,), (0.6,)], [], np.zeros((0, 0)), q=0.5)
+        surf = surface(ws, [(0.3,), (0.6,)], np.empty((0, ws.n)), np.zeros((0, 0)), q=0.5)
         assert surf.beta.shape == (2, 0)
         assert np.all(surf.stage1[:, BF_CV] == 0.0)
         assert np.array_equal(surf.bf_cv, surf.bf)
@@ -450,6 +447,5 @@ class TestVarianceSurface:
         # the f == 1 chain: v = 0 and rho = 0, so the pe se must be 0
         _, ws = toy_workspace([(0.0,), (1.0,)], 700, seed0=14)
         sigma = estimate_sigma(ws.W, ws.d_hat)
-        f1 = FunctionOfTheta("one", lambda s: np.ones(len(np.asarray(s))))
-        surf = surface(ws, [(0.5,)], [f1], sigma, q=1.0)
+        surf = surface(ws, [(0.5,)], np.ones((1, ws.n)), sigma, q=1.0)
         assert surf.se[0, PE] == 0.0
