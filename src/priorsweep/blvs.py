@@ -168,10 +168,12 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
 
 @dataclass
 class BlvsStats:
-    """Per-draw statistics sufficient for the weights at any (w, g)."""
+    """Statistics sufficient for the weights at any (w, g): those of each
+    distinct model among the draws, and each draw's index into them."""
 
-    q_gamma: np.ndarray    # int, number of included predictors
-    rss_ratio: np.ndarray  # 1 - R^2 of the draw's model
+    q_gamma: np.ndarray    # int, number of included predictors of each model
+    rss_ratio: np.ndarray  # 1 - R^2 of each model
+    which: np.ndarray      # (n,) each draw's model
 
 
 class BlvsFamily(DensityFamily):
@@ -459,26 +461,33 @@ class BlvsFamily(DensityFamily):
 
     # family contract
     def weight_stats(self, gamma: np.ndarray) -> BlvsStats:
-        """Each draw's model size and 1 - R^2, read from the model table, or
-        above TABLE_MAX_Q from the models the chains fitted (a model not
-        fitted yet is fitted there)."""
+        """The size and 1 - R^2 of each distinct model of the draws, read from
+        the model table, or above TABLE_MAX_Q from the models the chains
+        fitted (a model not fitted yet is fitted there)."""
         packed = np.packbits(gamma, axis=1, bitorder="little")
         table = self.model_table()
         if table is not None:
-            rss_ratio = table[packed.astype(np.intp) @ (1 << 8 * np.arange(packed.shape[1]))]
+            codes, which = np.unique(packed.astype(np.intp) @ (1 << 8 * np.arange(packed.shape[1])),
+                                     return_inverse=True)
+            rss_ratio = table[codes]
         else:
             models, which = np.unique(packed, axis=0, return_inverse=True)
             rss_ratio = np.array([self._fitted_rss_ratio(int.from_bytes(row, "little"))
-                                  for row in map(bytes, models)])[which.ravel()]
-        return BlvsStats(q_gamma=gamma.sum(axis=1), rss_ratio=rss_ratio)
+                                  for row in map(bytes, models)])
+        which = which.ravel()
+        q_gamma = np.empty(rss_ratio.size, dtype=np.intp)
+        q_gamma[which] = gamma.sum(axis=1)
+        return BlvsStats(q_gamma=q_gamma, rss_ratio=rss_ratio, which=which)
 
     def log_weights(self, h, stats: BlvsStats) -> np.ndarray:
         """log pi_w(gamma) + log m(y | gamma, g) of each draw, the
         log marginal relative to the null model's, which does not depend on
-        g, so weights at different g are comparable."""
+        g, so weights at different g are comparable; evaluated once per
+        distinct model and gathered to the draws."""
         w, g = self.validate_h(h)
-        return stats.q_gamma * (math.log(w) - math.log1p(-w)) + self.q * math.log1p(-w) \
+        per_model = stats.q_gamma * (math.log(w) - math.log1p(-w)) + self.q * math.log1p(-w) \
             + self._log_marginal(stats.q_gamma, stats.rss_ratio, g)
+        return per_model[stats.which]
 
     def function_names(self, items):
         """inclusion:<predictor>, the indicator gamma_j of the predictor,

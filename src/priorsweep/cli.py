@@ -163,7 +163,8 @@ def cmd_run(cfg: StudyConfig, stage: str) -> Path:
                     _write_chain_csv(out / f"chain-stage2-{i:02d}.csv", cfg.family, c)
         with _timed(timings, "weights_s"):
             W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
-        ws = Stage2Workspace(W2, est.d_hat)
+        with _timed(timings, "workspace_s"):
+            ws = Stage2Workspace(W2, est.d_hat)
         n, N = ws.n, est.N
         q = n / N
         with _timed(timings, "sweep_s"):

@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .blvs import BlvsFamily, ingest_csv
-from .errors import ConfigError, InvalidHyperparameterError
+from .errors import ConfigError, InvalidHyperparameterError, integer
 from .families import ChainSpec, ConjugateToy, DensityFamily
 from .variance import MIN_SERIES_LENGTH
 
@@ -27,13 +27,6 @@ SECTIONS = {"model": (dict, "mapping"), "skeleton": (list, "list"),
             "out": (str, "string"), "save_chains": (bool, "boolean")}
 # libyaml's parser where PyYAML was built with it: the same dicts, about 9x faster
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
-def _integer(value, label: str, key: str) -> int:
-    """value if it is a YAML integer (not a boolean), else ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{label}: {key} must be an integer, got {value!r}")
-    return value
 
 
 @dataclass
@@ -50,19 +43,19 @@ class StageConfig:
             raise ConfigError(f"{label}: missing seed")
         length = raw.get("length")
         if length is not None:
-            _integer(length, label, "length")
+            integer(length, f"{label}: length")
         lengths = raw.get("lengths", [length] * k if length is not None else None)
         if not isinstance(lengths, list) or len(lengths) != k:
             raise ConfigError(f"{label}: need 'length' or a k-entry 'lengths' list")
-        lengths = [_integer(v, label, "lengths") for v in lengths]
+        lengths = [integer(v, f"{label}: lengths") for v in lengths]
         if any(v < MIN_SERIES_LENGTH for v in lengths):
             raise ConfigError(f"{label}: chain lengths must be at least "
                               f"{MIN_SERIES_LENGTH}, the shortest series a long-run "
                               f"variance is taken of")
-        burn_in = _integer(raw.get("burn_in", 0), label, "burn_in")
+        burn_in = integer(raw.get("burn_in", 0), f"{label}: burn_in")
         if burn_in < 0:
             raise ConfigError(f"{label}: burn_in must be nonnegative, got {burn_in}")
-        seed = _integer(raw["seed"], label, "seed")
+        seed = integer(raw["seed"], f"{label}: seed")
         return cls(lengths=lengths, burn_in=burn_in, seed=seed)
 
     def chain_specs(self, skeleton) -> list[ChainSpec]:

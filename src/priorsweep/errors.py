@@ -1,4 +1,5 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the integer
+check of the files it reads."""
 
 
 class PriorsweepError(Exception):
@@ -27,6 +28,13 @@ class ConvergenceError(PriorsweepError):
 
 class ConfigError(PriorsweepError, ValueError):
     """Invalid study configuration."""
+
+
+def integer(value, name: str) -> int:
+    """value if it is a YAML or JSON integer (not a boolean), else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 class SupportWarning(UserWarning):

@@ -104,7 +104,9 @@ class DensityFamily(ABC):
 
     @abstractmethod
     def weight_stats(self, samples):
-        """Per-sample statistics sufficient to evaluate weights at any h."""
+        """Statistics of the samples sufficient to evaluate every sample's
+        weight at any h (per sample, or per distinct value with each
+        sample's index into them)."""
 
     @abstractmethod
     def log_weights(self, h, stats) -> np.ndarray:

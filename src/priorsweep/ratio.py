@@ -1,6 +1,7 @@
 """Stage 1: estimate d = (m_{h_2}/m_{h_1}, ..., m_{h_k}/m_{h_1}) from pooled
 chains via reverse logistic regression, with a sandwich estimate of the
-asymptotic covariance of sqrt(N) (d_hat - d).
+asymptotic covariance of sqrt(N) (d_hat - d) whose middle is the
+batch-means long-run covariance of the scores (`variance.lrv_matrix`).
 
 The log quasi-likelihood is maximized in eta = log d coordinates (eta_1
 pinned to 0), where it is concave.  A damped Newton iteration is used,
@@ -20,11 +21,11 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (ConfigError, ConnectivityError, ConvergenceError,
-                     SupportViolationError)
+                     SupportViolationError, integer)
 from .families import DensityFamily
-from .variance import chain_lrv
+from .variance import BatchLayout, lrv_matrix
 
-RATIO_SCHEMA_VERSION = 3
+RATIO_SCHEMA_VERSION = 4
 TOL = 1e-10         # converged when max_j |gradient_j| / N < TOL
 MAX_ITER = 200      # Newton iterations before ConvergenceError
 REACH = 30.0        # E is re-taken past this from ref, so that s >= e^-30
@@ -54,12 +55,6 @@ class LogWeightMatrix:
     @property
     def proportions(self) -> np.ndarray:
         return self.counts / self.counts.sum()
-
-    @property
-    def chain_slices(self) -> list[slice]:
-        ends = np.cumsum(self.counts)
-        starts = ends - self.counts
-        return [slice(int(a), int(b)) for a, b in zip(starts, ends)]
 
     def chain_of(self, p: int) -> int:
         return int(np.searchsorted(np.cumsum(self.counts), p, side="right"))
@@ -130,9 +125,9 @@ class RatioEstimate:
             d_hat=np.asarray(d["d_hat"], dtype=float),
             sigma_hat=np.asarray(d["sigma_hat"], dtype=float).reshape(
                 len(d["d_hat"]) - 1, len(d["d_hat"]) - 1),
-            N=int(d["N"]),
-            counts=np.asarray(d["counts"], dtype=np.int64),
-            iterations=int(d["solver"]["iterations"]),
+            N=integer(d["N"], "N"),
+            counts=np.array([integer(c, "counts entry") for c in d["counts"]], dtype=np.int64),
+            iterations=integer(d["solver"]["iterations"], "solver.iterations"),
             final_grad_norm=float(d["solver"]["final_grad_norm"]),
             skeleton=(None if d.get("skeleton") is None
                       else [tuple(float(c) for c in h) for h in d["skeleton"]]),
@@ -345,18 +340,18 @@ def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
     probabilities P at d_hat and the curvature matrix there.
 
     B_hat is the averaged negative Hessian of the quasi-likelihood; S_hat is
-    the chain-weighted spectral long-run covariance of the per-observation
-    score, each coordinate centered at its chain mean (the per-chain means
-    cancel only in aggregate, so centering must be per chain).
+    the batch-means long-run covariance of the per-observation score over
+    the chains' batches, each batch centred at its chain's mean (the
+    per-chain means cancel only in aggregate, so centering must be per
+    chain).
     """
     N = W.total
     if W.k == 1:
         return np.zeros((0, 0))
     B = curvature / N
-    scores = -P[1:]                              # (k-1, N)
-    for j, sl in enumerate(W.chain_slices[1:]):
-        scores[j, sl] += 1.0
-    S = chain_lrv(scores, W.chain_slices, W.proportions)
+    # score j of a draw: 1 if chain j drew it, less P_j there; (k-1, N)
+    scores = (np.arange(1, W.k)[:, None] == np.repeat(np.arange(W.k), W.counts)) - P[1:]
+    S = lrv_matrix(scores, BatchLayout(W.counts))
     # S is PSD by construction; the clip removes rounding-level negatives
     evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
     S = (evecs * np.clip(evals, 0.0, None)) @ evecs.T

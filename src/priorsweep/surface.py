@@ -3,10 +3,12 @@ control-variate-adjusted) and posterior expectations, each with its plug-in
 variance, from the pooled stage-2 chains and the stage-1 ratio estimate.
 
 The mixture denominator sum_s a_s nu_{h_s}(theta)/d_s does not depend on the
-grid point, so it is computed once per workspace; the grid is then swept in
-blocks of max(1, TERMS_BLOCK // n) points, the rows of a (B, n) array, and
-each per-point quantity is a row reduction or one identical call per row, so
-a point's numbers do not depend on its block.  All accumulation happens after
+grid point, so it is computed once per workspace, with the chains' batch
+layout; the grid is then swept in blocks of max(1, SERIES_BLOCK // ((J + 2)
+n)) points, so that a block's (B, J + 2, n) stage-2 series hold about
+SERIES_BLOCK floats whatever the number J of functions, and each per-point
+quantity is a row reduction or one identical call per row, so a point's
+numbers do not depend on its block.  All accumulation happens after
 subtracting the cached log denominator and a per-grid-point max shift, which
 keeps the sums finite even when nu_h is many orders of magnitude away from
 the skeleton mixture.
@@ -22,10 +24,10 @@ import numpy as np
 
 from .errors import DegenerateDesignWarning, SupportWarning
 from .ratio import LogWeightMatrix, Mixture
-from .variance import assemble_variance, c_hat, lrv_diag, w_hat
+from .variance import BatchLayout, assemble_variance, c_hat, lrv_diag, w_hat
 
 _RANK_RTOL = 1e-10
-TERMS_BLOCK = 1 << 13       # importance terms (floats) of one block of grid points
+SERIES_BLOCK = 1 << 16      # floats of one block's (B, J + 2, n) stage-2 series
 
 
 class Stage2Workspace:
@@ -52,8 +54,9 @@ class Stage2Workspace:
         self.Z = P[1:] / a[1:, None] - P[0] / a[0]
         self.psi = P[1:] / d_hat[1:, None]
         self.z_means = self.Z.mean(axis=1)
-        self.psi_chain_means = np.stack([self.psi[:, sl].mean(axis=1)
-                                         for sl in W.chain_slices])    # (k, k-1)
+        self.psi_chain_means = np.stack([chain.mean(axis=1) for chain in np.split(
+            self.psi, np.cumsum(W.counts)[:-1], axis=1)])              # (k, k-1)
+        self.batches = BatchLayout(W.counts)
         # least squares onto (1, Z) is the pseudo-inverse of the design; its
         # rows past the intercept map any u to beta.  Singular values at or
         # below _RANK_RTOL * s_max count as zero (numpy's rcond rule), which
@@ -168,15 +171,16 @@ def surface(ws: Stage2Workspace, grid, F: np.ndarray,
 
     The stage-1 terms are q vec' Sigma vec with vec = c, w or v, all 2 + J
     of a block's forms from one `assemble_variance` call.  The
-    stage-2 terms come from one chain-weighted Bartlett covariance of the
-    stacked series [Y, Y - Z beta, (f_j - I_j) Y ...]: its diagonal holds
-    tau^2, sigma^2 and Ybar^2 rho_j.  The Bartlett estimate is bilinear with
-    per-chain centering, so the last equals (1, -I_j) Gamma (1, -I_j)' for
-    the joint long-run covariance Gamma of (f_j Y, Y), and f == 1 gives a
-    zero series and rho = 0 exactly.  Only the shifted terms u = Y e^-shift
-    are formed; rho is scale free, the other two are rescaled.  Each chain's
-    (B, J + 2, m) series of a block is built on its own, with one Bartlett
-    call and one product giving its share of v.
+    stage-2 terms are the batch-means long-run variances (`lrv_diag` over
+    the workspace's batch layout) of the stacked series [Y, Y - Z beta,
+    (f_j - I_j) Y ...]: tau^2, sigma^2 and Ybar^2 rho_j.  Batch means are
+    bilinear with per-chain centering, so the last equals (1, -I_j) Gamma
+    (1, -I_j)' for the joint long-run covariance Gamma of (f_j Y, Y), and
+    f == 1 gives a zero series and rho = 0 exactly.  Only the shifted terms
+    u = Y e^-shift are formed; rho is scale free, the other two are
+    rescaled.  A block's (B, J + 2, n) series are built once over the
+    pooled draws: one segmented sum gives every batch sum, and one product
+    with psi over all n draws gives v.
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[1] != ws.n:
@@ -189,34 +193,30 @@ def surface(ws: Stage2Workspace, grid, F: np.ndarray,
     G, K = len(H), ws.W.k - 1
     out = Surface(H, *(np.empty((G, *shape)) for shape in
                        ((), (), (K,), (J,), (), (), (2 + J,), (2 + J,))), n=ws.n)
-    step = max(1, TERMS_BLOCK // ws.n)
+    step = max(1, SERIES_BLOCK // ((J + 2) * ws.n))
     for start in range(0, G, step):
         rows = slice(start, start + step)
         est = _estimates(ws, H[rows], F1)
         B = len(est.U)
         # with nu_h vanishing everywhere u is 0 and pe is nan
         centre = np.where(est.u_sum[:, None] > 0.0, est.pe, 0.0)
-        z_beta = np.matmul(est.beta_u[:, None, :], ws.Z)[:, 0]         # (B, n)
-        lrv = psi_x = 0.0
-        for a_l, sl in zip(ws.W.proportions, ws.W.chain_slices):
-            u_l = est.U[:, sl]
-            X = np.empty((B, J + 2, u_l.shape[1]))
-            X[:, 0] = u_l
-            np.subtract(u_l, z_beta[:, sl], out=X[:, 1])
-            np.subtract(F1[:J, sl], centre[:, :, None], out=X[:, 2:])
-            X[:, 2:] *= u_l[:, None, :]
-            lrv = lrv + a_l * lrv_diag(X)
-            psi_x = psi_x + np.matmul(ws.psi[:, sl], X[:, 2:].swapaxes(1, 2))
+        X = np.empty((B, J + 2, ws.n))
+        X[:, 0] = est.U
+        np.matmul(est.beta_u[:, None, :], ws.Z, out=X[:, 1:2])
+        np.subtract(est.U, X[:, 1], out=X[:, 1])
+        np.subtract(F, centre[:, :, None], out=X[:, 2:])
+        X[:, 2:] *= est.U[:, None, :]
+        lrv = lrv_diag(X, ws.batches)
         stage2 = np.empty((B, 2 + J))
         np.multiply(lrv[:, :2], np.exp(2.0 * est.shift)[:, None], out=stage2[:, :2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = psi_x / est.u_sum[:, None, None]                       # (B, k-1, J)
+            v = np.matmul(X[:, 2:], ws.psi.T) / est.u_sum[:, None, None]   # (B, J, k-1)
             np.divide(lrv[:, 2:], (est.mean_u * est.mean_u)[:, None], out=stage2[:, 2:])
             out.ess[rows] = est.u_sum * est.u_sum / np.square(est.U).sum(axis=1)
             out.max_weight_share[rows] = est.U.max(axis=1) / est.u_sum
         c = c_hat(ws, est.U, est.shift)
-        vecs = np.concatenate([c[:, None], w_hat(ws, c, est.beta)[:, None],
-                               v.swapaxes(1, 2)], axis=1)              # (B, 2 + J, k-1)
+        vecs = np.concatenate([c[:, None], w_hat(ws, c, est.beta)[:, None], v],
+                              axis=1)                                  # (B, 2 + J, k-1)
         s1, s2 = assemble_variance(vecs.reshape(B * (2 + J), K), sigma_hat, stage2.ravel(), q)
         out.stage1[rows], out.stage2[rows] = s1.reshape(B, 2 + J), s2.reshape(B, 2 + J)
         out.bf[rows], out.bf_cv[rows], out.beta[rows], out.pe[rows] = \

@@ -1,71 +1,86 @@
 """Plug-in estimation of the asymptotic-variance pieces for every estimator:
-the Bartlett long-run covariance behind every stage-2 term (tau^2, sigma^2,
-rho), the stage-1 sensitivity vectors c and w (v comes from the stage-2
-sweep), their assembly into total variances q vec' Sigma vec + stage-2 term,
-and the stage-allocation planner.  The vectors and the assembly take the
-rows of a block of grid points, with one identical computation per row.
+the long-run covariance behind the stage-1 sandwich and every stage-2 term
+(tau^2, sigma^2, rho), the stage-1 sensitivity vectors c and w (v comes
+from the stage-2 sweep), their assembly into total variances q vec' Sigma
+vec + stage-2 term, and the stage-allocation planner.  The vectors and the
+assembly take the rows of a block of grid points, with one identical
+computation per row.
 
-One Bartlett kernel (scaled window sums S of the centered series) is used
-for every spectral quantity so that the pieces are mutually comparable:
-`lrv_matrix` is S S' and `lrv_diag` its diagonal, on series with time along
-the last (contiguous) axis, a chain a slice of it.  The truncation lag is
-L = floor(1.5 n^(1/3)), a rate Flegal & Jones (2010) study for this window.
+Every long-run covariance is chain-centred batch means (Flegal & Jones
+2010, Annals of Statistics), b = floor(sqrt(m)) draws a batch for a chain
+of m draws (`BatchLayout`), on series with time along the last axis:
+`lrv_matrix` is the covariance matrix and `lrv_diag` its diagonal.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-MIN_SERIES_LENGTH = 10      # shortest series a long-run variance is taken of
+MIN_SERIES_LENGTH = 10      # shortest chain a long-run variance is taken of
 
 
-def _lags(n: int) -> int:
-    """The Bartlett truncation lag L = floor(1.5 n^(1/3)), kept in [1, n - 1]."""
-    if n < MIN_SERIES_LENGTH:
-        raise ValueError(f"series too short for spectral estimation (n={n})")
-    return max(1, min(n - 1, int(1.5 * n ** (1.0 / 3.0))))
+class BatchLayout:
+    """The batches of pooled chains of the given lengths.  A chain of m
+    draws has a = floor(m / b) batches of b = floor(sqrt(m)) consecutive
+    draws from its first draw, and its last m - a b draws (fewer than b)
+    fall in no batch.  Each batch mean is centred at its chain's mean of
+    batch means and weighs a_l b / (a - 1), a_l the chain's share of the
+    pooled draws.  Held: the first draw of every batch and of every chain's
+    tail (`cuts`, for `np.add.reduceat`) and which of those segments are
+    batches (`keep`, None without tails); each batch's chain, weight and
+    scale sqrt(weight) / b; each chain's first batch and number of batches."""
+
+    def __init__(self, counts):
+        counts = np.asarray(counts, dtype=np.int64)
+        if counts.min() < MIN_SERIES_LENGTH:
+            raise ValueError(f"series too short for batch means (m={counts.min()})")
+        self.n = int(counts.sum())
+        size = np.array([math.isqrt(m) for m in counts.tolist()])
+        self.per_chain = counts // size
+        cuts, keep = [], []
+        for first, m, b, a in zip((np.cumsum(counts) - counts).tolist(), counts.tolist(),
+                                  size.tolist(), self.per_chain.tolist()):
+            keep += range(len(cuts), len(cuts) + a)
+            cuts += range(first, first + m, b)      # the batches, then any tail
+        self.cuts = np.array(cuts)
+        self.keep = None if len(keep) == len(cuts) else np.array(keep)
+        self.chain = np.repeat(np.arange(len(counts)), self.per_chain)
+        self.first = np.cumsum(self.per_chain) - self.per_chain
+        self.weight = (counts / self.n * size / (self.per_chain - 1))[self.chain]
+        self.scale = np.sqrt(self.weight) / size[self.chain]
 
 
-def _bartlett_sums(X) -> np.ndarray:
-    """S with S S' = sum_{|t|<=L} (1 - |t|/(L+1)) gamma_t for the series along
-    the last axis, centered at their means: the sums of the zero-padded
-    series over every window of L+1 points, scaled by 1/sqrt(n(L+1)).  Points
-    t apart share L+1-|t| windows, and a zero series gives S = 0 exactly."""
+def _batch_sums(X, layout: BatchLayout) -> np.ndarray:
+    """S with S S' the long-run covariance of the series along the last
+    axis: each batch mean less its chain's mean of them, times the root of
+    the batch's weight."""
     X = np.asarray(X, dtype=float)
-    n = X.shape[-1]
-    L = _lags(n)
-    # C[..., m] = sum of the first m - L centered points, m - L clamped to [0, n]
-    C = np.zeros(X.shape[:-1] + (n + 2 * L + 1,))
-    np.cumsum(X - X.mean(axis=-1, keepdims=True), axis=-1, out=C[..., L + 1:n + L + 1])
-    C[..., n + L + 1:] = C[..., n + L, None]
-    S = C[..., L + 1:] - C[..., :n + L]
-    S /= math.sqrt(n * (L + 1.0))
+    if X.shape[-1] != layout.n:
+        raise ValueError(f"series of length {X.shape[-1]} for a layout of {layout.n} draws")
+    S = np.add.reduceat(X, layout.cuts, axis=-1)
+    if layout.keep is not None:
+        S = np.take(S, layout.keep, axis=-1)     # in C order, so rows reduce alike
+    S *= layout.scale
+    centre = np.add.reduceat(S, layout.first, axis=-1) / layout.per_chain
+    S -= np.take(centre, layout.chain, axis=-1)
     return S
 
 
-def lrv_matrix(X) -> np.ndarray:
-    """Bartlett-windowed long-run covariance matrix of a (..., K, n) vector
-    series, centered at the series mean; PSD by construction."""
-    S = _bartlett_sums(X)
+def lrv_matrix(X, layout: BatchLayout) -> np.ndarray:
+    """Batch-means long-run covariance matrix of a (..., K, n) vector
+    series; PSD by construction."""
+    S = _batch_sums(X, layout)
     return S @ S.swapaxes(-1, -2)
 
 
-def lrv_diag(X) -> np.ndarray:
+def lrv_diag(X, layout: BatchLayout) -> np.ndarray:
     """The diagonal of `lrv_matrix`: one long-run variance per series of a
     (..., n) array, each reduced on its own, so stacking changes no bit."""
-    S = _bartlett_sums(X)
+    S = _batch_sums(X, layout)
     return np.einsum("...i,...i->...", S, S)
-
-
-def chain_lrv(X, slices: Sequence[slice], a) -> np.ndarray:
-    """Chain-proportion-weighted long-run covariance sum_l a_l LRV(X[..., chain l]),
-    each chain centered at its own mean (the chains are independent, so
-    cross-chain terms vanish)."""
-    return sum(a_l * lrv_matrix(X[..., sl]) for a_l, sl in zip(a, slices))
 
 
 def c_hat(ws, U, shift) -> np.ndarray:

@@ -1,12 +1,15 @@
-"""References the tests compare the program against, kept from the code it
-replaced:
+"""References the tests compare the program against, most of them kept
+from the code they replaced:
 
-- the time-major Bartlett kernel (rows are time points) that
-  `priorsweep.variance` had before it put time along the last axis, and the
-  scalar long-run variance `spectral_lrv` on it;
+- `batch_means_lrv`, the chain-centred batch-means long-run covariance of
+  `priorsweep.variance` as a loop over batches, on a time-major series
+  (rows are time points);
+- the Bartlett kernel that `priorsweep.variance` had before batch means,
+  kept for the scalar long-run variance `spectral_lrv`, with which the
+  tests judge single chains against exact values;
 - the per-point stage-2 sweep that the block path of `priorsweep.surface`
   replaced: one grid point at a time, its terms as a vector, every sum over
-  all n pooled samples at once, and one Bartlett call per chain and point,
+  all n pooled samples at once, and one `batch_means_lrv` call per point,
   with one `PointRecord` per point in place of the columns of a `Surface`;
 - the one-point estimators `bf_hat`, `bf_cv_hat` and `pe_hat`, each one row
   of the block path, and `estimate_sigma`, the sandwich covariance formed
@@ -26,7 +29,37 @@ import numpy as np
 from priorsweep.errors import ConnectivityError
 from priorsweep.ratio import MAX_ITER, TOL, _check_curvature, _sandwich
 from priorsweep.surface import _estimates
-from priorsweep.variance import _lags
+from priorsweep.variance import MIN_SERIES_LENGTH
+
+
+def batch_means_lrv(X, lengths):
+    """The long-run covariance matrix of the (n, K) series X (rows are time
+    points) over chains of the given lengths, one batch at a time: a chain
+    of m draws has a = m // b batches of b = isqrt(m) draws from its first
+    draw, and its last m - a b draws in none; each batch mean less the mean
+    of its chain's batch means enters as (m/n) b/(a - 1) times its outer
+    product."""
+    X = np.asarray(X, dtype=float).reshape(len(X), -1)
+    n = X.shape[0]
+    assert sum(lengths) == n
+    out = np.zeros((X.shape[1], X.shape[1]))
+    first = 0
+    for m in lengths:
+        b = math.isqrt(m)
+        a = m // b
+        means = [X[first + i * b:first + (i + 1) * b].mean(axis=0) for i in range(a)]
+        centre = sum(means) / a
+        for mean in means:
+            out += (m / n) * b / (a - 1) * np.outer(mean - centre, mean - centre)
+        first += m
+    return out
+
+
+def _lags(n: int) -> int:
+    """The Bartlett truncation lag L = floor(1.5 n^(1/3)), kept in [1, n - 1]."""
+    if n < MIN_SERIES_LENGTH:
+        raise ValueError(f"series too short for spectral estimation (n={n})")
+    return max(1, min(n - 1, int(1.5 * n ** (1.0 / 3.0))))
 
 
 def bartlett_rows(X):
@@ -46,29 +79,12 @@ def bartlett_rows(X):
     return S
 
 
-def lrv_matrix(X):
-    """The time-major long-run covariance matrix S'S of an (n, K) series."""
-    S = bartlett_rows(X)
-    return S.T @ S
-
-
-def lrv_diag(X):
-    """The diagonal of the time-major `lrv_matrix`, one entry per column."""
-    S = bartlett_rows(X)
-    return np.einsum("ij,ij->j", S, S)
-
-
-def chain_lrv(X, slices, a, reduce=lrv_matrix):
-    """sum_l a_l reduce(X[chain l]) with the chains blocks of rows."""
-    return sum(a_l * reduce(X[sl]) for a_l, sl in zip(a, slices))
-
-
 def spectral_lrv(series):
     """Bartlett-windowed long-run variance of a scalar series."""
     x = np.asarray(series, dtype=float)
-    lrv = lrv_diag(x)      # raises on a too-short series
+    S = bartlett_rows(x)      # raises on a too-short series
     # a constant series centers to exact zeros only if its mean is exact
-    return 0.0 if np.ptp(x) == 0.0 else float(lrv[0])
+    return 0.0 if np.ptp(x) == 0.0 else float(np.einsum("ij,ij->j", S, S)[0])
 
 
 def bf_hat(ws, h):
@@ -262,7 +278,7 @@ def surface_by_point(ws, grid, F, sigma_hat, q):
               if u_sum > 0.0 else np.full(F.shape[1], math.nan))
         centred = (F - (pe if u_mean > 0.0 else 0.0)) * u[:, None]
         series = np.column_stack([u, u - (beta * math.exp(-shift)) @ ws.Z, centred])
-        lrv = chain_lrv(series, ws.W.chain_slices, ws.W.proportions, reduce=lrv_diag)
+        lrv = np.diag(batch_means_lrv(series, ws.W.counts.tolist()))
         scale2 = math.exp(2.0 * shift)
         c = c_hat(ws, u, shift)
         var = {"bf": assemble_variance(c, sigma_hat, lrv[0] * scale2, q, ws.n),

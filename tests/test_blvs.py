@@ -306,7 +306,7 @@ class TestBlvsChain:
         assert all(c.dtype == bool for c in chains)
         W = build_log_weight_matrix(small_family, [sp.h for sp in specs], chains)
         assert np.array_equal(W.samples, np.vstack(chains))
-        assert np.array_equal(W.stats.q_gamma, W.samples.sum(axis=1))
+        assert np.array_equal(W.stats.q_gamma[W.stats.which], W.samples.sum(axis=1))
 
 
 def random_chain(fam, rng, n):
@@ -416,7 +416,7 @@ class TestPriorWeight:
                     BlvsFamily(synthetic_dataset(m=40, q=blvs.TABLE_MAX_Q + 1, seed=5))):
             sampled = fam.sample_chains([ChainSpec(h=(0.5, 15.0), length=30, seed=3)])[0]
             fitted = fam.models_fitted
-            assert fam.weight_stats(sampled).rss_ratio.shape == (30,)
+            assert fam.weight_stats(sampled).which.shape == (30,)
             assert fam.models_fitted == fitted     # every sampled model was fitted
             chain = np.concatenate([random_chain(fam, rng, 40), sampled,
                                     np.zeros((1, fam.q), bool), np.ones((1, fam.q), bool)])
@@ -425,6 +425,25 @@ class TestPriorWeight:
             for h in points:
                 want = [log_prior_and_marginal(fam, gamma, h) for gamma in chain]
                 np.testing.assert_allclose(fam.log_weights(h, stats), want, rtol=1e-12, atol=0)
+
+    def test_per_model_weights_bit_identical_to_per_draw_form(self):
+        # log_weights evaluates each distinct model once and gathers; the
+        # closed form evaluated at every draw gives the same bits, on the
+        # table path and above TABLE_MAX_Q
+        rng = np.random.default_rng(37)
+        for fam in (crime_family(),
+                    BlvsFamily(synthetic_dataset(m=40, q=blvs.TABLE_MAX_Q + 1, seed=6))):
+            chain = np.concatenate([
+                fam.sample_chains([ChainSpec(h=(0.5, 15.0), length=60, seed=4)])[0],
+                random_chain(fam, rng, 20)])
+            chain = chain[rng.permutation(len(chain))]
+            stats = fam.weight_stats(chain)
+            assert len(stats.q_gamma) == len(np.unique(chain, axis=0)) < len(chain)
+            sizes, rssr = stats.q_gamma[stats.which], stats.rss_ratio[stats.which]
+            for w, g in [(0.3, 4.0), (0.65, 20.0), (0.9, 225.0)]:
+                per_draw = sizes * (math.log(w) - math.log1p(-w)) + fam.q * math.log1p(-w) \
+                    + fam._log_marginal(sizes, rssr, g)
+                assert fam.log_weights((w, g), stats).tobytes() == per_draw.tobytes()
 
     def test_domain_checks(self, small_family):
         for bad in [(0.0, 5.0), (1.0, 5.0), (0.5, 0.0), (0.5, -2.0)]:

@@ -30,7 +30,7 @@ def toy_config(tmp_path):
 
 SMOKE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "uscrime-smoke.yaml"
 RUN_TIMINGS = {"stage1_s", "t1_s_per_step", "weights_s", "ratio_s", "stage2_s",
-               "sweep_s", "t2_s_per_term", "write_s"}
+               "workspace_s", "sweep_s", "t2_s_per_term", "write_s"}
 
 
 def read_bytes(path):
@@ -109,6 +109,7 @@ class TestRun:
         manifest = json.loads((out / "manifest-stage2.json").read_text())
         assert manifest["stages_run"] == "2"
         assert "sweep_s" in manifest["timings"]
+        assert manifest["timings"]["workspace_s"] > 0
 
     def test_stage2_requires_ratio_json(self, toy_config, tmp_path):
         assert main(["run", "--config", str(toy_config), "--stage", "2",
@@ -137,9 +138,11 @@ class TestRun:
         (out / "ratio.json").write_text(json.dumps(doc))
         assert main(["run", "--config", str(toy_config), "--stage", "2"]) == 2
 
-    # a ratio.json with a field dropped, or of another schema, is refused
-    # before stage 2 samples anything; schema 2 weighted the regression
-    # model's draws by the joint prior of (gamma, sigma, beta)
+    # a ratio.json with a field dropped, of another schema, or with a count
+    # that is not an integer, is refused before stage 2 samples anything;
+    # schema 2 weighted the regression model's draws by the joint prior of
+    # (gamma, sigma, beta), and schema 3 took sigma_hat from Bartlett
+    # long-run covariances rather than batch means
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("d_hat"), "lacks fields d_hat"),
         (lambda doc: doc.pop("counts"), "lacks fields counts"),
@@ -147,9 +150,19 @@ class TestRun:
         (lambda doc: doc.update(schema_version=99), "unsupported schema_version 99"),
         (lambda doc: doc.update(schema_version=2), "unsupported schema_version 2"),
         (lambda doc: doc.update(skeleton=5), "ratio.json holds a field of the wrong type"),
+        (lambda doc: doc.update(schema_version=3), "unsupported schema_version 3"),
         (lambda doc: doc.update(N=None), "ratio.json holds a field of the wrong type"),
+        (lambda doc: doc.update(N=1200.5), "N must be an integer, got 1200.5"),
+        (lambda doc: doc.update(N=True), "N must be an integer, got True"),
+        (lambda doc: doc["counts"].__setitem__(0, 600.0), "counts entry must be an integer"),
+        (lambda doc: doc["counts"].__setitem__(1, True), "counts entry must be an integer"),
+        (lambda doc: doc["solver"].update(iterations=3.5),
+         "solver.iterations must be an integer, got 3.5"),
+        (lambda doc: doc["solver"].update(iterations=True),
+         "solver.iterations must be an integer, got True"),
     ], ids=["no-d_hat", "no-counts", "no-solver", "schema-99", "schema-2",
-            "skeleton-a-number", "N-null"])
+            "skeleton-a-number", "schema-3", "N-null", "N-fractional", "N-true",
+            "counts-float", "counts-true", "iterations-fractional", "iterations-true"])
     def test_stage2_refuses_malformed_ratio_json(self, toy_config, tmp_path, capsys,
                                                  edit, message):
         out = tmp_path / "out"

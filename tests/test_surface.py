@@ -338,6 +338,12 @@ def toy_study(lengths, seed0=47):
     return ws, estimate_sigma(W1, d)
 
 
+def series_floats(ws, F):
+    """The floats of one grid point's stage-2 series for the rows F, the
+    unit of `SERIES_BLOCK`."""
+    return (len(F) + 2) * ws.n
+
+
 def no_rows(ws):
     """The function rows of a sweep with no functions."""
     return np.empty((0, ws.n))
@@ -403,7 +409,18 @@ class TestBlockPath:
         grid = [(h,) for h in np.linspace(-0.5, 2.5, 7)]
         F = toy_rows(ws)
         self.assert_matches_per_point(ws, grid, F, sigma)
-        monkeypatch.setattr(surface_module, "TERMS_BLOCK", 3 * ws.n)
+        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 3 * series_floats(ws, F))
+        alone = [surface(ws, [h], F, sigma, q=0.7) for h in grid]
+        assert matches_alone(surface(ws, grid, F, sigma, q=0.7), alone)
+
+    def test_one_chain_with_a_tail(self, monkeypatch):
+        # k = 1: no control variates and one chain, whose 437 draws make 21
+        # batches of 20 and a tail of 17 outside them
+        ws, sigma = toy_study((437,), seed0=9)
+        grid = [(h,) for h in np.linspace(-0.5, 1.5, 5)]
+        F = toy_rows(ws)
+        self.assert_matches_per_point(ws, grid, F, sigma)
+        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 2 * series_floats(ws, F))
         alone = [surface(ws, [h], F, sigma, q=0.7) for h in grid]
         assert matches_alone(surface(ws, grid, F, sigma, q=0.7), alone)
 
@@ -415,7 +432,8 @@ class TestBlockPath:
         F = toy_rows(ws)
         alone = {h: surface(ws, [(h,)], F, sigma, q=0.7)
                  for h in np.linspace(-1.0, 3.0, 4)}
-        monkeypatch.setattr(surface_module, "TERMS_BLOCK", per_block * ws.n + ws.n // 2)
+        monkeypatch.setattr(surface_module, "SERIES_BLOCK",
+                            per_block * series_floats(ws, F) + ws.n // 2)
         for size in {1, per_block + extra}:
             grid = [(h,) for h in list(alone)[:size]]
             surf = surface(ws, grid, F, sigma, q=0.7)
@@ -426,7 +444,7 @@ class TestBlockPath:
         ws, sigma = toy_study((400, 400, 400), seed0=13)
         grid = [(h,) for h in np.linspace(-1.0, 3.0, 5)]
         alone = [surface(ws, [h], no_rows(ws), sigma, q=0.7) for h in grid]
-        monkeypatch.setattr(surface_module, "TERMS_BLOCK", 2 * ws.n)
+        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 2 * series_floats(ws, no_rows(ws)))
         assert matches_alone(surface(ws, grid, no_rows(ws), sigma, q=0.7), alone)
 
     def test_dead_point_among_live_ones(self, monkeypatch):
@@ -443,7 +461,7 @@ class TestBlockPath:
         sigma = np.full((1, 1), 0.2)
         F = ws.W.samples[None]
         grid = [(0.2,), (9.5,), (0.8,)]
-        monkeypatch.setattr(surface_module, "TERMS_BLOCK", 3 * ws.n)
+        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 3 * series_floats(ws, F))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             surf = surface(ws, grid, F, sigma, q=0.5)
@@ -458,8 +476,8 @@ class TestBlockPath:
     @pytest.mark.parametrize("per_block", [1, 4])
     def test_constant_and_indicator_exact_in_blocks(self, monkeypatch, per_block):
         ws, sigma = toy_study((700, 700, 700), seed0=23)
-        monkeypatch.setattr(surface_module, "TERMS_BLOCK", per_block * ws.n)
         one_ind = np.array([np.ones(ws.n), (ws.W.samples > 0).astype(float)])
+        monkeypatch.setattr(surface_module, "SERIES_BLOCK", per_block * series_floats(ws, one_ind))
         surf = surface(ws, [(h,) for h in np.linspace(-3, 5, 17)], one_ind, sigma, q=0.5)
         assert np.all(surf.pe[:, 0] == 1.0)
         assert np.all(surf.se[:, 2] == 0.0)
@@ -471,7 +489,7 @@ class TestBlockPath:
         ch = [fam.sample_posterior(ChainSpec(h=h, length=400, seed=30 + i))
               for i, h in enumerate(skeleton)]
         ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, ch), np.ones(2))
-        monkeypatch.setattr(surface_module, "TERMS_BLOCK", 2 * ws.n)
+        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 2 * series_floats(ws, no_rows(ws)))
         grid = [(h,) for h in np.linspace(0.0, 1.2, 5)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

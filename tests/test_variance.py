@@ -8,13 +8,12 @@ from priorsweep.errors import DegenerateDesignWarning
 from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
 from priorsweep.surface import Stage2Workspace, surface
-from priorsweep.variance import (MIN_SERIES_LENGTH, PlanInputs,
-                                 _lags, assemble_variance, c_hat,
-                                 chain_lrv, lrv_diag, lrv_matrix, predicted_variance,
-                                 q_opt, w_hat)
+from priorsweep.variance import (MIN_SERIES_LENGTH, BatchLayout, PlanInputs,
+                                 assemble_variance, c_hat, lrv_diag, lrv_matrix,
+                                 predicted_variance, q_opt, w_hat)
 
-import per_point
-from per_point import estimate_sigma, pe_hat, point_terms, spectral_lrv, v_hat
+from per_point import (batch_means_lrv, estimate_sigma, pe_hat, point_terms,
+                       spectral_lrv, v_hat)
 
 
 def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
@@ -65,31 +64,18 @@ class TestSpectralLrv:
     def test_matrix_version_diag_matches_scalar(self):
         rng = np.random.default_rng(2)
         X = rng.normal(size=(5000, 2))
-        S = lrv_matrix(X.T)
-        assert S[0, 0] == pytest.approx(spectral_lrv(X[:, 0]), rel=1e-12)
+        S = lrv_matrix(X.T, BatchLayout([5000]))
+        assert S[0, 0] == pytest.approx(batch_means_lrv(X[:, :1], [5000])[0, 0], rel=1e-12)
         assert S[1, 0] == S[0, 1]
 
     def test_chain_lrv_is_weighted_sum_over_chains(self):
+        # the pooled layout weights each chain alone by its share of draws
         rng = np.random.default_rng(4)
         X = rng.normal(size=(2, 700))
-        slices = [slice(0, 300), slice(300, 700)]
-        a = np.array([0.3, 0.7])
-        want = 0.3 * lrv_matrix(X[:, :300]) + 0.7 * lrv_matrix(X[:, 300:])
-        np.testing.assert_array_equal(chain_lrv(X, slices, a), want)
-
-
-def lag_loop_lrv(X):
-    """Reference Bartlett estimate: sum_{|t|<=L} (1 - |t|/(L+1)) gamma_t,
-    one lagged cross product per lag."""
-    X = np.asarray(X, dtype=float)
-    n = X.shape[0]
-    L = _lags(n)
-    Xc = X - X.mean(axis=0)
-    S = Xc.T @ Xc / n
-    for t in range(1, L + 1):
-        C = Xc[t:].T @ Xc[:-t] / n
-        S += (1.0 - t / (L + 1.0)) * (C + C.T)
-    return (S + S.T) / 2.0
+        want = (3 / 7) * lrv_matrix(X[:, :300], BatchLayout([300])) \
+            + (4 / 7) * lrv_matrix(X[:, 300:], BatchLayout([400]))
+        np.testing.assert_allclose(lrv_matrix(X, BatchLayout([300, 400])), want,
+                                   rtol=1e-13, atol=0.0)
 
 
 def ar1_series(n, p, phi, seed):
@@ -101,72 +87,130 @@ def ar1_series(n, p, phi, seed):
     return x
 
 
+def slices_of(lengths):
+    ends = np.cumsum(lengths)
+    return [slice(int(e - m), int(e)) for e, m in zip(ends, lengths)]
+
+
+class TestBatchLayout:
+    @pytest.mark.parametrize("lengths", [(10,), (37, 100), (400, 250, 37)])
+    def test_batches_of_each_chain(self, lengths):
+        # b = isqrt(m) and a = m // b batches from the chain's first draw;
+        # the last m - a b draws are a tail outside every batch
+        layout = BatchLayout(lengths)
+        starts = layout.cuts if layout.keep is None else layout.cuts[layout.keep]
+        want_starts, want_weight, want_chain = [], [], []
+        for l, sl in enumerate(slices_of(lengths)):
+            m = sl.stop - sl.start
+            b, a = math.isqrt(m), m // math.isqrt(m)
+            want_starts += [sl.start + i * b for i in range(a)]
+            want_weight += [m / sum(lengths) * b / (a - 1)] * a
+            want_chain += [l] * a
+        assert starts.tolist() == want_starts
+        assert layout.chain.tolist() == want_chain
+        np.testing.assert_allclose(layout.weight, want_weight, rtol=1e-15)
+        tails = [m - (m // math.isqrt(m)) * math.isqrt(m) for m in lengths]
+        assert (layout.keep is None) == (not any(tails))
+        assert len(layout.cuts) == len(want_starts) + sum(t > 0 for t in tails)
+
+    def test_too_short_chain_refused(self):
+        with pytest.raises(ValueError, match="too short"):
+            BatchLayout([MIN_SERIES_LENGTH - 1, 100])
+
+    def test_wrong_series_length_refused(self):
+        with pytest.raises(ValueError, match="length 99"):
+            lrv_diag(np.ones((2, 99)), BatchLayout([100]))
+
+    @pytest.mark.parametrize("m", [MIN_SERIES_LENGTH, 11, 38, 1000])
+    def test_one_chain_with_and_without_a_tail(self, m):
+        # k = 1: the one chain's share is 1; 10, 11 and 38 leave a tail
+        X = ar1_series(m, 3, 0.5, seed=m) + 1.0
+        np.testing.assert_allclose(lrv_diag(X.T, BatchLayout([m])),
+                                   np.diag(batch_means_lrv(X, [m])), rtol=1e-13, atol=0.0)
+
+    def test_tail_draws_do_not_enter(self):
+        # 38 draws: b = 6, a = 6, and the last 2 draws in no batch
+        X = np.random.default_rng(5).normal(size=(2, 38))
+        Y = X.copy()
+        Y[:, 36:] = 1e6
+        layout = BatchLayout([38])
+        assert np.array_equal(lrv_matrix(X, layout), lrv_matrix(Y, layout))
+
+    def test_constant_within_chains_gives_zero(self):
+        # each chain centred at its own mean: chain-wise constants vanish,
+        # up to the rounding of their scaled batch sums
+        X = np.concatenate([np.full(50, 2.0), np.full(37, -5.0)])
+        assert lrv_diag(X, BatchLayout([50, 37])) < 1e-28
+
+
 class TestBartlettKernel:
+    """The batch-means kernel against the loop over batches in
+    `per_point.batch_means_lrv`."""
+
     @pytest.mark.parametrize("p", [1, 2, 15, 17])
     @pytest.mark.parametrize("n", [MIN_SERIES_LENGTH + 1, 37, 1000])
     @pytest.mark.parametrize("phi", [0.0, 0.9])
     def test_matches_lag_loop(self, n, p, phi):
         X = ar1_series(n, p, phi, seed=100 * n + p) + 3.0
-        want = lag_loop_lrv(X)
-        got = lrv_matrix(X.T)
+        want = batch_means_lrv(X, [n])
+        got = lrv_matrix(X.T, BatchLayout([n]))
         assert np.array_equal(got, got.T)
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-13 * np.abs(want).max())
-        np.testing.assert_allclose(lrv_diag(X.T), np.diag(want), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(lrv_diag(X.T, BatchLayout([n])), np.diag(want),
+                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("p", [1, 2, 15, 17])
     def test_chain_weighted_diagonal_matches_lag_loop(self, p):
         X = np.vstack([ar1_series(400, p, 0.5, seed=p), ar1_series(250, p, 0.0, seed=p + 1)])
-        slices = [slice(0, 400), slice(400, 650)]
-        a = np.array([400 / 650, 250 / 650])
-        want = sum(a_l * np.diag(lag_loop_lrv(X[sl])) for a_l, sl in zip(a, slices))
-        got = np.diag(chain_lrv(X.T, slices, a))
+        want = np.diag(batch_means_lrv(X, [400, 250]))
+        got = np.diag(lrv_matrix(X.T, BatchLayout([400, 250])))
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_zero_series_exactly_zero(self):
-        assert np.all(lrv_matrix(np.zeros((3, 50))) == 0.0)
-        assert np.all(lrv_diag(np.zeros((3, 50))) == 0.0)
-        assert np.all(lrv_diag(np.zeros((4, 3, MIN_SERIES_LENGTH))) == 0.0)
+        assert np.all(lrv_matrix(np.zeros((3, 50)), BatchLayout([50])) == 0.0)
+        assert np.all(lrv_diag(np.zeros((3, 50)), BatchLayout([20, 30])) == 0.0)
+        assert np.all(lrv_diag(np.zeros((4, 3, MIN_SERIES_LENGTH)),
+                               BatchLayout([MIN_SERIES_LENGTH])) == 0.0)
 
 
 class TestSeriesMajorLayout:
-    """The kernel on (..., n) series against the time-major reference it
-    replaced, which took (n, K) arrays."""
+    """The kernel on (..., n) series against the time-major loop over
+    batches, which takes (n, K) arrays."""
 
     @pytest.mark.parametrize("p", [1, 2, 17])
     @pytest.mark.parametrize("n", [MIN_SERIES_LENGTH, 11, 1000])
     def test_matches_time_major_reference(self, n, p):
         X = ar1_series(n, p, 0.7, seed=7 * n + p) - 2.0
         XT = np.ascontiguousarray(X.T)
-        want = per_point.lrv_matrix(X)
-        np.testing.assert_allclose(lrv_matrix(XT), want, rtol=0.0,
+        want = batch_means_lrv(X, [n])
+        np.testing.assert_allclose(lrv_matrix(XT, BatchLayout([n])), want, rtol=0.0,
                                    atol=1e-13 * np.abs(want).max())
-        np.testing.assert_allclose(lrv_diag(XT), per_point.lrv_diag(X), rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(lrv_diag(XT, BatchLayout([n])), np.diag(want),
+                                   rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("lengths", [(400, 250, 37), (MIN_SERIES_LENGTH, 60)])
     def test_chain_lrv_unequal_chains_matches_reference(self, lengths):
+        # 250, 37, 10 and 60 draws leave tails of 10, 1, 1 and 4
         X = np.vstack([ar1_series(m, 3, 0.5, seed=m) + i for i, m in enumerate(lengths)])
-        ends = np.cumsum(lengths)
-        slices = [slice(int(e - m), int(e)) for e, m in zip(ends, lengths)]
-        a = np.asarray(lengths) / ends[-1]
         XT = np.ascontiguousarray(X.T)
-        want = per_point.chain_lrv(X, slices, a)
-        np.testing.assert_allclose(chain_lrv(XT, slices, a), want, rtol=0.0,
+        layout = BatchLayout(lengths)
+        want = batch_means_lrv(X, lengths)
+        np.testing.assert_allclose(lrv_matrix(XT, layout), want, rtol=0.0,
                                    atol=1e-13 * np.abs(want).max())
-        np.testing.assert_allclose(np.diag(chain_lrv(XT, slices, a)),
-                                   per_point.chain_lrv(X, slices, a, reduce=per_point.lrv_diag),
-                                   rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(lrv_diag(XT, layout), np.diag(want), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("m", [MIN_SERIES_LENGTH, 250])
     def test_stacked_rows_bit_identical_to_each_alone(self, m):
-        # the sweep's (B, J + 2, m) series: every row as if reduced alone
-        X = np.random.default_rng(m).normal(size=(4, 5, m)) * np.arange(1.0, 6.0)[:, None]
-        got = lrv_diag(X)
+        # the sweep's (B, J + 2, n) series: every row as if reduced alone
+        X = np.random.default_rng(m).normal(size=(4, 5, 2 * m)) * np.arange(1.0, 6.0)[:, None]
+        layout = BatchLayout([m, m])
+        got = lrv_diag(X, layout)
         assert got.shape == (4, 5)
         for b in range(4):
-            assert np.array_equal(got[b], lrv_diag(X[b]))
+            assert np.array_equal(got[b], lrv_diag(X[b], layout))
             for j in range(5):
-                assert got[b, j] == lrv_diag(X[b, j])
+                assert got[b, j] == lrv_diag(X[b, j], layout)
 
 
 class TestTauSigma:
@@ -243,28 +287,26 @@ def gamma_rho_reference(ws, h, fv):
     (Gamma_00 - 2 I Gamma_01 + I^2 Gamma_11) / Ybar^2."""
     u, _ = point_terms(ws, h)
     ratio = float((fv * u).sum()) / float(u.sum())
-    gamma = chain_lrv(np.vstack([fv * u, u]), ws.W.chain_slices, ws.W.proportions)
+    gamma = lrv_matrix(np.vstack([fv * u, u]), ws.batches)
     u_mean = float(u.mean())
     return (gamma[0, 0] - 2.0 * ratio * gamma[0, 1] + ratio * ratio * gamma[1, 1]) \
         / (u_mean * u_mean)
 
 
 def exact_rho(ws, h, fv):
-    """rho in rational arithmetic from the same float terms."""
+    """rho in rational arithmetic from the same float terms, batch by batch."""
     u, _ = point_terms(ws, h)
     U = [Fraction(float(x)) for x in u]
     FV = [Fraction(float(x)) for x in fv]
     ratio = sum(a * b for a, b in zip(FV, U)) / sum(U)
     total = Fraction(0)
-    for a_l, sl in zip(ws.W.proportions, ws.W.chain_slices):
+    for a_l, sl in zip(ws.W.proportions, slices_of(ws.W.counts)):
         x = [(FV[p] - ratio) * U[p] for p in range(sl.start, sl.stop)]
-        n = len(x)
-        mean = sum(x) / n
-        x = [v - mean for v in x]
-        L = _lags(n)
-        s = sum(v * v for v in x) / n
-        for t in range(1, L + 1):
-            s += 2 * (1 - Fraction(t, L + 1)) * sum(x[i] * x[i - t] for i in range(t, n)) / n
+        b = math.isqrt(len(x))
+        a = len(x) // b
+        means = [sum(x[i * b:(i + 1) * b]) / b for i in range(a)]
+        centre = sum(means) / a
+        s = sum((m - centre) ** 2 for m in means) * b / (a - 1)
         total += Fraction(float(a_l)) * s
     return float(total / (sum(U) / len(U)) ** 2)
 
