@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .blvs import BlvsFamily
-from .config import StudyConfig, load_config
+from .config import StudyConfig, load_config, nonnegative
 from .errors import ConfigError, PriorsweepError
 from .ratio import RatioEstimate, build_log_weight_matrix, estimate_ratios
 from .surface import Stage2Workspace, surface
@@ -285,6 +286,8 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
     if pilot_length < MIN_SERIES_LENGTH:
         raise ConfigError(f"--pilot-length must be at least {MIN_SERIES_LENGTH}, "
                           f"got {pilot_length}")
+    if not (math.isfinite(budget_s) and budget_s > 0):
+        raise ConfigError(f"--budget must be a positive number of seconds, got {budget_s}")
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
     specs1, specs2 = ([dataclasses.replace(sp, length=pilot_length)
@@ -355,8 +358,13 @@ def _apply_overrides(cfg: StudyConfig, overrides: list[str]) -> None:
         key, val = ov.split("=", 1)
         if key not in ("stage1", "stage2"):
             raise ConfigError(f"unknown seed override target {key!r}")
-        getattr(cfg, key).seed = int(val)
-        cfg.raw.setdefault(key, {})["seed"] = int(val)
+        try:
+            val = int(val)
+        except ValueError:
+            pass                # left a string, which the check refuses
+        seed = nonnegative(val, f"--seed-override {key}")
+        getattr(cfg, key).seed = seed
+        cfg.raw.setdefault(key, {})["seed"] = seed
     if cfg.stage1.seed == cfg.stage2.seed:
         raise ConfigError("stage1 and stage2 seeds must differ")
 

@@ -29,6 +29,14 @@ SECTIONS = {"model": (dict, "mapping"), "skeleton": (list, "list"),
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
+def nonnegative(value, name: str) -> int:
+    """value if it is an integer (as `integer` checks) of at least 0, else
+    ConfigError."""
+    if integer(value, name) < 0:
+        raise ConfigError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 @dataclass
 class StageConfig:
     lengths: list[int]        # one entry per skeleton chain
@@ -52,11 +60,8 @@ class StageConfig:
             raise ConfigError(f"{label}: chain lengths must be at least "
                               f"{MIN_SERIES_LENGTH}, the shortest series a long-run "
                               f"variance is taken of")
-        burn_in = integer(raw.get("burn_in", 0), f"{label}: burn_in")
-        if burn_in < 0:
-            raise ConfigError(f"{label}: burn_in must be nonnegative, got {burn_in}")
-        seed = integer(raw["seed"], f"{label}: seed")
-        return cls(lengths=lengths, burn_in=burn_in, seed=seed)
+        return cls(lengths=lengths, burn_in=nonnegative(raw.get("burn_in", 0), f"{label}: burn_in"),
+                   seed=nonnegative(raw["seed"], f"{label}: seed"))
 
     def chain_specs(self, skeleton) -> list[ChainSpec]:
         specs = []

@@ -155,10 +155,22 @@ class RatioEstimate:
             raise ConfigError(f"{path} lacks fields {', '.join(missing)}; "
                               f"rerun stage 1")
         try:
-            return cls.from_dict(doc)
+            est = cls.from_dict(doc)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path} holds a field of the wrong type ({exc}); "
                               f"rerun stage 1") from None
+        d, S, total = est.d_hat, est.sigma_hat, int(est.counts.sum())
+        for bad, problem in (
+                (not (np.isfinite(d).all() and (d > 0).all() and d[0] == 1.0),
+                 "d_hat must be finite and positive, with first entry 1"),
+                (len(est.counts) != len(d),
+                 f"counts has {len(est.counts)} entries for {len(d)} skeleton points"),
+                (est.N != total, f"N is {est.N}, but the counts sum to {total}"),
+                (not (np.isfinite(S).all() and np.array_equal(S, S.T)),
+                 "sigma_hat must be finite and symmetric")):
+            if bad:
+                raise ConfigError(f"{path}: {problem}; rerun stage 1")
+        return est
 
 
 class Mixture:

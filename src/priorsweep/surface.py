@@ -1,18 +1,19 @@
 """Stage 2: sweep a hyperparameter grid, estimating Bayes factors (plain and
 control-variate-adjusted) and posterior expectations, each with its plug-in
 variance, from the pooled stage-2 chains and the stage-1 ratio estimate.
+`surface` is the one stage-2 estimator: every estimate, sensitivity vector
+and variance term comes from it.
 
 The mixture denominator sum_s a_s nu_{h_s}(theta)/d_s does not depend on the
 grid point, so it is computed once per workspace, with the chains' batch
-layout; the grid is then swept in blocks of max(1, SERIES_BLOCK // ((J + 2)
-n)) points, so that a block's (B, J + 2, n) stage-2 series hold about
-SERIES_BLOCK floats whatever the number J of functions, and each per-point
-quantity is a row reduction or one identical call per row, so a point's
-numbers do not depend on its block.  All accumulation happens after
-subtracting the cached log denominator and a per-grid-point max shift, which
-keeps the sums finite even when nu_h is many orders of magnitude away from
-the skeleton mixture.
-"""
+layout and the control-variate map; the grid is then swept in blocks of
+max(1, SERIES_BLOCK // ((J + 2) n)) points, so that a block's (B, J + 2, n)
+stage-2 series hold about SERIES_BLOCK floats whatever the number J of
+functions, and each per-point quantity is a row reduction or one identical
+call per row, so a point's numbers do not depend on its block.  All
+accumulation happens after subtracting the cached log denominator and a
+per-grid-point max shift, which keeps the sums finite even when nu_h is
+many orders of magnitude away from the skeleton mixture."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateDesignWarning, SupportWarning
 from .ratio import LogWeightMatrix, Mixture
-from .variance import BatchLayout, assemble_variance, c_hat, lrv_diag, w_hat
+from .variance import BatchLayout, lrv_diag
 
 _RANK_RTOL = 1e-10
 SERIES_BLOCK = 1 << 16      # floats of one block's (B, J + 2, n) stage-2 series
@@ -54,8 +55,12 @@ class Stage2Workspace:
         self.Z = P[1:] / a[1:, None] - P[0] / a[0]
         self.psi = P[1:] / d_hat[1:, None]
         self.z_means = self.Z.mean(axis=1)
-        self.psi_chain_means = np.stack([chain.mean(axis=1) for chain in np.split(
+        # w = c + beta M: M is diag(1/d_t) plus, in row t, the chain-1 less
+        # the chain-t means of psi (direct per-chain means, as chains from
+        # both posteriors exist)
+        means = np.stack([chain.mean(axis=1) for chain in np.split(
             self.psi, np.cumsum(W.counts)[:-1], axis=1)])              # (k, k-1)
+        self.M = np.diag(1.0 / d_hat[1:]) + (means[0] - means[1:])     # (k-1, k-1)
         self.batches = BatchLayout(W.counts)
         # least squares onto (1, Z) is the pseudo-inverse of the design; its
         # rows past the intercept map any u to beta.  Singular values at or
@@ -99,44 +104,6 @@ class Stage2Workspace:
         return np.matmul(self._cv_map, U[..., None])[..., 0]
 
 
-class _Block(NamedTuple):
-    """A block of grid points' terms and point estimates, one row per point."""
-
-    U: np.ndarray          # (B, n) terms u = Y e^-shift
-    shift: np.ndarray      # (B,)
-    u_sum: np.ndarray      # (B,) 0 where nu_h vanishes on every sample
-    mean_u: np.ndarray     # (B,)
-    beta_u: np.ndarray     # (B, k-1) control-variate coefficients of u
-    bf: np.ndarray         # (B,)
-    bf_cv: np.ndarray      # (B,)
-    beta: np.ndarray       # (B, k-1) the coefficients on the Y scale
-    pe: np.ndarray         # (B, J) nan where nu_h vanishes
-
-
-def _estimates(ws: Stage2Workspace, points, F1: np.ndarray) -> _Block:
-    """Every point estimate at a block of grid points.  F1 holds one row
-    per function, each f at every pooled sample, and a row of ones last.
-    The posterior expectations are ratios of sums from one reduction over
-    F1 u per point, so f == 1 gives exactly 1 and 0/1-valued f stays in
-    [0, 1] exactly."""
-    U, shift = ws.terms(points)
-    sums = np.array([np.sum(u * F1, axis=1) for u in U])
-    u_sum = sums[:, -1]
-    live = u_sum > 0.0
-    for h in (h for h, ok in zip(points, live) if not ok):
-        warnings.warn(f"nu_h vanishes on every pooled sample at h={tuple(map(float, h))}: the "
-                      f"Bayes factor is 0 and posterior expectations are "
-                      f"undefined", SupportWarning, stacklevel=3)
-    pe = np.full((len(points), len(F1) - 1), math.nan)
-    np.divide(sums[:, :-1], u_sum[:, None], out=pe, where=live[:, None])
-    mean_u = U.mean(axis=1)
-    beta_u = ws.cv_coefficients(U)
-    scale = np.exp(shift)
-    cv_u = mean_u - (beta_u * ws.z_means).sum(axis=1)
-    return _Block(U, shift, u_sum, mean_u, beta_u, scale * mean_u, scale * cv_u,
-                  beta_u * scale[:, None], pe)
-
-
 class Surface(NamedTuple):
     """Every estimate at every grid point, one row per point; the variance
     columns are those of bf, bf_cv and each function's pe, in that order.
@@ -169,18 +136,25 @@ def surface(ws: Stage2Workspace, grid, F: np.ndarray,
     for the functions whose values at the pooled samples are the rows of the
     (J, n) array F.
 
-    The stage-1 terms are q vec' Sigma vec with vec = c, w or v, all 2 + J
-    of a block's forms from one `assemble_variance` call.  The
-    stage-2 terms are the batch-means long-run variances (`lrv_diag` over
-    the workspace's batch layout) of the stacked series [Y, Y - Z beta,
-    (f_j - I_j) Y ...]: tau^2, sigma^2 and Ybar^2 rho_j.  Batch means are
-    bilinear with per-chain centering, so the last equals (1, -I_j) Gamma
-    (1, -I_j)' for the joint long-run covariance Gamma of (f_j Y, Y), and
-    f == 1 gives a zero series and rho = 0 exactly.  Only the shifted terms
-    u = Y e^-shift are formed; rho is scale free, the other two are
-    rescaled.  A block's (B, J + 2, n) series are built once over the
-    pooled draws: one segmented sum gives every batch sum, and one product
-    with psi over all n draws gives v.
+    A block's (B, J + 2, n) series X are built once over the pooled draws.
+    Rows 2.. first hold f_j u, and the posterior expectations are their sums
+    over the sum of u (so f == 1 gives exactly 1 and 0/1-valued f stays in
+    [0, 1]); they are then overwritten with (f_j - I_j) u, next to rows 0
+    and 1, u and u - Z beta.  The stage-2 terms are the batch-means long-run
+    variances (`lrv_diag` over the workspace's batch layout) of those
+    series: tau^2, sigma^2 and Ybar^2 rho_j.  Batch means are bilinear with
+    per-chain centering, so the last equals (1, -I_j) Gamma (1, -I_j)' for
+    the joint long-run covariance Gamma of (f_j Y, Y), and f == 1 gives a
+    zero series and rho = 0 exactly.  Only the shifted terms u = Y e^-shift
+    are formed; rho is scale free, the other two are rescaled.
+
+    The stage-1 terms are q vec' Sigma vec, clipped at 0, with vec = c, w
+    or v, the sensitivities of each estimator to d_hat.  One product of X
+    with psi gives c (row 0, times e^shift / n) and v (rows 2.., over sum
+    u), and w = c + beta M.  Each form is summed along its own row, so a
+    point's numbers do not depend on its block.  With q = 0 or Sigma = 0
+    the stage-1 terms are 0 and each estimator behaves as if d were known;
+    with k = 1 the vectors are empty and the forms 0.
     """
     F = np.asarray(F, dtype=float)
     if F.ndim != 2 or F.shape[1] != ws.n:
@@ -188,7 +162,6 @@ def surface(ws: Stage2Workspace, grid, F: np.ndarray,
     if not np.isfinite(F).all():
         raise ValueError("function rows hold non-finite values")
     J = len(F)
-    F1 = np.vstack([F, np.ones((1, ws.n))])
     H = ws.W.family.validate_grid(grid)
     G, K = len(H), ws.W.k - 1
     out = Surface(H, *(np.empty((G, *shape)) for shape in
@@ -196,29 +169,45 @@ def surface(ws: Stage2Workspace, grid, F: np.ndarray,
     step = max(1, SERIES_BLOCK // ((J + 2) * ws.n))
     for start in range(0, G, step):
         rows = slice(start, start + step)
-        est = _estimates(ws, H[rows], F1)
-        B = len(est.U)
-        # with nu_h vanishing everywhere u is 0 and pe is nan
-        centre = np.where(est.u_sum[:, None] > 0.0, est.pe, 0.0)
+        U, shift = ws.terms(H[rows])
+        B = len(U)
+        u_sum = U.sum(axis=1)
+        live = u_sum > 0.0
+        for h in H[rows][~live]:
+            warnings.warn(f"nu_h vanishes on every pooled sample at h={tuple(map(float, h))}: "
+                          f"the Bayes factor is 0 and posterior expectations are "
+                          f"undefined", SupportWarning, stacklevel=2)
         X = np.empty((B, J + 2, ws.n))
-        X[:, 0] = est.U
-        np.matmul(est.beta_u[:, None, :], ws.Z, out=X[:, 1:2])
-        np.subtract(est.U, X[:, 1], out=X[:, 1])
-        np.subtract(F, centre[:, :, None], out=X[:, 2:])
-        X[:, 2:] *= est.U[:, None, :]
+        np.multiply(F, U[:, None, :], out=X[:, 2:])
+        pe = np.full((B, J), math.nan)
+        np.divide(X[:, 2:].sum(axis=2), u_sum[:, None], out=pe, where=live[:, None])
+        mean_u = u_sum / ws.n
+        beta_u = ws.cv_coefficients(U)
+        scale = np.exp(shift)
+        out.bf[rows] = scale * mean_u
+        out.bf_cv[rows] = scale * (mean_u - (beta_u * ws.z_means).sum(axis=1))
+        out.beta[rows] = beta = beta_u * scale[:, None]
+        out.pe[rows] = pe
+        X[:, 0] = U
+        np.matmul(beta_u[:, None, :], ws.Z, out=X[:, 1:2])
+        np.subtract(U, X[:, 1], out=X[:, 1])
+        # with nu_h vanishing everywhere u is 0 and pe is nan
+        np.subtract(F, np.where(live[:, None], pe, 0.0)[:, :, None], out=X[:, 2:])
+        X[:, 2:] *= U[:, None, :]
         lrv = lrv_diag(X, ws.batches)
-        stage2 = np.empty((B, 2 + J))
-        np.multiply(lrv[:, :2], np.exp(2.0 * est.shift)[:, None], out=stage2[:, :2])
+        vecs = np.matmul(X, ws.psi.T)                   # (B, 2 + J, k-1)
+        vecs[:, 0] /= ws.n
+        vecs[:, 0] *= scale[:, None]
+        np.matmul(beta[:, None, :], ws.M, out=vecs[:, 1:2])
+        vecs[:, 1] += vecs[:, 0]
+        np.multiply(lrv[:, :2], np.exp(2.0 * shift)[:, None], out=out.stage2[rows, :2])
         with np.errstate(divide="ignore", invalid="ignore"):
-            v = np.matmul(X[:, 2:], ws.psi.T) / est.u_sum[:, None, None]   # (B, J, k-1)
-            np.divide(lrv[:, 2:], (est.mean_u * est.mean_u)[:, None], out=stage2[:, 2:])
-            out.ess[rows] = est.u_sum * est.u_sum / np.square(est.U).sum(axis=1)
-            out.max_weight_share[rows] = est.U.max(axis=1) / est.u_sum
-        c = c_hat(ws, est.U, est.shift)
-        vecs = np.concatenate([c[:, None], w_hat(ws, c, est.beta)[:, None], v],
-                              axis=1)                                  # (B, 2 + J, k-1)
-        s1, s2 = assemble_variance(vecs.reshape(B * (2 + J), K), sigma_hat, stage2.ravel(), q)
-        out.stage1[rows], out.stage2[rows] = s1.reshape(B, 2 + J), s2.reshape(B, 2 + J)
-        out.bf[rows], out.bf_cv[rows], out.beta[rows], out.pe[rows] = \
-            est.bf, est.bf_cv, est.beta, est.pe
+            vecs[:, 2:] /= u_sum[:, None, None]
+            np.divide(lrv[:, 2:], (mean_u * mean_u)[:, None], out=out.stage2[rows, 2:])
+            out.ess[rows] = u_sum * u_sum / np.square(U).sum(axis=1)
+            out.max_weight_share[rows] = U.max(axis=1) / u_sum
+        # elementwise products, then one sum along the last axis per row
+        form = q * (vecs[..., :, None] * sigma_hat * vecs[..., None, :]).reshape(
+            B, 2 + J, K * K).sum(axis=-1)
+        out.stage1[rows] = np.where(form < 0.0, 0.0, form)
     return out

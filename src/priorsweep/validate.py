@@ -18,7 +18,7 @@ import numpy as np
 
 from .families import ChainSpec, ConjugateToy
 from .ratio import Mixture, build_log_weight_matrix, estimate_d, estimate_ratios
-from .surface import Stage2Workspace, _estimates, surface
+from .surface import Stage2Workspace, surface
 from .variance import PlanInputs, predicted_variance, q_opt
 
 # Suite sizes: draws per chain (V1, V4) or over all chains (V2), and the
@@ -43,6 +43,12 @@ def _chains(family, skeleton, lengths, seeds):
     lengths = np.broadcast_to(lengths, len(skeleton)).tolist()
     return family.sample_chains([ChainSpec(h=h, length=n, seed=int(s))
                                  for h, n, s in zip(skeleton, lengths, seeds)])
+
+
+def _known_d(ws, grid, F=None):
+    """The surface over grid with d taken as known (q = 0, Sigma = 0)."""
+    F = np.empty((0, ws.n)) if F is None else F
+    return surface(ws, grid, F, np.zeros((ws.W.k - 1,) * 2), 0.0)
 
 
 def _seed_block(master: int, rep: int, k: int, salt: int):
@@ -149,8 +155,7 @@ def suite_v3_exact_identities(master_seed: int = 3033) -> SuiteResult:
     W = build_log_weight_matrix(family, skeleton, chains)
     d_hat, _ = estimate_d(W)
     ws = Stage2Workspace(W, d_hat)
-    # f == 1 above the ones row _estimates reads last
-    pe = _estimates(ws, [(h,) for h in np.linspace(-1.0, 2.5, 7)], np.ones((2, ws.n))).pe
+    pe = _known_d(ws, [(h,) for h in np.linspace(-1.0, 2.5, 7)], np.ones((1, ws.n))).pe
     check("pe_hat(f==1) == 1 exactly", bool(np.all(pe == 1.0)))
 
     # bf_hat(h1) == 1 exactly when k = 1
@@ -158,10 +163,10 @@ def suite_v3_exact_identities(master_seed: int = 3033) -> SuiteResult:
     W1 = build_log_weight_matrix(family, skeleton[:1], chains1)
     ws1 = Stage2Workspace(W1, np.ones(1))
     check("bf_hat(h1) == 1 exactly (k=1)",
-          _estimates(ws1, skeleton[:1], np.ones((1, ws1.n))).bf[0] == 1.0)
+          _known_d(ws1, skeleton[:1]).bf[0] == 1.0)
 
     # stage-1 self-consistency: replaying bf_hat on stage-1 samples returns d_hat
-    bf = _estimates(ws, skeleton, np.ones((1, ws.n))).bf
+    bf = _known_d(ws, skeleton).bf
     resid = float(np.max(np.abs(bf - d_hat) / d_hat))
     check(f"self-consistency residual {resid:.2e} < 1e-8", resid < 1e-8)
 
@@ -229,8 +234,7 @@ def suite_v4_cv_reduction(reps: int = V4_REPS, master_seed: int = 4044) -> Suite
         chains2 = _chains(family, skeleton, per_chain2, seeds[3:])
         W2 = build_log_weight_matrix(family, skeleton, chains2)
         ws = Stage2Workspace(W2, d_hat)
-        # both estimators from one block call over the grid's terms
-        est = _estimates(ws, grid, np.ones((1, ws.n)))
+        est = _known_d(ws, grid)
         bf[rep], cv[rep] = est.bf, est.bf_cv
     wins = (cv.var(axis=0, ddof=1) <= bf.var(axis=0, ddof=1)).mean()
     floor = 0.80 - max(0.0, 0.05 * (math.sqrt(V4_REPS / reps) - 1.0))

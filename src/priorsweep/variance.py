@@ -1,16 +1,10 @@
-"""Plug-in estimation of the asymptotic-variance pieces for every estimator:
-the long-run covariance behind the stage-1 sandwich and every stage-2 term
-(tau^2, sigma^2, rho), the stage-1 sensitivity vectors c and w (v comes
-from the stage-2 sweep), their assembly into total variances q vec' Sigma
-vec + stage-2 term, and the stage-allocation planner.  The vectors and the
-assembly take the rows of a block of grid points, with one identical
-computation per row.
+"""The long-run variance behind the stage-1 sandwich and every stage-2 term
+(tau^2, sigma^2, rho), and the stage-allocation planner.
 
 Every long-run covariance is chain-centred batch means (Flegal & Jones
 2010, Annals of Statistics), b = floor(sqrt(m)) draws a batch for a chain
 of m draws (`BatchLayout`), on series with time along the last axis:
-`lrv_matrix` is the covariance matrix and `lrv_diag` its diagonal.
-"""
+`lrv_matrix` is the covariance matrix and `lrv_diag` its diagonal."""
 
 from __future__ import annotations
 
@@ -81,43 +75,6 @@ def lrv_diag(X, layout: BatchLayout) -> np.ndarray:
     (..., n) array, each reduced on its own, so stacking changes no bit."""
     S = _batch_sums(X, layout)
     return np.einsum("...i,...i->...", S, S)
-
-
-def c_hat(ws, U, shift) -> np.ndarray:
-    """Stage-1 sensitivities of the Bayes-factor estimator, one row per row
-    of terms U (and its shift) from ws.terms."""
-    return np.matmul(ws.psi, U[..., None])[..., 0] / ws.n * np.exp(shift)[..., None]
-
-
-def w_hat(ws, c, beta_hat) -> np.ndarray:
-    """Stage-1 sensitivities of the control-variate estimator, by rows.
-
-    Three pieces: c (`c_hat` at the same h), beta_t / d_t, and the
-    beta-weighted difference of chain-1 versus chain-j sample means of the
-    psi_t terms (direct per-chain means; chains from both posteriors exist).
-    """
-    beta_hat = np.asarray(beta_hat, dtype=float)
-    diff = ws.psi_chain_means[0][None, :] - ws.psi_chain_means[1:, :]   # (k-1, k-1)
-    return c + beta_hat / ws.d_hat[1:] + np.matmul(diff.T, beta_hat[..., None])[..., 0]
-
-
-def assemble_variance(vecs, sigma_hat, stage2_terms, q: float):
-    """The two variance terms of each row of vecs, clipped at 0: the stage-1
-    quadratic form q vec' Sigma vec, and that row's stage-2 long-run
-    variance.  A negative term becomes 0, while -0.0 and nan pass as they
-    are.
-
-    q is the stage-size ratio n/N; with q = 0 the stage-1 component vanishes
-    and the estimator behaves as if d were known.  With k = 1, the rows and
-    sigma_hat are empty and the quadratic form is 0.
-    """
-    vecs = np.asarray(vecs, dtype=float)
-    R, K = vecs.shape
-    # elementwise products, then one sum along the last axis per row, so a
-    # row's form does not depend on the other rows
-    stage1 = q * (vecs[:, :, None] * sigma_hat * vecs[:, None, :]).reshape(R, K * K).sum(axis=1)
-    stage2 = np.asarray(stage2_terms, dtype=float)
-    return np.where(stage1 < 0.0, 0.0, stage1), np.where(stage2 < 0.0, 0.0, stage2)
 
 
 @dataclass(frozen=True)

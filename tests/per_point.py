@@ -11,8 +11,9 @@ from the code they replaced:
   replaced: one grid point at a time, its terms as a vector, every sum over
   all n pooled samples at once, and one `batch_means_lrv` call per point,
   with one `PointRecord` per point in place of the columns of a `Surface`;
-- the one-point estimators `bf_hat`, `bf_cv_hat` and `pe_hat`, each one row
-  of the block path, and `estimate_sigma`, the sandwich covariance formed
+- the one-point estimators `bf_hat`, `bf_cv_hat` and `pe_hat`, each
+  `priorsweep.surface.surface` at one point with d taken as known, and
+  `estimate_sigma`, the sandwich covariance formed
   from d_hat alone, which `priorsweep.ratio` builds from the solver's
   curvature instead;
 - the max-shifted softmax kernel `softmax` and the stage-1 solver
@@ -28,7 +29,7 @@ import numpy as np
 
 from priorsweep.errors import ConnectivityError
 from priorsweep.ratio import MAX_ITER, TOL, _check_curvature, _sandwich
-from priorsweep.surface import _estimates
+from priorsweep.surface import surface
 from priorsweep.variance import MIN_SERIES_LENGTH
 
 
@@ -87,22 +88,28 @@ def spectral_lrv(series):
     return 0.0 if np.ptp(x) == 0.0 else float(np.einsum("ij,ij->j", S, S)[0])
 
 
+def _known_d(ws, h, F):
+    """`surface` at the one point h for the function rows F, with d taken
+    as known (q = 0, Sigma = 0)."""
+    return surface(ws, [h], F, np.zeros((ws.W.k - 1,) * 2), 0.0)
+
+
 def bf_hat(ws, h):
     """Importance-sampling Bayes-factor estimate B_hat(h, h_1, d_hat)."""
-    return float(_estimates(ws, [h], np.ones((1, ws.n))).bf[0])
+    return float(_known_d(ws, h, np.empty((0, ws.n))).bf[0])
 
 
 def bf_cv_hat(ws, h):
     """Control-variate-adjusted Bayes-factor estimate and its regression
     coefficients (on the Y scale)."""
-    est = _estimates(ws, [h], np.ones((1, ws.n)))
+    est = _known_d(ws, h, np.empty((0, ws.n)))
     return float(est.bf_cv[0]), est.beta[0]
 
 
 def pe_hat(ws, h, f):
     """Posterior-expectation estimate at h of the function whose values at
     the pooled samples are the row f (nan where nu_h vanishes)."""
-    return float(_estimates(ws, [h], np.vstack([f, np.ones(ws.n)])).pe[0, 0])
+    return float(_known_d(ws, h, np.reshape(f, (1, ws.n))).pe[0, 0])
 
 
 def estimate_sigma(W, d_hat):
@@ -211,7 +218,11 @@ def c_hat(ws, u, shift):
 
 
 def w_hat(ws, c, beta):
-    diff = ws.psi_chain_means[0][None, :] - ws.psi_chain_means[1:, :]
+    """c, plus beta_t / d_t, plus the beta-weighted difference of the
+    chain-1 and chain-t means of psi."""
+    means = np.stack([chain.mean(axis=1) for chain in np.split(
+        ws.psi, np.cumsum(ws.W.counts)[:-1], axis=1)])
+    diff = means[0][None, :] - means[1:, :]
     return c + beta / ws.d_hat[1:] + diff.T @ beta
 
 

@@ -138,11 +138,12 @@ class TestRun:
         (out / "ratio.json").write_text(json.dumps(doc))
         assert main(["run", "--config", str(toy_config), "--stage", "2"]) == 2
 
-    # a ratio.json with a field dropped, of another schema, or with a count
-    # that is not an integer, is refused before stage 2 samples anything;
-    # schema 2 weighted the regression model's draws by the joint prior of
-    # (gamma, sigma, beta), and schema 3 took sigma_hat from Bartlett
-    # long-run covariances rather than batch means
+    # a ratio.json with a field dropped, of another schema, with a count
+    # that is not an integer, or with numbers that do not fit together, is
+    # refused before stage 2 samples anything; schema 2 weighted the
+    # regression model's draws by the joint prior of (gamma, sigma, beta),
+    # and schema 3 took sigma_hat from Bartlett long-run covariances rather
+    # than batch means.  Three skeleton points, so sigma_hat is 2 x 2.
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: doc.pop("d_hat"), "lacks fields d_hat"),
         (lambda doc: doc.pop("counts"), "lacks fields counts"),
@@ -160,11 +161,27 @@ class TestRun:
          "solver.iterations must be an integer, got 3.5"),
         (lambda doc: doc["solver"].update(iterations=True),
          "solver.iterations must be an integer, got True"),
+        (lambda doc: doc["sigma_hat"][0].__setitem__(0, math.nan),
+         "ratio.json: sigma_hat must be finite and symmetric; rerun stage 1"),
+        (lambda doc: doc.update(N=7), "ratio.json: N is 7, but the counts sum to 2400"),
+        (lambda doc: doc["counts"].pop(),
+         "ratio.json: counts has 2 entries for 3 skeleton points; rerun stage 1"),
+        (lambda doc: doc["sigma_hat"][0].__setitem__(1, 2 * doc["sigma_hat"][1][0] + 1.0),
+         "ratio.json: sigma_hat must be finite and symmetric"),
+        (lambda doc: doc["d_hat"].__setitem__(1, math.nan),
+         "ratio.json: d_hat must be finite and positive, with first entry 1; rerun stage 1"),
+        (lambda doc: doc["d_hat"].__setitem__(2, -0.5),
+         "ratio.json: d_hat must be finite and positive"),
     ], ids=["no-d_hat", "no-counts", "no-solver", "schema-99", "schema-2",
             "skeleton-a-number", "schema-3", "N-null", "N-fractional", "N-true",
-            "counts-float", "counts-true", "iterations-fractional", "iterations-true"])
-    def test_stage2_refuses_malformed_ratio_json(self, toy_config, tmp_path, capsys,
-                                                 edit, message):
+            "counts-float", "counts-true", "iterations-fractional", "iterations-true",
+            "sigma-nan", "N-not-the-counts-sum", "counts-short", "sigma-asymmetric",
+            "d_hat-nan", "d_hat-negative"])
+    def test_stage2_refuses_malformed_ratio_json(self, tmp_path, capsys, edit, message):
+        toy_config = tmp_path / "study.yaml"
+        raw = write_toy_config(toy_config, out=str(tmp_path / "out"))
+        raw["skeleton"].append([2.0])
+        toy_config.write_text(yaml.safe_dump(raw))
         out = tmp_path / "out"
         assert main(["run", "--config", str(toy_config), "--stage", "1"]) == 0
         doc = json.loads((out / "ratio.json").read_text())
@@ -173,6 +190,16 @@ class TestRun:
         assert main(["run", "--config", str(toy_config), "--stage", "2"]) == 2
         assert message in capsys.readouterr().err
         assert not (out / "surface.csv").exists()
+
+    @pytest.mark.parametrize("override, message", [
+        ("stage1=-3", "--seed-override stage1 must be nonnegative, got -3"),
+        ("stage2=abc", "--seed-override stage2 must be an integer, got 'abc'"),
+    ], ids=["negative", "not-a-number"])
+    def test_bad_seed_override_rejected_before_sampling(self, toy_config, tmp_path, capsys,
+                                                        override, message):
+        assert main(["run", "--config", str(toy_config), "--seed-override", override]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_stage2_accepts_a_new_stage2_seed(self, toy_config, tmp_path):
         assert main(["run", "--config", str(toy_config), "--stage", "1"]) == 0
@@ -478,6 +505,13 @@ class TestPlan:
         assert main(["plan", "--config", str(toy_config), "--budget", "60",
                      "--pilot-length", "9"]) == 2
         assert "--pilot-length must be at least 10" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0", "-5"])
+    def test_budget_not_positive_and_finite_rejected(self, toy_config, tmp_path, capsys,
+                                                     budget):
+        assert main(["plan", "--config", str(toy_config), "--budget", budget]) == 2
+        assert "--budget must be a positive number of seconds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_plan_outputs(self, toy_config, tmp_path):

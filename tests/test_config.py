@@ -90,6 +90,10 @@ class TestStageConfig:
         with pytest.raises(ConfigError, match=f"^stage2: {key} must be an integer, got "):
             StageConfig.parse(raw, 2, "stage2")
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="^stage1: seed must be nonnegative, got -3$"):
+            StageConfig.parse({"length": 10, "seed": -3}, 2, "stage1")
+
 
 def write_toy_config(path, out="run-out", seed1=11, seed2=22):
     cfg = {

@@ -8,12 +8,11 @@ from priorsweep.errors import DegenerateDesignWarning
 from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
 from priorsweep.surface import Stage2Workspace, surface
-from priorsweep.variance import (MIN_SERIES_LENGTH, BatchLayout, PlanInputs,
-                                 assemble_variance, c_hat, lrv_diag, lrv_matrix,
-                                 predicted_variance, q_opt, w_hat)
+from priorsweep.variance import (MIN_SERIES_LENGTH, BatchLayout, PlanInputs, lrv_diag,
+                                 lrv_matrix, predicted_variance, q_opt)
 
-from per_point import (batch_means_lrv, estimate_sigma, pe_hat, point_terms,
-                       spectral_lrv, v_hat)
+from per_point import (batch_means_lrv, bf_hat, c_hat, estimate_sigma, pe_hat, point_terms,
+                       spectral_lrv, v_hat, w_hat)
 
 
 def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
@@ -30,12 +29,18 @@ def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
 BF, BF_CV, PE = 0, 1, 2
 
 
-def point(ws, h, rows=()):
-    """The surface at one h for the function rows given, with sigma_hat =
-    0, so every variance is its stage-2 term: tau^2 (column BF), sigma^2
-    (BF_CV), rho (PE + j)."""
+def forms(ws, h, sigma, q=1.0, rows=()):
+    """The surface at one h for the function rows given, whose stage-1
+    terms are q vec' sigma vec for the sensitivity vector of each
+    estimator: c (column BF), w (BF_CV), v (PE + j)."""
     F = np.array(rows, dtype=float).reshape(-1, ws.n)
-    return surface(ws, [h], F, np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0)
+    return surface(ws, [h], F, np.asarray(sigma, dtype=float), q=q)
+
+
+def point(ws, h, rows=()):
+    """`forms` with sigma_hat = 0, so every variance is its stage-2 term:
+    tau^2 (column BF), sigma^2 (BF_CV), rho (PE + j)."""
+    return forms(ws, h, np.zeros((ws.W.k - 1, ws.W.k - 1)), q=0.0, rows=rows)
 
 
 class TestSpectralLrv:
@@ -369,25 +374,46 @@ class TestGammaRho:
 
 class TestSensitivityVectors:
     def test_c_identical_densities_equals_proportion(self):
+        # Sigma = [[1]], q = 1: the stage-1 term of bf is c^2
         _, ws = toy_workspace([(0.5,), (0.5,)], 1000, d=[1.0, 1.0], seed0=4)
-        c = c_hat(ws, *point_terms(ws, (0.5,)))
-        assert c[0] == pytest.approx(ws.W.proportions[1], abs=1e-12)
+        with pytest.warns(DegenerateDesignWarning):
+            surf = forms(ws, (0.5,), [[1.0]])
+        assert math.sqrt(surf.stage1[0, BF]) == pytest.approx(ws.W.proportions[1], abs=1e-12)
 
     def test_c_nonnegative(self):
+        # c_j is dB_hat/dd_j, the root of bf's stage-1 term under Sigma =
+        # e_j e_j'; no output carries its sign, so B_hat must rise with d_j
         _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 900, seed0=6)
-        assert np.all(c_hat(ws, *point_terms(ws, (0.7,))) >= 0.0)
+        h = (0.7,)
+        for j in range(1, ws.W.k):
+            unit = np.zeros((ws.W.k - 1, ws.W.k - 1))
+            unit[j - 1, j - 1] = 1.0
+            c_j = math.sqrt(forms(ws, h, unit).stage1[0, BF])
+            d = ws.d_hat.copy()
+            d[j] *= 1.0 + 1e-6
+            rise = (bf_hat(Stage2Workspace(ws.W, d), h) - bf_hat(ws, h)) / (d[j] - ws.d_hat[j])
+            assert rise >= 0.0
+            assert rise == pytest.approx(c_j, rel=1e-4)
+
+    def test_w_is_c_plus_beta_m(self):
+        # Sigma = [[1]], q = 1: the stage-1 terms of bf and bf_cv are c^2 and w^2
+        _, ws = toy_workspace([(0.0,), (1.0,)], 700, seed0=8)
+        surf = forms(ws, (0.4,), [[1.0]])
+        w = math.sqrt(surf.stage1[0, BF]) + float(surf.beta[0] @ ws.M[:, 0])
+        assert math.sqrt(surf.stage1[0, BF_CV]) == pytest.approx(abs(w), rel=1e-12)
 
     def test_w_reduces_to_c_when_beta_zero(self):
-        _, ws = toy_workspace([(0.0,), (1.0,)], 700, seed0=8)
-        c = c_hat(ws, *point_terms(ws, (0.4,)))
-        np.testing.assert_allclose(w_hat(ws, c, np.zeros(1)), c, rtol=1e-12)
+        # Z == 0 for identical densities, so the minimum-norm beta is 0
+        _, ws = toy_workspace([(0.5,), (0.5,)], 700, d=[1.0, 1.0], seed0=8)
+        with pytest.warns(DegenerateDesignWarning):
+            surf = forms(ws, (0.4,), [[1.0]])
+        assert np.all(surf.beta == 0.0)
+        assert surf.stage1[0, BF_CV] == pytest.approx(surf.stage1[0, BF], rel=1e-12)
 
     def test_w_term3_vanishes_for_identical_densities(self):
+        # M = diag(1/d) + chain-mean differences of psi, which must vanish
         _, ws = toy_workspace([(0.5,), (0.5,)], 1000, d=[1.0, 1.0], seed0=9)
-        c = c_hat(ws, *point_terms(ws, (0.5,)))
-        beta = np.array([0.7])
-        want = c + beta / 1.0   # term 3 must vanish exactly
-        np.testing.assert_allclose(w_hat(ws, c, beta), want, atol=1e-12)
+        np.testing.assert_allclose(ws.M, np.diag(1.0 / ws.d_hat[1:]), atol=1e-12)
 
     def test_v_zero_for_constant_function(self):
         _, ws = toy_workspace([(0.0,), (1.0,)], 800, seed0=10)
@@ -426,18 +452,28 @@ def v_per_function(ws, h, fv):
 
 class TestAssembleAndPlan:
     def test_q_zero_drops_stage1(self):
-        (s1,), (s2,) = assemble_variance(np.array([[1.0]]), np.array([[4.0]]), [2.5], q=0.0)
-        assert s1 == 0.0 and s1 + s2 == 2.5
-        assert math.sqrt((s1 + s2) / 100) == pytest.approx(math.sqrt(2.5 / 100))
+        _, ws = toy_workspace([(0.0,), (1.0,)], 600, seed0=15)
+        surf = forms(ws, (0.5,), [[4.0]], q=0.0, rows=[ws.W.samples])
+        assert np.all(surf.stage1 == 0.0)
+        assert np.array_equal(surf.total, surf.stage2)
+        assert np.array_equal(surf.se, np.sqrt(surf.stage2 / ws.n))
 
     def test_zero_sigma_drops_stage1(self):
-        (s1,), (s2,) = assemble_variance(np.array([[1.0]]), np.zeros((1, 1)), [2.5], q=0.7)
-        assert s1 + s2 == 2.5
+        _, ws = toy_workspace([(0.0,), (1.0,)], 600, seed0=16)
+        surf = forms(ws, (0.5,), np.zeros((1, 1)), q=0.7, rows=[ws.W.samples])
+        assert np.all(surf.stage1 == 0.0)
+        assert np.array_equal(surf.total, surf.stage2)
 
     def test_total_is_sum(self):
-        (s1,), (s2,) = assemble_variance(np.array([[1.0, 2.0]]), np.eye(2), [0.5], q=0.5)
-        assert s1 == pytest.approx(0.5 * 5.0)
-        assert s1 + s2 == pytest.approx(3.0)
+        _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 600, seed0=17)
+        h = (0.8,)
+        surf = forms(ws, h, np.eye(2), q=0.5)
+        u, shift = point_terms(ws, h)
+        c = c_hat(ws, u, shift)
+        w = w_hat(ws, c, surf.beta[0])
+        assert surf.stage1[0, BF] == pytest.approx(0.5 * float(c @ c))
+        assert surf.stage1[0, BF_CV] == pytest.approx(0.5 * float(w @ w))
+        np.testing.assert_allclose(surf.total, surf.stage1 + surf.stage2)
 
     def test_q_opt_equal_components(self):
         plan = PlanInputs(t1=0.01, t2=1e-15, g=100, T=60, v1=2.0, v2=2.0)
