@@ -1,10 +1,10 @@
 """Command-line front end: two-stage runs, oracle comparisons, stage-size
 planning, and the built-in validation suites.
 
-Stages can run in separate invocations: stage 1 writes ratio.json, stage 2
-reads it back, which mirrors the independence of the two sampling stages.
-All outputs are deterministic for a fixed config (seeds included).  Each
-stage's chains are sampled serially, in one pass.
+`run` and `plan` share the stage code (`_stage1`, `_stage2`).  Stage 1
+writes ratio.json and stage 2 always reads it back, in the same invocation
+or a later one.  All outputs are deterministic for a fixed config (seeds
+included).  Each stage's chains are sampled serially, in one pass.
 """
 
 from __future__ import annotations
@@ -80,19 +80,6 @@ def _write_variance_csv(path: Path, cfg: StudyConfig, surf) -> None:
                   surf.h, surf.stage1[:, 1], surf.stage2[:, 1], surf.total[:, 1], surf.se[:, 1])
 
 
-def _check_ratio_matches(est: RatioEstimate, cfg: StudyConfig, path: Path) -> None:
-    """Refuse a stage-1 estimate made for another skeleton or stage-1 config."""
-    if est.skeleton is None or est.stage1_hash is None:
-        raise ConfigError(f"{path} records no skeleton or stage-1 config hash; "
-                          f"rerun stage 1")
-    if est.skeleton != cfg.skeleton:
-        raise ConfigError(f"{path} was estimated for skeleton {est.skeleton}, "
-                          f"not {cfg.skeleton}; rerun stage 1")
-    if est.stage1_hash != cfg.stage1_hash:
-        raise ConfigError(f"{path} was estimated under another model, skeleton "
-                          f"or stage1 config; rerun stage 1")
-
-
 @contextmanager
 def _timed(timings: dict, key: str):
     """Add the wall time of the block to timings[key]."""
@@ -119,6 +106,36 @@ def _manifest(cfg: StudyConfig, timings: dict, **extra) -> dict:
     }
 
 
+def _stage1(cfg: StudyConfig, specs, timings: dict):
+    """Sample the stage-1 chains of specs and estimate the ratios from them:
+    (chains, RatioEstimate), timed into timings."""
+    with _timed(timings, "stage1_s"):
+        chains = cfg.family.sample_chains(specs)
+    timings["t1_s_per_step"] = timings["stage1_s"] / sum(sp.length + sp.burn_in
+                                                         for sp in specs)
+    with _timed(timings, "weights_s"):
+        W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
+    with _timed(timings, "ratio_s"):
+        est = estimate_ratios(W1)
+    return chains, est
+
+
+def _stage2(cfg: StudyConfig, est: RatioEstimate, specs, grid, timings: dict):
+    """Sample the stage-2 chains of specs and sweep grid with the stage-1
+    estimate est, at q = n / N: (chains, Surface), timed into timings."""
+    with _timed(timings, "stage2_s"):
+        chains = cfg.family.sample_chains(specs)
+    with _timed(timings, "weights_s"):
+        W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
+    with _timed(timings, "workspace_s"):
+        ws = Stage2Workspace(W2, est.d_hat)
+    with _timed(timings, "sweep_s"):
+        F = cfg.family.function_rows(cfg.functions, ws.W.samples)
+        surf = surface(ws, grid, F, est.sigma_hat, ws.n / est.N)
+    timings["t2_s_per_term"] = timings["sweep_s"] / (len(grid) * ws.n)
+    return chains, surf
+
+
 def cmd_run(cfg: StudyConfig, stage: str) -> Path:
     out = cfg.out_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -130,53 +147,25 @@ def cmd_run(cfg: StudyConfig, stage: str) -> Path:
         # the 1 - R^2 table, built before any chain starts
         with _timed(timings, "table_s"):
             cfg.family.model_table()
-    est = None
     if stage in ("1", "both"):
-        specs = cfg.stage1.chain_specs(cfg.skeleton)
-        with _timed(timings, "stage1_s"):
-            chains = cfg.family.sample_chains(specs)
-        steps = sum(sp.length + sp.burn_in for sp in specs)
-        timings["t1_s_per_step"] = timings["stage1_s"] / steps
-        if cfg.save_chains:
-            with _timed(timings, "write_s"):
+        chains, est = _stage1(cfg, cfg.stage1.chain_specs(cfg.skeleton), timings)
+        with _timed(timings, "write_s"):
+            if cfg.save_chains:
                 for i, c in enumerate(chains):
                     _write_chain_csv(out / f"chain-stage1-{i:02d}.csv", cfg.family, c)
-        with _timed(timings, "weights_s"):
-            W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
-        with _timed(timings, "ratio_s"):
-            est = estimate_ratios(W1)
-        est.stage1_hash = cfg.stage1_hash
-        with _timed(timings, "write_s"):
-            est.save(ratio_path)
+            est.save(ratio_path, cfg.stage1_hash)
     if stage in ("2", "both"):
-        if est is None:
-            if not ratio_path.exists():
-                raise ConfigError(f"stage 2 requires {ratio_path} from a prior "
-                                  f"stage-1 run")
-            est = RatioEstimate.load(ratio_path)
-            _check_ratio_matches(est, cfg, ratio_path)
-        specs = cfg.stage2.chain_specs(cfg.skeleton)
-        with _timed(timings, "stage2_s"):
-            chains = cfg.family.sample_chains(specs)
-        if cfg.save_chains:
-            with _timed(timings, "write_s"):
-                for i, c in enumerate(chains):
-                    _write_chain_csv(out / f"chain-stage2-{i:02d}.csv", cfg.family, c)
-        with _timed(timings, "weights_s"):
-            W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
-        with _timed(timings, "workspace_s"):
-            ws = Stage2Workspace(W2, est.d_hat)
-        n, N = ws.n, est.N
-        q = n / N
-        with _timed(timings, "sweep_s"):
-            F = cfg.family.function_rows(cfg.functions, ws.W.samples)
-            surf = surface(ws, cfg.grid, F, est.sigma_hat, q)
-        timings["t2_s_per_term"] = timings["sweep_s"] / (len(cfg.grid) * n)
-        manifest["sizes"] = {"N": int(N), "n": int(n), "q": q,
+        est = RatioEstimate.load(ratio_path, cfg.skeleton, cfg.stage1_hash)
+        chains, surf = _stage2(cfg, est, cfg.stage2.chain_specs(cfg.skeleton), cfg.grid,
+                               timings)
+        manifest["sizes"] = {"N": int(est.N), "n": surf.n, "q": surf.n / est.N,
                              "k": len(cfg.skeleton), "grid": len(cfg.grid)}
         manifest["d_hat_provenance"] = ("this run" if stage == "both"
                                         else str(ratio_path))
         with _timed(timings, "write_s"):
+            if cfg.save_chains:
+                for i, c in enumerate(chains):
+                    _write_chain_csv(out / f"chain-stage2-{i:02d}.csv", cfg.family, c)
             _write_surface_csv(out / "surface.csv", cfg, surf)
             _write_variance_csv(out / "variance.csv", cfg, surf)
         totals = surf.total[:, 1]
@@ -295,23 +284,14 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
                       for stage in (cfg.stage1, cfg.stage2))
     if isinstance(cfg.family, BlvsFamily):
         cfg.family.model_table()    # built before the chains and outside t1
-    t0 = time.perf_counter()
-    chains1 = cfg.family.sample_chains(specs1)
-    t1 = (time.perf_counter() - t0) / sum(sp.length + sp.burn_in for sp in specs1)
-    W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains1)
-    est = estimate_ratios(W1)
-
-    chains2 = cfg.family.sample_chains(specs2)
-    W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains2)
-    ws = Stage2Workspace(W2, est.d_hat)
-
-    # pilot variance components (q = 1: v1 = c' Sigma c, v2 = tau^2) of the
-    # plain estimator at a few representative grid points
+    # `run`'s two stages at pilot length, so t1 and t2 are the manifest's and
+    # q = n / N is 1; the pilot variance components (v1 = c' Sigma c, v2 =
+    # tau^2) are the plain estimator's at a few representative grid points
+    timings: dict = {}
+    _, est = _stage1(cfg, specs1, timings)
     probe = cfg.grid[sorted({0, len(cfg.grid) // 2, len(cfg.grid) - 1})]
-    t0 = time.perf_counter()
-    F = cfg.family.function_rows(cfg.functions, ws.W.samples)
-    surf = surface(ws, probe, F, est.sigma_hat, 1.0)
-    t2 = (time.perf_counter() - t0) / (len(probe) * ws.n)
+    _, surf = _stage2(cfg, est, specs2, probe, timings)
+    t1, t2 = timings["t1_s_per_step"], timings["t2_s_per_term"]
     pilots = [{"h": h, "v1": v1, "v2": v2} for h, v1, v2 in
               zip(surf.h.tolist(), surf.stage1[:, 0].tolist(), surf.stage2[:, 0].tolist())]
 
@@ -341,6 +321,8 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
 
 
 def cmd_validate(reps_scale: float) -> int:
+    if not (math.isfinite(reps_scale) and reps_scale > 0):
+        raise ConfigError(f"--reps-scale must be a positive number, got {reps_scale}")
     results = run_all(reps_scale=reps_scale)
     failed = 0
     for res in results:
@@ -395,7 +377,6 @@ def main(argv=None) -> int:
     p_plan.add_argument("--budget", type=float, required=True,
                         help="total computational budget in seconds")
     p_plan.add_argument("--pilot-length", type=int, default=500)
-    p_plan.add_argument("--threads", type=int, default=None, help=THREADS_HELP)
     p_plan.add_argument("--out", default=None)
 
     p_val = sub.add_parser("validate", help="run the built-in toy suites")

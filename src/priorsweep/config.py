@@ -190,6 +190,9 @@ def load_config(path) -> StudyConfig:
     if not all(isinstance(item, str) for item in functions):
         raise ConfigError("functions: expected a list of function names")
     functions = family.function_names(functions)
+    repeated = [nm for i, nm in enumerate(functions) if nm in functions[:i]]
+    if repeated:
+        raise ConfigError(f"functions: {repeated[0]!r} is named more than once")
     out_dir = Path(raw.get("out", "priorsweep-out"))
     if not out_dir.is_absolute():
         out_dir = base_dir / out_dir

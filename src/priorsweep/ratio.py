@@ -1,7 +1,8 @@
 """Stage 1: estimate d = (m_{h_2}/m_{h_1}, ..., m_{h_k}/m_{h_1}) from pooled
 chains via reverse logistic regression, with a sandwich estimate of the
-asymptotic covariance of sqrt(N) (d_hat - d) whose middle is the
-batch-means long-run covariance of the scores (`variance.lrv_matrix`).
+asymptotic covariance of sqrt(N) (d_hat - d), C C' for C the curvature
+solved against the batch sums of the scores (`variance.batch_sums`).
+`RatioEstimate.save` and `load` are the whole ratio.json contract.
 
 The log quasi-likelihood is maximized in eta = log d coordinates (eta_1
 pinned to 0), where it is concave.  A damped Newton iteration is used,
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -23,7 +25,7 @@ import numpy as np
 from .errors import (ConfigError, ConnectivityError, ConvergenceError,
                      SupportViolationError, integer)
 from .families import DensityFamily
-from .variance import BatchLayout, lrv_matrix
+from .variance import BatchLayout, batch_sums
 
 RATIO_SCHEMA_VERSION = 4
 TOL = 1e-10         # converged when max_j |gradient_j| / N < TOL
@@ -84,12 +86,14 @@ def build_log_weight_matrix(family: DensityFamily, skeleton: Sequence,
 
 @dataclass
 class RatioEstimate:
-    """d_hat with first entry 1, its sandwich covariance, and solver info.
+    """d_hat with first entry 1, its sandwich covariance, the skeleton it
+    was estimated for, and solver info.  trace is the solver's Newton trace
+    (see estimate_d), None for a file written without it.
 
-    skeleton and stage1_hash identify the stage-1 inputs, so that a stage-2
-    run can refuse an estimate made for another skeleton or config; a file
-    written without them loads with None.  trace is the solver's Newton
-    trace (see estimate_d), None for a file written without it.
+    `save` writes the stage-1 config hash next to the estimate; `load`
+    refuses a file that is missing, of another schema, short of a field or
+    of a wrong type, whose numbers do not fit together, or that was made
+    for another skeleton or stage-1 config hash.
     """
 
     d_hat: np.ndarray            # (k,)
@@ -98,49 +102,31 @@ class RatioEstimate:
     counts: np.ndarray
     iterations: int
     final_grad_norm: float
-    skeleton: list[tuple] | None = None
-    stage1_hash: str | None = None
+    skeleton: list[tuple]
     trace: list[dict] | None = None
 
-    def to_dict(self) -> dict:
-        return {
+    def save(self, path, stage1_hash: str) -> None:
+        doc = {
             "schema_version": RATIO_SCHEMA_VERSION,
             "d_hat": self.d_hat.tolist(),
             "sigma_hat": self.sigma_hat.tolist(),
             "N": int(self.N),
             "counts": self.counts.tolist(),
-            "skeleton": (None if self.skeleton is None
-                         else [list(h) for h in self.skeleton]),
-            "stage1_hash": self.stage1_hash,
+            "skeleton": [list(h) for h in self.skeleton],
+            "stage1_hash": stage1_hash,
             "solver": {
                 "iterations": int(self.iterations),
                 "final_grad_norm": float(self.final_grad_norm),
                 "trace": self.trace,
             },
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RatioEstimate":
-        return cls(
-            d_hat=np.asarray(d["d_hat"], dtype=float),
-            sigma_hat=np.asarray(d["sigma_hat"], dtype=float).reshape(
-                len(d["d_hat"]) - 1, len(d["d_hat"]) - 1),
-            N=integer(d["N"], "N"),
-            counts=np.array([integer(c, "counts entry") for c in d["counts"]], dtype=np.int64),
-            iterations=integer(d["solver"]["iterations"], "solver.iterations"),
-            final_grad_norm=float(d["solver"]["final_grad_norm"]),
-            skeleton=(None if d.get("skeleton") is None
-                      else [tuple(float(c) for c in h) for h in d["skeleton"]]),
-            stage1_hash=d.get("stage1_hash"),
-            trace=d["solver"].get("trace"),
-        )
-
-    def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
+            json.dump(doc, fh, indent=2)
 
     @classmethod
-    def load(cls, path) -> "RatioEstimate":
+    def load(cls, path, skeleton, stage1_hash: str) -> "RatioEstimate":
+        if not Path(path).exists():
+            raise ConfigError(f"stage 2 requires {path} from a prior stage-1 run")
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         version = doc.get("schema_version") if isinstance(doc, dict) else None
@@ -148,14 +134,25 @@ class RatioEstimate:
             raise ConfigError(f"{path}: unsupported schema_version {version!r}, "
                               f"expected {RATIO_SCHEMA_VERSION}; rerun stage 1")
         solver = doc.get("solver")
-        missing = [key for key in ("d_hat", "sigma_hat", "N", "counts") if key not in doc]
+        missing = [key for key in ("d_hat", "sigma_hat", "N", "counts", "skeleton",
+                                   "stage1_hash") if key not in doc]
         missing += [f"solver.{key}" for key in ("iterations", "final_grad_norm")
                     if not isinstance(solver, dict) or key not in solver]
         if missing:
             raise ConfigError(f"{path} lacks fields {', '.join(missing)}; "
                               f"rerun stage 1")
         try:
-            est = cls.from_dict(doc)
+            k = len(doc["d_hat"])
+            est = cls(
+                d_hat=np.asarray(doc["d_hat"], dtype=float),
+                sigma_hat=np.asarray(doc["sigma_hat"], dtype=float).reshape(k - 1, k - 1),
+                N=integer(doc["N"], "N"),
+                counts=np.array([integer(c, "counts entry") for c in doc["counts"]],
+                                dtype=np.int64),
+                iterations=integer(solver["iterations"], "solver.iterations"),
+                final_grad_norm=float(solver["final_grad_norm"]),
+                skeleton=[tuple(float(c) for c in h) for h in doc["skeleton"]],
+                trace=solver.get("trace"))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{path} holds a field of the wrong type ({exc}); "
                               f"rerun stage 1") from None
@@ -170,6 +167,12 @@ class RatioEstimate:
                  "sigma_hat must be finite and symmetric")):
             if bad:
                 raise ConfigError(f"{path}: {problem}; rerun stage 1")
+        if est.skeleton != skeleton:
+            raise ConfigError(f"{path} was estimated for skeleton {est.skeleton}, "
+                              f"not {skeleton}; rerun stage 1")
+        if doc["stage1_hash"] != stage1_hash:
+            raise ConfigError(f"{path} was estimated under another model, skeleton "
+                              f"or stage1 config; rerun stage 1")
         return est
 
 
@@ -349,35 +352,25 @@ def _check_curvature(B: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
               curvature: np.ndarray) -> np.ndarray:
     """Sandwich covariance of sqrt(N)(d_hat - d) from the membership
-    probabilities P at d_hat and the curvature matrix there.
-
-    B_hat is the averaged negative Hessian of the quasi-likelihood; S_hat is
-    the batch-means long-run covariance of the per-observation score over
-    the chains' batches, each batch centred at its chain's mean (the
-    per-chain means cancel only in aggregate, so centering must be per
-    chain).
+    probabilities P at d_hat and the curvature matrix there: C C', PSD and
+    exactly symmetric by construction, for C = B_hat^-1 A with its rows
+    scaled by d_hat_2..k.  B_hat is the curvature over N, and A A' the
+    batch-means long-run covariance of the per-observation scores, A their
+    weighted batch sums (`variance.batch_sums`), each batch centred at its
+    chain's mean, since the per-chain means cancel only in aggregate.
     """
-    N = W.total
-    if W.k == 1:
-        return np.zeros((0, 0))
-    B = curvature / N
     # score j of a draw: 1 if chain j drew it, less P_j there; (k-1, N)
     scores = (np.arange(1, W.k)[:, None] == np.repeat(np.arange(W.k), W.counts)) - P[1:]
-    S = lrv_matrix(scores, BatchLayout(W.counts))
-    # S is PSD by construction; the clip removes rounding-level negatives
-    evals, evecs = np.linalg.eigh((S + S.T) / 2.0)
-    S = (evecs * np.clip(evals, 0.0, None)) @ evecs.T
+    A = batch_sums(scores, BatchLayout(W.counts))
     try:
-        binv_s = np.linalg.solve(B, S)
-        sigma_eta = np.linalg.solve(B, binv_s.T).T
+        C = np.linalg.solve(curvature / W.total, A)
     except np.linalg.LinAlgError:
         raise ConnectivityError(
             "curvature matrix is singular; skeleton chains appear "
             "insufficiently connected"
         ) from None
-    sigma_eta = (sigma_eta + sigma_eta.T) / 2.0
-    scale = np.asarray(d_hat, dtype=float)[1:]
-    return sigma_eta * np.outer(scale, scale)
+    C *= np.asarray(d_hat, dtype=float)[1:, None]
+    return C @ C.T
 
 
 def estimate_ratios(W: LogWeightMatrix) -> RatioEstimate:

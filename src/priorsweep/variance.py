@@ -4,7 +4,9 @@
 Every long-run covariance is chain-centred batch means (Flegal & Jones
 2010, Annals of Statistics), b = floor(sqrt(m)) draws a batch for a chain
 of m draws (`BatchLayout`), on series with time along the last axis:
-`lrv_matrix` is the covariance matrix and `lrv_diag` its diagonal."""
+`batch_sums` gives S, the weighted centred batch sums, whose S S' is the
+long-run covariance matrix (the stage-1 sandwich solves against S), and
+`lrv_diag` its diagonal."""
 
 from __future__ import annotations
 
@@ -47,7 +49,7 @@ class BatchLayout:
         self.scale = np.sqrt(self.weight) / size[self.chain]
 
 
-def _batch_sums(X, layout: BatchLayout) -> np.ndarray:
+def batch_sums(X, layout: BatchLayout) -> np.ndarray:
     """S with S S' the long-run covariance of the series along the last
     axis: each batch mean less its chain's mean of them, times the root of
     the batch's weight."""
@@ -63,17 +65,11 @@ def _batch_sums(X, layout: BatchLayout) -> np.ndarray:
     return S
 
 
-def lrv_matrix(X, layout: BatchLayout) -> np.ndarray:
-    """Batch-means long-run covariance matrix of a (..., K, n) vector
-    series; PSD by construction."""
-    S = _batch_sums(X, layout)
-    return S @ S.swapaxes(-1, -2)
-
-
 def lrv_diag(X, layout: BatchLayout) -> np.ndarray:
-    """The diagonal of `lrv_matrix`: one long-run variance per series of a
-    (..., n) array, each reduced on its own, so stacking changes no bit."""
-    S = _batch_sums(X, layout)
+    """One long-run variance per series of a (..., n) array, the diagonal of
+    S S' for S = `batch_sums`, each reduced on its own, so stacking changes
+    no bit."""
+    S = batch_sums(X, layout)
     return np.einsum("...i,...i->...", S, S)
 
 

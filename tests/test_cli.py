@@ -525,6 +525,17 @@ class TestPlan:
             assert plan["q_opt"] > 0
             assert plan["N"] == pytest.approx(plan["n"] / plan["q_opt"], rel=1e-9)
 
+    def test_plan_writes_only_plan_json(self, tmp_path):
+        # plan runs `run`'s stage functions, but saves no chains or ratio.json
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p, out="out")
+        raw["save_chains"] = True
+        p.write_text(yaml.safe_dump(raw))
+        assert main(["plan", "--config", str(p), "--budget", "60",
+                     "--pilot-length", "100"]) == 0
+        assert [f.name for f in (tmp_path / "out").iterdir()] == ["plan.json"]
+        doc = json.loads((tmp_path / "out" / "plan.json").read_text())
+        assert len(doc["pilot_points"]) == 3
 
     def test_plan_times_the_configured_functions(self, toy_config, monkeypatch):
         # t2 is timed on the sweep that `run` performs, functions included
@@ -532,16 +543,18 @@ class TestPlan:
         real = cli.surface
 
         def spy(ws, grid, F, sigma_hat, q):
-            seen.append((F, ws.W.samples))
+            seen.append((F, ws.W.samples, q))
             return real(ws, grid, F, sigma_hat, q)
 
         monkeypatch.setattr(cli, "surface", spy)
         assert main(["plan", "--config", str(toy_config), "--budget", "60",
                      "--pilot-length", "100"]) == 0
         assert load_config(toy_config).functions == ["identity"]
-        # one sweep, on the row of the identity at the pilot's pooled samples
-        [(F, samples)] = seen
+        # one sweep, on the row of the identity at the pilot's pooled samples,
+        # at q = n / N of two pilot stages of equal chain lengths
+        [(F, samples, q)] = seen
         assert F.shape == (1, len(samples)) and np.array_equal(F[0], samples)
+        assert q == 1.0
 
 
 class TestValidateCommand:
@@ -550,6 +563,14 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 5
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_reps_scale_not_positive_and_finite_rejected(self, capsys, monkeypatch, scale):
+        ran = []
+        monkeypatch.setattr(cli, "run_all", lambda **kw: ran.append(kw) or [])
+        assert main(["validate", "--reps-scale", scale]) == 2
+        assert "--reps-scale must be a positive number" in capsys.readouterr().err
+        assert not ran
 
     def test_corrupt_dhat_negative_control_fails(self, monkeypatch):
         # V2's coverage checks must catch a broken stage-1 ratio estimate

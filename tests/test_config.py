@@ -134,6 +134,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="^unknown toy function 'cube'$"):
             load_config(p)
 
+    def test_toy_function_named_twice_rejected(self, tmp_path):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        raw["functions"] = ["identity", "square", "identity"]
+        p.write_text(yaml.safe_dump(raw))
+        with pytest.raises(ConfigError,
+                           match="^functions: 'identity' is named more than once$"):
+            load_config(p)
+
     def test_empty_skeleton_rejected(self, tmp_path):
         p = tmp_path / "study.yaml"
         raw = write_toy_config(p)
@@ -160,6 +169,23 @@ class TestLoadConfig:
         assert study.functions[0] == "inclusion:Age"
         # the model table is built by the commands that sample, not at load
         assert study.family._table is None
+
+    def test_blvs_function_named_twice_rejected(self, tmp_path, uscrime_path):
+        # inclusion:* already names every predictor
+        cfg = {
+            "model": {"kind": "blvs", "dataset": str(uscrime_path),
+                      "response": "y", "binary": ["S"]},
+            "skeleton": [[0.5, 15], [0.5, 50]],
+            "stage1": {"length": 50, "seed": 1},
+            "stage2": {"length": 50, "seed": 2},
+            "grid": {"points": [[0.5, 15]]},
+            "functions": ["inclusion:*", "inclusion:Ed"],
+        }
+        p = tmp_path / "blvs.yaml"
+        p.write_text(yaml.safe_dump(cfg))
+        with pytest.raises(ConfigError,
+                           match="^functions: 'inclusion:Ed' is named more than once$"):
+            load_config(p)
 
     def test_unknown_inclusion_predictor_rejected(self, tmp_path, capsys, uscrime_path):
         cfg = {

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -329,7 +330,7 @@ class TestEstimateSigma:
         _, W = toy_matrix([(0.0,), (0.7,), (1.5,)], [3000, 2500, 3500], seed0=21)
         est = estimate_ratios(W)
         s = est.sigma_hat
-        np.testing.assert_allclose(s, s.T, atol=1e-15)
+        assert np.array_equal(s, s.T)          # C C', symmetric by construction
         assert np.all(np.linalg.eigvalsh(s) > -1e-12)
 
     def test_estimate_ratios_reuses_solver_p(self):
@@ -412,8 +413,8 @@ class TestRatioEstimateIO:
         _, W = toy_matrix([(0.0,), (1.0,)], [500, 400], seed0=2)
         est = estimate_ratios(W)
         path = tmp_path / "ratio.json"
-        est.save(path)
-        back = RatioEstimate.load(path)
+        est.save(path, "hash")
+        back = RatioEstimate.load(path, [(0.0,), (1.0,)], "hash")
         np.testing.assert_array_equal(back.d_hat, est.d_hat)
         np.testing.assert_array_equal(back.sigma_hat, est.sigma_hat)
         assert back.N == est.N
@@ -421,7 +422,7 @@ class TestRatioEstimateIO:
         assert back.skeleton == est.skeleton == [(0.0,), (1.0,)]
         assert back.trace == est.trace
 
-    def test_newton_trace(self):
+    def test_newton_trace(self, tmp_path):
         _, W = toy_matrix([(0.0,), (0.9,), (1.8,)], [1500, 1200, 1800], seed0=4)
         est = estimate_ratios(W)
         trace = est.trace
@@ -430,12 +431,18 @@ class TestRatioEstimateIO:
         assert trace[-1]["grad_norm"] == est.final_grad_norm < 1e-10
         objective = [t["objective"] for t in trace]
         assert all(b >= a - 1e-13 * abs(a) for a, b in zip(objective, objective[1:]))
-        assert est.to_dict()["solver"]["trace"] == trace
+        path = tmp_path / "ratio.json"
+        est.save(path, "hash")
+        assert json.loads(path.read_text())["solver"]["trace"] == trace
 
-    def test_file_without_trace_loads(self):
+    def test_file_without_trace_loads(self, tmp_path):
         _, W = toy_matrix([(0.0,), (1.0,)], [500, 400], seed0=2)
-        d = estimate_ratios(W).to_dict()
-        del d["solver"]["trace"]
-        back = RatioEstimate.from_dict(d)
+        path = tmp_path / "ratio.json"
+        estimate_ratios(W).save(path, "hash")
+        doc = json.loads(path.read_text())
+        del doc["solver"]["trace"]
+        path.write_text(json.dumps(doc))
+        back = RatioEstimate.load(path, [(0.0,), (1.0,)], "hash")
         assert back.trace is None
-        assert back.to_dict()["solver"]["trace"] is None
+        back.save(path, "hash")
+        assert json.loads(path.read_text())["solver"]["trace"] is None

@@ -8,11 +8,18 @@ from priorsweep.errors import DegenerateDesignWarning
 from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
 from priorsweep.surface import Stage2Workspace, surface
-from priorsweep.variance import (MIN_SERIES_LENGTH, BatchLayout, PlanInputs, lrv_diag,
-                                 lrv_matrix, predicted_variance, q_opt)
+from priorsweep.variance import (MIN_SERIES_LENGTH, BatchLayout, PlanInputs, batch_sums,
+                                 lrv_diag, predicted_variance, q_opt)
 
-from per_point import (batch_means_lrv, bf_hat, c_hat, estimate_sigma, pe_hat, point_terms,
-                       spectral_lrv, v_hat, w_hat)
+from per_point import (batch_means_lrv, bf_hat, c_hat, estimate_sigma, point_terms,
+                       spectral_lrv, w_hat)
+
+
+def lrv_matrix(X, layout):
+    """The batch-means long-run covariance matrix S S' of a (..., K, n)
+    vector series, S its `batch_sums`."""
+    S = batch_sums(X, layout)
+    return S @ S.swapaxes(-1, -2)
 
 
 def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
@@ -416,30 +423,36 @@ class TestSensitivityVectors:
         np.testing.assert_allclose(ws.M, np.diag(1.0 / ws.d_hat[1:]), atol=1e-12)
 
     def test_v_zero_for_constant_function(self):
+        # f == 1: (f - I) u is exactly 0, so v and the stage-1 term are 0
         _, ws = toy_workspace([(0.0,), (1.0,)], 800, seed0=10)
-        assert np.all(stacked_v(ws, (0.9,), [np.ones(ws.n)]) == 0.0)
+        surf = forms(ws, (0.9,), random_spd(1, seed=10), rows=[np.ones(ws.n)])
+        assert surf.stage1[0, PE] == 0.0
 
     def test_v_sign_flip(self):
-        _, ws = toy_workspace([(0.0,), (1.0,)], 800, seed0=11)
+        # v of -f is -v of f, so the stage-1 terms q v' Sigma v are equal
+        _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 800, seed0=11)
         f = ws.W.samples
-        v = stacked_v(ws, (0.9,), [-f, f])
-        np.testing.assert_allclose(v[:, 0], -v[:, 1], atol=1e-14)
+        surf = forms(ws, (0.9,), random_spd(2, seed=11), rows=[-f, f])
+        assert surf.stage1[0, PE] > 0.0
+        np.testing.assert_allclose(surf.stage1[0, PE], surf.stage1[0, PE + 1],
+                                   rtol=1e-14, atol=0.0)
 
     def test_v_matches_per_function_form(self):
         _, ws = toy_workspace([(0.0,), (1.0,), (2.0,)], 800, seed0=12)
         functions = [ws.W.samples, ws.W.samples**2]
+        sigma = random_spd(2, seed=12)
         for h in [(0.3,), (1.4,), (2.6,)]:
-            v = stacked_v(ws, h, functions)
+            surf = forms(ws, h, sigma, q=1.0, rows=functions)
             for j, f in enumerate(functions):
-                np.testing.assert_allclose(v[:, j], v_per_function(ws, h, f),
+                v = v_per_function(ws, h, f)
+                np.testing.assert_allclose(surf.stage1[0, PE + j], v @ sigma @ v,
                                            rtol=1e-12, atol=0.0)
 
 
-def stacked_v(ws, h, rows):
-    """v_hat on the centred columns (f_j - I_j) u, as surface builds them."""
-    u, _ = point_terms(ws, h)
-    centred = np.column_stack([(f - pe_hat(ws, h, f)) * u for f in rows])
-    return v_hat(ws, centred, float(u.sum()))
+def random_spd(K, seed):
+    """A random K x K symmetric positive definite Sigma_hat."""
+    A = np.random.default_rng(seed).normal(size=(K, K))
+    return A @ A.T + 0.1 * np.eye(K)
 
 
 def v_per_function(ws, h, fv):
