@@ -63,9 +63,9 @@ def _eliminate(S: np.ndarray) -> np.ndarray:
     """Eliminate the first column of a (k, k) matrix, or of each matrix of a
     stack (n, k, k): the Schur complement S[1:, 1:] - row' (row / pivot),
     with row = S[0, 1:] and pivot = S[0, 0].  The table build and the
-    one-model path both take their 1 - R^2 from here, and both treat a
-    pivot that is not positive as a singular model: its first column lies
-    in the span of the columns eliminated before it."""
+    one-model fit both take their 1 - R^2 from here, and both give NaN for
+    a model with a pivot that is not positive: its first column lies in
+    the span of the columns eliminated before it."""
     row = S[..., :1, 1:]
     return S[..., 1:, 1:] - row.swapaxes(-1, -2) * (row / S[..., :1, :1])
 
@@ -84,7 +84,7 @@ class _LazyLogMarginals(dict):
     """log m(y | gamma, g) at one g of the models tried so far, for
     q > TABLE_MAX_Q: a code read for the first time takes its 1 - R^2 from
     the family's dict of fitted models, fitting it there if it is new, and
-    stores its log marginal, NaN for a singular or too-large model.  It
+    stores its log marginal, NaN for a model that cannot be fitted.  It
     refers to its family weakly, so the family's dict of stores makes no
     reference cycle."""
 
@@ -135,8 +135,10 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
     """Load a CSV and apply the log transform to all non-binary columns.
 
     The response is log-transformed as well; columns listed in
-    ``binary_names`` pass through untouched.  Raises on a missing column or a
-    non-positive value under the log.
+    ``binary_names`` pass through untouched.  Raises, naming the file, on a
+    file with no data rows, a missing column, a value that does not parse
+    or is not finite, a non-positive value under the log, or a column the
+    Dataset refuses.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -144,6 +146,8 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
             raise ValueError(f"{path}: empty CSV")
         header = list(reader.fieldnames)
         rows = list(reader)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     missing = [c for c in [response_name, *binary_names] if c not in header]
     if missing:
         raise ValueError(f"{path}: missing column(s) {missing}")
@@ -155,6 +159,8 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
             vals = np.array([float(r[col]) for r in rows])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"{path}: could not parse column {col!r}") from exc
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{path}: non-finite value in column {col!r}")
         if col in binary:
             return vals
         if np.any(vals <= 0.0):
@@ -163,7 +169,10 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
 
     y = column(response_name)
     X = np.column_stack([column(c) for c in names])
-    return Dataset(y=y, X=X, names=names)
+    try:
+        return Dataset(y=y, X=X, names=names)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -202,7 +211,7 @@ class BlvsFamily(DensityFamily):
         self._G[q, q] = self._tss
         # The model tables, shared by every chain and weight of both stages,
         # all indexed by the model code sum_i gamma_i 2^i: 1 - R^2 of every
-        # model (NaN when singular or too large), one array built once by
+        # model (NaN for one that cannot be fitted), one array built once by
         # model_table(), or for q > TABLE_MAX_Q a dict of the models the
         # chains tried; and for each g a chain ran at, the log marginals the
         # sampler reads (_log_marginal_store).  Every entry is a pure
@@ -214,54 +223,58 @@ class BlvsFamily(DensityFamily):
         self._lms: dict[float, memoryview | _LazyLogMarginals] = {}
         self._enumeration = None
 
-    # per-model linear algebra
-    def _chol(self, idx: np.ndarray) -> np.ndarray:
-        try:
-            return np.linalg.cholesky(self._G[idx[:, None], idx])
-        except np.linalg.LinAlgError:
-            raise SingularDesignError(
-                f"singular design for model {[self.names[j] for j in idx]}"
-            ) from None
-
-    def _rss_ratio(self, cols: np.ndarray) -> float:
-        """1 - R^2 of the model whose columns of G are cols (its predictors,
-        then the response's column q), by the eliminations of the table
-        build on its own matrix, so the two agree bit for bit: the residual
-        sum of squares is what is left of G[q, q].  SingularDesignError names
-        a model with a pivot that is not positive.  An exact or
-        near-saturated fit (rss below 1e-10 tss) takes rss from the residual
-        vector instead, with the coefficients from the Cholesky factor of
-        X'X."""
+    # one model's fit
+    def _fit(self, code: int) -> float:
+        """1 - R^2 of model `code` fitted on its own, by the eliminations of
+        the table build on its own columns of G (its predictors, then the
+        response's column q), so the two agree bit for bit: the residual sum
+        of squares is what is left of G[q, q].  An exact or near-saturated
+        fit (rss below 1e-10 tss) takes rss from the residual vector instead,
+        with the coefficients from the Cholesky factor of X'X.  NaN marks a
+        model that cannot be fitted: a pivot that is not positive, a failed
+        factor, or more than m - 2 predictors; only _unfit names it."""
+        idx = [j for j in range(self.q) if code >> j & 1]
+        if len(idx) > self.m - 2:
+            return math.nan
+        cols = np.array(idx + [self.q])
         S = self._G[cols[:, None], cols]
-        for _ in range(cols.size - 1):
+        for _ in idx:
             if not S[0, 0] > 0.0:
-                raise SingularDesignError(
-                    f"singular design for model {[self.names[j] for j in cols[:-1]]}")
+                return math.nan
             S = _eliminate(S)
         rss = float(S[0, 0])
         if rss < 1e-10 * self._tss:
-            idx = cols[:-1]
-            L = self._chol(idx)
+            try:
+                L = np.linalg.cholesky(self._G[np.ix_(idx, idx)])
+            except np.linalg.LinAlgError:
+                return math.nan
             half = np.linalg.solve(L, self._G[idx, self.q])
             resid = self._yc - self._Xc[:, idx] @ np.linalg.solve(L.T, half)
             rss = float(resid @ resid)
         return rss / self._tss
+
+    def _unfit(self, code: int) -> SingularDesignError:
+        """The error that names model `code`, one _fit gives NaN for."""
+        size = code.bit_count()
+        if size > self.m - 2:
+            return SingularDesignError(f"model with {size} predictors too large for m={self.m}")
+        names = [nm for j, nm in enumerate(self.names) if code >> j & 1]
+        return SingularDesignError(f"singular design for model {names}")
 
     def log_marginal_of_model(self, gamma, g: float) -> float:
         """log m(y | gamma, g) up to one additive constant shared by all models.
 
         The ratio against the null model is
         (1+g)^{(m-1-q_gamma)/2} [1 + g(1-R^2_gamma)]^{-(m-1)/2}.
+        SingularDesignError names a model that cannot be fitted.
         """
-        gamma = np.asarray(gamma, dtype=bool)
         if g <= 0.0:
             raise InvalidHyperparameterError(f"g must be positive, got {g}")
-        cols = np.flatnonzero(np.append(gamma, True))
-        if cols.size - 1 > self.m - 2:
-            raise SingularDesignError(
-                f"model with {cols.size - 1} predictors too large for m={self.m}"
-            )
-        return float(self._log_marginal(cols.size - 1, self._rss_ratio(cols), g))
+        code = sum(1 << j for j in np.flatnonzero(np.asarray(gamma, dtype=bool)).tolist())
+        rssr = self._fit(code)
+        if rssr != rssr:
+            raise self._unfit(code)
+        return float(self._log_marginal(code.bit_count(), rssr, g))
 
     def _log_marginal(self, size, rssr, g: float):
         """The closed form above from the model size and 1 - R^2, or arrays of
@@ -281,31 +294,12 @@ class BlvsFamily(DensityFamily):
         return out
 
     # the model table
-    def _columns(self, code: int) -> np.ndarray:
-        """The columns of G of model `code`: its predictors, then the response."""
-        return np.array([j for j in range(self.q) if code >> j & 1] + [self.q],
-                        dtype=np.intp)
-
-    def _code_rss_ratio(self, code: int) -> float:
-        """1 - R^2 of model `code`, fitted on its own; SingularDesignError
-        names a singular or too-large model."""
-        size = code.bit_count()
-        if size > self.m - 2:
-            raise SingularDesignError(
-                f"model with {size} predictors too large for m={self.m}")
-        return self._rss_ratio(self._columns(code))
-
     def _fitted_rss_ratio(self, code: int) -> float:
         """1 - R^2 of model `code` from the dict of models fitted one at a
-        time, fitting it there if it is new: NaN for a singular or
-        too-large model."""
+        time, fitting it there if it is new (_fit)."""
         rssr = self._rssr.get(code)
         if rssr is None:
-            try:
-                rssr = self._code_rss_ratio(code)
-            except SingularDesignError:
-                rssr = math.nan
-            self._rssr[code] = rssr
+            rssr = self._rssr[code] = self._fit(code)
         return rssr
 
     def _build_table(self) -> np.ndarray:
@@ -315,10 +309,10 @@ class BlvsFamily(DensityFamily):
         eliminated (_eliminate); eliminating column j from each gives the
         codes 2^j, ..., 2^(j+1) - 1, which extend them by predictor j.  At
         level q each model's residual sum of squares is all that is left.
-        Each entry is the one _rss_ratio gives: NaN for a singular model
-        (and so for every model the tree grows from it) and for a model of
-        more than m - 2 predictors, and an exact fit refitted from its
-        residual vector."""
+        Each entry is the one _fit gives: NaN for a singular model (and so
+        for every model the tree grows from it) and for a model of more than
+        m - 2 predictors, and an exact fit refitted from its residual
+        vector."""
         q = self.q
         top = max(q - SPLIT, 0)
         rss = np.empty(1 << q)
@@ -339,10 +333,7 @@ class BlvsFamily(DensityFamily):
         rss /= self._tss
         rss[_model_sizes(q) > self.m - 2] = np.nan
         for code in exact_fits:
-            try:
-                rss[code] = self._code_rss_ratio(code)
-            except SingularDesignError:
-                rss[code] = np.nan
+            rss[code] = self._fit(code)
         rss.flags.writeable = False
         return rss
 
@@ -373,8 +364,8 @@ class BlvsFamily(DensityFamily):
         float array over all 2^q codes from the table when q <= TABLE_MAX_Q,
         seen through a memoryview, whose items are Python floats; else a
         _LazyLogMarginals, which fits each code on its first read.  Either
-        way an entry is final when read, and NaN means a singular or
-        too-large model."""
+        way an entry is final when read, and NaN marks a model that cannot
+        be fitted."""
         store = self._lms.get(g)
         if store is None:
             table = self.model_table()
@@ -397,8 +388,8 @@ class BlvsFamily(DensityFamily):
 
         Each sweep updates every gamma_i from its Bernoulli full conditional
         under the integrated likelihood, so each chain has the posterior of
-        gamma as its invariant law.  A singular candidate model is treated
-        as having prior probability zero.
+        gamma as its invariant law.  A candidate model that cannot be fitted
+        is treated as having prior probability zero.
         """
         q, width = self.q, (self.q + 7) // 8
         chains = []
@@ -410,8 +401,8 @@ class BlvsFamily(DensityFamily):
 
     def _sweeps(self, spec: ChainSpec) -> list[int]:
         """The model code of each kept sweep of one chain, reading each log
-        marginal from the family's store at g (NaN: a singular or too-large
-        model).  The chain's stream holds the start's q uniforms, then q
+        marginal from the family's store at g (NaN: a model that cannot be
+        fitted).  The chain's stream holds the start's q uniforms, then q
         uniforms per sweep, burn-in included, drawn SWEEP_ROWS sweeps at a
         time (Generator.random fills in order, so the block size does not
         change the stream).
@@ -429,7 +420,7 @@ class BlvsFamily(DensityFamily):
 
         code = sum(1 << j for j in np.flatnonzero(gamma).tolist())
         lm_cur = lms[code]
-        if lm_cur != lm_cur:    # singular or too-large start: the null model instead
+        if lm_cur != lm_cur:    # a start that cannot be fitted: the null model instead
             code = 0
             lm_cur = lms[code]
         n, burn_in = spec.length, spec.burn_in
@@ -446,7 +437,7 @@ class BlvsFamily(DensityFamily):
                 for bit, ti in zip(bits, thresholds):
                     flipped = code ^ bit
                     lm_try = lms[flipped]
-                    if lm_try != lm_try:    # NaN: singular or too large
+                    if lm_try != lm_try:    # NaN: a model that cannot be fitted
                         if not warned:
                             logger.warning(
                                 "singular candidate model at predictor %s; treating it "
@@ -525,10 +516,11 @@ class ModelEnumeration:
     """Exact posterior quantities by summing over all 2^q models.
 
     R^2_gamma does not depend on (w, g), so the per-model fits are done
-    once, by the family's table build.  The prior's w-part depends on the
-    model size alone, so `evaluate` sums the model weights by size in one
-    O(2^q q) pass over the table per distinct g, and then needs O(q^2) work
-    per point.  Model `code` includes predictor i when bit i of the code is
+    once, by the family's table build; a model that cannot be fitted stops
+    the enumeration, and the family's _unfit names the first.  The prior's
+    w-part depends on the model size alone, so `evaluate` sums the model
+    weights by size in one O(2^q q) pass over the table per distinct g, and
+    then needs O(q^2) work per point.  Model `code` includes predictor i when bit i of the code is
     set.  The enumeration refers to its family weakly, so the family's cache
     of it makes no reference cycle.
     """
@@ -543,11 +535,11 @@ class ModelEnumeration:
         if rssr is None:
             rssr = family._build_table()
         self.q_gamma = family.model_sizes()
-        # a singular or too-large model holds NaN: fit the first, in order of
-        # size and then code, on its own, which raises naming it
+        # a model that cannot be fitted holds NaN: name the first, in order
+        # of size and then code
         bad = np.flatnonzero(np.isnan(rssr))
         if bad.size:
-            family._code_rss_ratio(int(bad[np.argmin(self.q_gamma[bad])]))
+            raise family._unfit(int(bad[np.argmin(self.q_gamma[bad])]))
         self.rss_ratio = rssr
         # at a fixed size, log m(y | gamma, g) falls as 1 - R^2 rises, so at
         # every g the model of least 1 - R^2 of a size has its largest one

@@ -25,6 +25,11 @@ SECTIONS = {"model": (dict, "mapping"), "skeleton": (list, "list"),
             "stage1": (dict, "mapping"), "stage2": (dict, "mapping"),
             "grid": (dict, "mapping"), "functions": (list, "list"),
             "out": (str, "string"), "save_chains": (bool, "boolean")}
+STAGE_KEYS = ("length", "lengths", "burn_in", "seed")
+# the keys of the model section besides `kind`, by kind
+MODEL_KEYS = {"toy": ("y_obs", "prior_sd", "like_sd", "sampler", "ar1_phi"),
+              "blvs": ("dataset", "response", "binary")}
+AXIS_KEYS = ("min", "max", "step")
 # libyaml's parser where PyYAML was built with it: the same dicts, about 9x faster
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -37,6 +42,14 @@ def nonnegative(value, name: str) -> int:
     return value
 
 
+def known_keys(raw: dict, known, where: str) -> None:
+    """ConfigError naming the first key of raw that is not in known, after
+    `where`, and listing the known keys."""
+    for key in raw:
+        if key not in known:
+            raise ConfigError(f"{where} {key!r} (known: {', '.join(known)})")
+
+
 @dataclass
 class StageConfig:
     lengths: list[int]        # one entry per skeleton chain
@@ -47,8 +60,11 @@ class StageConfig:
     def parse(cls, raw: dict, k: int, label: str) -> "StageConfig":
         if not isinstance(raw, dict):
             raise ConfigError(f"{label}: expected a mapping")
+        known_keys(raw, STAGE_KEYS, f"{label}: unknown key")
         if "seed" not in raw:
             raise ConfigError(f"{label}: missing seed")
+        if "length" in raw and "lengths" in raw:
+            raise ConfigError(f"{label}: give 'length' or 'lengths', not both")
         length = raw.get("length")
         if length is not None:
             integer(length, f"{label}: length")
@@ -105,6 +121,9 @@ def _sha256(doc) -> str:
 
 def _build_family(model: dict, base_dir: Path) -> DensityFamily:
     kind = model.get("kind")
+    if kind not in MODEL_KEYS:
+        raise ConfigError(f"unknown model kind {kind!r}")
+    known_keys(model, ("kind", *MODEL_KEYS[kind]), f"model: unknown {kind} key")
     if kind == "toy":
         return ConjugateToy(
             y_obs=float(model.get("y_obs", 0.0)),
@@ -113,25 +132,28 @@ def _build_family(model: dict, base_dir: Path) -> DensityFamily:
             sampler=model.get("sampler", "iid"),
             ar1_phi=float(model.get("ar1_phi", 0.5)),
         )
-    if kind == "blvs":
-        if "dataset" not in model:
-            raise ConfigError("blvs model requires a 'dataset' CSV path")
-        path = Path(model["dataset"])
-        if not path.is_absolute():
-            path = base_dir / path
-        dataset = ingest_csv(path, model.get("response", "y"),
-                             model.get("binary", []))
-        return BlvsFamily(dataset)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    if "dataset" not in model:
+        raise ConfigError("blvs model requires a 'dataset' CSV path")
+    path = Path(model["dataset"])
+    if not path.is_absolute():
+        path = base_dir / path
+    dataset = ingest_csv(path, model.get("response", "y"),
+                         model.get("binary", []))
+    return BlvsFamily(dataset)
 
 
 def make_grid(grid_cfg, coord_names):
     """The points of a Cartesian grid from per-coordinate {min, max, step},
     as the rows of an array with the first coordinate slowest, or the
-    explicit points as tuples."""
+    explicit points as tuples; a grid holds points or axes, not both."""
     if grid_cfg is None:
         raise ConfigError("missing grid")
+    known_keys(grid_cfg, ("points", *coord_names), "grid: unknown key")
     if "points" in grid_cfg:
+        if len(grid_cfg) > 1:
+            raise ConfigError(f"grid: 'points' next to axis key(s) "
+                              f"{[key for key in grid_cfg if key != 'points']}: "
+                              f"give points or axes, not both")
         points = grid_cfg["points"]
         if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
             raise ConfigError("grid: points must be a list of coordinate lists")
@@ -141,8 +163,9 @@ def make_grid(grid_cfg, coord_names):
         if name not in grid_cfg:
             raise ConfigError(f"grid: missing axis {name!r}")
         ax = grid_cfg[name]
-        if not isinstance(ax, dict) or not {"min", "max", "step"} <= ax.keys():
+        if not isinstance(ax, dict) or not set(AXIS_KEYS) <= ax.keys():
             raise ConfigError(f"grid axis {name!r}: need min, max and step")
+        known_keys(ax, AXIS_KEYS, f"grid axis {name!r}: unknown key")
         lo, hi, step = float(ax["min"]), float(ax["max"]), float(ax["step"])
         if step <= 0 or hi < lo:
             raise ConfigError(f"grid axis {name!r}: need step > 0 and max >= min")
@@ -160,10 +183,8 @@ def load_config(path) -> StudyConfig:
             raise ConfigError(f"{path}: not valid YAML: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a mapping")
+    known_keys(raw, SECTIONS, f"{path}: unknown config key")
     for key, value in raw.items():
-        if key not in SECTIONS:
-            raise ConfigError(f"{path}: unknown config key {key!r} "
-                              f"(known: {', '.join(SECTIONS)})")
         kind, noun = SECTIONS[key]
         if not isinstance(value, kind):
             raise ConfigError(f"{path}: {key} must be a {noun}, "

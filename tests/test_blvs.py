@@ -223,8 +223,8 @@ class TestEnumeration:
         fam = BlvsFamily(ds)
         enum = ModelEnumeration(fam)
         codes = range(1 << fam.q)
-        per_model = np.array([fam._rss_ratio(fam._columns(c)) for c in codes])
-        # the batched build and the per-model path agree bit for bit
+        per_model = np.array([fam._fit(c) for c in codes])
+        # the batched build and the one-model fit agree bit for bit
         assert enum.rss_ratio.tobytes() == per_model.tobytes()
         bits = np.array([[(c >> i) & 1 for i in range(fam.q)] for c in codes], dtype=bool)
         for h in [(0.2, 4.0), (0.5, 15.0), (0.9, 100.0), *W_ENDS_AND_MIDDLE]:
@@ -455,16 +455,12 @@ def conditional_inclusion_prob(fam, gamma, i, h) -> float:
     """p(gamma_i = 1 | gamma_{-i}, y) with (beta, sigma) integrated out, by
     two one-model fits: the reference for the sampler's inlined update."""
     w, g = fam.validate_h(h)
-
-    def log_marginal(cols):
-        return fam._log_marginal(cols.size - 1, fam._rss_ratio(cols), g)
-
-    base = np.append(np.asarray(gamma, dtype=bool), True)    # and the response
+    base = np.array(gamma, dtype=bool)
     base[i] = False
-    lm0 = log_marginal(np.flatnonzero(base))
+    lm0 = fam.log_marginal_of_model(base, g)
     base[i] = True
     try:
-        lm1 = log_marginal(np.flatnonzero(base))
+        lm1 = fam.log_marginal_of_model(base, g)
     except SingularDesignError:
         return 0.0
     logit = math.log(w) - math.log1p(-w) + lm1 - lm0
@@ -697,8 +693,8 @@ class TestModelTable:
 
     def test_collinear_build_fits_no_model_on_its_own(self):
         fam = collinear_family()
-        rss_ratio, fits = fam._rss_ratio, []
-        fam._rss_ratio = lambda cols: fits.append(cols.tolist()) or rss_ratio(cols)
+        fit, fits = fam._fit, []
+        fam._fit = lambda code: fits.append(code) or fit(code)
         table = fam.model_table()
         # the build fits no model on its own: a model holding x0 and x9 has
         # a pivot of 0, and the build leaves it NaN
@@ -708,26 +704,30 @@ class TestModelTable:
         assert np.array_equal(np.isnan(table), both)
         assert not table.flags.writeable
         assert fam.models_fitted == table.size
-        # the enumeration fits the first singular model, in order of size,
-        # on its own, which raises naming it
+        # the enumeration names the first singular model, in order of size,
+        # without fitting it
         with pytest.raises(SingularDesignError, match=r"\['x0', 'x9'\]"):
             fam.enumeration()
-        assert fits == [[0, fam.q - 1, fam.q]]
+        assert fits == []
 
     @settings(max_examples=80, deadline=None)
     @given(design=small_designs())
     def test_table_entries_are_one_model_fits(self, design):
-        # every entry of the built table is the one-model path's 1 - R^2 bit
-        # for bit, and NaN exactly where that path raises
+        # every entry of the built table is the one-model fit's 1 - R^2 bit
+        # for bit, NaN included, and log_marginal_of_model raises exactly
+        # where the fit is NaN, with the message of _unfit
         fam = BlvsFamily(design)
         table = fam.model_table()
         for code in range(table.size):
-            try:
-                want = fam._code_rss_ratio(code)
-            except SingularDesignError:
-                assert np.isnan(table[code]), code
+            want = fam._fit(code)
+            assert table[code].tobytes() == np.float64(want).tobytes(), code
+            gamma = np.array([code >> j & 1 for j in range(fam.q)], dtype=bool)
+            if math.isnan(want):
+                with pytest.raises(SingularDesignError) as err:
+                    fam.log_marginal_of_model(gamma, 5.0)
+                assert str(err.value) == str(fam._unfit(code)), code
             else:
-                assert table[code].tobytes() == np.float64(want).tobytes(), code
+                assert math.isfinite(fam.log_marginal_of_model(gamma, 5.0)), code
 
     def test_more_rows_than_a_uint8_size_holds(self):
         # m - 1 - size must not be taken in uint8, the dtype of the table

@@ -228,6 +228,31 @@ class TestRun:
         assert main(["run", "--config", str(p)]) == 2
         assert "does-not-exist.csv" in capsys.readouterr().err
 
+    # a dataset the model cannot use is refused, and the error names the file
+    @pytest.mark.parametrize("text, message", [
+        ("y,a,b\n1,2,1\n2,2,0\n3,2,1\n",
+         "constant predictor column(s) after transformation: ['a']"),
+        ("y,a,b\n1,2,1\n2,nan,0\n3,4,1\n", "non-finite value in column 'a'"),
+        ("y,a,b\n", "no data rows"),
+    ], ids=["constant-column", "nan-cell", "no-rows"])
+    def test_unusable_dataset_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        cfg = {
+            "model": {"kind": "blvs", "dataset": str(data), "binary": ["b"]},
+            "skeleton": [[0.5, 15]],
+            "stage1": {"length": 10, "seed": 1},
+            "stage2": {"length": 10, "seed": 2},
+            "grid": {"points": [[0.5, 15]]},
+            "out": str(tmp_path / "out"),
+        }
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(cfg))
+        assert main(["run", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"{data}: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_save_chains(self, tmp_path):
         p = tmp_path / "study.yaml"
         raw = write_toy_config(p, out="out")

@@ -94,6 +94,11 @@ class TestStageConfig:
         with pytest.raises(ConfigError, match="^stage1: seed must be nonnegative, got -3$"):
             StageConfig.parse({"length": 10, "seed": -3}, 2, "stage1")
 
+    # `length` is not dropped in favour of `lengths`
+    def test_length_next_to_lengths_rejected(self):
+        with pytest.raises(ConfigError, match="^stage1: give 'length' or 'lengths', not both$"):
+            StageConfig.parse({"length": 100, "lengths": [200, 300], "seed": 1}, 2, "stage1")
+
 
 def write_toy_config(path, out="run-out", seed1=11, seed2=22):
     cfg = {
@@ -236,6 +241,47 @@ class TestLoadConfig:
         assert main(["run", "--config", str(p)]) == 2
         assert f"unknown config key {key!r}" in capsys.readouterr().err
         assert not (tmp_path / "run-out").exists()
+
+    # a key that no parser reads, in any section, is refused before any
+    # sampling, and the error names the section and the key and lists the
+    # keys the section takes
+    def run_with(self, tmp_path, capsys, section, value):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        raw[section] = value
+        p.write_text(yaml.safe_dump(raw))
+        assert main(["run", "--config", str(p)]) == 2
+        assert list(tmp_path.iterdir()) == [p]
+        return capsys.readouterr().err
+
+    def test_unknown_stage_key_rejected(self, tmp_path, capsys):
+        err = self.run_with(tmp_path, capsys, "stage1", {"length": 100, "burnin": 50, "seed": 1})
+        assert "stage1: unknown key 'burnin' (known: length, lengths, burn_in, seed)" in err
+
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "toy", "y_ob": 3.0}, "model: unknown toy key 'y_ob' (known: kind, y_obs, "
+                                       "prior_sd, like_sd, sampler, ar1_phi)"),
+        ({"kind": "blvs", "dataset": "x.csv", "respons": "y"},
+         "model: unknown blvs key 'respons' (known: kind, dataset, response, binary)"),
+    ], ids=["toy", "blvs"])
+    def test_unknown_model_key_rejected(self, tmp_path, capsys, model, message):
+        assert message in self.run_with(tmp_path, capsys, "model", model)
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"points": [[0.2]], "h": {"min": 0, "max": 1, "step": 0.5}},
+         "grid: 'points' next to axis key(s) ['h']: give points or axes, not both"),
+        ({"points": [[0.2]], "h": {"min": 0, "max": 1, "step": 0.5}, "x": {}},
+         "grid: unknown key 'x' (known: points, h)"),
+        ({"h": {"min": 0, "max": 1, "step": 0.5}, "x": {"min": 0, "max": 1, "step": 0.5}},
+         "grid: unknown key 'x' (known: points, h)"),
+    ], ids=["points-and-axis", "points-and-unknown", "axis-and-unknown"])
+    def test_unknown_grid_key_rejected(self, tmp_path, capsys, grid, message):
+        assert message in self.run_with(tmp_path, capsys, "grid", grid)
+
+    def test_unknown_axis_key_rejected(self, tmp_path, capsys):
+        axis = {"min": 0, "max": 1, "step": 0.5, "stepp": 0.25}
+        err = self.run_with(tmp_path, capsys, "grid", {"h": axis})
+        assert "grid axis 'h': unknown key 'stepp' (known: min, max, step)" in err
 
     @pytest.mark.parametrize("config", ["toy", "uscrime-smoke"])
     def test_load_does_not_import_scipy_signal(self, tmp_path, config):
