@@ -59,6 +59,14 @@ def _model_sizes(q: int, dtype=np.uint8) -> np.ndarray:
     return sizes
 
 
+def _log_marginal(m: int, size, rssr, g: float):
+    """log m(y | gamma, g) on m observations, relative to the null model's,
+    from the model size and 1 - R^2 (or arrays of them, signed sizes).  Every
+    log marginal of the module comes from here, so the sampler's table and
+    lazy paths, the weights and the enumeration use the same bits."""
+    return 0.5 * (m - 1 - size) * np.log1p(g) - 0.5 * (m - 1) * np.log1p(g * rssr)
+
+
 def _eliminate(S: np.ndarray) -> np.ndarray:
     """Eliminate the first column of a (k, k) matrix, or of each matrix of a
     stack (n, k, k): the Schur complement S[1:, 1:] - row' (row / pivot),
@@ -95,7 +103,7 @@ class _LazyLogMarginals(dict):
     def __missing__(self, code: int) -> float:
         family = self._family()
         rssr = family._fitted_rss_ratio(code)
-        self[code] = lm = float(family._log_marginal(code.bit_count(), rssr, self._g))
+        self[code] = lm = float(_log_marginal(family.m, code.bit_count(), rssr, self._g))
         return lm
 
 
@@ -115,8 +123,13 @@ class Dataset:
             raise ValueError("y length must match rows of X")
         if len(self.names) != q:
             raise ValueError("need one name per predictor column")
+        if not q:
+            raise ValueError("no predictor columns")
         if not (np.all(np.isfinite(self.y)) and np.all(np.isfinite(self.X))):
             raise ValueError("dataset contains non-finite entries")
+        yc = self.y - self.y.mean()
+        if yc @ yc == 0.0:
+            raise ValueError("response is constant")
         spans = np.ptp(self.X, axis=0)
         if np.any(spans == 0.0):
             bad = [self.names[j] for j in np.flatnonzero(spans == 0.0)]
@@ -137,7 +150,7 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
     The response is log-transformed as well; columns listed in
     ``binary_names`` pass through untouched.  Raises, naming the file, on a
     file with no data rows, a missing column, a value that does not parse
-    or is not finite, a non-positive value under the log, or a column the
+    or is not finite, a non-positive value under the log, or data the
     Dataset refuses.
     """
     with open(path, newline="", encoding="utf-8") as fh:
@@ -168,7 +181,9 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
         return np.log(vals)
 
     y = column(response_name)
-    X = np.column_stack([column(c) for c in names])
+    X = np.empty((len(rows), len(names)))
+    for j, c in enumerate(names):
+        X[:, j] = column(c)
     try:
         return Dataset(y=y, X=X, names=names)
     except ValueError as exc:
@@ -200,8 +215,6 @@ class BlvsFamily(DensityFamily):
         self._inclusion = {f"inclusion:{nm}": j for j, nm in enumerate(self.names)}
         self._yc = dataset.y - dataset.y.mean()
         self._tss = float(self._yc @ self._yc)
-        if self._tss == 0.0:
-            raise ValueError("response is constant")
         self._Xc = dataset.X - dataset.X.mean(axis=0)
         # the bordered Gram matrix [X y]'[X y] of the centred data
         q = self.q
@@ -274,14 +287,7 @@ class BlvsFamily(DensityFamily):
         rssr = self._fit(code)
         if rssr != rssr:
             raise self._unfit(code)
-        return float(self._log_marginal(code.bit_count(), rssr, g))
-
-    def _log_marginal(self, size, rssr, g: float):
-        """The closed form above from the model size and 1 - R^2, or arrays of
-        them (signed sizes).  Every log marginal of the family comes from here,
-        so the sampler's table and lazy paths store the same bits."""
-        return 0.5 * (self.m - 1 - size) * np.log1p(g) \
-            - 0.5 * (self.m - 1) * np.log1p(g * rssr)
+        return float(_log_marginal(self.m, code.bit_count(), rssr, g))
 
     def _log_marginals(self, rssr: np.ndarray, g: float) -> np.ndarray:
         """_log_marginal at g of every model code, from the array rssr of
@@ -290,7 +296,7 @@ class BlvsFamily(DensityFamily):
         out, sizes = np.empty(rssr.size), self.model_sizes()
         for start in range(0, rssr.size, BLOCK):
             block = slice(start, start + BLOCK)
-            out[block] = self._log_marginal(sizes[block], rssr[block], g)
+            out[block] = _log_marginal(self.m, sizes[block], rssr[block], g)
         return out
 
     # the model table
@@ -477,7 +483,7 @@ class BlvsFamily(DensityFamily):
         distinct model and gathered to the draws."""
         w, g = self.validate_h(h)
         per_model = stats.q_gamma * (math.log(w) - math.log1p(-w)) + self.q * math.log1p(-w) \
-            + self._log_marginal(stats.q_gamma, stats.rss_ratio, g)
+            + _log_marginal(self.m, stats.q_gamma, stats.rss_ratio, g)
         return per_model[stats.which]
 
     def function_names(self, items):
@@ -521,7 +527,8 @@ class ModelEnumeration:
     w-part depends on the model size alone, so `evaluate` sums the model
     weights by size in one O(2^q q) pass over the table per distinct g, and
     then needs O(q^2) work per point.  Model `code` includes predictor i when bit i of the code is
-    set.  The enumeration refers to its family weakly, so the family's cache
+    set.  The enumeration holds m and its own arrays, and no reference to
+    the family, so it works after the family is gone and the family's cache
     of it makes no reference cycle.
     """
 
@@ -529,8 +536,7 @@ class ModelEnumeration:
         q = family.q
         if q > ENUMERATION_MAX_Q:
             raise ValueError(f"enumeration supports q <= {ENUMERATION_MAX_Q}, got q={q}")
-        self._family = weakref.ref(family)
-        self.q = q
+        self.m, self.q = family.m, q
         rssr = family.model_table()
         if rssr is None:
             rssr = family._build_table()
@@ -546,13 +552,6 @@ class ModelEnumeration:
         self._least_rss_ratio = np.full(q + 1, np.inf)
         np.minimum.at(self._least_rss_ratio, self.q_gamma, rssr)
 
-    @property
-    def family(self) -> BlvsFamily:
-        family = self._family()
-        if family is None:
-            raise ReferenceError("the family of this enumeration no longer exists")
-        return family
-
     def _size_sums(self, g: float, high: np.ndarray, low: np.ndarray):
         """(top, S) at g: top[s] is the largest log m(y | gamma, g) among the
         models of size s; S[i, s] sums exp(log m - top[s]) over the models of
@@ -565,14 +564,14 @@ class ModelEnumeration:
         high by low code bits with b = q // 2, reduce through
         `_half_indicators` of each half to sums by (predictor, high size, low
         size), whose anti-diagonals are the sums by size."""
-        family, q = self.family, self.q
+        q = self.q
         b = q // 2
         a = q - b
-        top = family._log_marginal(np.arange(q + 1), self._least_rss_ratio, g)
+        top = _log_marginal(self.m, np.arange(q + 1), self._least_rss_ratio, g)
         e = np.multiply(self.rss_ratio, g)
         np.log1p(e, out=e)
         e -= np.log1p(g * self._least_rss_ratio)[self.q_gamma]
-        e *= -0.5 * (family.m - 1)
+        e *= -0.5 * (self.m - 1)
         weights = np.exp(e, out=e).reshape(1 << a, 1 << b)
         by_low_size = weights @ low[:, -(b + 1):]
         by_high_size = high[:, -(a + 1):].T @ weights
@@ -593,8 +592,8 @@ class ModelEnumeration:
         and P(gamma_i = 1 | y) = sum_s v_s S[i, s] / sum_s v_s S[q, s].  Each
         point's sums run along its own row, so its numbers do not depend on
         the other points of the call."""
-        family, q = self.family, self.q
-        H = family.validate_grid(points)
+        q = self.q
+        H = BlvsFamily.validate_grid(points)
         gs, which = np.unique(H[:, 1], return_inverse=True)
         log_m, incl = np.empty(len(H)), np.empty((len(H), q))
         high = _half_indicators(self.q_gamma, q - q // 2)

@@ -333,8 +333,11 @@ def cmd_validate(reps_scale: float) -> int:
     return 1 if failed else 0
 
 
-def _apply_overrides(cfg: StudyConfig, overrides: list[str]) -> None:
-    for ov in overrides or []:
+def _seed_overrides(overrides: list[str]) -> dict[str, int]:
+    """The --seed-override values STAGE=SEED as a {stage: seed} mapping for
+    load_config, the last one of a stage winning."""
+    seeds = {}
+    for ov in overrides:
         if "=" not in ov:
             raise ConfigError(f"bad --seed-override {ov!r}; expected stage1=SEED")
         key, val = ov.split("=", 1)
@@ -344,11 +347,8 @@ def _apply_overrides(cfg: StudyConfig, overrides: list[str]) -> None:
             val = int(val)
         except ValueError:
             pass                # left a string, which the check refuses
-        seed = nonnegative(val, f"--seed-override {key}")
-        getattr(cfg, key).seed = seed
-        cfg.raw.setdefault(key, {})["seed"] = seed
-    if cfg.stage1.seed == cfg.stage2.seed:
-        raise ConfigError("stage1 and stage2 seeds must differ")
+        seeds[key] = nonnegative(val, f"--seed-override {key}")
+    return seeds
 
 
 def main(argv=None) -> int:
@@ -386,11 +386,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             return cmd_validate(args.reps_scale)
-        cfg = load_config(args.config)
-        if args.out:
-            cfg.out_dir = Path(args.out)
+        # only `run` takes --seed-override
+        cfg = load_config(args.config, out=args.out,
+                          seeds=_seed_overrides(getattr(args, "seed_override", [])))
         if args.command == "run":
-            _apply_overrides(cfg, args.seed_override)
             out = cmd_run(cfg, args.stage)
             print(f"wrote {out}")
             return 0

@@ -15,7 +15,7 @@ import numpy as np
 import yaml
 
 from .blvs import BlvsFamily, ingest_csv
-from .errors import ConfigError, InvalidHyperparameterError, integer
+from .errors import ConfigError, InvalidHyperparameterError, integer, number
 from .families import ChainSpec, ConjugateToy, DensityFamily
 from .variance import MIN_SERIES_LENGTH
 
@@ -50,7 +50,7 @@ def known_keys(raw: dict, known, where: str) -> None:
             raise ConfigError(f"{where} {key!r} (known: {', '.join(known)})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class StageConfig:
     lengths: list[int]        # one entry per skeleton chain
     burn_in: int
@@ -91,7 +91,7 @@ class StageConfig:
         return sum(self.lengths)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StudyConfig:
     raw: dict
     family: DensityFamily
@@ -110,7 +110,7 @@ class StudyConfig:
     @property
     def stage1_hash(self) -> str:
         """Hash of the config sections a stage-1 ratio estimate depends on
-        (seed overrides included, since they are written into raw)."""
+        (a seed override included, since load_config writes it into raw)."""
         return _sha256({key: self.raw.get(key) for key in STAGE1_SECTIONS})
 
 
@@ -125,21 +125,25 @@ def _build_family(model: dict, base_dir: Path) -> DensityFamily:
         raise ConfigError(f"unknown model kind {kind!r}")
     known_keys(model, ("kind", *MODEL_KEYS[kind]), f"model: unknown {kind} key")
     if kind == "toy":
-        return ConjugateToy(
-            y_obs=float(model.get("y_obs", 0.0)),
-            prior_sd=float(model.get("prior_sd", 1.0)),
-            like_sd=float(model.get("like_sd", 1.0)),
-            sampler=model.get("sampler", "iid"),
-            ar1_phi=float(model.get("ar1_phi", 0.5)),
-        )
+        # the toy's defaults are those of its signature
+        return ConjugateToy(**{key: value if key == "sampler" else number(value, f"model: {key}")
+                               for key, value in model.items() if key != "kind"})
     if "dataset" not in model:
         raise ConfigError("blvs model requires a 'dataset' CSV path")
+    binary = model.get("binary", [])
+    if not (isinstance(binary, list) and all(isinstance(nm, str) for nm in binary)):
+        raise ConfigError("model: binary must be a list of column names")
     path = Path(model["dataset"])
     if not path.is_absolute():
         path = base_dir / path
-    dataset = ingest_csv(path, model.get("response", "y"),
-                         model.get("binary", []))
-    return BlvsFamily(dataset)
+    return BlvsFamily(ingest_csv(path, model.get("response", "y"), binary))
+
+
+def point(raw, name: str) -> tuple[float, ...]:
+    """The coordinates of a skeleton or grid point, a list of numbers or one
+    number, each read by `number`; one that is not finite is left to the
+    family's domain check, which names the whole point."""
+    return tuple(number(c, name, finite=False) for c in (raw if isinstance(raw, list) else [raw]))
 
 
 def make_grid(grid_cfg, coord_names):
@@ -157,7 +161,7 @@ def make_grid(grid_cfg, coord_names):
         points = grid_cfg["points"]
         if not isinstance(points, list) or not all(isinstance(pt, list) for pt in points):
             raise ConfigError("grid: points must be a list of coordinate lists")
-        return [tuple(float(c) for c in pt) for pt in points]
+        return [point(pt, "grid: point coordinate") for pt in points]
     axes = []
     for name in coord_names:
         if name not in grid_cfg:
@@ -166,7 +170,7 @@ def make_grid(grid_cfg, coord_names):
         if not isinstance(ax, dict) or not set(AXIS_KEYS) <= ax.keys():
             raise ConfigError(f"grid axis {name!r}: need min, max and step")
         known_keys(ax, AXIS_KEYS, f"grid axis {name!r}: unknown key")
-        lo, hi, step = float(ax["min"]), float(ax["max"]), float(ax["step"])
+        lo, hi, step = (number(ax[key], f"grid axis {name!r}: {key}") for key in AXIS_KEYS)
         if step <= 0 or hi < lo:
             raise ConfigError(f"grid axis {name!r}: need step > 0 and max >= min")
         count = int(math.floor((hi - lo) / step + 1e-9)) + 1
@@ -174,7 +178,12 @@ def make_grid(grid_cfg, coord_names):
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
-def load_config(path) -> StudyConfig:
+def load_config(path, out=None, seeds=None) -> StudyConfig:
+    """The study of the config file at path, checked whole before any
+    sampling.  out, a directory, replaces the config's `out` (and is not
+    relative to the config file); seeds, a {"stage1" | "stage2": seed}
+    mapping, replaces those stages' seeds before the stages are parsed, and
+    is written into raw, so the manifest and stage1_hash record it."""
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         try:
@@ -189,12 +198,15 @@ def load_config(path) -> StudyConfig:
         if not isinstance(value, kind):
             raise ConfigError(f"{path}: {key} must be a {noun}, "
                               f"got {type(value).__name__}")
+    for key, seed in (seeds or {}).items():
+        raw.setdefault(key, {})["seed"] = seed
     base_dir = path.parent
     family = _build_family(raw.get("model", {}), base_dir)
     skeleton_raw = raw.get("skeleton")
     if not skeleton_raw:
         raise ConfigError("skeleton must be a nonempty list of hyperparameters")
-    skeleton = [family.validate_h(h) for h in skeleton_raw]
+    skeleton = [family.validate_h(point(h, "skeleton: point coordinate"))
+                for h in skeleton_raw]
     k = len(skeleton)
     stage1 = StageConfig.parse(raw.get("stage1", {}), k, "stage1")
     stage2 = StageConfig.parse(raw.get("stage2", {}), k, "stage2")
@@ -214,9 +226,8 @@ def load_config(path) -> StudyConfig:
     repeated = [nm for i, nm in enumerate(functions) if nm in functions[:i]]
     if repeated:
         raise ConfigError(f"functions: {repeated[0]!r} is named more than once")
-    out_dir = Path(raw.get("out", "priorsweep-out"))
-    if not out_dir.is_absolute():
-        out_dir = base_dir / out_dir
+    # an absolute `out` stays as it is, since joining it to base_dir gives it
+    out_dir = Path(out) if out else base_dir / raw.get("out", "priorsweep-out")
     return StudyConfig(
         raw=raw, family=family, skeleton=skeleton,
         stage1=stage1, stage2=stage2, grid=grid, functions=functions,

@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package, and the integer
-check of the files it reads."""
+and number checks of the files it reads."""
+
+import math
 
 
 class PriorsweepError(Exception):
@@ -35,6 +37,23 @@ def integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def number(value, name: str, finite: bool = True) -> float:
+    """value as a float if it is a YAML or JSON number (not a boolean) or a
+    string that float() reads (PyYAML reads a float without a dot, such as
+    1e-3, as a string), and with `finite` if it is finite; else
+    ConfigError."""
+    x = None
+    if not isinstance(value, bool):
+        try:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if x is None or (finite and not math.isfinite(x)):
+        raise ConfigError(f"{name} must be a {'finite ' if finite else ''}number, "
+                          f"got {value!r}")
+    return x
 
 
 class SupportWarning(UserWarning):

@@ -62,36 +62,37 @@ class DensityFamily(ABC):
     # is reported as "<coordinate> must <rule>"
     domain: tuple = ()
 
-    @property
-    def h_dim(self) -> int:
-        return len(self.coord_names)
-
-    def validate_h(self, h) -> tuple[float, ...]:
+    # classmethods, as they read only coord_names and domain
+    @classmethod
+    def validate_h(cls, h) -> tuple[float, ...]:
         coords = _as_coords(h)
-        if len(coords) != self.h_dim:
+        if len(coords) != len(cls.coord_names):
             raise InvalidHyperparameterError(
-                f"expected {self.h_dim} coordinates {self.coord_names}, got {coords}"
+                f"expected {len(cls.coord_names)} coordinates {cls.coord_names}, got {coords}"
             )
-        for i, test, rule in self.domain:
+        for i, test, rule in cls.domain:
             if not test(coords[i]):
                 raise InvalidHyperparameterError(
-                    f"{self.coord_names[i]} must {rule}, got {coords[i]}")
+                    f"{cls.coord_names[i]} must {rule}, got {coords[i]}")
         return coords
 
-    def validate_grid(self, points) -> np.ndarray:
-        """The points as a read-only (G, h_dim) float array.  One vectorized
-        test of the domain accepts a good grid; any other is checked point by
-        point, so the error names its first bad point as validate_h does."""
+    @classmethod
+    def validate_grid(cls, points) -> np.ndarray:
+        """The points as a read-only (G, d) float array, d the number of
+        coordinates.  One vectorized test of the domain accepts a good grid;
+        any other is checked point by point, so the error names its first
+        bad point as validate_h does."""
+        d = len(cls.coord_names)
         try:
             H = np.array(points, dtype=float)
         except (TypeError, ValueError):
             H = np.empty((0, 0))
-        if H.ndim == 1 and (self.h_dim == 1 or not H.size):
-            H = H.reshape(-1, self.h_dim)
-        if H.shape[1:] != (self.h_dim,) or not (
+        if H.ndim == 1 and (d == 1 or not H.size):
+            H = H.reshape(-1, d)
+        if H.shape[1:] != (d,) or not (
                 np.isfinite(H).all()
-                and all(test(H[:, i]).all() for i, test, _ in self.domain)):
-            H = np.array([self.validate_h(h) for h in points]).reshape(-1, self.h_dim)
+                and all(test(H[:, i]).all() for i, test, _ in cls.domain)):
+            H = np.array([cls.validate_h(h) for h in points]).reshape(-1, d)
         H.flags.writeable = False
         return H
 
@@ -147,7 +148,7 @@ class ConjugateToy(DensityFamily):
 
     coord_names = ("h",)
 
-    def __init__(self, y_obs: float, prior_sd: float = 1.0, like_sd: float = 1.0,
+    def __init__(self, y_obs: float = 0.0, prior_sd: float = 1.0, like_sd: float = 1.0,
                  sampler: str = "iid", ar1_phi: float = 0.5):
         if prior_sd <= 0 or like_sd <= 0:
             raise ValueError("prior_sd and like_sd must be positive")

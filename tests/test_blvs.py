@@ -57,6 +57,18 @@ class TestIngest:
         with pytest.raises(ValueError, match="could not parse"):
             ingest_csv(p, "y")
 
+    # the Dataset makes every check of the data, so the error names the file
+    @pytest.mark.parametrize("text, message", [
+        ("y\n1\n2\n3\n", "no predictor columns"),
+        ("y,a\n2,1\n2,3\n2,4\n", "response is constant"),
+    ], ids=["response-only", "constant-response"])
+    def test_unusable_data_names_the_file(self, tmp_path, text, message):
+        p = tmp_path / "bad.csv"
+        p.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            ingest_csv(p, "y")
+        assert str(exc.value) == f"{p}: {message}"
+
 
 class TestLogMarginal:
     def test_matches_two_dimensional_quadrature(self):
@@ -239,7 +251,9 @@ class TestEnumeration:
             duplicate_column_family().enumeration()
 
     def test_family_is_freed_without_the_cycle_collector(self, monkeypatch):
-        # the enumeration and the lazy store both refer to the family
+        # the family caches its enumeration and its lazy stores, and the
+        # stores refer back to it; with the enumeration kept, the family is
+        # still freed, and the enumeration still answers alone
         monkeypatch.setattr(blvs, "TABLE_MAX_Q", 0)
         gc.disable()
         try:
@@ -247,14 +261,19 @@ class TestEnumeration:
             fam.sample_chains([ChainSpec(h=(0.5, 10.0), length=10, seed=1)])[0]
             assert fam._lms and fam._table is None
             enum = fam.enumeration()
-            assert enum.family is fam
+            before = enum.log_marginal((0.5, 10.0))
             ref = weakref.ref(fam)
             del fam
             assert ref() is None
-            with pytest.raises(ReferenceError):
-                enum.log_marginal((0.5, 10.0))
+            assert enum.log_marginal((0.5, 10.0)) == before
         finally:
             gc.enable()
+
+    def test_enumeration_outlives_its_family(self, small_family):
+        # the family of the one expression is gone before log_marginal runs
+        # (outside the assert, whose rewriting would keep it alive)
+        got = BlvsFamily(synthetic_dataset()).enumeration().log_marginal((0.3, 20.0))
+        assert got == small_family.enumeration().log_marginal((0.3, 20.0))
 
 
 # w at both ends of (0, 1) and at 1/2, at two g
@@ -274,7 +293,7 @@ def model_probs(enum, h):
     w, g = h
     sizes = enum.q_gamma.astype(float)
     lw = sizes * math.log(w) + (enum.q - sizes) * math.log1p(-w) \
-        + enum.family._log_marginals(enum.rss_ratio, g)
+        + blvs._log_marginal(enum.m, enum.q_gamma, enum.rss_ratio, g)
     return np.exp(lw - logsumexp(lw))
 
 
@@ -442,7 +461,7 @@ class TestPriorWeight:
             sizes, rssr = stats.q_gamma[stats.which], stats.rss_ratio[stats.which]
             for w, g in [(0.3, 4.0), (0.65, 20.0), (0.9, 225.0)]:
                 per_draw = sizes * (math.log(w) - math.log1p(-w)) + fam.q * math.log1p(-w) \
-                    + fam._log_marginal(sizes, rssr, g)
+                    + blvs._log_marginal(fam.m, sizes, rssr, g)
                 assert fam.log_weights((w, g), stats).tobytes() == per_draw.tobytes()
 
     def test_domain_checks(self, small_family):

@@ -234,7 +234,8 @@ class TestRun:
          "constant predictor column(s) after transformation: ['a']"),
         ("y,a,b\n1,2,1\n2,nan,0\n3,4,1\n", "non-finite value in column 'a'"),
         ("y,a,b\n", "no data rows"),
-    ], ids=["constant-column", "nan-cell", "no-rows"])
+        ("y,a,b\n2,1,1\n2,3,0\n2,4,1\n", "response is constant"),
+    ], ids=["constant-column", "nan-cell", "no-rows", "constant-response"])
     def test_unusable_dataset_exits_2_naming_the_file(self, tmp_path, capsys, text, message):
         data = tmp_path / "data.csv"
         data.write_text(text)
@@ -479,8 +480,7 @@ class TestRegressionOracle:
             rows = list(csv.DictReader(fh))
         grid = [tuple(h) for h in raw["grid"]["points"]]
         assert [(float(r["w"]), float(r["g"])) for r in rows] == grid
-        family = load_config(p).family     # the enumeration refers to it weakly
-        enum = family.enumeration()
+        enum = load_config(p).family.enumeration()
         log_m1 = enum.log_marginal(tuple(raw["skeleton"][0]))
         for row, h in zip(rows, grid):
             assert float(row["bf_exact"]) == pytest.approx(

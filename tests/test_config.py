@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +10,7 @@ import yaml
 from priorsweep.cli import main
 from priorsweep.config import YAML_LOADER, StageConfig, load_config, make_grid
 from priorsweep.errors import ConfigError
+from priorsweep.families import ConjugateToy
 
 
 class TestMakeGrid:
@@ -282,6 +284,61 @@ class TestLoadConfig:
         axis = {"min": 0, "max": 1, "step": 0.5, "stepp": 0.25}
         err = self.run_with(tmp_path, capsys, "grid", {"h": axis})
         assert "grid axis 'h': unknown key 'stepp' (known: min, max, step)" in err
+
+    # every number of a config is read by one check that names its key; a
+    # boolean is no number, and a toy parameter or an axis bound must be
+    # finite (a non-finite coordinate is the family's to name, with its point)
+    @pytest.mark.parametrize("section, value, message", [
+        ("model", {"kind": "toy", "y_obs": "abc"},
+         "model: y_obs must be a finite number, got 'abc'"),
+        ("model", {"kind": "toy", "prior_sd": True},
+         "model: prior_sd must be a finite number, got True"),
+        ("grid", {"h": {"min": "zero", "max": 1, "step": 0.5}},
+         "grid axis 'h': min must be a finite number, got 'zero'"),
+        ("grid", {"h": {"min": 0, "max": float("inf"), "step": 0.5}},
+         "grid axis 'h': max must be a finite number, got inf"),
+        ("skeleton", [["one"], [1.0]], "skeleton: point coordinate must be a number, got 'one'"),
+        ("grid", {"points": [[0.5], ["x"]]}, "grid: point coordinate must be a number, got 'x'"),
+    ], ids=["y_obs-a-string", "prior_sd-a-boolean", "axis-min-a-string", "axis-max-infinite",
+            "skeleton-coordinate-a-string", "grid-point-a-string"])
+    def test_number_not_read_rejected(self, tmp_path, capsys, section, value, message):
+        assert message in self.run_with(tmp_path, capsys, section, value)
+
+    # a string is iterable but no list of names: Po1 is not the columns P, o and 1
+    @pytest.mark.parametrize("binary", ["Po1", "S"])
+    def test_binary_not_a_list_rejected(self, tmp_path, capsys, uscrime_path, binary):
+        model = {"kind": "blvs", "dataset": str(uscrime_path), "binary": binary}
+        err = self.run_with(tmp_path, capsys, "model", model)
+        assert "model: binary must be a list of column names" in err
+
+    def test_toy_defaults_are_the_signature_defaults(self, tmp_path):
+        p = tmp_path / "study.yaml"
+        raw = write_toy_config(p)
+        raw["model"] = {"kind": "toy"}
+        p.write_text(yaml.safe_dump(raw))
+        family = load_config(p).family
+        assert vars(family) == vars(ConjugateToy())
+
+    def test_overrides_enter_before_parsing(self, tmp_path):
+        # the file's equal seeds are replaced before the stages are checked
+        p = tmp_path / "study.yaml"
+        write_toy_config(p, seed1=7, seed2=7)
+        cfg = load_config(p, out=str(tmp_path / "elsewhere"), seeds={"stage2": 8})
+        assert (cfg.stage1.seed, cfg.stage2.seed) == (7, 8)
+        assert cfg.raw["stage2"]["seed"] == 8
+        assert cfg.out_dir == tmp_path / "elsewhere"
+        assert cfg.stage1_hash != load_config(p, seeds={"stage1": 9, "stage2": 8}).stage1_hash
+        with pytest.raises(ConfigError, match="seeds must differ"):
+            load_config(p, seeds={"stage1": 7})
+
+    def test_parsed_study_is_frozen(self, tmp_path):
+        p = tmp_path / "study.yaml"
+        write_toy_config(p)
+        cfg = load_config(p)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.out_dir = tmp_path
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.stage1.seed = 3
 
     @pytest.mark.parametrize("config", ["toy", "uscrime-smoke"])
     def test_load_does_not_import_scipy_signal(self, tmp_path, config):
