@@ -486,6 +486,23 @@ class BlvsFamily(DensityFamily):
             + _log_marginal(self.m, stats.q_gamma, stats.rss_ratio, g)
         return per_model[stats.which]
 
+    def cells(self, stats: BlvsStats) -> np.ndarray:
+        """The model size of each draw."""
+        return stats.q_gamma[stats.which]
+
+    def lines(self, H, stats: BlvsStats):
+        """A line for each distinct g, in increasing order: log nu_(w, g) of
+        a model of size s is log m(y | gamma, g) + s log(w / (1 - w)) +
+        q log(1 - w), so the line's points share the log marginals, and a
+        point's coefficient of size s is the rest."""
+        gs, line = np.unique(H[:, 1], return_inverse=True)
+        sizes = np.arange(self.q + 1)
+        for i, g in enumerate(gs.tolist()):
+            rows = np.flatnonzero(line == i)
+            w = H[rows, :1]
+            log_c = sizes * (np.log(w) - np.log1p(-w)) + self.q * np.log1p(-w)
+            yield rows, _log_marginal(self.m, stats.q_gamma, stats.rss_ratio, g)[stats.which], log_c
+
     def function_names(self, items):
         """inclusion:<predictor>, the indicator gamma_j of the predictor,
         and inclusion:*, one such name per predictor in their order."""

@@ -130,13 +130,18 @@ def _build_family(model: dict, base_dir: Path) -> DensityFamily:
                                for key, value in model.items() if key != "kind"})
     if "dataset" not in model:
         raise ConfigError("blvs model requires a 'dataset' CSV path")
+    dataset, response = model["dataset"], model.get("response", "y")
+    if not isinstance(dataset, str):
+        raise ConfigError(f"model: dataset must be a CSV path, got {dataset!r}")
+    if not isinstance(response, str):
+        raise ConfigError(f"model: response must be a column name, got {response!r}")
     binary = model.get("binary", [])
     if not (isinstance(binary, list) and all(isinstance(nm, str) for nm in binary)):
         raise ConfigError("model: binary must be a list of column names")
-    path = Path(model["dataset"])
+    path = Path(dataset)
     if not path.is_absolute():
         path = base_dir / path
-    return BlvsFamily(ingest_csv(path, model.get("response", "y"), binary))
+    return BlvsFamily(ingest_csv(path, response, binary))
 
 
 def point(raw, name: str) -> tuple[float, ...]:

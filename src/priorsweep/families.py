@@ -5,9 +5,12 @@ A family supplies Markov chains at the skeleton points (sample_chains, its
 one sampling method) and, for hyperparameter h, the log weight log nu_h of
 each draw: a density in h of whatever the chains carry, evaluated over
 cached per-sample statistics so that sweeping a large hyperparameter grid
-never re-touches per-sample density code.  Weights are meaningful only
-through differences: implementations may add any function of the draw
-alone, since every estimator downstream consumes ratios nu_h / nu_{h'}.
+never re-touches per-sample density code.  A family may also split the
+grid into lines along which the weights factor (lines, cells), so that
+the sweep passes over the samples once per line, not once per point.
+Weights are meaningful only through differences: implementations may add
+any function of the draw alone, since every estimator downstream consumes
+ratios nu_h / nu_{h'}.
 The functions f(theta) whose posterior expectations a run estimates are
 names, and only the family knows what a name means: it checks the names a
 config gives (function_names), evaluates them over the pooled draws
@@ -113,6 +116,22 @@ class DensityFamily(ABC):
     def log_weights(self, h, stats) -> np.ndarray:
         """log nu_h of every sample, from cached statistics, up to an
         additive function of the sample alone; -inf where nu_h = 0."""
+
+    def cells(self, stats) -> np.ndarray | None:
+        """The cell of each sample, ints from 0 (None: every sample in cell
+        0): along a line of the grid (`lines`), the weights of the samples
+        of one cell move by one factor.  A function of the samples alone."""
+        return None
+
+    def lines(self, H: np.ndarray, stats):
+        """The grid points H as lines, one (rows, log_e, log_c) per line:
+        rows, the indices in H of its points; log_e, a log weight of every
+        sample shared by the line; and log_c, one row per point with a
+        column for each cell, such that log nu_h of a sample of cell s at
+        the point H[rows[i]] is log_e + log_c[i, s].  By default each point
+        is a line of its own, with log_c 0."""
+        for i, h in enumerate(H):
+            yield np.array([i]), self.log_weights(h, stats), np.zeros((1, 1))
 
     def function_names(self, items: Sequence[str]) -> list[str]:
         """The functions f(theta) a config names, one name per function in

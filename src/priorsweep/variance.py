@@ -5,8 +5,10 @@ Every long-run covariance is chain-centred batch means (Flegal & Jones
 2010, Annals of Statistics), b = floor(sqrt(m)) draws a batch for a chain
 of m draws (`BatchLayout`), on series with time along the last axis:
 `batch_sums` gives S, the weighted centred batch sums, whose S S' is the
-long-run covariance matrix (the stage-1 sandwich solves against S), and
-`lrv_diag` its diagonal."""
+long-run covariance matrix (the stage-1 sandwich solves against S).  S is
+linear in the series' sums over each batch, so `BatchLayout.centred`
+takes those sums, however they were formed (the stage-2 sweep forms them
+from tables, never from the series)."""
 
 from __future__ import annotations
 
@@ -48,6 +50,15 @@ class BatchLayout:
         self.weight = (counts / self.n * size / (self.per_chain - 1))[self.chain]
         self.scale = np.sqrt(self.weight) / size[self.chain]
 
+    def centred(self, sums: np.ndarray) -> np.ndarray:
+        """`batch_sums` of series from their float sums over each batch,
+        along the last axis, computed in sums itself and returned; each row
+        on its own, so stacking series changes no bit."""
+        sums *= self.scale
+        centre = np.add.reduceat(sums, self.first, axis=-1) / self.per_chain
+        sums -= np.take(centre, self.chain, axis=-1)
+        return sums
+
 
 def batch_sums(X, layout: BatchLayout) -> np.ndarray:
     """S with S S' the long-run covariance of the series along the last
@@ -59,18 +70,7 @@ def batch_sums(X, layout: BatchLayout) -> np.ndarray:
     S = np.add.reduceat(X, layout.cuts, axis=-1)
     if layout.keep is not None:
         S = np.take(S, layout.keep, axis=-1)     # in C order, so rows reduce alike
-    S *= layout.scale
-    centre = np.add.reduceat(S, layout.first, axis=-1) / layout.per_chain
-    S -= np.take(centre, layout.chain, axis=-1)
-    return S
-
-
-def lrv_diag(X, layout: BatchLayout) -> np.ndarray:
-    """One long-run variance per series of a (..., n) array, the diagonal of
-    S S' for S = `batch_sums`, each reduced on its own, so stacking changes
-    no bit."""
-    S = batch_sums(X, layout)
-    return np.einsum("...i,...i->...", S, S)
+    return layout.centred(S)
 
 
 @dataclass(frozen=True)

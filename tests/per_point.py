@@ -7,10 +7,12 @@ from the code they replaced:
 - the Bartlett kernel that `priorsweep.variance` had before batch means,
   kept for the scalar long-run variance `spectral_lrv`, with which the
   tests judge single chains against exact values;
-- the per-point stage-2 sweep that the block path of `priorsweep.surface`
-  replaced: one grid point at a time, its terms as a vector, every sum over
-  all n pooled samples at once, and one `batch_means_lrv` call per point,
-  with one `PointRecord` per point in place of the columns of a `Surface`;
+- the per-point stage-2 sweep that the sweep by lines of `priorsweep.surface`
+  replaced: one grid point at a time, its terms as a vector from the
+  family's `log_weights`, every sum over all n pooled samples at once, the
+  control-variate coefficients by `np.linalg.lstsq`, and one
+  `batch_means_lrv` call per point on the series themselves, with one
+  `PointRecord` per point in place of the columns of a `Surface`;
 - the one-point estimators `bf_hat`, `bf_cv_hat` and `pe_hat`, each
   `priorsweep.surface.surface` at one point with d taken as known, and
   `estimate_sigma`, the sandwich covariance formed
@@ -29,7 +31,7 @@ import numpy as np
 
 from priorsweep.errors import ConnectivityError
 from priorsweep.ratio import MAX_ITER, TOL, _check_curvature, _sandwich
-from priorsweep.surface import surface
+from priorsweep.surface import _RANK_RTOL, surface
 from priorsweep.variance import MIN_SERIES_LENGTH
 
 
@@ -213,15 +215,30 @@ def point_terms(ws, h):
     return np.exp(t - shift), shift
 
 
+def cv_coefficients(ws, u):
+    """The least-squares coefficients of u on (1, Z), less the intercept:
+    the minimum-norm solution, with singular values at or below
+    `_RANK_RTOL` times the largest taken as zero."""
+    design = np.column_stack([np.ones(ws.n), ws.Z.T])
+    return np.linalg.lstsq(design, u, rcond=_RANK_RTOL)[0][1:]
+
+
+def draw_psi(ws):
+    """psi in the draws' order; the workspace holds it in the sweep's."""
+    out = np.empty_like(ws.sweep_psi)
+    out[:, ws.order] = ws.sweep_psi
+    return out
+
+
 def c_hat(ws, u, shift):
-    return (ws.psi @ u) / ws.n * math.exp(shift)
+    return (draw_psi(ws) @ u) / ws.n * math.exp(shift)
 
 
 def w_hat(ws, c, beta):
     """c, plus beta_t / d_t, plus the beta-weighted difference of the
     chain-1 and chain-t means of psi."""
     means = np.stack([chain.mean(axis=1) for chain in np.split(
-        ws.psi, np.cumsum(ws.W.counts)[:-1], axis=1)])
+        draw_psi(ws), np.cumsum(ws.W.counts)[:-1], axis=1)])
     diff = means[0][None, :] - means[1:, :]
     return c + beta / ws.d_hat[1:] + diff.T @ beta
 
@@ -230,7 +247,7 @@ def v_hat(ws, centred, u_sum):
     """Column j: psi' (f_j - I_j) u / sum(u), from centred = (f_j - I_j) u."""
     if u_sum == 0.0:
         return np.full((ws.W.k - 1, centred.shape[1]), math.nan)
-    return ws.psi @ centred / u_sum
+    return draw_psi(ws) @ centred / u_sum
 
 
 @dataclass
@@ -282,7 +299,7 @@ def surface_by_point(ws, grid, F, sigma_hat, q):
         scale = math.exp(shift)
         u_mean = float(u.mean())
         u_sum = float(np.sum(u))
-        beta_u = ws._cv_map @ u
+        beta_u = cv_coefficients(ws, u)
         beta = beta_u * scale
         bf_cv = (u_mean - float(ws.z_means @ beta_u)) * scale
         pe = (np.array([float(np.sum(F[:, j] * u)) / u_sum for j in range(F.shape[1])])

@@ -311,6 +311,17 @@ class TestLoadConfig:
         err = self.run_with(tmp_path, capsys, "model", model)
         assert "model: binary must be a list of column names" in err
 
+    # a dataset is a path and a response a column name: 5 is no path, and
+    # [y] is a list, not the column y
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "blvs", "dataset": 5}, "model: dataset must be a CSV path, got 5"),
+        ({"kind": "blvs", "response": ["y"]}, "model: response must be a column name, got ['y']"),
+    ], ids=["dataset-a-number", "response-a-list"])
+    def test_dataset_or_response_not_a_string_rejected(self, tmp_path, capsys, uscrime_path,
+                                                       model, message):
+        model = {"dataset": str(uscrime_path), **model}
+        assert message in self.run_with(tmp_path, capsys, "model", model)
+
     def test_toy_defaults_are_the_signature_defaults(self, tmp_path):
         p = tmp_path / "study.yaml"
         raw = write_toy_config(p)

@@ -6,13 +6,16 @@ import pytest
 from scipy.special import logsumexp
 
 import priorsweep.surface as surface_module
+from priorsweep.blvs import BlvsFamily
 from priorsweep.errors import (DegenerateDesignWarning, SupportViolationError,
                                SupportWarning)
 from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import LogWeightMatrix, build_log_weight_matrix, estimate_d
-from priorsweep.surface import _RANK_RTOL, Stage2Workspace, surface
+from priorsweep.surface import _RANK_RTOL, Stage2Workspace, _pass, surface
 
-from per_point import bf_cv_hat, bf_hat, estimate_sigma, pe_hat, point_terms, surface_by_point
+from conftest import synthetic_dataset
+from per_point import (bf_cv_hat, bf_hat, draw_psi, estimate_sigma, pe_hat, point_terms,
+                       surface_by_point)
 
 
 def two_stage(skeleton, n1, n2, y_obs=0.0, seed0=0, sampler="iid"):
@@ -84,7 +87,7 @@ class TestWorkspace:
             for got, want in ((ws.log_den, log_den), (ws.Z, Z)):
                 np.testing.assert_allclose(got, want, rtol=1e-13,
                                            atol=1e-13 * np.abs(want).max())
-            np.testing.assert_allclose(ws.psi, psi, rtol=1e-13)
+            np.testing.assert_allclose(draw_psi(ws), psi, rtol=1e-13)
 
     def test_dead_mixture_sample_raises(self):
         fam, _, d, _ = two_stage([(0.0,), (1.0,)], 300, 300)
@@ -153,9 +156,9 @@ class TestControlVariates:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             for h in np.linspace(-0.5, 2.5, 7):
-                u, _ = point_terms(ws, (h,))
-                want = np.linalg.lstsq(design, u, rcond=_RANK_RTOL)[0][1:]
-                np.testing.assert_allclose(ws.cv_coefficients(u), want, rtol=1e-12)
+                u, shift = point_terms(ws, (h,))
+                want = np.linalg.lstsq(design, u, rcond=_RANK_RTOL)[0][1:] * math.exp(shift)
+                np.testing.assert_allclose(bf_cv_hat(ws, (h,))[1], want, rtol=1e-12)
         degenerate = [w for w in caught if w.category is DegenerateDesignWarning]
         assert len(degenerate) == (1 if deficient else 0)
 
@@ -338,10 +341,25 @@ def toy_study(lengths, seed0=47):
     return ws, estimate_sigma(W1, d)
 
 
-def series_floats(ws, F):
-    """The floats of one grid point's stage-2 series for the rows F, the
-    unit of `SERIES_BLOCK`."""
-    return (len(F) + 2) * ws.n
+def blvs_study(family, lengths, seed0=60, k=3):
+    """BLVS skeleton of k points, the first k of SKELETON_5, with a stage-2
+    chain of each given length, and the stage-1 sigma_hat."""
+    skeleton = SKELETON_5[:k]
+    c1 = family.sample_chains([ChainSpec(h=h, length=200, burn_in=20, seed=80 + i)
+                               for i, h in enumerate(skeleton)])
+    W1 = build_log_weight_matrix(family, skeleton, c1)
+    d, _ = estimate_d(W1)
+    c2 = family.sample_chains([ChainSpec(h=h, length=n2, burn_in=20, seed=seed0 + i)
+                               for i, (h, n2) in enumerate(zip(skeleton, lengths))])
+    ws = Stage2Workspace(build_log_weight_matrix(family, skeleton, c2), d)
+    return ws, estimate_sigma(W1, d)
+
+
+SKELETON_5 = [(0.3, 10.0), (0.6, 40.0), (0.5, 100.0), (0.4, 20.0), (0.7, 70.0)]
+# three lines of a BLVS grid, g = 5, 50 and 150, in an order that
+# interleaves them; the first three points share a line
+LINES = [(0.2, 5.0), (0.45, 5.0), (0.7, 5.0), (0.3, 50.0), (0.6, 150.0), (0.45, 50.0),
+         (0.8, 150.0)]
 
 
 def no_rows(ws):
@@ -362,8 +380,12 @@ def inclusion_rows(family, ws):
 
 
 class TestBlockPath:
+    """The sweep by lines of the grid (the class keeps the name of the
+    sweep by blocks of points that it replaced): against the per-point
+    reference, and each point's numbers whatever else its line holds."""
+
     def assert_matches_per_point(self, ws, grid, F, sigma):
-        """The block path against the per-point reference: estimates within
+        """The sweep against the per-point reference: estimates within
         1e-12 relative, every variance term within 1e-10 of its total and
         every standard error within 1e-10 relative; and each record exactly
         what the point gives alone."""
@@ -392,104 +414,122 @@ class TestBlockPath:
                                       toy_rows(ws), sigma)
 
     def test_matches_per_point_reference_blvs(self, small_family):
-        skeleton = [(0.3, 10.0), (0.6, 40.0), (0.5, 100.0)]
-        c1 = small_family.sample_chains([ChainSpec(h=h, length=200, burn_in=20, seed=80 + i)
-                                         for i, h in enumerate(skeleton)])
-        W1 = build_log_weight_matrix(small_family, skeleton, c1)
-        d, _ = estimate_d(W1)
-        c2 = small_family.sample_chains([ChainSpec(h=h, length=150, burn_in=20, seed=60 + i)
-                                         for i, h in enumerate(skeleton)])
-        ws = Stage2Workspace(build_log_weight_matrix(small_family, skeleton, c2), d)
+        ws, sigma = blvs_study(small_family, (150, 150, 150))
         grid = [(w, g) for w in (0.2, 0.45, 0.7) for g in (5.0, 50.0, 150.0)]
-        self.assert_matches_per_point(ws, grid, inclusion_rows(small_family, ws),
-                                      estimate_sigma(W1, d))
+        self.assert_matches_per_point(ws, grid, inclusion_rows(small_family, ws), sigma)
 
-    def test_unequal_chain_lengths(self, monkeypatch):
+    def test_matches_per_point_reference_blvs_uneven_lines(self, small_family):
+        # lines of three, two and one point; g = 7 and 100 lie on no
+        # skeleton line, and w reaches 0.02 and 0.98
+        ws, sigma = blvs_study(small_family, (150, 150, 150))
+        grid = [(0.02, 40.0), (0.3, 7.0), (0.5, 40.0), (0.6, 100.0), (0.98, 7.0), (0.98, 40.0)]
+        self.assert_matches_per_point(ws, grid, inclusion_rows(small_family, ws), sigma)
+
+    def test_matches_per_point_reference_blvs_without_functions(self, small_family):
+        ws, sigma = blvs_study(small_family, (150, 150, 150))
+        self.assert_matches_per_point(ws, LINES, no_rows(ws), sigma)
+
+    def test_matches_per_point_reference_blvs_one_chain(self, small_family):
+        # k = 1: no control variates, and 137 draws make 11 batches of 11
+        # and a tail of 16
+        ws, sigma = blvs_study(small_family, (137,), k=1)
+        assert ws.batches.keep is not None
+        self.assert_matches_per_point(ws, LINES, inclusion_rows(small_family, ws), sigma)
+
+    def test_unequal_chain_lengths(self, small_family):
         ws, sigma = toy_study((300, 420, 250), seed0=5)
-        grid = [(h,) for h in np.linspace(-0.5, 2.5, 7)]
-        F = toy_rows(ws)
-        self.assert_matches_per_point(ws, grid, F, sigma)
-        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 3 * series_floats(ws, F))
-        alone = [surface(ws, [h], F, sigma, q=0.7) for h in grid]
-        assert matches_alone(surface(ws, grid, F, sigma, q=0.7), alone)
+        self.assert_matches_per_point(ws, [(h,) for h in np.linspace(-0.5, 2.5, 7)],
+                                      toy_rows(ws), sigma)
+        ws, sigma = blvs_study(small_family, (120, 175, 90))
+        self.assert_matches_per_point(ws, LINES, inclusion_rows(small_family, ws), sigma)
 
-    def test_one_chain_with_a_tail(self, monkeypatch):
+    def test_one_chain_with_a_tail(self, small_family):
         # k = 1: no control variates and one chain, whose 437 draws make 21
         # batches of 20 and a tail of 17 outside them
         ws, sigma = toy_study((437,), seed0=9)
-        grid = [(h,) for h in np.linspace(-0.5, 1.5, 5)]
         F = toy_rows(ws)
-        self.assert_matches_per_point(ws, grid, F, sigma)
-        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 2 * series_floats(ws, F))
-        alone = [surface(ws, [h], F, sigma, q=0.7) for h in grid]
-        assert matches_alone(surface(ws, grid, F, sigma, q=0.7), alone)
+        self.assert_matches_per_point(ws, [(h,) for h in np.linspace(-0.5, 1.5, 5)], F, sigma)
+        ws, sigma = blvs_study(small_family, (437,), k=1)
+        self.assert_matches_per_point(ws, LINES, inclusion_rows(small_family, ws), sigma)
 
     @pytest.mark.parametrize("per_block", [1, 2, 3])
     @pytest.mark.parametrize("extra", [0, 1])
     @pytest.mark.parametrize("k", [3, 5])
-    def test_records_do_not_depend_on_block(self, monkeypatch, per_block, extra, k):
-        ws, sigma = toy_study((400,) * k, seed0=11)
-        F = toy_rows(ws)
-        alone = {h: surface(ws, [(h,)], F, sigma, q=0.7)
-                 for h in np.linspace(-1.0, 3.0, 4)}
-        monkeypatch.setattr(surface_module, "SERIES_BLOCK",
-                            per_block * series_floats(ws, F) + ws.n // 2)
-        for size in {1, per_block + extra}:
-            grid = [(h,) for h in list(alone)[:size]]
-            surf = surface(ws, grid, F, sigma, q=0.7)
-            assert len(surf.h) == size
-            assert matches_alone(surf, [alone[h] for (h,) in grid])
+    def test_records_do_not_depend_on_block(self, monkeypatch, small_family, per_block, extra,
+                                            k):
+        # per_block points on one line, then extra points on another, swept
+        # as one block of lines and, with LINES_BLOCK at 1, a line a block
+        ws, sigma = blvs_study(small_family, (150,) * k, seed0=11, k=k)
+        F = inclusion_rows(small_family, ws)
+        points = [(w, 30.0) for w in (0.2, 0.5, 0.8)][:per_block] + [(0.4, 90.0)] * extra
+        alone = {h: surface(ws, [h], F, sigma, q=0.7) for h in points}
+        for lines_block in (surface_module.LINES_BLOCK, 1):
+            monkeypatch.setattr(surface_module, "LINES_BLOCK", lines_block)
+            for size in {1, per_block + extra}:
+                surf = surface(ws, points[:size], F, sigma, q=0.7)
+                assert len(surf.h) == size
+                assert matches_alone(surf, [alone[h] for h in points[:size]])
 
-    def test_no_functions_do_not_depend_on_block(self, monkeypatch):
-        ws, sigma = toy_study((400, 400, 400), seed0=13)
-        grid = [(h,) for h in np.linspace(-1.0, 3.0, 5)]
-        alone = [surface(ws, [h], no_rows(ws), sigma, q=0.7) for h in grid]
-        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 2 * series_floats(ws, no_rows(ws)))
-        assert matches_alone(surface(ws, grid, no_rows(ws), sigma, q=0.7), alone)
+    def test_no_functions_do_not_depend_on_block(self, monkeypatch, small_family):
+        ws, sigma = blvs_study(small_family, (150, 150, 150), seed0=13)
+        alone = [surface(ws, [h], no_rows(ws), sigma, q=0.7) for h in LINES]
+        assert matches_alone(surface(ws, LINES, no_rows(ws), sigma, q=0.7), alone)
+        # blocks of at most two lines, and of at most three points unless
+        # one line holds more
+        monkeypatch.setattr(surface_module, "LINES_BLOCK", 2 * ws.n)
+        assert 2 * ws.n // (2 * len(ws.cells) * (len(ws.batches.chain) + 1)) == 3
+        assert matches_alone(surface(ws, LINES, no_rows(ws), sigma, q=0.7), alone)
 
-    def test_dead_point_among_live_ones(self, monkeypatch):
-        class Vanishing(ConjugateToy):
-            def log_weights(self, h, stats):
-                out = super().log_weights(h, stats)
-                return np.full_like(out, -np.inf) if h[0] > 9.0 else out
+    def test_dead_point_among_live_ones(self):
+        # nu_h vanishes at g = 500 (a line of its own) and, on the line
+        # g = 30, at w = 0.9
+        class Vanishing(BlvsFamily):
+            def lines(self, H, stats):
+                for rows, log_e, log_c in super().lines(H, stats):
+                    if H[rows[0], 1] == 500.0:
+                        log_e = np.full_like(log_e, -np.inf)
+                    log_c[H[rows, 0] == 0.9] = -np.inf
+                    yield rows, log_e, log_c
 
-        fam = Vanishing(y_obs=0.0)
-        skeleton = [(0.0,), (1.0,)]
-        ch = [fam.sample_posterior(ChainSpec(h=h, length=300, seed=3 + i))
-              for i, h in enumerate(skeleton)]
-        ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, ch), np.array([1.0, 0.9]))
-        sigma = np.full((1, 1), 0.2)
-        F = ws.W.samples[None]
-        grid = [(0.2,), (9.5,), (0.8,)]
-        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 3 * series_floats(ws, F))
+        fam = Vanishing(synthetic_dataset())
+        ws, sigma = blvs_study(fam, (150, 150, 150))
+        F = inclusion_rows(fam, ws)
+        grid = [(0.2, 30.0), (0.5, 500.0), (0.9, 30.0), (0.6, 30.0)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             surf = surface(ws, grid, F, sigma, q=0.5)
-        support = [w for w in caught if w.category is SupportWarning]
-        assert len(support) == 1 and "9.5" in str(support[0].message)
-        assert surf.bf[1] == 0.0 and math.isnan(surf.pe[1, 0])
-        assert math.isnan(surf.se[1, 2])
-        assert surf.stage2[1, 0] == 0.0
-        for i in (0, 2):
+        support = [str(w.message) for w in caught if w.category is SupportWarning]
+        assert len(support) == 2 and "500.0" in support[0] and "0.9" in support[1]
+        for i in (1, 2):
+            assert surf.bf[i] == 0.0 and np.isnan(surf.pe[i]).all()
+            assert np.isnan(surf.se[i, 2:]).all()
+            assert surf.stage2[i, 0] == 0.0
+        for i in (0, 3):
             assert rows_equal(surf, i, surface(ws, [grid[i]], F, sigma, q=0.5))
 
     @pytest.mark.parametrize("per_block", [1, 4])
-    def test_constant_and_indicator_exact_in_blocks(self, monkeypatch, per_block):
+    def test_constant_and_indicator_exact_in_blocks(self, small_family, per_block):
+        # the toy's one-point lines, and BLVS lines of per_block points
         ws, sigma = toy_study((700, 700, 700), seed0=23)
         one_ind = np.array([np.ones(ws.n), (ws.W.samples > 0).astype(float)])
-        monkeypatch.setattr(surface_module, "SERIES_BLOCK", per_block * series_floats(ws, one_ind))
         surf = surface(ws, [(h,) for h in np.linspace(-3, 5, 17)], one_ind, sigma, q=0.5)
         assert np.all(surf.pe[:, 0] == 1.0)
         assert np.all(surf.se[:, 2] == 0.0)
         assert np.all((0.0 <= surf.pe[:, 1]) & (surf.pe[:, 1] <= 1.0))
+        ws, sigma = blvs_study(small_family, (150, 150, 150), seed0=23)
+        one_ind = np.vstack([np.ones(ws.n), inclusion_rows(small_family, ws)])
+        grid = [(w, g) for g in (20.0, 60.0, 150.0) for w in (0.2, 0.4, 0.6, 0.8)[:per_block]]
+        surf = surface(ws, grid, one_ind, sigma, q=0.5)
+        assert np.all(surf.pe[:, 0] == 1.0)
+        assert np.all(surf.se[:, 2] == 0.0)
+        assert np.all((0.0 <= surf.pe) & (surf.pe <= 1.0))
 
-    def test_degenerate_design_warns_once_per_workspace(self, monkeypatch):
+    def test_degenerate_design_warns_once_per_workspace(self):
         fam = ConjugateToy(y_obs=0.0)
         skeleton = [(0.6,), (0.6,)]
         ch = [fam.sample_posterior(ChainSpec(h=h, length=400, seed=30 + i))
               for i, h in enumerate(skeleton)]
         ws = Stage2Workspace(build_log_weight_matrix(fam, skeleton, ch), np.ones(2))
-        monkeypatch.setattr(surface_module, "SERIES_BLOCK", 2 * series_floats(ws, no_rows(ws)))
         grid = [(h,) for h in np.linspace(0.0, 1.2, 5)]
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -498,13 +538,26 @@ class TestBlockPath:
             bf_cv_hat(ws, (0.3,))
         assert [w.category for w in caught].count(DegenerateDesignWarning) == 1
 
-    def test_terms_rows_match_one_point_terms(self):
-        ws, _ = toy_study((300, 300, 300), seed0=29)
-        grid = [(h,) for h in np.linspace(-1.0, 3.0, 6)]
-        U, shift = ws.terms(grid)
-        for row, s, h in zip(U, shift, grid):
-            u, s1 = point_terms(ws, h)
-            assert np.array_equal(row, u) and s == s1
+    def test_terms_rows_match_one_point_terms(self, small_family):
+        # a point's terms C_s e, put back in draw order, are its terms from
+        # the family's log_weights: the toy's exactly, one line a point with
+        # C = 1, and BLVS's to rounding
+        for ws, grid, rel in ((toy_study((300, 300, 300), seed0=29)[0],
+                               [(h,) for h in np.linspace(-1.0, 3.0, 6)], 0.0),
+                              (blvs_study(small_family, (150, 150, 150))[0], LINES, 1e-13)):
+            fam = ws.W.family
+            H = fam.validate_grid(grid)
+            cell = np.repeat(np.arange(len(ws.cells)), ws.cell_sizes)
+            E = np.empty((1, 1, ws.n))
+            for rows, log_e, log_c in fam.lines(H, ws.W.stats):
+                C, shift, *_ = _pass(ws, log_e[None], log_c, np.zeros(len(rows), dtype=int),
+                                     np.empty((0, ws.n)), E)
+                for h, c, s in zip(H[rows], C, shift):
+                    u = np.empty(ws.n)
+                    u[ws.order] = c[cell] * E[0, 0]
+                    want, s1 = point_terms(ws, h)
+                    np.testing.assert_allclose(u, want, rtol=rel, atol=0.0)
+                    assert s == pytest.approx(s1, rel=rel, abs=rel)
 
 
 class TestWeightDiagnostics:

@@ -4,14 +4,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from priorsweep.blvs import BlvsFamily, Dataset
 from priorsweep.errors import DegenerateDesignWarning
 from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import build_log_weight_matrix, estimate_d
 from priorsweep.surface import Stage2Workspace, surface
 from priorsweep.variance import (MIN_SERIES_LENGTH, BatchLayout, PlanInputs, batch_sums,
-                                 lrv_diag, predicted_variance, q_opt)
+                                 predicted_variance, q_opt)
 
-from per_point import (batch_means_lrv, bf_hat, c_hat, estimate_sigma, point_terms,
+from per_point import (batch_means_lrv, bf_hat, c_hat, draw_psi, estimate_sigma, point_terms,
                        spectral_lrv, w_hat)
 
 
@@ -20,6 +21,14 @@ def lrv_matrix(X, layout):
     vector series, S its `batch_sums`."""
     S = batch_sums(X, layout)
     return S @ S.swapaxes(-1, -2)
+
+
+def lrv_diag(X, layout):
+    """One long-run variance per series of a (..., n) array, the diagonal
+    of S S' for S its `batch_sums`, each reduced on its own: the stage-2
+    sweep's einsum over the batch sums it forms from its tables."""
+    S = batch_sums(X, layout)
+    return np.einsum("...i,...i->...", S, S)
 
 
 def toy_workspace(skeleton, n, seed0=0, d=None, y_obs=0.0, sampler="iid"):
@@ -358,6 +367,26 @@ class TestGammaRho:
         assert 1.0 - 1e-4 < surf.pe[0, 0] < 1.0
         assert surf.stage2[0, PE] == pytest.approx(exact_rho(ws, h, f), rel=1e-12)
 
+    def test_rho_exact_near_pe_one_blvs(self):
+        # x1's effect is moderate: 23 of the 600 stage-2 draws leave it out,
+        # and at (0.96, 300) they carry so little weight that 1 - pe of its
+        # inclusion is below 1e-4
+        rng = np.random.default_rng(1234)
+        X = rng.normal(size=(40, 5))
+        y = 0.4 + X @ np.array([1.5, 0.5, 1.5, 0.0, 0.0]) + rng.normal(scale=0.7, size=40)
+        fam = BlvsFamily(Dataset(y=y, X=X, names=[f"x{j}" for j in range(5)]))
+        skeleton = [(0.3, 10.0), (0.6, 40.0)]
+        W1 = build_log_weight_matrix(fam, skeleton, fam.sample_chains(
+            [ChainSpec(h=h, length=300, burn_in=20, seed=3 + i) for i, h in enumerate(skeleton)]))
+        W = build_log_weight_matrix(fam, skeleton, fam.sample_chains(
+            [ChainSpec(h=h, length=300, burn_in=20, seed=13 + i) for i, h in enumerate(skeleton)]))
+        ws = Stage2Workspace(W, estimate_d(W1)[0])
+        F = fam.function_rows(fam.function_names(["inclusion:*"]), W.samples)
+        h = (0.96, 300.0)
+        surf = point(ws, h, F)
+        assert 1.0 - 1e-4 < surf.pe[0, 1] < 1.0
+        assert surf.stage2[0, PE + 1] == pytest.approx(exact_rho(ws, h, F[1]), rel=1e-12)
+
     def test_rho_replication_iid(self):
         fam = ConjugateToy(y_obs=0.0)
         skeleton = [(0.0,), (1.0,)]
@@ -460,7 +489,7 @@ def v_per_function(ws, h, fv):
     I = sum(f u) / sum(u)."""
     u, _ = point_terms(ws, h)
     den = float(u.sum())
-    return ws.psi @ ((fv - float((fv * u).sum()) / den) * u) / den
+    return draw_psi(ws) @ ((fv - float((fv * u).sum()) / den) * u) / den
 
 
 class TestAssembleAndPlan:
