@@ -15,7 +15,8 @@ sampler.  The sampler integrates (sigma, beta0, beta) out of every gamma
 update, so its chains carry gamma alone, and a draw is weighted by
 pi_w(gamma) m(y | gamma, g): the Rao-Blackwellized form (Gelfand & Smith
 1990) of the importance weights of the joint prior, a function of the
-draw's model code alone.
+draw's model code alone, so the weights are kept once per distinct model
+code of the draws (`weight_stats`).
 """
 
 from __future__ import annotations
@@ -192,12 +193,11 @@ def ingest_csv(path, response_name: str, binary_names: Sequence[str] = ()) -> Da
 
 @dataclass
 class BlvsStats:
-    """Statistics sufficient for the weights at any (w, g): those of each
-    distinct model among the draws, and each draw's index into them."""
+    """Statistics sufficient for the weights at any (w, g) of each distinct
+    model among the draws."""
 
     q_gamma: np.ndarray    # int, number of included predictors of each model
     rss_ratio: np.ndarray  # 1 - R^2 of each model
-    which: np.ndarray      # (n,) each draw's model
 
 
 class BlvsFamily(DensityFamily):
@@ -457,10 +457,11 @@ class BlvsFamily(DensityFamily):
         return codes[burn_in:]
 
     # family contract
-    def weight_stats(self, gamma: np.ndarray) -> BlvsStats:
+    def weight_stats(self, gamma: np.ndarray) -> tuple[BlvsStats, np.ndarray]:
         """The size and 1 - R^2 of each distinct model of the draws, read from
         the model table, or above TABLE_MAX_Q from the models the chains
-        fitted (a model not fitted yet is fitted there)."""
+        fitted (a model not fitted yet is fitted there), and each draw's
+        model: one column per distinct model code."""
         packed = np.packbits(gamma, axis=1, bitorder="little")
         table = self.model_table()
         if table is not None:
@@ -474,21 +475,19 @@ class BlvsFamily(DensityFamily):
         which = which.ravel()
         q_gamma = np.empty(rss_ratio.size, dtype=np.intp)
         q_gamma[which] = gamma.sum(axis=1)
-        return BlvsStats(q_gamma=q_gamma, rss_ratio=rss_ratio, which=which)
+        return BlvsStats(q_gamma=q_gamma, rss_ratio=rss_ratio), which
 
     def log_weights(self, h, stats: BlvsStats) -> np.ndarray:
-        """log pi_w(gamma) + log m(y | gamma, g) of each draw, the
+        """log pi_w(gamma) + log m(y | gamma, g) of each distinct model, the
         log marginal relative to the null model's, which does not depend on
-        g, so weights at different g are comparable; evaluated once per
-        distinct model and gathered to the draws."""
+        g, so weights at different g are comparable."""
         w, g = self.validate_h(h)
-        per_model = stats.q_gamma * (math.log(w) - math.log1p(-w)) + self.q * math.log1p(-w) \
+        return stats.q_gamma * (math.log(w) - math.log1p(-w)) + self.q * math.log1p(-w) \
             + _log_marginal(self.m, stats.q_gamma, stats.rss_ratio, g)
-        return per_model[stats.which]
 
     def cells(self, stats: BlvsStats) -> np.ndarray:
-        """The model size of each draw."""
-        return stats.q_gamma[stats.which]
+        """The size of each distinct model."""
+        return stats.q_gamma
 
     def lines(self, H, stats: BlvsStats):
         """A line for each distinct g, in increasing order: log nu_(w, g) of
@@ -501,7 +500,7 @@ class BlvsFamily(DensityFamily):
             rows = np.flatnonzero(line == i)
             w = H[rows, :1]
             log_c = sizes * (np.log(w) - np.log1p(-w)) + self.q * np.log1p(-w)
-            yield rows, _log_marginal(self.m, stats.q_gamma, stats.rss_ratio, g)[stats.which], log_c
+            yield rows, _log_marginal(self.m, stats.q_gamma, stats.rss_ratio, g), log_c
 
     def function_names(self, items):
         """inclusion:<predictor>, the indicator gamma_j of the predictor,

@@ -106,34 +106,46 @@ def _manifest(cfg: StudyConfig, timings: dict, **extra) -> dict:
     }
 
 
-def _stage1(cfg: StudyConfig, specs, timings: dict):
+def _stage1(cfg: StudyConfig, specs, timings: dict, sizes: dict):
     """Sample the stage-1 chains of specs and estimate the ratios from them:
-    (chains, RatioEstimate), timed into timings."""
+    (chains, RatioEstimate), timed into timings, with the draws N and the
+    distinct columns D1 of their weights in sizes."""
     with _timed(timings, "stage1_s"):
         chains = cfg.family.sample_chains(specs)
     timings["t1_s_per_step"] = timings["stage1_s"] / sum(sp.length + sp.burn_in
                                                          for sp in specs)
     with _timed(timings, "weights_s"):
         W1 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
+    sizes.update(N=W1.total, D1=W1.columns)
     with _timed(timings, "ratio_s"):
         est = estimate_ratios(W1)
     return chains, est
 
 
-def _stage2(cfg: StudyConfig, est: RatioEstimate, specs, grid, timings: dict):
+def _stage2(cfg: StudyConfig, est: RatioEstimate, specs, grid, timings: dict,
+            sizes: dict):
     """Sample the stage-2 chains of specs and sweep grid with the stage-1
-    estimate est, at q = n / N: (chains, Surface), timed into timings."""
+    estimate est, at q = n / N: (chains, Stage2Workspace, Surface), timed
+    into timings, with the draws n and the distinct columns D2 of their
+    weights in sizes."""
     with _timed(timings, "stage2_s"):
         chains = cfg.family.sample_chains(specs)
     with _timed(timings, "weights_s"):
         W2 = build_log_weight_matrix(cfg.family, cfg.skeleton, chains)
+    sizes.update(n=W2.total, D2=W2.columns)
     with _timed(timings, "workspace_s"):
         ws = Stage2Workspace(W2, est.d_hat)
     with _timed(timings, "sweep_s"):
         F = cfg.family.function_rows(cfg.functions, ws.W.samples)
         surf = surface(ws, grid, F, est.sigma_hat, ws.n / est.N)
     timings["t2_s_per_term"] = timings["sweep_s"] / (len(grid) * ws.n)
-    return chains, surf
+    return chains, ws, surf
+
+
+def _line_count(ws: Stage2Workspace, H: np.ndarray) -> int:
+    """The number of lines the family splits the grid points H into: the
+    passes over the draws that a sweep of H makes."""
+    return sum(1 for _ in ws.W.family.lines(H, ws.W.stats))
 
 
 def cmd_run(cfg: StudyConfig, stage: str) -> Path:
@@ -142,13 +154,14 @@ def cmd_run(cfg: StudyConfig, stage: str) -> Path:
     ratio_path = out / "ratio.json"
     timings: dict = {}
     manifest = _manifest(cfg, timings, stages_run=stage)
+    sizes = manifest["sizes"]
 
     if isinstance(cfg.family, BlvsFamily):
         # the 1 - R^2 table, built before any chain starts
         with _timed(timings, "table_s"):
             cfg.family.model_table()
     if stage in ("1", "both"):
-        chains, est = _stage1(cfg, cfg.stage1.chain_specs(cfg.skeleton), timings)
+        chains, est = _stage1(cfg, cfg.stage1.chain_specs(cfg.skeleton), timings, sizes)
         with _timed(timings, "write_s"):
             if cfg.save_chains:
                 for i, c in enumerate(chains):
@@ -156,10 +169,10 @@ def cmd_run(cfg: StudyConfig, stage: str) -> Path:
             est.save(ratio_path, cfg.stage1_hash)
     if stage in ("2", "both"):
         est = RatioEstimate.load(ratio_path, cfg.skeleton, cfg.stage1_hash)
-        chains, surf = _stage2(cfg, est, cfg.stage2.chain_specs(cfg.skeleton), cfg.grid,
-                               timings)
-        manifest["sizes"] = {"N": int(est.N), "n": surf.n, "q": surf.n / est.N,
-                             "k": len(cfg.skeleton), "grid": len(cfg.grid)}
+        sizes["N"] = int(est.N)
+        chains, _, surf = _stage2(cfg, est, cfg.stage2.chain_specs(cfg.skeleton), cfg.grid,
+                                  timings, sizes)
+        sizes.update(q=surf.n / est.N, k=len(cfg.skeleton), grid=len(cfg.grid))
         manifest["d_hat_provenance"] = ("this run" if stage == "both"
                                         else str(ratio_path))
         with _timed(timings, "write_s"):
@@ -173,7 +186,7 @@ def cmd_run(cfg: StudyConfig, stage: str) -> Path:
         manifest["variance_argmax"] = {"h": surf.h[imax].tolist(),
                                        "total": float(totals[imax])}
     if isinstance(cfg.family, BlvsFamily):
-        manifest["sizes"]["models_fitted"] = cfg.family.models_fitted
+        sizes["models_fitted"] = cfg.family.models_fitted
     # a stage-2 run into a stage-1 directory keeps the stage-1 manifest
     name = "manifest-stage2.json" if stage == "2" else "manifest.json"
     with open(out / name, "w", encoding="utf-8") as fh:
@@ -284,14 +297,17 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
                       for stage in (cfg.stage1, cfg.stage2))
     if isinstance(cfg.family, BlvsFamily):
         cfg.family.model_table()    # built before the chains and outside t1
-    # `run`'s two stages at pilot length, so t1 and t2 are the manifest's and
-    # q = n / N is 1; the pilot variance components (v1 = c' Sigma c, v2 =
-    # tau^2) are the plain estimator's at a few representative grid points
+    # `run`'s two stages at pilot length, so t1 is the manifest's and q =
+    # n / N is 1; the pilot variance components (v1 = c' Sigma c, v2 =
+    # tau^2) are the plain estimator's at a few representative grid points.
+    # A sweep passes over the draws once per line of the grid, so t2 is the
+    # probe sweep's time per line and draw, and the grid costs its lines.
     timings: dict = {}
-    _, est = _stage1(cfg, specs1, timings)
+    _, est = _stage1(cfg, specs1, timings, {})
     probe = cfg.grid[sorted({0, len(cfg.grid) // 2, len(cfg.grid) - 1})]
-    _, surf = _stage2(cfg, est, specs2, probe, timings)
-    t1, t2 = timings["t1_s_per_step"], timings["t2_s_per_term"]
+    _, ws, surf = _stage2(cfg, est, specs2, probe, timings, {})
+    probe_lines, grid_lines = _line_count(ws, probe), _line_count(ws, cfg.grid)
+    t1, t2 = timings["t1_s_per_step"], timings["sweep_s"] / (probe_lines * ws.n)
     pilots = [{"h": h, "v1": v1, "v2": v2} for h, v1, v2 in
               zip(surf.h.tolist(), surf.stage1[:, 0].tolist(), surf.stage2[:, 0].tolist())]
 
@@ -300,7 +316,7 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
         if p["v1"] <= 0 or p["v2"] <= 0:
             continue
         inputs = PlanInputs(t1=max(t1, 1e-12), t2=max(t2, 1e-12),
-                            g=len(cfg.grid), T=budget_s, v1=p["v1"], v2=p["v2"])
+                            g=grid_lines, T=budget_s, v1=p["v1"], v2=p["v2"])
         sol = q_opt(inputs)
         plans.append({"h": p["h"], "q_opt": sol.q_opt,
                       "n": sol.n, "N": sol.N})
@@ -309,6 +325,8 @@ def cmd_plan(cfg: StudyConfig, budget_s: float, pilot_length: int) -> Path:
         "t1_s_per_step": t1,
         "t2_s_per_term": t2,
         "grid_points": len(cfg.grid),
+        "probe_lines": probe_lines,
+        "grid_lines": grid_lines,
         "budget_s": budget_s,
         "pilot_points": pilots,
         "plans": plans,

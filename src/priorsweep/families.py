@@ -3,14 +3,17 @@ conjugate-normal toy family with closed-form answers for validation.
 
 A family supplies Markov chains at the skeleton points (sample_chains, its
 one sampling method) and, for hyperparameter h, the log weight log nu_h of
-each draw: a density in h of whatever the chains carry, evaluated over
-cached per-sample statistics so that sweeping a large hyperparameter grid
-never re-touches per-sample density code.  A family may also split the
-grid into lines along which the weights factor (lines, cells), so that
-the sweep passes over the samples once per line, not once per point.
-Weights are meaningful only through differences: implementations may add
-any function of the draw alone, since every estimator downstream consumes
-ratios nu_h / nu_{h'}.
+the draws: a density in h of whatever the chains carry, evaluated over
+cached statistics so that sweeping a large hyperparameter grid never
+re-touches per-sample density code.  The statistics have one column per
+distinct weight, with each draw's column (weight_stats), so draws that
+share their weight at every h are weighed once: BLVS compresses its draws
+to their distinct model codes, while each of the toy's draws is a column
+of its own.  A family may also split the grid into lines along which the
+weights factor (lines, cells), so that the sweep passes over the samples
+once per line, not once per point.  Weights are meaningful only through
+differences: implementations may add any function of the column alone,
+since every estimator downstream consumes ratios nu_h / nu_{h'}.
 The functions f(theta) whose posterior expectations a run estimates are
 names, and only the family knows what a name means: it checks the names a
 config gives (function_names), evaluates them over the pooled draws
@@ -108,26 +111,27 @@ class DensityFamily(ABC):
 
     @abstractmethod
     def weight_stats(self, samples):
-        """Statistics of the samples sufficient to evaluate every sample's
-        weight at any h (per sample, or per distinct value with each
-        sample's index into them)."""
+        """(stats, which): statistics sufficient to evaluate the weight at
+        any h of each of D columns, and the (n,) intp array of each sample's
+        column, every column holding at least one sample.  Samples may
+        share a column only if their weights agree at every h."""
 
     @abstractmethod
     def log_weights(self, h, stats) -> np.ndarray:
-        """log nu_h of every sample, from cached statistics, up to an
-        additive function of the sample alone; -inf where nu_h = 0."""
+        """log nu_h of every column, (D,), from cached statistics, up to an
+        additive function of the column alone; -inf where nu_h = 0."""
 
     def cells(self, stats) -> np.ndarray | None:
-        """The cell of each sample, ints from 0 (None: every sample in cell
-        0): along a line of the grid (`lines`), the weights of the samples
-        of one cell move by one factor.  A function of the samples alone."""
+        """The cell of each column, ints from 0 (None: every column in cell
+        0): along a line of the grid (`lines`), the weights of the columns
+        of one cell move by one factor.  A function of the columns alone."""
         return None
 
     def lines(self, H: np.ndarray, stats):
         """The grid points H as lines, one (rows, log_e, log_c) per line:
         rows, the indices in H of its points; log_e, a log weight of every
-        sample shared by the line; and log_c, one row per point with a
-        column for each cell, such that log nu_h of a sample of cell s at
+        column shared by the line; and log_c, one row per point with a
+        column for each cell, such that log nu_h of a column of cell s at
         the point H[rows[i]] is log_e + log_c[i, s].  By default each point
         is a line of its own, with log_c 0."""
         for i, h in enumerate(H):
@@ -250,8 +254,10 @@ class ConjugateToy(DensityFamily):
             draws = mu + x
         return draws[spec.burn_in:]
 
-    def weight_stats(self, samples) -> np.ndarray:
-        return np.asarray(samples, dtype=float)
+    def weight_stats(self, samples):
+        """The draws themselves, each a column of its own."""
+        samples = np.asarray(samples, dtype=float)
+        return samples, np.arange(len(samples))
 
     def log_weights(self, h, stats) -> np.ndarray:
         (h,) = self.validate_h(h)

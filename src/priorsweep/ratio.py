@@ -1,7 +1,7 @@
 """Stage 1: estimate d = (m_{h_2}/m_{h_1}, ..., m_{h_k}/m_{h_1}) from pooled
 chains via reverse logistic regression, with a sandwich estimate of the
 asymptotic covariance of sqrt(N) (d_hat - d), C C' for C the curvature
-solved against the batch sums of the scores (`variance.batch_sums`).
+solved against the batch sums of the scores (`variance.BatchLayout`).
 `RatioEstimate.save` and `load` are the whole ratio.json contract.
 
 The log quasi-likelihood is maximized in eta = log d coordinates (eta_1
@@ -9,8 +9,12 @@ pinned to 0), where it is concave.  A damped Newton iteration is used,
 started from one step of the classical self-consistency fixed point
 (Geyer 1994) from eta = 0, with that step as a fallback when a Newton step
 fails to increase the objective.  Every evaluation reads the one
-exponentiated k x N array E of `Mixture`: a trial point costs one product
-c E, an accepted point one E s^-1, and a Newton step one E s^-2 E'.
+exponentiated k x D array E of `Mixture`, one column per column of the
+family's weight statistics, each weighted by the number of draws it stands
+for: a trial point costs one product c E, an accepted point one
+E (mult / s), and a Newton step one E diag(mult / s^2) E', summed over
+blocks of columns.  The sandwich gathers the membership probabilities to
+the draws a chain at a time, for the batch sums of the scores.
 """
 
 from __future__ import annotations
@@ -25,25 +29,34 @@ import numpy as np
 from .errors import (ConfigError, ConnectivityError, ConvergenceError,
                      SupportViolationError, integer)
 from .families import DensityFamily
-from .variance import BatchLayout, batch_sums
+from .variance import BatchLayout
 
 RATIO_SCHEMA_VERSION = 4
 TOL = 1e-10         # converged when max_j |gradient_j| / N < TOL
 MAX_ITER = 200      # Newton iterations before ConvergenceError
 REACH = 30.0        # E is re-taken past this from ref, so that s >= e^-30
+# a block of the curvature's sum over columns holds this many floats of
+# E diag(mult / s^2), whatever k and D are
+CURVATURE_FLOATS = 1 << 15
 
 
 @dataclass
 class LogWeightMatrix:
-    """Cached log prior weights log nu_{h_s}(theta_p) for all skeleton points
-    s and pooled samples p; every downstream estimator reuses it so model
-    density code runs exactly once per sample."""
+    """Cached log prior weights log nu_{h_s} for all skeleton points s and
+    the D columns of the pooled samples' weight statistics
+    (`DensityFamily.weight_stats`), with each column's multiplicity, the
+    number of pooled draws it stands for, and each draw's column.  Every
+    downstream estimator reuses it, so model density code runs exactly
+    once per column; a sum over the draws of a function of their weights
+    is one over the columns, weighted by the multiplicities."""
 
-    logw: np.ndarray             # (k, M)
+    logw: np.ndarray             # (k, D)
+    mult: np.ndarray             # (D,) float, the draws of each column
+    which: np.ndarray            # (N,) each pooled draw's column
     counts: np.ndarray           # (k,) chain lengths, blocks are contiguous
     skeleton: list[tuple]
     family: DensityFamily
-    stats: object                # pooled per-sample weight statistics
+    stats: object                # the family's statistics of the columns
     samples: object              # pooled samples, for function evaluation
 
     @property
@@ -51,8 +64,12 @@ class LogWeightMatrix:
         return self.logw.shape[0]
 
     @property
-    def total(self) -> int:
+    def columns(self) -> int:
         return self.logw.shape[1]
+
+    @property
+    def total(self) -> int:
+        return len(self.which)
 
     @property
     def proportions(self) -> np.ndarray:
@@ -61,10 +78,15 @@ class LogWeightMatrix:
     def chain_of(self, p: int) -> int:
         return int(np.searchsorted(np.cumsum(self.counts), p, side="right"))
 
+    def first_draw(self, bad: np.ndarray) -> int:
+        """The first pooled draw whose column the (D,) bool array bad marks."""
+        return int(np.flatnonzero(bad[self.which])[0])
+
 
 def build_log_weight_matrix(family: DensityFamily, skeleton: Sequence,
                             chains: Sequence) -> LogWeightMatrix:
-    """Evaluate log nu_{h_s} once for every pooled sample and skeleton point."""
+    """Evaluate log nu_{h_s} once for every column of the pooled samples'
+    weight statistics and every skeleton point."""
     if len(skeleton) != len(chains) or len(skeleton) == 0:
         raise ValueError("need one chain per skeleton point (k >= 1)")
     hs = [family.validate_h(h) for h in skeleton]
@@ -72,16 +94,20 @@ def build_log_weight_matrix(family: DensityFamily, skeleton: Sequence,
     if np.any(counts == 0):
         raise ValueError("empty chain in stage input")
     pooled = np.concatenate(chains)
-    stats = family.weight_stats(pooled)
-    logw = np.empty((len(hs), int(counts.sum())))
-    for row, h in zip(logw, hs):
+    stats, which = family.weight_stats(pooled)
+    mult = np.bincount(which).astype(float)
+    W = LogWeightMatrix(logw=np.empty((len(hs), mult.size)), mult=mult, which=which,
+                        counts=counts, skeleton=hs, family=family, stats=stats,
+                        samples=pooled)
+    for row, h in zip(W.logw, hs):
         row[:] = family.log_weights(h, stats)
-    ok = logw < np.inf                           # false at nan and +inf
+    ok = W.logw < np.inf                         # false at nan and +inf
     if not ok.all():
-        s, p = np.argwhere(~ok)[0]
-        raise ValueError(f"family weight evaluation failed at skeleton {s}, pooled sample {p}")
-    return LogWeightMatrix(logw=logw, counts=counts, skeleton=hs,
-                           family=family, stats=stats, samples=pooled)
+        s = int(np.flatnonzero(~ok.all(axis=1))[0])
+        p = W.first_draw(~ok[s])
+        raise ValueError(f"family weight evaluation in chain {W.chain_of(p)} failed "
+                         f"at skeleton {s}, pooled sample {p}")
+    return W
 
 
 @dataclass
@@ -181,13 +207,18 @@ class Mixture:
     E = exp(logw + log a - ref - mx) at a reference eta = ref, mx the column
     max, so every entry of E lies in [0, 1] and every column holds a 1.  At
     any eta = log d, with c = exp(ref - eta), the column sums s = c E give
-    the log mixture density lse = mx + log s and the membership
-    probabilities P = c E / s, so E is the only k x N array."""
+    the log mixture density lse = mx + log s (`lse`) and the membership
+    probabilities P = c E / s of each column.  A sum over the pooled draws
+    is one over the columns weighted by their multiplicities mult, so E is
+    the only k x D array, and `buffer`, one D-length array, holds each
+    weighted column term in turn."""
 
     def __init__(self, W: LogWeightMatrix, ref: np.ndarray):
         self.W = W
         self.counts = W.counts.astype(float)
+        self.mult = W.mult
         self.E = np.empty_like(W.logw)
+        self.buffer = np.empty(W.columns)
         self.reference(ref)
 
     def reference(self, ref: np.ndarray) -> None:
@@ -195,9 +226,9 @@ class Mixture:
         -inf."""
         E = np.add(self.W.logw, (np.log(self.W.proportions) - ref)[:, None], out=self.E)
         self.mx = E.max(axis=0)
-        dead = np.flatnonzero(np.isneginf(self.mx))
-        if dead.size:
-            p = int(dead[0])
+        dead = np.isneginf(self.mx)
+        if dead.any():
+            p = self.W.first_draw(dead)
             raise SupportViolationError(
                 f"pooled sample {p} (chain {self.W.chain_of(p)}) has zero density "
                 f"under every skeleton prior")
@@ -205,27 +236,49 @@ class Mixture:
         np.exp(E, out=E)
         self.ref = ref
 
-    def objective(self, eta: np.ndarray):
-        """The log quasi-likelihood at eta, the column sums s and lse."""
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            s = np.exp(self.ref - eta) @ self.E
-            lse = np.log(s)
+    def sums(self, eta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The column sums s = c E, written into out if given."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.matmul(np.exp(self.ref - eta), self.E, out=out)
+
+    def objective(self, eta: np.ndarray, out: np.ndarray | None = None):
+        """The log quasi-likelihood at eta, -counts' eta less the sum of
+        mult lse, and the column sums s, written into out if given."""
+        s = self.sums(eta, out)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lse = np.log(s, out=self.buffer)
         lse += self.mx
-        return -float(self.counts @ eta) - float(lse.sum()), s, lse
+        lse *= self.mult            # (mult * lse).sum(), so a mult of 1 changes no bit
+        return -float(self.counts @ eta) - float(lse.sum()), s
+
+    def lse(self, s: np.ndarray) -> np.ndarray:
+        """The log mixture density mx + log s of each column."""
+        with np.errstate(divide="ignore"):
+            return np.log(s) + self.mx
 
     def masses(self, eta: np.ndarray, s: np.ndarray) -> np.ndarray:
-        """P 1 = c (E s^-1), the row sums of P."""
-        return np.exp(self.ref - eta) * (self.E @ (1.0 / s))
+        """P mult = c (E (mult / s)), the sums of P over the pooled draws."""
+        return np.exp(self.ref - eta) * (self.E @ np.divide(self.mult, s, out=self.buffer))
 
-    def curvature(self, eta, s, out: np.ndarray) -> np.ndarray:
-        """diag(P 1) - P P', the negative Hessian of the objective, with
-        P P' = (c c') (E s^-2 E') and E s^-2 written into out.  Each column
+    def curvature(self, eta: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """diag(P mult) - P diag(mult) P', the negative Hessian of the
+        objective, with P diag(mult) P' = (c c') (E diag(mult / s^2) E')
+        summed over blocks of columns in their order, each block's product
+        E diag(mult / s^2) of at most CURVATURE_FLOATS floats.  Each column
         of P sums to 1, so each row of the curvature sums to 0: its diagonal
         is the sum of the row's off-diagonal products, which does not cancel
-        P 1 against the squares of P when the chains barely overlap."""
-        c, r = np.exp(self.ref - eta), 1.0 / s
-        np.multiply(self.E, r * r, out=out)
-        B = -np.outer(c, c) * (out @ self.E.T)
+        P mult against the squares of P when the chains barely overlap."""
+        c = np.exp(self.ref - eta)
+        r = np.divide(1.0, s, out=self.buffer)
+        r *= r
+        r *= self.mult
+        k, D = self.E.shape
+        width = max(CURVATURE_FLOATS // k, 1)
+        G = np.zeros((k, k))
+        for a in range(0, D, width):
+            block = self.E[:, a:a + width]
+            G += (block * r[a:a + width]) @ block.T
+        B = -np.outer(c, c) * G
         np.fill_diagonal(B, 0.0)
         np.fill_diagonal(B, -B.sum(axis=1))
         return B
@@ -245,26 +298,36 @@ def estimate_d(W: LogWeightMatrix):
     when the pooled samples cannot identify all ratios.  Besides the
     iteration count and final gradient norm, the diagnostics hold the trace
     (objective, gradient norm and sup-norm step in eta = log d at the start
-    and after each iteration), and P and the curvature at the optimum.
+    and after each iteration), and, at the optimum, the curvature and P,
+    the (k, D) membership probabilities of the columns, written over the
+    kernel's E.  Each point's column sums go into one D-length array, so a
+    rejected trial point writes over the current point's, which are taken
+    again when a Newton step needs them.
     """
     k, N = W.k, W.total
     if k == 1:
         return np.ones(1), {"iterations": 0, "final_grad_norm": 0.0, "trace": [],
-                            "P": np.ones((1, N)), "curvature": np.zeros((0, 0))}
+                            "P": np.ones((1, W.columns)), "curvature": np.zeros((0, 0))}
     mix = Mixture(W, np.zeros(k))
     counts = mix.counts
-    scratch = np.empty_like(mix.E)           # E s^-2 for each curvature, then P
+    sums = np.empty(W.columns)
     state = {}
     trace = []
 
-    def set_point(eta, value, s):
+    def current_sums() -> np.ndarray:
+        if not state["fresh"]:
+            mix.objective(state["eta"], sums)
+            state["fresh"] = True
+        return sums
+
+    def set_point(eta, value):
         if np.max(np.abs(eta - mix.ref)) > REACH:
             mix.reference(eta)
-            value, s, _ = mix.objective(eta)
-        masses = mix.masses(eta, s)
+            value, _ = mix.objective(eta, sums)
+        masses = mix.masses(eta, sums)
         grad = masses - counts
         step = float(np.max(np.abs(eta - state["eta"]))) if state else 0.0
-        state.update(eta=eta, value=value, s=s, masses=masses, grad=grad,
+        state.update(eta=eta, value=value, fresh=True, masses=masses, grad=grad,
                      grad_norm=np.max(np.abs(grad[1:])) / N)
         trace.append({"objective": value, "grad_norm": float(state["grad_norm"]),
                       "step": step})
@@ -272,31 +335,32 @@ def estimate_d(W: LogWeightMatrix):
     def try_point(trial) -> bool:
         """Accept on objective increase or, near the float resolution of the
         objective, on gradient contraction."""
-        t_value, t_s, _ = mix.objective(trial)
+        state["fresh"] = False
+        t_value, _ = mix.objective(trial, sums)
         if not np.isfinite(t_value):
             return False
         near = t_value >= state["value"] - 1e-13 * max(abs(state["value"]), 1.0)
         if t_value > state["value"] or (near and np.max(np.abs(
-                (mix.masses(trial, t_s) - counts)[1:])) / N < 0.9 * state["grad_norm"]):
-            set_point(trial, t_value, t_s)
+                (mix.masses(trial, sums) - counts)[1:])) / N < 0.9 * state["grad_norm"]):
+            set_point(trial, t_value)
             return True
         return False
 
     def fixed_point_step() -> bool:
         """One self-consistency step, re-pinned to eta_1 = 0: the row sums of
-        nu_s / (N mixture), log(P 1) + eta - log counts."""
+        nu_s / (N mixture), log(P mult) + eta - log counts."""
         with np.errstate(divide="ignore"):
             trial = np.log(state["masses"]) + state["eta"] - np.log(counts)
         return try_point(trial - trial[0])
 
-    set_point(np.zeros(k), *mix.objective(np.zeros(k))[:2])
+    set_point(np.zeros(k), mix.objective(np.zeros(k), sums)[0])
     # the first iteration is a fixed-point step, which lands near the
     # optimum; if it is rejected, Newton starts from eta = 0
     start = int(state["grad_norm"] >= TOL and fixed_point_step())
     for iterations in range(start, MAX_ITER):
         if state["grad_norm"] < TOL:
             break
-        B = mix.curvature(state["eta"], state["s"], scratch)
+        B = mix.curvature(state["eta"], current_sums())
         try:
             step = np.linalg.solve(B[1:, 1:], state["grad"][1:])
         except np.linalg.LinAlgError:
@@ -323,11 +387,11 @@ def estimate_d(W: LogWeightMatrix):
                 f"ratio solver did not reach tolerance after {MAX_ITER} iterations "
                 f"(gradient norm {state['grad_norm']:.3e})"
             )
-    eta, s = state["eta"], state["s"]
-    B = _check_curvature(mix.curvature(eta, s, scratch), counts)
+    eta, s = state["eta"], current_sums()
+    B = _check_curvature(mix.curvature(eta, s), counts)
     return np.exp(eta), {"iterations": iterations,
                          "final_grad_norm": float(state["grad_norm"]),
-                         "trace": trace, "P": mix.probabilities(eta, s, scratch),
+                         "trace": trace, "P": mix.probabilities(eta, s, mix.E),
                          "curvature": B}
 
 
@@ -352,16 +416,23 @@ def _check_curvature(B: np.ndarray, counts: np.ndarray) -> np.ndarray:
 def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
               curvature: np.ndarray) -> np.ndarray:
     """Sandwich covariance of sqrt(N)(d_hat - d) from the membership
-    probabilities P at d_hat and the curvature matrix there: C C', PSD and
-    exactly symmetric by construction, for C = B_hat^-1 A with its rows
-    scaled by d_hat_2..k.  B_hat is the curvature over N, and A A' the
-    batch-means long-run covariance of the per-observation scores, A their
-    weighted batch sums (`variance.batch_sums`), each batch centred at its
-    chain's mean, since the per-chain means cancel only in aggregate.
+    probabilities P of the columns at d_hat and the curvature matrix there:
+    C C', PSD and exactly symmetric by construction, for C = B_hat^-1 A
+    with its rows scaled by d_hat_2..k.  B_hat is the curvature over N, and
+    A A' the batch-means long-run covariance of the per-draw scores, A
+    their weighted batch sums (`BatchLayout.centred`), each batch centred
+    at its chain's mean, since the per-chain means cancel only in
+    aggregate.  The scores are formed a chain at a time, from P gathered to
+    the chain's draws by `which`.
     """
-    # score j of a draw: 1 if chain j drew it, less P_j there; (k-1, N)
-    scores = (np.arange(1, W.k)[:, None] == np.repeat(np.arange(W.k), W.counts)) - P[1:]
-    A = batch_sums(scores, BatchLayout(W.counts))
+    lay = BatchLayout(W.counts)
+    A = np.empty((W.k - 1, len(lay.chain)))
+    for c, (start, size, batches, first) in enumerate(zip(
+            lay.start.tolist(), lay.size.tolist(), lay.per_chain.tolist(),
+            lay.first.tolist())):
+        A[:, first:first + batches] = _score_batch_sums(
+            P, W.which[start:start + batches * size], c, size)
+    lay.centred(A)
     try:
         C = np.linalg.solve(curvature / W.total, A)
     except np.linalg.LinAlgError:
@@ -371,6 +442,19 @@ def _sandwich(W: LogWeightMatrix, d_hat: np.ndarray, P: np.ndarray,
         ) from None
     C *= np.asarray(d_hat, dtype=float)[1:, None]
     return C @ C.T
+
+
+def _score_batch_sums(P: np.ndarray, which: np.ndarray, c: int, size: int) -> np.ndarray:
+    """The sums over each batch of `size` consecutive draws of the scores of
+    draws of chain c, of the columns `which`.  Score j of a draw is 1 if
+    chain j drew it, less P_j there, which does not cancel as -P_j alone
+    would when chains barely overlap; there is no score of the first
+    chain, as eta_1 = 0 is pinned."""
+    scores = np.take(P[1:], which, axis=1)
+    np.negative(scores, out=scores)
+    if c:
+        scores[c - 1] += 1.0
+    return np.add.reduceat(scores, np.arange(0, len(which), size), axis=1)
 
 
 def estimate_ratios(W: LogWeightMatrix) -> RatioEstimate:

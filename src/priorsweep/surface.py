@@ -7,19 +7,20 @@ and variance term comes from it.
 The mixture denominator sum_s a_s nu_{h_s}(theta)/d_s does not depend on the
 grid point, so it is computed once per workspace, with the chains' batch
 layout, the control-variate map and the draws' order by cell.  The family
-splits the grid into lines and the draws into cells (`DensityFamily.lines`
-and `cells`): along a line, the term of a draw of cell s at a point is a
-term e shared by the line times the point's coefficient C_s.  Every sum
-the sweep needs is linear in the terms, so one pass over the draws per
-line tabulates each by cell (`_pass`), and a point is then a contraction
-of the tables with its coefficients, whose cost does not grow with the
-number of draws.  For BLVS a line is a distinct g and a cell a model size;
-for the toy each point is a line of its own, with one cell.  Consecutive
-lines are passed together in blocks when they are small.  All
-accumulation happens after subtracting the cached log denominator, each
-cell's largest log term on the line and a per-point max shift, which
-keeps the sums finite even when nu_h is many orders of magnitude away
-from the skeleton mixture."""
+splits the grid into lines and the columns of its weight statistics into
+cells (`DensityFamily.lines` and `cells`), which the workspace carries to
+the draws through each draw's column: along a line, the term of a draw of
+cell s at a point is a term e shared by the line times the point's
+coefficient C_s.  Every sum the sweep needs is linear in the terms, so one
+pass over the draws per line tabulates each by cell (`_pass`), and a point
+is then a contraction of the tables with its coefficients, whose cost does
+not grow with the number of draws.  For BLVS a line is a distinct g and a
+cell a model size; for the toy each point is a line of its own, with one
+cell.  Consecutive lines are passed together in blocks when they are
+small.  All accumulation happens after subtracting the cached log
+denominator, each cell's largest log term on the line and a per-point max
+shift, which keeps the sums finite even when nu_h is many orders of
+magnitude away from the skeleton mixture."""
 
 from __future__ import annotations
 
@@ -41,8 +42,10 @@ LINES_BLOCK = 1 << 16
 
 class Stage2Workspace:
     """Cached denominators, control variates, the control-variate map, and
-    the draws' order for the sweep; psi is held in that order alone
-    (`sweep_psi`), Z and log_den also in the draws' own."""
+    the draws' order for the sweep, all by draw; psi is held in that order
+    alone (`sweep_psi`), Z and log_den also in the draws' own, and each
+    draw's column of the weight statistics in the sweep's order
+    (`sweep_which`)."""
 
     def __init__(self, W: LogWeightMatrix, d_hat):
         d_hat = np.asarray(d_hat, dtype=float)
@@ -56,10 +59,14 @@ class Stage2Workspace:
         self.d_hat = d_hat
         a = W.proportions
         # log_den and the membership probabilities P_s = a_s nu_s / (d_s den)
-        # from the stage-1 kernel at eta = log d_hat, P written over its E
+        # from the stage-1 kernel at eta = log d_hat, P written over its E,
+        # both gathered from the columns to the draws, whose order the sweep
+        # reads them in
         mix = Mixture(W, np.log(d_hat))
-        _, s, self.log_den = mix.objective(mix.ref)
-        P = mix.probabilities(mix.ref, s, mix.E)
+        s = mix.sums(mix.ref)
+        self.log_den = mix.lse(s)[W.which]
+        P = np.take(mix.probabilities(mix.ref, s, mix.E), W.which, axis=1)
+        del mix                             # and with it the columns' P
         # Z_j = nu_j/(d_j den) - nu_1/den and psi_j = a_j nu_j/(d_j^2 den),
         # (k-1, n) arrays with the samples along the last axis
         self.Z = P[1:] / a[1:, None] - P[0] / a[0]
@@ -97,6 +104,7 @@ class Stage2Workspace:
             self.order, self.cells = slice(None), np.zeros(1, dtype=np.intp)
             self.cell_first, self._run_first = np.zeros(1, dtype=np.intp), lay.cuts
         else:
+            cells = cells[W.which]
             self.order = np.argsort(cells, kind="stable")
             cells = cells[self.order]
             self.cell_first = np.flatnonzero(np.diff(cells, prepend=-1))
@@ -106,6 +114,7 @@ class Stage2Workspace:
             self._run_first = np.flatnonzero(np.diff(self._group, prepend=-1))
         self.cell_sizes = np.diff(self.cell_first, append=self.n)
         self._run_group = self._group[self._run_first]
+        self.sweep_which = W.which[self.order]
         self.sweep_log_den = self.log_den[self.order]
         self.sweep_psi = psi[:, self.order]
         self.sweep_cv_map = cv_map[:, self.order]
@@ -191,7 +200,8 @@ def _pass(ws: Stage2Workspace, log_e: np.ndarray, log_c: np.ndarray, line_of: np
     sum and its product with psi; cv (lines, cells, k-1), the
     control-variate map times e; and sq, the sums of e^2."""
     L, R = E.shape[:2]
-    ell = np.subtract(log_e[:, ws.order], ws.sweep_log_den)
+    ell = np.take(log_e, ws.sweep_which, axis=1)
+    ell -= ws.sweep_log_den
     top = np.maximum.reduceat(ell, ws.cell_first, axis=1)
     ell -= np.repeat(np.where(np.isneginf(top), 0.0, top), ws.cell_sizes, axis=1)
     e = np.exp(ell, out=E[:, 0])

@@ -55,6 +55,13 @@ def _seed_block(master: int, rep: int, k: int, salt: int):
     return np.random.SeedSequence((master, salt, rep)).generate_state(k)
 
 
+def _v1_single_run(family, skeleton, seeds):
+    """One replicate's stage-1 estimate; its chains and weights are freed
+    on return, before the next replicate's are drawn."""
+    return estimate_ratios(build_log_weight_matrix(
+        family, skeleton, _chains(family, skeleton, V1_PER_CHAIN, seeds)))
+
+
 def suite_v1_ratio_calibration(reps: int = V1_REPS, master_seed: int = 1151) -> SuiteResult:
     """|d_hat_j - d_j| < 3 sqrt(Sigma_jj / N) in at least 93% of replications
     on the i.i.d. toy with a three-point skeleton."""
@@ -63,10 +70,7 @@ def suite_v1_ratio_calibration(reps: int = V1_REPS, master_seed: int = 1151) -> 
     d_true = np.array([family.exact_bf(h, skeleton[0]) for h in skeleton])
     hits = np.zeros(2)
     for rep in range(reps):
-        chains = _chains(family, skeleton, V1_PER_CHAIN,
-                         _seed_block(master_seed, rep, 3, 1))
-        W = build_log_weight_matrix(family, skeleton, chains)
-        est = estimate_ratios(W)
+        est = _v1_single_run(family, skeleton, _seed_block(master_seed, rep, 3, 1))
         se = np.sqrt(np.diag(est.sigma_hat) / est.N)
         hits += (np.abs(est.d_hat[1:] - d_true[1:]) < 3.0 * se)
     frac = hits / reps
@@ -176,7 +180,7 @@ def suite_v3_exact_identities(master_seed: int = 3033) -> SuiteResult:
     worst = 0.0
     for _ in range(10):
         eta = np.concatenate([[0.0], rng.normal(0.0, 0.7, W.k - 1)])
-        _, s, _ = mix.objective(eta)
+        _, s = mix.objective(eta)
         grad = (mix.masses(eta, s) - mix.counts)[1:]
         step = 1e-6
         for j in range(1, W.k):

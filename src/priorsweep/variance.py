@@ -4,11 +4,11 @@
 Every long-run covariance is chain-centred batch means (Flegal & Jones
 2010, Annals of Statistics), b = floor(sqrt(m)) draws a batch for a chain
 of m draws (`BatchLayout`), on series with time along the last axis:
-`batch_sums` gives S, the weighted centred batch sums, whose S S' is the
-long-run covariance matrix (the stage-1 sandwich solves against S).  S is
-linear in the series' sums over each batch, so `BatchLayout.centred`
-takes those sums, however they were formed (the stage-2 sweep forms them
-from tables, never from the series)."""
+S, the weighted centred batch sums, has S S' the long-run covariance
+matrix (the stage-1 sandwich solves against S).  S is linear in the
+series' sums over each batch, so `BatchLayout.centred` takes those sums,
+however they were formed (the stage-1 sandwich forms them a chain at a
+time, the stage-2 sweep from tables, never from the series)."""
 
 from __future__ import annotations
 
@@ -29,17 +29,19 @@ class BatchLayout:
     pooled draws.  Held: the first draw of every batch and of every chain's
     tail (`cuts`, for `np.add.reduceat`) and which of those segments are
     batches (`keep`, None without tails); each batch's chain, weight and
-    scale sqrt(weight) / b; each chain's first batch and number of batches."""
+    scale sqrt(weight) / b; each chain's first draw, batch size b, first
+    batch and number of batches."""
 
     def __init__(self, counts):
         counts = np.asarray(counts, dtype=np.int64)
         if counts.min() < MIN_SERIES_LENGTH:
             raise ValueError(f"series too short for batch means (m={counts.min()})")
         self.n = int(counts.sum())
-        size = np.array([math.isqrt(m) for m in counts.tolist()])
+        self.start = np.cumsum(counts) - counts
+        self.size = size = np.array([math.isqrt(m) for m in counts.tolist()])
         self.per_chain = counts // size
         cuts, keep = [], []
-        for first, m, b, a in zip((np.cumsum(counts) - counts).tolist(), counts.tolist(),
+        for first, m, b, a in zip(self.start.tolist(), counts.tolist(),
                                   size.tolist(), self.per_chain.tolist()):
             keep += range(len(cuts), len(cuts) + a)
             cuts += range(first, first + m, b)      # the batches, then any tail
@@ -51,26 +53,14 @@ class BatchLayout:
         self.scale = np.sqrt(self.weight) / size[self.chain]
 
     def centred(self, sums: np.ndarray) -> np.ndarray:
-        """`batch_sums` of series from their float sums over each batch,
-        along the last axis, computed in sums itself and returned; each row
-        on its own, so stacking series changes no bit."""
+        """S of series from their float sums over each batch, along the
+        last axis: each batch mean less its chain's mean of them, times the
+        root of the batch's weight.  Computed in sums itself and returned;
+        each row on its own, so stacking series changes no bit."""
         sums *= self.scale
         centre = np.add.reduceat(sums, self.first, axis=-1) / self.per_chain
         sums -= np.take(centre, self.chain, axis=-1)
         return sums
-
-
-def batch_sums(X, layout: BatchLayout) -> np.ndarray:
-    """S with S S' the long-run covariance of the series along the last
-    axis: each batch mean less its chain's mean of them, times the root of
-    the batch's weight."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[-1] != layout.n:
-        raise ValueError(f"series of length {X.shape[-1]} for a layout of {layout.n} draws")
-    S = np.add.reduceat(X, layout.cuts, axis=-1)
-    if layout.keep is not None:
-        S = np.take(S, layout.keep, axis=-1)     # in C order, so rows reduce alike
-    return layout.centred(S)
 
 
 @dataclass(frozen=True)
@@ -78,8 +68,8 @@ class PlanInputs:
     """Pilot measurements for the stage-allocation planner."""
 
     t1: float      # seconds per chain step
-    t2: float      # seconds per grid-term evaluation
-    g: float       # number of grid points
+    t2: float      # seconds per draw of a sweep's pass over one line of the grid
+    g: float       # number of lines of the grid (passes of a sweep)
     T: float       # total budget, seconds
     v1: float      # pilot stage-1 variance component (vec' Sigma vec)
     v2: float      # pilot stage-2 variance component

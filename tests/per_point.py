@@ -21,7 +21,10 @@ from the code they replaced:
 - the max-shifted softmax kernel `softmax` and the stage-1 solver
   `estimate_d_softmax` on it, one softmax of the k x N log-terms per trial
   point, which `priorsweep.ratio.Mixture` replaced with column sums of one
-  exponentiated array.
+  exponentiated array;
+- `expanded`, the log-weight matrix with one column per draw, as it was
+  before a column could stand for several draws; `estimate_sigma`,
+  `estimate_d_softmax` and `point_terms` work on the draws through it.
 """
 
 import math
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from priorsweep.errors import ConnectivityError
-from priorsweep.ratio import MAX_ITER, TOL, _check_curvature, _sandwich
+from priorsweep.ratio import MAX_ITER, TOL, LogWeightMatrix, _check_curvature, _sandwich
 from priorsweep.surface import _RANK_RTOL, surface
 from priorsweep.variance import MIN_SERIES_LENGTH
 
@@ -114,11 +117,20 @@ def pe_hat(ws, h, f):
     return float(_known_d(ws, h, np.reshape(f, (1, ws.n))).pe[0, 0])
 
 
+def expanded(W):
+    """W with one column per pooled draw: its draw's log weights, of
+    multiplicity 1."""
+    return LogWeightMatrix(logw=np.take(W.logw, W.which, axis=1), mult=np.ones(W.total),
+                           which=np.arange(W.total), counts=W.counts, skeleton=W.skeleton,
+                           family=W.family, stats=None, samples=W.samples)
+
+
 def estimate_sigma(W, d_hat):
     """Sandwich covariance of sqrt(N)(d_hat - d), with P and the curvature
-    formed at d_hat."""
+    formed at d_hat, over the draws."""
     if W.k == 1:
         return np.zeros((0, 0))
+    W = expanded(W)
     z = W.logw + np.log(W.proportions)[:, None]
     z -= np.log(np.asarray(d_hat, dtype=float))[:, None]
     P = softmax(z)[1]
@@ -154,8 +166,9 @@ def softmax_objective(base, eta, counts):
 def estimate_d_softmax(W):
     """The stage-1 solver of `priorsweep.ratio.estimate_d` with a softmax of
     the k x N log-terms at every trial point: the same starts, line search,
-    acceptance rule and trace; returns (d_hat, iterations, trace, P,
-    curvature) for k >= 2."""
+    acceptance rule and trace, over the draws; returns (d_hat, iterations,
+    trace, P, curvature) for k >= 2, P with a column per draw."""
+    W = expanded(W)
     k, N = W.k, W.total
     counts = W.counts.astype(float)
     base = W.logw + np.log(counts / N)[:, None]
@@ -207,7 +220,7 @@ def estimate_d_softmax(W):
 
 def point_terms(ws, h):
     """The shifted importance terms u = Y e^-shift at one grid point."""
-    lognum = ws.W.family.log_weights(ws.W.family.validate_h(h), ws.W.stats)
+    lognum = ws.W.family.log_weights(ws.W.family.validate_h(h), ws.W.stats)[ws.W.which]
     t = np.asarray(lognum, dtype=float) - ws.log_den
     shift = float(np.max(t))
     if math.isinf(shift):

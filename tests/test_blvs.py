@@ -325,7 +325,7 @@ class TestBlvsChain:
         assert all(c.dtype == bool for c in chains)
         W = build_log_weight_matrix(small_family, [sp.h for sp in specs], chains)
         assert np.array_equal(W.samples, np.vstack(chains))
-        assert np.array_equal(W.stats.q_gamma[W.stats.which], W.samples.sum(axis=1))
+        assert np.array_equal(W.stats.q_gamma[W.which], W.samples.sum(axis=1))
 
 
 def random_chain(fam, rng, n):
@@ -394,8 +394,8 @@ class TestPriorWeight:
         fam = BlvsFamily(synthetic_dataset(m=10, q=3, seed=9, strong=(0,)))
         chain = random_chain(fam, rng, 20)
         h1, h2 = (0.35, 4.0), (0.7, 19.0)
-        stats = fam.weight_stats(chain)
-        got = fam.log_weights(h1, stats) - fam.log_weights(h2, stats)
+        stats, which = fam.weight_stats(chain)
+        got = (fam.log_weights(h1, stats) - fam.log_weights(h2, stats))[which]
         for gamma, diff in zip(chain, got):
             qg = int(gamma.sum())
             want = qg * math.log(h1[0] / h2[0]) \
@@ -404,21 +404,23 @@ class TestPriorWeight:
             assert diff == pytest.approx(want, abs=1e-10)
 
     def test_same_h_zero(self, small_family):
-        stats = small_family.weight_stats(random_chain(small_family, np.random.default_rng(2), 8))
+        stats, _ = small_family.weight_stats(random_chain(small_family,
+                                                          np.random.default_rng(2), 8))
         h = (0.5, 8.0)
         assert np.array_equal(small_family.log_weights(h, stats),
                               small_family.log_weights(h, stats))
 
     def test_empty_model_reduces_to_bernoulli(self, small_family):
         # the null model's log marginal is 0 at every g
-        stats = small_family.weight_stats(np.zeros((1, 5), bool))
+        stats, _ = small_family.weight_stats(np.zeros((1, 5), bool))
         h1, h2 = (0.2, 5.0), (0.8, 50.0)
         got = small_family.log_weights(h1, stats) - small_family.log_weights(h2, stats)
         want = 5 * math.log((1 - h1[0]) / (1 - h2[0]))
         assert got[0] == pytest.approx(want, abs=1e-12)
 
     def test_path_additivity(self, small_family):
-        stats = small_family.weight_stats(random_chain(small_family, np.random.default_rng(8), 8))
+        stats, _ = small_family.weight_stats(random_chain(small_family,
+                                                          np.random.default_rng(8), 8))
         hs = [(0.2, 3.0), (0.55, 21.0), (0.9, 140.0)]
         w = [small_family.log_weights(h, stats) for h in hs]
         np.testing.assert_allclose((w[0] - w[1]) + (w[1] - w[2]), w[0] - w[2], atol=1e-12)
@@ -435,20 +437,21 @@ class TestPriorWeight:
                     BlvsFamily(synthetic_dataset(m=40, q=blvs.TABLE_MAX_Q + 1, seed=5))):
             sampled = fam.sample_chains([ChainSpec(h=(0.5, 15.0), length=30, seed=3)])[0]
             fitted = fam.models_fitted
-            assert fam.weight_stats(sampled).which.shape == (30,)
+            assert fam.weight_stats(sampled)[1].shape == (30,)
             assert fam.models_fitted == fitted     # every sampled model was fitted
             chain = np.concatenate([random_chain(fam, rng, 40), sampled,
                                     np.zeros((1, fam.q), bool), np.ones((1, fam.q), bool)])
-            stats = fam.weight_stats(chain)
+            stats, which = fam.weight_stats(chain)
             assert (fam._table is None) == (fam.q > blvs.TABLE_MAX_Q)
             for h in points:
                 want = [log_prior_and_marginal(fam, gamma, h) for gamma in chain]
-                np.testing.assert_allclose(fam.log_weights(h, stats), want, rtol=1e-12, atol=0)
+                np.testing.assert_allclose(fam.log_weights(h, stats)[which], want,
+                                           rtol=1e-12, atol=0)
 
     def test_per_model_weights_bit_identical_to_per_draw_form(self):
-        # log_weights evaluates each distinct model once and gathers; the
-        # closed form evaluated at every draw gives the same bits, on the
-        # table path and above TABLE_MAX_Q
+        # log_weights evaluates each distinct model once; gathered to the
+        # draws, it has the bits of the closed form evaluated at every draw,
+        # on the table path and above TABLE_MAX_Q
         rng = np.random.default_rng(37)
         for fam in (crime_family(),
                     BlvsFamily(synthetic_dataset(m=40, q=blvs.TABLE_MAX_Q + 1, seed=6))):
@@ -456,13 +459,13 @@ class TestPriorWeight:
                 fam.sample_chains([ChainSpec(h=(0.5, 15.0), length=60, seed=4)])[0],
                 random_chain(fam, rng, 20)])
             chain = chain[rng.permutation(len(chain))]
-            stats = fam.weight_stats(chain)
+            stats, which = fam.weight_stats(chain)
             assert len(stats.q_gamma) == len(np.unique(chain, axis=0)) < len(chain)
-            sizes, rssr = stats.q_gamma[stats.which], stats.rss_ratio[stats.which]
+            sizes, rssr = stats.q_gamma[which], stats.rss_ratio[which]
             for w, g in [(0.3, 4.0), (0.65, 20.0), (0.9, 225.0)]:
                 per_draw = sizes * (math.log(w) - math.log1p(-w)) + fam.q * math.log1p(-w) \
                     + blvs._log_marginal(fam.m, sizes, rssr, g)
-                assert fam.log_weights((w, g), stats).tobytes() == per_draw.tobytes()
+                assert fam.log_weights((w, g), stats)[which].tobytes() == per_draw.tobytes()
 
     def test_domain_checks(self, small_family):
         for bad in [(0.0, 5.0), (1.0, 5.0), (0.5, 0.0), (0.5, -2.0)]:

@@ -33,6 +33,15 @@ RUN_TIMINGS = {"stage1_s", "t1_s_per_step", "weights_s", "ratio_s", "stage2_s",
                "workspace_s", "sweep_s", "t2_s_per_term", "write_s"}
 
 
+def smoke_config(**changes):
+    """The US-crime smoke config as a dict, its dataset an absolute path,
+    with the given top-level entries replaced."""
+    raw = yaml.safe_load(SMOKE_CONFIG.read_text())
+    raw["model"]["dataset"] = str(SMOKE_CONFIG.parent / raw["model"]["dataset"])
+    raw.update(save_chains=False, **changes)
+    return raw
+
+
 def read_bytes(path):
     with open(path, "rb") as fh:
         return fh.read()
@@ -110,6 +119,23 @@ class TestRun:
         assert manifest["stages_run"] == "2"
         assert "sweep_s" in manifest["timings"]
         assert manifest["timings"]["workspace_s"] > 0
+
+    def test_manifest_records_distinct_columns(self, toy_config, tmp_path):
+        # each of the toy's draws is a column of its own; BLVS's draws share
+        # a column per model code
+        assert main(["run", "--config", str(toy_config)]) == 0
+        sizes = json.loads((tmp_path / "out" / "manifest.json").read_text())["sizes"]
+        assert sizes["D1"] == sizes["N"] and sizes["D2"] == sizes["n"] == 1600
+        p = tmp_path / "blvs.yaml"
+        p.write_text(yaml.safe_dump(smoke_config(stage1={"length": 150, "seed": 1},
+                                                 stage2={"length": 60, "seed": 2})))
+        for stage, keys in (("1", ["N", "D1"]), ("both", ["N", "D1", "n", "D2"])):
+            out = tmp_path / stage
+            assert main(["run", "--config", str(p), "--stage", stage, "--out", str(out)]) == 0
+            sizes = json.loads((out / "manifest.json").read_text())["sizes"]
+            assert [key for key in sizes if key in ("N", "D1", "n", "D2")] == keys
+            assert 0 < sizes["D1"] < sizes["N"] == 4 * 150
+        assert 0 < sizes["D2"] < sizes["n"] == 4 * 60
 
     def test_stage2_requires_ratio_json(self, toy_config, tmp_path):
         assert main(["run", "--config", str(toy_config), "--stage", "2",
@@ -561,6 +587,27 @@ class TestPlan:
         assert [f.name for f in (tmp_path / "out").iterdir()] == ["plan.json"]
         doc = json.loads((tmp_path / "out" / "plan.json").read_text())
         assert len(doc["pilot_points"]) == 3
+
+    def test_plan_charges_the_grid_by_lines(self, tmp_path, monkeypatch):
+        # a BLVS sweep passes over the draws once per distinct g, so a grid
+        # of 3 g x 4 w is 3 lines, and t2 is the probe sweep's time per
+        # line and draw
+        raw = smoke_config(grid={"w": {"min": 0.2, "max": 0.8, "step": 0.2},
+                                 "g": {"min": 10, "max": 50, "step": 20}},
+                           out=str(tmp_path / "out"))
+        p = tmp_path / "study.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        seen, real = [], cli.q_opt
+        monkeypatch.setattr(cli, "q_opt", lambda inputs: seen.append(inputs) or real(inputs))
+        assert main(["plan", "--config", str(p), "--budget", "60",
+                     "--pilot-length", "30"]) == 0
+        doc = json.loads((tmp_path / "out" / "plan.json").read_text())
+        grid = load_config(p).grid
+        probe = grid[[0, len(grid) // 2, len(grid) - 1]]
+        assert doc["grid_points"] == 12 and doc["grid_lines"] == 3
+        assert doc["probe_lines"] == len(set(probe[:, 1].tolist()))
+        assert seen and all(inputs.g == 3 for inputs in seen)
+        assert all(inputs.t2 == doc["t2_s_per_term"] for inputs in seen)
 
     def test_plan_times_the_configured_functions(self, toy_config, monkeypatch):
         # t2 is timed on the sweep that `run` performs, functions included

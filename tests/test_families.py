@@ -104,7 +104,9 @@ class TestLogPriorWeight:
     def test_vectorized_matches_scalar(self):
         fam = ConjugateToy(y_obs=0.5, prior_sd=1.7)
         thetas = np.array([-1.0, 0.0, 2.5])
-        vec = fam.log_weights((0.3,), fam.weight_stats(thetas))
+        stats, which = fam.weight_stats(thetas)
+        assert np.array_equal(which, np.arange(3))       # each draw its own column
+        vec = fam.log_weights((0.3,), stats)
         scal = [log_prior_weight(fam, (0.3,), t) for t in thetas]
         np.testing.assert_allclose(vec, scal, rtol=1e-15)
 
@@ -216,7 +218,7 @@ class MinimalFamily(DensityFamily):
                 for sp in specs]
 
     def weight_stats(self, samples):
-        return samples
+        return samples, np.arange(len(samples))
 
     def log_weights(self, h, stats):
         (h,) = self.validate_h(h)

@@ -7,13 +7,15 @@ import pytest
 from scipy.special import logsumexp
 
 from priorsweep import ratio
+from priorsweep.blvs import BlvsFamily
 from priorsweep.errors import ConnectivityError, ConvergenceError, SupportViolationError
 from priorsweep.families import ChainSpec, ConjugateToy
 from priorsweep.ratio import (LogWeightMatrix, Mixture, RatioEstimate, _sandwich,
                               build_log_weight_matrix, estimate_d, estimate_ratios)
 from priorsweep.surface import Stage2Workspace
 
-from per_point import (bf_hat, curvature_of, estimate_d_softmax, estimate_sigma,
+from conftest import synthetic_dataset
+from per_point import (bf_hat, curvature_of, estimate_d_softmax, estimate_sigma, expanded,
                        softmax)
 
 
@@ -74,9 +76,12 @@ class TestBuild:
 
 
 def log_terms(logw, counts):
-    """A LogWeightMatrix holding logw alone, for the kernel."""
-    return LogWeightMatrix(logw=logw, counts=np.asarray(counts), skeleton=None,
-                           family=None, stats=None, samples=None)
+    """A LogWeightMatrix holding logw alone, a column per draw, for the
+    kernel."""
+    N = logw.shape[1]
+    return LogWeightMatrix(logw=logw, mult=np.ones(N), which=np.arange(N),
+                           counts=np.asarray(counts), skeleton=None, family=None,
+                           stats=None, samples=None)
 
 
 def mixture_lse_and_p(z, ref, eta):
@@ -84,8 +89,8 @@ def mixture_lse_and_p(z, ref, eta):
     constant) at reference ref and point eta."""
     k = z.shape[0]
     mix = Mixture(log_terms(z + math.log(k), np.ones(k, dtype=np.int64)), ref)
-    _, s, lse = mix.objective(eta)
-    return lse, mix.probabilities(eta, s, np.empty_like(z))
+    _, s = mix.objective(eta)
+    return mix.lse(s), mix.probabilities(eta, s, np.empty_like(z))
 
 
 class TestSoftmaxKernel:
@@ -146,7 +151,7 @@ class TestSoftmaxKernel:
         assert P is z
         # stage 2 writes P over the kernel's own E
         mix = Mixture(log_terms(z, np.ones(4, dtype=np.int64)), np.zeros(4))
-        _, s, _ = mix.objective(np.zeros(4))
+        _, s = mix.objective(np.zeros(4))
         assert mix.probabilities(np.zeros(4), s, mix.E) is mix.E
 
 
@@ -183,7 +188,7 @@ class TestEstimateD:
         rng = np.random.default_rng(12)
         for _ in range(10):
             eta = np.concatenate([[0.0], rng.normal(0, 0.8, 2)])
-            _, s, _ = mix.objective(eta)
+            _, s = mix.objective(eta)
             grad = (mix.masses(eta, s) - counts)[1:]
             for j in (1, 2):
                 up, dn = eta.copy(), eta.copy()
@@ -204,8 +209,9 @@ class TestEstimateD:
         want = logsumexp(logw + np.log(counts / counts.sum())[:, None] - eta[:, None],
                          axis=0)
         for ref in (np.zeros(5), eta, -eta):
-            value, _, lse = Mixture(log_terms(logw, counts), ref).objective(eta)
-            np.testing.assert_allclose(lse, want, rtol=1e-13)
+            mix = Mixture(log_terms(logw, counts), ref)
+            value, s = mix.objective(eta)
+            np.testing.assert_allclose(mix.lse(s), want, rtol=1e-13)
             assert value == pytest.approx(-counts @ eta - want.sum(), rel=1e-13)
 
     def test_concavity_along_random_segments(self):
@@ -231,8 +237,8 @@ class TestEstimateD:
             mix = Mixture(W, ref)
             for _ in range(5):
                 eta = np.concatenate([[0.0], rng.normal(0, 1.5, 3)])
-                _, s, _ = mix.objective(eta)
-                B = mix.curvature(eta, s, np.empty_like(W.logw))
+                _, s = mix.objective(eta)
+                B = mix.curvature(eta, s)
                 want = curvature_of(softmax(base - eta[:, None])[1])
                 np.testing.assert_allclose(B, want, rtol=0,
                                            atol=1e-12 * np.abs(want).max())
@@ -264,8 +270,8 @@ class TestEstimateD:
         _, W = toy_matrix([(0.0,), (9.0,), (18.0,)], [4000, 4000, 4000], seed0=30)
         eta = np.log(estimate_d(W)[0])
         mix = Mixture(W, eta)
-        _, s, _ = mix.objective(eta)
-        got = np.diag(mix.curvature(eta, s, np.empty_like(W.logw)))
+        _, s = mix.objective(eta)
+        got = np.diag(mix.curvature(eta, s))
         z = W.logw.astype(np.longdouble) + np.log(W.proportions)[:, None] - eta[:, None]
         P = np.exp(z - z.max(axis=0))
         P /= P.sum(axis=0)
@@ -292,8 +298,8 @@ class TestEstimateD:
         d, _ = estimate_d(W)
         rng = np.random.default_rng(1)
         shifted = LogWeightMatrix(
-            logw=W.logw + rng.normal(0, 2.0, W.total)[None, :],
-            counts=W.counts, skeleton=W.skeleton, family=W.family,
+            logw=W.logw + rng.normal(0, 2.0, W.total)[None, :], mult=W.mult,
+            which=W.which, counts=W.counts, skeleton=W.skeleton, family=W.family,
             stats=W.stats, samples=W.samples)
         d2, _ = estimate_d(shifted)
         np.testing.assert_allclose(d2, d, atol=1e-10)
@@ -361,29 +367,33 @@ class TestEstimateSigma:
         skeleton = [(0.2 * s,) for s in range(16)]
         _, W = toy_matrix(skeleton, [2500] * 16, seed0=40)
         unit = W.logw.nbytes                       # one k x N float array
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            estimate_ratios(W)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3.5 * unit, f"peak {peak / unit:.2f} k x N arrays"
+        peak = traced_peak(estimate_ratios, W)
+        assert peak <= 1.35 * unit, f"peak {peak / unit:.2f} k x N arrays"
 
     def test_peak_memory_of_estimate_d(self):
         skeleton = [(0.2 * s,) for s in range(16)]
         _, W = toy_matrix(skeleton, [2500] * 16, seed0=40)
         unit = W.logw.nbytes                       # one k x N float array
-        tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            start = tracemalloc.get_traced_memory()[0]
-            estimate_d(W)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * unit, f"peak {peak / unit:.2f} k x N arrays"
+        peak = traced_peak(estimate_d, W)
+        assert peak <= 1.35 * unit, f"peak {peak / unit:.2f} k x N arrays"
+
+    def test_peak_memory_at_v1_shape(self):
+        # V1's solve, k = 3 and N = 60,000: the kernel's E, and the column
+        # sums, log terms and column maxima, each a third of a k x N array
+        _, W = toy_matrix([(0.0,), (1.0,), (2.0,)], [20000] * 3, seed0=40)
+        unit = W.logw.nbytes
+        for fn in (estimate_d, estimate_ratios):
+            assert traced_peak(fn, W) <= 2.25 * unit, fn.__name__
+
+    def test_blvs_solve_holds_no_k_by_n_array(self, small_family):
+        # with D <= N / 4 columns, every array of the solve and the sandwich
+        # is k x D, D-long or one chain's: neither a k x N float array nor
+        # the (k - 1) x N scores (2/3 of one at k = 3) is live
+        W = blvs_matrix(small_family, 2000)
+        assert W.columns <= W.total / 4
+        unit = W.k * W.total * 8
+        for fn in (estimate_d, estimate_ratios):
+            assert traced_peak(fn, W) < 0.5 * unit, fn.__name__
 
     def test_replication_calibration(self):
         # empirical covariance of sqrt(N)(d_hat - d) vs the mean sandwich
@@ -406,6 +416,82 @@ class TestEstimateSigma:
         mean_sigma = sigmas / reps
         rel = np.linalg.norm(emp - mean_sigma) / np.linalg.norm(mean_sigma)
         assert rel < 0.20, f"relative Frobenius error {rel:.3f}"
+
+
+class TestColumns:
+    """BLVS weighs each distinct model code once: the solve over its D
+    columns, each of the draws it stands for, is the solve over the draws."""
+
+    def test_codes_match_expanded_draws(self, small_family):
+        W = blvs_matrix(small_family, 400)
+        assert W.columns < W.total / 4
+        assert np.array_equal(W.mult, np.bincount(W.which))
+        est, want = estimate_ratios(W), estimate_ratios(expanded(W))
+        np.testing.assert_allclose(est.d_hat, want.d_hat, rtol=1e-12)
+        np.testing.assert_allclose(est.sigma_hat, want.sigma_hat, rtol=1e-12)
+        # and the references over the draws, at the toy's tolerances
+        d_ref = estimate_d_softmax(W)[0]
+        np.testing.assert_allclose(est.d_hat, d_ref, rtol=1e-12)
+        sigma = estimate_sigma(W, est.d_hat)
+        np.testing.assert_allclose(est.sigma_hat, sigma, rtol=1e-13,
+                                   atol=1e-13 * np.abs(sigma).max())
+
+    @staticmethod
+    def shared_full_model(bad):
+        """A family, skeleton and two chains in which only chain 1 holds
+        the full model, at its draws 7, 12 and 30, whose weights are `bad`:
+        at every skeleton point if bad is -inf, else at the second."""
+        class Bad(BlvsFamily):
+            def log_weights(self, h, stats):
+                out = super().log_weights(h, stats)
+                if np.isneginf(bad) or h == skeleton[1]:
+                    out[stats.q_gamma == self.q] = bad
+                return out
+
+        fam = Bad(synthetic_dataset())
+        skeleton = [(0.3, 10.0), (0.6, 40.0)]
+        rng = np.random.default_rng(5)
+        chains = [rng.random((30, fam.q)) < 0.4, rng.random((40, fam.q)) < 0.4]
+        for c in chains:
+            c[:, 0] = False                        # no full model, but
+        chains[1][[7, 12, 30]] = True              # three draws of chain 1
+        return fam, skeleton, chains
+
+    def test_dead_shared_column_names_its_first_draw(self):
+        fam, skeleton, chains = self.shared_full_model(-np.inf)
+        W = build_log_weight_matrix(fam, skeleton, chains)
+        assert W.mult[W.which[37]] == 3
+        with pytest.raises(SupportViolationError, match=r"pooled sample 37 \(chain 1\)"):
+            estimate_d(W)
+        with pytest.raises(SupportViolationError, match=r"pooled sample 37 \(chain 1\)"):
+            Stage2Workspace(W, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_failed_weight_of_shared_column_names_its_first_draw(self, bad):
+        fam, skeleton, chains = self.shared_full_model(bad)
+        with pytest.raises(ValueError, match="in chain 1 failed at skeleton 1, "
+                                             "pooled sample 37$"):
+            build_log_weight_matrix(fam, skeleton, chains)
+
+
+def traced_peak(fn, W) -> int:
+    """The traced peak of fn(W), in bytes above what was live before."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn(W)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def blvs_matrix(family, length):
+    """The stage-1 matrix of three BLVS chains of the given length."""
+    skeleton = [(0.3, 10.0), (0.6, 40.0), (0.5, 100.0)]
+    chains = family.sample_chains([ChainSpec(h=h, length=length, burn_in=20, seed=90 + i)
+                                   for i, h in enumerate(skeleton)])
+    return build_log_weight_matrix(family, skeleton, chains)
 
 
 class TestRatioEstimateIO:
